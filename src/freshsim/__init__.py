@@ -50,7 +50,6 @@ from .baselines import (
     CounterTreeState,
     MerkleEngine,
     NoneEngine,
-    merkle_access,
     tree_depth,
 )
 from .traces import (
@@ -111,7 +110,6 @@ __all__ = [
     "CounterTreeState",
     "MerkleEngine",
     "NoneEngine",
-    "merkle_access",
     "tree_depth",
     "PATTERN_KINDS",
     "PatternSpec",

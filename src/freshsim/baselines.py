@@ -14,138 +14,16 @@ from dataclasses import dataclass, field
 
 from .caches import SetAssocCache
 from .core import AddressRangeError, ConfigError, Geometry
-from .engine import AccessOutcome, EngineConfig, MemoryLayout, SimulationHalted, mac_block_addr
+from .engine import AccessOutcome, EngineConfig, ProtectionEngine
 
 
-class _BaselineCore:
-    """Data-channel and MAC-cache plumbing shared by the baseline engines."""
-
-    mode = "none"
-    uses_mac = False
-    uses_cipher = False
-
-    def __init__(self, config: EngineConfig) -> None:
-        self.config = config
-        self.layout = MemoryLayout(
-            data_bytes=config.protected_bytes, geometry=config.geometry
-        )
-        self.mac_cache = SetAssocCache(
-            lines=config.mac_cache_bytes // config.geometry.block_bytes,
-            assoc=config.mac_assoc,
-        )
-        self.halted: str | None = None
-        self.events = 0
-        self.reads = 0
-        self.writes = 0
-        self.local_bytes = 0
-        self.pool_bytes = 0
-        self.mac_bytes = 0
-        self.device_bytes = 0
-        self.read_latency_total = 0.0
-
-    def channel_of(self, addr: int) -> str:
-        return "local" if addr < self.config.local_bytes else "pool"
-
-    def _data_latency(self, channel: str) -> float:
-        return self.config.local_ns if channel == "local" else self.config.pool_ns
-
-    def _charge_data(self, out: AccessOutcome, nbytes: int) -> None:
-        if out.channel == "local":
-            out.local_bytes += nbytes
-            self.local_bytes += nbytes
-        else:
-            out.pool_bytes += nbytes
-            self.pool_bytes += nbytes
-
-    def _charge_mac(self, out: AccessOutcome, nbytes: int) -> None:
-        out.mac_bytes += nbytes
-        self.mac_bytes += nbytes
-
-    def _mac_access(self, out: AccessOutcome, is_write: bool) -> float:
-        g = self.config.geometry
-        key = mac_block_addr(out.addr, self.layout) // g.block_bytes
-        if self.mac_cache.get(key) is not None:
-            out.mac_hit = True
-            if is_write:
-                self.mac_cache.mark_dirty(key)
-            return 0.0
-        out.mac_hit = False
-        self._charge_mac(out, g.block_bytes)
-        evicted = self.mac_cache.put(key, dirty=is_write)
-        if evicted is not None and evicted[2]:
-            self._charge_mac(out, g.block_bytes)
-        return self._data_latency(out.channel)
-
-    def _freshness(self, out: AccessOutcome, is_write: bool) -> float:
-        """Hook: extra metadata latency for the freshness scheme, if any."""
-        return 0.0
-
-    def process_access(self, op: str, addr: int) -> AccessOutcome:
-        if self.halted:
-            raise SimulationHalted(self.halted)
-        if addr >= self.layout.data_bytes:
-            raise AddressRangeError(
-                f"address {addr:#x} outside the {self.layout.data_bytes}-byte data partition"
-            )
-        out = AccessOutcome(op=op, addr=addr, channel=self.channel_of(addr))
-        g = self.config.geometry
-        self.events += 1
-        cipher_ns = self.config.cipher_ns if self.uses_cipher else 0.0
-        if op == "R":
-            self.reads += 1
-            self._charge_data(out, g.block_bytes)
-            mac_lat = self._mac_access(out, is_write=False) if self.uses_mac else 0.0
-            fresh_lat = self._freshness(out, is_write=False)
-            out.latency_ns = self._data_latency(out.channel) + max(mac_lat, fresh_lat) + cipher_ns
-            self.read_latency_total += out.latency_ns
-        elif op == "W":
-            self.writes += 1
-            self._charge_data(out, g.block_bytes)
-            if self.uses_mac:
-                self._mac_access(out, is_write=True)
-            self._freshness(out, is_write=True)
-            out.latency_ns = self._data_latency(out.channel) + cipher_ns
-        else:
-            raise ConfigError(f"unknown op {op!r}")
-        return out
-
-    def stats(self) -> dict:
-        return {
-            "mode": self.mode,
-            "events": self.events,
-            "reads": self.reads,
-            "writes": self.writes,
-            "channels": {
-                "local_bytes": self.local_bytes,
-                "pool_bytes": self.pool_bytes,
-                "mac_bytes": self.mac_bytes,
-                "device_bytes": self.device_bytes,
-            },
-            "caches": {
-                "flat": {"hits": 0, "misses": 0},
-                "overflow": {"hits": 0, "misses": 0},
-                "mac": {"hits": self.mac_cache.hits, "misses": self.mac_cache.misses},
-            },
-            "resets": 0,
-            "reencrypted_blocks": 0,
-            "avg_read_latency_ns": (
-                self.read_latency_total / self.reads if self.reads else 0.0
-            ),
-            "page_formats": {"flat": 0, "uneven": 0, "full": 0},
-            "device": {"static_bytes": 0, "dynamic_bytes": 0, "peak_bytes": 0,
-                       "transactions": 0, "reads": 0, "updates": 0},
-        }
-
-
-class NoneEngine(_BaselineCore):
+class NoneEngine(ProtectionEngine):
     """Unprotected memory: data traffic and raw latency only."""
 
     mode = "none"
-    uses_mac = False
-    uses_cipher = False
 
 
-class CiEngine(_BaselineCore):
+class CiEngine(ProtectionEngine):
     """Confidentiality + integrity: cipher latency and a MAC cache, no
     freshness metadata, and therefore never any device traffic."""
 
@@ -211,7 +89,7 @@ def tree_depth(config: CounterTreeConfig) -> int:
 
 
 class CounterTreeState:
-    """Counter cache plus sparse per-level node version maps."""
+    """Counter cache over the tree's nodes; only residency is tracked."""
 
     def __init__(self, config: CounterTreeConfig) -> None:
         self.config = config
@@ -221,7 +99,6 @@ class CounterTreeState:
         if lines % assoc:
             assoc = 1
         self.cache = SetAssocCache(lines=lines, assoc=assoc)
-        self.node_versions: list[dict[int, int]] = [dict() for _ in range(self.depth)]
         self.fetches = 0
         self.dirty_writebacks = 0
 
@@ -245,28 +122,20 @@ class CounterTreeState:
         index = leaf
         for level in range(self.depth):
             key = self._node_key(level, index)
-            hit = self.cache.get(key) is not None
-            if is_write:
-                lvl_map = self.node_versions[level]
-                lvl_map[index] = lvl_map.get(index, 0) + 1
-            if hit:
+            if self.cache.get(key):
                 if is_write:
                     self.cache.mark_dirty(key)
                 break
             fetched += 1
             evicted = self.cache.put(key, dirty=is_write)
-            if evicted is not None and evicted[2]:
+            if evicted is not None and evicted[1]:
                 self.dirty_writebacks += 1
             index //= cfg.arity
         self.fetches += fetched
         return fetched
 
 
-def merkle_access(state: CounterTreeState, addr: int, is_write: bool) -> int:
-    return state.access(addr, is_write)
-
-
-class MerkleEngine(_BaselineCore):
+class MerkleEngine(ProtectionEngine):
     """CI plus a counter hash tree for freshness.
 
     Tree-node traffic is reported on the ``device_bytes`` channel so that the

@@ -1,8 +1,9 @@
-"""Small LRU cache models used by the host engine and the baselines.
+"""LRU cache model used by the host engine and the baselines.
 
-These track residency, recency, and dirtiness only; payloads are whatever
-the caller stores.  Hit/miss counters live on the cache so statistics fall
-out for free.
+A cache tracks residency, recency, and one dirty bit per key; it stores no
+payloads, since no counted number depends on them.  A fully associative
+cache of ``n`` entries is ``SetAssocCache(n, n)``.  Hit/miss counters live on
+the cache so statistics fall out for free.
 """
 
 from __future__ import annotations
@@ -10,52 +11,6 @@ from __future__ import annotations
 from collections import OrderedDict
 
 from .core import ConfigError
-
-
-class LruCache:
-    """Fully associative LRU cache with a fixed entry count."""
-
-    def __init__(self, entries: int) -> None:
-        if entries <= 0:
-            raise ConfigError("cache needs at least one entry")
-        self.capacity = entries
-        self._data: OrderedDict = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def get(self, key):
-        if key in self._data:
-            self._data.move_to_end(key)
-            self.hits += 1
-            return self._data[key]
-        self.misses += 1
-        return None
-
-    def peek(self, key):
-        return self._data.get(key)
-
-    def put(self, key, value):
-        """Insert or refresh; returns the evicted (key, value) pair or None."""
-        if key in self._data:
-            self._data[key] = value
-            self._data.move_to_end(key)
-            return None
-        self._data[key] = value
-        if len(self._data) > self.capacity:
-            return self._data.popitem(last=False)
-        return None
-
-    def invalidate(self, key) -> bool:
-        return self._data.pop(key, None) is not None
-
-    def __contains__(self, key) -> bool:
-        return key in self._data
-
-    def __len__(self) -> int:
-        return len(self._data)
-
-    def keys(self):
-        return self._data.keys()
 
 
 def _mix(key: int) -> int:
@@ -67,10 +22,11 @@ def _mix(key: int) -> int:
 
 
 class SetAssocCache:
-    """Set-associative write-back cache keyed by integers.
+    """Set-associative write-back LRU cache keyed by integers.
 
-    Values are opaque.  A dirty line's (key, value) pair is returned on
-    eviction so the caller can charge write-back traffic.
+    Each set maps key -> dirty bit in recency order.  A line's
+    ``(key, dirty)`` pair is returned on eviction so the caller can charge
+    write-back traffic.
     """
 
     def __init__(self, lines: int, assoc: int) -> None:
@@ -84,46 +40,49 @@ class SetAssocCache:
         self.misses = 0
 
     def _set(self, key: int) -> OrderedDict:
+        if self.num_sets == 1:
+            return self._sets[0]
         return self._sets[_mix(key) % self.num_sets]
 
-    def get(self, key: int):
+    def get(self, key: int) -> bool:
+        """Look up a line, counting the hit or miss and refreshing recency."""
         s = self._set(key)
         if key in s:
             s.move_to_end(key)
             self.hits += 1
-            return s[key]
+            return True
         self.misses += 1
-        return None
+        return False
 
     def probe(self, key: int) -> bool:
         """Residency check without touching recency or counters."""
         return key in self._set(key)
 
-    def put(self, key: int, value=None, dirty: bool = False):
-        """Fill or update a line.  Returns evicted (key, value, dirty) or None."""
+    __contains__ = probe
+
+    def put(self, key: int, dirty: bool = False) -> tuple[int, bool] | None:
+        """Fill or refresh a line.  Returns the evicted (key, dirty) or None."""
         s = self._set(key)
         if key in s:
-            old_dirty = s[key][1]
-            s[key] = (value, dirty or old_dirty)
+            s[key] = dirty or s[key]
             s.move_to_end(key)
             return None
-        s[key] = (value, dirty)
+        s[key] = dirty
         if len(s) > self.assoc:
-            ekey, (evalue, edirty) = s.popitem(last=False)
-            return ekey, evalue, edirty
+            return s.popitem(last=False)
         return None
 
     def mark_dirty(self, key: int) -> None:
         s = self._set(key)
-        value, _ = s[key]
-        s[key] = (value, True)
-        s.move_to_end(key)
+        s.move_to_end(key)  # KeyError if the line is not resident
+        s[key] = True
 
     def invalidate(self, key: int) -> bool:
         """Drop a line without write-back (caller has already persisted it)."""
         return self._set(key).pop(key, None) is not None
 
     def resident_keys(self) -> list[int]:
+        """Resident keys, set by set, least recently used first."""
         out: list[int] = []
         for s in self._sets:
             out.extend(s.keys())

@@ -66,7 +66,7 @@ _TOP_KEYS = frozenset(
 
 
 def default_config() -> dict:
-    """Full default run configuration (what ``--preset paper`` selects)."""
+    """Full default run configuration; a config file overrides parts of it."""
     cfg: dict = {"mode": "toleo", "trace": None, "tree": {}}
     for klass, keys in (
         (Geometry, _GEOMETRY_KEYS),
@@ -265,54 +265,40 @@ def cmd_analyze_security(args) -> int:
     return 0
 
 
-CSV_COLUMNS = (
-    "mode",
-    "events",
-    "reads",
-    "writes",
-    "local_bytes",
-    "pool_bytes",
-    "mac_bytes",
-    "device_bytes",
-    "device_transactions",
-    "resets",
-    "reencrypted_blocks",
-    "avg_read_latency_ns",
-    "pages_flat",
-    "pages_uneven",
-    "pages_full",
-    "device_static_bytes",
-    "device_dynamic_bytes",
-    "device_peak_bytes",
-    "tree_depth",
-    "tree_fetches",
+# compare CSV: one column per (name, dotted path into stats()); a mode
+# without the section (only merkle has "tree") reports 0
+CSV_FIELDS = (
+    ("mode", "mode"),
+    ("events", "events"),
+    ("reads", "reads"),
+    ("writes", "writes"),
+    ("local_bytes", "channels.local_bytes"),
+    ("pool_bytes", "channels.pool_bytes"),
+    ("mac_bytes", "channels.mac_bytes"),
+    ("device_bytes", "channels.device_bytes"),
+    ("device_transactions", "device.transactions"),
+    ("resets", "resets"),
+    ("reencrypted_blocks", "reencrypted_blocks"),
+    ("avg_read_latency_ns", "avg_read_latency_ns"),
+    ("pages_flat", "page_formats.flat"),
+    ("pages_uneven", "page_formats.uneven"),
+    ("pages_full", "page_formats.full"),
+    ("device_static_bytes", "device.static_bytes"),
+    ("device_dynamic_bytes", "device.dynamic_bytes"),
+    ("device_peak_bytes", "device.peak_bytes"),
+    ("tree_depth", "tree.depth"),
+    ("tree_fetches", "tree.fetches"),
 )
+CSV_COLUMNS = tuple(name for name, _ in CSV_FIELDS)
 
 
-def _csv_row(stats: dict) -> list:
-    tree = stats.get("tree", {})
-    return [
-        stats["mode"],
-        stats["events"],
-        stats["reads"],
-        stats["writes"],
-        stats["channels"]["local_bytes"],
-        stats["channels"]["pool_bytes"],
-        stats["channels"]["mac_bytes"],
-        stats["channels"]["device_bytes"],
-        stats["device"]["transactions"],
-        stats["resets"],
-        stats["reencrypted_blocks"],
-        stats["avg_read_latency_ns"],
-        stats["page_formats"]["flat"],
-        stats["page_formats"]["uneven"],
-        stats["page_formats"]["full"],
-        stats["device"]["static_bytes"],
-        stats["device"]["dynamic_bytes"],
-        stats["device"]["peak_bytes"],
-        tree.get("depth", 0),
-        tree.get("fetches", 0),
-    ]
+def _csv_value(stats: dict, path: str):
+    value = stats
+    for key in path.split("."):
+        if key not in value:
+            return 0
+        value = value[key]
+    return value
 
 
 def cmd_compare(args) -> int:
@@ -335,7 +321,8 @@ def cmd_compare(args) -> int:
         code = _run(engine, events)
         if code:
             return code
-        rows.append(_csv_row(engine.stats()))
+        stats = engine.stats()
+        rows.append([_csv_value(stats, path) for _, path in CSV_FIELDS])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
@@ -359,11 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", metavar="PATH", help="JSON configuration file")
         p.add_argument("--seed", type=int, metavar="N", help="override the config seed")
         p.add_argument("--out", metavar="PATH", help="output file (default: stdout)")
-        p.add_argument(
-            "--preset",
-            choices=["paper"],
-            help="start from the built-in default parameterization",
-        )
         if trace:
             p.add_argument("--trace", metavar="PATH", help="trace file (overrides config)")
         if mode:

@@ -1,20 +1,27 @@
-"""Host-side protection engine backed by the device version store.
+"""Protection engines: the per-event skeleton every mode shares, and the
+host engine backed by the device version store.
 
-The host keeps three small caches of freshness metadata:
+``ProtectionEngine`` does what all modes do alike: channel routing (local
+DRAM or a CXL-attached pool), data and MAC byte charging, the MAC cache and
+latency.  Each mode adds only its freshness scheme.
 
-* a fully associative cache of packed flat entries (one per hot page),
+The device-backed engine keeps three small caches of freshness metadata:
+
+* a fully associative cache of flat entries (one per hot page),
 * an overflow buffer of 56-byte dynamic lines (uneven offsets and the four
   quarters of a full entry), inclusive with the flat cache,
 * a set-associative write-back cache of 64-byte MAC blocks.
 
-Reads decode the block's version from cached metadata when they can; any
-missing piece costs one device READ.  Writes are write-through: every write
-issues exactly one device UPDATE whose response carries the refreshed entry
-and any dynamic lines, so one round trip keeps the caches coherent.
+The caches track residency only.  Byte and transaction counts depend only on
+which keys are resident and on the page's format, so versions always come
+from the store.  A read whose entry or lines are not all resident costs one
+device READ.  Writes are write-through: every write issues exactly one device
+UPDATE whose response carries the refreshed entry and any dynamic lines, so
+one round trip keeps the caches coherent.
 
-Read latency is modeled analytically: the data fetch on its channel (local
-DRAM or a CXL-attached pool), plus the slowest outstanding metadata fetch
-(device or MAC, issued in parallel), plus a fixed cipher-pipeline delay.
+Read latency is modeled analytically: the data fetch on its channel, plus the
+slowest outstanding metadata fetch (device or MAC, issued in parallel), plus
+a fixed cipher-pipeline delay.
 
 An optional functional layer actually enciphers block payloads under a keyed
 pseudorandom transform of (key, full version, address) and MACs them, which
@@ -26,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .caches import LruCache, SetAssocCache
+from .caches import SetAssocCache
 from .core import (
     AddressRangeError,
     ConfigError,
@@ -287,35 +294,32 @@ class FunctionalBlockStore:
         return bytes(c ^ k for c, k in zip(record.cipher, ks))
 
 
-class HostEngine:
-    """Device-backed protection engine (mode tag ``toleo``)."""
+class ProtectionEngine:
+    """Per-event skeleton shared by every protection mode.
 
-    mode = "toleo"
+    It refuses events once the engine is halted or killed, validates the
+    event, routes the data access to its channel (local DRAM below
+    ``local_bytes``, the CXL pool above), charges data and MAC traffic, runs
+    the MAC cache, and computes latency.  A mode plugs its freshness scheme
+    in through two hooks: ``_freshness`` runs before the MAC access and
+    returns the metadata fetch latency of a read; ``_after_write`` runs once
+    a write's MAC line is owned.
 
-    def __init__(self, config: EngineConfig, store: VersionStore | None = None) -> None:
+    With no hooks overridden and no MAC or cipher this is unprotected memory.
+    """
+
+    mode = "none"
+    uses_mac = False
+    uses_cipher = False
+
+    def __init__(self, config: EngineConfig) -> None:
         self.config = config
         g = config.geometry
-        if store is None:
-            store = VersionStore(
-                protected_bytes=config.protected_bytes,
-                device_capacity_bytes=config.resolved_device_capacity(),
-                rng=RandomSource(config.seed),
-                geometry=g,
-                params=config.params,
-            )
-        self.store = store
-        self.layout = MemoryLayout(data_bytes=store.protected_bytes, geometry=g)
-        self.flat_cache = LruCache(config.flat_cache_entries)
-        self.overflow = SetAssocCache(
-            lines=config.overflow_bytes // SLOT_BYTES, assoc=config.overflow_assoc
-        )
+        self.layout = MemoryLayout(data_bytes=config.protected_bytes, geometry=g)
         self.mac_cache = SetAssocCache(
             lines=config.mac_cache_bytes // g.block_bytes, assoc=config.mac_assoc
         )
-        self.functional = (
-            FunctionalBlockStore(g, config.params, config.seed) if config.functional else None
-        )
-        self.uv: dict[int, int] = {}
+        self._cipher_ns = config.cipher_ns if self.uses_cipher else 0.0
         self.killed: str | None = None
         self.halted: str | None = None
 
@@ -326,14 +330,11 @@ class HostEngine:
         self.pool_bytes = 0
         self.mac_bytes = 0
         self.device_bytes = 0
-        self.device_transactions = 0
-        self.device_reads = 0
-        self.device_updates = 0
         self.resets = 0
         self.reencrypted_blocks = 0
         self.read_latency_total = 0.0
 
-    # -- helpers ---------------------------------------------------------------
+    # -- channels and charging -----------------------------------------------------
 
     def channel_of(self, addr: int) -> str:
         return "local" if addr < self.config.local_bytes else "pool"
@@ -353,30 +354,220 @@ class HostEngine:
         out.mac_bytes += nbytes
         self.mac_bytes += nbytes
 
+    def _mac_access(self, out: AccessOutcome, is_write: bool) -> float:
+        """Probe the MAC cache for the event's block; returns fetch latency.
+
+        A miss fetches the MAC line (for ownership, on a write) and a dirty
+        eviction writes one back.  A write leaves the line dirty.
+        """
+        g = self.config.geometry
+        key = mac_block_addr(out.addr, self.layout) // g.block_bytes
+        if self.mac_cache.get(key):
+            out.mac_hit = True
+            if is_write:
+                self.mac_cache.mark_dirty(key)
+            return 0.0
+        out.mac_hit = False
+        self._charge_mac(out, g.block_bytes)
+        evicted = self.mac_cache.put(key, dirty=is_write)
+        if evicted is not None and evicted[1]:
+            self._charge_mac(out, g.block_bytes)
+        return self._data_latency(out.channel)
+
+    # -- freshness hooks -------------------------------------------------------------
+
+    def _freshness(self, out: AccessOutcome, is_write: bool) -> float:
+        """Freshness-metadata work for one event; returns read fetch latency."""
+        return 0.0
+
+    def _after_write(self, out: AccessOutcome) -> None:
+        """Work that must follow a write's MAC access."""
+
+    # -- the main entry point ----------------------------------------------------------
+
+    def process_access(self, op: str, addr: int) -> AccessOutcome:
+        """Run one trace event through the engine.  ``op`` is "R" or "W".
+
+        A rejected event (bad op or address, terminal engine) counts nothing.
+        """
+        if self.halted or self.killed:
+            raise SimulationHalted(self.halted or self.killed)
+        if not 0 <= addr < self.layout.data_bytes:
+            raise AddressRangeError(
+                f"address {addr:#x} outside the {self.layout.data_bytes}-byte data partition"
+            )
+        if op == "R":
+            is_write = False
+        elif op == "W":
+            is_write = True
+        else:
+            raise ConfigError(f"unknown op {op!r}")
+        out = AccessOutcome(op=op, addr=addr, channel=self.channel_of(addr))
+        self.events += 1
+        self._charge_data(out, self.config.geometry.block_bytes)
+        data_ns = self._data_latency(out.channel)
+        if is_write:
+            self.writes += 1
+            self._freshness(out, True)
+            if self.uses_mac:
+                self._mac_access(out, True)
+            out.latency_ns = data_ns + self._cipher_ns
+            self._after_write(out)
+        else:
+            self.reads += 1
+            fresh_ns = self._freshness(out, False)
+            mac_ns = self._mac_access(out, False) if self.uses_mac else 0.0
+            out.latency_ns = data_ns + max(mac_ns, fresh_ns) + self._cipher_ns
+            self.read_latency_total += out.latency_ns
+        return out
+
+    # -- statistics --------------------------------------------------------------------
+
+    def stats(self) -> dict:
+        """One schema for every mode; a mode fills in the sections it owns."""
+        return {
+            "mode": self.mode,
+            "events": self.events,
+            "reads": self.reads,
+            "writes": self.writes,
+            "channels": {
+                "local_bytes": self.local_bytes,
+                "pool_bytes": self.pool_bytes,
+                "mac_bytes": self.mac_bytes,
+                "device_bytes": self.device_bytes,
+            },
+            "caches": {
+                "flat": {"hits": 0, "misses": 0},
+                "overflow": {"hits": 0, "misses": 0},
+                "mac": _cache_counts(self.mac_cache),
+            },
+            "resets": self.resets,
+            "reencrypted_blocks": self.reencrypted_blocks,
+            "avg_read_latency_ns": (
+                self.read_latency_total / self.reads if self.reads else 0.0
+            ),
+            "page_formats": {"flat": 0, "uneven": 0, "full": 0},
+            "device": {"static_bytes": 0, "dynamic_bytes": 0, "peak_bytes": 0,
+                       "transactions": 0, "reads": 0, "updates": 0},
+        }
+
+
+def _cache_counts(cache: SetAssocCache) -> dict:
+    return {"hits": cache.hits, "misses": cache.misses}
+
+
+# dynamic lines behind a page entry, by format
+_LINE_COUNT = {FLAT: 0, UNEVEN: 1, FULL: FULL_SLOTS}
+
+
+def _line_keys(page: int, fmt: int) -> range:
+    """Overflow-buffer keys of the page's dynamic lines."""
+    first = page * FULL_SLOTS
+    return range(first, first + _LINE_COUNT[fmt])
+
+
+class HostEngine(ProtectionEngine):
+    """Device-backed protection engine (mode tag ``toleo``)."""
+
+    mode = "toleo"
+    uses_mac = True
+    uses_cipher = True
+
+    def __init__(self, config: EngineConfig) -> None:
+        super().__init__(config)
+        self.store = VersionStore(
+            protected_bytes=config.protected_bytes,
+            device_capacity_bytes=config.resolved_device_capacity(),
+            rng=RandomSource(config.seed),
+            geometry=config.geometry,
+            params=config.params,
+        )
+        entries = config.flat_cache_entries
+        self.flat_cache = SetAssocCache(lines=entries, assoc=entries)
+        self.overflow = SetAssocCache(
+            lines=config.overflow_bytes // SLOT_BYTES, assoc=config.overflow_assoc
+        )
+        self.functional = (
+            FunctionalBlockStore(config.geometry, config.params, config.seed)
+            if config.functional else None
+        )
+        self.uv: dict[int, int] = {}
+        self.device_transactions = 0
+        self.device_reads = 0
+        self.device_updates = 0
+
+    # -- metadata caches -----------------------------------------------------------
+
     def _charge_device(self, out: AccessOutcome, messages: int) -> None:
         nbytes = messages * self.config.device_message_bytes
         out.device_bytes += nbytes
         self.device_bytes += nbytes
 
-    def _line_keys(self, page: int, fmt: int) -> list[int]:
-        if fmt == UNEVEN:
-            return [page * FULL_SLOTS]
-        if fmt == FULL:
-            return [page * FULL_SLOTS + q for q in range(FULL_SLOTS)]
-        return []
+    def _drop_lines(self, page: int) -> None:
+        for q in range(FULL_SLOTS):
+            self.overflow.invalidate(page * FULL_SLOTS + q)
 
-    def _fill_flat(self, page: int, image: bytes) -> None:
-        evicted = self.flat_cache.put(page, image)
+    def _device_round_trip(self, out: AccessOutcome, page: int, lines: range) -> None:
+        """One device transaction: request and entry messages plus one per
+        dynamic line; the response refills the flat cache and the overflow
+        buffer."""
+        self.device_transactions += 1
+        out.device_transactions += 1
+        self._charge_device(out, 2 + len(lines))
+        evicted = self.flat_cache.put(page)
         if evicted is not None:
-            # inclusive pair: dropping a page's flat image kills its lines
-            epage = evicted[0]
-            for q in range(FULL_SLOTS):
-                self.overflow.invalidate(epage * FULL_SLOTS + q)
+            # inclusive pair: dropping a page's flat entry kills its lines
+            self._drop_lines(evicted[0])
+        for key in lines:
+            self.overflow.put(key)
+
+    def _freshness(self, out: AccessOutcome, is_write: bool) -> float:
+        page = out.addr // self.config.geometry.page_bytes
+        if is_write:
+            self._update_entry(out, page)
+            return 0.0
+        return self._fetch_entry(out, page)
+
+    def _update_entry(self, out: AccessOutcome, page: int) -> None:
+        """One device UPDATE.  It runs before the MAC write, so a capacity
+        halt charges no MAC traffic."""
+        try:
+            result = self.store.update_version(out.addr)
+        except CapacityError as exc:
+            self.halted = f"device capacity exhausted at page {page}: {exc}"
+            raise SimulationHalted(self.halted) from exc
+        out.events = result.events
+        self.device_updates += 1
+        self._device_round_trip(out, page, _line_keys(page, result.format_after))
+
+    def _fetch_entry(self, out: AccessOutcome, page: int) -> float:
+        """Probe the flat cache and every line the page needs; any miss costs
+        one device READ.  Returns the device fetch latency."""
+        lines = _line_keys(page, self.store.page_format(page))
+        out.flat_hit = self.flat_cache.get(page)
+        if out.flat_hit and lines:
+            out.overflow_hit = all([self.overflow.get(key) for key in lines])
+        latency = 0.0
+        if not out.flat_hit or out.overflow_hit is False:
+            self.store.read_version(out.addr)  # the device materializes an untouched page
+            self.device_reads += 1
+            self._device_round_trip(out, page, lines)
+            latency = self.config.device_ns
+        if self.config.debug:
+            self._debug_checks(out.addr)
+        return latency
+
+    def _after_write(self, out: AccessOutcome) -> None:
+        # resets drain after the MAC write: they invalidate the page's MAC lines
+        for reset_page in self.store.drain_uv_updates():
+            cost = self.handle_uv_update(reset_page, _out=out)
+            out.reencrypted_blocks += cost["reencrypted_blocks"]
+        if self.config.debug:
+            self._debug_checks(None)
 
     def _invalidate_page(self, page: int) -> None:
         self.flat_cache.invalidate(page)
-        for q in range(FULL_SLOTS):
-            self.overflow.invalidate(page * FULL_SLOTS + q)
+        self._drop_lines(page)
         g = self.config.geometry
         base_addr = page * g.page_bytes
         mac_lines = g.blocks_per_page // g.macs_per_block
@@ -384,136 +575,25 @@ class HostEngine:
         for i in range(mac_lines):
             self.mac_cache.invalidate((first + i * g.block_bytes) // g.block_bytes)
 
-    def _mac_read(self, out: AccessOutcome) -> float:
-        """Probe the MAC cache for the event's address; returns fetch latency."""
-        g = self.config.geometry
-        key = mac_block_addr(out.addr, self.layout) // g.block_bytes
-        if self.mac_cache.get(key) is not None:
-            out.mac_hit = True
-            return 0.0
-        out.mac_hit = False
-        self._charge_mac(out, g.block_bytes)
-        evicted = self.mac_cache.put(key)
-        if evicted is not None and evicted[2]:
-            self._charge_mac(out, g.block_bytes)  # dirty write-back
-        return self._data_latency(out.channel)
-
-    def _mac_write(self, out: AccessOutcome) -> None:
-        g = self.config.geometry
-        key = mac_block_addr(out.addr, self.layout) // g.block_bytes
-        if self.mac_cache.get(key) is not None:
-            out.mac_hit = True
-            self.mac_cache.mark_dirty(key)
-            return
-        out.mac_hit = False
-        self._charge_mac(out, g.block_bytes)  # fetch for ownership
-        evicted = self.mac_cache.put(key, dirty=True)
-        if evicted is not None and evicted[2]:
-            self._charge_mac(out, g.block_bytes)
-
-    def _debug_checks(self, addr: int, decoded_version: int | None) -> None:
+    def _debug_checks(self, addr: int | None) -> None:
+        """Overflow lines imply a cached flat entry; on a read, the packed
+        entry and lines the device sends decode to the store's version."""
         for key in self.overflow.resident_keys():
-            assert key // FULL_SLOTS in self.flat_cache, "overflow line without flat image"
-        if decoded_version is not None:
-            assert decoded_version == self.store.read_version(addr), "cache decode drift"
+            assert key // FULL_SLOTS in self.flat_cache, "overflow line without flat entry"
+        if addr is not None:
+            assert self._decode_version(addr) == self.store.read_version(addr), "entry decode drift"
 
-    # -- the main entry point ----------------------------------------------------
-
-    def process_access(self, op: str, addr: int) -> AccessOutcome:
-        """Run one trace event through the engine.  ``op`` is "R" or "W"."""
-        if self.halted:
-            raise SimulationHalted(self.halted)
-        if self.killed:
-            raise SimulationHalted(self.killed)
-        if addr >= self.layout.data_bytes:
-            raise AddressRangeError(
-                f"address {addr:#x} outside the {self.layout.data_bytes}-byte data partition"
-            )
-        out = AccessOutcome(op=op, addr=addr, channel=self.channel_of(addr))
-        g = self.config.geometry
-        page, block = addr_decompose(addr, g, self.store.protected_bytes)
-        self.events += 1
-
-        if op == "R":
-            self.reads += 1
-            self._charge_data(out, g.block_bytes)
-            version = self._read_version_via_caches(out, page, block)
-            mac_lat = self._mac_read(out)
-            device_lat = self.config.device_ns if out.device_transactions else 0.0
-            out.latency_ns = (
-                self._data_latency(out.channel)
-                + max(mac_lat, device_lat)
-                + self.config.cipher_ns
-            )
-            self.read_latency_total += out.latency_ns
-            if self.config.debug:
-                self._debug_checks(addr, version)
-            return out
-
-        if op != "W":
-            raise ConfigError(f"unknown op {op!r}")
-        self.writes += 1
-        self._charge_data(out, g.block_bytes)
-        try:
-            result = self.store.update_version(addr)
-        except CapacityError as exc:
-            self.halted = f"device capacity exhausted at page {page}: {exc}"
-            raise SimulationHalted(self.halted) from exc
-        self.device_transactions += 1
-        self.device_updates += 1
-        out.device_transactions += 1
-        lines = self.store.entry_lines(page)
-        self._charge_device(out, 2 + len(lines))  # request + entry + lines
-        self._fill_flat(page, self.store.entry_image(page))
-        for key, payload in zip(self._line_keys(page, result.format_after), lines):
-            self.overflow.put(key, payload)
-        self._mac_write(out)
-        out.events = result.events
-        out.latency_ns = self._data_latency(out.channel) + self.config.cipher_ns
-        for reset_page in self.store.drain_uv_updates():
-            cost = self.handle_uv_update(reset_page, _out=out)
-            out.reencrypted_blocks += cost["reencrypted_blocks"]
-        if self.config.debug:
-            self._debug_checks(addr, None)
-        return out
-
-    def _read_version_via_caches(self, out: AccessOutcome, page: int, block: int) -> int:
-        """Decode the block's stealth version, fetching from the device on miss."""
+    def _decode_version(self, addr: int) -> int:
         g = self.config.geometry
         params = self.config.params
-        image = self.flat_cache.get(page)
-        out.flat_hit = image is not None
-        line_payloads: list[bytes] | None = None
-        need_fetch = image is None
-        if image is not None:
-            tag, base, payload = decode_entry_image(image, params)
-            keys = self._line_keys(page, tag)
-            if keys:
-                probed = [self.overflow.get(k) for k in keys]
-                out.overflow_hit = all(p is not None for p in probed)
-                if out.overflow_hit:
-                    line_payloads = [p[0] for p in probed]
-                else:
-                    need_fetch = True
-        if need_fetch:
-            self.device_transactions += 1
-            self.device_reads += 1
-            out.device_transactions += 1
-            image = self.store.entry_image(page)
-            lines = self.store.entry_lines(page)
-            self._charge_device(out, 2 + len(lines))
-            self._fill_flat(page, image)
-            tag, base, payload = decode_entry_image(image, params)
-            for key, data in zip(self._line_keys(page, tag), lines):
-                self.overflow.put(key, data)
-            line_payloads = lines
+        page, block = addr_decompose(addr, g)
+        tag, base, payload = decode_entry_image(self.store.entry_image(page), params)
         if tag == FLAT:
             return (base + ((payload >> block) & 1)) & params.stealth_mask
+        lines = self.store.entry_lines(page)
         if tag == UNEVEN:
-            offsets = decode_uneven_line(line_payloads[0], g)
-            return (base + offsets[block]) & params.stealth_mask
-        versions = decode_full_lines(line_payloads, g, params)
-        return versions[block]
+            return (base + decode_uneven_line(lines[0], g)[block]) & params.stealth_mask
+        return decode_full_lines(lines, g, params)[block]
 
     # -- page-level operations -----------------------------------------------------
 
@@ -575,8 +655,8 @@ class HostEngine:
         The page is not re-encrypted, so any stale contents fail their MAC on
         the next verified read; that is the cheap scrambling the OS relies on.
         """
-        if self.halted:
-            raise SimulationHalted(self.halted)
+        if self.halted or self.killed:
+            raise SimulationHalted(self.halted or self.killed)
         g = self.config.geometry
         params = self.config.params
         uv = self.uv.get(page, 0) + 1
@@ -650,39 +730,21 @@ class HostEngine:
     # -- statistics --------------------------------------------------------------------
 
     def stats(self) -> dict:
+        s = super().stats()
         usage = self.store.usage_stats()
-        return {
-            "mode": self.mode,
-            "events": self.events,
-            "reads": self.reads,
-            "writes": self.writes,
-            "channels": {
-                "local_bytes": self.local_bytes,
-                "pool_bytes": self.pool_bytes,
-                "mac_bytes": self.mac_bytes,
-                "device_bytes": self.device_bytes,
-            },
-            "caches": {
-                "flat": {"hits": self.flat_cache.hits, "misses": self.flat_cache.misses},
-                "overflow": {"hits": self.overflow.hits, "misses": self.overflow.misses},
-                "mac": {"hits": self.mac_cache.hits, "misses": self.mac_cache.misses},
-            },
-            "resets": self.resets,
-            "reencrypted_blocks": self.reencrypted_blocks,
-            "avg_read_latency_ns": (
-                self.read_latency_total / self.reads if self.reads else 0.0
-            ),
-            "page_formats": {
-                "flat": usage["pages_flat"],
-                "uneven": usage["pages_uneven"],
-                "full": usage["pages_full"],
-            },
-            "device": {
-                "static_bytes": usage["static_bytes"],
-                "dynamic_bytes": usage["dynamic_bytes"],
-                "peak_bytes": usage["peak_bytes"],
-                "transactions": self.device_transactions,
-                "reads": self.device_reads,
-                "updates": self.device_updates,
-            },
+        s["caches"]["flat"] = _cache_counts(self.flat_cache)
+        s["caches"]["overflow"] = _cache_counts(self.overflow)
+        s["page_formats"] = {
+            "flat": usage["pages_flat"],
+            "uneven": usage["pages_uneven"],
+            "full": usage["pages_full"],
         }
+        s["device"] = {
+            "static_bytes": usage["static_bytes"],
+            "dynamic_bytes": usage["dynamic_bytes"],
+            "peak_bytes": usage["peak_bytes"],
+            "transactions": self.device_transactions,
+            "reads": self.device_reads,
+            "updates": self.device_updates,
+        }
+        return s

@@ -28,7 +28,6 @@ from freshsim.baselines import (
     CounterTreeConfig,
     CounterTreeState,
     MerkleEngine,
-    merkle_access,
     tree_depth,
 )
 from freshsim.cli import main
@@ -259,7 +258,7 @@ def test_criterion_06_format_regimes():
 def test_criterion_07_tree_depth_versus_device():
     cfg = CounterTreeConfig(protected_bytes=28 * TIB)
     depth = tree_depth(cfg)
-    cold = merkle_access(CounterTreeState(cfg), 0, is_write=False)
+    cold = CounterTreeState(cfg).access(0, is_write=False)
 
     spec = PatternSpec(kind="zipfian", footprint_bytes=512 * PAGE,
                        op_count=5000, seed=77)

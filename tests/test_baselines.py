@@ -7,7 +7,6 @@ from freshsim.baselines import (
     CounterTreeState,
     MerkleEngine,
     NoneEngine,
-    merkle_access,
     tree_depth,
 )
 from freshsim.core import AddressRangeError, ConfigError, Geometry
@@ -64,32 +63,25 @@ class TestTreeWalk:
     def test_cold_walk_touches_every_level(self):
         st = self.make_state()
         assert st.depth == 2
-        assert merkle_access(st, 0, is_write=False) == st.depth
+        assert st.access(0, is_write=False) == st.depth
 
     def test_repeat_access_hits_leaf(self):
         st = self.make_state()
-        merkle_access(st, 0, False)
-        assert merkle_access(st, 0, False) == 0
-        assert merkle_access(st, 5 * BLOCK, False) == 0  # same leaf node
+        st.access(0, False)
+        assert st.access(0, False) == 0
+        assert st.access(5 * BLOCK, False) == 0  # same leaf node
 
     def test_sibling_stops_at_shared_parent(self):
         st = self.make_state()
-        merkle_access(st, 0, False)
+        st.access(0, False)
         # next leaf node over: new leaf, cached parent
-        assert merkle_access(st, 8 * BLOCK, False) == 1
+        assert st.access(8 * BLOCK, False) == 1
 
     def test_walk_never_exceeds_depth(self):
         st = self.make_state(protected_bytes=64 * MIB)
         rng = np.random.default_rng(2)
         for addr in (rng.integers(0, 64 * MIB // 64, size=3000) * 64).tolist():
             assert 0 <= st.access(addr, is_write=bool(addr & 64)) <= st.depth
-
-    def test_write_bumps_leaf_counter(self):
-        st = self.make_state()
-        st.access(0, True)
-        st.access(0, True)
-        assert st.node_versions[0][0] == 2
-        assert st.node_versions[1][0] == 1  # parent only saw the cold walk
 
     def test_dirty_evictions_are_counted(self):
         st = self.make_state(counter_cache_bytes=2 * 64)

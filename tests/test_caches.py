@@ -2,58 +2,53 @@ from collections import OrderedDict
 
 from hypothesis import given, settings, strategies as st
 
-from freshsim.caches import LruCache, SetAssocCache
+from freshsim.caches import SetAssocCache
 
 
 class TestLruCache:
+    """A fully associative cache is one set: SetAssocCache(n, n)."""
+
     def test_fill_and_evict_oldest(self):
-        c = LruCache(2)
-        assert c.put(1, "a") is None
-        assert c.put(2, "b") is None
-        assert c.put(3, "c") == (1, "a")
+        c = SetAssocCache(2, 2)
+        assert c.put(1) is None
+        assert c.put(2) is None
+        assert c.put(3) == (1, False)
         assert 1 not in c and 2 in c and 3 in c
 
     def test_get_refreshes_recency(self):
-        c = LruCache(2)
-        c.put(1, "a")
-        c.put(2, "b")
-        assert c.get(1) == "a"
-        assert c.put(3, "c") == (2, "b")
+        c = SetAssocCache(2, 2)
+        c.put(1)
+        c.put(2)
+        assert c.get(1) is True
+        assert c.put(3) == (2, False)
 
     def test_hit_miss_counters(self):
-        c = LruCache(4)
-        c.put(1, "a")
-        c.get(1)
-        c.get(2)
+        c = SetAssocCache(4, 4)
+        c.put(1)
+        assert c.get(1) is True
+        assert c.get(2) is False
         c.get(1)
         assert (c.hits, c.misses) == (2, 1)
 
-    def test_peek_does_not_count_or_refresh(self):
-        c = LruCache(2)
-        c.put(1, "a")
-        c.put(2, "b")
-        assert c.peek(1) == "a"
-        assert (c.hits, c.misses) == (0, 0)
-        assert c.put(3, "c") == (1, "a")  # 1 still oldest
-
     def test_invalidate(self):
-        c = LruCache(2)
-        c.put(1, "a")
+        c = SetAssocCache(2, 2)
+        c.put(1)
         assert c.invalidate(1) is True
         assert c.invalidate(1) is False
         assert 1 not in c
 
     def test_put_existing_updates_value(self):
-        c = LruCache(2)
-        c.put(1, "a")
-        c.put(2, "b")
-        assert c.put(1, "a2") is None
-        assert c.put(3, "c") == (2, "b")
-        assert c.get(1) == "a2"
+        # refreshing a resident key moves it to most recent and keeps it dirty
+        c = SetAssocCache(2, 2)
+        c.put(1, dirty=True)
+        c.put(2)
+        assert c.put(1) is None
+        assert c.put(3) == (2, False)
+        assert c.put(4) == (1, True)
 
 
 class _LruModel:
-    """Reference: plain OrderedDict with move-to-end discipline."""
+    """Reference: plain OrderedDict of key -> dirty with move-to-end discipline."""
 
     def __init__(self, n):
         self.n = n
@@ -61,16 +56,16 @@ class _LruModel:
 
     def get(self, k):
         if k not in self.d:
-            return None
+            return False
         self.d.move_to_end(k)
-        return self.d[k]
+        return True
 
-    def put(self, k, v):
+    def put(self, k, dirty):
         if k in self.d:
-            self.d[k] = v
+            self.d[k] = self.d[k] or dirty
             self.d.move_to_end(k)
             return None
-        self.d[k] = v
+        self.d[k] = dirty
         if len(self.d) > self.n:
             return self.d.popitem(last=False)
         return None
@@ -88,36 +83,36 @@ class _LruModel:
     ),
 )
 def test_lru_matches_reference_model(capacity, ops):
-    real = LruCache(capacity)
+    real = SetAssocCache(capacity, capacity)
     model = _LruModel(capacity)
     for op, key in ops:
         if op == "get":
             assert real.get(key) == model.get(key)
         elif op == "put":
-            assert real.put(key, key * 3) == model.put(key, key * 3)
+            assert real.put(key, key % 3 == 0) == model.put(key, key % 3 == 0)
         else:
             assert real.invalidate(key) == model.invalidate(key)
-    assert list(real.keys()) == list(model.d.keys())
+    assert real.resident_keys() == list(model.d.keys())
 
 
 class TestSetAssocCache:
     def test_same_set_lru_eviction(self):
         c = SetAssocCache(lines=4, assoc=4)  # one set
         for k in range(4):
-            assert c.put(k, k) is None
-        evicted = c.put(4, 4)
-        assert evicted == (0, 0, False)
+            assert c.put(k) is None
+        evicted = c.put(4)
+        assert evicted == (0, False)
 
     def test_get_refreshes_within_set(self):
         c = SetAssocCache(lines=2, assoc=2)
-        c.put(0, "a")
-        c.put(1, "b")
+        c.put(0)
+        c.put(1)
         c.get(0)
-        assert c.put(2, "c")[0] == 1
+        assert c.put(2)[0] == 1
 
     def test_probe_does_not_count(self):
         c = SetAssocCache(lines=4, assoc=2)
-        c.put(1, "x")
+        c.put(1)
         assert c.probe(1) is True
         assert c.probe(99) is False
         assert (c.hits, c.misses) == (0, 0)
@@ -125,24 +120,30 @@ class TestSetAssocCache:
         c.get(99)
         assert (c.hits, c.misses) == (1, 1)
 
+    def test_probe_does_not_refresh(self):
+        c = SetAssocCache(lines=2, assoc=2)
+        c.put(1)
+        c.put(2)
+        assert c.probe(1)
+        assert c.put(3) == (1, False)  # 1 still oldest
+
     def test_dirty_flag_travels_with_eviction(self):
         c = SetAssocCache(lines=2, assoc=2)
-        c.put(0, "a")
-        c.put(1, "b", dirty=True)
-        k, v, dirty = c.put(2, "c")
-        assert (k, v, dirty) == (0, "a", False)
-        k, v, dirty = c.put(3, "d")
+        c.put(0)
+        c.put(1, dirty=True)
+        assert c.put(2) == (0, False)
+        k, dirty = c.put(3)
         assert (k, dirty) == (1, True)
 
     def test_mark_dirty(self):
         c = SetAssocCache(lines=1, assoc=1)
-        c.put(5, "x")
+        c.put(5)
         c.mark_dirty(5)
-        assert c.put(6, "y") == (5, "x", True)
+        assert c.put(6) == (5, True)
 
     def test_invalidate(self):
         c = SetAssocCache(lines=4, assoc=2)
-        c.put(3, "z")
+        c.put(3)
         assert c.invalidate(3) is True
         assert c.invalidate(3) is False
         assert not c.probe(3)
@@ -150,7 +151,7 @@ class TestSetAssocCache:
     def test_resident_keys(self):
         c = SetAssocCache(lines=8, assoc=2)
         for k in (10, 20, 30):
-            c.put(k, None)
+            c.put(k)
         assert sorted(c.resident_keys()) == [10, 20, 30]
 
     def test_disjoint_sets_do_not_interfere(self):
@@ -159,7 +160,7 @@ class TestSetAssocCache:
         # must only ever remove keys from the same set as the newcomer
         victims = []
         for k in range(200):
-            ev = c.put(k, k)
+            ev = c.put(k)
             if ev is not None:
                 victims.append((k, ev[0]))
         assert len(c) == 32
@@ -175,16 +176,14 @@ class TestSetAssocCache:
 )
 def test_single_set_cache_behaves_like_lru(ops):
     sa = SetAssocCache(lines=4, assoc=4)
-    lru = LruCache(4)
+    lru = _LruModel(4)
+    hits = 0
     for op, key in ops:
         if op == "get":
-            got_sa = sa.get(key)
-            got_lru = lru.get(key)
-            assert (got_sa is None) == (got_lru is None)
+            hit = lru.get(key)
+            hits += hit
+            assert sa.get(key) == hit
         else:
-            ev_sa = sa.put(key, key)
-            ev_lru = lru.put(key, key)
-            assert (ev_sa is None) == (ev_lru is None)
-            if ev_sa is not None:
-                assert ev_sa[0] == ev_lru[0]
-    assert sorted(sa.resident_keys()) == sorted(lru.keys())
+            assert sa.put(key) == lru.put(key, False)
+    assert sa.resident_keys() == list(lru.d.keys())
+    assert sa.hits == hits

@@ -7,6 +7,7 @@ from freshsim.core import (
     Geometry,
     SecurityParams,
 )
+from freshsim.baselines import CiEngine, MerkleEngine, NoneEngine
 from freshsim.engine import (
     AccessOutcome,
     EngineConfig,
@@ -242,6 +243,30 @@ class TestCapacityHalt:
         with pytest.raises(SimulationHalted):
             e.process_access("R", 0)  # terminal: even reads refuse
         assert "capacity" in e.halted
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("engine_class", [NoneEngine, CiEngine, HostEngine, MerkleEngine])
+    def test_bad_op_is_not_counted(self, engine_class):
+        e = engine_class(EngineConfig(protected_bytes=16 * PAGE))
+        e.process_access("W", 0)
+        with pytest.raises(ConfigError):
+            e.process_access("X", 0)
+        e.process_access("R", 0)
+        s = e.stats()
+        assert (s["events"], s["reads"], s["writes"]) == (2, 1, 1)
+        assert s["channels"]["local_bytes"] == 2 * BLOCK
+
+    def test_os_free_page_honours_kill_switch(self):
+        e = make_engine(functional=True, seed=9)
+        old, _ = e.functional_write(0, b"A" * 64)
+        e.functional_write(0, b"B" * 64)
+        assert e.inject_replay(0, old) == "detected"
+        mac_bytes = e.mac_bytes
+        with pytest.raises(SimulationHalted):
+            e.os_free_page(0)
+        assert e.mac_bytes == mac_bytes
+        assert 0 not in e.uv
 
 
 class TestFunctionalLayer:
