@@ -121,13 +121,10 @@ class CounterTreeState:
         fetched = 0
         index = leaf
         for level in range(self.depth):
-            key = self._node_key(level, index)
-            if self.cache.get(key):
-                if is_write:
-                    self.cache.mark_dirty(key)
+            hit, evicted = self.cache.access(self._node_key(level, index), is_write)
+            if hit:
                 break
             fetched += 1
-            evicted = self.cache.put(key, dirty=is_write)
             if evicted is not None and evicted[1]:
                 self.dirty_writebacks += 1
             index //= cfg.arity

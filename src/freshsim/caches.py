@@ -13,14 +13,6 @@ from collections import OrderedDict
 from .core import ConfigError
 
 
-def _mix(key: int) -> int:
-    # cheap deterministic integer hash; Python's hash() is identity for ints,
-    # which would put striding keys in lockstep with the set count
-    key = (key ^ (key >> 16)) * 0x45D9F3B
-    key = (key ^ (key >> 16)) * 0x45D9F3B
-    return (key ^ (key >> 16)) & 0xFFFFFFFF
-
-
 class SetAssocCache:
     """Set-associative write-back LRU cache keyed by integers.
 
@@ -42,7 +34,11 @@ class SetAssocCache:
     def _set(self, key: int) -> OrderedDict:
         if self.num_sets == 1:
             return self._sets[0]
-        return self._sets[_mix(key) % self.num_sets]
+        # cheap deterministic integer hash; Python's hash() is identity for
+        # ints, which would put striding keys in lockstep with the set count
+        key = (key ^ (key >> 16)) * 0x45D9F3B
+        key = (key ^ (key >> 16)) * 0x45D9F3B
+        return self._sets[((key ^ (key >> 16)) & 0xFFFFFFFF) % self.num_sets]
 
     def get(self, key: int) -> bool:
         """Look up a line, counting the hit or miss and refreshing recency."""
@@ -72,10 +68,21 @@ class SetAssocCache:
             return s.popitem(last=False)
         return None
 
-    def mark_dirty(self, key: int) -> None:
+    def access(self, key: int, dirty: bool = False) -> tuple[bool, tuple[int, bool] | None]:
+        """``get``, then ``put`` on a miss; a write (``dirty``) hit marks the
+        line dirty.  Returns (hit, evicted (key, dirty) or None)."""
         s = self._set(key)
-        s.move_to_end(key)  # KeyError if the line is not resident
-        s[key] = True
+        if key in s:
+            s.move_to_end(key)
+            self.hits += 1
+            if dirty:
+                s[key] = True
+            return True, None
+        self.misses += 1
+        s[key] = dirty
+        if len(s) > self.assoc:
+            return False, s.popitem(last=False)
+        return False, None
 
     def invalidate(self, key: int) -> bool:
         """Drop a line without write-back (caller has already persisted it)."""

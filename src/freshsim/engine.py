@@ -320,6 +320,10 @@ class ProtectionEngine:
             lines=config.mac_cache_bytes // g.block_bytes, assoc=config.mac_assoc
         )
         self._cipher_ns = config.cipher_ns if self.uses_cipher else 0.0
+        self._block_bytes = g.block_bytes
+        # MAC-cache key of a data block: mac_block_addr(addr) // block_bytes
+        self._mac_key_base = self.layout.mac_base // g.block_bytes
+        self._mac_key_span = g.block_bytes * g.macs_per_block
         self.killed: str | None = None
         self.halted: str | None = None
 
@@ -360,18 +364,14 @@ class ProtectionEngine:
         A miss fetches the MAC line (for ownership, on a write) and a dirty
         eviction writes one back.  A write leaves the line dirty.
         """
-        g = self.config.geometry
-        key = mac_block_addr(out.addr, self.layout) // g.block_bytes
-        if self.mac_cache.get(key):
-            out.mac_hit = True
-            if is_write:
-                self.mac_cache.mark_dirty(key)
+        key = self._mac_key_base + out.addr // self._mac_key_span
+        hit, evicted = self.mac_cache.access(key, is_write)
+        out.mac_hit = hit
+        if hit:
             return 0.0
-        out.mac_hit = False
-        self._charge_mac(out, g.block_bytes)
-        evicted = self.mac_cache.put(key, dirty=is_write)
+        self._charge_mac(out, self._block_bytes)
         if evicted is not None and evicted[1]:
-            self._charge_mac(out, g.block_bytes)
+            self._charge_mac(out, self._block_bytes)
         return self._data_latency(out.channel)
 
     # -- freshness hooks -------------------------------------------------------------
@@ -404,7 +404,7 @@ class ProtectionEngine:
             raise ConfigError(f"unknown op {op!r}")
         out = AccessOutcome(op=op, addr=addr, channel=self.channel_of(addr))
         self.events += 1
-        self._charge_data(out, self.config.geometry.block_bytes)
+        self._charge_data(out, self._block_bytes)
         data_ns = self._data_latency(out.channel)
         if is_write:
             self.writes += 1
@@ -492,6 +492,11 @@ class HostEngine(ProtectionEngine):
             if config.functional else None
         )
         self.uv: dict[int, int] = {}
+        # pages whose overflow lines were filled since their last drop; kept
+        # a subset of the flat cache's residents, so dropping any other
+        # page's lines would only invalidate absent keys
+        self._line_pages: set[int] = set()
+        self._page_bytes = config.geometry.page_bytes
         self.device_transactions = 0
         self.device_reads = 0
         self.device_updates = 0
@@ -504,8 +509,10 @@ class HostEngine(ProtectionEngine):
         self.device_bytes += nbytes
 
     def _drop_lines(self, page: int) -> None:
-        for q in range(FULL_SLOTS):
-            self.overflow.invalidate(page * FULL_SLOTS + q)
+        if page in self._line_pages:
+            self._line_pages.remove(page)
+            for q in range(FULL_SLOTS):
+                self.overflow.invalidate(page * FULL_SLOTS + q)
 
     def _device_round_trip(self, out: AccessOutcome, page: int, lines: range) -> None:
         """One device transaction: request and entry messages plus one per
@@ -518,11 +525,13 @@ class HostEngine(ProtectionEngine):
         if evicted is not None:
             # inclusive pair: dropping a page's flat entry kills its lines
             self._drop_lines(evicted[0])
-        for key in lines:
-            self.overflow.put(key)
+        if lines:
+            self._line_pages.add(page)
+            for key in lines:
+                self.overflow.put(key)
 
     def _freshness(self, out: AccessOutcome, is_write: bool) -> float:
-        page = out.addr // self.config.geometry.page_bytes
+        page = out.addr // self._page_bytes
         if is_write:
             self._update_entry(out, page)
             return 0.0
@@ -549,7 +558,7 @@ class HostEngine(ProtectionEngine):
             out.overflow_hit = all([self.overflow.get(key) for key in lines])
         latency = 0.0
         if not out.flat_hit or out.overflow_hit is False:
-            self.store.read_version(out.addr)  # the device materializes an untouched page
+            self.store.page_base(page)  # the device materializes an untouched page
             self.device_reads += 1
             self._device_round_trip(out, page, lines)
             latency = self.config.device_ns
@@ -560,7 +569,11 @@ class HostEngine(ProtectionEngine):
     def _after_write(self, out: AccessOutcome) -> None:
         # resets drain after the MAC write: they invalidate the page's MAC lines
         for reset_page in self.store.drain_uv_updates():
-            cost = self.handle_uv_update(reset_page, _out=out)
+            try:
+                cost = self.handle_uv_update(reset_page, _out=out)
+            except UvOverflowError as exc:
+                self.halted = str(exc)
+                raise SimulationHalted(self.halted) from exc
             out.reencrypted_blocks += cost["reencrypted_blocks"]
         if self.config.debug:
             self._debug_checks(None)
@@ -576,10 +589,13 @@ class HostEngine(ProtectionEngine):
             self.mac_cache.invalidate((first + i * g.block_bytes) // g.block_bytes)
 
     def _debug_checks(self, addr: int | None) -> None:
-        """Overflow lines imply a cached flat entry; on a read, the packed
-        entry and lines the device sends decode to the store's version."""
+        """Overflow lines imply a tracked page, and tracked pages a cached
+        flat entry; on a read, the packed entry and lines the device sends
+        decode to the store's version."""
         for key in self.overflow.resident_keys():
-            assert key // FULL_SLOTS in self.flat_cache, "overflow line without flat entry"
+            assert key // FULL_SLOTS in self._line_pages, "overflow line of an untracked page"
+        for page in self._line_pages:
+            assert page in self.flat_cache, "tracked page without flat entry"
         if addr is not None:
             assert self._decode_version(addr) == self.store.read_version(addr), "entry decode drift"
 

@@ -565,7 +565,7 @@ class VersionStore:
         bpp = geometry.blocks_per_page
         uneven_len = uneven_entry_bytes(geometry)
         full_len = full_entry_bytes(geometry, params)
-        max_slot = -1
+        ranges: list[tuple[int, int]] = []  # (first slot, slot count) in use
         for _ in range(count):
             page, tag = struct.unpack_from("<QB", data, pos)
             pos += 9
@@ -584,9 +584,8 @@ class VersionStore:
                 e.max_off = max(e.offsets)
                 e.min_off = min(e.offsets)
                 store.pages_uneven += 1
-                store._used_slots += 1
                 store._bump_dynamic(store._uneven_bytes)
-                max_slot = max(max_slot, e.slot)
+                ranges.append((e.slot, 1))
             elif tag == FULL:
                 (e.slot,) = struct.unpack_from("<q", data, pos)
                 pos += 8
@@ -596,18 +595,27 @@ class VersionStore:
                 )
                 pos += full_len
                 store.pages_full += 1
-                store._used_slots += FULL_SLOTS
                 store._bump_dynamic(store._full_bytes)
-                max_slot = max(max_slot, e.slot + FULL_SLOTS - 1)
+                ranges.append((e.slot, FULL_SLOTS))
             else:
                 raise EncodingError(f"bad entry tag {tag} for page {page}")
             store._entries[page] = e
-        # recycled holes below the high-water mark are forgotten on load;
-        # only future allocation order differs, never read results
-        store._next_slot = max_slot + 1
+        store._used_slots = sum(n for _, n in ranges)
         store.peak_dynamic_bytes = store.dynamic_bytes
         if store._used_slots > store.dynamic_capacity_slots:
             raise ConfigError(
                 "snapshot needs more dynamic slots than the given capacity provides"
+            )
+        # the gaps between occupied ranges, below the high-water mark, are
+        # the recycled slots; only their allocation order may differ
+        for start, n in sorted(ranges):
+            if start < store._next_slot:
+                raise EncodingError(f"dynamic slot {start} is out of range or doubly used")
+            store._free_slots.extend(range(store._next_slot, start))
+            store._next_slot = start + n
+        if store._next_slot > store.dynamic_capacity_slots:
+            raise EncodingError(
+                f"dynamic slot {store._next_slot - 1} lies outside the "
+                f"{store.dynamic_capacity_slots}-slot region"
             )
         return store

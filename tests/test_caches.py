@@ -70,6 +70,13 @@ class _LruModel:
             return self.d.popitem(last=False)
         return None
 
+    def access(self, k, dirty):
+        if not self.get(k):
+            return False, self.put(k, dirty)
+        if dirty:
+            self.d[k] = True
+        return True, None
+
     def invalidate(self, k):
         return self.d.pop(k, None) is not None
 
@@ -78,7 +85,7 @@ class _LruModel:
 @given(
     st.integers(1, 6),
     st.lists(
-        st.tuples(st.sampled_from(["get", "put", "inval"]), st.integers(0, 9)),
+        st.tuples(st.sampled_from(["get", "put", "access", "inval"]), st.integers(0, 9)),
         max_size=200,
     ),
 )
@@ -90,6 +97,8 @@ def test_lru_matches_reference_model(capacity, ops):
             assert real.get(key) == model.get(key)
         elif op == "put":
             assert real.put(key, key % 3 == 0) == model.put(key, key % 3 == 0)
+        elif op == "access":
+            assert real.access(key, key % 2 == 0) == model.access(key, key % 2 == 0)
         else:
             assert real.invalidate(key) == model.invalidate(key)
     assert real.resident_keys() == list(model.d.keys())
@@ -138,7 +147,7 @@ class TestSetAssocCache:
     def test_mark_dirty(self):
         c = SetAssocCache(lines=1, assoc=1)
         c.put(5)
-        c.mark_dirty(5)
+        assert c.access(5, True) == (True, None)
         assert c.put(6) == (5, True)
 
     def test_invalidate(self):
@@ -171,7 +180,8 @@ class TestSetAssocCache:
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(["get", "put"]), st.integers(0, 25)), max_size=150
+        st.tuples(st.sampled_from(["get", "put", "access"]), st.integers(0, 25)),
+        max_size=150,
     )
 )
 def test_single_set_cache_behaves_like_lru(ops):
@@ -183,6 +193,10 @@ def test_single_set_cache_behaves_like_lru(ops):
             hit = lru.get(key)
             hits += hit
             assert sa.get(key) == hit
+        elif op == "access":
+            hit, evicted = lru.access(key, key % 2 == 0)
+            hits += hit
+            assert sa.access(key, key % 2 == 0) == (hit, evicted)
         else:
             assert sa.put(key) == lru.put(key, False)
     assert sa.resident_keys() == list(lru.d.keys())

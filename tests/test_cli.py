@@ -101,6 +101,20 @@ class TestSimulate:
         stats = json.loads(open(out).read())
         assert 0 < stats["events"] < 300
 
+    def test_uv_overflow_halt_exits_2_but_writes_stats(self, tmp_path, capsys):
+        cfg = run_config(
+            tmp_path,
+            protected_bytes=4 * PAGE,
+            stealth_bits=8, upper_bits=1, reset_exp=1,
+            trace={"pattern": pattern_doc(footprint_bytes=4 * PAGE, write_fraction=1.0,
+                                          op_count=200)},
+        )
+        out = str(tmp_path / "stats.json")
+        assert main(["simulate", "--config", cfg, "--out", out]) == 2
+        assert "upper version" in capsys.readouterr().err
+        stats = json.loads(open(out).read())
+        assert 0 < stats["events"] < 200
+
 
 class TestConfigHandling:
     def test_unknown_key_rejected(self, tmp_path, capsys):

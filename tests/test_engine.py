@@ -268,6 +268,20 @@ class TestFailurePaths:
         assert e.mac_bytes == mac_bytes
         assert 0 not in e.uv
 
+    def test_uv_overflow_halts_engine(self):
+        # one upper-version bit and a reset at half of all leading advances:
+        # a page's second reset has no upper version left (event 7 here)
+        params = SecurityParams(stealth_bits=8, upper_bits=1, reset_exp=1)
+        e = make_engine(pages=4, params=params)
+        with pytest.raises(SimulationHalted):
+            for i in range(200):
+                e.process_access("W", i % 4 * PAGE)
+        assert e.events == 7
+        assert "upper version" in e.halted
+        with pytest.raises(SimulationHalted):
+            e.process_access("R", 0)
+        assert e.events == 7
+
 
 class TestFunctionalLayer:
     def test_roundtrip_and_cipher_freshness(self):

@@ -453,6 +453,38 @@ class TestSnapshot:
         with pytest.raises(EncodingError):
             VersionStore.from_snapshot(blob[: len(blob) - 5], 1 << 20, RandomSource(1))
 
+    def test_load_keeps_recycled_slots(self):
+        s = make_store(pages=16, slots=8)
+        for page in range(8):
+            s.update_version(page * PAGE)
+            s.update_version(page * PAGE)  # uneven: one slot each
+        for page in range(0, 8, 2):
+            s.reset_page(page)
+        s2 = VersionStore.from_snapshot(s.to_snapshot(), s.device_capacity_bytes, RandomSource(5))
+
+        def uneven_upgrades(store):
+            accepted = 0
+            for page in range(8, 16):
+                store.update_version(page * PAGE)
+                try:
+                    store.update_version(page * PAGE)
+                    accepted += 1
+                except CapacityError:
+                    pass
+            return accepted
+
+        assert uneven_upgrades(s) == uneven_upgrades(s2) == 4
+
+    @pytest.mark.parametrize("slot", [0, 8, -1])  # page 0's slot, past the region, negative
+    def test_load_rejects_bad_slot_ranges(self, slot):
+        s = make_store(pages=16, slots=8)
+        for page in (0, 1):
+            s.update_version(page * PAGE)
+            s.update_version(page * PAGE)
+        s._entries[1].slot = slot
+        with pytest.raises(EncodingError):
+            VersionStore.from_snapshot(s.to_snapshot(), s.device_capacity_bytes, RandomSource(5))
+
     def test_capacity_checked_on_load(self):
         s = self.build()
         too_small = s.usage_stats()["static_bytes"] + 55  # dynamic needs 272
