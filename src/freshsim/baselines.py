@@ -101,10 +101,9 @@ class CounterTreeState:
         self.cache = SetAssocCache(lines=lines, assoc=assoc)
         self.fetches = 0
         self.dirty_writebacks = 0
-
-    def _node_key(self, level: int, index: int) -> int:
-        # levels are sparse (< 64), so interleave them below the index bits
-        return index * 64 + level
+        self._protected_bytes = config.protected_bytes
+        self._leaf_span = config.geometry.block_bytes * config.counters_per_leaf_node
+        self._arity = config.arity
 
     def access(self, addr: int, is_write: bool) -> int:
         """Verify (and on write, bump) the counter path for ``addr``.
@@ -114,20 +113,21 @@ class CounterTreeState:
         fetched nodes are filled; a write dirties every touched level, and
         dirty evictions count as write-back traffic.
         """
-        cfg = self.config
-        if addr < 0 or addr >= cfg.protected_bytes:
+        if addr < 0 or addr >= self._protected_bytes:
             raise AddressRangeError(f"address {addr:#x} outside the protected range")
-        leaf = addr // cfg.geometry.block_bytes // cfg.counters_per_leaf_node
+        cache = self.cache
+        arity = self._arity
         fetched = 0
-        index = leaf
+        index = addr // self._leaf_span
         for level in range(self.depth):
-            hit, evicted = self.cache.access(self._node_key(level, index), is_write)
+            # levels are sparse (< 64), so interleave them below the index bits
+            hit, evicted = cache.access(index * 64 + level, is_write)
             if hit:
                 break
             fetched += 1
             if evicted is not None and evicted[1]:
                 self.dirty_writebacks += 1
-            index //= cfg.arity
+            index //= arity
         self.fetches += fetched
         return fetched
 

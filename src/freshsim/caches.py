@@ -8,17 +8,17 @@ the cache so statistics fall out for free.
 
 from __future__ import annotations
 
-from collections import OrderedDict
-
 from .core import ConfigError
 
 
 class SetAssocCache:
     """Set-associative write-back LRU cache keyed by integers.
 
-    Each set maps key -> dirty bit in recency order.  A line's
-    ``(key, dirty)`` pair is returned on eviction so the caller can charge
-    write-back traffic.
+    Each set is a plain dict of key -> dirty bit in recency order: a touched
+    key is re-inserted at the end and eviction takes the first key.  A
+    residency index maps every resident key to its set, so only a fill
+    hashes a key.  A line's ``(key, dirty)`` pair is returned on eviction so
+    the caller can charge write-back traffic.
     """
 
     def __init__(self, lines: int, assoc: int) -> None:
@@ -27,66 +27,73 @@ class SetAssocCache:
         self.lines = lines
         self.assoc = assoc
         self.num_sets = lines // assoc
-        self._sets: list[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
+        self._sets: list[dict[int, bool]] = [{} for _ in range(self.num_sets)]
+        self._index: dict[int, dict[int, bool]] = {}  # resident key -> its set
         self.hits = 0
         self.misses = 0
 
-    def _set(self, key: int) -> OrderedDict:
+    def _fill(self, key: int, dirty: bool) -> tuple[int, bool] | None:
+        """Insert a non-resident key; returns the evicted (key, dirty) or None."""
         if self.num_sets == 1:
-            return self._sets[0]
-        # cheap deterministic integer hash; Python's hash() is identity for
-        # ints, which would put striding keys in lockstep with the set count
-        key = (key ^ (key >> 16)) * 0x45D9F3B
-        key = (key ^ (key >> 16)) * 0x45D9F3B
-        return self._sets[((key ^ (key >> 16)) & 0xFFFFFFFF) % self.num_sets]
+            s = self._sets[0]
+        else:
+            # cheap deterministic integer hash; Python's hash() is identity
+            # for ints, which would put striding keys in lockstep with the
+            # set count
+            h = (key ^ (key >> 16)) * 0x45D9F3B
+            h = (h ^ (h >> 16)) * 0x45D9F3B
+            s = self._sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % self.num_sets]
+        s[key] = dirty
+        self._index[key] = s
+        if len(s) > self.assoc:
+            for victim in s:  # the first key is the least recently used
+                break
+            del self._index[victim]
+            return victim, s.pop(victim)
+        return None
 
     def get(self, key: int) -> bool:
         """Look up a line, counting the hit or miss and refreshing recency."""
-        s = self._set(key)
-        if key in s:
-            s.move_to_end(key)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
+        s = self._index.get(key)
+        if s is None:
+            self.misses += 1
+            return False
+        s[key] = s.pop(key)
+        self.hits += 1
+        return True
 
     def probe(self, key: int) -> bool:
         """Residency check without touching recency or counters."""
-        return key in self._set(key)
+        return key in self._index
 
     __contains__ = probe
 
     def put(self, key: int, dirty: bool = False) -> tuple[int, bool] | None:
         """Fill or refresh a line.  Returns the evicted (key, dirty) or None."""
-        s = self._set(key)
-        if key in s:
-            s[key] = dirty or s[key]
-            s.move_to_end(key)
-            return None
-        s[key] = dirty
-        if len(s) > self.assoc:
-            return s.popitem(last=False)
+        s = self._index.get(key)
+        if s is None:
+            return self._fill(key, dirty)
+        s[key] = s.pop(key) or dirty
         return None
 
     def access(self, key: int, dirty: bool = False) -> tuple[bool, tuple[int, bool] | None]:
         """``get``, then ``put`` on a miss; a write (``dirty``) hit marks the
         line dirty.  Returns (hit, evicted (key, dirty) or None)."""
-        s = self._set(key)
-        if key in s:
-            s.move_to_end(key)
-            self.hits += 1
-            if dirty:
-                s[key] = True
-            return True, None
-        self.misses += 1
-        s[key] = dirty
-        if len(s) > self.assoc:
-            return False, s.popitem(last=False)
-        return False, None
+        s = self._index.get(key)
+        if s is None:
+            self.misses += 1
+            return False, self._fill(key, dirty)
+        s[key] = s.pop(key) or dirty
+        self.hits += 1
+        return True, None
 
     def invalidate(self, key: int) -> bool:
         """Drop a line without write-back (caller has already persisted it)."""
-        return self._set(key).pop(key, None) is not None
+        s = self._index.pop(key, None)
+        if s is None:
+            return False
+        del s[key]
+        return True
 
     def resident_keys(self) -> list[int]:
         """Resident keys, set by set, least recently used first."""
@@ -96,4 +103,4 @@ class SetAssocCache:
         return out
 
     def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return len(self._index)

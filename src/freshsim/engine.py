@@ -237,7 +237,16 @@ class FunctionalBlockStore:
         seed_bytes = seed.to_bytes(16, "little", signed=False)
         self._enc_key = hashlib.blake2b(b"enc", key=seed_bytes, digest_size=32).digest()
         self._mac_key = hashlib.blake2b(b"mac", key=seed_bytes, digest_size=32).digest()
-        self.records: dict[int, Record] = {}
+        # page -> {addr: Record}, so a page re-encryption visits only its page
+        self.records: dict[int, dict[int, Record]] = {}
+
+    def get(self, addr: int) -> Record | None:
+        """The record held for the block at ``addr``, or None."""
+        return self.records.get(addr // self.geometry.page_bytes, {}).get(addr)
+
+    def put(self, addr: int, record: Record) -> None:
+        """Hold ``record`` for the block at ``addr``, replacing any other."""
+        self.records.setdefault(addr // self.geometry.page_bytes, {})[addr] = record
 
     def _tweak(self, full_version: int, addr: int) -> bytes:
         return full_version.to_bytes(16, "little") + addr.to_bytes(8, "little")
@@ -320,6 +329,10 @@ class ProtectionEngine:
             lines=config.mac_cache_bytes // g.block_bytes, assoc=config.mac_assoc
         )
         self._cipher_ns = config.cipher_ns if self.uses_cipher else 0.0
+        self._data_bytes = self.layout.data_bytes
+        self._local_limit = config.local_bytes
+        self._local_ns = config.local_ns
+        self._pool_ns = config.pool_ns
         self._block_bytes = g.block_bytes
         # MAC-cache key of a data block: mac_block_addr(addr) // block_bytes
         self._mac_key_base = self.layout.mac_base // g.block_bytes
@@ -341,10 +354,10 @@ class ProtectionEngine:
     # -- channels and charging -----------------------------------------------------
 
     def channel_of(self, addr: int) -> str:
-        return "local" if addr < self.config.local_bytes else "pool"
+        return "local" if addr < self._local_limit else "pool"
 
     def _data_latency(self, channel: str) -> float:
-        return self.config.local_ns if channel == "local" else self.config.pool_ns
+        return self._local_ns if channel == "local" else self._pool_ns
 
     def _charge_data(self, out: AccessOutcome, nbytes: int) -> None:
         if out.channel == "local":
@@ -358,8 +371,9 @@ class ProtectionEngine:
         out.mac_bytes += nbytes
         self.mac_bytes += nbytes
 
-    def _mac_access(self, out: AccessOutcome, is_write: bool) -> float:
-        """Probe the MAC cache for the event's block; returns fetch latency.
+    def _mac_access(self, out: AccessOutcome, is_write: bool, data_ns: float) -> float:
+        """Probe the MAC cache for the event's block; returns fetch latency,
+        ``data_ns`` on a miss (the MAC line sits on the data's channel).
 
         A miss fetches the MAC line (for ownership, on a write) and a dirty
         eviction writes one back.  A write leaves the line dirty.
@@ -369,10 +383,12 @@ class ProtectionEngine:
         out.mac_hit = hit
         if hit:
             return 0.0
-        self._charge_mac(out, self._block_bytes)
+        nbytes = self._block_bytes
         if evicted is not None and evicted[1]:
-            self._charge_mac(out, self._block_bytes)
-        return self._data_latency(out.channel)
+            nbytes += nbytes
+        out.mac_bytes += nbytes
+        self.mac_bytes += nbytes
+        return data_ns
 
     # -- freshness hooks -------------------------------------------------------------
 
@@ -392,9 +408,9 @@ class ProtectionEngine:
         """
         if self.halted or self.killed:
             raise SimulationHalted(self.halted or self.killed)
-        if not 0 <= addr < self.layout.data_bytes:
+        if not 0 <= addr < self._data_bytes:
             raise AddressRangeError(
-                f"address {addr:#x} outside the {self.layout.data_bytes}-byte data partition"
+                f"address {addr:#x} outside the {self._data_bytes}-byte data partition"
             )
         if op == "R":
             is_write = False
@@ -402,23 +418,32 @@ class ProtectionEngine:
             is_write = True
         else:
             raise ConfigError(f"unknown op {op!r}")
-        out = AccessOutcome(op=op, addr=addr, channel=self.channel_of(addr))
+        nbytes = self._block_bytes
+        # positional (op, addr, channel, local_bytes, pool_bytes): cheaper
+        # than keywords on the per-event path
+        if addr < self._local_limit:
+            out = AccessOutcome(op, addr, "local", nbytes)
+            self.local_bytes += nbytes
+            data_ns = self._local_ns
+        else:
+            out = AccessOutcome(op, addr, "pool", 0, nbytes)
+            self.pool_bytes += nbytes
+            data_ns = self._pool_ns
         self.events += 1
-        self._charge_data(out, self._block_bytes)
-        data_ns = self._data_latency(out.channel)
         if is_write:
             self.writes += 1
             self._freshness(out, True)
             if self.uses_mac:
-                self._mac_access(out, True)
+                self._mac_access(out, True, data_ns)
             out.latency_ns = data_ns + self._cipher_ns
             self._after_write(out)
         else:
             self.reads += 1
             fresh_ns = self._freshness(out, False)
-            mac_ns = self._mac_access(out, False) if self.uses_mac else 0.0
-            out.latency_ns = data_ns + max(mac_ns, fresh_ns) + self._cipher_ns
-            self.read_latency_total += out.latency_ns
+            mac_ns = self._mac_access(out, False, data_ns) if self.uses_mac else 0.0
+            latency = data_ns + max(mac_ns, fresh_ns) + self._cipher_ns
+            out.latency_ns = latency
+            self.read_latency_total += latency
         return out
 
     # -- statistics --------------------------------------------------------------------
@@ -492,41 +517,39 @@ class HostEngine(ProtectionEngine):
             if config.functional else None
         )
         self.uv: dict[int, int] = {}
-        # pages whose overflow lines were filled since their last drop; kept
-        # a subset of the flat cache's residents, so dropping any other
-        # page's lines would only invalidate absent keys
-        self._line_pages: set[int] = set()
+        # page -> overflow lines filled since the page's last drop.  Only
+        # pages in the flat cache are kept, and a page's format only grows
+        # until a reset drops it, so each page's resident lines are among
+        # its first ``count`` keys and no other page has any
+        self._line_pages: dict[int, int] = {}
         self._page_bytes = config.geometry.page_bytes
+        self._device_ns = config.device_ns
+        self._message_bytes = config.device_message_bytes
+        self._debug = config.debug
         self.device_transactions = 0
         self.device_reads = 0
         self.device_updates = 0
 
     # -- metadata caches -----------------------------------------------------------
 
-    def _charge_device(self, out: AccessOutcome, messages: int) -> None:
-        nbytes = messages * self.config.device_message_bytes
-        out.device_bytes += nbytes
-        self.device_bytes += nbytes
-
     def _drop_lines(self, page: int) -> None:
-        if page in self._line_pages:
-            self._line_pages.remove(page)
-            for q in range(FULL_SLOTS):
-                self.overflow.invalidate(page * FULL_SLOTS + q)
+        count = self._line_pages.pop(page, 0)
+        if count:
+            first = page * FULL_SLOTS
+            for key in range(first, first + count):
+                self.overflow.invalidate(key)
 
     def _device_round_trip(self, out: AccessOutcome, page: int, lines: range) -> None:
         """One device transaction: request and entry messages plus one per
-        dynamic line; the response refills the flat cache and the overflow
-        buffer."""
+        dynamic line; the response fills the page's lines into the overflow
+        buffer.  The caller has filled the flat cache."""
         self.device_transactions += 1
         out.device_transactions += 1
-        self._charge_device(out, 2 + len(lines))
-        evicted = self.flat_cache.put(page)
-        if evicted is not None:
-            # inclusive pair: dropping a page's flat entry kills its lines
-            self._drop_lines(evicted[0])
+        nbytes = (2 + len(lines)) * self._message_bytes
+        out.device_bytes += nbytes
+        self.device_bytes += nbytes
         if lines:
-            self._line_pages.add(page)
+            self._line_pages[page] = len(lines)
             for key in lines:
                 self.overflow.put(key)
 
@@ -539,7 +562,7 @@ class HostEngine(ProtectionEngine):
 
     def _update_entry(self, out: AccessOutcome, page: int) -> None:
         """One device UPDATE.  It runs before the MAC write, so a capacity
-        halt charges no MAC traffic."""
+        halt charges no MAC traffic.  Writes count no flat-cache hits."""
         try:
             result = self.store.update_version(out.addr)
         except CapacityError as exc:
@@ -547,22 +570,29 @@ class HostEngine(ProtectionEngine):
             raise SimulationHalted(self.halted) from exc
         out.events = result.events
         self.device_updates += 1
+        evicted = self.flat_cache.put(page)
+        if evicted is not None:
+            # inclusive pair: dropping a page's flat entry kills its lines
+            self._drop_lines(evicted[0])
         self._device_round_trip(out, page, _line_keys(page, result.format_after))
 
     def _fetch_entry(self, out: AccessOutcome, page: int) -> float:
         """Probe the flat cache and every line the page needs; any miss costs
         one device READ.  Returns the device fetch latency."""
         lines = _line_keys(page, self.store.page_format(page))
-        out.flat_hit = self.flat_cache.get(page)
-        if out.flat_hit and lines:
+        hit, evicted = self.flat_cache.access(page)
+        out.flat_hit = hit
+        if evicted is not None:
+            self._drop_lines(evicted[0])
+        if hit and lines:
             out.overflow_hit = all([self.overflow.get(key) for key in lines])
         latency = 0.0
-        if not out.flat_hit or out.overflow_hit is False:
+        if not hit or out.overflow_hit is False:
             self.store.page_base(page)  # the device materializes an untouched page
             self.device_reads += 1
             self._device_round_trip(out, page, lines)
-            latency = self.config.device_ns
-        if self.config.debug:
+            latency = self._device_ns
+        if self._debug:
             self._debug_checks(out.addr)
         return latency
 
@@ -572,10 +602,13 @@ class HostEngine(ProtectionEngine):
             try:
                 cost = self.handle_uv_update(reset_page, _out=out)
             except UvOverflowError as exc:
+                # the store has reset the page, but with no upper version
+                # left it cannot be re-encrypted: the reset alone is counted
+                self.resets += 1
                 self.halted = str(exc)
                 raise SimulationHalted(self.halted) from exc
             out.reencrypted_blocks += cost["reencrypted_blocks"]
-        if self.config.debug:
+        if self._debug:
             self._debug_checks(None)
 
     def _invalidate_page(self, page: int) -> None:
@@ -589,11 +622,12 @@ class HostEngine(ProtectionEngine):
             self.mac_cache.invalidate((first + i * g.block_bytes) // g.block_bytes)
 
     def _debug_checks(self, addr: int | None) -> None:
-        """Overflow lines imply a tracked page, and tracked pages a cached
-        flat entry; on a read, the packed entry and lines the device sends
-        decode to the store's version."""
+        """Overflow lines are among those their page filled, and tracked
+        pages have a cached flat entry; on a read, the packed entry and lines
+        the device sends decode to the store's version."""
         for key in self.overflow.resident_keys():
-            assert key // FULL_SLOTS in self._line_pages, "overflow line of an untracked page"
+            filled = self._line_pages.get(key // FULL_SLOTS, 0)
+            assert key % FULL_SLOTS < filled, "overflow line the page did not fill"
         for page in self._line_pages:
             assert page in self.flat_cache, "tracked page without flat entry"
         if addr is not None:
@@ -654,16 +688,12 @@ class HostEngine(ProtectionEngine):
         }
 
     def _reencrypt_page(self, page: int, new_uv: int) -> None:
-        g = self.config.geometry
         fn = self.functional
-        lo = page * g.page_bytes
-        hi = lo + g.page_bytes
-        for addr in list(fn.records):
-            if lo <= addr < hi:
-                rec = fn.records[addr]
-                plaintext = fn.open(addr, rec, rec.stealth)
-                stealth = self.store.read_version(addr)
-                fn.records[addr] = fn.seal(addr, plaintext, new_uv, stealth)
+        records = fn.records.get(page, {})
+        for addr, rec in records.items():
+            plaintext = fn.open(addr, rec, rec.stealth)
+            stealth = self.store.read_version(addr)
+            records[addr] = fn.seal(addr, plaintext, new_uv, stealth)
 
     def os_free_page(self, page: int) -> AccessOutcome:
         """Free/remap a page: bump its UV and reset its versions, nothing more.
@@ -705,13 +735,13 @@ class HostEngine(ProtectionEngine):
         record = fn.seal(
             addr, plaintext, self.uv.get(page, 0), self.store.read_version(addr)
         )
-        fn.records[addr] = record
+        fn.put(addr, record)
         return record, out
 
     def functional_read(self, addr: int) -> tuple[bytes, AccessOutcome]:
         fn = self._require_functional()
         out = self.process_access("R", addr)
-        record = fn.records.get(addr)
+        record = fn.get(addr)
         if record is None:
             raise ConfigError(f"no record was ever written at {addr:#x}")
         try:
@@ -730,7 +760,7 @@ class HostEngine(ProtectionEngine):
         traffic is not charged for the injected read.
         """
         fn = self._require_functional()
-        fn.records[addr] = old_record
+        fn.put(addr, old_record)
         current = self.store.read_version(addr)
         try:
             fn.open(addr, old_record, current)

@@ -56,7 +56,8 @@ SLOT_BYTES = 56
 FULL_SLOTS = 4  # full line is allocated as 4 contiguous slots (224 B reserved)
 
 SNAPSHOT_MAGIC = b"TRIP"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
+_SNAPSHOT_HEADER = "<HBBBQQ"  # version, S, U, R, total pages, entry count
 
 
 class CapacityError(SimError):
@@ -203,6 +204,10 @@ class VersionStore:
         self.resets = 0
         self._uv_queue: list[int] = []
 
+        self._page_bytes = self.geometry.page_bytes
+        self._block_bytes = self.geometry.block_bytes
+        self._blocks_per_page = self.geometry.blocks_per_page
+        self._reset_exp = self.params.reset_exp
         self._uneven_bytes = uneven_entry_bytes(self.geometry)
         self._full_bytes = full_entry_bytes(self.geometry, self.params)
         self._smask = self.params.stealth_mask
@@ -327,8 +332,15 @@ class VersionStore:
         changes, so a failed update leaves the store (and its randomness)
         untouched and the caller may retry after freeing pages.
         """
-        page, block = addr_decompose(addr, self.geometry, self.protected_bytes)
-        e = self._entry(page)
+        if not 0 <= addr < self.protected_bytes:
+            raise AddressRangeError(
+                f"address {addr:#x} outside protected range of {self.protected_bytes} bytes"
+            )
+        page = addr // self._page_bytes
+        block = addr // self._block_bytes % self._blocks_per_page
+        e = self._entries.get(page)
+        if e is None:
+            e = self._entry(page)
         events: list[str] | None = None
         smask = self._smask
 
@@ -348,7 +360,7 @@ class VersionStore:
                     )
                 e.slot = self._alloc(1)
                 e.tag = UNEVEN
-                e.offsets = [(e.bitvec >> i) & 1 for i in range(self.geometry.blocks_per_page)]
+                e.offsets = [(e.bitvec >> i) & 1 for i in range(self._blocks_per_page)]
                 e.offsets[block] = 2
                 e.max_off = 2
                 e.min_off = 0
@@ -406,14 +418,14 @@ class VersionStore:
             if advance:
                 e.base = v
 
-        if advance and self.rng.draw(self.params.reset_exp) == 0:
+        if advance and self.rng.draw(self._reset_exp) == 0:
             self._reset_entry(page, e)
             events = (events or []) + ["reset_triggered"]
 
         if e.tag == FLAT:
-            new_version = stealth_add(e.base, (e.bitvec >> block) & 1, self.params.stealth_bits)
+            new_version = (e.base + ((e.bitvec >> block) & 1)) & smask
         elif e.tag == UNEVEN:
-            new_version = stealth_add(e.base, e.offsets[block], self.params.stealth_bits)
+            new_version = (e.base + e.offsets[block]) & smask
         else:
             new_version = e.versions[block]
         return UpdateResult(
@@ -459,8 +471,10 @@ class VersionStore:
 
     def drain_uv_updates(self) -> list[int]:
         """Page indices whose upper version must be bumped, in reset order."""
-        out = self._uv_queue
-        self._uv_queue = []
+        if not self._uv_queue:
+            return []
+        out = self._uv_queue.copy()
+        self._uv_queue.clear()
         return out
 
     # -- accounting ------------------------------------------------------------
@@ -516,10 +530,11 @@ class VersionStore:
         reads verbatim but continues updating under its own seed.
         """
         head = SNAPSHOT_MAGIC + struct.pack(
-            "<HBBQQ",
+            _SNAPSHOT_HEADER,
             SNAPSHOT_VERSION,
             self.params.stealth_bits,
             self.params.upper_bits,
+            self.params.reset_exp,
             self.total_pages,
             len(self._entries),
         )
@@ -545,13 +560,15 @@ class VersionStore:
         device_capacity_bytes: int,
         rng: RandomSource,
         geometry: Geometry | None = None,
-        reset_exp: int = 20,
     ) -> "VersionStore":
         if data[:4] != SNAPSHOT_MAGIC:
             raise EncodingError("bad snapshot magic")
-        version, s_bits, u_bits, total_pages, count = struct.unpack_from("<HBBQQ", data, 4)
+        (version,) = struct.unpack_from("<H", data, 4)
         if version != SNAPSHOT_VERSION:
             raise EncodingError(f"unsupported snapshot version {version}")
+        _, s_bits, u_bits, reset_exp, total_pages, count = struct.unpack_from(
+            _SNAPSHOT_HEADER, data, 4
+        )
         geometry = geometry or Geometry()
         params = SecurityParams(stealth_bits=s_bits, upper_bits=u_bits, reset_exp=reset_exp)
         store = cls(
@@ -561,7 +578,7 @@ class VersionStore:
             geometry=geometry,
             params=params,
         )
-        pos = 4 + struct.calcsize("<HBBQQ")
+        pos = 4 + struct.calcsize(_SNAPSHOT_HEADER)
         bpp = geometry.blocks_per_page
         uneven_len = uneven_entry_bytes(geometry)
         full_len = full_entry_bytes(geometry, params)

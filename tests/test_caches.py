@@ -81,6 +81,11 @@ class _LruModel:
         return self.d.pop(k, None) is not None
 
 
+def _assert_index_matches(cache, model):
+    assert len(cache) == len(cache.resident_keys())
+    assert all(cache.probe(k) for k in model.d)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.integers(1, 6),
@@ -101,6 +106,7 @@ def test_lru_matches_reference_model(capacity, ops):
             assert real.access(key, key % 2 == 0) == model.access(key, key % 2 == 0)
         else:
             assert real.invalidate(key) == model.invalidate(key)
+        _assert_index_matches(real, model)
     assert real.resident_keys() == list(model.d.keys())
 
 
@@ -157,6 +163,14 @@ class TestSetAssocCache:
         assert c.invalidate(3) is False
         assert not c.probe(3)
 
+    def test_invalidate_absent_key_changes_nothing(self):
+        c = SetAssocCache(lines=4, assoc=2)
+        c.put(1)
+        c.get(1)
+        c.get(2)
+        assert c.invalidate(2) is False
+        assert (c.hits, c.misses, len(c), c.resident_keys()) == (1, 1, 1, [1])
+
     def test_resident_keys(self):
         c = SetAssocCache(lines=8, assoc=2)
         for k in (10, 20, 30):
@@ -167,14 +181,15 @@ class TestSetAssocCache:
         c = SetAssocCache(lines=32, assoc=2)
         # overfill one set's worth of slots with distinct keys: evictions
         # must only ever remove keys from the same set as the newcomer
-        victims = []
+        evictions = 0
         for k in range(200):
+            home = dict(c._index)  # resident key -> its set, before the fill
             ev = c.put(k)
             if ev is not None:
-                victims.append((k, ev[0]))
+                evictions += 1
+                assert home[ev[0]] is c._index[k]
         assert len(c) == 32
-        for newcomer, victim in victims:
-            assert c._set(newcomer) is c._set(victim)
+        assert evictions == 200 - 32
 
 
 @settings(max_examples=40, deadline=None)
@@ -199,5 +214,6 @@ def test_single_set_cache_behaves_like_lru(ops):
             assert sa.access(key, key % 2 == 0) == (hit, evicted)
         else:
             assert sa.put(key) == lru.put(key, False)
+        _assert_index_matches(sa, lru)
     assert sa.resident_keys() == list(lru.d.keys())
     assert sa.hits == hits

@@ -178,12 +178,15 @@ class TestInclusivity:
         assert e.overflow.probe(1 * 4)
 
     def test_debug_checks_hold_under_traffic(self):
-        e = make_engine(pages=8, flat_cache_entries=4, debug=True)
         rng = np.random.default_rng(5)
         blocks = rng.integers(0, 8 * 64, size=3000)
         ops = rng.random(3000) < 0.5
-        for b, w in zip(blocks.tolist(), ops.tolist()):
-            e.process_access("W" if w else "R", b * BLOCK)
+        # uniform blocks, then only block 0 of each page, which drives pages full
+        for trace in (blocks, blocks // 64 * 64):
+            e = make_engine(pages=8, flat_cache_entries=4, debug=True)
+            for b, w in zip(trace.tolist(), ops.tolist()):
+                e.process_access("W" if w else "R", b * BLOCK)
+        assert e.store.pages_full > 0
 
 
 class TestUvUpdates:
@@ -278,6 +281,8 @@ class TestFailurePaths:
                 e.process_access("W", i % 4 * PAGE)
         assert e.events == 7
         assert "upper version" in e.halted
+        # the store reset the page before its upper version ran out
+        assert e.stats()["resets"] == e.store.resets
         with pytest.raises(SimulationHalted):
             e.process_access("R", 0)
         assert e.events == 7
@@ -333,6 +338,21 @@ class TestFunctionalLayer:
         e.functional_write(0, b"D" * 64)
         e.handle_uv_update(0)
         assert e.functional_read(0)[0] == b"D" * 64
+
+    def test_reset_reencrypts_only_its_page(self):
+        e = make_engine(functional=True, seed=9)
+        texts = {addr: bytes([i]) * 64 for i, addr in enumerate((0, BLOCK, PAGE, PAGE + BLOCK))}
+        recs = {addr: e.functional_write(addr, text)[0] for addr, text in texts.items()}
+        e.store.reset_page(0)
+        e.functional_write(2 * BLOCK, b"N" * 64)  # the write drains page 0's reset
+        assert e.resets == 1 and e.uv == {0: 1}
+        for addr, text in texts.items():
+            rec = e.functional.get(addr)
+            if addr < PAGE:
+                assert rec is not recs[addr] and rec.uv == 1
+            else:
+                assert rec is recs[addr]
+            assert e.functional_read(addr)[0] == text
 
 
 class TestMacLayer:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -441,6 +443,19 @@ class TestSnapshot:
         u, u2 = s.usage_stats(), s2.usage_stats()
         for key in ("pages_flat", "pages_uneven", "pages_full", "static_bytes", "dynamic_bytes"):
             assert u2[key] == u[key]
+
+    def test_roundtrip_keeps_reset_exp(self):
+        params = SecurityParams(stealth_bits=27, upper_bits=37, reset_exp=4)
+        s = make_store(params=params)
+        s.update_version(0)
+        s2 = VersionStore.from_snapshot(s.to_snapshot(), s.device_capacity_bytes, RandomSource(3))
+        assert s2.params == params
+
+    def test_version_1_blob_rejected(self):
+        blob = bytearray(self.build().to_snapshot())
+        struct.pack_into("<H", blob, len(SNAPSHOT_MAGIC), 1)
+        with pytest.raises(EncodingError):
+            VersionStore.from_snapshot(bytes(blob), 1 << 20, RandomSource(1))
 
     def test_bad_magic_rejected(self):
         blob = bytearray(self.build().to_snapshot())
