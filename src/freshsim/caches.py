@@ -95,6 +95,45 @@ class SetAssocCache:
         del s[key]
         return True
 
+    # -- range operations: ``put``, ``get`` or ``invalidate`` on every key of
+    # a run of keys (a page's dynamic lines), in order, in one call
+
+    def put_range(self, keys) -> None:
+        """``put(key)`` (clean) on every key; evictions are not reported."""
+        index = self._index
+        fill = self._fill
+        for key in keys:
+            s = index.get(key)
+            if s is None:
+                fill(key, False)
+            else:
+                s[key] = s.pop(key)
+
+    def get_range(self, keys) -> bool:
+        """``get`` on every key, with no short-circuit: each key counts its
+        hit or miss and a hit refreshes recency.  True if all keys hit."""
+        index = self._index
+        hits = 0
+        missed = 0
+        for key in keys:
+            s = index.get(key)
+            if s is None:
+                missed += 1
+            else:
+                s[key] = s.pop(key)
+                hits += 1
+        self.hits += hits
+        self.misses += missed
+        return not missed
+
+    def invalidate_range(self, keys) -> None:
+        """``invalidate`` every key."""
+        pop = self._index.pop
+        for key in keys:
+            s = pop(key, None)
+            if s is not None:
+                del s[key]
+
     def resident_keys(self) -> list[int]:
         """Resident keys, set by set, least recently used first."""
         out: list[int] = []

@@ -64,6 +64,35 @@ _TOP_KEYS = frozenset(
     ("mode", "trace", "tree") + _GEOMETRY_KEYS + _SECURITY_KEYS + _ENGINE_KEYS
 )
 
+# JSON value types a dataclass field accepts, by its annotation: (types,
+# description).  A bool is not an integer here, although Python treats it
+# as one.
+_ACCEPTS = {
+    "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+}
+_INT = _ACCEPTS["int"]
+
+
+def _field_types(klass, keys=None) -> dict:
+    return {
+        f.name: _ACCEPTS[f.type]
+        for f in dataclasses.fields(klass)
+        if keys is None or f.name in keys
+    }
+
+
+_RUN_TYPES = {
+    **_field_types(Geometry, _GEOMETRY_KEYS),
+    **_field_types(SecurityParams, _SECURITY_KEYS),
+    **_field_types(EngineConfig, _ENGINE_KEYS),
+}
+_TREE_TYPES = _field_types(CounterTreeConfig, _TREE_KEYS)
+_PATTERN_TYPES = _field_types(PatternSpec)
+
 
 def default_config() -> dict:
     """Full default run configuration; a config file overrides parts of it."""
@@ -85,6 +114,17 @@ def _check_keys(doc: dict, allowed, what: str) -> None:
         raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
 
 
+def _check_types(doc, types: dict, what: str) -> None:
+    """Reject a non-object ``doc`` and any value of a key in ``types`` whose
+    JSON type that key does not accept."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    for key, value in doc.items():
+        accepts = types.get(key)
+        if accepts is not None and type(value) not in accepts[0]:
+            raise ConfigError(f"{what} key {key!r} must be {accepts[1]}, got {value!r}")
+
+
 def resolve_config(doc: dict | None) -> dict:
     cfg = default_config()
     if doc:
@@ -94,7 +134,14 @@ def resolve_config(doc: dict | None) -> dict:
         cfg.update(doc)
     if cfg["mode"] not in MODES:
         raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {cfg['mode']!r}")
+    _check_types(cfg, _RUN_TYPES, "config")
+    _check_types(cfg["tree"] or {}, _TREE_TYPES, "tree")
     return cfg
+
+
+def _pattern_spec(doc) -> PatternSpec:
+    _check_types(doc, _PATTERN_TYPES, "pattern")
+    return PatternSpec.from_json(doc)
 
 
 def build_engine(cfg: dict):
@@ -127,7 +174,7 @@ def resolve_trace(cfg: dict, trace_flag: str | None):
     if "file" in source:
         return load_trace(source["file"])
     if "pattern" in source:
-        return generate(PatternSpec.from_json(source["pattern"]))
+        return generate(_pattern_spec(source["pattern"]))
     raise ConfigError("config 'trace' must contain a 'file' or 'pattern' entry")
 
 
@@ -188,7 +235,7 @@ def cmd_gen_trace(args) -> int:
             raise ConfigError("config has no trace.pattern to generate from")
     if args.seed is not None:
         doc = dict(doc, seed=args.seed)
-    events = generate(PatternSpec.from_json(doc))
+    events = generate(_pattern_spec(doc))
     if args.out:
         form = "binary" if args.out.endswith(".bin") else "text"
         save_trace(events, args.out, form=form)
@@ -199,11 +246,23 @@ def cmd_gen_trace(args) -> int:
     return 0
 
 
+def _mc_params(doc, required: tuple, optional: tuple, what: str) -> dict:
+    """A Monte Carlo section: integer values, every required key present."""
+    _check_types(doc, dict.fromkeys(required + optional, _INT), what)
+    _check_keys(doc, required + optional, what)
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ConfigError(f"{what} needs key(s): {', '.join(missing)}")
+    return dict(doc)
+
+
 def cmd_analyze_security(args) -> int:
     doc = _read_json(args.config) if args.config else {}
+    _check_types(doc, {}, "analysis")
     _check_keys(doc, ("exhaustion", "replay", "monte_carlo"), "analysis")
 
     ex_doc = doc.get("exhaustion") or {}
+    _check_types(ex_doc, _field_types(ExhaustionQuery), "exhaustion")
     _check_keys(
         ex_doc,
         ("total_updates", "interval_updates", "interval_count", "reset_exp"),
@@ -211,6 +270,7 @@ def cmd_analyze_security(args) -> int:
     )
     query = ExhaustionQuery(**ex_doc)
     replay_doc = doc.get("replay") or {}
+    _check_types(replay_doc, {"stealth_bits": _INT}, "replay")
     _check_keys(replay_doc, ("stealth_bits",), "replay")
     stealth_bits = replay_doc.get("stealth_bits", SecurityParams().stealth_bits)
 
@@ -226,12 +286,13 @@ def cmd_analyze_security(args) -> int:
     }
 
     mc_doc = doc.get("monte_carlo") or {}
+    _check_types(mc_doc, {}, "monte_carlo")
     _check_keys(mc_doc, ("exhaustion", "replay"), "monte_carlo")
     if "exhaustion" in mc_doc:
-        p = dict(mc_doc["exhaustion"])
-        _check_keys(
-            p,
-            ("stealth_bits", "reset_exp", "addresses", "updates_per_address", "trials", "seed"),
+        p = _mc_params(
+            mc_doc["exhaustion"],
+            ("stealth_bits", "reset_exp"),
+            ("addresses", "updates_per_address", "trials", "seed"),
             "monte_carlo.exhaustion",
         )
         if args.seed is not None:
@@ -249,8 +310,9 @@ def cmd_analyze_security(args) -> int:
             "parameters": {k: v for k, v in sorted(p.items()) if k != "trials"},
         }
     if "replay" in mc_doc:
-        p = dict(mc_doc["replay"])
-        _check_keys(p, ("stealth_bits", "trials", "seed"), "monte_carlo.replay")
+        p = _mc_params(
+            mc_doc["replay"], ("stealth_bits",), ("trials", "seed"), "monte_carlo.replay"
+        )
         if args.seed is not None:
             p["seed"] = args.seed
         est = mc_replay(**p)
@@ -376,7 +438,4 @@ def main(argv=None) -> int:
         return args.func(args)
     except (SimError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except TypeError as exc:
-        print(f"error: bad parameter: {exc}", file=sys.stderr)
         return 2

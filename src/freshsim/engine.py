@@ -46,7 +46,6 @@ from .core import (
 )
 from .version_store import (
     FLAT,
-    FULL,
     FULL_SLOTS,
     SLOT_BYTES,
     UNEVEN,
@@ -481,14 +480,8 @@ def _cache_counts(cache: SetAssocCache) -> dict:
     return {"hits": cache.hits, "misses": cache.misses}
 
 
-# dynamic lines behind a page entry, by format
-_LINE_COUNT = {FLAT: 0, UNEVEN: 1, FULL: FULL_SLOTS}
-
-
-def _line_keys(page: int, fmt: int) -> range:
-    """Overflow-buffer keys of the page's dynamic lines."""
-    first = page * FULL_SLOTS
-    return range(first, first + _LINE_COUNT[fmt])
+# dynamic lines behind a page entry, indexed by format (FLAT, UNEVEN, FULL)
+_LINE_COUNT = (0, 1, FULL_SLOTS)
 
 
 class HostEngine(ProtectionEngine):
@@ -536,61 +529,56 @@ class HostEngine(ProtectionEngine):
         count = self._line_pages.pop(page, 0)
         if count:
             first = page * FULL_SLOTS
-            for key in range(first, first + count):
-                self.overflow.invalidate(key)
+            self.overflow.invalidate_range(range(first, first + count))
 
-    def _device_round_trip(self, out: AccessOutcome, page: int, lines: range) -> None:
+    def _device_round_trip(self, out: AccessOutcome, page: int, count: int) -> None:
         """One device transaction: request and entry messages plus one per
-        dynamic line; the response fills the page's lines into the overflow
-        buffer.  The caller has filled the flat cache."""
+        dynamic line; the response fills the page's ``count`` lines into the
+        overflow buffer.  The caller has filled the flat cache."""
         self.device_transactions += 1
         out.device_transactions += 1
-        nbytes = (2 + len(lines)) * self._message_bytes
+        nbytes = (2 + count) * self._message_bytes
         out.device_bytes += nbytes
         self.device_bytes += nbytes
-        if lines:
-            self._line_pages[page] = len(lines)
-            for key in lines:
-                self.overflow.put(key)
+        if count:
+            self._line_pages[page] = count
+            first = page * FULL_SLOTS
+            self.overflow.put_range(range(first, first + count))
 
     def _freshness(self, out: AccessOutcome, is_write: bool) -> float:
+        """A write is one device UPDATE; it runs before the MAC write, so a
+        capacity halt charges no MAC traffic, and it counts no flat-cache
+        hits.  A read probes the flat cache and every line the page needs;
+        any miss costs one device READ, whose latency is returned."""
         page = out.addr // self._page_bytes
         if is_write:
-            self._update_entry(out, page)
+            try:
+                result = self.store.update_version(out.addr)
+            except CapacityError as exc:
+                self.halted = f"device capacity exhausted at page {page}: {exc}"
+                raise SimulationHalted(self.halted) from exc
+            out.events = result.events
+            self.device_updates += 1
+            evicted = self.flat_cache.put(page)
+            if evicted is not None:
+                # inclusive pair: dropping a page's flat entry kills its lines
+                self._drop_lines(evicted[0])
+            self._device_round_trip(out, page, _LINE_COUNT[result.format_after])
             return 0.0
-        return self._fetch_entry(out, page)
-
-    def _update_entry(self, out: AccessOutcome, page: int) -> None:
-        """One device UPDATE.  It runs before the MAC write, so a capacity
-        halt charges no MAC traffic.  Writes count no flat-cache hits."""
-        try:
-            result = self.store.update_version(out.addr)
-        except CapacityError as exc:
-            self.halted = f"device capacity exhausted at page {page}: {exc}"
-            raise SimulationHalted(self.halted) from exc
-        out.events = result.events
-        self.device_updates += 1
-        evicted = self.flat_cache.put(page)
-        if evicted is not None:
-            # inclusive pair: dropping a page's flat entry kills its lines
-            self._drop_lines(evicted[0])
-        self._device_round_trip(out, page, _line_keys(page, result.format_after))
-
-    def _fetch_entry(self, out: AccessOutcome, page: int) -> float:
-        """Probe the flat cache and every line the page needs; any miss costs
-        one device READ.  Returns the device fetch latency."""
-        lines = _line_keys(page, self.store.page_format(page))
+        # materializes an untouched page, which can never be a flat hit, so
+        # its base is drawn in the same event as the device READ it needs
+        count = _LINE_COUNT[self.store.fetch_format(page)]
         hit, evicted = self.flat_cache.access(page)
         out.flat_hit = hit
         if evicted is not None:
             self._drop_lines(evicted[0])
-        if hit and lines:
-            out.overflow_hit = all([self.overflow.get(key) for key in lines])
+        if hit and count:
+            first = page * FULL_SLOTS
+            out.overflow_hit = self.overflow.get_range(range(first, first + count))
         latency = 0.0
         if not hit or out.overflow_hit is False:
-            self.store.page_base(page)  # the device materializes an untouched page
             self.device_reads += 1
-            self._device_round_trip(out, page, lines)
+            self._device_round_trip(out, page, count)
             latency = self._device_ns
         if self._debug:
             self._debug_checks(out.addr)
@@ -617,9 +605,8 @@ class HostEngine(ProtectionEngine):
         g = self.config.geometry
         base_addr = page * g.page_bytes
         mac_lines = g.blocks_per_page // g.macs_per_block
-        first = mac_block_addr(base_addr, self.layout)
-        for i in range(mac_lines):
-            self.mac_cache.invalidate((first + i * g.block_bytes) // g.block_bytes)
+        first = mac_block_addr(base_addr, self.layout) // g.block_bytes
+        self.mac_cache.invalidate_range(range(first, first + mac_lines))
 
     def _debug_checks(self, addr: int | None) -> None:
         """Overflow lines are among those their page filled, and tracked

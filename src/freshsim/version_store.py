@@ -64,6 +64,13 @@ class CapacityError(SimError):
     """Dynamic region exhausted; the update was rejected without effect."""
 
 
+def _unpack(fmt: str, data: bytes, pos: int) -> tuple:
+    """``struct.unpack_from``, but a blob too short for it is an EncodingError."""
+    if pos + struct.calcsize(fmt) > len(data):
+        raise EncodingError(f"snapshot truncated at byte {pos}")
+    return struct.unpack_from(fmt, data, pos)
+
+
 def flat_entry_bytes(params: SecurityParams) -> int:
     """Packed size of one static entry: tag + base + payload, byte-rounded."""
     return (TAG_BITS + params.stealth_bits + PAYLOAD_BITS + 7) // 8
@@ -135,7 +142,7 @@ class _Entry:
         self.slot = -1            # dynamic-region slot index, -1 when flat
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class UpdateResult:
     """Outcome of one version update.
 
@@ -319,6 +326,14 @@ class VersionStore:
         e = self._entries.get(page)
         return FLAT if e is None else e.tag
 
+    def fetch_format(self, page: int) -> int:
+        """Format of the page's entry as the device reads it: an untouched
+        page materializes (draws its base), like ``page_base``."""
+        e = self._entries.get(page)
+        if e is None:
+            e = self._entry(page)
+        return e.tag
+
     def page_base(self, page: int) -> int:
         """Base field of the page entry (leading version for full pages)."""
         return self._entry(page).base
@@ -428,11 +443,9 @@ class VersionStore:
             new_version = (e.base + e.offsets[block]) & smask
         else:
             new_version = e.versions[block]
+        # positional: cheaper than keywords on the per-write path
         return UpdateResult(
-            new_version=new_version,
-            format_after=e.tag,
-            events=tuple(events) if events else _NO_EVENTS,
-            leading_advance=advance,
+            new_version, e.tag, tuple(events) if events else _NO_EVENTS, advance
         )
 
     # -- resets ----------------------------------------------------------------
@@ -563,10 +576,10 @@ class VersionStore:
     ) -> "VersionStore":
         if data[:4] != SNAPSHOT_MAGIC:
             raise EncodingError("bad snapshot magic")
-        (version,) = struct.unpack_from("<H", data, 4)
+        (version,) = _unpack("<H", data, 4)
         if version != SNAPSHOT_VERSION:
             raise EncodingError(f"unsupported snapshot version {version}")
-        _, s_bits, u_bits, reset_exp, total_pages, count = struct.unpack_from(
+        _, s_bits, u_bits, reset_exp, total_pages, count = _unpack(
             _SNAPSHOT_HEADER, data, 4
         )
         geometry = geometry or Geometry()
@@ -584,16 +597,14 @@ class VersionStore:
         full_len = full_entry_bytes(geometry, params)
         ranges: list[tuple[int, int]] = []  # (first slot, slot count) in use
         for _ in range(count):
-            page, tag = struct.unpack_from("<QB", data, pos)
-            pos += 9
-            (base,) = struct.unpack_from("<Q", data, pos)
-            pos += 8
+            page, tag, base = _unpack("<QBQ", data, pos)
+            pos += 17
             e = _Entry(base)
             if tag == FLAT:
-                (e.bitvec,) = struct.unpack_from("<Q", data, pos)
+                (e.bitvec,) = _unpack("<Q", data, pos)
                 pos += 8
             elif tag == UNEVEN:
-                (e.slot,) = struct.unpack_from("<q", data, pos)
+                (e.slot,) = _unpack("<q", data, pos)
                 pos += 8
                 e.tag = UNEVEN
                 e.offsets = unpack_bitfields(data[pos:pos + uneven_len], OFFSET_BITS, bpp)
@@ -604,7 +615,7 @@ class VersionStore:
                 store._bump_dynamic(store._uneven_bytes)
                 ranges.append((e.slot, 1))
             elif tag == FULL:
-                (e.slot,) = struct.unpack_from("<q", data, pos)
+                (e.slot,) = _unpack("<q", data, pos)
                 pos += 8
                 e.tag = FULL
                 e.versions = unpack_bitfields(

@@ -217,3 +217,108 @@ def test_single_set_cache_behaves_like_lru(ops):
         _assert_index_matches(sa, lru)
     assert sa.resident_keys() == list(lru.d.keys())
     assert sa.hits == hits
+
+
+def _model_range(model, op, keys):
+    """A range operation on the model, one key at a time; returns the
+    result and the (hits, misses) it counted."""
+    if op == "put":
+        for k in keys:
+            model.put(k, False)
+        return None, (0, 0)
+    if op == "get":
+        hits = [model.get(k) for k in keys]
+        return all(hits), (sum(hits), len(hits) - sum(hits))
+    for k in keys:
+        model.invalidate(k)
+    return None, (0, 0)
+
+
+_RANGE_OPS = {"put": "put_range", "get": "get_range", "inval": "invalidate_range"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 8),
+    st.lists(
+        st.tuples(st.sampled_from(sorted(_RANGE_OPS)), st.integers(0, 12), st.integers(0, 5)),
+        max_size=80,
+    ),
+)
+def test_range_ops_match_reference_model(capacity, ops):
+    real = SetAssocCache(capacity, capacity)
+    model = _LruModel(capacity)
+    hits = misses = 0
+    for op, first, count in ops:
+        keys = range(first, first + count)
+        expected, (h, m) = _model_range(model, op, keys)
+        assert getattr(real, _RANGE_OPS[op])(keys) == expected
+        hits, misses = hits + h, misses + m
+        assert real.resident_keys() == list(model.d.keys())  # residency and recency
+        assert (real.hits, real.misses, len(real)) == (hits, misses, len(model.d))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(sorted(_RANGE_OPS)), st.integers(0, 60), st.integers(0, 5)),
+        max_size=120,
+    ),
+)
+def test_range_ops_match_per_key_ops_across_sets(ops):
+    ranged = SetAssocCache(lines=8, assoc=2)
+    per_key = SetAssocCache(lines=8, assoc=2)
+    for op, first, count in ops:
+        keys = range(first, first + count)
+        result = getattr(ranged, _RANGE_OPS[op])(keys)
+        if op == "put":
+            for k in keys:
+                per_key.put(k)
+        elif op == "get":
+            assert result == all([per_key.get(k) for k in keys])
+        else:
+            for k in keys:
+                per_key.invalidate(k)
+        assert [list(s) for s in ranged._sets] == [list(s) for s in per_key._sets]
+        assert (ranged.hits, ranged.misses, len(ranged)) == (
+            per_key.hits, per_key.misses, len(per_key))
+
+
+class TestRangeOps:
+    def test_get_range_probes_every_key_after_a_miss(self):
+        c = SetAssocCache(4, 4)
+        c.put_range(range(1, 4))  # 0 is absent, 1..3 resident
+        c.put(9)  # most recent
+        assert c.get_range(range(0, 4)) is False
+        assert (c.hits, c.misses) == (3, 1)
+        assert c.resident_keys() == [9, 1, 2, 3]  # hits refreshed in order
+
+    def test_get_range_all_hit(self):
+        c = SetAssocCache(4, 4)
+        c.put_range([5, 6])
+        assert c.get_range([5, 6]) is True
+        assert (c.hits, c.misses) == (2, 0)
+
+    def test_empty_range_changes_nothing(self):
+        c = SetAssocCache(4, 4)
+        c.put(1)
+        assert c.get_range(range(0)) is True
+        c.put_range(range(0))
+        c.invalidate_range(range(0))
+        assert (c.hits, c.misses, c.resident_keys()) == (0, 0, [1])
+
+    def test_put_range_refreshes_and_keeps_dirty_bit(self):
+        c = SetAssocCache(3, 3)
+        c.put(1, dirty=True)
+        c.put(2)
+        c.put_range([1, 3])  # 1 refreshed, still dirty; 3 filled clean
+        assert c.resident_keys() == [2, 1, 3]
+        assert c.put(4) == (2, False)
+        assert c.put(5) == (1, True)
+
+    def test_invalidate_range_skips_absent_keys(self):
+        c = SetAssocCache(4, 2)
+        c.put_range([1, 2, 3])
+        c.invalidate_range(range(2, 6))
+        assert c.resident_keys() == [1] and len(c) == 1
+        assert (c.hits, c.misses) == (0, 0)

@@ -138,6 +138,45 @@ class TestConfigHandling:
         assert main(["simulate", "--config", cfg]) == 2
         assert "trace" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("flat_cache_entries", "256"),
+        ("page_bytes", 4096.0),
+        ("cxl_ns", "95"),
+        ("debug", 1),
+        ("seed", True),
+        ("device_capacity_bytes", "1 MiB"),
+    ])
+    def test_wrong_value_type_names_the_key(self, tmp_path, capsys, key, value):
+        cfg = run_config(tmp_path, **{key: value})
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "bad parameter" not in err
+
+    def test_wrong_tree_value_type_names_the_key(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, mode="merkle", tree={"arity": "8"})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "arity" in capsys.readouterr().err
+
+    def test_wrong_pattern_value_type_names_the_key(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, trace={"pattern": pattern_doc(seed="4")})
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_numbers_accepted_where_floats_go(self, tmp_path):
+        cfg = run_config(tmp_path, cxl_ns=95, clock_ghz=2.25, device_capacity_bytes=None)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s.json")]) == 0
+
+    def test_type_error_inside_engine_propagates(self, tmp_path, monkeypatch):
+        from freshsim.engine import HostEngine
+
+        def broken(self, op, addr):
+            raise TypeError("programming error")
+
+        monkeypatch.setattr(HostEngine, "process_access", broken)
+        cfg = run_config(tmp_path)
+        with pytest.raises(TypeError, match="programming error"):
+            main(["simulate", "--config", cfg])
+
     def test_default_config_covers_every_knob(self):
         cfg = default_config()
         assert cfg["mode"] == "toleo"
@@ -242,6 +281,17 @@ class TestAnalyzeSecurity:
         report = json.loads(open(out).read())
         assert report["replay"]["analytic"] == pytest.approx(1 / 256)
         assert 0 < report["exhaustion"]["analytic"] < 1
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"exhaustion": {"reset_exp": "20"}}, "reset_exp"),
+        ({"replay": {"stealth_bits": 8.0}}, "stealth_bits"),
+        ({"monte_carlo": {"replay": {"stealth_bits": 8, "trials": "9"}}}, "trials"),
+        ({"monte_carlo": {"exhaustion": {"stealth_bits": 3}}}, "reset_exp"),
+    ])
+    def test_bad_analysis_value_names_the_key(self, tmp_path, capsys, doc, key):
+        cfg = write_json(tmp_path, "bad.json", doc)
+        assert main(["analyze-security", "--config", cfg]) == 2
+        assert key in capsys.readouterr().err
 
     def test_unknown_analysis_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "bad.json", {"exhaustion": {"warp_factor": 9}})

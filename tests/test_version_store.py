@@ -468,6 +468,24 @@ class TestSnapshot:
         with pytest.raises(EncodingError):
             VersionStore.from_snapshot(blob[: len(blob) - 5], 1 << 20, RandomSource(1))
 
+    def test_truncated_header_rejected(self):
+        with pytest.raises(EncodingError, match="truncated"):
+            VersionStore.from_snapshot(b"TRIP\x02", 1 << 20, RandomSource(1))
+
+    def test_truncated_entry_rejected(self):
+        s = make_store(pages=2)
+        s.update_version(0)
+        s.update_version(PAGE)
+        blob = s.to_snapshot()
+        with pytest.raises(EncodingError, match="truncated"):
+            VersionStore.from_snapshot(blob[:-20], 1 << 20, RandomSource(1))
+
+    def test_every_prefix_rejected(self):
+        blob = self.build().to_snapshot()
+        for cut in range(len(blob)):
+            with pytest.raises(EncodingError):
+                VersionStore.from_snapshot(blob[:cut], 1 << 20, RandomSource(1))
+
     def test_load_keeps_recycled_slots(self):
         s = make_store(pages=16, slots=8)
         for page in range(8):
