@@ -18,7 +18,6 @@ from .core import (
     addr_decompose,
     pack_full,
     stealth_add,
-    unpack_full,
 )
 from .version_store import (
     FLAT,
@@ -84,7 +83,6 @@ __all__ = [
     "addr_decompose",
     "pack_full",
     "stealth_add",
-    "unpack_full",
     "FLAT",
     "FULL",
     "UNEVEN",

@@ -167,7 +167,7 @@ class MerkleEngine(ProtectionEngine):
         if self.first_access_fetches is None:
             self.first_access_fetches = fetched
         # dependent chain: each level's verification needs the next node
-        return fetched * self._data_latency(out.channel)
+        return fetched * (self._local_ns if out.addr < self._local_limit else self._pool_ns)
 
     def stats(self) -> dict:
         s = super().stats()

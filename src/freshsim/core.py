@@ -131,13 +131,6 @@ def pack_full(upper: int, stealth: int, params: SecurityParams) -> int:
     return (upper << params.stealth_bits) | stealth
 
 
-def unpack_full(full: int, params: SecurityParams) -> tuple[int, int]:
-    """Split a full version back into (upper, stealth)."""
-    if not 0 <= full < (1 << params.full_bits):
-        raise EncodingError(f"full version {full} does not fit {params.full_bits} bits")
-    return full >> params.stealth_bits, full & params.stealth_mask
-
-
 def addr_decompose(addr: int, geometry: Geometry, protected_bytes: int | None = None) -> tuple[int, int]:
     """Map a byte address to (page index, block index within the page)."""
     if addr < 0:

@@ -350,25 +350,7 @@ class ProtectionEngine:
         self.reencrypted_blocks = 0
         self.read_latency_total = 0.0
 
-    # -- channels and charging -----------------------------------------------------
-
-    def channel_of(self, addr: int) -> str:
-        return "local" if addr < self._local_limit else "pool"
-
-    def _data_latency(self, channel: str) -> float:
-        return self._local_ns if channel == "local" else self._pool_ns
-
-    def _charge_data(self, out: AccessOutcome, nbytes: int) -> None:
-        if out.channel == "local":
-            out.local_bytes += nbytes
-            self.local_bytes += nbytes
-        else:
-            out.pool_bytes += nbytes
-            self.pool_bytes += nbytes
-
-    def _charge_mac(self, out: AccessOutcome, nbytes: int) -> None:
-        out.mac_bytes += nbytes
-        self.mac_bytes += nbytes
+    # -- MAC cache -------------------------------------------------------------------
 
     def _mac_access(self, out: AccessOutcome, is_write: bool, data_ns: float) -> float:
         """Probe the MAC cache for the event's block; returns fetch latency,
@@ -515,7 +497,10 @@ class HostEngine(ProtectionEngine):
         # until a reset drops it, so each page's resident lines are among
         # its first ``count`` keys and no other page has any
         self._line_pages: dict[int, int] = {}
-        self._page_bytes = config.geometry.page_bytes
+        g = config.geometry
+        self._page_bytes = g.page_bytes
+        # a page's MAC lines, rewritten on every upper-version bump
+        self._page_mac_bytes = g.blocks_per_page // g.macs_per_block * g.block_bytes
         self._device_ns = config.device_ns
         self._message_bytes = config.device_message_bytes
         self._debug = config.debug
@@ -586,18 +571,21 @@ class HostEngine(ProtectionEngine):
 
     def _after_write(self, out: AccessOutcome) -> None:
         # resets drain after the MAC write: they invalidate the page's MAC lines
-        for reset_page in self.store.drain_uv_updates():
+        self._drain_resets(out)
+        if self._debug:
+            self._debug_checks(None)
+
+    def _drain_resets(self, out: AccessOutcome) -> None:
+        """Re-encrypt every page the store has reset since the last drain,
+        charged onto ``out``.  With no upper version left for a page the
+        engine halts; the store's reset alone is counted."""
+        for page in self.store.drain_uv_updates():
             try:
-                cost = self.handle_uv_update(reset_page, _out=out)
+                self.handle_uv_update(page, out)
             except UvOverflowError as exc:
-                # the store has reset the page, but with no upper version
-                # left it cannot be re-encrypted: the reset alone is counted
                 self.resets += 1
                 self.halted = str(exc)
                 raise SimulationHalted(self.halted) from exc
-            out.reencrypted_blocks += cost["reencrypted_blocks"]
-        if self._debug:
-            self._debug_checks(None)
 
     def _invalidate_page(self, page: int) -> None:
         self.flat_cache.invalidate(page)
@@ -634,45 +622,47 @@ class HostEngine(ProtectionEngine):
 
     # -- page-level operations -----------------------------------------------------
 
-    def handle_uv_update(self, page: int, _out: AccessOutcome | None = None) -> dict:
+    def _bump_uv(self, page: int) -> int:
+        """Advance the page's upper version; UvOverflowError, with nothing
+        changed, when it would reach 2**U."""
+        uv = self.uv.get(page, 0) + 1
+        bits = self.config.params.upper_bits
+        if uv >= (1 << bits):
+            raise UvOverflowError(f"page {page} exhausted its {bits}-bit upper version")
+        self.uv[page] = uv
+        return uv
+
+    def handle_uv_update(self, page: int, out: AccessOutcome | None = None) -> AccessOutcome:
         """Bump the page's upper version and re-encrypt the whole page.
 
-        Charged as 64 data-block writes plus 8 MAC-block writes; the page's
-        cached metadata is dropped and refills lazily.  Raises
-        UvOverflowError when the upper version would pass 2**U.
+        Charged onto ``out`` (a new op-"U" outcome when none is given) and
+        the engine totals as 64 data-block writes on the page's channel plus
+        8 MAC-block writes; the page's cached metadata is dropped and refills
+        lazily.  Raises UvOverflowError when the upper version would reach
+        2**U.
         """
-        params = self.config.params
-        g = self.config.geometry
-        uv = self.uv.get(page, 0) + 1
-        if uv >= (1 << params.upper_bits):
-            raise UvOverflowError(
-                f"page {page} exhausted its {params.upper_bits}-bit upper version"
-            )
-        self.uv[page] = uv
-        page_addr = page * g.page_bytes
-        channel = self.channel_of(page_addr)
-        data_write_bytes = g.blocks_per_page * g.block_bytes
-        mac_lines = g.blocks_per_page // g.macs_per_block
-        mac_write_bytes = mac_lines * g.block_bytes
-        tmp = AccessOutcome(op="U", addr=page_addr, channel=channel)
-        self._charge_data(tmp, data_write_bytes)
-        self._charge_mac(tmp, mac_write_bytes)
-        if _out is not None:
-            _out.local_bytes += tmp.local_bytes
-            _out.pool_bytes += tmp.pool_bytes
-            _out.mac_bytes += tmp.mac_bytes
+        uv = self._bump_uv(page)
+        page_addr = page * self._page_bytes
+        local = page_addr < self._local_limit
+        if out is None:
+            out = AccessOutcome("U", page_addr, "local" if local else "pool")
+        nbytes = self._page_bytes  # every block of the page, rewritten
+        if local:
+            out.local_bytes += nbytes
+            self.local_bytes += nbytes
+        else:
+            out.pool_bytes += nbytes
+            self.pool_bytes += nbytes
+        out.mac_bytes += self._page_mac_bytes
+        self.mac_bytes += self._page_mac_bytes
+        blocks = self.config.geometry.blocks_per_page
+        out.reencrypted_blocks += blocks
+        self.reencrypted_blocks += blocks
         self.resets += 1
-        self.reencrypted_blocks += g.blocks_per_page
         if self.functional is not None:
             self._reencrypt_page(page, uv)
         self._invalidate_page(page)
-        return {
-            "page": page,
-            "uv": uv,
-            "data_block_writes": g.blocks_per_page,
-            "mac_block_writes": mac_lines,
-            "reencrypted_blocks": g.blocks_per_page,
-        }
+        return out
 
     def _reencrypt_page(self, page: int, new_uv: int) -> None:
         fn = self.functional
@@ -685,25 +675,22 @@ class HostEngine(ProtectionEngine):
     def os_free_page(self, page: int) -> AccessOutcome:
         """Free/remap a page: bump its UV and reset its versions, nothing more.
 
-        The page is not re-encrypted, so any stale contents fail their MAC on
-        the next verified read; that is the cheap scrambling the OS relies on.
+        Resets the store made earlier are handled first, charged onto the
+        returned outcome as a write would charge them.  The freed page is not
+        re-encrypted, so any stale contents fail their MAC on the next
+        verified read; that is the cheap scrambling the OS relies on.
         """
         if self.halted or self.killed:
             raise SimulationHalted(self.halted or self.killed)
-        g = self.config.geometry
-        params = self.config.params
-        uv = self.uv.get(page, 0) + 1
-        if uv >= (1 << params.upper_bits):
-            raise UvOverflowError(
-                f"page {page} exhausted its {params.upper_bits}-bit upper version"
-            )
-        self.uv[page] = uv
-        page_addr = page * g.page_bytes
-        out = AccessOutcome(op="F", addr=page_addr, channel=self.channel_of(page_addr))
-        mac_lines = g.blocks_per_page // g.macs_per_block
-        self._charge_mac(out, mac_lines * g.block_bytes)  # UV lives in the MAC lines
+        page_addr = page * self._page_bytes
+        channel = "local" if page_addr < self._local_limit else "pool"
+        out = AccessOutcome("F", page_addr, channel)
+        self._drain_resets(out)
+        self._bump_uv(page)
+        out.mac_bytes += self._page_mac_bytes  # the UV lives in the MAC lines
+        self.mac_bytes += self._page_mac_bytes
         self.store.reset_page(page)
-        self.store.drain_uv_updates()  # the bump above already covers it
+        self.store.drain_uv_updates()  # only this page's reset: the bump covers it
         self._invalidate_page(page)
         out.events = ("page_freed",)
         return out

@@ -7,7 +7,11 @@ When a block is written a second time within the same base the page upgrades
 to ``uneven`` (a 56-byte line of 64 seven-bit offsets from the base) and,
 once any offset would pass 127, to ``full`` (a 216-byte line of 64 raw S-bit
 versions).  Uneven and full lines live in a dynamic region carved into
-56-byte slots; a full line occupies four contiguous slots.
+56-byte slots; a full line occupies four contiguous slots.  The allocator's
+only state is the set of used slots, and it always takes the lowest run of
+free slots that fits.  So its choice never depends on the order in which
+slots were freed, and a store loaded from a snapshot allocates exactly as the
+store that wrote it.
 
 Entry layout (12 bytes at the default S=27, least-significant bits first):
 
@@ -200,9 +204,9 @@ class VersionStore:
         self.rng = rng
 
         self._entries: dict[int, _Entry] = {}
-        self._free_slots: list[int] = []   # recycled slot indices
-        self._next_slot = 0                # bump pointer into never-used slots
-        self._used_slots = 0
+        # one byte per dynamic slot, nonzero when used; always ends in
+        # FULL_SLOTS free bytes and grows on demand
+        self._used = bytearray(FULL_SLOTS)
 
         self.dynamic_bytes = 0
         self.peak_dynamic_bytes = 0
@@ -239,69 +243,26 @@ class VersionStore:
 
     # -- slot allocator --------------------------------------------------------
 
-    def _tail_run(self, free_sorted: list[int]) -> int:
-        # contiguous free slots ending right below the bump pointer
-        run = 0
-        want = self._next_slot - 1
-        for s in reversed(free_sorted):
-            if s == want:
-                run += 1
-                want -= 1
-            elif s < want:
-                break
-        return run
+    def _find_run(self, slots: int, freeing: int = -1) -> int:
+        """First slot of the lowest run of ``slots`` free slots, counting the
+        ``freeing`` slot as free; -1 when that run does not fit the region."""
+        used = self._used
+        if freeing >= 0:
+            used[freeing] = 0
+        start = used.find(bytes(slots))  # always found: the tail is free
+        if freeing >= 0:
+            used[freeing] = 1
+        return start if start + slots <= self.dynamic_capacity_slots else -1
 
-    def _can_alloc(self, slots: int, freeing: tuple[int, ...] = ()) -> bool:
-        if self._used_slots - len(freeing) + slots > self.dynamic_capacity_slots:
-            return False
-        if slots == 1:
-            return True
-        # contiguous run: recycled holes, possibly spilling into the bump region
-        free = sorted(set(self._free_slots).union(freeing))
-        run = 1
-        for a, b in zip(free, free[1:]):
-            run = run + 1 if b == a + 1 else 1
-            if run >= slots:
-                return True
-        tail = self._tail_run(free)
-        return self._next_slot - tail + slots <= self.dynamic_capacity_slots
-
-    def _alloc(self, slots: int) -> int:
-        if slots == 1:
-            if self._free_slots:
-                s = self._free_slots.pop()
-            elif self._next_slot < self.dynamic_capacity_slots:
-                s = self._next_slot
-                self._next_slot += 1
-            else:
-                raise CapacityError("dynamic region exhausted")
-            self._used_slots += 1
-            return s
-        free = sorted(self._free_slots)
-        run = 1
-        for i in range(1, len(free)):
-            run = run + 1 if free[i] == free[i - 1] + 1 else 1
-            if run == slots:
-                start = free[i] - slots + 1
-                chosen = set(range(start, start + slots))
-                self._free_slots = [s for s in self._free_slots if s not in chosen]
-                self._used_slots += slots
-                return start
-        # take the free tail below the bump pointer plus fresh bump slots
-        k = min(self._tail_run(free), slots)
-        if self._next_slot - k + slots <= self.dynamic_capacity_slots:
-            start = self._next_slot - k
-            if k:
-                chosen = set(range(start, self._next_slot))
-                self._free_slots = [s for s in self._free_slots if s not in chosen]
-            self._next_slot = start + slots
-            self._used_slots += slots
-            return start
-        raise CapacityError("dynamic region exhausted")
+    def _take(self, start: int, slots: int) -> None:
+        used = self._used
+        grow = start + slots + FULL_SLOTS - len(used)
+        if grow > 0:
+            used.extend(bytes(grow))
+        used[start:start + slots] = b"\x01" * slots
 
     def _free(self, start: int, slots: int) -> None:
-        self._free_slots.extend(range(start, start + slots))
-        self._used_slots -= slots
+        self._used[start:start + slots] = bytes(slots)
 
     def _bump_dynamic(self, delta: int) -> None:
         self.dynamic_bytes += delta
@@ -369,11 +330,13 @@ class VersionStore:
                     e.base = (e.base + 1) & smask
                     e.bitvec = 0
             else:
-                if not self._can_alloc(1):
+                slot = self._find_run(1)
+                if slot < 0:
                     raise CapacityError(
                         f"page {page}: no slot free for uneven upgrade"
                     )
-                e.slot = self._alloc(1)
+                self._take(slot, 1)
+                e.slot = slot
                 e.tag = UNEVEN
                 e.offsets = [(e.bitvec >> i) & 1 for i in range(self._blocks_per_page)]
                 e.offsets[block] = 2
@@ -390,14 +353,16 @@ class VersionStore:
             if off - e.min_off + 1 > OFFSET_MAX:
                 # normalization cannot rescue a 128-wide spread: go full.
                 # (given offsets <= 127 this only fires with min 0, off 127)
-                if not self._can_alloc(FULL_SLOTS, freeing=(e.slot,)):
+                start = self._find_run(FULL_SLOTS, e.slot)
+                if start < 0:
                     raise CapacityError(
                         f"page {page}: no contiguous slots free for full upgrade"
                     )
                 base = e.base
                 offsets = e.offsets
                 self._free(e.slot, 1)
-                e.slot = self._alloc(FULL_SLOTS)
+                self._take(start, FULL_SLOTS)
+                e.slot = start
                 e.tag = FULL
                 e.versions = [(base + o) & smask for o in offsets]
                 e.versions[block] = (e.versions[block] + 1) & smask
@@ -628,22 +593,17 @@ class VersionStore:
             else:
                 raise EncodingError(f"bad entry tag {tag} for page {page}")
             store._entries[page] = e
-        store._used_slots = sum(n for _, n in ranges)
         store.peak_dynamic_bytes = store.dynamic_bytes
-        if store._used_slots > store.dynamic_capacity_slots:
+        if sum(n for _, n in ranges) > store.dynamic_capacity_slots:
             raise ConfigError(
                 "snapshot needs more dynamic slots than the given capacity provides"
             )
-        # the gaps between occupied ranges, below the high-water mark, are
-        # the recycled slots; only their allocation order may differ
-        for start, n in sorted(ranges):
-            if start < store._next_slot:
-                raise EncodingError(f"dynamic slot {start} is out of range or doubly used")
-            store._free_slots.extend(range(store._next_slot, start))
-            store._next_slot = start + n
-        if store._next_slot > store.dynamic_capacity_slots:
-            raise EncodingError(
-                f"dynamic slot {store._next_slot - 1} lies outside the "
-                f"{store.dynamic_capacity_slots}-slot region"
-            )
+        for start, n in ranges:
+            if (start < 0 or start + n > store.dynamic_capacity_slots
+                    or any(store._used[start:start + n])):
+                raise EncodingError(
+                    f"dynamic slots {start}..{start + n - 1} lie outside the "
+                    f"{store.dynamic_capacity_slots}-slot region or are doubly used"
+                )
+            store._take(start, n)
         return store

@@ -213,25 +213,26 @@ class TestUvUpdates:
     def test_direct_uv_update_accounting(self):
         e = make_engine()
         e.process_access("W", 0)
-        before_mac = e.mac_bytes
-        info = e.handle_uv_update(0)
-        assert info == {
-            "page": 0,
-            "uv": 1,
-            "data_block_writes": 64,
-            "mac_block_writes": 8,
-            "reencrypted_blocks": 64,
-        }
-        assert e.mac_bytes - before_mac == 8 * BLOCK
-        assert e.reencrypted_blocks == 64
+        before = (e.local_bytes, e.mac_bytes)
+        out = e.handle_uv_update(0)
+        assert (out.op, out.addr, out.channel) == ("U", 0, "local")
+        assert (out.local_bytes, out.pool_bytes, out.mac_bytes) == (64 * BLOCK, 0, 8 * BLOCK)
+        assert out.reencrypted_blocks == 64
+        assert (e.local_bytes - before[0], e.mac_bytes - before[1]) == (64 * BLOCK, 8 * BLOCK)
+        assert (e.uv, e.resets, e.reencrypted_blocks) == ({0: 1}, 1, 64)
 
     def test_upper_version_exhaustion(self):
         e = make_engine(params=SecurityParams(stealth_bits=27, upper_bits=2, reset_exp=20))
-        e.handle_uv_update(0)
-        e.handle_uv_update(0)
-        e.handle_uv_update(0)
+        for uv in (1, 2, 3):
+            assert e.handle_uv_update(0).reencrypted_blocks == 64
+            assert e.uv[0] == uv
+        totals = (e.local_bytes, e.mac_bytes, e.resets, e.reencrypted_blocks)
         with pytest.raises(UvOverflowError):
             e.handle_uv_update(0)
+        # the fourth bump overflows and charges nothing
+        assert (e.local_bytes, e.mac_bytes, e.resets, e.reencrypted_blocks) == totals
+        assert totals == (3 * 64 * BLOCK, 3 * 8 * BLOCK, 3, 3 * 64)
+        assert e.uv[0] == 3
 
 
 class TestCapacityHalt:
@@ -335,9 +336,23 @@ class TestFunctionalLayer:
 
     def test_uv_update_reencrypts_instead(self):
         e = make_engine(functional=True, seed=9)
-        e.functional_write(0, b"D" * 64)
-        e.handle_uv_update(0)
+        rec, _ = e.functional_write(0, b"D" * 64)
+        out = e.handle_uv_update(0)
+        assert out.reencrypted_blocks == 64 and e.functional.get(0).uv == 1
+        assert e.functional.get(0) is not rec
         assert e.functional_read(0)[0] == b"D" * 64
+
+    def test_os_free_page_handles_queued_resets(self):
+        # a reset the store made earlier is re-encrypted, not lost
+        e = make_engine(functional=True, seed=9)
+        e.functional_write(PAGE, b"E" * 64)
+        e.store.reset_page(1)
+        out = e.os_free_page(0)
+        assert e.uv == {0: 1, 1: 1}
+        assert (out.local_bytes, out.mac_bytes) == (64 * BLOCK, 2 * 8 * BLOCK)
+        assert out.reencrypted_blocks == 64 and e.resets == 1
+        assert e.functional_read(PAGE)[0] == b"E" * 64
+        assert e.store.drain_uv_updates() == []
 
     def test_reset_reencrypts_only_its_page(self):
         e = make_engine(functional=True, seed=9)

@@ -2,6 +2,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from freshsim.core import (
     AddressRangeError,
@@ -15,6 +17,7 @@ from freshsim.core import (
 from freshsim.version_store import (
     FLAT,
     FULL,
+    FULL_SLOTS,
     UNEVEN,
     CapacityError,
     SNAPSHOT_MAGIC,
@@ -508,6 +511,28 @@ class TestSnapshot:
 
         assert uneven_upgrades(s) == uneven_upgrades(s2) == 4
 
+    @pytest.mark.parametrize("order", [(2, 0), (0, 2)])
+    def test_load_allocates_like_the_original(self, order):
+        # pages 0-3 hold slots 0-3 of 6; freeing two of them in either order
+        # leaves holes 0 and 2, and the lowest fits: page 4 takes slot 0, so
+        # page 3's full upgrade finds slots 2-5 (its own slot 3 counts free)
+        params = SecurityParams(stealth_bits=27, upper_bits=37, reset_exp=26)
+        s = make_store(pages=8, slots=6, params=params)
+        for page in range(4):
+            s.update_version(page * PAGE)
+            s.update_version(page * PAGE)
+        for page in order:
+            s.reset_page(page)
+        s2 = VersionStore.from_snapshot(s.to_snapshot(), s.device_capacity_bytes, RandomSource(5))
+        for store in (s, s2):
+            store.update_version(4 * PAGE)
+            store.update_version(4 * PAGE)
+            _, _, payload = decode_entry_image(store.entry_image(4), params)
+            assert payload & ((1 << 48) - 1) == 0  # page 4's slot
+            for _ in range(140):
+                store.update_version(3 * PAGE)
+            assert store.page_format(3) == FULL
+
     @pytest.mark.parametrize("slot", [0, 8, -1])  # page 0's slot, past the region, negative
     def test_load_rejects_bad_slot_ranges(self, slot):
         s = make_store(pages=16, slots=8)
@@ -523,3 +548,98 @@ class TestSnapshot:
         too_small = s.usage_stats()["static_bytes"] + 55  # dynamic needs 272
         with pytest.raises((ConfigError, CapacityError)):
             VersionStore.from_snapshot(s.to_snapshot(), too_small, RandomSource(1))
+
+
+MACHINE_PARAMS = SecurityParams(stealth_bits=27, upper_bits=37, reset_exp=8)
+MACHINE_PAGES = 6
+
+
+def _held_slots(store):
+    """Dynamic slots the entries hold, one item per slot."""
+    held = []
+    for e in store._entries.values():
+        if e.tag == UNEVEN:
+            held.append(e.slot)
+        elif e.tag == FULL:
+            held.extend(range(e.slot, e.slot + FULL_SLOTS))
+    return held
+
+
+def _check_store(store):
+    held = _held_slots(store)
+    assert len(held) == len(set(held)), "two entries share a slot"
+    assert {i for i, b in enumerate(store._used) if b} == set(held)
+    assert store._used[-FULL_SLOTS:] == bytes(FULL_SLOTS)
+    assert all(0 <= i < store.dynamic_capacity_slots for i in held)
+    tags = [e.tag for e in store._entries.values()]
+    assert (store.pages_uneven, store.pages_full) == (tags.count(UNEVEN), tags.count(FULL))
+    assert store.dynamic_bytes == store.pages_uneven * 56 + store.pages_full * 216
+
+
+def _state(store):
+    """Everything an update may change, the randomness included."""
+    return (store.to_snapshot(), bytes(store._used), store.rng._rng.getstate(),
+            store.dynamic_bytes, store.pages_uneven, store.pages_full)
+
+
+class StoreMachine(RuleBasedStateMachine):
+    """The store against the uncompressed oracle (the same draw protocol as
+    ACCEPTANCE 05's), at 1-12 dynamic slots.  Before every step a twin is
+    loaded from the store's snapshot with the store's randomness state; both
+    must then accept or reject alike and return the same versions."""
+
+    @initialize(slots=st.integers(1, 12), seed=st.integers(0, 1 << 16))
+    def setup(self, slots, seed):
+        self.store = make_store(pages=MACHINE_PAGES, slots=slots, seed=seed,
+                                params=MACHINE_PARAMS)
+        self.ref = ReferenceMap(seed, MACHINE_PARAMS)
+
+    def _twin(self):
+        twin = VersionStore.from_snapshot(
+            self.store.to_snapshot(), self.store.device_capacity_bytes, RandomSource(0)
+        )
+        twin.rng._rng.setstate(self.store.rng._rng.getstate())
+        return twin
+
+    @rule(page=st.integers(0, MACHINE_PAGES - 1), block=st.integers(0, 63),
+          times=st.sampled_from([1, 2, 3, 64, 130]))
+    def update(self, page, block, times):
+        twin = self._twin()
+        addr = page * PAGE + block * BLOCK
+        for _ in range(times):
+            before = _state(self.store)
+            try:
+                got = self.store.update_version(addr).new_version
+            except CapacityError:
+                assert _state(self.store) == before, "rejected update changed state"
+                with pytest.raises(CapacityError):
+                    twin.update_version(addr)
+                break
+            assert twin.update_version(addr).new_version == got
+            assert got == self.ref.write(page, block)
+        _check_store(twin)
+
+    @rule(page=st.integers(0, MACHINE_PAGES - 1), block=st.integers(0, 63))
+    def read(self, page, block):
+        addr = page * PAGE + block * BLOCK
+        got = self.store.read_version(addr)
+        assert got == self._twin().read_version(addr) == self.ref.read(page, block)
+
+    @rule(page=st.integers(0, MACHINE_PAGES - 1))
+    def reset(self, page):
+        twin = self._twin()
+        base = self.store.reset_page(page)
+        assert self.store.drain_uv_updates()[-1:] == [page]
+        assert twin.reset_page(page) == base
+        self.ref._page(page)
+        self.ref.pages[page] = [self.ref.rng.draw(MACHINE_PARAMS.stealth_bits)] * 64
+        assert base == self.ref.read(page, 0)
+        _check_store(twin)
+
+    @invariant()
+    def consistent(self):
+        _check_store(self.store)
+
+
+StoreMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
+TestStoreMachine = StoreMachine.TestCase
