@@ -2,6 +2,13 @@
 synthetic traces, evaluate the security bounds, and compare protection
 modes into a CSV.
 
+Each input section is checked once, by ``_check``, against the fields of the
+dataclass it builds: a run config against ``Geometry``, ``SecurityParams``
+and ``EngineConfig`` (plus ``mode``, ``trace`` and ``tree``), ``tree``
+against ``CounterTreeConfig``, a pattern against ``PatternSpec`` and the
+exhaustion query against ``ExhaustionQuery``.  An unknown key, a value of
+the wrong JSON type and a missing required key are rejected by name.
+
 Exit status is 0 on success and 2 on any configuration error, trace
 problem, capacity rejection, or kill-switch, with a diagnostic on stderr.
 """
@@ -30,43 +37,8 @@ from .traces import PatternSpec, generate, load_trace, save_trace
 
 MODES = ("none", "ci", "toleo", "merkle")
 
-_GEOMETRY_KEYS = ("page_bytes", "block_bytes", "mac_bits", "macs_per_block")
-_SECURITY_KEYS = ("stealth_bits", "upper_bits", "reset_exp")
-_ENGINE_KEYS = (
-    "protected_bytes",
-    "device_capacity_bytes",
-    "local_bytes",
-    "local_ns",
-    "cxl_ns",
-    "pool_dram_ns",
-    "device_dram_ns",
-    "cipher_cycles",
-    "clock_ghz",
-    "flat_cache_entries",
-    "overflow_bytes",
-    "overflow_assoc",
-    "mac_cache_bytes",
-    "mac_assoc",
-    "device_message_bytes",
-    "functional",
-    "debug",
-    "seed",
-)
-_TREE_KEYS = (
-    "arity",
-    "node_bytes",
-    "counters_per_leaf_node",
-    "root_bytes",
-    "counter_cache_bytes",
-    "counter_cache_assoc",
-)
-_TOP_KEYS = frozenset(
-    ("mode", "trace", "tree") + _GEOMETRY_KEYS + _SECURITY_KEYS + _ENGINE_KEYS
-)
-
-# JSON value types a dataclass field accepts, by its annotation: (types,
-# description).  A bool is not an integer here, although Python treats it
-# as one.
+# JSON value types a field accepts, by its annotation: (types, description).
+# A bool is not an integer here, although Python treats it as one.
 _ACCEPTS = {
     "int": ((int,), "an integer"),
     "int | None": ((int, type(None)), "an integer or null"),
@@ -77,79 +49,78 @@ _ACCEPTS = {
 _INT = _ACCEPTS["int"]
 
 
-def _field_types(klass, keys=None) -> dict:
+def _schema(klass, *skip: str) -> dict:
+    """A section's schema: what each field of ``klass`` but ``skip`` accepts."""
     return {
-        f.name: _ACCEPTS[f.type]
-        for f in dataclasses.fields(klass)
-        if keys is None or f.name in keys
+        f.name: _ACCEPTS[f.type] for f in dataclasses.fields(klass) if f.name not in skip
     }
 
 
-_RUN_TYPES = {
-    **_field_types(Geometry, _GEOMETRY_KEYS),
-    **_field_types(SecurityParams, _SECURITY_KEYS),
-    **_field_types(EngineConfig, _ENGINE_KEYS),
+# A schema maps each key to what it accepts; None marks a nested section,
+# which is checked on its own.
+_GEOMETRY = _schema(Geometry)
+_SECURITY = _schema(SecurityParams)
+_ENGINE = _schema(EngineConfig, "geometry", "params")
+_RUN = {
+    **_GEOMETRY, **_SECURITY, **_ENGINE,
+    "mode": _ACCEPTS["str"], "trace": None, "tree": None,
 }
-_TREE_TYPES = _field_types(CounterTreeConfig, _TREE_KEYS)
-_PATTERN_TYPES = _field_types(PatternSpec)
+_TREE = _schema(CounterTreeConfig, "protected_bytes", "geometry")
+_TRACE = {"file": _ACCEPTS["str"], "pattern": None}
+_PATTERN = _schema(PatternSpec)
+_PATTERN_REQUIRED = tuple(
+    f.name for f in dataclasses.fields(PatternSpec) if f.default is dataclasses.MISSING
+)
+
+
+def _check(doc, schema: dict, what: str, required=()) -> None:
+    """Reject a non-object ``doc``, a key ``schema`` lacks, a value of the
+    wrong JSON type and a missing ``required`` key, naming the key."""
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} must be a JSON object")
+    unknown = sorted(set(doc) - set(schema))
+    if unknown:
+        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
+    for key, value in doc.items():
+        accepts = schema[key]
+        if accepts is not None and type(value) not in accepts[0]:
+            raise ConfigError(f"{what} key {key!r} must be {accepts[1]}, got {value!r}")
+    missing = [key for key in required if key not in doc]
+    if missing:
+        raise ConfigError(f"{what} needs key(s): {', '.join(missing)}")
 
 
 def default_config() -> dict:
     """Full default run configuration; a config file overrides parts of it."""
     cfg: dict = {"mode": "toleo", "trace": None, "tree": {}}
-    for klass, keys in (
-        (Geometry, _GEOMETRY_KEYS),
-        (SecurityParams, _SECURITY_KEYS),
-        (EngineConfig, _ENGINE_KEYS),
-    ):
-        defaults = {f.name: f.default for f in dataclasses.fields(klass)}
-        for key in keys:
-            cfg[key] = defaults[key]
+    for klass, schema in ((Geometry, _GEOMETRY), (SecurityParams, _SECURITY),
+                          (EngineConfig, _ENGINE)):
+        defaults = klass()
+        cfg.update((key, getattr(defaults, key)) for key in schema)
     return cfg
-
-
-def _check_keys(doc: dict, allowed, what: str) -> None:
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
-
-
-def _check_types(doc, types: dict, what: str) -> None:
-    """Reject a non-object ``doc`` and any value of a key in ``types`` whose
-    JSON type that key does not accept."""
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{what} must be a JSON object")
-    for key, value in doc.items():
-        accepts = types.get(key)
-        if accepts is not None and type(value) not in accepts[0]:
-            raise ConfigError(f"{what} key {key!r} must be {accepts[1]}, got {value!r}")
 
 
 def resolve_config(doc: dict | None) -> dict:
-    cfg = default_config()
-    if doc:
-        if not isinstance(doc, dict):
-            raise ConfigError("config must be a JSON object")
-        _check_keys(doc, _TOP_KEYS, "config")
-        cfg.update(doc)
+    """The defaults overlaid with ``doc``, every section of it checked."""
+    doc = doc or {}
+    _check(doc, _RUN, "config")
+    cfg = {**default_config(), **doc}
     if cfg["mode"] not in MODES:
         raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {cfg['mode']!r}")
-    _check_types(cfg, _RUN_TYPES, "config")
-    _check_types(cfg["tree"] or {}, _TREE_TYPES, "tree")
+    if cfg["tree"] is not None:
+        _check(cfg["tree"], _TREE, "tree")
+    trace = cfg["trace"]
+    if trace is not None:
+        _check(trace, _TRACE, "trace")
+        if "pattern" in trace:
+            _check(trace["pattern"], _PATTERN, "pattern", _PATTERN_REQUIRED)
     return cfg
 
 
-def _pattern_spec(doc) -> PatternSpec:
-    _check_types(doc, _PATTERN_TYPES, "pattern")
-    return PatternSpec.from_json(doc)
-
-
 def build_engine(cfg: dict):
-    geometry = Geometry(**{k: cfg[k] for k in _GEOMETRY_KEYS})
-    params = SecurityParams(**{k: cfg[k] for k in _SECURITY_KEYS})
-    ecfg = EngineConfig(
-        geometry=geometry, params=params, **{k: cfg[k] for k in _ENGINE_KEYS}
-    )
+    geometry = Geometry(**{k: cfg[k] for k in _GEOMETRY})
+    params = SecurityParams(**{k: cfg[k] for k in _SECURITY})
+    ecfg = EngineConfig(geometry=geometry, params=params, **{k: cfg[k] for k in _ENGINE})
     mode = cfg["mode"]
     if mode == "toleo":
         return HostEngine(ecfg)
@@ -157,25 +128,20 @@ def build_engine(cfg: dict):
         return NoneEngine(ecfg)
     if mode == "ci":
         return CiEngine(ecfg)
-    tree_doc = cfg.get("tree") or {}
-    _check_keys(tree_doc, _TREE_KEYS, "tree")
     tree = CounterTreeConfig(
-        protected_bytes=ecfg.protected_bytes, geometry=geometry, **tree_doc
+        protected_bytes=ecfg.protected_bytes, geometry=geometry, **(cfg.get("tree") or {})
     )
     return MerkleEngine(ecfg, tree)
 
 
 def resolve_trace(cfg: dict, trace_flag: str | None):
+    """The events of ``--trace``, else of the config's (checked) trace."""
     source = {"file": trace_flag} if trace_flag else cfg.get("trace")
     if not source:
         raise ConfigError("no trace source: set 'trace' in the config or pass --trace")
-    if not isinstance(source, dict):
-        raise ConfigError("config 'trace' must be {'file': ...} or {'pattern': ...}")
     if "file" in source:
         return load_trace(source["file"])
-    if "pattern" in source:
-        return generate(_pattern_spec(source["pattern"]))
-    raise ConfigError("config 'trace' must contain a 'file' or 'pattern' entry")
+    return generate(PatternSpec(**source["pattern"]))
 
 
 def _read_json(path: str) -> dict:
@@ -197,8 +163,6 @@ def _load_run_config(args) -> dict:
     cfg = resolve_config(doc)
     if getattr(args, "mode", None):
         cfg["mode"] = args.mode
-        if cfg["mode"] not in MODES:
-            raise ConfigError(f"mode must be one of {', '.join(MODES)}")
     if args.seed is not None:
         cfg["seed"] = args.seed
     return cfg
@@ -227,15 +191,16 @@ def cmd_gen_trace(args) -> int:
     if not args.config:
         raise ConfigError("gen-trace needs --config with a pattern description")
     doc = _read_json(args.config)
-    if "kind" not in doc:
+    if isinstance(doc, dict) and "kind" in doc:
+        _check(doc, _PATTERN, "pattern", _PATTERN_REQUIRED)
+    else:
         # full run config: pull the inline pattern out of it
-        trace = resolve_config(doc).get("trace") or {}
-        doc = trace.get("pattern")
+        doc = (resolve_config(doc)["trace"] or {}).get("pattern")
         if doc is None:
             raise ConfigError("config has no trace.pattern to generate from")
     if args.seed is not None:
         doc = dict(doc, seed=args.seed)
-    events = generate(_pattern_spec(doc))
+    events = generate(PatternSpec(**doc))
     if args.out:
         form = "binary" if args.out.endswith(".bin") else "text"
         save_trace(events, args.out, form=form)
@@ -248,30 +213,19 @@ def cmd_gen_trace(args) -> int:
 
 def _mc_params(doc, required: tuple, optional: tuple, what: str) -> dict:
     """A Monte Carlo section: integer values, every required key present."""
-    _check_types(doc, dict.fromkeys(required + optional, _INT), what)
-    _check_keys(doc, required + optional, what)
-    missing = [key for key in required if key not in doc]
-    if missing:
-        raise ConfigError(f"{what} needs key(s): {', '.join(missing)}")
+    _check(doc, dict.fromkeys(required + optional, _INT), what, required)
     return dict(doc)
 
 
 def cmd_analyze_security(args) -> int:
     doc = _read_json(args.config) if args.config else {}
-    _check_types(doc, {}, "analysis")
-    _check_keys(doc, ("exhaustion", "replay", "monte_carlo"), "analysis")
+    _check(doc, dict.fromkeys(("exhaustion", "replay", "monte_carlo")), "analysis")
 
     ex_doc = doc.get("exhaustion") or {}
-    _check_types(ex_doc, _field_types(ExhaustionQuery), "exhaustion")
-    _check_keys(
-        ex_doc,
-        ("total_updates", "interval_updates", "interval_count", "reset_exp"),
-        "exhaustion",
-    )
+    _check(ex_doc, _schema(ExhaustionQuery), "exhaustion")
     query = ExhaustionQuery(**ex_doc)
     replay_doc = doc.get("replay") or {}
-    _check_types(replay_doc, {"stealth_bits": _INT}, "replay")
-    _check_keys(replay_doc, ("stealth_bits",), "replay")
+    _check(replay_doc, {"stealth_bits": _INT}, "replay")
     stealth_bits = replay_doc.get("stealth_bits", SecurityParams().stealth_bits)
 
     report = {
@@ -286,8 +240,7 @@ def cmd_analyze_security(args) -> int:
     }
 
     mc_doc = doc.get("monte_carlo") or {}
-    _check_types(mc_doc, {}, "monte_carlo")
-    _check_keys(mc_doc, ("exhaustion", "replay"), "monte_carlo")
+    _check(mc_doc, dict.fromkeys(("exhaustion", "replay")), "monte_carlo")
     if "exhaustion" in mc_doc:
         p = _mc_params(
             mc_doc["exhaustion"],

@@ -164,10 +164,6 @@ class RandomSource:
             raise ConfigError(f"draw width must be positive, got {bits}")
         return self._rng.getrandbits(bits)
 
-    def chance(self, exponent: int) -> bool:
-        """True with probability exactly 2**-exponent (one k-bit draw)."""
-        return self.draw(exponent) == 0
-
 
 def pack_bitfields(values: list[int], width: int) -> bytes:
     """Pack equal-width unsigned fields into little-endian bytes, LSB first."""

@@ -622,6 +622,10 @@ class HostEngine(ProtectionEngine):
 
     # -- page-level operations -----------------------------------------------------
 
+    def _check_page(self, page: int) -> None:
+        if not 0 <= page < self.store.total_pages:
+            raise AddressRangeError(f"page {page} outside protected range")
+
     def _bump_uv(self, page: int) -> int:
         """Advance the page's upper version; UvOverflowError, with nothing
         changed, when it would reach 2**U."""
@@ -639,8 +643,10 @@ class HostEngine(ProtectionEngine):
         the engine totals as 64 data-block writes on the page's channel plus
         8 MAC-block writes; the page's cached metadata is dropped and refills
         lazily.  Raises UvOverflowError when the upper version would reach
-        2**U.
+        2**U.  A page outside the protected range raises AddressRangeError
+        before anything changes.
         """
+        self._check_page(page)
         uv = self._bump_uv(page)
         page_addr = page * self._page_bytes
         local = page_addr < self._local_limit
@@ -678,10 +684,13 @@ class HostEngine(ProtectionEngine):
         Resets the store made earlier are handled first, charged onto the
         returned outcome as a write would charge them.  The freed page is not
         re-encrypted, so any stale contents fail their MAC on the next
-        verified read; that is the cheap scrambling the OS relies on.
+        verified read; that is the cheap scrambling the OS relies on.  A page
+        outside the protected range raises AddressRangeError before anything
+        changes.
         """
         if self.halted or self.killed:
             raise SimulationHalted(self.halted or self.killed)
+        self._check_page(page)
         page_addr = page * self._page_bytes
         channel = "local" if page_addr < self._local_limit else "pool"
         out = AccessOutcome("F", page_addr, channel)

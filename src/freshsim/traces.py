@@ -19,9 +19,8 @@ per page to force uneven and full entries.
 
 from __future__ import annotations
 
-import json
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -86,17 +85,6 @@ class PatternSpec:
             raise ConfigError("write_fraction must lie in [0, 1]")
         if self.stride_bytes < BLOCK:
             raise ConfigError("stride must be at least one block")
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, doc: str | dict) -> "PatternSpec":
-        data = json.loads(doc) if isinstance(doc, str) else dict(doc)
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(f"bad pattern spec: {exc}") from exc
 
 
 # -- file formats ---------------------------------------------------------------

@@ -153,14 +153,11 @@ class UpdateResult:
     ``new_version`` is the block's stealth version after the whole operation
     (post-reset when a reset fired).  ``events`` is a tuple drawn from
     {"upgraded_to_uneven", "normalized", "upgraded_to_full", "reset_triggered"}.
-    ``leading_advance`` records whether this update advanced the page's
-    leading version (and therefore rolled the reset dice).
     """
 
     new_version: int
     format_after: int
     events: tuple[str, ...]
-    leading_advance: bool
 
     @property
     def reset_triggered(self) -> bool:
@@ -409,9 +406,7 @@ class VersionStore:
         else:
             new_version = e.versions[block]
         # positional: cheaper than keywords on the per-write path
-        return UpdateResult(
-            new_version, e.tag, tuple(events) if events else _NO_EVENTS, advance
-        )
+        return UpdateResult(new_version, e.tag, tuple(events) if events else _NO_EVENTS)
 
     # -- resets ----------------------------------------------------------------
 

@@ -1,12 +1,14 @@
+import builtins
 import csv
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
 from freshsim.cli import CSV_COLUMNS, default_config, main
-from freshsim.traces import PatternSpec, generate, load_trace, parse_text_trace
+from freshsim.traces import PatternSpec, generate, load_trace, parse_text_trace, save_trace
 
 PAGE = 4096
 
@@ -71,9 +73,7 @@ class TestSimulate:
 
     def test_trace_flag_overrides_config(self, tmp_path):
         trace_path = str(tmp_path / "short.trace")
-        events = generate(PatternSpec.from_json(pattern_doc(op_count=77)))
-        from freshsim.traces import save_trace
-
+        events = generate(PatternSpec(**pattern_doc(op_count=77)))
         save_trace(events, trace_path)
         out = str(tmp_path / "stats.json")
         code = main(["simulate", "--config", run_config(tmp_path),
@@ -162,6 +162,45 @@ class TestConfigHandling:
         assert main(["simulate", "--config", cfg]) == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("trace, key", [
+        ({"file": None}, "file"),
+        ({"file": ["t.bin"]}, "file"),
+        ({"file": 5}, "file"),
+        ({"file": True}, "file"),
+        ({"file": "t.bin", "bogus": 1}, "bogus"),
+        ({"pattern": {k: v for k, v in pattern_doc().items() if k != "op_count"}},
+         "op_count"),
+        ({"pattern": pattern_doc(bogus_field=1)}, "bogus_field"),
+    ])
+    def test_malformed_trace_names_the_key(self, tmp_path, capsys, monkeypatch, trace, key):
+        monkeypatch.chdir(tmp_path)
+        save_trace(generate(PatternSpec(**pattern_doc(op_count=10))), "t.bin", form="binary")
+        real_open = builtins.open
+
+        def path_only_open(file, *args, **kwargs):
+            # open() takes an int (or a bool) for a file descriptor
+            assert isinstance(file, (str, os.PathLike)), f"open({file!r})"
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", path_only_open)
+        cfg = run_config(tmp_path, trace=trace)
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "Traceback" not in err and "__init__" not in err
+
+    @pytest.mark.parametrize("mode, tree, key", [
+        ("none", {"bogus": 1}, "bogus"),
+        ("ci", {"bogus": 1}, "bogus"),
+        ("toleo", {"bogus": 1}, "bogus"),
+        ("toleo", 0, "tree"),
+    ])
+    def test_tree_checked_in_every_mode(self, tmp_path, capsys, mode, tree, key):
+        cfg = run_config(tmp_path, mode=mode, tree=tree)
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
     def test_numbers_accepted_where_floats_go(self, tmp_path):
         cfg = run_config(tmp_path, cxl_ns=95, clock_ghz=2.25, device_capacity_bytes=None)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s.json")]) == 0
@@ -192,7 +231,7 @@ class TestGenTrace:
         cfg = write_json(tmp_path, "pat.json", spec_doc)
         out = str(tmp_path / "t.trace")
         assert main(["gen-trace", "--config", cfg, "--out", out]) == 0
-        assert load_trace(out) == generate(PatternSpec.from_json(spec_doc))
+        assert load_trace(out) == generate(PatternSpec(**spec_doc))
 
     def test_binary_extension_selects_binary(self, tmp_path):
         cfg = write_json(tmp_path, "pat.json", pattern_doc(op_count=100))
@@ -200,7 +239,7 @@ class TestGenTrace:
         assert main(["gen-trace", "--config", cfg, "--out", out]) == 0
         blob = open(out, "rb").read()
         assert len(blob) == 9 * 100
-        assert load_trace(out) == generate(PatternSpec.from_json(pattern_doc(op_count=100)))
+        assert load_trace(out) == generate(PatternSpec(**pattern_doc(op_count=100)))
 
     def test_stdout_text(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "pat.json", pattern_doc(op_count=5))
@@ -225,6 +264,13 @@ class TestGenTrace:
         assert main(["gen-trace"]) == 2
         cfg = run_config(tmp_path, trace=None)
         assert main(["gen-trace", "--config", cfg]) == 2
+
+    @pytest.mark.parametrize("doc, key", [(5, "config"), (None, "trace"), ({"trace": 5}, "trace")])
+    def test_malformed_config_names_the_key(self, tmp_path, capsys, doc, key):
+        cfg = write_json(tmp_path, "bad.json", doc)
+        assert main(["gen-trace", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
 
 
 class TestAnalyzeSecurity:

@@ -144,14 +144,6 @@ class TestRandomSource:
         for bits in (1, 5, 27, 37, 64):
             assert all(r.draw(bits) < (1 << bits) for _ in range(200))
 
-    def test_chance_is_reproducible_and_roughly_calibrated(self):
-        a = RandomSource(9)
-        b = RandomSource(9)
-        flags = [a.chance(3) for _ in range(8000)]
-        assert flags == [b.chance(3) for _ in range(8000)]
-        rate = sum(flags) / len(flags)
-        assert 0.09 < rate < 0.16  # ~1/8
-
 
 class TestBitfields:
     def test_roundtrip_64x7(self):

@@ -235,6 +235,17 @@ class TestUvUpdates:
         assert e.uv[0] == 3
 
 
+    @pytest.mark.parametrize("page", [16, -1])
+    @pytest.mark.parametrize("call", ["os_free_page", "handle_uv_update"])
+    def test_out_of_range_page_changes_nothing(self, call, page):
+        e = make_engine(pages=16)
+        e.process_access("W", 0)
+        before = (dict(e.uv), e.stats())
+        with pytest.raises(AddressRangeError):
+            getattr(e, call)(page)
+        assert (dict(e.uv), e.stats()) == before
+
+
 class TestCapacityHalt:
     def test_capacity_exhaustion_halts_engine(self):
         cfg = EngineConfig(protected_bytes=2 * PAGE, device_capacity_bytes=2 * 12 + 56)
