@@ -62,8 +62,7 @@ def main():
 
     base = store.reset_page(0)
     show(store, "stealth reset")
-    print(f"{'':>38} fresh base {base}, page queued for a UV bump:",
-          store.drain_uv_updates())
+    print(f"{'':>38} fresh base {base}; the host bumps the page's upper version")
 
 
 if __name__ == "__main__":

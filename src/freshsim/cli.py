@@ -71,6 +71,8 @@ _PATTERN = _schema(PatternSpec)
 _PATTERN_REQUIRED = tuple(
     f.name for f in dataclasses.fields(PatternSpec) if f.default is dataclasses.MISSING
 )
+# a document holding any of these is a bare pattern, not a run config
+_PATTERN_ONLY = _PATTERN.keys() - _RUN.keys()
 
 
 def _check(doc, schema: dict, what: str, required=()) -> None:
@@ -90,6 +92,11 @@ def _check(doc, schema: dict, what: str, required=()) -> None:
         raise ConfigError(f"{what} needs key(s): {', '.join(missing)}")
 
 
+def _section(doc):
+    """A document or section as read: null means absent, so empty."""
+    return {} if doc is None else doc
+
+
 def default_config() -> dict:
     """Full default run configuration; a config file overrides parts of it."""
     cfg: dict = {"mode": "toleo", "trace": None, "tree": {}}
@@ -102,7 +109,7 @@ def default_config() -> dict:
 
 def resolve_config(doc: dict | None) -> dict:
     """The defaults overlaid with ``doc``, every section of it checked."""
-    doc = doc or {}
+    doc = _section(doc)
     _check(doc, _RUN, "config")
     cfg = {**default_config(), **doc}
     if cfg["mode"] not in MODES:
@@ -191,7 +198,7 @@ def cmd_gen_trace(args) -> int:
     if not args.config:
         raise ConfigError("gen-trace needs --config with a pattern description")
     doc = _read_json(args.config)
-    if isinstance(doc, dict) and "kind" in doc:
+    if isinstance(doc, dict) and not _PATTERN_ONLY.isdisjoint(doc):
         _check(doc, _PATTERN, "pattern", _PATTERN_REQUIRED)
     else:
         # full run config: pull the inline pattern out of it
@@ -221,10 +228,10 @@ def cmd_analyze_security(args) -> int:
     doc = _read_json(args.config) if args.config else {}
     _check(doc, dict.fromkeys(("exhaustion", "replay", "monte_carlo")), "analysis")
 
-    ex_doc = doc.get("exhaustion") or {}
+    ex_doc = _section(doc.get("exhaustion"))
     _check(ex_doc, _schema(ExhaustionQuery), "exhaustion")
     query = ExhaustionQuery(**ex_doc)
-    replay_doc = doc.get("replay") or {}
+    replay_doc = _section(doc.get("replay"))
     _check(replay_doc, {"stealth_bits": _INT}, "replay")
     stealth_bits = replay_doc.get("stealth_bits", SecurityParams().stealth_bits)
 
@@ -239,7 +246,7 @@ def cmd_analyze_security(args) -> int:
         },
     }
 
-    mc_doc = doc.get("monte_carlo") or {}
+    mc_doc = _section(doc.get("monte_carlo"))
     _check(mc_doc, dict.fromkeys(("exhaustion", "replay")), "monte_carlo")
     if "exhaustion" in mc_doc:
         p = _mc_params(

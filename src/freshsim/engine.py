@@ -47,6 +47,7 @@ from .core import (
 from .version_store import (
     FLAT,
     FULL_SLOTS,
+    LINE_COUNT,
     SLOT_BYTES,
     UNEVEN,
     CapacityError,
@@ -462,10 +463,6 @@ def _cache_counts(cache: SetAssocCache) -> dict:
     return {"hits": cache.hits, "misses": cache.misses}
 
 
-# dynamic lines behind a page entry, indexed by format (FLAT, UNEVEN, FULL)
-_LINE_COUNT = (0, 1, FULL_SLOTS)
-
-
 class HostEngine(ProtectionEngine):
     """Device-backed protection engine (mode tag ``toleo``)."""
 
@@ -548,11 +545,11 @@ class HostEngine(ProtectionEngine):
             if evicted is not None:
                 # inclusive pair: dropping a page's flat entry kills its lines
                 self._drop_lines(evicted[0])
-            self._device_round_trip(out, page, _LINE_COUNT[result.format_after])
+            self._device_round_trip(out, page, LINE_COUNT[result.format_after])
             return 0.0
         # materializes an untouched page, which can never be a flat hit, so
         # its base is drawn in the same event as the device READ it needs
-        count = _LINE_COUNT[self.store.fetch_format(page)]
+        count = LINE_COUNT[self.store.fetch_format(page)]
         hit, evicted = self.flat_cache.access(page)
         out.flat_hit = hit
         if evicted is not None:
@@ -570,22 +567,19 @@ class HostEngine(ProtectionEngine):
         return latency
 
     def _after_write(self, out: AccessOutcome) -> None:
-        # resets drain after the MAC write: they invalidate the page's MAC lines
-        self._drain_resets(out)
-        if self._debug:
-            self._debug_checks(None)
-
-    def _drain_resets(self, out: AccessOutcome) -> None:
-        """Re-encrypt every page the store has reset since the last drain,
-        charged onto ``out``.  With no upper version left for a page the
-        engine halts; the store's reset alone is counted."""
-        for page in self.store.drain_uv_updates():
+        """A reset the UPDATE fired re-encrypts the written page, charged onto
+        ``out``.  It follows the MAC write, as it invalidates the page's MAC
+        lines.  With no upper version left the engine halts; the store's
+        reset alone is counted."""
+        if "reset_triggered" in out.events:
             try:
-                self.handle_uv_update(page, out)
+                self.handle_uv_update(out.addr // self._page_bytes, out)
             except UvOverflowError as exc:
                 self.resets += 1
                 self.halted = str(exc)
                 raise SimulationHalted(self.halted) from exc
+        if self._debug:
+            self._debug_checks(None)
 
     def _invalidate_page(self, page: int) -> None:
         self.flat_cache.invalidate(page)
@@ -681,12 +675,10 @@ class HostEngine(ProtectionEngine):
     def os_free_page(self, page: int) -> AccessOutcome:
         """Free/remap a page: bump its UV and reset its versions, nothing more.
 
-        Resets the store made earlier are handled first, charged onto the
-        returned outcome as a write would charge them.  The freed page is not
-        re-encrypted, so any stale contents fail their MAC on the next
-        verified read; that is the cheap scrambling the OS relies on.  A page
-        outside the protected range raises AddressRangeError before anything
-        changes.
+        The freed page is not re-encrypted, so any stale contents fail their
+        MAC on the next verified read; that is the cheap scrambling the OS
+        relies on.  A page outside the protected range raises
+        AddressRangeError before anything changes.
         """
         if self.halted or self.killed:
             raise SimulationHalted(self.halted or self.killed)
@@ -694,12 +686,10 @@ class HostEngine(ProtectionEngine):
         page_addr = page * self._page_bytes
         channel = "local" if page_addr < self._local_limit else "pool"
         out = AccessOutcome("F", page_addr, channel)
-        self._drain_resets(out)
         self._bump_uv(page)
         out.mac_bytes += self._page_mac_bytes  # the UV lives in the MAC lines
         self.mac_bytes += self._page_mac_bytes
         self.store.reset_page(page)
-        self.store.drain_uv_updates()  # only this page's reset: the bump covers it
         self._invalidate_page(page)
         out.events = ("page_freed",)
         return out

@@ -26,7 +26,11 @@ Entry layout (12 bytes at the default S=27, least-significant bits first):
 Resets: an update that advances the page's leading version triggers a check
 that, with probability 2**-R, discards the page's stealth state: the entry
 drops back to flat with a fresh uniformly random base and an empty coverage
-vector, and the caller is told to bump the page's upper version.
+vector.  The update's result says ``reset_triggered``, which tells the caller
+to bump the page's upper version.
+
+A snapshot is the device image itself: each touched page's index, packed
+entry and dynamic lines, read back through the ``decode_*`` functions.
 """
 
 from __future__ import annotations
@@ -58,21 +62,23 @@ PAYLOAD_BITS = 67
 TAG_BITS = 2
 SLOT_BYTES = 56
 FULL_SLOTS = 4  # full line is allocated as 4 contiguous slots (224 B reserved)
+LINE_COUNT = (0, 1, FULL_SLOTS)  # dynamic lines behind an entry, by format
 
 SNAPSHOT_MAGIC = b"TRIP"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 _SNAPSHOT_HEADER = "<HBBBQQ"  # version, S, U, R, total pages, entry count
+_PAGE_INDEX_BYTES = 8
 
 
 class CapacityError(SimError):
     """Dynamic region exhausted; the update was rejected without effect."""
 
 
-def _unpack(fmt: str, data: bytes, pos: int) -> tuple:
-    """``struct.unpack_from``, but a blob too short for it is an EncodingError."""
-    if pos + struct.calcsize(fmt) > len(data):
+def _read(data: bytes, pos: int, size: int) -> bytes:
+    """``size`` snapshot bytes from ``pos``; too few is an EncodingError."""
+    if pos + size > len(data):
         raise EncodingError(f"snapshot truncated at byte {pos}")
-    return struct.unpack_from(fmt, data, pos)
+    return data[pos:pos + size]
 
 
 def flat_entry_bytes(params: SecurityParams) -> int:
@@ -186,6 +192,15 @@ class VersionStore:
     ) -> None:
         self.geometry = geometry or Geometry()
         self.params = params or SecurityParams()
+        bpp = self.geometry.blocks_per_page
+        self._uneven_bytes = uneven_entry_bytes(self.geometry)
+        self._full_bytes = full_entry_bytes(self.geometry, self.params)
+        if self._uneven_bytes > SLOT_BYTES or self._full_bytes > FULL_SLOTS * SLOT_BYTES:
+            raise ConfigError(
+                f"{bpp}-block pages of {self.params.stealth_bits}-bit versions need a "
+                f"{self._uneven_bytes}-byte uneven and a {self._full_bytes}-byte full "
+                f"line, but their slots hold {SLOT_BYTES} and {FULL_SLOTS * SLOT_BYTES}"
+            )
         if protected_bytes <= 0 or protected_bytes % self.geometry.page_bytes:
             raise ConfigError("protected_bytes must be a positive multiple of the page size")
         self.protected_bytes = protected_bytes
@@ -210,16 +225,13 @@ class VersionStore:
         self.pages_uneven = 0
         self.pages_full = 0
         self.resets = 0
-        self._uv_queue: list[int] = []
 
         self._page_bytes = self.geometry.page_bytes
         self._block_bytes = self.geometry.block_bytes
-        self._blocks_per_page = self.geometry.blocks_per_page
+        self._blocks_per_page = bpp
         self._reset_exp = self.params.reset_exp
-        self._uneven_bytes = uneven_entry_bytes(self.geometry)
-        self._full_bytes = full_entry_bytes(self.geometry, self.params)
         self._smask = self.params.stealth_mask
-        self._full_vector = (1 << self.geometry.blocks_per_page) - 1
+        self._full_vector = (1 << bpp) - 1
 
     # -- page materialization -------------------------------------------------
 
@@ -396,7 +408,7 @@ class VersionStore:
                 e.base = v
 
         if advance and self.rng.draw(self._reset_exp) == 0:
-            self._reset_entry(page, e)
+            self._reset_entry(e)
             events = (events or []) + ["reset_triggered"]
 
         if e.tag == FLAT:
@@ -410,7 +422,7 @@ class VersionStore:
 
     # -- resets ----------------------------------------------------------------
 
-    def _reset_entry(self, page: int, e: _Entry) -> None:
+    def _reset_entry(self, e: _Entry) -> None:
         if e.tag == UNEVEN:
             self._free(e.slot, 1)
             self.pages_uneven -= 1
@@ -428,27 +440,17 @@ class VersionStore:
         e.max_off = 0
         e.min_off = 0
         self.resets += 1
-        self._uv_queue.append(page)
 
     def reset_page(self, page: int) -> int:
         """Explicit reset (page free / remap): downgrade to flat, new base.
 
-        Returns the fresh base.  The page index is also queued as an
-        upper-version update notice for the host (see ``drain_uv_updates``).
+        Returns the fresh base; the caller bumps the page's upper version.
         """
         if not 0 <= page < self.total_pages:
             raise AddressRangeError(f"page {page} outside protected range")
         e = self._entry(page)
-        self._reset_entry(page, e)
+        self._reset_entry(e)
         return e.base
-
-    def drain_uv_updates(self) -> list[int]:
-        """Page indices whose upper version must be bumped, in reset order."""
-        if not self._uv_queue:
-            return []
-        out = self._uv_queue.copy()
-        self._uv_queue.clear()
-        return out
 
     # -- accounting ------------------------------------------------------------
 
@@ -483,47 +485,38 @@ class VersionStore:
         return acc.to_bytes(flat_entry_bytes(self.params), "little")
 
     def entry_lines(self, page: int) -> list[bytes]:
-        """Dynamic-region lines backing the page: [] / one 56 B / four 56 B."""
+        """Dynamic-region lines backing the page: [] / one 56 B / four 56 B,
+        zero-padded to whole slots."""
         e = self._entry(page)
         if e.tag == FLAT:
             return []
         if e.tag == UNEVEN:
-            return [pack_bitfields(e.offsets, OFFSET_BITS)]
-        raw = pack_bitfields(e.versions, self.params.stealth_bits)
-        raw = raw.ljust(FULL_SLOTS * SLOT_BYTES, b"\x00")
-        return [raw[i * SLOT_BYTES:(i + 1) * SLOT_BYTES] for i in range(FULL_SLOTS)]
+            raw = pack_bitfields(e.offsets, OFFSET_BITS)
+        else:
+            raw = pack_bitfields(e.versions, self.params.stealth_bits)
+        count = LINE_COUNT[e.tag]
+        raw = raw.ljust(count * SLOT_BYTES, b"\x00")
+        return [raw[i * SLOT_BYTES:(i + 1) * SLOT_BYTES] for i in range(count)]
 
     # -- snapshots ---------------------------------------------------------------
 
     def to_snapshot(self) -> bytes:
-        """Serialize header, touched flat-array entries, and dynamic payloads.
+        """The device image: a header, then for each touched page in order its
+        index, ``entry_image`` and ``entry_lines``.
 
-        Only materialized pages are recorded; untouched pages have no drawn
-        base yet.  Randomness state is not captured, so a loaded store serves
-        reads verbatim but continues updating under its own seed.
+        Untouched pages have no drawn base yet and are left out.  Randomness
+        state is not captured, so a loaded store serves reads verbatim but
+        continues updating under its own seed.
         """
-        head = SNAPSHOT_MAGIC + struct.pack(
-            _SNAPSHOT_HEADER,
-            SNAPSHOT_VERSION,
-            self.params.stealth_bits,
-            self.params.upper_bits,
-            self.params.reset_exp,
-            self.total_pages,
-            len(self._entries),
-        )
-        parts = [head]
+        params = self.params
+        parts = [SNAPSHOT_MAGIC + struct.pack(
+            _SNAPSHOT_HEADER, SNAPSHOT_VERSION, params.stealth_bits,
+            params.upper_bits, params.reset_exp, self.total_pages, len(self._entries),
+        )]
         for page in sorted(self._entries):
-            e = self._entries[page]
-            parts.append(struct.pack("<QB", page, e.tag))
-            parts.append(struct.pack("<Q", e.base))
-            if e.tag == FLAT:
-                parts.append(struct.pack("<Q", e.bitvec))
-            elif e.tag == UNEVEN:
-                parts.append(struct.pack("<q", e.slot))
-                parts.append(pack_bitfields(e.offsets, OFFSET_BITS))
-            else:
-                parts.append(struct.pack("<q", e.slot))
-                parts.append(pack_bitfields(e.versions, self.params.stealth_bits))
+            parts.append(page.to_bytes(_PAGE_INDEX_BYTES, "little"))
+            parts.append(self.entry_image(page))
+            parts.extend(self.entry_lines(page))
         return b"".join(parts)
 
     @classmethod
@@ -534,14 +527,19 @@ class VersionStore:
         rng: RandomSource,
         geometry: Geometry | None = None,
     ) -> "VersionStore":
+        """Load a ``to_snapshot`` image.  A truncated blob, trailing bytes, a page
+        out of order or range and an entry or lines that do not re-encode to
+        the same bytes are each an EncodingError."""
         if data[:4] != SNAPSHOT_MAGIC:
             raise EncodingError("bad snapshot magic")
-        (version,) = _unpack("<H", data, 4)
+        pos = len(SNAPSHOT_MAGIC)
+        head = _read(data, pos, struct.calcsize(_SNAPSHOT_HEADER))
+        version, s_bits, u_bits, reset_exp, total_pages, count = struct.unpack(
+            _SNAPSHOT_HEADER, head
+        )
         if version != SNAPSHOT_VERSION:
             raise EncodingError(f"unsupported snapshot version {version}")
-        _, s_bits, u_bits, reset_exp, total_pages, count = _unpack(
-            _SNAPSHOT_HEADER, data, 4
-        )
+        pos += len(head)
         geometry = geometry or Geometry()
         params = SecurityParams(stealth_bits=s_bits, upper_bits=u_bits, reset_exp=reset_exp)
         store = cls(
@@ -551,51 +549,49 @@ class VersionStore:
             geometry=geometry,
             params=params,
         )
-        pos = 4 + struct.calcsize(_SNAPSHOT_HEADER)
-        bpp = geometry.blocks_per_page
-        uneven_len = uneven_entry_bytes(geometry)
-        full_len = full_entry_bytes(geometry, params)
-        ranges: list[tuple[int, int]] = []  # (first slot, slot count) in use
+        record_bytes = _PAGE_INDEX_BYTES + flat_entry_bytes(params)
+        last = -1
         for _ in range(count):
-            page, tag, base = _unpack("<QBQ", data, pos)
-            pos += 17
-            e = _Entry(base)
-            if tag == FLAT:
-                (e.bitvec,) = _unpack("<Q", data, pos)
-                pos += 8
-            elif tag == UNEVEN:
-                (e.slot,) = _unpack("<q", data, pos)
-                pos += 8
-                e.tag = UNEVEN
-                e.offsets = unpack_bitfields(data[pos:pos + uneven_len], OFFSET_BITS, bpp)
-                pos += uneven_len
-                e.max_off = max(e.offsets)
-                e.min_off = min(e.offsets)
-                store.pages_uneven += 1
-                store._bump_dynamic(store._uneven_bytes)
-                ranges.append((e.slot, 1))
-            elif tag == FULL:
-                (e.slot,) = _unpack("<q", data, pos)
-                pos += 8
-                e.tag = FULL
-                e.versions = unpack_bitfields(
-                    data[pos:pos + full_len], params.stealth_bits, bpp
+            record = _read(data, pos, record_bytes)
+            page = int.from_bytes(record[:_PAGE_INDEX_BYTES], "little")
+            if not last < page < total_pages:
+                raise EncodingError(
+                    f"snapshot page {page} out of order or outside {total_pages} pages"
                 )
-                pos += full_len
-                store.pages_full += 1
-                store._bump_dynamic(store._full_bytes)
-                ranges.append((e.slot, FULL_SLOTS))
-            else:
+            last = page
+            image = record[_PAGE_INDEX_BYTES:]
+            tag, base, payload = decode_entry_image(image, params)
+            if tag not in FORMAT_NAMES:
                 raise EncodingError(f"bad entry tag {tag} for page {page}")
-            store._entries[page] = e
-        store.peak_dynamic_bytes = store.dynamic_bytes
+            lines = _read(data, pos + record_bytes, LINE_COUNT[tag] * SLOT_BYTES)
+            pos += record_bytes + len(lines)
+            e = store._entries[page] = _Entry(base)
+            e.tag = tag
+            if tag == FLAT:
+                e.bitvec = payload & store._full_vector
+            else:
+                e.slot = payload & ((1 << LOCATOR_BITS) - 1)
+            if tag == UNEVEN:
+                e.offsets = decode_uneven_line(lines, geometry)
+                e.min_off, e.max_off = min(e.offsets), max(e.offsets)
+            elif tag == FULL:
+                e.versions = decode_full_lines([lines], geometry, params)
+            if store.entry_image(page) != image or b"".join(store.entry_lines(page)) != lines:
+                raise EncodingError(f"page {page}: entry or lines do not re-encode alike")
+        if pos != len(data):
+            raise EncodingError(f"{len(data) - pos} bytes after the last snapshot entry")
+        tags = [e.tag for e in store._entries.values()]
+        store.pages_uneven, store.pages_full = tags.count(UNEVEN), tags.count(FULL)
+        store._bump_dynamic(store.pages_uneven * store._uneven_bytes
+                            + store.pages_full * store._full_bytes)
+        # (first slot, slot count) of each dynamic line run in use
+        ranges = [(e.slot, LINE_COUNT[e.tag]) for e in store._entries.values() if e.tag != FLAT]
         if sum(n for _, n in ranges) > store.dynamic_capacity_slots:
             raise ConfigError(
                 "snapshot needs more dynamic slots than the given capacity provides"
             )
         for start, n in ranges:
-            if (start < 0 or start + n > store.dynamic_capacity_slots
-                    or any(store._used[start:start + n])):
+            if start + n > store.dynamic_capacity_slots or any(store._used[start:start + n]):
                 raise EncodingError(
                     f"dynamic slots {start}..{start + n - 1} lie outside the "
                     f"{store.dynamic_capacity_slots}-slot region or are doubly used"

@@ -201,6 +201,26 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("doc", [[], 0, False, ""])
+    def test_falsy_non_object_config_rejected(self, tmp_path, capsys, doc):
+        cfg = write_json(tmp_path, "bad.json", doc)
+        trace = str(tmp_path / "t.bin")
+        save_trace(generate(PatternSpec(**pattern_doc(op_count=10))), trace, form="binary")
+        assert main(["simulate", "--config", cfg, "--trace", trace]) == 2
+        assert "config must be a JSON object" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("page_bytes", 8192), ("stealth_bits", 32)])
+    def test_toleo_rejects_lines_the_device_cannot_hold(self, tmp_path, capsys, key, value):
+        cfg = run_config(tmp_path, debug=True, **{key: value})
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "slots hold" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("mode", ["none", "ci", "merkle"])
+    def test_baselines_take_any_page_size(self, tmp_path, mode):
+        cfg = run_config(tmp_path, mode=mode, page_bytes=8192)
+        assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s.json")]) == 0
+
     def test_numbers_accepted_where_floats_go(self, tmp_path):
         cfg = run_config(tmp_path, cxl_ns=95, clock_ghz=2.25, device_capacity_bytes=None)
         assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "s.json")]) == 0
@@ -273,6 +293,13 @@ class TestGenTrace:
         assert key in err and "Traceback" not in err
 
 
+    def test_bare_pattern_without_kind_names_it(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "pat.json", {"footprint_bytes": 4096, "op_count": 5})
+        assert main(["gen-trace", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert "pattern needs key(s): kind" in err
+
+
 class TestAnalyzeSecurity:
     def test_default_report(self, tmp_path):
         out = str(tmp_path / "report.json")
@@ -338,6 +365,21 @@ class TestAnalyzeSecurity:
         cfg = write_json(tmp_path, "bad.json", doc)
         assert main(["analyze-security", "--config", cfg]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, section", [
+        ({"exhaustion": []}, "exhaustion"),
+        ({"replay": False}, "replay"),
+        ({"replay": 0}, "replay"),
+        ({"monte_carlo": ""}, "monte_carlo"),
+    ])
+    def test_falsy_non_object_section_rejected(self, tmp_path, capsys, doc, section):
+        cfg = write_json(tmp_path, "bad.json", doc)
+        assert main(["analyze-security", "--config", cfg]) == 2
+        assert f"{section} must be a JSON object" in capsys.readouterr().err
+
+    def test_null_section_means_absent(self, tmp_path):
+        cfg = write_json(tmp_path, "q.json", {"exhaustion": None, "replay": None})
+        assert main(["analyze-security", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
 
     def test_unknown_analysis_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "bad.json", {"exhaustion": {"warp_factor": 9}})

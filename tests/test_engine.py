@@ -353,24 +353,11 @@ class TestFunctionalLayer:
         assert e.functional.get(0) is not rec
         assert e.functional_read(0)[0] == b"D" * 64
 
-    def test_os_free_page_handles_queued_resets(self):
-        # a reset the store made earlier is re-encrypted, not lost
-        e = make_engine(functional=True, seed=9)
-        e.functional_write(PAGE, b"E" * 64)
-        e.store.reset_page(1)
-        out = e.os_free_page(0)
-        assert e.uv == {0: 1, 1: 1}
-        assert (out.local_bytes, out.mac_bytes) == (64 * BLOCK, 2 * 8 * BLOCK)
-        assert out.reencrypted_blocks == 64 and e.resets == 1
-        assert e.functional_read(PAGE)[0] == b"E" * 64
-        assert e.store.drain_uv_updates() == []
-
     def test_reset_reencrypts_only_its_page(self):
         e = make_engine(functional=True, seed=9)
         texts = {addr: bytes([i]) * 64 for i, addr in enumerate((0, BLOCK, PAGE, PAGE + BLOCK))}
         recs = {addr: e.functional_write(addr, text)[0] for addr, text in texts.items()}
-        e.store.reset_page(0)
-        e.functional_write(2 * BLOCK, b"N" * 64)  # the write drains page 0's reset
+        e.handle_uv_update(0)
         assert e.resets == 1 and e.uv == {0: 1}
         for addr, text in texts.items():
             rec = e.functional.get(addr)

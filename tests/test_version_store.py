@@ -235,6 +235,33 @@ class TestFullTransitions:
         assert all(len(line) == 56 for line in lines)
 
 
+class TestPackedLimits:
+    @pytest.mark.parametrize("geometry, params", [
+        (Geometry(page_bytes=8192), P),  # 128 offsets: a 112-byte uneven line
+        (G, SecurityParams(stealth_bits=32, upper_bits=37, reset_exp=20)),  # 256-byte full line
+    ], ids=["page_8k", "stealth_32"])
+    def test_geometry_the_lines_cannot_hold_rejected(self, geometry, params):
+        with pytest.raises(ConfigError, match="slots hold"):
+            make_store(geometry=geometry, params=params)
+
+    @pytest.mark.parametrize("geometry, params", [
+        (G, SecurityParams(stealth_bits=28, upper_bits=37, reset_exp=20)),  # exactly 224 B
+        (Geometry(page_bytes=1024), P),  # short lines, zero-padded to whole slots
+    ], ids=["stealth_28", "page_1k"])
+    def test_lines_that_fit_round_trip(self, geometry, params):
+        s = make_store(pages=3, geometry=geometry, params=params, seed=4)
+        s.update_version(geometry.page_bytes)
+        s.update_version(geometry.page_bytes)  # page 1 uneven
+        for _ in range(140):
+            s.update_version(2 * geometry.page_bytes)  # page 2 full
+        assert [s.page_format(page) for page in (1, 2)] == [UNEVEN, FULL]
+        assert [len(b"".join(s.entry_lines(page))) for page in (1, 2)] == [56, 224]
+        s2 = VersionStore.from_snapshot(s.to_snapshot(), s.device_capacity_bytes,
+                                        RandomSource(1), geometry)
+        for addr in range(geometry.page_bytes, 3 * geometry.page_bytes, geometry.block_bytes):
+            assert s2.read_version(addr) == s.read_version(addr)
+
+
 class TestResetPage:
     def test_full_page_downgrades_and_frees(self):
         s = make_store(seed=11)
@@ -246,8 +273,6 @@ class TestResetPage:
         assert s.usage_stats()["dynamic_bytes"] == 0
         for block in range(64):
             assert s.read_version(block * BLOCK) == new_base
-        assert s.drain_uv_updates() == [0]
-        assert s.drain_uv_updates() == []
 
     def test_uneven_page_frees_56(self):
         s = make_store(seed=11)
@@ -291,7 +316,6 @@ class TestCapacity:
         assert s.usage_stats()["dynamic_bytes"] == 56
         # freeing page 0 makes the retry succeed
         s.reset_page(0)
-        s.drain_uv_updates()
         res = s.update_version(PAGE)
         assert res.format_after == UNEVEN
 
@@ -315,7 +339,6 @@ class TestCapacity:
             s.update_version(page * PAGE)
             s.update_version(page * PAGE)
         s.reset_page(0)
-        s.drain_uv_updates()
         s.update_version(2 * PAGE)
         res = s.update_version(2 * PAGE)
         assert res.format_after == UNEVEN
@@ -420,6 +443,16 @@ def test_no_full_version_repeats_at_reduced_widths():
             seen.add(pair)
 
 
+def record(store, page):
+    """A page's snapshot record: its index, packed entry and lines."""
+    return struct.pack("<Q", page) + store.entry_image(page) + b"".join(store.entry_lines(page))
+
+
+def flip(image, bit):
+    """A packed entry with one bit inverted."""
+    return (int.from_bytes(image, "little") ^ (1 << bit)).to_bytes(len(image), "little")
+
+
 class TestSnapshot:
     def build(self):
         s = make_store(pages=6, seed=19)
@@ -459,6 +492,51 @@ class TestSnapshot:
         struct.pack_into("<H", blob, len(SNAPSHOT_MAGIC), 1)
         with pytest.raises(EncodingError):
             VersionStore.from_snapshot(bytes(blob), 1 << 20, RandomSource(1))
+
+    def test_version_2_blob_rejected(self):
+        blob = bytearray(self.build().to_snapshot())
+        struct.pack_into("<H", blob, len(SNAPSHOT_MAGIC), 2)
+        with pytest.raises(EncodingError, match="version 2"):
+            VersionStore.from_snapshot(bytes(blob), 1 << 20, RandomSource(1))
+
+    def test_snapshot_is_the_packed_image(self):
+        s = self.build()
+        assert s.to_snapshot().endswith(b"".join(record(s, page) for page in range(3)))
+        assert [len(s.entry_lines(page)) for page in range(3)] == [0, 1, 4]
+
+    @pytest.mark.parametrize("page, tamper", [
+        # flat: a coverage bit above the last block
+        (0, lambda image, lines: (flip(image, 2 + 27 + 64), lines)),
+        # uneven: min_off field no longer the line's minimum offset
+        (1, lambda image, lines: (flip(image, 2 + 27 + 48), lines)),
+        # uneven: max_off field no longer the line's maximum offset
+        (1, lambda image, lines: (flip(image, 2 + 27 + 55 + 3), lines)),
+        # full: nonzero padding after the 64 versions of the four-line run
+        (2, lambda image, lines: (image, lines[:-1] + b"\x01")),
+    ], ids=["flat_coverage", "uneven_min", "uneven_max", "full_padding"])
+    def test_entry_that_does_not_reencode_rejected(self, page, tamper):
+        s = self.build()
+        blob = s.to_snapshot()
+        assert blob.count(record(s, page)) == 1
+        image, lines = tamper(s.entry_image(page), b"".join(s.entry_lines(page)))
+        bad = blob.replace(record(s, page), struct.pack("<Q", page) + image + lines)
+        with pytest.raises(EncodingError, match="re-encode"):
+            VersionStore.from_snapshot(bad, s.device_capacity_bytes, RandomSource(1))
+
+    def test_trailing_bytes_rejected(self):
+        s = self.build()
+        with pytest.raises(EncodingError, match="after the last"):
+            VersionStore.from_snapshot(s.to_snapshot() + b"\x00", s.device_capacity_bytes,
+                                       RandomSource(1))
+
+    @pytest.mark.parametrize("first", [1, 6])  # a repeated page, a page past the range
+    def test_page_out_of_order_or_range_rejected(self, first):
+        s = self.build()
+        blob = bytearray(s.to_snapshot())
+        page_0 = blob.index(record(s, 0))
+        struct.pack_into("<Q", blob, page_0, first)
+        with pytest.raises(EncodingError, match="page"):
+            VersionStore.from_snapshot(bytes(blob), s.device_capacity_bytes, RandomSource(1))
 
     def test_bad_magic_rejected(self):
         blob = bytearray(self.build().to_snapshot())
@@ -533,7 +611,8 @@ class TestSnapshot:
                 store.update_version(3 * PAGE)
             assert store.page_format(3) == FULL
 
-    @pytest.mark.parametrize("slot", [0, 8, -1])  # page 0's slot, past the region, negative
+    # page 0's slot, past the region, the largest locator
+    @pytest.mark.parametrize("slot", [0, 8, 2**48 - 1])
     def test_load_rejects_bad_slot_ranges(self, slot):
         s = make_store(pages=16, slots=8)
         for page in (0, 1):
@@ -629,7 +708,6 @@ class StoreMachine(RuleBasedStateMachine):
     def reset(self, page):
         twin = self._twin()
         base = self.store.reset_page(page)
-        assert self.store.drain_uv_updates()[-1:] == [page]
         assert twin.reset_page(page) == base
         self.ref._page(page)
         self.ref.pages[page] = [self.ref.rng.draw(MACHINE_PARAMS.stealth_bits)] * 64
