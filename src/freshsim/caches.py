@@ -1,14 +1,16 @@
-"""LRU cache model used by the host engine and the baselines.
+"""LRU cache models used by the host engine and the baselines.
 
-A cache tracks residency, recency, and one dirty bit per key; it stores no
-payloads, since no counted number depends on them.  A fully associative
-cache of ``n`` entries is ``SetAssocCache(n, n)``.  Hit/miss counters live on
-the cache so statistics fall out for free.
+A cache tracks residency and recency, plus one dirty bit per line; it stores
+no payloads, since no counted number depends on them.  Hit/miss counters live
+on the cache so statistics fall out for free.  ``FlatCache`` is the host's
+fully associative cache of flat entries, which owns an inclusive overflow
+buffer of the pages' dynamic lines and counts the lines each page filled.
 """
 
 from __future__ import annotations
 
 from .core import ConfigError
+from .version_store import FULL_SLOTS
 
 
 class SetAssocCache:
@@ -143,3 +145,68 @@ class SetAssocCache:
 
     def __len__(self) -> int:
         return len(self._index)
+
+
+class FlatCache:
+    """Fully associative LRU cache of flat entries that owns the inclusive
+    ``overflow`` buffer of the pages' dynamic lines (line ``i`` of page ``p``
+    is key ``p * FULL_SLOTS + i``).
+
+    Each resident page, least recently used first, maps to the count of lines
+    it filled.  A page's format only grows until a reset drops it, so its
+    resident lines are among those; evicting or dropping a page invalidates
+    them in the same call.
+    """
+
+    def __init__(self, entries: int, overflow: SetAssocCache) -> None:
+        if entries <= 0:
+            raise ConfigError(f"bad cache shape: {entries} flat entries")
+        self.entries = entries
+        self.overflow = overflow
+        self._pages: dict[int, int] = {}
+        self.hits = 0
+        self.misses = 0
+
+    def read(self, page: int, count: int) -> tuple[bool, bool | None]:
+        """Look up a page whose format has ``count`` lines, filling it on a miss.
+        Returns the flat hit and, for a hit with lines, whether all lines hit."""
+        pages = self._pages
+        filled = pages.pop(page, None)
+        if filled is None:
+            self.misses += 1
+            pages[page] = 0
+            if len(pages) > self.entries:
+                self.drop(next(iter(pages)))  # the least recently used page
+            return False, None
+        pages[page] = filled
+        self.hits += 1
+        first = page * FULL_SLOTS
+        return True, self.overflow.get_range(range(first, first + count)) if count else None
+
+    def touch(self, page: int) -> None:
+        """Refresh or fill a page, as a write does; counts nothing."""
+        pages = self._pages
+        pages[page] = pages.pop(page, 0)
+        if len(pages) > self.entries:
+            self.drop(next(iter(pages)))
+
+    def fill_lines(self, page: int, count: int) -> None:
+        """Fill a resident page's first ``count`` lines into the overflow
+        buffer, as a device response carries them; recency is unchanged."""
+        self._pages[page] = count
+        first = page * FULL_SLOTS
+        self.overflow.put_range(range(first, first + count))
+
+    def drop(self, page: int) -> None:
+        """Invalidate a page and its lines."""
+        count = self._pages.pop(page, 0)
+        if count:
+            first = page * FULL_SLOTS
+            self.overflow.invalidate_range(range(first, first + count))
+
+    def lines(self, page: int) -> int:
+        """Overflow lines a resident page filled; 0 for any other page."""
+        return self._pages.get(page, 0)
+
+    def __contains__(self, page: int) -> bool:
+        return page in self._pages

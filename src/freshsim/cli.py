@@ -225,7 +225,7 @@ def _mc_params(doc, required: tuple, optional: tuple, what: str) -> dict:
 
 
 def cmd_analyze_security(args) -> int:
-    doc = _read_json(args.config) if args.config else {}
+    doc = _section(_read_json(args.config) if args.config else None)
     _check(doc, dict.fromkeys(("exhaustion", "replay", "monte_carlo")), "analysis")
 
     ex_doc = _section(doc.get("exhaustion"))

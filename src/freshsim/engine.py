@@ -7,9 +7,9 @@ latency.  Each mode adds only its freshness scheme.
 
 The device-backed engine keeps three small caches of freshness metadata:
 
-* a fully associative cache of flat entries (one per hot page),
-* an overflow buffer of 56-byte dynamic lines (uneven offsets and the four
-  quarters of a full entry), inclusive with the flat cache,
+* a fully associative cache of flat entries (one per hot page), which owns
+  an inclusive overflow buffer of 56-byte dynamic lines (uneven offsets and
+  the four quarters of a full entry),
 * a set-associative write-back cache of 64-byte MAC blocks.
 
 The caches track residency only.  Byte and transaction counts depend only on
@@ -33,7 +33,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from .caches import SetAssocCache
+from .caches import FlatCache, SetAssocCache
 from .core import (
     AddressRangeError,
     ConfigError,
@@ -312,7 +312,7 @@ class ProtectionEngine:
     the MAC cache, and computes latency.  A mode plugs its freshness scheme
     in through two hooks: ``_freshness`` runs before the MAC access and
     returns the metadata fetch latency of a read; ``_after_write`` runs once
-    a write's MAC line is owned.
+    a write's MAC line is owned, if it has ``events`` or in ``debug`` mode.
 
     With no hooks overridden and no MAC or cipher this is unprotected memory.
     """
@@ -334,6 +334,7 @@ class ProtectionEngine:
         self._local_ns = config.local_ns
         self._pool_ns = config.pool_ns
         self._block_bytes = g.block_bytes
+        self._debug = config.debug
         # MAC-cache key of a data block: mac_block_addr(addr) // block_bytes
         self._mac_key_base = self.layout.mac_base // g.block_bytes
         self._mac_key_span = g.block_bytes * g.macs_per_block
@@ -350,27 +351,6 @@ class ProtectionEngine:
         self.resets = 0
         self.reencrypted_blocks = 0
         self.read_latency_total = 0.0
-
-    # -- MAC cache -------------------------------------------------------------------
-
-    def _mac_access(self, out: AccessOutcome, is_write: bool, data_ns: float) -> float:
-        """Probe the MAC cache for the event's block; returns fetch latency,
-        ``data_ns`` on a miss (the MAC line sits on the data's channel).
-
-        A miss fetches the MAC line (for ownership, on a write) and a dirty
-        eviction writes one back.  A write leaves the line dirty.
-        """
-        key = self._mac_key_base + out.addr // self._mac_key_span
-        hit, evicted = self.mac_cache.access(key, is_write)
-        out.mac_hit = hit
-        if hit:
-            return 0.0
-        nbytes = self._block_bytes
-        if evicted is not None and evicted[1]:
-            nbytes += nbytes
-        out.mac_bytes += nbytes
-        self.mac_bytes += nbytes
-        return data_ns
 
     # -- freshness hooks -------------------------------------------------------------
 
@@ -415,15 +395,28 @@ class ProtectionEngine:
         if is_write:
             self.writes += 1
             self._freshness(out, True)
-            if self.uses_mac:
-                self._mac_access(out, True, data_ns)
-            out.latency_ns = data_ns + self._cipher_ns
-            self._after_write(out)
         else:
             self.reads += 1
             fresh_ns = self._freshness(out, False)
-            mac_ns = self._mac_access(out, False, data_ns) if self.uses_mac else 0.0
-            latency = data_ns + max(mac_ns, fresh_ns) + self._cipher_ns
+        mac_ns = 0.0
+        if self.uses_mac:
+            # a miss fetches the MAC line (for ownership, on a write) from the data's
+            # channel and a dirty eviction writes one back; a write leaves it dirty
+            hit, evicted = self.mac_cache.access(
+                self._mac_key_base + addr // self._mac_key_span, is_write)
+            out.mac_hit = hit
+            if not hit:
+                if evicted is not None and evicted[1]:
+                    nbytes += nbytes
+                out.mac_bytes += nbytes
+                self.mac_bytes += nbytes
+                mac_ns = data_ns
+        if is_write:
+            out.latency_ns = data_ns + self._cipher_ns
+            if out.events or self._debug:
+                self._after_write(out)
+        else:
+            latency = data_ns + (mac_ns if mac_ns > fresh_ns else fresh_ns) + self._cipher_ns
             out.latency_ns = latency
             self.read_latency_total += latency
         return out
@@ -479,53 +472,24 @@ class HostEngine(ProtectionEngine):
             geometry=config.geometry,
             params=config.params,
         )
-        entries = config.flat_cache_entries
-        self.flat_cache = SetAssocCache(lines=entries, assoc=entries)
-        self.overflow = SetAssocCache(
-            lines=config.overflow_bytes // SLOT_BYTES, assoc=config.overflow_assoc
-        )
+        self.overflow = SetAssocCache(config.overflow_bytes // SLOT_BYTES, config.overflow_assoc)
+        self.flat_cache = FlatCache(config.flat_cache_entries, self.overflow)
         self.functional = (
             FunctionalBlockStore(config.geometry, config.params, config.seed)
             if config.functional else None
         )
         self.uv: dict[int, int] = {}
-        # page -> overflow lines filled since the page's last drop.  Only
-        # pages in the flat cache are kept, and a page's format only grows
-        # until a reset drops it, so each page's resident lines are among
-        # its first ``count`` keys and no other page has any
-        self._line_pages: dict[int, int] = {}
         g = config.geometry
         self._page_bytes = g.page_bytes
         # a page's MAC lines, rewritten on every upper-version bump
         self._page_mac_bytes = g.blocks_per_page // g.macs_per_block * g.block_bytes
         self._device_ns = config.device_ns
         self._message_bytes = config.device_message_bytes
-        self._debug = config.debug
         self.device_transactions = 0
         self.device_reads = 0
         self.device_updates = 0
 
     # -- metadata caches -----------------------------------------------------------
-
-    def _drop_lines(self, page: int) -> None:
-        count = self._line_pages.pop(page, 0)
-        if count:
-            first = page * FULL_SLOTS
-            self.overflow.invalidate_range(range(first, first + count))
-
-    def _device_round_trip(self, out: AccessOutcome, page: int, count: int) -> None:
-        """One device transaction: request and entry messages plus one per
-        dynamic line; the response fills the page's ``count`` lines into the
-        overflow buffer.  The caller has filled the flat cache."""
-        self.device_transactions += 1
-        out.device_transactions += 1
-        nbytes = (2 + count) * self._message_bytes
-        out.device_bytes += nbytes
-        self.device_bytes += nbytes
-        if count:
-            self._line_pages[page] = count
-            first = page * FULL_SLOTS
-            self.overflow.put_range(range(first, first + count))
 
     def _freshness(self, out: AccessOutcome, is_write: bool) -> float:
         """A write is one device UPDATE; it runs before the MAC write, so a
@@ -541,28 +505,31 @@ class HostEngine(ProtectionEngine):
                 raise SimulationHalted(self.halted) from exc
             out.events = result.events
             self.device_updates += 1
-            evicted = self.flat_cache.put(page)
-            if evicted is not None:
-                # inclusive pair: dropping a page's flat entry kills its lines
-                self._drop_lines(evicted[0])
-            self._device_round_trip(out, page, LINE_COUNT[result.format_after])
-            return 0.0
-        # materializes an untouched page, which can never be a flat hit, so
-        # its base is drawn in the same event as the device READ it needs
-        count = LINE_COUNT[self.store.fetch_format(page)]
-        hit, evicted = self.flat_cache.access(page)
-        out.flat_hit = hit
-        if evicted is not None:
-            self._drop_lines(evicted[0])
-        if hit and count:
-            first = page * FULL_SLOTS
-            out.overflow_hit = self.overflow.get_range(range(first, first + count))
-        latency = 0.0
-        if not hit or out.overflow_hit is False:
+            self.flat_cache.touch(page)
+            count = LINE_COUNT[result.format_after]
+            latency = 0.0
+        else:
+            # materializes an untouched page, which can never be a flat hit,
+            # so its base is drawn in the same event as the device READ
+            count = LINE_COUNT[self.store.fetch_format(page)]
+            hit, lines_hit = self.flat_cache.read(page, count)
+            out.flat_hit = hit
+            out.overflow_hit = lines_hit
+            if hit and lines_hit is not False:
+                if self._debug:
+                    self._debug_checks(out.addr)
+                return 0.0
             self.device_reads += 1
-            self._device_round_trip(out, page, count)
             latency = self._device_ns
-        if self._debug:
+        # request and entry messages, plus one per dynamic line the response fills
+        self.device_transactions += 1
+        out.device_transactions += 1
+        nbytes = (2 + count) * self._message_bytes
+        out.device_bytes += nbytes
+        self.device_bytes += nbytes
+        if count:
+            self.flat_cache.fill_lines(page, count)
+        if self._debug and not is_write:
             self._debug_checks(out.addr)
         return latency
 
@@ -582,23 +549,18 @@ class HostEngine(ProtectionEngine):
             self._debug_checks(None)
 
     def _invalidate_page(self, page: int) -> None:
-        self.flat_cache.invalidate(page)
-        self._drop_lines(page)
-        g = self.config.geometry
-        base_addr = page * g.page_bytes
-        mac_lines = g.blocks_per_page // g.macs_per_block
-        first = mac_block_addr(base_addr, self.layout) // g.block_bytes
-        self.mac_cache.invalidate_range(range(first, first + mac_lines))
+        self.flat_cache.drop(page)
+        first = self._mac_key_base + page * self._page_bytes // self._mac_key_span
+        lines = self._page_mac_bytes // self._block_bytes
+        self.mac_cache.invalidate_range(range(first, first + lines))
 
     def _debug_checks(self, addr: int | None) -> None:
-        """Overflow lines are among those their page filled, and tracked
-        pages have a cached flat entry; on a read, the packed entry and lines
-        the device sends decode to the store's version."""
+        """Overflow lines are among those their cached page filled; on a
+        read, the packed entry and lines the device sends decode to the
+        store's version."""
         for key in self.overflow.resident_keys():
-            filled = self._line_pages.get(key // FULL_SLOTS, 0)
+            filled = self.flat_cache.lines(key // FULL_SLOTS)
             assert key % FULL_SLOTS < filled, "overflow line the page did not fill"
-        for page in self._line_pages:
-            assert page in self.flat_cache, "tracked page without flat entry"
         if addr is not None:
             assert self._decode_version(addr) == self.store.read_version(addr), "entry decode drift"
 

@@ -65,8 +65,8 @@ FULL_SLOTS = 4  # full line is allocated as 4 contiguous slots (224 B reserved)
 LINE_COUNT = (0, 1, FULL_SLOTS)  # dynamic lines behind an entry, by format
 
 SNAPSHOT_MAGIC = b"TRIP"
-SNAPSHOT_VERSION = 3
-_SNAPSHOT_HEADER = "<HBBBQQ"  # version, S, U, R, total pages, entry count
+SNAPSHOT_VERSION = 4
+_SNAPSHOT_HEADER = "<HBBBIIQQ"  # version, S, U, R, page/block bytes, pages, entries
 _PAGE_INDEX_BYTES = 8
 
 
@@ -509,9 +509,10 @@ class VersionStore:
         continues updating under its own seed.
         """
         params = self.params
+        g = self.geometry
         parts = [SNAPSHOT_MAGIC + struct.pack(
-            _SNAPSHOT_HEADER, SNAPSHOT_VERSION, params.stealth_bits,
-            params.upper_bits, params.reset_exp, self.total_pages, len(self._entries),
+            _SNAPSHOT_HEADER, SNAPSHOT_VERSION, params.stealth_bits, params.upper_bits,
+            params.reset_exp, g.page_bytes, g.block_bytes, self.total_pages, len(self._entries),
         )]
         for page in sorted(self._entries):
             parts.append(page.to_bytes(_PAGE_INDEX_BYTES, "little"))
@@ -527,20 +528,22 @@ class VersionStore:
         rng: RandomSource,
         geometry: Geometry | None = None,
     ) -> "VersionStore":
-        """Load a ``to_snapshot`` image.  A truncated blob, trailing bytes, a page
-        out of order or range and an entry or lines that do not re-encode to
-        the same bytes are each an EncodingError."""
+        """Load a ``to_snapshot`` image.  A truncated blob, trailing bytes, a
+        geometry other than the one that wrote it, a page out of order or
+        range, a flat entry covering every block and an entry or lines that do
+        not re-encode to the same bytes are each an EncodingError."""
         if data[:4] != SNAPSHOT_MAGIC:
             raise EncodingError("bad snapshot magic")
         pos = len(SNAPSHOT_MAGIC)
         head = _read(data, pos, struct.calcsize(_SNAPSHOT_HEADER))
-        version, s_bits, u_bits, reset_exp, total_pages, count = struct.unpack(
-            _SNAPSHOT_HEADER, head
-        )
+        (version, s_bits, u_bits, reset_exp, page_bytes, block_bytes, total_pages,
+         count) = struct.unpack(_SNAPSHOT_HEADER, head)
         if version != SNAPSHOT_VERSION:
             raise EncodingError(f"unsupported snapshot version {version}")
         pos += len(head)
         geometry = geometry or Geometry()
+        if (page_bytes, block_bytes) != (geometry.page_bytes, geometry.block_bytes):
+            raise EncodingError(f"snapshot geometry {page_bytes}/{block_bytes} B differs")
         params = SecurityParams(stealth_bits=s_bits, upper_bits=u_bits, reset_exp=reset_exp)
         store = cls(
             protected_bytes=total_pages * geometry.page_bytes,
@@ -569,6 +572,8 @@ class VersionStore:
             e.tag = tag
             if tag == FLAT:
                 e.bitvec = payload & store._full_vector
+                if e.bitvec == store._full_vector:  # the store folds this into the base
+                    raise EncodingError(f"page {page}: flat entry covers every block")
             else:
                 e.slot = payload & ((1 << LOCATOR_BITS) - 1)
             if tag == UNEVEN:

@@ -1,8 +1,11 @@
 from collections import OrderedDict
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from freshsim.caches import SetAssocCache
+from freshsim.caches import FlatCache, SetAssocCache
+from freshsim.core import ConfigError
+from freshsim.version_store import FULL_SLOTS
 
 
 class TestLruCache:
@@ -322,3 +325,115 @@ class TestRangeOps:
         c.invalidate_range(range(2, 6))
         assert c.resident_keys() == [1] and len(c) == 1
         assert (c.hits, c.misses) == (0, 0)
+
+
+class _FlatModel:
+    """Reference for ``FlatCache``: an ``_LruModel`` of pages, a per-page
+    count of filled lines and a twin overflow cache driven key by key."""
+
+    def __init__(self, entries, lines, assoc):
+        self.lru = _LruModel(entries)
+        self.filled = {}
+        self.overflow = SetAssocCache(lines, assoc)
+        self.hits = self.misses = 0
+
+    def _keys(self, page, count):
+        return range(page * FULL_SLOTS, page * FULL_SLOTS + count)
+
+    def _fill(self, page):
+        evicted = self.lru.put(page, False)
+        self.filled.setdefault(page, 0)
+        if evicted is not None:
+            self.drop(evicted[0])
+
+    def read(self, page, count):
+        if not self.lru.get(page):
+            self.misses += 1
+            self._fill(page)
+            return False, None
+        self.hits += 1
+        if not count:
+            return True, None
+        return True, all([self.overflow.get(k) for k in self._keys(page, count)])
+
+    def touch(self, page):
+        self._fill(page)
+
+    def fill_lines(self, page, count):
+        self.filled[page] = count
+        for k in self._keys(page, count):
+            self.overflow.put(k)
+
+    def drop(self, page):
+        self.lru.invalidate(page)
+        for k in self._keys(page, self.filled.pop(page, 0)):
+            self.overflow.invalidate(k)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.lists(
+        st.tuples(st.sampled_from(["read", "fetch", "touch", "write", "drop"]),
+                  st.integers(0, 5), st.integers(0, FULL_SLOTS)),
+        max_size=120,
+    ),
+)
+def test_flat_cache_matches_reference_model(entries, assoc, sets, ops):
+    # "write" and "fetch" drive the cache as the engine does: lines are
+    # filled only into a resident page, by the device response to an update
+    # or to a read that missed, and a cached page's line count never shrinks
+    real = FlatCache(entries, SetAssocCache(assoc * sets, assoc))
+    model = _FlatModel(entries, assoc * sets, assoc)
+    for op, page, count in ops:
+        count = max(count, model.filled.get(page, 0))
+        if op in ("read", "fetch"):
+            result = real.read(page, count)
+            assert result == model.read(page, count)
+            fill = op == "fetch" and count and (not result[0] or result[1] is False)
+        elif op == "drop":
+            real.drop(page)
+            model.drop(page)
+            fill = False
+        else:
+            real.touch(page)
+            model.touch(page)
+            fill = op == "write" and count
+        if fill:
+            real.fill_lines(page, count)
+            model.fill_lines(page, count)
+        assert (real.hits, real.misses) == (model.hits, model.misses)
+        assert [p for p in range(6) if p in real] == [p for p in range(6) if p in model.lru.d]
+        assert [real.lines(p) for p in range(6)] == [model.filled.get(p, 0) for p in range(6)]
+        ov, ov_model = real.overflow, model.overflow
+        assert ov.resident_keys() == ov_model.resident_keys()
+        assert (ov.hits, ov.misses) == (ov_model.hits, ov_model.misses)
+        # inclusive: every resident line belongs to a cached page that filled it
+        assert all(k % FULL_SLOTS < real.lines(k // FULL_SLOTS) for k in ov.resident_keys())
+
+
+class TestFlatCache:
+    def test_eviction_drops_the_victims_lines(self):
+        c = FlatCache(2, SetAssocCache(8, 8))
+        for page in (0, 1):
+            c.touch(page)
+            c.fill_lines(page, FULL_SLOTS)
+        assert c.read(2, 0) == (False, None)  # evicts page 0, the least recent
+        assert 0 not in c and c.overflow.resident_keys() == [4, 5, 6, 7]
+        assert c.read(1, FULL_SLOTS) == (True, True)
+        assert (c.hits, c.misses) == (1, 1)
+
+    def test_touch_counts_nothing_and_fill_keeps_recency(self):
+        c = FlatCache(2, SetAssocCache(8, 8))
+        c.touch(0)
+        c.touch(1)
+        c.fill_lines(0, 1)  # page 0 stays the least recent
+        c.touch(2)
+        assert 0 not in c and c.overflow.resident_keys() == []
+        assert (c.hits, c.misses) == (0, 0)
+
+    def test_rejects_no_entries(self):
+        with pytest.raises(ConfigError):
+            FlatCache(0, SetAssocCache(4, 4))

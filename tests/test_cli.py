@@ -381,6 +381,14 @@ class TestAnalyzeSecurity:
         cfg = write_json(tmp_path, "q.json", {"exhaustion": None, "replay": None})
         assert main(["analyze-security", "--config", cfg, "--out", str(tmp_path / "r.json")]) == 0
 
+    def test_null_document_runs_default_query(self, tmp_path):
+        # as for simulate, gen-trace and compare, a document holding null is absent
+        cfg = write_json(tmp_path, "q.json", None)
+        out, default = str(tmp_path / "r.json"), str(tmp_path / "default.json")
+        assert main(["analyze-security", "--config", cfg, "--out", out]) == 0
+        assert main(["analyze-security", "--out", default]) == 0
+        assert open(out).read() == open(default).read()
+
     def test_unknown_analysis_key(self, tmp_path, capsys):
         cfg = write_json(tmp_path, "bad.json", {"exhaustion": {"warp_factor": 9}})
         assert main(["analyze-security", "--config", cfg]) == 2

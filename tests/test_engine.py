@@ -189,6 +189,35 @@ class TestInclusivity:
         assert e.store.pages_full > 0
 
 
+    def test_debug_checks_run_after_every_accepted_event(self, monkeypatch):
+        checks = []
+        original = HostEngine._debug_checks
+
+        def counted(self, addr):
+            checks.append(addr)
+            original(self, addr)
+
+        monkeypatch.setattr(HostEngine, "_debug_checks", counted)
+        params = SecurityParams(stealth_bits=27, upper_bits=37, reset_exp=3)
+        e = make_engine(pages=4, flat_cache_entries=2, debug=True, params=params, seed=2)
+        rng = np.random.default_rng(8)
+        kinds = set()
+        for i, (b, w) in enumerate(zip(rng.integers(0, 4 * 64, size=600).tolist(),
+                                       (rng.random(600) < 0.6).tolist())):
+            out = e.process_access("W" if w else "R", b * BLOCK)
+            assert len(checks) == i + 1
+            assert checks[-1] == (None if w else b * BLOCK)
+            kinds.add((out.op, bool(out.events)))
+        with pytest.raises(ConfigError):
+            e.process_access("X", 0)
+        assert len(checks) == 600  # a rejected event runs no check
+        assert kinds == {("R", False), ("W", False), ("W", True)} and e.resets > 0
+        quiet = make_engine(pages=4)
+        quiet.process_access("W", 0)
+        quiet.process_access("R", 0)
+        assert len(checks) == 600
+
+
 class TestUvUpdates:
     def params(self, reset_exp=1):
         return SecurityParams(stealth_bits=27, upper_bits=37, reset_exp=reset_exp)

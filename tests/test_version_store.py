@@ -499,6 +499,38 @@ class TestSnapshot:
         with pytest.raises(EncodingError, match="version 2"):
             VersionStore.from_snapshot(bytes(blob), 1 << 20, RandomSource(1))
 
+    def test_version_3_blob_rejected(self):
+        # the version-3 header carried no geometry: S, U, R, pages, entry count
+        s = self.build()
+        blob = s.to_snapshot()
+        head = struct.pack("<HBBBQQ", 3, P.stealth_bits, P.upper_bits, P.reset_exp, 6, 3)
+        v3 = SNAPSHOT_MAGIC + head + blob[len(SNAPSHOT_MAGIC) + struct.calcsize("<HBBBIIQQ"):]
+        with pytest.raises(EncodingError, match="version 3"):
+            VersionStore.from_snapshot(v3, s.device_capacity_bytes, RandomSource(1))
+
+    @pytest.mark.parametrize("written, loaded", [
+        (G, Geometry(page_bytes=1024)),
+        (Geometry(page_bytes=1024), G),
+        (G, Geometry(block_bytes=128)),
+    ], ids=["4k_as_1k", "1k_as_4k", "block_128"])
+    def test_geometry_recorded_and_checked(self, written, loaded):
+        s = make_store(pages=4, geometry=written)
+        s.update_version(0)
+        s.update_version(written.page_bytes)
+        blob = s.to_snapshot()
+        twin = VersionStore.from_snapshot(blob, s.device_capacity_bytes, RandomSource(1), written)
+        assert twin.protected_bytes == s.protected_bytes == 4 * written.page_bytes
+        with pytest.raises(EncodingError, match="geometry"):
+            VersionStore.from_snapshot(blob, s.device_capacity_bytes, RandomSource(1), loaded)
+
+    def test_flat_entry_covering_every_block_rejected(self):
+        # the store folds a full coverage vector into the base; it never rests there
+        s = make_store(pages=2)
+        s.update_version(0)
+        s._entries[0].bitvec = (1 << G.blocks_per_page) - 1
+        with pytest.raises(EncodingError, match="every block"):
+            VersionStore.from_snapshot(s.to_snapshot(), s.device_capacity_bytes, RandomSource(1))
+
     def test_snapshot_is_the_packed_image(self):
         s = self.build()
         assert s.to_snapshot().endswith(b"".join(record(s, page) for page in range(3)))
