@@ -36,12 +36,10 @@ from .engine import (
     FreshnessViolation,
     FunctionalBlockStore,
     HostEngine,
-    LayoutError,
     MemoryLayout,
     Record,
     SimulationHalted,
     UvOverflowError,
-    mac_block_addr,
 )
 from .baselines import (
     CiEngine,
@@ -97,12 +95,10 @@ __all__ = [
     "FreshnessViolation",
     "FunctionalBlockStore",
     "HostEngine",
-    "LayoutError",
     "MemoryLayout",
     "Record",
     "SimulationHalted",
     "UvOverflowError",
-    "mac_block_addr",
     "CiEngine",
     "CounterTreeConfig",
     "CounterTreeState",

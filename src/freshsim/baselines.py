@@ -57,6 +57,12 @@ class CounterTreeConfig:
     def __post_init__(self) -> None:
         if self.arity < 2:
             raise ConfigError("tree arity must be at least 2")
+        if self.node_bytes < self.arity:
+            raise ConfigError("tree node_bytes must be at least arity")
+        if self.counters_per_leaf_node < 1:
+            raise ConfigError("tree counters_per_leaf_node must be at least 1")
+        if self.counter_cache_assoc < 1:
+            raise ConfigError("tree counter_cache_assoc must be at least 1")
         if self.protected_bytes < self.geometry.block_bytes:
             raise ConfigError("protected range smaller than one block")
         if self.root_bytes < self.node_bytes // self.arity:
@@ -152,7 +158,6 @@ class MerkleEngine(ProtectionEngine):
         if tree_config.protected_bytes != config.protected_bytes:
             raise ConfigError("tree must cover exactly the protected range")
         self.tree = CounterTreeState(tree_config)
-        self.tree_fetches = 0
         self.first_access_fetches: int | None = None
 
     def _freshness(self, out: AccessOutcome, is_write: bool) -> float:
@@ -163,7 +168,6 @@ class MerkleEngine(ProtectionEngine):
         out.device_bytes += nbytes
         self.device_bytes += nbytes
         out.tree_fetches = fetched
-        self.tree_fetches += fetched
         if self.first_access_fetches is None:
             self.first_access_fetches = fetched
         # dependent chain: each level's verification needs the next node
@@ -173,7 +177,7 @@ class MerkleEngine(ProtectionEngine):
         s = super().stats()
         s["tree"] = {
             "depth": self.tree.depth,
-            "fetches": self.tree_fetches,
+            "fetches": self.tree.fetches,
             "dirty_writebacks": self.tree.dirty_writebacks,
             "first_access_fetches": self.first_access_fetches or 0,
         }

@@ -36,15 +36,11 @@ class SetAssocCache:
 
     def _fill(self, key: int, dirty: bool) -> tuple[int, bool] | None:
         """Insert a non-resident key; returns the evicted (key, dirty) or None."""
-        if self.num_sets == 1:
-            s = self._sets[0]
-        else:
-            # cheap deterministic integer hash; Python's hash() is identity
-            # for ints, which would put striding keys in lockstep with the
-            # set count
-            h = (key ^ (key >> 16)) * 0x45D9F3B
-            h = (h ^ (h >> 16)) * 0x45D9F3B
-            s = self._sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % self.num_sets]
+        # cheap deterministic integer hash; Python's hash() is identity for
+        # ints, which would put striding keys in lockstep with the set count
+        h = (key ^ (key >> 16)) * 0x45D9F3B
+        h = (h ^ (h >> 16)) * 0x45D9F3B
+        s = self._sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % self.num_sets]
         s[key] = dirty
         self._index[key] = s
         if len(s) > self.assoc:
@@ -54,33 +50,10 @@ class SetAssocCache:
             return victim, s.pop(victim)
         return None
 
-    def get(self, key: int) -> bool:
-        """Look up a line, counting the hit or miss and refreshing recency."""
-        s = self._index.get(key)
-        if s is None:
-            self.misses += 1
-            return False
-        s[key] = s.pop(key)
-        self.hits += 1
-        return True
-
-    def probe(self, key: int) -> bool:
-        """Residency check without touching recency or counters."""
-        return key in self._index
-
-    __contains__ = probe
-
-    def put(self, key: int, dirty: bool = False) -> tuple[int, bool] | None:
-        """Fill or refresh a line.  Returns the evicted (key, dirty) or None."""
-        s = self._index.get(key)
-        if s is None:
-            return self._fill(key, dirty)
-        s[key] = s.pop(key) or dirty
-        return None
-
     def access(self, key: int, dirty: bool = False) -> tuple[bool, tuple[int, bool] | None]:
-        """``get``, then ``put`` on a miss; a write (``dirty``) hit marks the
-        line dirty.  Returns (hit, evicted (key, dirty) or None)."""
+        """Look up a line, counting the hit or miss and refreshing recency,
+        and fill it on a miss; a write (``dirty``) marks the line dirty.
+        Returns (hit, evicted (key, dirty) or None)."""
         s = self._index.get(key)
         if s is None:
             self.misses += 1
@@ -89,19 +62,12 @@ class SetAssocCache:
         self.hits += 1
         return True, None
 
-    def invalidate(self, key: int) -> bool:
-        """Drop a line without write-back (caller has already persisted it)."""
-        s = self._index.pop(key, None)
-        if s is None:
-            return False
-        del s[key]
-        return True
-
-    # -- range operations: ``put``, ``get`` or ``invalidate`` on every key of
-    # a run of keys (a page's dynamic lines), in order, in one call
+    # -- range operations: fill, look up or drop every key of a run of keys
+    # (a page's dynamic lines), in order, in one call
 
     def put_range(self, keys) -> None:
-        """``put(key)`` (clean) on every key; evictions are not reported."""
+        """Fill every absent key clean and refresh every resident one, keeping
+        its dirty bit; counts nothing, and evictions are not reported."""
         index = self._index
         fill = self._fill
         for key in keys:
@@ -112,8 +78,9 @@ class SetAssocCache:
                 s[key] = s.pop(key)
 
     def get_range(self, keys) -> bool:
-        """``get`` on every key, with no short-circuit: each key counts its
-        hit or miss and a hit refreshes recency.  True if all keys hit."""
+        """Look up every key, with no short-circuit and no fill: each key
+        counts its hit or miss and a hit refreshes recency.  True if all
+        keys hit."""
         index = self._index
         hits = 0
         missed = 0
@@ -129,7 +96,8 @@ class SetAssocCache:
         return not missed
 
     def invalidate_range(self, keys) -> None:
-        """``invalidate`` every key."""
+        """Drop every resident key without write-back (the caller has
+        already persisted it)."""
         pop = self._index.pop
         for key in keys:
             s = pop(key, None)

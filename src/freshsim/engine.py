@@ -62,10 +62,6 @@ TIB = 1 << 40
 GIB = 1 << 30
 
 
-class LayoutError(SimError):
-    """Address falls outside the data partition."""
-
-
 class UvOverflowError(SimError):
     """A page's upper version hit 2**U; the memory's lifetime is exhausted."""
 
@@ -117,17 +113,6 @@ class MemoryLayout:
         return cls(data_bytes=data, geometry=g)
 
 
-def mac_block_addr(addr: int, layout: MemoryLayout) -> int:
-    """Address of the MAC block guarding the data block at ``addr``."""
-    g = layout.geometry
-    if addr < 0 or addr >= layout.total_bytes:
-        raise AddressRangeError(f"address {addr:#x} outside the node")
-    if addr >= layout.data_bytes:
-        raise LayoutError(f"address {addr:#x} lies in the MAC partition")
-    mac_index = addr // g.block_bytes // g.macs_per_block
-    return layout.mac_base + mac_index * g.block_bytes
-
-
 @dataclass(frozen=True)
 class EngineConfig:
     """Every knob of a simulation run; defaults match the reference platform:
@@ -164,6 +149,10 @@ class EngineConfig:
             )
         if self.overflow_bytes % SLOT_BYTES:
             raise ConfigError("overflow_bytes must be a multiple of the 56-byte line")
+        if not self.clock_ghz > 0:
+            raise ConfigError(f"clock_ghz must be positive, got {self.clock_ghz}")
+        if not 0 <= self.seed < 1 << 128:
+            raise ConfigError(f"seed must lie in [0, 2**128), got {self.seed}")
 
     @property
     def cipher_ns(self) -> float:
@@ -335,7 +324,8 @@ class ProtectionEngine:
         self._pool_ns = config.pool_ns
         self._block_bytes = g.block_bytes
         self._debug = config.debug
-        # MAC-cache key of a data block: mac_block_addr(addr) // block_bytes
+        # MAC-cache key of a data block: the index of the 64-byte MAC line,
+        # above the data partition, that holds the MACs of its run of blocks
         self._mac_key_base = self.layout.mac_base // g.block_bytes
         self._mac_key_span = g.block_bytes * g.macs_per_block
         self.killed: str | None = None
@@ -548,12 +538,6 @@ class HostEngine(ProtectionEngine):
         if self._debug:
             self._debug_checks(None)
 
-    def _invalidate_page(self, page: int) -> None:
-        self.flat_cache.drop(page)
-        first = self._mac_key_base + page * self._page_bytes // self._mac_key_span
-        lines = self._page_mac_bytes // self._block_bytes
-        self.mac_cache.invalidate_range(range(first, first + lines))
-
     def _debug_checks(self, addr: int | None) -> None:
         """Overflow lines are among those their cached page filled; on a
         read, the packed entry and lines the device sends decode to the
@@ -578,52 +562,57 @@ class HostEngine(ProtectionEngine):
 
     # -- page-level operations -----------------------------------------------------
 
-    def _check_page(self, page: int) -> None:
+    def _rekey_page(self, page: int, op: str, out: AccessOutcome | None) -> AccessOutcome:
+        """The re-key a reset and a page free share: bump the page's upper
+        version, charge the rewrite of the MAC lines that hold it onto ``out``
+        (a new ``op`` outcome when none is given) and the totals, and drop the
+        page's cached metadata, which refills lazily.
+
+        A terminal engine raises SimulationHalted, a page outside the
+        protected range AddressRangeError, and an upper version that would
+        reach 2**U UvOverflowError, each before anything changes.
+        """
+        if self.halted or self.killed:
+            raise SimulationHalted(self.halted or self.killed)
         if not 0 <= page < self.store.total_pages:
             raise AddressRangeError(f"page {page} outside protected range")
-
-    def _bump_uv(self, page: int) -> int:
-        """Advance the page's upper version; UvOverflowError, with nothing
-        changed, when it would reach 2**U."""
         uv = self.uv.get(page, 0) + 1
         bits = self.config.params.upper_bits
         if uv >= (1 << bits):
             raise UvOverflowError(f"page {page} exhausted its {bits}-bit upper version")
         self.uv[page] = uv
-        return uv
+        page_addr = page * self._page_bytes
+        if out is None:
+            out = AccessOutcome(op, page_addr, "local" if page_addr < self._local_limit else "pool")
+        out.mac_bytes += self._page_mac_bytes
+        self.mac_bytes += self._page_mac_bytes
+        self.flat_cache.drop(page)
+        first = self._mac_key_base + page_addr // self._mac_key_span
+        lines = self._page_mac_bytes // self._block_bytes
+        self.mac_cache.invalidate_range(range(first, first + lines))
+        return out
 
     def handle_uv_update(self, page: int, out: AccessOutcome | None = None) -> AccessOutcome:
-        """Bump the page's upper version and re-encrypt the whole page.
+        """Re-key the page (``_rekey_page``) and re-encrypt all of it.
 
         Charged onto ``out`` (a new op-"U" outcome when none is given) and
         the engine totals as 64 data-block writes on the page's channel plus
-        8 MAC-block writes; the page's cached metadata is dropped and refills
-        lazily.  Raises UvOverflowError when the upper version would reach
-        2**U.  A page outside the protected range raises AddressRangeError
-        before anything changes.
+        8 MAC-block writes, and counted as a reset.
         """
-        self._check_page(page)
-        uv = self._bump_uv(page)
-        page_addr = page * self._page_bytes
-        local = page_addr < self._local_limit
-        if out is None:
-            out = AccessOutcome("U", page_addr, "local" if local else "pool")
+        out = self._rekey_page(page, "U", out)
         nbytes = self._page_bytes  # every block of the page, rewritten
-        if local:
+        if page * self._page_bytes < self._local_limit:
             out.local_bytes += nbytes
             self.local_bytes += nbytes
         else:
             out.pool_bytes += nbytes
             self.pool_bytes += nbytes
-        out.mac_bytes += self._page_mac_bytes
-        self.mac_bytes += self._page_mac_bytes
         blocks = self.config.geometry.blocks_per_page
         out.reencrypted_blocks += blocks
         self.reencrypted_blocks += blocks
         self.resets += 1
         if self.functional is not None:
-            self._reencrypt_page(page, uv)
-        self._invalidate_page(page)
+            self._reencrypt_page(page, self.uv[page])
         return out
 
     def _reencrypt_page(self, page: int, new_uv: int) -> None:
@@ -635,24 +624,15 @@ class HostEngine(ProtectionEngine):
             records[addr] = fn.seal(addr, plaintext, new_uv, stealth)
 
     def os_free_page(self, page: int) -> AccessOutcome:
-        """Free/remap a page: bump its UV and reset its versions, nothing more.
+        """Free/remap a page: re-key it (``_rekey_page``) and reset its
+        versions, nothing more.
 
         The freed page is not re-encrypted, so any stale contents fail their
         MAC on the next verified read; that is the cheap scrambling the OS
-        relies on.  A page outside the protected range raises
-        AddressRangeError before anything changes.
+        relies on.
         """
-        if self.halted or self.killed:
-            raise SimulationHalted(self.halted or self.killed)
-        self._check_page(page)
-        page_addr = page * self._page_bytes
-        channel = "local" if page_addr < self._local_limit else "pool"
-        out = AccessOutcome("F", page_addr, channel)
-        self._bump_uv(page)
-        out.mac_bytes += self._page_mac_bytes  # the UV lives in the MAC lines
-        self.mac_bytes += self._page_mac_bytes
+        out = self._rekey_page(page, "F", None)
         self.store.reset_page(page)
-        self._invalidate_page(page)
         out.events = ("page_freed",)
         return out
 

@@ -85,6 +85,8 @@ class PatternSpec:
             raise ConfigError("write_fraction must lie in [0, 1]")
         if self.stride_bytes < BLOCK:
             raise ConfigError("stride must be at least one block")
+        if self.seed < 0:
+            raise ConfigError(f"pattern seed must be non-negative, got {self.seed}")
 
 
 # -- file formats ---------------------------------------------------------------

@@ -46,9 +46,7 @@ from .core import (
     RandomSource,
     SecurityParams,
     SimError,
-    addr_decompose,
     pack_bitfields,
-    stealth_add,
     unpack_bitfields,
 )
 
@@ -165,10 +163,6 @@ class UpdateResult:
     format_after: int
     events: tuple[str, ...]
 
-    @property
-    def reset_triggered(self) -> bool:
-        return "reset_triggered" in self.events
-
 
 _NO_EVENTS: tuple[str, ...] = ()
 
@@ -280,15 +274,22 @@ class VersionStore:
 
     # -- reads -----------------------------------------------------------------
 
+    def _version(self, e: _Entry, block: int) -> int:
+        """Stealth version of ``block`` as its page entry ``e`` encodes it."""
+        if e.tag == FLAT:
+            return (e.base + ((e.bitvec >> block) & 1)) & self._smask
+        if e.tag == UNEVEN:
+            return (e.base + e.offsets[block]) & self._smask
+        return e.versions[block]
+
     def read_version(self, addr: int) -> int:
         """Current stealth version of the block holding ``addr``."""
-        page, block = addr_decompose(addr, self.geometry, self.protected_bytes)
-        e = self._entry(page)
-        if e.tag == FLAT:
-            return stealth_add(e.base, (e.bitvec >> block) & 1, self.params.stealth_bits)
-        if e.tag == UNEVEN:
-            return stealth_add(e.base, e.offsets[block], self.params.stealth_bits)
-        return e.versions[block]
+        if not 0 <= addr < self.protected_bytes:
+            raise AddressRangeError(
+                f"address {addr:#x} outside protected range of {self.protected_bytes} bytes"
+            )
+        e = self._entry(addr // self._page_bytes)
+        return self._version(e, addr // self._block_bytes % self._blocks_per_page)
 
     def page_format(self, page: int) -> int:
         if not 0 <= page < self.total_pages:
@@ -411,14 +412,10 @@ class VersionStore:
             self._reset_entry(e)
             events = (events or []) + ["reset_triggered"]
 
-        if e.tag == FLAT:
-            new_version = (e.base + ((e.bitvec >> block) & 1)) & smask
-        elif e.tag == UNEVEN:
-            new_version = (e.base + e.offsets[block]) & smask
-        else:
-            new_version = e.versions[block]
         # positional: cheaper than keywords on the per-write path
-        return UpdateResult(new_version, e.tag, tuple(events) if events else _NO_EVENTS)
+        return UpdateResult(
+            self._version(e, block), e.tag, tuple(events) if events else _NO_EVENTS
+        )
 
     # -- resets ----------------------------------------------------------------
 

@@ -13,41 +13,42 @@ class TestLruCache:
 
     def test_fill_and_evict_oldest(self):
         c = SetAssocCache(2, 2)
-        assert c.put(1) is None
-        assert c.put(2) is None
-        assert c.put(3) == (1, False)
-        assert 1 not in c and 2 in c and 3 in c
+        assert c.access(1) == (False, None)
+        assert c.access(2) == (False, None)
+        assert c.access(3) == (False, (1, False))
+        assert c.resident_keys() == [2, 3]
 
     def test_get_refreshes_recency(self):
         c = SetAssocCache(2, 2)
-        c.put(1)
-        c.put(2)
-        assert c.get(1) is True
-        assert c.put(3) == (2, False)
+        c.put_range([1, 2])
+        assert c.get_range([1]) is True
+        assert c.access(3) == (False, (2, False))
 
     def test_hit_miss_counters(self):
         c = SetAssocCache(4, 4)
-        c.put(1)
-        assert c.get(1) is True
-        assert c.get(2) is False
-        c.get(1)
+        c.put_range([1])
+        assert c.get_range([1]) is True
+        assert c.get_range([2]) is False
+        assert c.access(1) == (True, None)
         assert (c.hits, c.misses) == (2, 1)
 
     def test_invalidate(self):
         c = SetAssocCache(2, 2)
-        c.put(1)
-        assert c.invalidate(1) is True
-        assert c.invalidate(1) is False
-        assert 1 not in c
+        c.put_range([1])
+        c.invalidate_range([1])
+        assert c.resident_keys() == [] and len(c) == 0
+        c.invalidate_range([1])
+        assert len(c) == 0
 
     def test_put_existing_updates_value(self):
         # refreshing a resident key moves it to most recent and keeps it dirty
         c = SetAssocCache(2, 2)
-        c.put(1, dirty=True)
-        c.put(2)
-        assert c.put(1) is None
-        assert c.put(3) == (2, False)
-        assert c.put(4) == (1, True)
+        c.access(1, dirty=True)
+        c.put_range([2])
+        c.put_range([1])
+        assert c.resident_keys() == [2, 1]
+        assert c.access(3) == (False, (2, False))
+        assert c.access(4) == (False, (1, True))
 
 
 class _LruModel:
@@ -84,9 +85,12 @@ class _LruModel:
         return self.d.pop(k, None) is not None
 
 
-def _assert_index_matches(cache, model):
-    assert len(cache) == len(cache.resident_keys())
-    assert all(cache.probe(k) for k in model.d)
+def _assert_matches(cache, model):
+    """The one-set cache's lines, recency order and dirty bits equal the
+    model's, and its residency index names exactly the resident keys."""
+    assert list(cache._sets[0].items()) == list(model.d.items())
+    assert cache._index.keys() == model.d.keys() and len(cache) == len(model.d)
+    assert cache.resident_keys() == list(model.d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -102,82 +106,61 @@ def test_lru_matches_reference_model(capacity, ops):
     model = _LruModel(capacity)
     for op, key in ops:
         if op == "get":
-            assert real.get(key) == model.get(key)
+            assert real.get_range((key,)) == model.get(key)
         elif op == "put":
-            assert real.put(key, key % 3 == 0) == model.put(key, key % 3 == 0)
+            real.put_range((key,))
+            model.put(key, False)
         elif op == "access":
             assert real.access(key, key % 2 == 0) == model.access(key, key % 2 == 0)
         else:
-            assert real.invalidate(key) == model.invalidate(key)
-        _assert_index_matches(real, model)
-    assert real.resident_keys() == list(model.d.keys())
+            real.invalidate_range((key,))
+            model.invalidate(key)
+        _assert_matches(real, model)
 
 
 class TestSetAssocCache:
     def test_same_set_lru_eviction(self):
         c = SetAssocCache(lines=4, assoc=4)  # one set
         for k in range(4):
-            assert c.put(k) is None
-        evicted = c.put(4)
-        assert evicted == (0, False)
+            assert c.access(k) == (False, None)
+        assert c.access(4) == (False, (0, False))
 
     def test_get_refreshes_within_set(self):
         c = SetAssocCache(lines=2, assoc=2)
-        c.put(0)
-        c.put(1)
-        c.get(0)
-        assert c.put(2)[0] == 1
-
-    def test_probe_does_not_count(self):
-        c = SetAssocCache(lines=4, assoc=2)
-        c.put(1)
-        assert c.probe(1) is True
-        assert c.probe(99) is False
-        assert (c.hits, c.misses) == (0, 0)
-        c.get(1)
-        c.get(99)
-        assert (c.hits, c.misses) == (1, 1)
-
-    def test_probe_does_not_refresh(self):
-        c = SetAssocCache(lines=2, assoc=2)
-        c.put(1)
-        c.put(2)
-        assert c.probe(1)
-        assert c.put(3) == (1, False)  # 1 still oldest
+        c.put_range([0, 1])
+        c.get_range([0])
+        assert c.access(2)[1][0] == 1
 
     def test_dirty_flag_travels_with_eviction(self):
         c = SetAssocCache(lines=2, assoc=2)
-        c.put(0)
-        c.put(1, dirty=True)
-        assert c.put(2) == (0, False)
-        k, dirty = c.put(3)
-        assert (k, dirty) == (1, True)
+        c.access(0)
+        c.access(1, dirty=True)
+        assert c.access(2) == (False, (0, False))
+        assert c.access(3) == (False, (1, True))
 
     def test_mark_dirty(self):
         c = SetAssocCache(lines=1, assoc=1)
-        c.put(5)
+        c.put_range([5])
         assert c.access(5, True) == (True, None)
-        assert c.put(6) == (5, True)
+        assert c.access(6) == (False, (5, True))
 
     def test_invalidate(self):
         c = SetAssocCache(lines=4, assoc=2)
-        c.put(3)
-        assert c.invalidate(3) is True
-        assert c.invalidate(3) is False
-        assert not c.probe(3)
+        c.put_range([3])
+        c.invalidate_range([3])
+        assert 3 not in c.resident_keys() and len(c) == 0
 
     def test_invalidate_absent_key_changes_nothing(self):
         c = SetAssocCache(lines=4, assoc=2)
-        c.put(1)
-        c.get(1)
-        c.get(2)
-        assert c.invalidate(2) is False
+        c.put_range([1])
+        c.get_range([1])
+        c.get_range([2])
+        c.invalidate_range([2])
         assert (c.hits, c.misses, len(c), c.resident_keys()) == (1, 1, 1, [1])
 
     def test_resident_keys(self):
         c = SetAssocCache(lines=8, assoc=2)
-        for k in (10, 20, 30):
-            c.put(k)
+        c.put_range([10, 20, 30])
         assert sorted(c.resident_keys()) == [10, 20, 30]
 
     def test_disjoint_sets_do_not_interfere(self):
@@ -187,7 +170,7 @@ class TestSetAssocCache:
         evictions = 0
         for k in range(200):
             home = dict(c._index)  # resident key -> its set, before the fill
-            ev = c.put(k)
+            _, ev = c.access(k)
             if ev is not None:
                 evictions += 1
                 assert home[ev[0]] is c._index[k]
@@ -210,15 +193,15 @@ def test_single_set_cache_behaves_like_lru(ops):
         if op == "get":
             hit = lru.get(key)
             hits += hit
-            assert sa.get(key) == hit
+            assert sa.get_range((key,)) == hit
         elif op == "access":
             hit, evicted = lru.access(key, key % 2 == 0)
             hits += hit
             assert sa.access(key, key % 2 == 0) == (hit, evicted)
         else:
-            assert sa.put(key) == lru.put(key, False)
-        _assert_index_matches(sa, lru)
-    assert sa.resident_keys() == list(lru.d.keys())
+            sa.put_range((key,))
+            lru.put(key, False)
+        _assert_matches(sa, lru)
     assert sa.hits == hits
 
 
@@ -276,12 +259,12 @@ def test_range_ops_match_per_key_ops_across_sets(ops):
         result = getattr(ranged, _RANGE_OPS[op])(keys)
         if op == "put":
             for k in keys:
-                per_key.put(k)
+                per_key.put_range((k,))
         elif op == "get":
-            assert result == all([per_key.get(k) for k in keys])
+            assert result == all([per_key.get_range((k,)) for k in keys])
         else:
             for k in keys:
-                per_key.invalidate(k)
+                per_key.invalidate_range((k,))
         assert [list(s) for s in ranged._sets] == [list(s) for s in per_key._sets]
         assert (ranged.hits, ranged.misses, len(ranged)) == (
             per_key.hits, per_key.misses, len(per_key))
@@ -291,7 +274,7 @@ class TestRangeOps:
     def test_get_range_probes_every_key_after_a_miss(self):
         c = SetAssocCache(4, 4)
         c.put_range(range(1, 4))  # 0 is absent, 1..3 resident
-        c.put(9)  # most recent
+        c.put_range([9])  # most recent
         assert c.get_range(range(0, 4)) is False
         assert (c.hits, c.misses) == (3, 1)
         assert c.resident_keys() == [9, 1, 2, 3]  # hits refreshed in order
@@ -304,7 +287,7 @@ class TestRangeOps:
 
     def test_empty_range_changes_nothing(self):
         c = SetAssocCache(4, 4)
-        c.put(1)
+        c.put_range([1])
         assert c.get_range(range(0)) is True
         c.put_range(range(0))
         c.invalidate_range(range(0))
@@ -312,12 +295,12 @@ class TestRangeOps:
 
     def test_put_range_refreshes_and_keeps_dirty_bit(self):
         c = SetAssocCache(3, 3)
-        c.put(1, dirty=True)
-        c.put(2)
+        c.access(1, dirty=True)
+        c.put_range([2])
         c.put_range([1, 3])  # 1 refreshed, still dirty; 3 filled clean
         assert c.resident_keys() == [2, 1, 3]
-        assert c.put(4) == (2, False)
-        assert c.put(5) == (1, True)
+        assert c.access(4) == (False, (2, False))
+        assert c.access(5) == (False, (1, True))
 
     def test_invalidate_range_skips_absent_keys(self):
         c = SetAssocCache(4, 2)
@@ -354,7 +337,7 @@ class _FlatModel:
         self.hits += 1
         if not count:
             return True, None
-        return True, all([self.overflow.get(k) for k in self._keys(page, count)])
+        return True, all([self.overflow.get_range((k,)) for k in self._keys(page, count)])
 
     def touch(self, page):
         self._fill(page)
@@ -362,12 +345,12 @@ class _FlatModel:
     def fill_lines(self, page, count):
         self.filled[page] = count
         for k in self._keys(page, count):
-            self.overflow.put(k)
+            self.overflow.put_range((k,))
 
     def drop(self, page):
         self.lru.invalidate(page)
         for k in self._keys(page, self.filled.pop(page, 0)):
-            self.overflow.invalidate(k)
+            self.overflow.invalidate_range((k,))
 
 
 @settings(max_examples=150, deadline=None)

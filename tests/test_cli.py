@@ -201,6 +201,24 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("doc, flags, key", [
+        ({"mode": "merkle", "tree": {"counter_cache_assoc": 0}}, [], "counter_cache_assoc"),
+        ({"mode": "merkle", "tree": {"node_bytes": 0}}, [], "node_bytes"),
+        ({"mode": "merkle", "tree": {"node_bytes": 4}}, [], "node_bytes"),
+        ({"mode": "merkle", "tree": {"counters_per_leaf_node": 0}}, [], "counters_per_leaf_node"),
+        ({"clock_ghz": 0}, [], "clock_ghz"),
+        ({"functional": True, "seed": -1}, [], "seed"),
+        ({"functional": True, "seed": 2**128}, [], "seed"),
+        ({"functional": True}, ["--seed", "-3"], "seed"),
+        ({"trace": {"pattern": pattern_doc(seed=-1)}}, [], "seed"),
+    ], ids=["tree_assoc_0", "tree_node_0", "tree_node_4", "tree_leaf_0", "clock_0",
+            "seed_negative", "seed_2_128", "seed_flag_negative", "pattern_seed_negative"])
+    def test_out_of_range_value_names_the_key(self, tmp_path, capsys, doc, flags, key):
+        cfg = run_config(tmp_path, **doc)
+        assert main(["simulate", "--config", cfg, *flags]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+
     @pytest.mark.parametrize("doc", [[], 0, False, ""])
     def test_falsy_non_object_config_rejected(self, tmp_path, capsys, doc):
         cfg = write_json(tmp_path, "bad.json", doc)

@@ -162,3 +162,14 @@ class TestBitfields:
     def test_roundtrip_arbitrary_widths(self, case):
         width, values = case
         assert unpack_bitfields(pack_bitfields(values, width), width, len(values)) == values
+
+
+def test_package_exports_resolve_once():
+    import freshsim
+
+    names = freshsim.__all__
+    assert len(names) == len(set(names))
+    assert [name for name in names if not hasattr(freshsim, name)] == []
+    namespace = {}
+    exec("from freshsim import *", namespace)  # raises on a stale export
+    assert set(names) <= namespace.keys()

@@ -14,11 +14,9 @@ from freshsim.engine import (
     FreshnessViolation,
     FunctionalBlockStore,
     HostEngine,
-    LayoutError,
     MemoryLayout,
     SimulationHalted,
     UvOverflowError,
-    mac_block_addr,
 )
 
 G = Geometry()
@@ -48,15 +46,16 @@ class TestMemoryLayout:
         assert lay.data_bytes == 8 * 8 * PAGE
         assert lay.total_bytes <= 9 * 8 * PAGE
 
-    def test_mac_block_addr_mapping(self):
-        lay = MemoryLayout(data_bytes=1 << 20)
-        assert mac_block_addr(0, lay) == lay.mac_base
-        assert mac_block_addr(8 * BLOCK - 1, lay) == lay.mac_base
-        assert mac_block_addr(8 * BLOCK, lay) == lay.mac_base + BLOCK
-        with pytest.raises(LayoutError):
-            mac_block_addr(lay.mac_base, lay)
-        with pytest.raises(AddressRangeError):
-            mac_block_addr(lay.total_bytes, lay)
+    @pytest.mark.parametrize("engine_class", [CiEngine, HostEngine, MerkleEngine])
+    def test_mac_line_covers_eight_blocks(self, engine_class):
+        # a data block's MAC sits in the 64-byte MAC line above the data
+        # partition that holds the MACs of its run of eight blocks
+        e = engine_class(EngineConfig(protected_bytes=16 * PAGE))
+        e.process_access("W", 0)
+        assert e.mac_cache.resident_keys() == [16 * PAGE // BLOCK]
+        assert e.process_access("R", 7 * BLOCK).mac_hit is True
+        assert e.process_access("R", 8 * BLOCK).mac_hit is False
+        assert sorted(e.mac_cache.resident_keys()) == [16 * PAGE // BLOCK, 16 * PAGE // BLOCK + 1]
 
 
 class TestConfig:
@@ -124,8 +123,7 @@ class TestChargingModel:
     def test_mac_only_miss_waits_on_dram(self):
         e = make_engine()
         e.process_access("W", 0)
-        key = mac_block_addr(0, e.layout) // BLOCK
-        e.mac_cache.invalidate(key)
+        e.mac_cache.invalidate_range([e.config.protected_bytes // BLOCK])
         out = e.process_access("R", 0)
         assert (out.flat_hit, out.mac_hit) == (True, False)
         assert out.device_bytes == 0
@@ -135,7 +133,7 @@ class TestChargingModel:
         e = make_engine()
         e.process_access("W", 0)
         e.process_access("W", 0)  # page now uneven, line cached
-        e.overflow.invalidate(0)
+        e.overflow.invalidate_range([0])
         out = e.process_access("R", 0)
         assert out.flat_hit is True
         assert out.overflow_hit is False
@@ -170,12 +168,12 @@ class TestInclusivity:
         for page in (0, 1):
             e.process_access("W", page * PAGE)
             e.process_access("W", page * PAGE)
-        assert e.overflow.probe(0)
+        assert 0 in e.overflow.resident_keys()
         e.process_access("W", 2 * PAGE)  # evicts page 0's image
         assert 0 not in e.flat_cache
-        assert not e.overflow.probe(0)
+        assert 0 not in e.overflow.resident_keys()
         # page 1 untouched
-        assert e.overflow.probe(1 * 4)
+        assert 1 * 4 in e.overflow.resident_keys()
 
     def test_debug_checks_hold_under_traffic(self):
         rng = np.random.default_rng(5)
@@ -311,6 +309,27 @@ class TestFailurePaths:
             e.os_free_page(0)
         assert e.mac_bytes == mac_bytes
         assert 0 not in e.uv
+
+    @pytest.mark.parametrize("state", ["killed", "halted"])
+    @pytest.mark.parametrize("call", ["handle_uv_update", "os_free_page"])
+    def test_terminal_engine_refuses_page_rekey(self, call, state):
+        if state == "killed":
+            e = make_engine(functional=True, seed=9)
+            old, _ = e.functional_write(0, b"A" * 64)
+            e.functional_write(0, b"B" * 64)
+            assert e.inject_replay(0, old) == "detected"
+            page = 0
+        else:
+            e = HostEngine(EngineConfig(protected_bytes=2 * PAGE, device_capacity_bytes=2 * 12 + 56))
+            for addr in (0, 0, PAGE):
+                e.process_access("W", addr)
+            with pytest.raises(SimulationHalted):
+                e.process_access("W", PAGE)  # no slot left for page 1's upgrade
+            page = 1
+        before = (dict(e.uv), e.stats())
+        with pytest.raises(SimulationHalted):
+            getattr(e, call)(page)
+        assert (dict(e.uv), e.stats()) == before
 
     def test_uv_overflow_halts_engine(self):
         # one upper-version bit and a reset at half of all leading advances:

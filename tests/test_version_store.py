@@ -436,7 +436,7 @@ def test_no_full_version_repeats_at_reduced_widths():
         seen = set()
         for _ in range(1 << 14):
             res = s.update_version(0)
-            if res.reset_triggered:
+            if "reset_triggered" in res.events:
                 uv += 1
             pair = (uv, res.new_version)
             assert pair not in seen
