@@ -147,6 +147,10 @@ class EngineConfig:
                 f"MAC-block spare bits ({self.geometry.spare_bits}) cannot hold a "
                 f"{self.params.upper_bits}-bit upper version"
             )
+        for name in ("local_bytes", "local_ns", "cxl_ns", "pool_dram_ns", "device_dram_ns",
+                     "cipher_cycles", "device_message_bytes"):
+            if not getattr(self, name) >= 0:  # a NaN fails this too
+                raise ConfigError(f"{name} must be zero or more, got {getattr(self, name)}")
         if self.overflow_bytes % SLOT_BYTES:
             raise ConfigError("overflow_bytes must be a multiple of the 56-byte line")
         if not self.clock_ghz > 0:
@@ -471,8 +475,6 @@ class HostEngine(ProtectionEngine):
         self.uv: dict[int, int] = {}
         g = config.geometry
         self._page_bytes = g.page_bytes
-        # a page's MAC lines, rewritten on every upper-version bump
-        self._page_mac_bytes = g.blocks_per_page // g.macs_per_block * g.block_bytes
         self._device_ns = config.device_ns
         self._message_bytes = config.device_message_bytes
         self.device_transactions = 0
@@ -564,9 +566,10 @@ class HostEngine(ProtectionEngine):
 
     def _rekey_page(self, page: int, op: str, out: AccessOutcome | None) -> AccessOutcome:
         """The re-key a reset and a page free share: bump the page's upper
-        version, charge the rewrite of the MAC lines that hold it onto ``out``
-        (a new ``op`` outcome when none is given) and the totals, and drop the
-        page's cached metadata, which refills lazily.
+        version, charge the rewrite of every MAC line that holds a MAC of one
+        of its blocks onto ``out`` (a new ``op`` outcome when none is given)
+        and the totals, and drop the page's cached metadata, which refills
+        lazily.
 
         A terminal engine raises SimulationHalted, a page outside the
         protected range AddressRangeError, and an upper version that would
@@ -584,12 +587,13 @@ class HostEngine(ProtectionEngine):
         page_addr = page * self._page_bytes
         if out is None:
             out = AccessOutcome(op, page_addr, "local" if page_addr < self._local_limit else "pool")
-        out.mac_bytes += self._page_mac_bytes
-        self.mac_bytes += self._page_mac_bytes
-        self.flat_cache.drop(page)
         first = self._mac_key_base + page_addr // self._mac_key_span
-        lines = self._page_mac_bytes // self._block_bytes
-        self.mac_cache.invalidate_range(range(first, first + lines))
+        last = self._mac_key_base + (page_addr + self._page_bytes - 1) // self._mac_key_span
+        nbytes = (last + 1 - first) * self._block_bytes
+        out.mac_bytes += nbytes
+        self.mac_bytes += nbytes
+        self.flat_cache.drop(page)
+        self.mac_cache.invalidate_range(range(first, last + 1))
         return out
 
     def handle_uv_update(self, page: int, out: AccessOutcome | None = None) -> AccessOutcome:
@@ -597,7 +601,7 @@ class HostEngine(ProtectionEngine):
 
         Charged onto ``out`` (a new op-"U" outcome when none is given) and
         the engine totals as 64 data-block writes on the page's channel plus
-        8 MAC-block writes, and counted as a reset.
+        the re-key's MAC-block writes, and counted as a reset.
         """
         out = self._rekey_page(page, "U", out)
         nbytes = self._page_bytes  # every block of the page, rewritten

@@ -10,8 +10,7 @@ versions).  Uneven and full lines live in a dynamic region carved into
 56-byte slots; a full line occupies four contiguous slots.  The allocator's
 only state is the set of used slots, and it always takes the lowest run of
 free slots that fits.  So its choice never depends on the order in which
-slots were freed, and a store loaded from a snapshot allocates exactly as the
-store that wrote it.
+slots were freed.
 
 Entry layout (12 bytes at the default S=27, least-significant bits first):
 
@@ -28,20 +27,15 @@ that, with probability 2**-R, discards the page's stealth state: the entry
 drops back to flat with a fresh uniformly random base and an empty coverage
 vector.  The update's result says ``reset_triggered``, which tells the caller
 to bump the page's upper version.
-
-A snapshot is the device image itself: each touched page's index, packed
-entry and dynamic lines, read back through the ``decode_*`` functions.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 from .core import (
     AddressRangeError,
     ConfigError,
-    EncodingError,
     Geometry,
     RandomSource,
     SecurityParams,
@@ -62,21 +56,9 @@ SLOT_BYTES = 56
 FULL_SLOTS = 4  # full line is allocated as 4 contiguous slots (224 B reserved)
 LINE_COUNT = (0, 1, FULL_SLOTS)  # dynamic lines behind an entry, by format
 
-SNAPSHOT_MAGIC = b"TRIP"
-SNAPSHOT_VERSION = 4
-_SNAPSHOT_HEADER = "<HBBBIIQQ"  # version, S, U, R, page/block bytes, pages, entries
-_PAGE_INDEX_BYTES = 8
-
 
 class CapacityError(SimError):
     """Dynamic region exhausted; the update was rejected without effect."""
-
-
-def _read(data: bytes, pos: int, size: int) -> bytes:
-    """``size`` snapshot bytes from ``pos``; too few is an EncodingError."""
-    if pos + size > len(data):
-        raise EncodingError(f"snapshot truncated at byte {pos}")
-    return data[pos:pos + size]
 
 
 def flat_entry_bytes(params: SecurityParams) -> int:
@@ -494,109 +476,3 @@ class VersionStore:
         count = LINE_COUNT[e.tag]
         raw = raw.ljust(count * SLOT_BYTES, b"\x00")
         return [raw[i * SLOT_BYTES:(i + 1) * SLOT_BYTES] for i in range(count)]
-
-    # -- snapshots ---------------------------------------------------------------
-
-    def to_snapshot(self) -> bytes:
-        """The device image: a header, then for each touched page in order its
-        index, ``entry_image`` and ``entry_lines``.
-
-        Untouched pages have no drawn base yet and are left out.  Randomness
-        state is not captured, so a loaded store serves reads verbatim but
-        continues updating under its own seed.
-        """
-        params = self.params
-        g = self.geometry
-        parts = [SNAPSHOT_MAGIC + struct.pack(
-            _SNAPSHOT_HEADER, SNAPSHOT_VERSION, params.stealth_bits, params.upper_bits,
-            params.reset_exp, g.page_bytes, g.block_bytes, self.total_pages, len(self._entries),
-        )]
-        for page in sorted(self._entries):
-            parts.append(page.to_bytes(_PAGE_INDEX_BYTES, "little"))
-            parts.append(self.entry_image(page))
-            parts.extend(self.entry_lines(page))
-        return b"".join(parts)
-
-    @classmethod
-    def from_snapshot(
-        cls,
-        data: bytes,
-        device_capacity_bytes: int,
-        rng: RandomSource,
-        geometry: Geometry | None = None,
-    ) -> "VersionStore":
-        """Load a ``to_snapshot`` image.  A truncated blob, trailing bytes, a
-        geometry other than the one that wrote it, a page out of order or
-        range, a flat entry covering every block and an entry or lines that do
-        not re-encode to the same bytes are each an EncodingError."""
-        if data[:4] != SNAPSHOT_MAGIC:
-            raise EncodingError("bad snapshot magic")
-        pos = len(SNAPSHOT_MAGIC)
-        head = _read(data, pos, struct.calcsize(_SNAPSHOT_HEADER))
-        (version, s_bits, u_bits, reset_exp, page_bytes, block_bytes, total_pages,
-         count) = struct.unpack(_SNAPSHOT_HEADER, head)
-        if version != SNAPSHOT_VERSION:
-            raise EncodingError(f"unsupported snapshot version {version}")
-        pos += len(head)
-        geometry = geometry or Geometry()
-        if (page_bytes, block_bytes) != (geometry.page_bytes, geometry.block_bytes):
-            raise EncodingError(f"snapshot geometry {page_bytes}/{block_bytes} B differs")
-        params = SecurityParams(stealth_bits=s_bits, upper_bits=u_bits, reset_exp=reset_exp)
-        store = cls(
-            protected_bytes=total_pages * geometry.page_bytes,
-            device_capacity_bytes=device_capacity_bytes,
-            rng=rng,
-            geometry=geometry,
-            params=params,
-        )
-        record_bytes = _PAGE_INDEX_BYTES + flat_entry_bytes(params)
-        last = -1
-        for _ in range(count):
-            record = _read(data, pos, record_bytes)
-            page = int.from_bytes(record[:_PAGE_INDEX_BYTES], "little")
-            if not last < page < total_pages:
-                raise EncodingError(
-                    f"snapshot page {page} out of order or outside {total_pages} pages"
-                )
-            last = page
-            image = record[_PAGE_INDEX_BYTES:]
-            tag, base, payload = decode_entry_image(image, params)
-            if tag not in FORMAT_NAMES:
-                raise EncodingError(f"bad entry tag {tag} for page {page}")
-            lines = _read(data, pos + record_bytes, LINE_COUNT[tag] * SLOT_BYTES)
-            pos += record_bytes + len(lines)
-            e = store._entries[page] = _Entry(base)
-            e.tag = tag
-            if tag == FLAT:
-                e.bitvec = payload & store._full_vector
-                if e.bitvec == store._full_vector:  # the store folds this into the base
-                    raise EncodingError(f"page {page}: flat entry covers every block")
-            else:
-                e.slot = payload & ((1 << LOCATOR_BITS) - 1)
-            if tag == UNEVEN:
-                e.offsets = decode_uneven_line(lines, geometry)
-                e.min_off, e.max_off = min(e.offsets), max(e.offsets)
-            elif tag == FULL:
-                e.versions = decode_full_lines([lines], geometry, params)
-            if store.entry_image(page) != image or b"".join(store.entry_lines(page)) != lines:
-                raise EncodingError(f"page {page}: entry or lines do not re-encode alike")
-        if pos != len(data):
-            raise EncodingError(f"{len(data) - pos} bytes after the last snapshot entry")
-        tags = [e.tag for e in store._entries.values()]
-        store.pages_uneven, store.pages_full = tags.count(UNEVEN), tags.count(FULL)
-        store._bump_dynamic(store.pages_uneven * store._uneven_bytes
-                            + store.pages_full * store._full_bytes)
-        # (first slot, slot count) of each dynamic line run in use
-        ranges = [(e.slot, LINE_COUNT[e.tag]) for e in store._entries.values() if e.tag != FLAT]
-        if sum(n for _, n in ranges) > store.dynamic_capacity_slots:
-            raise ConfigError(
-                "snapshot needs more dynamic slots than the given capacity provides"
-            )
-        for start, n in ranges:
-            if start + n > store.dynamic_capacity_slots or any(store._used[start:start + n]):
-                raise EncodingError(
-                    f"dynamic slots {start}..{start + n - 1} lie outside the "
-                    f"{store.dynamic_capacity_slots}-slot region or are doubly used"
-                )
-            store._take(start, n)
-        return store

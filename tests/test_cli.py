@@ -211,8 +211,19 @@ class TestConfigHandling:
         ({"functional": True, "seed": 2**128}, [], "seed"),
         ({"functional": True}, ["--seed", "-3"], "seed"),
         ({"trace": {"pattern": pattern_doc(seed=-1)}}, [], "seed"),
+        ({"mode": "toleo", "device_message_bytes": -64}, [], "device_message_bytes"),
+        ({"mode": "toleo", "cxl_ns": -95}, [], "cxl_ns"),
+        ({"mode": "toleo", "cipher_cycles": -40}, [], "cipher_cycles"),
+        ({"local_ns": -50}, [], "local_ns"),
+        ({"local_bytes": -1}, [], "local_bytes"),
+        ({"mode": "merkle", "pool_dram_ns": -1}, [], "pool_dram_ns"),
+        ({"mode": "toleo", "device_dram_ns": -1}, [], "device_dram_ns"),
+        ({"mode": "toleo", "cxl_ns": float("nan")}, [], "cxl_ns"),
     ], ids=["tree_assoc_0", "tree_node_0", "tree_node_4", "tree_leaf_0", "clock_0",
-            "seed_negative", "seed_2_128", "seed_flag_negative", "pattern_seed_negative"])
+            "seed_negative", "seed_2_128", "seed_flag_negative", "pattern_seed_negative",
+            "message_bytes_negative", "cxl_ns_negative", "cipher_cycles_negative",
+            "local_ns_negative", "local_bytes_negative", "pool_dram_ns_negative",
+            "device_dram_ns_negative", "cxl_ns_nan"])
     def test_out_of_range_value_names_the_key(self, tmp_path, capsys, doc, flags, key):
         cfg = run_config(tmp_path, **doc)
         assert main(["simulate", "--config", cfg, *flags]) == 2

@@ -262,6 +262,20 @@ class TestUvUpdates:
         assert e.uv[0] == 3
 
 
+    @pytest.mark.parametrize("geometry, lines", [
+        (Geometry(macs_per_block=3), 22),  # 64 blocks span MAC lines 21-42
+        (Geometry(page_bytes=256), 1),  # four blocks share one line of eight MACs
+    ], ids=["three_macs", "small_page"])
+    @pytest.mark.parametrize("call", ["os_free_page", "handle_uv_update"])
+    def test_rekey_covers_every_mac_line_of_the_page(self, call, geometry, lines):
+        e = make_engine(geometry=geometry)
+        e.process_access("W", 2 * geometry.page_bytes - BLOCK)  # page 1's last block
+        assert len(e.mac_cache.resident_keys()) == 1
+        before = e.mac_bytes
+        out = getattr(e, call)(1)
+        assert out.mac_bytes == e.mac_bytes - before == lines * BLOCK
+        assert e.mac_cache.resident_keys() == []
+
     @pytest.mark.parametrize("page", [16, -1])
     @pytest.mark.parametrize("call", ["os_free_page", "handle_uv_update"])
     def test_out_of_range_page_changes_nothing(self, call, page):

@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
@@ -8,7 +6,6 @@ from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, ru
 from freshsim.core import (
     AddressRangeError,
     ConfigError,
-    EncodingError,
     Geometry,
     RandomSource,
     SecurityParams,
@@ -20,7 +17,6 @@ from freshsim.version_store import (
     FULL_SLOTS,
     UNEVEN,
     CapacityError,
-    SNAPSHOT_MAGIC,
     VersionStore,
     compression_ratio,
     decode_entry_image,
@@ -113,6 +109,7 @@ class TestFlatTransitions:
         assert res.new_version == stealth_add(base, 1, 27)
         tag, b, payload = decode_entry_image(s.entry_image(0), P)
         assert (tag, b, payload) == (FLAT, base, 1 << 3)
+        assert s.entry_lines(0) == []  # a flat page has no dynamic lines
         # untouched neighbours still read the base
         assert s.read_version(4 * BLOCK) == base
 
@@ -256,10 +253,14 @@ class TestPackedLimits:
             s.update_version(2 * geometry.page_bytes)  # page 2 full
         assert [s.page_format(page) for page in (1, 2)] == [UNEVEN, FULL]
         assert [len(b"".join(s.entry_lines(page))) for page in (1, 2)] == [56, 224]
-        s2 = VersionStore.from_snapshot(s.to_snapshot(), s.device_capacity_bytes,
-                                        RandomSource(1), geometry)
-        for addr in range(geometry.page_bytes, 3 * geometry.page_bytes, geometry.block_bytes):
-            assert s2.read_version(addr) == s.read_version(addr)
+        _, base, _ = decode_entry_image(s.entry_image(1), params)
+        offsets = decode_uneven_line(s.entry_lines(1)[0], geometry)
+        versions = decode_full_lines(s.entry_lines(2), geometry, params)
+        for block in range(geometry.blocks_per_page):
+            addr = block * geometry.block_bytes
+            uneven = (base + offsets[block]) & params.stealth_mask
+            assert uneven == s.read_version(geometry.page_bytes + addr)
+            assert versions[block] == s.read_version(2 * geometry.page_bytes + addr)
 
 
 class TestResetPage:
@@ -343,6 +344,43 @@ class TestCapacity:
         res = s.update_version(2 * PAGE)
         assert res.format_after == UNEVEN
         assert s.usage_stats()["dynamic_bytes"] == 112
+
+    def test_scattered_freed_slots_reused(self):
+        s = make_store(pages=16, slots=8)
+        for page in range(8):
+            s.update_version(page * PAGE)
+            s.update_version(page * PAGE)  # uneven: one slot each
+        for page in range(0, 8, 2):
+            s.reset_page(page)
+        accepted = 0
+        for page in range(8, 16):
+            s.update_version(page * PAGE)
+            try:
+                s.update_version(page * PAGE)
+                accepted += 1
+            except CapacityError:
+                pass
+        assert accepted == 4
+
+    @pytest.mark.parametrize("order", [(2, 0), (0, 2)])
+    def test_lowest_fit_ignores_free_order(self, order):
+        # pages 0-3 hold slots 0-3 of 6; freeing two of them in either order
+        # leaves holes 0 and 2, and the lowest fits: page 4 takes slot 0, so
+        # page 3's full upgrade finds slots 2-5 (its own slot 3 counts free)
+        params = SecurityParams(stealth_bits=27, upper_bits=37, reset_exp=26)
+        s = make_store(pages=8, slots=6, params=params)
+        for page in range(4):
+            s.update_version(page * PAGE)
+            s.update_version(page * PAGE)
+        for page in order:
+            s.reset_page(page)
+        s.update_version(4 * PAGE)
+        s.update_version(4 * PAGE)
+        _, _, payload = decode_entry_image(s.entry_image(4), params)
+        assert payload & ((1 << 48) - 1) == 0  # page 4's slot
+        for _ in range(140):
+            s.update_version(3 * PAGE)
+        assert s.page_format(3) == FULL
 
 
 class TestAccounting:
@@ -443,224 +481,6 @@ def test_no_full_version_repeats_at_reduced_widths():
             seen.add(pair)
 
 
-def record(store, page):
-    """A page's snapshot record: its index, packed entry and lines."""
-    return struct.pack("<Q", page) + store.entry_image(page) + b"".join(store.entry_lines(page))
-
-
-def flip(image, bit):
-    """A packed entry with one bit inverted."""
-    return (int.from_bytes(image, "little") ^ (1 << bit)).to_bytes(len(image), "little")
-
-
-class TestSnapshot:
-    def build(self):
-        s = make_store(pages=6, seed=19)
-        s.update_version(0)  # page 0 flat, one bit
-        s.update_version(PAGE)
-        s.update_version(PAGE)  # page 1 uneven
-        for _ in range(140):
-            s.update_version(2 * PAGE)  # page 2 full
-        return s
-
-    def test_roundtrip_preserves_reads_and_usage(self):
-        s = self.build()
-        blob = s.to_snapshot()
-        assert blob[:4] == SNAPSHOT_MAGIC
-        s2 = VersionStore.from_snapshot(
-            blob, device_capacity_bytes=s.device_capacity_bytes, rng=RandomSource(99)
-        )
-        for page in range(3):
-            assert s2.page_format(page) == s.page_format(page)
-            assert s2.entry_image(page) == s.entry_image(page)
-            for block in range(64):
-                addr = page * PAGE + block * BLOCK
-                assert s2.read_version(addr) == s.read_version(addr)
-        u, u2 = s.usage_stats(), s2.usage_stats()
-        for key in ("pages_flat", "pages_uneven", "pages_full", "static_bytes", "dynamic_bytes"):
-            assert u2[key] == u[key]
-
-    def test_roundtrip_keeps_reset_exp(self):
-        params = SecurityParams(stealth_bits=27, upper_bits=37, reset_exp=4)
-        s = make_store(params=params)
-        s.update_version(0)
-        s2 = VersionStore.from_snapshot(s.to_snapshot(), s.device_capacity_bytes, RandomSource(3))
-        assert s2.params == params
-
-    def test_version_1_blob_rejected(self):
-        blob = bytearray(self.build().to_snapshot())
-        struct.pack_into("<H", blob, len(SNAPSHOT_MAGIC), 1)
-        with pytest.raises(EncodingError):
-            VersionStore.from_snapshot(bytes(blob), 1 << 20, RandomSource(1))
-
-    def test_version_2_blob_rejected(self):
-        blob = bytearray(self.build().to_snapshot())
-        struct.pack_into("<H", blob, len(SNAPSHOT_MAGIC), 2)
-        with pytest.raises(EncodingError, match="version 2"):
-            VersionStore.from_snapshot(bytes(blob), 1 << 20, RandomSource(1))
-
-    def test_version_3_blob_rejected(self):
-        # the version-3 header carried no geometry: S, U, R, pages, entry count
-        s = self.build()
-        blob = s.to_snapshot()
-        head = struct.pack("<HBBBQQ", 3, P.stealth_bits, P.upper_bits, P.reset_exp, 6, 3)
-        v3 = SNAPSHOT_MAGIC + head + blob[len(SNAPSHOT_MAGIC) + struct.calcsize("<HBBBIIQQ"):]
-        with pytest.raises(EncodingError, match="version 3"):
-            VersionStore.from_snapshot(v3, s.device_capacity_bytes, RandomSource(1))
-
-    @pytest.mark.parametrize("written, loaded", [
-        (G, Geometry(page_bytes=1024)),
-        (Geometry(page_bytes=1024), G),
-        (G, Geometry(block_bytes=128)),
-    ], ids=["4k_as_1k", "1k_as_4k", "block_128"])
-    def test_geometry_recorded_and_checked(self, written, loaded):
-        s = make_store(pages=4, geometry=written)
-        s.update_version(0)
-        s.update_version(written.page_bytes)
-        blob = s.to_snapshot()
-        twin = VersionStore.from_snapshot(blob, s.device_capacity_bytes, RandomSource(1), written)
-        assert twin.protected_bytes == s.protected_bytes == 4 * written.page_bytes
-        with pytest.raises(EncodingError, match="geometry"):
-            VersionStore.from_snapshot(blob, s.device_capacity_bytes, RandomSource(1), loaded)
-
-    def test_flat_entry_covering_every_block_rejected(self):
-        # the store folds a full coverage vector into the base; it never rests there
-        s = make_store(pages=2)
-        s.update_version(0)
-        s._entries[0].bitvec = (1 << G.blocks_per_page) - 1
-        with pytest.raises(EncodingError, match="every block"):
-            VersionStore.from_snapshot(s.to_snapshot(), s.device_capacity_bytes, RandomSource(1))
-
-    def test_snapshot_is_the_packed_image(self):
-        s = self.build()
-        assert s.to_snapshot().endswith(b"".join(record(s, page) for page in range(3)))
-        assert [len(s.entry_lines(page)) for page in range(3)] == [0, 1, 4]
-
-    @pytest.mark.parametrize("page, tamper", [
-        # flat: a coverage bit above the last block
-        (0, lambda image, lines: (flip(image, 2 + 27 + 64), lines)),
-        # uneven: min_off field no longer the line's minimum offset
-        (1, lambda image, lines: (flip(image, 2 + 27 + 48), lines)),
-        # uneven: max_off field no longer the line's maximum offset
-        (1, lambda image, lines: (flip(image, 2 + 27 + 55 + 3), lines)),
-        # full: nonzero padding after the 64 versions of the four-line run
-        (2, lambda image, lines: (image, lines[:-1] + b"\x01")),
-    ], ids=["flat_coverage", "uneven_min", "uneven_max", "full_padding"])
-    def test_entry_that_does_not_reencode_rejected(self, page, tamper):
-        s = self.build()
-        blob = s.to_snapshot()
-        assert blob.count(record(s, page)) == 1
-        image, lines = tamper(s.entry_image(page), b"".join(s.entry_lines(page)))
-        bad = blob.replace(record(s, page), struct.pack("<Q", page) + image + lines)
-        with pytest.raises(EncodingError, match="re-encode"):
-            VersionStore.from_snapshot(bad, s.device_capacity_bytes, RandomSource(1))
-
-    def test_trailing_bytes_rejected(self):
-        s = self.build()
-        with pytest.raises(EncodingError, match="after the last"):
-            VersionStore.from_snapshot(s.to_snapshot() + b"\x00", s.device_capacity_bytes,
-                                       RandomSource(1))
-
-    @pytest.mark.parametrize("first", [1, 6])  # a repeated page, a page past the range
-    def test_page_out_of_order_or_range_rejected(self, first):
-        s = self.build()
-        blob = bytearray(s.to_snapshot())
-        page_0 = blob.index(record(s, 0))
-        struct.pack_into("<Q", blob, page_0, first)
-        with pytest.raises(EncodingError, match="page"):
-            VersionStore.from_snapshot(bytes(blob), s.device_capacity_bytes, RandomSource(1))
-
-    def test_bad_magic_rejected(self):
-        blob = bytearray(self.build().to_snapshot())
-        blob[0] ^= 0xFF
-        with pytest.raises(EncodingError):
-            VersionStore.from_snapshot(bytes(blob), 1 << 20, RandomSource(1))
-
-    def test_truncated_rejected(self):
-        blob = self.build().to_snapshot()
-        with pytest.raises(EncodingError):
-            VersionStore.from_snapshot(blob[: len(blob) - 5], 1 << 20, RandomSource(1))
-
-    def test_truncated_header_rejected(self):
-        with pytest.raises(EncodingError, match="truncated"):
-            VersionStore.from_snapshot(b"TRIP\x02", 1 << 20, RandomSource(1))
-
-    def test_truncated_entry_rejected(self):
-        s = make_store(pages=2)
-        s.update_version(0)
-        s.update_version(PAGE)
-        blob = s.to_snapshot()
-        with pytest.raises(EncodingError, match="truncated"):
-            VersionStore.from_snapshot(blob[:-20], 1 << 20, RandomSource(1))
-
-    def test_every_prefix_rejected(self):
-        blob = self.build().to_snapshot()
-        for cut in range(len(blob)):
-            with pytest.raises(EncodingError):
-                VersionStore.from_snapshot(blob[:cut], 1 << 20, RandomSource(1))
-
-    def test_load_keeps_recycled_slots(self):
-        s = make_store(pages=16, slots=8)
-        for page in range(8):
-            s.update_version(page * PAGE)
-            s.update_version(page * PAGE)  # uneven: one slot each
-        for page in range(0, 8, 2):
-            s.reset_page(page)
-        s2 = VersionStore.from_snapshot(s.to_snapshot(), s.device_capacity_bytes, RandomSource(5))
-
-        def uneven_upgrades(store):
-            accepted = 0
-            for page in range(8, 16):
-                store.update_version(page * PAGE)
-                try:
-                    store.update_version(page * PAGE)
-                    accepted += 1
-                except CapacityError:
-                    pass
-            return accepted
-
-        assert uneven_upgrades(s) == uneven_upgrades(s2) == 4
-
-    @pytest.mark.parametrize("order", [(2, 0), (0, 2)])
-    def test_load_allocates_like_the_original(self, order):
-        # pages 0-3 hold slots 0-3 of 6; freeing two of them in either order
-        # leaves holes 0 and 2, and the lowest fits: page 4 takes slot 0, so
-        # page 3's full upgrade finds slots 2-5 (its own slot 3 counts free)
-        params = SecurityParams(stealth_bits=27, upper_bits=37, reset_exp=26)
-        s = make_store(pages=8, slots=6, params=params)
-        for page in range(4):
-            s.update_version(page * PAGE)
-            s.update_version(page * PAGE)
-        for page in order:
-            s.reset_page(page)
-        s2 = VersionStore.from_snapshot(s.to_snapshot(), s.device_capacity_bytes, RandomSource(5))
-        for store in (s, s2):
-            store.update_version(4 * PAGE)
-            store.update_version(4 * PAGE)
-            _, _, payload = decode_entry_image(store.entry_image(4), params)
-            assert payload & ((1 << 48) - 1) == 0  # page 4's slot
-            for _ in range(140):
-                store.update_version(3 * PAGE)
-            assert store.page_format(3) == FULL
-
-    # page 0's slot, past the region, the largest locator
-    @pytest.mark.parametrize("slot", [0, 8, 2**48 - 1])
-    def test_load_rejects_bad_slot_ranges(self, slot):
-        s = make_store(pages=16, slots=8)
-        for page in (0, 1):
-            s.update_version(page * PAGE)
-            s.update_version(page * PAGE)
-        s._entries[1].slot = slot
-        with pytest.raises(EncodingError):
-            VersionStore.from_snapshot(s.to_snapshot(), s.device_capacity_bytes, RandomSource(5))
-
-    def test_capacity_checked_on_load(self):
-        s = self.build()
-        too_small = s.usage_stats()["static_bytes"] + 55  # dynamic needs 272
-        with pytest.raises((ConfigError, CapacityError)):
-            VersionStore.from_snapshot(s.to_snapshot(), too_small, RandomSource(1))
-
-
 MACHINE_PARAMS = SecurityParams(stealth_bits=27, upper_bits=37, reset_exp=8)
 MACHINE_PAGES = 6
 
@@ -689,15 +509,19 @@ def _check_store(store):
 
 def _state(store):
     """Everything an update may change, the randomness included."""
-    return (store.to_snapshot(), bytes(store._used), store.rng._rng.getstate(),
+    entries = {
+        page: (e.tag, e.base, e.bitvec, None if e.offsets is None else tuple(e.offsets),
+               e.min_off, e.max_off, None if e.versions is None else tuple(e.versions), e.slot)
+        for page, e in store._entries.items()
+    }
+    return (entries, bytes(store._used), store.rng._rng.getstate(),
             store.dynamic_bytes, store.pages_uneven, store.pages_full)
 
 
 class StoreMachine(RuleBasedStateMachine):
     """The store against the uncompressed oracle (the same draw protocol as
-    ACCEPTANCE 05's), at 1-12 dynamic slots.  Before every step a twin is
-    loaded from the store's snapshot with the store's randomness state; both
-    must then accept or reject alike and return the same versions."""
+    ACCEPTANCE 05's), at 1-12 dynamic slots.  A rejected update must leave
+    every piece of state, the randomness included, as it found it."""
 
     @initialize(slots=st.integers(1, 12), seed=st.integers(0, 1 << 16))
     def setup(self, slots, seed):
@@ -705,17 +529,9 @@ class StoreMachine(RuleBasedStateMachine):
                                 params=MACHINE_PARAMS)
         self.ref = ReferenceMap(seed, MACHINE_PARAMS)
 
-    def _twin(self):
-        twin = VersionStore.from_snapshot(
-            self.store.to_snapshot(), self.store.device_capacity_bytes, RandomSource(0)
-        )
-        twin.rng._rng.setstate(self.store.rng._rng.getstate())
-        return twin
-
     @rule(page=st.integers(0, MACHINE_PAGES - 1), block=st.integers(0, 63),
           times=st.sampled_from([1, 2, 3, 64, 130]))
     def update(self, page, block, times):
-        twin = self._twin()
         addr = page * PAGE + block * BLOCK
         for _ in range(times):
             before = _state(self.store)
@@ -723,28 +539,19 @@ class StoreMachine(RuleBasedStateMachine):
                 got = self.store.update_version(addr).new_version
             except CapacityError:
                 assert _state(self.store) == before, "rejected update changed state"
-                with pytest.raises(CapacityError):
-                    twin.update_version(addr)
                 break
-            assert twin.update_version(addr).new_version == got
             assert got == self.ref.write(page, block)
-        _check_store(twin)
 
     @rule(page=st.integers(0, MACHINE_PAGES - 1), block=st.integers(0, 63))
     def read(self, page, block):
-        addr = page * PAGE + block * BLOCK
-        got = self.store.read_version(addr)
-        assert got == self._twin().read_version(addr) == self.ref.read(page, block)
+        assert self.store.read_version(page * PAGE + block * BLOCK) == self.ref.read(page, block)
 
     @rule(page=st.integers(0, MACHINE_PAGES - 1))
     def reset(self, page):
-        twin = self._twin()
         base = self.store.reset_page(page)
-        assert twin.reset_page(page) == base
         self.ref._page(page)
         self.ref.pages[page] = [self.ref.rng.draw(MACHINE_PARAMS.stealth_bits)] * 64
         assert base == self.ref.read(page, 0)
-        _check_store(twin)
 
     @invariant()
     def consistent(self):
