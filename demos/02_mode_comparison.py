@@ -14,8 +14,8 @@ FOOTPRINT = 96 * 4096
 
 
 def run(engine, events):
-    for e in events:
-        engine.process_access(e.op, e.addr)
+    for op, addr in events:
+        engine.process_access(op, addr)
     return engine.stats()
 
 

@@ -52,7 +52,6 @@ from .baselines import (
 from .traces import (
     PATTERN_KINDS,
     PatternSpec,
-    TraceEvent,
     TraceParseError,
     generate,
     load_trace,
@@ -107,7 +106,6 @@ __all__ = [
     "tree_depth",
     "PATTERN_KINDS",
     "PatternSpec",
-    "TraceEvent",
     "TraceParseError",
     "generate",
     "load_trace",

@@ -33,7 +33,7 @@ from .analysis import (
 from .baselines import CiEngine, CounterTreeConfig, MerkleEngine, NoneEngine
 from .core import ConfigError, Geometry, SecurityParams, SimError
 from .engine import EngineConfig, HostEngine, SimulationHalted
-from .traces import PatternSpec, generate, load_trace, save_trace
+from .traces import PatternSpec, encode_text_trace, generate, load_trace, save_trace
 
 MODES = ("none", "ci", "toleo", "merkle")
 
@@ -177,8 +177,8 @@ def _load_run_config(args) -> dict:
 
 def _run(engine, events) -> int:
     try:
-        for ev in events:
-            engine.process_access(ev.op, ev.addr)
+        for op, addr in events:
+            engine.process_access(op, addr)
     except SimulationHalted as exc:
         print(f"simulation halted: {exc}", file=sys.stderr)
         return 2
@@ -209,11 +209,8 @@ def cmd_gen_trace(args) -> int:
         doc = dict(doc, seed=args.seed)
     events = generate(PatternSpec(**doc))
     if args.out:
-        form = "binary" if args.out.endswith(".bin") else "text"
-        save_trace(events, args.out, form=form)
+        save_trace(events, args.out)
     else:
-        from .traces import encode_text_trace
-
         sys.stdout.write(encode_text_trace(events))
     return 0
 

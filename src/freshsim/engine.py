@@ -31,6 +31,7 @@ lets tests replay stale records and watch verification fail.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
 
 from .caches import FlatCache, SetAssocCache
@@ -149,12 +150,12 @@ class EngineConfig:
             )
         for name in ("local_bytes", "local_ns", "cxl_ns", "pool_dram_ns", "device_dram_ns",
                      "cipher_cycles", "device_message_bytes"):
-            if not getattr(self, name) >= 0:  # a NaN fails this too
-                raise ConfigError(f"{name} must be zero or more, got {getattr(self, name)}")
+            if not 0 <= getattr(self, name) < math.inf:  # a NaN fails this too
+                raise ConfigError(f"{name} must lie in [0, inf), got {getattr(self, name)}")
         if self.overflow_bytes % SLOT_BYTES:
             raise ConfigError("overflow_bytes must be a multiple of the 56-byte line")
-        if not self.clock_ghz > 0:
-            raise ConfigError(f"clock_ghz must be positive, got {self.clock_ghz}")
+        if not 0 < self.clock_ghz < math.inf:
+            raise ConfigError(f"clock_ghz must be positive and finite, got {self.clock_ghz}")
         if not 0 <= self.seed < 1 << 128:
             raise ConfigError(f"seed must lie in [0, 2**128), got {self.seed}")
 

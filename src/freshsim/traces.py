@@ -1,13 +1,14 @@
-"""Trace events, file formats, and deterministic synthetic generators.
+"""Traces, their file forms, and deterministic synthetic generators.
 
-An event is an (op, address) pair, op "R" or "W", address block-aligned
-(the low 6 bits are dropped on parse and generation).  Two interchangeable
-file forms exist:
+A trace is a list of plain ``(op, addr)`` tuples: op is "R" or "W" and addr
+a block-aligned Python int (the low 6 bits are dropped on parse and
+generation).  Two interchangeable file forms exist:
 
 * text: one event per line, ``R 0x1040`` / ``W 0x1040``; ``#`` comments and
   blank lines are ignored.
 * binary: 9-byte records, one opcode byte (0 read, 1 write) followed by the
-  address as a 64-bit little-endian integer.
+  address as a 64-bit little-endian integer; ``save_trace`` writes this
+  form to a ``.bin`` path and text to any other.
 
 Generators are pure functions of their PatternSpec, so the same spec always
 yields a byte-identical trace.  Two patterns carry shape guarantees the
@@ -19,9 +20,9 @@ per page to force uneven and full entries.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from itertools import starmap
+from operator import itemgetter
 
 import numpy as np
 
@@ -29,30 +30,13 @@ from .core import ConfigError, SimError
 
 BLOCK = 64
 _ALIGN = ~(BLOCK - 1)
+# one binary record: opcode byte, then the little-endian 64-bit address
+_RECORD = np.dtype([("op", "u1"), ("addr", "<u8")])
+_OPS = ("R", "W")  # indexed by opcode
 
 
 class TraceParseError(SimError):
     """Malformed trace input; the message carries the line or byte offset."""
-
-
-class TraceEvent(NamedTuple):
-    op: str  # "R" or "W"
-    addr: int
-
-    @property
-    def is_write(self) -> bool:
-        return self.op == "W"
-
-
-PATTERN_KINDS = (
-    "sequential",
-    "page_uniform",
-    "write_once_read_many",
-    "hot_block",
-    "zipfian",
-    "gaussian_kv",
-    "strided",
-)
 
 
 @dataclass(frozen=True)
@@ -92,14 +76,14 @@ class PatternSpec:
 # -- file formats ---------------------------------------------------------------
 
 
-def parse_text_trace(text: str) -> list[TraceEvent]:
+def parse_text_trace(text: str) -> list[tuple[str, int]]:
     events = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         parts = line.split()
-        if len(parts) != 2 or parts[0] not in ("R", "W"):
+        if len(parts) != 2 or parts[0] not in _OPS:
             raise TraceParseError(f"line {lineno}: expected 'R 0x<addr>' or 'W 0x<addr>', got {raw!r}")
         try:
             addr = int(parts[1], 16)
@@ -107,26 +91,23 @@ def parse_text_trace(text: str) -> list[TraceEvent]:
             raise TraceParseError(f"line {lineno}: bad address {parts[1]!r}") from exc
         if addr < 0:
             raise TraceParseError(f"line {lineno}: negative address")
-        events.append(TraceEvent(parts[0], addr & _ALIGN))
+        events.append((parts[0], addr & _ALIGN))
     return events
 
 
-def parse_binary_trace(data: bytes) -> list[TraceEvent]:
+def parse_binary_trace(data: bytes) -> list[tuple[str, int]]:
     if len(data) % 9:
         raise TraceParseError(
             f"binary trace length {len(data)} is not a multiple of the 9-byte record"
         )
-    events = []
-    for off in range(0, len(data), 9):
-        opcode = data[off]
-        if opcode not in (0, 1):
-            raise TraceParseError(f"byte offset {off}: bad opcode {opcode}")
-        (addr,) = struct.unpack_from("<Q", data, off + 1)
-        events.append(TraceEvent("W" if opcode else "R", addr & _ALIGN))
-    return events
+    records = np.frombuffer(data, dtype=_RECORD)
+    bad = np.flatnonzero(records["op"] > 1)
+    if bad.size:
+        raise TraceParseError(f"byte offset {9 * bad[0]}: bad opcode {records['op'][bad[0]]}")
+    return _pairs(records["op"], records["addr"] & ~np.uint64(BLOCK - 1))
 
 
-def parse_trace(data: bytes | str) -> list[TraceEvent]:
+def parse_trace(data: bytes | str) -> list[tuple[str, int]]:
     """Parse either format; binary records start with 0x00/0x01 which never
     begins a text trace."""
     if isinstance(data, str):
@@ -139,30 +120,37 @@ def parse_trace(data: bytes | str) -> list[TraceEvent]:
         raise TraceParseError("trace is neither 9-byte records nor ASCII text") from exc
 
 
-def encode_text_trace(events: Iterable[TraceEvent]) -> str:
-    return "".join(f"{e.op} 0x{e.addr:X}\n" for e in events)
+def encode_text_trace(events: list[tuple[str, int]]) -> str:
+    return "".join(starmap("{} 0x{:X}\n".format, events))
 
 
-def encode_binary_trace(events: Iterable[TraceEvent]) -> bytes:
-    return b"".join(
-        struct.pack("<BQ", 1 if e.op == "W" else 0, e.addr) for e in events
-    )
+def encode_binary_trace(events: list[tuple[str, int]]) -> bytes:
+    """The 9-byte record form; an op other than R or W, or an address outside
+    [0, 2**64), is refused by the index of the first event that has one."""
+    records = np.empty(len(events), dtype=_RECORD)
+    try:
+        records["op"] = np.fromiter(map(_OPS.index, map(itemgetter(0), events)),
+                                    np.uint8, len(events))
+        records["addr"] = np.fromiter(map(itemgetter(1), events), np.uint64, len(events))
+    except (ValueError, OverflowError):
+        i, event = next((i, (op, addr)) for i, (op, addr) in enumerate(events)
+                        if op not in _OPS or not 0 <= addr < 1 << 64)
+        raise ConfigError(f"event {i}: {event!r} has no 9-byte binary record") from None
+    return records.tobytes()
 
 
-def load_trace(path: str) -> list[TraceEvent]:
+def load_trace(path: str) -> list[tuple[str, int]]:
     with open(path, "rb") as f:
         return parse_trace(f.read())
 
 
-def save_trace(events: Iterable[TraceEvent], path: str, form: str = "text") -> None:
-    if form == "text":
-        with open(path, "w") as f:
-            f.write(encode_text_trace(events))
-    elif form == "binary":
-        with open(path, "wb") as f:
-            f.write(encode_binary_trace(events))
-    else:
-        raise ConfigError(f"unknown trace form {form!r}")
+def save_trace(events: list[tuple[str, int]], path: str) -> None:
+    """Write the binary form to a ``.bin`` path and text to any other; a trace
+    that cannot be encoded leaves no file."""
+    binary = path.endswith(".bin")
+    data = encode_binary_trace(events) if binary else encode_text_trace(events)
+    with open(path, "wb" if binary else "w") as f:
+        f.write(data)
 
 
 # -- generators ------------------------------------------------------------------
@@ -180,14 +168,12 @@ def _blocks(spec: PatternSpec) -> int:
     return spec.footprint_bytes // BLOCK
 
 
-def _emit(writes: np.ndarray, addrs: np.ndarray) -> list[TraceEvent]:
-    return [
-        TraceEvent("W" if w else "R", int(a))
-        for w, a in zip(writes.tolist(), addrs.tolist())
-    ]
+def _pairs(flags: np.ndarray, addrs: np.ndarray) -> list[tuple[str, int]]:
+    # Python ints via tolist(), so no numpy scalar reaches an engine
+    return list(zip(map(_OPS.__getitem__, flags.tolist()), addrs.tolist()))
 
 
-def _gen_sweep(spec: PatternSpec, sequential_reads: bool) -> list[TraceEvent]:
+def _gen_sweep(spec: PatternSpec, sequential_reads: bool) -> list[tuple[str, int]]:
     # writes advance a block cursor in address order (wrapping), so within a
     # sweep each block is written at most once and every page stays flat
     rng = np.random.default_rng(spec.seed)
@@ -202,20 +188,20 @@ def _gen_sweep(spec: PatternSpec, sequential_reads: bool) -> list[TraceEvent]:
             addrs[r_idx] = (np.arange(len(r_idx), dtype=np.int64) % n_blocks) * BLOCK
         else:
             addrs[r_idx] = rng.integers(0, n_blocks, len(r_idx)) * BLOCK
-    return _emit(writes, addrs)
+    return _pairs(writes, addrs)
 
 
-def gen_sequential(spec: PatternSpec) -> list[TraceEvent]:
+def gen_sequential(spec: PatternSpec) -> list[tuple[str, int]]:
     """Stream through the footprint; reads and writes each keep their own cursor."""
     return _gen_sweep(spec, sequential_reads=True)
 
 
-def gen_page_uniform(spec: PatternSpec) -> list[TraceEvent]:
+def gen_page_uniform(spec: PatternSpec) -> list[tuple[str, int]]:
     """Uniform page-by-page sweeps of writes with uniformly random reads."""
     return _gen_sweep(spec, sequential_reads=False)
 
 
-def gen_write_once_read_many(spec: PatternSpec) -> list[TraceEvent]:
+def gen_write_once_read_many(spec: PatternSpec) -> list[tuple[str, int]]:
     """Populate each block once, then read the footprint uniformly forever."""
     rng = np.random.default_rng(spec.seed)
     n_blocks = _blocks(spec)
@@ -227,10 +213,10 @@ def gen_write_once_read_many(spec: PatternSpec) -> list[TraceEvent]:
     rest = spec.op_count - n_writes
     if rest:
         addrs[n_writes:] = rng.integers(0, n_blocks, rest) * BLOCK
-    return _emit(writes, addrs)
+    return _pairs(writes, addrs)
 
 
-def gen_hot_block(spec: PatternSpec) -> list[TraceEvent]:
+def gen_hot_block(spec: PatternSpec) -> list[tuple[str, int]]:
     """Hammer the first block of every hot page, round-robin.
 
     The hot region is the first ``hot_set_bytes`` of the footprint (whole
@@ -246,10 +232,10 @@ def gen_hot_block(spec: PatternSpec) -> list[TraceEvent]:
     r_idx = np.flatnonzero(~writes)
     if len(r_idx):
         addrs[r_idx] = rng.integers(0, _blocks(spec), len(r_idx)) * BLOCK
-    return _emit(writes, addrs)
+    return _pairs(writes, addrs)
 
 
-def gen_zipfian(spec: PatternSpec) -> list[TraceEvent]:
+def gen_zipfian(spec: PatternSpec) -> list[tuple[str, int]]:
     """Zipf-distributed block popularity, ranks scattered over the footprint."""
     rng = np.random.default_rng(spec.seed)
     n_blocks = _blocks(spec)
@@ -263,10 +249,10 @@ def gen_zipfian(spec: PatternSpec) -> list[TraceEvent]:
     # hot set spans many pages and the store sees mixed formats
     mult = 0x9E3779B1 | 1
     blocks = (rank_idx.astype(np.int64) * mult) % n_blocks
-    return _emit(_rw_flags(spec, rng), blocks * BLOCK)
+    return _pairs(_rw_flags(spec, rng), blocks * BLOCK)
 
 
-def gen_gaussian_kv(spec: PatternSpec) -> list[TraceEvent]:
+def gen_gaussian_kv(spec: PatternSpec) -> list[tuple[str, int]]:
     """Gaussian key popularity around the footprint center (key-value style).
 
     ``hot_set_bytes`` sets the standard deviation (footprint/8 when 0).
@@ -276,16 +262,16 @@ def gen_gaussian_kv(spec: PatternSpec) -> list[TraceEvent]:
     sigma_blocks = max(1, (spec.hot_set_bytes or spec.footprint_bytes // 8) // BLOCK)
     raw = rng.normal(loc=n_blocks / 2, scale=sigma_blocks, size=spec.op_count)
     blocks = np.clip(np.rint(raw), 0, n_blocks - 1).astype(np.int64)
-    return _emit(_rw_flags(spec, rng), blocks * BLOCK)
+    return _pairs(_rw_flags(spec, rng), blocks * BLOCK)
 
 
-def gen_strided(spec: PatternSpec) -> list[TraceEvent]:
+def gen_strided(spec: PatternSpec) -> list[tuple[str, int]]:
     """Constant-stride walk over the footprint, wrapping at the end."""
     rng = np.random.default_rng(spec.seed)
     step = (spec.stride_bytes // BLOCK) * BLOCK
     addrs = (np.arange(spec.op_count, dtype=np.int64) * step) % spec.footprint_bytes
     addrs &= _ALIGN
-    return _emit(_rw_flags(spec, rng), addrs)
+    return _pairs(_rw_flags(spec, rng), addrs)
 
 
 _GENERATORS = {
@@ -297,7 +283,8 @@ _GENERATORS = {
     "gaussian_kv": gen_gaussian_kv,
     "strided": gen_strided,
 }
+PATTERN_KINDS = tuple(_GENERATORS)
 
 
-def generate(spec: PatternSpec) -> list[TraceEvent]:
+def generate(spec: PatternSpec) -> list[tuple[str, int]]:
     return _GENERATORS[spec.kind](spec)

@@ -199,13 +199,13 @@ def test_criterion_05_compressed_store_equals_uncompressed_map():
         )
         store = make_store(pages, seed=2000 + i)
         ref = _UncompressedMap(2000 + i, P)
-        for e in generate(spec):
-            page, block = e.addr // PAGE, (e.addr // 64) % 64
-            if e.is_write:
-                got = store.update_version(e.addr).new_version
+        for op, addr in generate(spec):
+            page, block = addr // PAGE, (addr // 64) % 64
+            if op == "W":
+                got = store.update_version(addr).new_version
                 want = ref.write(page, block)
             else:
-                got = store.read_version(e.addr)
+                got = store.read_version(addr)
                 want = ref.read(page, block)
             mismatches += got != want
             total_ops += 1
@@ -224,8 +224,8 @@ def test_criterion_06_format_regimes():
     bases = [store.page_base(p) for p in range(64)]
     spec = PatternSpec(kind="page_uniform", footprint_bytes=64 * PAGE,
                        op_count=3 * 64 * 64, write_fraction=1.0, seed=7)
-    for e in generate(spec):
-        store.update_version(e.addr)
+    for _, addr in generate(spec):
+        store.update_version(addr)
     u = store.usage_stats()
     uniform_ok = (
         u["pages_flat"] == u["pages_touched"] == 64
@@ -241,8 +241,8 @@ def test_criterion_06_format_regimes():
         spec = PatternSpec(kind="hot_block", footprint_bytes=2 * PAGE,
                            hot_set_bytes=PAGE, write_fraction=1.0,
                            op_count=op_count, seed=5)
-        for e in generate(spec):
-            s.update_version(e.addr)
+        for _, addr in generate(spec):
+            s.update_version(addr)
         return s.page_format(0)
 
     formats = (hot_format(64), hot_format(129), hot_format(300))
@@ -264,10 +264,10 @@ def test_criterion_07_tree_depth_versus_device():
                        op_count=5000, seed=77)
     events = generate(spec)
     merkle = MerkleEngine(EngineConfig(protected_bytes=28 * TIB))
-    first = merkle.process_access(events[0].op, events[0].addr)
+    first = merkle.process_access(*events[0])
     toleo = HostEngine(EngineConfig(protected_bytes=28 * TIB))
-    for e in events:
-        toleo.process_access(e.op, e.addr)
+    for op, addr in events:
+        toleo.process_access(op, addr)
     txns = toleo.stats()["device"]["transactions"]
     ok = depth == 10 and cold == 10 and first.tree_fetches == 10 and txns <= len(events)
     _report(

@@ -174,7 +174,7 @@ class TestConfigHandling:
     ])
     def test_malformed_trace_names_the_key(self, tmp_path, capsys, monkeypatch, trace, key):
         monkeypatch.chdir(tmp_path)
-        save_trace(generate(PatternSpec(**pattern_doc(op_count=10))), "t.bin", form="binary")
+        save_trace(generate(PatternSpec(**pattern_doc(op_count=10))), "t.bin")
         real_open = builtins.open
 
         def path_only_open(file, *args, **kwargs):
@@ -219,11 +219,15 @@ class TestConfigHandling:
         ({"mode": "merkle", "pool_dram_ns": -1}, [], "pool_dram_ns"),
         ({"mode": "toleo", "device_dram_ns": -1}, [], "device_dram_ns"),
         ({"mode": "toleo", "cxl_ns": float("nan")}, [], "cxl_ns"),
+        ({"local_ns": float("inf")}, [], "local_ns"),
+        ({"mode": "toleo", "cxl_ns": float("inf")}, [], "cxl_ns"),
+        ({"mode": "toleo", "clock_ghz": float("inf")}, [], "clock_ghz"),
     ], ids=["tree_assoc_0", "tree_node_0", "tree_node_4", "tree_leaf_0", "clock_0",
             "seed_negative", "seed_2_128", "seed_flag_negative", "pattern_seed_negative",
             "message_bytes_negative", "cxl_ns_negative", "cipher_cycles_negative",
             "local_ns_negative", "local_bytes_negative", "pool_dram_ns_negative",
-            "device_dram_ns_negative", "cxl_ns_nan"])
+            "device_dram_ns_negative", "cxl_ns_nan", "local_ns_inf", "cxl_ns_inf",
+            "clock_ghz_inf"])
     def test_out_of_range_value_names_the_key(self, tmp_path, capsys, doc, flags, key):
         cfg = run_config(tmp_path, **doc)
         assert main(["simulate", "--config", cfg, *flags]) == 2
@@ -234,7 +238,7 @@ class TestConfigHandling:
     def test_falsy_non_object_config_rejected(self, tmp_path, capsys, doc):
         cfg = write_json(tmp_path, "bad.json", doc)
         trace = str(tmp_path / "t.bin")
-        save_trace(generate(PatternSpec(**pattern_doc(op_count=10))), trace, form="binary")
+        save_trace(generate(PatternSpec(**pattern_doc(op_count=10))), trace)
         assert main(["simulate", "--config", cfg, "--trace", trace]) == 2
         assert "config must be a JSON object" in capsys.readouterr().err
 

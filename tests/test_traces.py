@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,7 +8,6 @@ from freshsim.core import ConfigError, Geometry, RandomSource, SecurityParams
 from freshsim.traces import (
     PATTERN_KINDS,
     PatternSpec,
-    TraceEvent,
     TraceParseError,
     encode_binary_trace,
     encode_text_trace,
@@ -19,7 +20,7 @@ from freshsim.traces import (
 )
 from freshsim.version_store import FLAT, FULL, UNEVEN, VersionStore, flat_array_bytes
 
-SAMPLE = [TraceEvent("R", 0x1040), TraceEvent("W", 0), TraceEvent("R", 0x40)]
+SAMPLE = [("R", 0x1040), ("W", 0), ("R", 0x40)]
 
 
 class TestTextFormat:
@@ -31,10 +32,10 @@ class TestTextFormat:
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\n  R 0x40\n# tail\nW 0x80\n"
-        assert parse_text_trace(text) == [TraceEvent("R", 0x40), TraceEvent("W", 0x80)]
+        assert parse_text_trace(text) == [("R", 0x40), ("W", 0x80)]
 
     def test_addresses_are_block_aligned(self):
-        assert parse_text_trace("R 0x41\n") == [TraceEvent("R", 0x40)]
+        assert parse_text_trace("R 0x41\n") == [("R", 0x40)]
 
     def test_bad_op_carries_line_number(self):
         with pytest.raises(TraceParseError, match="line 2"):
@@ -64,6 +65,29 @@ class TestBinaryFormat:
         with pytest.raises(TraceParseError, match="opcode"):
             parse_binary_trace(b"\x07" + b"\x00" * 8)
 
+    def test_first_bad_opcode_named_by_byte_offset(self):
+        record = b"\x00" * 8
+        blob = b"\x01" + record + b"\x07" + record + b"\x02" + record
+        with pytest.raises(TraceParseError, match="^byte offset 9: bad opcode 7$"):
+            parse_binary_trace(blob)
+
+    def test_top_address_is_block_aligned(self):
+        blob = b"\x00" + (2**64 - 1).to_bytes(8, "little")
+        assert parse_binary_trace(blob) == [("R", 2**64 - 64)]
+
+    @pytest.mark.parametrize("event, index", [
+        (("X", 64), 1), (("w", 64), 1), (("R", -64), 2), (("W", 2**64), 2),
+    ])
+    def test_unencodable_event_refused_by_index(self, tmp_path, event, index):
+        events = [("R", 0), ("W", 64)]
+        events.insert(index, event)
+        with pytest.raises(ConfigError, match=rf"^event {index}: {re.escape(repr(event))} "):
+            encode_binary_trace(events)
+        path = tmp_path / "t.bin"
+        with pytest.raises(ConfigError):
+            save_trace(events, str(path))
+        assert not path.exists()
+
 
 class TestAutoDetect:
     def test_detects_both_forms(self):
@@ -76,12 +100,10 @@ class TestAutoDetect:
             parse_trace(b"\xff\xfe binary junk")
 
     def test_file_roundtrip(self, tmp_path):
-        for form, name in (("text", "t.trace"), ("binary", "t.bin")):
+        for name in ("t.trace", "t.bin"):
             path = str(tmp_path / name)
-            save_trace(SAMPLE, path, form=form)
+            save_trace(SAMPLE, path)
             assert load_trace(path) == SAMPLE
-        with pytest.raises(ConfigError):
-            save_trace(SAMPLE, str(tmp_path / "x"), form="weird")
 
 
 class TestPatternSpec:
@@ -109,10 +131,16 @@ def test_generators_are_deterministic_and_bounded(kind):
     assert len(a) == 10000
     assert generate(PatternSpec(kind=kind, footprint_bytes=64 * 4096,
                                 op_count=10000, seed=13)) != a
-    for e in a:
-        assert e.op in ("R", "W")
-        assert e.addr % 64 == 0
-        assert 0 <= e.addr < 64 * 4096
+    for op, addr in a:
+        assert op in ("R", "W")
+        assert addr % 64 == 0
+        assert 0 <= addr < 64 * 4096
+    # a numpy scalar would change engine arithmetic, so every parsed or
+    # generated field is a plain str or int
+    for events in (a, parse_text_trace(encode_text_trace(a)),
+                   parse_binary_trace(encode_binary_trace(a))):
+        assert events == a
+        assert all(type(op) is str and type(addr) is int for op, addr in events)
 
 
 @settings(max_examples=30, deadline=None)
@@ -126,29 +154,29 @@ def test_generators_are_deterministic_and_bounded(kind):
 def test_generator_alignment_property(kind, pages, ops, wf, seed):
     spec = PatternSpec(kind=kind, footprint_bytes=pages * 4096, op_count=ops,
                        write_fraction=wf, seed=seed)
-    for e in generate(spec):
-        assert e.addr % 64 == 0
-        assert 0 <= e.addr < spec.footprint_bytes
+    for op, addr in generate(spec):
+        assert addr % 64 == 0
+        assert 0 <= addr < spec.footprint_bytes
         # write_once_read_many derives its op split from the footprint instead
         if kind != "write_once_read_many":
             if wf == 1.0:
-                assert e.op == "W"
+                assert op == "W"
             elif wf == 0.0:
-                assert e.op == "R"
+                assert op == "R"
 
 
 def test_write_fraction_is_respected():
     spec = PatternSpec(kind="zipfian", footprint_bytes=1 << 20, op_count=20000,
                        write_fraction=0.25, seed=3)
     events = generate(spec)
-    frac = sum(e.is_write for e in events) / len(events)
+    frac = sum(op == "W" for op, _ in events) / len(events)
     assert frac == pytest.approx(0.25, abs=0.02)
 
 
 def test_strided_steps_by_stride():
     spec = PatternSpec(kind="strided", footprint_bytes=4096, op_count=20,
                        stride_bytes=256, write_fraction=0.0, seed=1)
-    addrs = [e.addr for e in generate(spec)]
+    addrs = [addr for _, addr in generate(spec)]
     assert addrs[:4] == [0, 256, 512, 768]
     assert addrs[16] == 0  # wrapped
 
@@ -157,10 +185,10 @@ def test_write_once_read_many_shape():
     spec = PatternSpec(kind="write_once_read_many", footprint_bytes=4 * 4096,
                        op_count=1000, seed=2)
     events = generate(spec)
-    writes = [e for e in events if e.is_write]
+    writes = [addr for op, addr in events if op == "W"]
     assert len(writes) == 4 * 64
-    assert [e.addr for e in writes] == [i * 64 for i in range(4 * 64)]
-    assert not any(e.is_write for e in events[len(writes):])
+    assert writes == [i * 64 for i in range(4 * 64)]
+    assert not any(op == "W" for op, _ in events[len(writes):])
 
 
 def drive_store(events, pages, params=None):
@@ -171,9 +199,9 @@ def drive_store(events, pages, params=None):
         rng=RandomSource(5),
         params=params,
     )
-    for e in events:
-        if e.is_write:
-            store.update_version(e.addr)
+    for op, addr in events:
+        if op == "W":
+            store.update_version(addr)
     return store
 
 
@@ -216,7 +244,7 @@ class TestFormatRegimes:
     def test_gaussian_concentrates_near_center(self):
         spec = PatternSpec(kind="gaussian_kv", footprint_bytes=64 * 4096,
                            op_count=10000, hot_set_bytes=2048, seed=8)
-        addrs = [e.addr for e in generate(spec)]
+        addrs = [addr for _, addr in generate(spec)]
         center = 64 * 4096 / 2
         within = sum(abs(a - center) <= 3 * 2048 for a in addrs)
         assert within / len(addrs) > 0.95
