@@ -14,7 +14,7 @@ ADDR = 0x2040
 
 
 def main():
-    engine = HostEngine(EngineConfig(protected_bytes=16 * 4096, functional=True, seed=3))
+    engine = HostEngine(EngineConfig(protected_bytes=16 * 4096, seed=3))
 
     secret = b"account balance: 1000.00 credits".ljust(64, b"\0")
     captured, _ = engine.functional_write(ADDR, secret)

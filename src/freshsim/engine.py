@@ -23,9 +23,9 @@ Read latency is modeled analytically: the data fetch on its channel, plus the
 slowest outstanding metadata fetch (device or MAC, issued in parallel), plus
 a fixed cipher-pipeline delay.
 
-An optional functional layer actually enciphers block payloads under a keyed
-pseudorandom transform of (key, full version, address) and MACs them, which
-lets tests replay stale records and watch verification fail.
+The host engine's functional layer actually enciphers block payloads under a
+keyed pseudorandom transform of (key, full version, address) and MACs them,
+which lets tests replay stale records and watch verification fail.
 """
 
 from __future__ import annotations
@@ -138,7 +138,6 @@ class EngineConfig:
     mac_cache_bytes: int = 32 * 1024 * 32
     mac_assoc: int = 16
     device_message_bytes: int = 64
-    functional: bool = False
     debug: bool = False
     seed: int = 1
 
@@ -148,6 +147,10 @@ class EngineConfig:
                 f"MAC-block spare bits ({self.geometry.spare_bits}) cannot hold a "
                 f"{self.params.upper_bits}-bit upper version"
             )
+        page = self.geometry.page_bytes
+        if self.protected_bytes <= 0 or self.protected_bytes % page:
+            raise ConfigError(f"protected_bytes must be a positive multiple of the {page}-byte "
+                              f"page, got {self.protected_bytes}")
         for name in ("local_bytes", "local_ns", "cxl_ns", "pool_dram_ns", "device_dram_ns",
                      "cipher_cycles", "device_message_bytes"):
             if not 0 <= getattr(self, name) < math.inf:  # a NaN fails this too
@@ -318,12 +321,11 @@ class ProtectionEngine:
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
         g = config.geometry
-        self.layout = MemoryLayout(data_bytes=config.protected_bytes, geometry=g)
         self.mac_cache = SetAssocCache(
             lines=config.mac_cache_bytes // g.block_bytes, assoc=config.mac_assoc
         )
         self._cipher_ns = config.cipher_ns if self.uses_cipher else 0.0
-        self._data_bytes = self.layout.data_bytes
+        self._data_bytes = config.protected_bytes
         self._local_limit = config.local_bytes
         self._local_ns = config.local_ns
         self._pool_ns = config.pool_ns
@@ -331,12 +333,11 @@ class ProtectionEngine:
         self._debug = config.debug
         # MAC-cache key of a data block: the index of the 64-byte MAC line,
         # above the data partition, that holds the MACs of its run of blocks
-        self._mac_key_base = self.layout.mac_base // g.block_bytes
+        self._mac_key_base = config.protected_bytes // g.block_bytes
         self._mac_key_span = g.block_bytes * g.macs_per_block
         self.killed: str | None = None
         self.halted: str | None = None
 
-        self.events = 0
         self.reads = 0
         self.writes = 0
         self.local_bytes = 0
@@ -386,7 +387,6 @@ class ProtectionEngine:
             out = AccessOutcome(op, addr, "pool", 0, nbytes)
             self.pool_bytes += nbytes
             data_ns = self._pool_ns
-        self.events += 1
         if is_write:
             self.writes += 1
             self._freshness(out, True)
@@ -422,7 +422,7 @@ class ProtectionEngine:
         """One schema for every mode; a mode fills in the sections it owns."""
         return {
             "mode": self.mode,
-            "events": self.events,
+            "events": self.reads + self.writes,
             "reads": self.reads,
             "writes": self.writes,
             "channels": {
@@ -469,16 +469,12 @@ class HostEngine(ProtectionEngine):
         )
         self.overflow = SetAssocCache(config.overflow_bytes // SLOT_BYTES, config.overflow_assoc)
         self.flat_cache = FlatCache(config.flat_cache_entries, self.overflow)
-        self.functional = (
-            FunctionalBlockStore(config.geometry, config.params, config.seed)
-            if config.functional else None
-        )
+        self.functional = FunctionalBlockStore(config.geometry, config.params, config.seed)
         self.uv: dict[int, int] = {}
         g = config.geometry
         self._page_bytes = g.page_bytes
         self._device_ns = config.device_ns
         self._message_bytes = config.device_message_bytes
-        self.device_transactions = 0
         self.device_reads = 0
         self.device_updates = 0
 
@@ -515,7 +511,6 @@ class HostEngine(ProtectionEngine):
             self.device_reads += 1
             latency = self._device_ns
         # request and entry messages, plus one per dynamic line the response fills
-        self.device_transactions += 1
         out.device_transactions += 1
         nbytes = (2 + count) * self._message_bytes
         out.device_bytes += nbytes
@@ -616,17 +611,12 @@ class HostEngine(ProtectionEngine):
         out.reencrypted_blocks += blocks
         self.reencrypted_blocks += blocks
         self.resets += 1
-        if self.functional is not None:
-            self._reencrypt_page(page, self.uv[page])
-        return out
-
-    def _reencrypt_page(self, page: int, new_uv: int) -> None:
         fn = self.functional
         records = fn.records.get(page, {})
         for addr, rec in records.items():
             plaintext = fn.open(addr, rec, rec.stealth)
-            stealth = self.store.read_version(addr)
-            records[addr] = fn.seal(addr, plaintext, new_uv, stealth)
+            records[addr] = fn.seal(addr, plaintext, self.uv[page], self.store.read_version(addr))
+        return out
 
     def os_free_page(self, page: int) -> AccessOutcome:
         """Free/remap a page: re-key it (``_rekey_page``) and reset its
@@ -638,18 +628,12 @@ class HostEngine(ProtectionEngine):
         """
         out = self._rekey_page(page, "F", None)
         self.store.reset_page(page)
-        out.events = ("page_freed",)
         return out
 
     # -- functional layer ------------------------------------------------------------
 
-    def _require_functional(self) -> FunctionalBlockStore:
-        if self.functional is None:
-            raise ConfigError("engine was built without the functional layer")
-        return self.functional
-
     def functional_write(self, addr: int, plaintext: bytes) -> tuple[Record, AccessOutcome]:
-        fn = self._require_functional()
+        fn = self.functional
         out = self.process_access("W", addr)
         page, _ = addr_decompose(addr, self.config.geometry, self.store.protected_bytes)
         record = fn.seal(
@@ -659,7 +643,7 @@ class HostEngine(ProtectionEngine):
         return record, out
 
     def functional_read(self, addr: int) -> tuple[bytes, AccessOutcome]:
-        fn = self._require_functional()
+        fn = self.functional
         out = self.process_access("R", addr)
         record = fn.get(addr)
         if record is None:
@@ -679,7 +663,7 @@ class HostEngine(ProtectionEngine):
         matches the current one, so the stale data verifies).  Metadata
         traffic is not charged for the injected read.
         """
-        fn = self._require_functional()
+        fn = self.functional
         fn.put(addr, old_record)
         current = self.store.read_version(addr)
         try:
@@ -709,7 +693,7 @@ class HostEngine(ProtectionEngine):
             "static_bytes": usage["static_bytes"],
             "dynamic_bytes": usage["dynamic_bytes"],
             "peak_bytes": usage["peak_bytes"],
-            "transactions": self.device_transactions,
+            "transactions": self.device_reads + self.device_updates,
             "reads": self.device_reads,
             "updates": self.device_updates,
         }

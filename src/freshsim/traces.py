@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import starmap
-from operator import itemgetter
+from math import inf
+from operator import index, itemgetter
 
 import numpy as np
 
@@ -120,22 +121,38 @@ def parse_trace(data: bytes | str) -> list[tuple[str, int]]:
         raise TraceParseError("trace is neither 9-byte records nor ASCII text") from exc
 
 
+def _refuse(events: list[tuple[str, int]], limit: float, form: str) -> None:
+    """Raise ConfigError naming the first event whose op is not R or W, or
+    whose address is not an integer (``operator.index``) in [0, limit)."""
+    for i, (op, addr) in enumerate(events):
+        try:
+            if op in _OPS and 0 <= index(addr) < limit:
+                continue
+        except TypeError:
+            pass
+        raise ConfigError(f"event {i}: {(op, addr)!r} has no {form}") from None
+
+
 def encode_text_trace(events: list[tuple[str, int]]) -> str:
+    """The text form; an op other than R or W, or an address that is not a
+    non-negative integer, is refused by the index of the first such event."""
+    _refuse(events, inf, "text line")
     return "".join(starmap("{} 0x{:X}\n".format, events))
 
 
 def encode_binary_trace(events: list[tuple[str, int]]) -> bytes:
-    """The 9-byte record form; an op other than R or W, or an address outside
-    [0, 2**64), is refused by the index of the first event that has one."""
+    """The 9-byte record form; an op other than R or W, or an address that is
+    not an integer in [0, 2**64), is refused by the index of the first event
+    that has one."""
     records = np.empty(len(events), dtype=_RECORD)
     try:
         records["op"] = np.fromiter(map(_OPS.index, map(itemgetter(0), events)),
                                     np.uint8, len(events))
-        records["addr"] = np.fromiter(map(itemgetter(1), events), np.uint64, len(events))
-    except (ValueError, OverflowError):
-        i, event = next((i, (op, addr)) for i, (op, addr) in enumerate(events)
-                        if op not in _OPS or not 0 <= addr < 1 << 64)
-        raise ConfigError(f"event {i}: {event!r} has no 9-byte binary record") from None
+        records["addr"] = np.fromiter(map(index, map(itemgetter(1), events)),
+                                      np.uint64, len(events))
+    except (ValueError, OverflowError, TypeError):
+        _refuse(events, 1 << 64, "9-byte binary record")
+        raise
     return records.tobytes()
 
 

@@ -118,8 +118,7 @@ def decode_full_lines(lines: list[bytes], geometry: Geometry, params: SecurityPa
 class _Entry:
     """Mutable per-page state.  Offsets and versions are plain int lists."""
 
-    __slots__ = ("tag", "base", "bitvec", "offsets", "max_off", "min_off",
-                 "versions", "slot")
+    __slots__ = ("tag", "base", "bitvec", "offsets", "max_off", "versions", "slot")
 
     def __init__(self, base: int) -> None:
         self.tag = FLAT
@@ -127,7 +126,6 @@ class _Entry:
         self.bitvec = 0
         self.offsets: list[int] | None = None
         self.max_off = 0
-        self.min_off = 0
         self.versions: list[int] | None = None
         self.slot = -1            # dynamic-region slot index, -1 when flat
 
@@ -177,11 +175,9 @@ class VersionStore:
                 f"{self._uneven_bytes}-byte uneven and a {self._full_bytes}-byte full "
                 f"line, but their slots hold {SLOT_BYTES} and {FULL_SLOTS * SLOT_BYTES}"
             )
-        if protected_bytes <= 0 or protected_bytes % self.geometry.page_bytes:
-            raise ConfigError("protected_bytes must be a positive multiple of the page size")
+        self.static_bytes = flat_array_bytes(protected_bytes, self.geometry, self.params)
         self.protected_bytes = protected_bytes
         self.total_pages = protected_bytes // self.geometry.page_bytes
-        self.static_bytes = self.total_pages * flat_entry_bytes(self.params)
         if device_capacity_bytes < self.static_bytes:
             raise ConfigError(
                 f"device capacity {device_capacity_bytes} cannot hold the "
@@ -196,10 +192,12 @@ class VersionStore:
         # FULL_SLOTS free bytes and grows on demand
         self._used = bytearray(FULL_SLOTS)
 
-        self.dynamic_bytes = 0
         self.peak_dynamic_bytes = 0
         self.pages_uneven = 0
         self.pages_full = 0
+        self.upgrades_to_uneven = 0
+        self.upgrades_to_full = 0
+        self.normalizations = 0
         self.resets = 0
 
         self._page_bytes = self.geometry.page_bytes
@@ -226,6 +224,10 @@ class VersionStore:
     def pages_flat(self) -> int:
         return len(self._entries) - self.pages_uneven - self.pages_full
 
+    @property
+    def dynamic_bytes(self) -> int:
+        return self.pages_uneven * self._uneven_bytes + self.pages_full * self._full_bytes
+
     # -- slot allocator --------------------------------------------------------
 
     def _find_run(self, slots: int, freeing: int = -1) -> int:
@@ -248,11 +250,6 @@ class VersionStore:
 
     def _free(self, start: int, slots: int) -> None:
         self._used[start:start + slots] = bytes(slots)
-
-    def _bump_dynamic(self, delta: int) -> None:
-        self.dynamic_bytes += delta
-        if self.dynamic_bytes > self.peak_dynamic_bytes:
-            self.peak_dynamic_bytes = self.dynamic_bytes
 
     # -- reads -----------------------------------------------------------------
 
@@ -333,18 +330,18 @@ class VersionStore:
                 e.offsets = [(e.bitvec >> i) & 1 for i in range(self._blocks_per_page)]
                 e.offsets[block] = 2
                 e.max_off = 2
-                e.min_off = 0
                 e.bitvec = 0
                 self.pages_uneven += 1
-                self._bump_dynamic(self._uneven_bytes)
+                self.upgrades_to_uneven += 1
+                self.peak_dynamic_bytes = max(self.peak_dynamic_bytes, self.dynamic_bytes)
                 events = ["upgraded_to_uneven"]
 
         elif e.tag == UNEVEN:
             off = e.offsets[block]
             advance = off == e.max_off
-            if off - e.min_off + 1 > OFFSET_MAX:
-                # normalization cannot rescue a 128-wide spread: go full.
-                # (given offsets <= 127 this only fires with min 0, off 127)
+            m = min(e.offsets) if off == OFFSET_MAX else -1
+            if m == 0:
+                # normalization cannot rescue a 128-wide spread: go full
                 start = self._find_run(FULL_SLOTS, e.slot)
                 if start < 0:
                     raise CapacityError(
@@ -363,24 +360,22 @@ class VersionStore:
                 e.offsets = None
                 self.pages_uneven -= 1
                 self.pages_full += 1
-                self._bump_dynamic(self._full_bytes - self._uneven_bytes)
+                self.upgrades_to_full += 1
+                self.peak_dynamic_bytes = max(self.peak_dynamic_bytes, self.dynamic_bytes)
                 events = ["upgraded_to_full"]
             else:
-                if off + 1 > OFFSET_MAX:
+                if m > 0:
                     # slide the window down by the minimum offset
-                    m = e.min_off
                     e.base = (e.base + m) & smask
                     e.offsets = [o - m for o in e.offsets]
                     e.max_off -= m
-                    e.min_off = 0
                     off -= m
+                    self.normalizations += 1
                     events = ["normalized"]
                 new_off = off + 1
                 e.offsets[block] = new_off
                 if new_off > e.max_off:
                     e.max_off = new_off
-                if off == e.min_off and new_off > e.min_off:
-                    e.min_off = min(e.offsets)
 
         else:  # FULL
             v = e.versions[block]
@@ -405,11 +400,9 @@ class VersionStore:
         if e.tag == UNEVEN:
             self._free(e.slot, 1)
             self.pages_uneven -= 1
-            self._bump_dynamic(-self._uneven_bytes)
         elif e.tag == FULL:
             self._free(e.slot, FULL_SLOTS)
             self.pages_full -= 1
-            self._bump_dynamic(-self._full_bytes)
         e.tag = FLAT
         e.base = self.rng.draw(self.params.stealth_bits)
         e.bitvec = 0
@@ -417,7 +410,6 @@ class VersionStore:
         e.versions = None
         e.slot = -1
         e.max_off = 0
-        e.min_off = 0
         self.resets += 1
 
     def reset_page(self, page: int) -> int:
@@ -445,6 +437,9 @@ class VersionStore:
             "dynamic_bytes": self.dynamic_bytes,
             "peak_bytes": self.static_bytes + self.peak_dynamic_bytes,
             "avg_bytes_per_page": (total / touched) if touched else 0.0,
+            "upgrades_to_uneven": self.upgrades_to_uneven,
+            "upgrades_to_full": self.upgrades_to_full,
+            "normalizations": self.normalizations,
             "resets": self.resets,
         }
 
@@ -457,7 +452,8 @@ class VersionStore:
         if e.tag == FLAT:
             payload = e.bitvec
         elif e.tag == UNEVEN:
-            payload = e.slot | (e.min_off << LOCATOR_BITS) | (e.max_off << (LOCATOR_BITS + OFFSET_BITS))
+            payload = (e.slot | (min(e.offsets) << LOCATOR_BITS)
+                       | (e.max_off << (LOCATOR_BITS + OFFSET_BITS)))
         else:
             payload = e.slot
         acc = e.tag | (e.base << TAG_BITS) | (payload << (TAG_BITS + s))

@@ -313,7 +313,7 @@ def test_criterion_08_replay_detection():
             missed27 += 1
 
     # end to end: a stale record trips the kill switch, the current one passes
-    eng = HostEngine(EngineConfig(protected_bytes=4 * PAGE, functional=True, seed=9))
+    eng = HostEngine(EngineConfig(protected_bytes=4 * PAGE, seed=9))
     stale, _ = eng.functional_write(0, b"A" * 64)
     eng.functional_write(0, b"B" * 64)
     detected = eng.inject_replay(0, stale) == "detected"

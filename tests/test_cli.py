@@ -122,6 +122,11 @@ class TestConfigHandling:
         assert main(["simulate", "--config", cfg]) == 2
         assert "typo_key" in capsys.readouterr().err
 
+    def test_functional_is_no_longer_a_key(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, functional=True)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "unknown config key(s): functional" in capsys.readouterr().err
+
     def test_unknown_mode_rejected(self, tmp_path, capsys):
         cfg = run_config(tmp_path, mode="fancy")
         assert main(["simulate", "--config", cfg]) == 2
@@ -207,9 +212,9 @@ class TestConfigHandling:
         ({"mode": "merkle", "tree": {"node_bytes": 4}}, [], "node_bytes"),
         ({"mode": "merkle", "tree": {"counters_per_leaf_node": 0}}, [], "counters_per_leaf_node"),
         ({"clock_ghz": 0}, [], "clock_ghz"),
-        ({"functional": True, "seed": -1}, [], "seed"),
-        ({"functional": True, "seed": 2**128}, [], "seed"),
-        ({"functional": True}, ["--seed", "-3"], "seed"),
+        ({"seed": -1}, [], "seed"),
+        ({"seed": 2**128}, [], "seed"),
+        ({}, ["--seed", "-3"], "seed"),
         ({"trace": {"pattern": pattern_doc(seed=-1)}}, [], "seed"),
         ({"mode": "toleo", "device_message_bytes": -64}, [], "device_message_bytes"),
         ({"mode": "toleo", "cxl_ns": -95}, [], "cxl_ns"),
@@ -222,12 +227,14 @@ class TestConfigHandling:
         ({"local_ns": float("inf")}, [], "local_ns"),
         ({"mode": "toleo", "cxl_ns": float("inf")}, [], "cxl_ns"),
         ({"mode": "toleo", "clock_ghz": float("inf")}, [], "clock_ghz"),
+        ({"mode": "none", "protected_bytes": 4160}, [], "protected_bytes"),
+        ({"mode": "merkle", "protected_bytes": 0}, [], "protected_bytes"),
     ], ids=["tree_assoc_0", "tree_node_0", "tree_node_4", "tree_leaf_0", "clock_0",
             "seed_negative", "seed_2_128", "seed_flag_negative", "pattern_seed_negative",
             "message_bytes_negative", "cxl_ns_negative", "cipher_cycles_negative",
             "local_ns_negative", "local_bytes_negative", "pool_dram_ns_negative",
             "device_dram_ns_negative", "cxl_ns_nan", "local_ns_inf", "cxl_ns_inf",
-            "clock_ghz_inf"])
+            "clock_ghz_inf", "protected_bytes_unaligned", "protected_bytes_zero"])
     def test_out_of_range_value_names_the_key(self, tmp_path, capsys, doc, flags, key):
         cfg = run_config(tmp_path, **doc)
         assert main(["simulate", "--config", cfg, *flags]) == 2

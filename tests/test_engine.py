@@ -314,7 +314,7 @@ class TestFailurePaths:
         assert s["channels"]["local_bytes"] == 2 * BLOCK
 
     def test_os_free_page_honours_kill_switch(self):
-        e = make_engine(functional=True, seed=9)
+        e = make_engine(seed=9)
         old, _ = e.functional_write(0, b"A" * 64)
         e.functional_write(0, b"B" * 64)
         assert e.inject_replay(0, old) == "detected"
@@ -328,7 +328,7 @@ class TestFailurePaths:
     @pytest.mark.parametrize("call", ["handle_uv_update", "os_free_page"])
     def test_terminal_engine_refuses_page_rekey(self, call, state):
         if state == "killed":
-            e = make_engine(functional=True, seed=9)
+            e = make_engine(seed=9)
             old, _ = e.functional_write(0, b"A" * 64)
             e.functional_write(0, b"B" * 64)
             assert e.inject_replay(0, old) == "detected"
@@ -353,18 +353,18 @@ class TestFailurePaths:
         with pytest.raises(SimulationHalted):
             for i in range(200):
                 e.process_access("W", i % 4 * PAGE)
-        assert e.events == 7
+        assert e.stats()["events"] == 7
         assert "upper version" in e.halted
         # the store reset the page before its upper version ran out
         assert e.stats()["resets"] == e.store.resets
         with pytest.raises(SimulationHalted):
             e.process_access("R", 0)
-        assert e.events == 7
+        assert e.stats()["events"] == 7
 
 
 class TestFunctionalLayer:
     def test_roundtrip_and_cipher_freshness(self):
-        e = make_engine(functional=True, seed=9)
+        e = make_engine(seed=9)
         msg = bytes(range(64))
         rec1, _ = e.functional_write(0, msg)
         got, _ = e.functional_read(0)
@@ -374,13 +374,8 @@ class TestFunctionalLayer:
         rec3, _ = e.functional_write(BLOCK, msg)
         assert rec3.cipher != rec2.cipher  # address is in the tweak
 
-    def test_requires_functional_flag(self):
-        e = make_engine()
-        with pytest.raises(ConfigError):
-            e.functional_read(0)
-
     def test_replay_of_stale_record_is_detected(self):
-        e = make_engine(functional=True, seed=9)
+        e = make_engine(seed=9)
         old, _ = e.functional_write(0, b"A" * 64)
         e.functional_write(0, b"B" * 64)
         assert e.inject_replay(0, old) == "detected"
@@ -392,15 +387,15 @@ class TestFunctionalLayer:
         assert e.functional_read(0)[0] == b"C" * 64
 
     def test_replay_of_current_record_passes(self):
-        e = make_engine(functional=True, seed=9)
+        e = make_engine(seed=9)
         rec, _ = e.functional_write(0, b"A" * 64)
         assert e.inject_replay(0, rec) == "silent_success"
 
     def test_os_free_scrambles_page(self):
-        e = make_engine(functional=True, seed=9)
+        e = make_engine(seed=9)
         e.functional_write(0, b"secret!" * 8 + b"\0" * 8)
         out = e.os_free_page(0)
-        assert out.events == ("page_freed",)
+        assert out.op == "F" and out.events == ()
         assert out.mac_bytes == 8 * BLOCK
         assert out.local_bytes == 0  # no re-encryption traffic
         with pytest.raises(FreshnessViolation):
@@ -408,7 +403,7 @@ class TestFunctionalLayer:
         assert e.killed
 
     def test_uv_update_reencrypts_instead(self):
-        e = make_engine(functional=True, seed=9)
+        e = make_engine(seed=9)
         rec, _ = e.functional_write(0, b"D" * 64)
         out = e.handle_uv_update(0)
         assert out.reencrypted_blocks == 64 and e.functional.get(0).uv == 1
@@ -416,7 +411,7 @@ class TestFunctionalLayer:
         assert e.functional_read(0)[0] == b"D" * 64
 
     def test_reset_reencrypts_only_its_page(self):
-        e = make_engine(functional=True, seed=9)
+        e = make_engine(seed=9)
         texts = {addr: bytes([i]) * 64 for i, addr in enumerate((0, BLOCK, PAGE, PAGE + BLOCK))}
         recs = {addr: e.functional_write(addr, text)[0] for addr, text in texts.items()}
         e.handle_uv_update(0)
@@ -469,7 +464,7 @@ class TestConservation:
         assert totals.pool_bytes == e.pool_bytes
         assert totals.mac_bytes == e.mac_bytes
         assert totals.device_bytes == e.device_bytes
-        assert totals.device_transactions == e.device_transactions
+        assert totals.device_transactions == e.stats()["device"]["transactions"]
         assert totals.reencrypted_blocks == e.reencrypted_blocks
         assert e.resets > 0  # the reset path fired during the run
 
@@ -479,7 +474,7 @@ class TestConservation:
         for b in rng.integers(0, 4 * 64, size=800).tolist():
             e.process_access("W", b * BLOCK)
         assert e.device_updates == 800
-        assert e.device_transactions == e.device_updates + e.device_reads
+        assert e.stats()["device"]["transactions"] == e.device_updates + e.device_reads
 
     def test_two_runs_same_seed_are_identical(self):
         def run():

@@ -76,17 +76,23 @@ class TestBinaryFormat:
         assert parse_binary_trace(blob) == [("R", 2**64 - 64)]
 
     @pytest.mark.parametrize("event, index", [
-        (("X", 64), 1), (("w", 64), 1), (("R", -64), 2), (("W", 2**64), 2),
+        (("X", 64), 1), (("w", 64), 1), (("R", -64), 2), (("W", 2**64), 2), (("R", 64.5), 1),
     ])
     def test_unencodable_event_refused_by_index(self, tmp_path, event, index):
         events = [("R", 0), ("W", 64)]
         events.insert(index, event)
-        with pytest.raises(ConfigError, match=rf"^event {index}: {re.escape(repr(event))} "):
+        text_refuses = event[1] != 2**64  # the text form has no upper address bound
+        refusal = rf"^event {index}: {re.escape(repr(event))} "
+        with pytest.raises(ConfigError, match=refusal):
             encode_binary_trace(events)
-        path = tmp_path / "t.bin"
-        with pytest.raises(ConfigError):
-            save_trace(events, str(path))
-        assert not path.exists()
+        if text_refuses:
+            with pytest.raises(ConfigError, match=refusal):
+                encode_text_trace(events)
+        for name in ("t.bin", "t.trace") if text_refuses else ("t.bin",):
+            path = tmp_path / name
+            with pytest.raises(ConfigError):
+                save_trace(events, str(path))
+            assert not path.exists()
 
 
 class TestAutoDetect:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import settings, strategies as st
@@ -175,8 +177,11 @@ class TestUnevenTransitions:
         for _ in range(127 - 3):
             s.update_version(0)
         assert s.page_format(0) == UNEVEN
+        _, _, payload = decode_entry_image(s.entry_image(0), P)
+        assert (payload >> 48) & 0x7F == 1  # packed min offset: the floor
         res = s.update_version(0)
         assert "normalized" in res.events
+        assert (s.upgrades_to_uneven, s.normalizations, s.upgrades_to_full) == (1, 1, 0)
         assert res.format_after == UNEVEN
         assert res.new_version == stealth_add(base, 128, 27)
         offsets = decode_uneven_line(s.entry_lines(0)[0], G)
@@ -209,6 +214,7 @@ class TestFullTransitions:
         res = s.update_version(7 * BLOCK)
         assert res.format_after == FULL
         assert "upgraded_to_full" in res.events
+        assert (s.upgrades_to_uneven, s.normalizations, s.upgrades_to_full) == (1, 0, 1)
         assert res.new_version == stealth_add(base, 128, 27)
         versions = decode_full_lines(s.entry_lines(0), G, P)
         assert versions[7] == stealth_add(base, 128, 27)
@@ -505,17 +511,20 @@ def _check_store(store):
     tags = [e.tag for e in store._entries.values()]
     assert (store.pages_uneven, store.pages_full) == (tags.count(UNEVEN), tags.count(FULL))
     assert store.dynamic_bytes == store.pages_uneven * 56 + store.pages_full * 216
+    assert store.peak_dynamic_bytes >= store.dynamic_bytes
 
 
 def _state(store):
     """Everything an update may change, the randomness included."""
     entries = {
         page: (e.tag, e.base, e.bitvec, None if e.offsets is None else tuple(e.offsets),
-               e.min_off, e.max_off, None if e.versions is None else tuple(e.versions), e.slot)
+               e.max_off, None if e.versions is None else tuple(e.versions), e.slot)
         for page, e in store._entries.items()
     }
     return (entries, bytes(store._used), store.rng._rng.getstate(),
-            store.dynamic_bytes, store.pages_uneven, store.pages_full)
+            store.dynamic_bytes, store.peak_dynamic_bytes, store.pages_uneven,
+            store.pages_full, store.upgrades_to_uneven, store.upgrades_to_full,
+            store.normalizations, store.resets)
 
 
 class StoreMachine(RuleBasedStateMachine):
@@ -528,6 +537,7 @@ class StoreMachine(RuleBasedStateMachine):
         self.store = make_store(pages=MACHINE_PAGES, slots=slots, seed=seed,
                                 params=MACHINE_PARAMS)
         self.ref = ReferenceMap(seed, MACHINE_PARAMS)
+        self.seen = Counter()  # UpdateResult.events strings, plus explicit resets
 
     @rule(page=st.integers(0, MACHINE_PAGES - 1), block=st.integers(0, 63),
           times=st.sampled_from([1, 2, 3, 64, 130]))
@@ -536,11 +546,12 @@ class StoreMachine(RuleBasedStateMachine):
         for _ in range(times):
             before = _state(self.store)
             try:
-                got = self.store.update_version(addr).new_version
+                res = self.store.update_version(addr)
             except CapacityError:
                 assert _state(self.store) == before, "rejected update changed state"
                 break
-            assert got == self.ref.write(page, block)
+            assert res.new_version == self.ref.write(page, block)
+            self.seen.update(res.events)
 
     @rule(page=st.integers(0, MACHINE_PAGES - 1), block=st.integers(0, 63))
     def read(self, page, block):
@@ -549,6 +560,7 @@ class StoreMachine(RuleBasedStateMachine):
     @rule(page=st.integers(0, MACHINE_PAGES - 1))
     def reset(self, page):
         base = self.store.reset_page(page)
+        self.seen["reset_triggered"] += 1
         self.ref._page(page)
         self.ref.pages[page] = [self.ref.rng.draw(MACHINE_PARAMS.stealth_bits)] * 64
         assert base == self.ref.read(page, 0)
@@ -556,6 +568,10 @@ class StoreMachine(RuleBasedStateMachine):
     @invariant()
     def consistent(self):
         _check_store(self.store)
+        s = self.store
+        assert (s.upgrades_to_uneven, s.upgrades_to_full, s.normalizations, s.resets) == (
+            self.seen["upgraded_to_uneven"], self.seen["upgraded_to_full"],
+            self.seen["normalized"], self.seen["reset_triggered"])
 
 
 StoreMachine.TestCase.settings = settings(max_examples=60, stateful_step_count=30, deadline=None)
