@@ -19,8 +19,9 @@ class SetAssocCache:
     Each set is a plain dict of key -> dirty bit in recency order: a touched
     key is re-inserted at the end and eviction takes the first key.  A
     residency index maps every resident key to its set, so only a fill
-    hashes a key.  A line's ``(key, dirty)`` pair is returned on eviction so
-    the caller can charge write-back traffic.
+    hashes a key, and ``put_range`` memoises the set of each key it places.
+    A line's ``(key, dirty)`` pair is returned on eviction so the caller can
+    charge write-back traffic.
     """
 
     def __init__(self, lines: int, assoc: int) -> None:
@@ -31,6 +32,7 @@ class SetAssocCache:
         self.num_sets = lines // assoc
         self._sets: list[dict[int, bool]] = [{} for _ in range(self.num_sets)]
         self._index: dict[int, dict[int, bool]] = {}  # resident key -> its set
+        self._homes: dict[int, dict[int, bool]] = {}  # key put_range placed -> its set
         self.hits = 0
         self.misses = 0
 
@@ -69,13 +71,21 @@ class SetAssocCache:
         """Fill every absent key clean and refresh every resident one, keeping
         its dirty bit; counts nothing, and evictions are not reported."""
         index = self._index
-        fill = self._fill
+        homes = self._homes
         for key in keys:
             s = index.get(key)
-            if s is None:
-                fill(key, False)
-            else:
+            if s is not None:
                 s[key] = s.pop(key)
+            elif (s := homes.get(key)) is None:  # first placement: _fill hashes it
+                self._fill(key, False)
+                homes[key] = index[key]
+            else:
+                s[key] = False
+                index[key] = s
+                if len(s) > self.assoc:
+                    for victim in s:
+                        break
+                    del s[victim], index[victim]
 
     def get_range(self, keys) -> bool:
         """Look up every key, with no short-circuit and no fill: each key
@@ -137,33 +147,38 @@ class FlatCache:
 
     def read(self, page: int, count: int) -> tuple[bool, bool | None]:
         """Look up a page whose format has ``count`` lines, filling it on a miss.
-        Returns the flat hit and, for a hit with lines, whether all lines hit."""
+        Returns the flat hit and, for a hit with lines, whether all lines hit;
+        any miss costs a device READ, whose response fills all the lines."""
         pages = self._pages
         filled = pages.pop(page, None)
-        if filled is None:
+        if filled is None:  # what write() does, inline on the common read path
             self.misses += 1
-            pages[page] = 0
+            pages[page] = count
             if len(pages) > self.entries:
                 self.drop(next(iter(pages)))  # the least recently used page
+            if count:
+                self.overflow.put_range(range(page * FULL_SLOTS, page * FULL_SLOTS + count))
             return False, None
         pages[page] = filled
         self.hits += 1
-        first = page * FULL_SLOTS
-        return True, self.overflow.get_range(range(first, first + count)) if count else None
+        if not count:
+            return True, None
+        if self.overflow.get_range(range(page * FULL_SLOTS, page * FULL_SLOTS + count)):
+            return True, True
+        self.write(page, count)
+        return True, False
 
-    def touch(self, page: int) -> None:
-        """Refresh or fill a page, as a write does; counts nothing."""
+    def write(self, page: int, count: int) -> None:
+        """Refresh or fill a page and its first ``count`` lines, as a device
+        response does; counts nothing.  A page an UPDATE left flat keeps its
+        count of filled lines, so the re-key that follows a reset drops them."""
         pages = self._pages
-        pages[page] = pages.pop(page, 0)
+        filled = pages.pop(page, 0)
+        pages[page] = count or filled
         if len(pages) > self.entries:
             self.drop(next(iter(pages)))
-
-    def fill_lines(self, page: int, count: int) -> None:
-        """Fill a resident page's first ``count`` lines into the overflow
-        buffer, as a device response carries them; recency is unchanged."""
-        self._pages[page] = count
-        first = page * FULL_SLOTS
-        self.overflow.put_range(range(first, first + count))
+        if count:
+            self.overflow.put_range(range(page * FULL_SLOTS, page * FULL_SLOTS + count))
 
     def drop(self, page: int) -> None:
         """Invalidate a page and its lines."""

@@ -481,10 +481,11 @@ class HostEngine(ProtectionEngine):
     # -- metadata caches -----------------------------------------------------------
 
     def _freshness(self, out: AccessOutcome, is_write: bool) -> float:
-        """A write is one device UPDATE; it runs before the MAC write, so a
-        capacity halt charges no MAC traffic, and it counts no flat-cache
-        hits.  A read probes the flat cache and every line the page needs;
-        any miss costs one device READ, whose latency is returned."""
+        """One flat-cache call per event.  A write is one device UPDATE; it
+        runs before the MAC write, so a capacity halt charges no MAC traffic,
+        and it counts no flat-cache hits.  A read probes the flat cache and
+        every line the page needs; any miss costs one device READ, whose
+        latency is returned.  Each device response fills the page's lines."""
         page = out.addr // self._page_bytes
         if is_write:
             try:
@@ -494,8 +495,8 @@ class HostEngine(ProtectionEngine):
                 raise SimulationHalted(self.halted) from exc
             out.events = result.events
             self.device_updates += 1
-            self.flat_cache.touch(page)
             count = LINE_COUNT[result.format_after]
+            self.flat_cache.write(page, count)
             latency = 0.0
         else:
             # materializes an untouched page, which can never be a flat hit,
@@ -504,9 +505,9 @@ class HostEngine(ProtectionEngine):
             hit, lines_hit = self.flat_cache.read(page, count)
             out.flat_hit = hit
             out.overflow_hit = lines_hit
+            if self._debug:
+                self._debug_checks(out.addr)
             if hit and lines_hit is not False:
-                if self._debug:
-                    self._debug_checks(out.addr)
                 return 0.0
             self.device_reads += 1
             latency = self._device_ns
@@ -515,10 +516,6 @@ class HostEngine(ProtectionEngine):
         nbytes = (2 + count) * self._message_bytes
         out.device_bytes += nbytes
         self.device_bytes += nbytes
-        if count:
-            self.flat_cache.fill_lines(page, count)
-        if self._debug and not is_write:
-            self._debug_checks(out.addr)
         return latency
 
     def _after_write(self, out: AccessOutcome) -> None:

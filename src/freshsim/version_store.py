@@ -186,6 +186,7 @@ class VersionStore:
         self.device_capacity_bytes = device_capacity_bytes
         self.dynamic_capacity_slots = (device_capacity_bytes - self.static_bytes) // SLOT_BYTES
         self.rng = rng
+        self._getrandbits = rng._rng.getrandbits  # reset draws: R > 0 is checked
 
         self._entries: dict[int, _Entry] = {}
         # one byte per dynamic slot, nonzero when used; always ends in
@@ -385,7 +386,7 @@ class VersionStore:
             if advance:
                 e.base = v
 
-        if advance and self.rng.draw(self._reset_exp) == 0:
+        if advance and self._getrandbits(self._reset_exp) == 0:
             self._reset_entry(e)
             events = (events or []) + ["reset_triggered"]
 

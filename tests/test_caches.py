@@ -270,6 +270,49 @@ def test_range_ops_match_per_key_ops_across_sets(ops):
             per_key.hits, per_key.misses, len(per_key))
 
 
+def _hashed_set(num_sets, key):
+    """Index of the set ``_fill``'s hash picks for ``key``."""
+    probe = SetAssocCache(num_sets, 1)
+    probe.access(key)
+    return next(i for i, s in enumerate(probe._sets) if s)
+
+
+_MEMO_KEYS = st.lists(st.one_of(st.integers(0, 15), st.integers(0, 2**40 - 1)), max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([1, 3, 32, 1024]),
+    st.integers(1, 3),
+    st.lists(st.tuples(st.sampled_from(["put", "inval", "access"]), _MEMO_KEYS), max_size=40),
+)
+def test_put_range_memo_is_exact_and_bounded(num_sets, assoc, ops):
+    # a twin driven one key at a time names the keys each put_range places
+    real = SetAssocCache(num_sets * assoc, assoc)
+    twin = SetAssocCache(num_sets * assoc, assoc)
+    placed = set()
+    for op, keys in ops:
+        if op == "put":
+            for k in keys:
+                if k not in twin._index:
+                    placed.add(k)
+                twin.put_range((k,))
+            real.put_range(keys)
+        elif op == "inval":
+            real.invalidate_range(keys)
+            twin.invalidate_range(keys)
+        else:
+            for k in keys:
+                assert real.access(k, k % 2 == 0) == twin.access(k, k % 2 == 0)
+        assert [list(s) for s in real._sets] == [list(s) for s in twin._sets]
+        # only put_range grows the memo, and every key it placed sits in its hashed set
+        assert real._homes.keys() == placed
+        for k, home in real._homes.items():
+            assert home is real._sets[_hashed_set(num_sets, k)]
+        for k, s in real._index.items():
+            assert s is real._sets[_hashed_set(num_sets, k)]
+
+
 class TestRangeOps:
     def test_get_range_probes_every_key_after_a_miss(self):
         c = SetAssocCache(4, 4)
@@ -329,23 +372,33 @@ class _FlatModel:
         if evicted is not None:
             self.drop(evicted[0])
 
+    def _fill_lines(self, page, count):
+        """The device response: every line of the page's format, one by one."""
+        self.filled[page] = count
+        for k in self._keys(page, count):
+            self.overflow.put_range((k,))
+
     def read(self, page, count):
+        """A flat miss, or a hit with any missed line, costs a device READ,
+        which fills the page's lines."""
         if not self.lru.get(page):
             self.misses += 1
             self._fill(page)
+            self._fill_lines(page, count)
             return False, None
         self.hits += 1
         if not count:
             return True, None
-        return True, all([self.overflow.get_range((k,)) for k in self._keys(page, count)])
+        lines_hit = all([self.overflow.get_range((k,)) for k in self._keys(page, count)])
+        if not lines_hit:
+            self._fill_lines(page, count)
+        return True, lines_hit
 
-    def touch(self, page):
+    def write(self, page, count):
+        """A device UPDATE; a page it left flat keeps the lines it filled."""
         self._fill(page)
-
-    def fill_lines(self, page, count):
-        self.filled[page] = count
-        for k in self._keys(page, count):
-            self.overflow.put_range((k,))
+        if count:
+            self._fill_lines(page, count)
 
     def drop(self, page):
         self.lru.invalidate(page)
@@ -359,34 +412,27 @@ class _FlatModel:
     st.integers(1, 4),
     st.integers(1, 3),
     st.lists(
-        st.tuples(st.sampled_from(["read", "fetch", "touch", "write", "drop"]),
+        st.tuples(st.sampled_from(["read", "write", "drop"]),
                   st.integers(0, 5), st.integers(0, FULL_SLOTS)),
         max_size=120,
     ),
 )
 def test_flat_cache_matches_reference_model(entries, assoc, sets, ops):
-    # "write" and "fetch" drive the cache as the engine does: lines are
-    # filled only into a resident page, by the device response to an update
-    # or to a read that missed, and a cached page's line count never shrinks
+    # counts follow the engine: a cached page's format only grows, except that
+    # a write whose reset left the page flat passes 0 and the re-key drops it
     real = FlatCache(entries, SetAssocCache(assoc * sets, assoc))
     model = _FlatModel(entries, assoc * sets, assoc)
     for op, page, count in ops:
-        count = max(count, model.filled.get(page, 0))
-        if op in ("read", "fetch"):
-            result = real.read(page, count)
-            assert result == model.read(page, count)
-            fill = op == "fetch" and count and (not result[0] or result[1] is False)
-        elif op == "drop":
+        if op != "write" or count:
+            count = max(count, model.filled.get(page, 0))
+        if op == "read":
+            assert real.read(page, count) == model.read(page, count)
+        elif op == "write":
+            real.write(page, count)
+            model.write(page, count)
+        else:
             real.drop(page)
             model.drop(page)
-            fill = False
-        else:
-            real.touch(page)
-            model.touch(page)
-            fill = op == "write" and count
-        if fill:
-            real.fill_lines(page, count)
-            model.fill_lines(page, count)
         assert (real.hits, real.misses) == (model.hits, model.misses)
         assert [p for p in range(6) if p in real] == [p for p in range(6) if p in model.lru.d]
         assert [real.lines(p) for p in range(6)] == [model.filled.get(p, 0) for p in range(6)]
@@ -401,21 +447,40 @@ class TestFlatCache:
     def test_eviction_drops_the_victims_lines(self):
         c = FlatCache(2, SetAssocCache(8, 8))
         for page in (0, 1):
-            c.touch(page)
-            c.fill_lines(page, FULL_SLOTS)
+            c.write(page, FULL_SLOTS)
         assert c.read(2, 0) == (False, None)  # evicts page 0, the least recent
         assert 0 not in c and c.overflow.resident_keys() == [4, 5, 6, 7]
         assert c.read(1, FULL_SLOTS) == (True, True)
         assert (c.hits, c.misses) == (1, 1)
 
-    def test_touch_counts_nothing_and_fill_keeps_recency(self):
+    def test_write_counts_nothing_and_refreshes_recency(self):
         c = FlatCache(2, SetAssocCache(8, 8))
-        c.touch(0)
-        c.touch(1)
-        c.fill_lines(0, 1)  # page 0 stays the least recent
-        c.touch(2)
-        assert 0 not in c and c.overflow.resident_keys() == []
-        assert (c.hits, c.misses) == (0, 0)
+        c.write(0, 1)
+        c.write(1, 0)
+        c.write(0, 1)  # page 1 is now the least recent
+        c.write(2, 0)
+        assert 1 not in c and 0 in c and c.overflow.resident_keys() == [0]
+        assert (c.hits, c.misses, c.overflow.hits, c.overflow.misses) == (0, 0, 0, 0)
+
+    def test_write_left_flat_keeps_lines_for_the_drop(self):
+        # a write whose reset left the page flat passes 0 lines; the re-key
+        # that follows must still find and drop the lines the page filled
+        c = FlatCache(2, SetAssocCache(8, 8))
+        c.write(0, FULL_SLOTS)
+        c.write(0, 0)
+        assert c.lines(0) == FULL_SLOTS
+        c.drop(0)
+        assert [k for k in c.overflow.resident_keys() if k // FULL_SLOTS == 0] == []
+
+    def test_read_fills_lines_exactly_on_a_device_read(self):
+        c = FlatCache(2, SetAssocCache(8, 8))
+        assert c.read(0, 2) == (False, None)  # flat miss: the READ fills both lines
+        assert c.overflow.resident_keys() == [0, 1] and c.lines(0) == 2
+        c.overflow.invalidate_range([1])
+        assert c.read(0, 2) == (True, False)  # a missed line: the READ refills it
+        assert c.overflow.resident_keys() == [0, 1]
+        assert c.read(0, 2) == (True, True)  # all hit: no READ, nothing filled
+        assert (c.overflow.hits, c.overflow.misses) == (3, 1)
 
     def test_rejects_no_entries(self):
         with pytest.raises(ConfigError):
