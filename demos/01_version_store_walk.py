@@ -6,7 +6,9 @@ offset window when the spread allows, and finally expands to a full
 per-block entry.  A stealth reset collapses it back to flat.
 """
 
-from freshsim.core import Geometry, RandomSource, SecurityParams
+import random
+
+from freshsim.core import Geometry, SecurityParams
 from freshsim.version_store import (
     FORMAT_NAMES,
     VersionStore,
@@ -34,7 +36,7 @@ def main():
     store = VersionStore(
         protected_bytes=4096,
         device_capacity_bytes=flat_array_bytes(4096, G, P) + 4 * 56,
-        rng=RandomSource(11),
+        rng=random.Random(11),
         params=P,
     )
     show(store, "fresh page")

@@ -12,10 +12,8 @@ from .core import (
     ConfigError,
     EncodingError,
     Geometry,
-    RandomSource,
     SecurityParams,
     SimError,
-    addr_decompose,
     pack_full,
     stealth_add,
 )
@@ -74,10 +72,8 @@ __all__ = [
     "ConfigError",
     "EncodingError",
     "Geometry",
-    "RandomSource",
     "SecurityParams",
     "SimError",
-    "addr_decompose",
     "pack_full",
     "stealth_add",
     "FLAT",

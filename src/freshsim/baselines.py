@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .caches import SetAssocCache
+from .caches import SetAssocCache, check_shape
 from .core import AddressRangeError, ConfigError, Geometry
 from .engine import AccessOutcome, EngineConfig, ProtectionEngine
 
@@ -61,12 +61,17 @@ class CounterTreeConfig:
             raise ConfigError("tree node_bytes must be at least arity")
         if self.counters_per_leaf_node < 1:
             raise ConfigError("tree counters_per_leaf_node must be at least 1")
-        if self.counter_cache_assoc < 1:
-            raise ConfigError("tree counter_cache_assoc must be at least 1")
+        check_shape(*self.counter_cache_shape, "tree counter_cache_bytes and counter_cache_assoc")
         if self.protected_bytes < self.geometry.block_bytes:
             raise ConfigError("protected range smaller than one block")
         if self.root_bytes < self.node_bytes // self.arity:
             raise ConfigError("root region cannot hold even one child counter")
+
+    @property
+    def counter_cache_shape(self) -> tuple[int, int]:
+        """(lines, ways) of the counter cache; it has no more ways than lines."""
+        lines = self.counter_cache_bytes // self.node_bytes
+        return lines, min(self.counter_cache_assoc, lines)
 
     @property
     def root_coverage(self) -> int:
@@ -100,11 +105,7 @@ class CounterTreeState:
     def __init__(self, config: CounterTreeConfig) -> None:
         self.config = config
         self.depth = tree_depth(config)
-        lines = max(config.counter_cache_bytes // config.node_bytes, 1)
-        assoc = min(config.counter_cache_assoc, lines)
-        if lines % assoc:
-            assoc = 1
-        self.cache = SetAssocCache(lines=lines, assoc=assoc)
+        self.cache = SetAssocCache(*config.counter_cache_shape)
         self.fetches = 0
         self.dirty_writebacks = 0
         self._protected_bytes = config.protected_bytes

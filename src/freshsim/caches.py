@@ -13,6 +13,12 @@ from .core import ConfigError
 from .version_store import FULL_SLOTS
 
 
+def check_shape(lines: int, assoc: int, keys: str) -> None:
+    """Reject a cache of no line or no way, or whose lines do not split into whole sets."""
+    if lines <= 0 or assoc <= 0 or lines % assoc:
+        raise ConfigError(f"bad cache shape: {keys} give {lines} lines, {assoc}-way")
+
+
 class SetAssocCache:
     """Set-associative write-back LRU cache keyed by integers.
 
@@ -25,8 +31,7 @@ class SetAssocCache:
     """
 
     def __init__(self, lines: int, assoc: int) -> None:
-        if lines <= 0 or assoc <= 0 or lines % assoc:
-            raise ConfigError(f"bad cache shape: {lines} lines, {assoc}-way")
+        check_shape(lines, assoc, "lines and assoc")
         self.lines = lines
         self.assoc = assoc
         self.num_sets = lines // assoc

@@ -156,18 +156,22 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
-def _emit_json(doc: dict, out_path: str | None) -> None:
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+def _emit(text: str, out_path: str | None) -> None:
+    """Write ``text`` to ``out_path`` as is, or to stdout when there is none."""
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
+        with open(out_path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
 
 
-def _load_run_config(args) -> dict:
-    doc = _read_json(args.config) if args.config else None
-    cfg = resolve_config(doc)
+def _emit_json(doc: dict, out_path: str | None) -> None:
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
+
+
+def _load_run_config(args, path: str | None) -> dict:
+    """The run config at ``path`` (or the defaults), ``--mode`` and ``--seed`` applied."""
+    cfg = resolve_config(_read_json(path) if path else None)
     if getattr(args, "mode", None):
         cfg["mode"] = args.mode
     if args.seed is not None:
@@ -186,7 +190,7 @@ def _run(engine, events) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_run_config(args)
+    cfg = _load_run_config(args, args.config)
     events = resolve_trace(cfg, args.trace)
     engine = build_engine(cfg)
     code = _run(engine, events)
@@ -215,10 +219,22 @@ def cmd_gen_trace(args) -> int:
     return 0
 
 
-def _mc_params(doc, required: tuple, optional: tuple, what: str) -> dict:
-    """A Monte Carlo section: integer values, every required key present."""
+def _mc_params(doc, required: tuple, optional: tuple, what: str, seed: int | None) -> dict:
+    """A Monte Carlo section's parameters: integer values, every required key
+    present, and ``seed`` (``--seed``), when given, over the section's own."""
     _check(doc, dict.fromkeys(required + optional, _INT), what, required)
-    return dict(doc)
+    return dict(doc) if seed is None else dict(doc, seed=seed)
+
+
+def _mc_report(est, analytic: float, params: dict) -> dict:
+    """A Monte Carlo section's report: the estimate beside its analytic value."""
+    return {
+        "estimate": est.estimate,
+        "stderr": est.stderr,
+        "trials": est.trials,
+        "analytic": analytic,
+        "parameters": {k: v for k, v in sorted(params.items()) if k != "trials"},
+    }
 
 
 def cmd_analyze_security(args) -> int:
@@ -246,40 +262,19 @@ def cmd_analyze_security(args) -> int:
     mc_doc = _section(doc.get("monte_carlo"))
     _check(mc_doc, dict.fromkeys(("exhaustion", "replay")), "monte_carlo")
     if "exhaustion" in mc_doc:
-        p = _mc_params(
-            mc_doc["exhaustion"],
-            ("stealth_bits", "reset_exp"),
-            ("addresses", "updates_per_address", "trials", "seed"),
-            "monte_carlo.exhaustion",
-        )
-        if args.seed is not None:
-            p["seed"] = args.seed
+        p = _mc_params(mc_doc["exhaustion"], ("stealth_bits", "reset_exp"),
+                       ("addresses", "updates_per_address", "trials", "seed"),
+                       "monte_carlo.exhaustion", args.seed)
         est = mc_exhaustion(**p)
         p.setdefault("addresses", 1)
         p.setdefault("updates_per_address", 4 << p["stealth_bits"])
-        report["exhaustion"]["monte_carlo"] = {
-            "estimate": est.estimate,
-            "stderr": est.stderr,
-            "trials": est.trials,
-            "analytic": analytic_exhaustion_prob(
-                p["stealth_bits"], p["reset_exp"], p["updates_per_address"], p["addresses"]
-            ),
-            "parameters": {k: v for k, v in sorted(p.items()) if k != "trials"},
-        }
+        report["exhaustion"]["monte_carlo"] = _mc_report(est, analytic_exhaustion_prob(
+            p["stealth_bits"], p["reset_exp"], p["updates_per_address"], p["addresses"]), p)
     if "replay" in mc_doc:
-        p = _mc_params(
-            mc_doc["replay"], ("stealth_bits",), ("trials", "seed"), "monte_carlo.replay"
-        )
-        if args.seed is not None:
-            p["seed"] = args.seed
-        est = mc_replay(**p)
-        report["replay"]["monte_carlo"] = {
-            "estimate": est.estimate,
-            "stderr": est.stderr,
-            "trials": est.trials,
-            "analytic": replay_success_prob(p["stealth_bits"]),
-            "parameters": {k: v for k, v in sorted(p.items()) if k != "trials"},
-        }
+        p = _mc_params(mc_doc["replay"], ("stealth_bits",), ("trials", "seed"),
+                       "monte_carlo.replay", args.seed)
+        report["replay"]["monte_carlo"] = _mc_report(
+            mc_replay(**p), replay_success_prob(p["stealth_bits"]), p)
     _emit_json(report, args.out)
     return 0
 
@@ -326,9 +321,7 @@ def cmd_compare(args) -> int:
     reference_events = None
     rows = []
     for path in args.configs:
-        cfg = resolve_config(_read_json(path))
-        if args.seed is not None:
-            cfg["seed"] = args.seed
+        cfg = _load_run_config(args, path)
         events = resolve_trace(cfg, args.trace)
         if reference_events is None:
             reference_events = events
@@ -346,11 +339,7 @@ def cmd_compare(args) -> int:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     writer.writerows(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _emit(buf.getvalue(), args.out)
     return 0
 
 

@@ -1,4 +1,4 @@
-"""Shared primitives: geometry, security parameters, version arithmetic, randomness.
+"""Shared primitives: geometry, security parameters, version arithmetic, bit packing.
 
 Version numbers are split into two fields.  The low ``stealth_bits`` (S) live
 in a trusted device and wrap modulo 2**S; the high ``upper_bits`` (U) live in
@@ -6,11 +6,15 @@ spare bits of MAC blocks in ordinary memory and only ever grow.  The full
 nonce used for encryption and MACs is the concatenation ``upper || stealth``
 with the upper field in the high bits.  All widths are configurable so the
 probabilistic machinery can be exercised at reduced scale.
+
+A byte address is split inline, once checked against its range, into page
+``addr // page_bytes`` and block ``addr // block_bytes % blocks_per_page``.
+The device's entropy source is a seeded ``random.Random``: the version store
+draws every base and reset check from its ``getrandbits``.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 
 
@@ -129,40 +133,6 @@ def pack_full(upper: int, stealth: int, params: SecurityParams) -> int:
             f"stealth version {stealth} does not fit {params.stealth_bits} bits"
         )
     return (upper << params.stealth_bits) | stealth
-
-
-def addr_decompose(addr: int, geometry: Geometry, protected_bytes: int | None = None) -> tuple[int, int]:
-    """Map a byte address to (page index, block index within the page)."""
-    if addr < 0:
-        raise AddressRangeError(f"negative address {addr:#x}")
-    if protected_bytes is not None and addr >= protected_bytes:
-        raise AddressRangeError(
-            f"address {addr:#x} outside protected range of {protected_bytes} bytes"
-        )
-    page = addr // geometry.page_bytes
-    block = (addr // geometry.block_bytes) % geometry.blocks_per_page
-    return page, block
-
-
-class RandomSource:
-    """Deterministic seeded source of uniform k-bit draws.
-
-    Stands in for the device's hardware entropy source.  Two instances built
-    from the same seed produce identical draw sequences, which the tests rely
-    on to run an independent reference model in lockstep with the store.
-    """
-
-    __slots__ = ("seed", "_rng")
-
-    def __init__(self, seed: int) -> None:
-        self.seed = seed
-        self._rng = random.Random(seed)
-
-    def draw(self, bits: int) -> int:
-        """Uniform integer in [0, 2**bits)."""
-        if bits <= 0:
-            raise ConfigError(f"draw width must be positive, got {bits}")
-        return self._rng.getrandbits(bits)
 
 
 def pack_bitfields(values: list[int], width: int) -> bytes:

@@ -32,17 +32,16 @@ from __future__ import annotations
 
 import hashlib
 import math
+import random
 from dataclasses import dataclass, field
 
-from .caches import FlatCache, SetAssocCache
+from .caches import FlatCache, SetAssocCache, check_shape
 from .core import (
     AddressRangeError,
     ConfigError,
     Geometry,
-    RandomSource,
     SecurityParams,
     SimError,
-    addr_decompose,
     pack_full,
 )
 from .version_store import (
@@ -155,8 +154,15 @@ class EngineConfig:
                      "cipher_cycles", "device_message_bytes"):
             if not 0 <= getattr(self, name) < math.inf:  # a NaN fails this too
                 raise ConfigError(f"{name} must lie in [0, inf), got {getattr(self, name)}")
+        if self.local_bytes % page:
+            raise ConfigError(f"local_bytes must be a multiple of the {page}-byte page, "
+                              f"got {self.local_bytes}")
         if self.overflow_bytes % SLOT_BYTES:
             raise ConfigError("overflow_bytes must be a multiple of the 56-byte line")
+        check_shape(self.overflow_bytes // SLOT_BYTES, self.overflow_assoc,
+                    "overflow_bytes and overflow_assoc")
+        check_shape(self.mac_cache_bytes // self.geometry.block_bytes, self.mac_assoc,
+                    "mac_cache_bytes and mac_assoc")
         if not 0 < self.clock_ghz < math.inf:
             raise ConfigError(f"clock_ghz must be positive and finite, got {self.clock_ghz}")
         if not 0 <= self.seed < 1 << 128:
@@ -463,7 +469,7 @@ class HostEngine(ProtectionEngine):
         self.store = VersionStore(
             protected_bytes=config.protected_bytes,
             device_capacity_bytes=config.resolved_device_capacity(),
-            rng=RandomSource(config.seed),
+            rng=random.Random(config.seed),
             geometry=config.geometry,
             params=config.params,
         )
@@ -471,8 +477,7 @@ class HostEngine(ProtectionEngine):
         self.flat_cache = FlatCache(config.flat_cache_entries, self.overflow)
         self.functional = FunctionalBlockStore(config.geometry, config.params, config.seed)
         self.uv: dict[int, int] = {}
-        g = config.geometry
-        self._page_bytes = g.page_bytes
+        self._page_bytes = config.geometry.page_bytes
         self._device_ns = config.device_ns
         self._message_bytes = config.device_message_bytes
         self.device_reads = 0
@@ -546,7 +551,7 @@ class HostEngine(ProtectionEngine):
     def _decode_version(self, addr: int) -> int:
         g = self.config.geometry
         params = self.config.params
-        page, block = addr_decompose(addr, g)
+        page, block = divmod(addr // g.block_bytes, g.blocks_per_page)
         tag, base, payload = decode_entry_image(self.store.entry_image(page), params)
         if tag == FLAT:
             return (base + ((payload >> block) & 1)) & params.stealth_mask
@@ -598,7 +603,7 @@ class HostEngine(ProtectionEngine):
         """
         out = self._rekey_page(page, "U", out)
         nbytes = self._page_bytes  # every block of the page, rewritten
-        if page * self._page_bytes < self._local_limit:
+        if out.channel == "local":
             out.local_bytes += nbytes
             self.local_bytes += nbytes
         else:
@@ -632,10 +637,8 @@ class HostEngine(ProtectionEngine):
     def functional_write(self, addr: int, plaintext: bytes) -> tuple[Record, AccessOutcome]:
         fn = self.functional
         out = self.process_access("W", addr)
-        page, _ = addr_decompose(addr, self.config.geometry, self.store.protected_bytes)
-        record = fn.seal(
-            addr, plaintext, self.uv.get(page, 0), self.store.read_version(addr)
-        )
+        record = fn.seal(addr, plaintext, self.uv.get(addr // self._page_bytes, 0),
+                         self.store.read_version(addr))
         fn.put(addr, record)
         return record, out
 

@@ -190,15 +190,17 @@ def _pairs(flags: np.ndarray, addrs: np.ndarray) -> list[tuple[str, int]]:
     return list(zip(map(_OPS.__getitem__, flags.tolist()), addrs.tolist()))
 
 
-def _gen_sweep(spec: PatternSpec, sequential_reads: bool) -> list[tuple[str, int]]:
-    # writes advance a block cursor in address order (wrapping), so within a
-    # sweep each block is written at most once and every page stays flat
+def _gen_sweep(spec: PatternSpec, sequential_reads: bool, span: int = 0,
+               step: int = BLOCK) -> list[tuple[str, int]]:
+    # writes step a cursor of ``step`` bytes over ``span`` positions (0: every
+    # block), wrapping; by default each block is written at most once within
+    # a sweep, so every page stays flat
     rng = np.random.default_rng(spec.seed)
     writes = _rw_flags(spec, rng)
     n_blocks = _blocks(spec)
     addrs = np.empty(spec.op_count, dtype=np.int64)
     w_idx = np.flatnonzero(writes)
-    addrs[w_idx] = (np.arange(len(w_idx), dtype=np.int64) % n_blocks) * BLOCK
+    addrs[w_idx] = (np.arange(len(w_idx), dtype=np.int64) % (span or n_blocks)) * step
     r_idx = np.flatnonzero(~writes)
     if len(r_idx):
         if sequential_reads:
@@ -239,17 +241,8 @@ def gen_hot_block(spec: PatternSpec) -> list[tuple[str, int]]:
     The hot region is the first ``hot_set_bytes`` of the footprint (whole
     footprint when 0).  Reads fall uniformly over the footprint.
     """
-    rng = np.random.default_rng(spec.seed)
-    hot_bytes = spec.hot_set_bytes or spec.footprint_bytes
-    hot_pages = max(1, min(hot_bytes, spec.footprint_bytes) // 4096)
-    writes = _rw_flags(spec, rng)
-    addrs = np.empty(spec.op_count, dtype=np.int64)
-    w_idx = np.flatnonzero(writes)
-    addrs[w_idx] = (np.arange(len(w_idx), dtype=np.int64) % hot_pages) * 4096
-    r_idx = np.flatnonzero(~writes)
-    if len(r_idx):
-        addrs[r_idx] = rng.integers(0, _blocks(spec), len(r_idx)) * BLOCK
-    return _pairs(writes, addrs)
+    hot_bytes = min(spec.hot_set_bytes or spec.footprint_bytes, spec.footprint_bytes)
+    return _gen_sweep(spec, sequential_reads=False, span=max(1, hot_bytes // 4096), step=4096)
 
 
 def gen_zipfian(spec: PatternSpec) -> list[tuple[str, int]]:

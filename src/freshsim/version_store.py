@@ -31,13 +31,13 @@ to bump the page's upper version.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 from .core import (
     AddressRangeError,
     ConfigError,
     Geometry,
-    RandomSource,
     SecurityParams,
     SimError,
     pack_bitfields,
@@ -150,17 +150,19 @@ _NO_EVENTS: tuple[str, ...] = ()
 class VersionStore:
     """The trusted device: static flat array plus a slotted dynamic region.
 
-    Pages materialize lazily: the first touch of a page (read or update)
-    draws its random initial base.  This keeps tera-scale protected ranges
-    cheap while preserving the distribution; the draw order is part of the
-    deterministic contract shared with the tests' reference model.
+    ``rng`` is the device's entropy source, a seeded ``random.Random``;
+    every draw is one ``getrandbits`` call.  Pages materialize lazily: the
+    first touch of a page (read or update) draws its random initial base.
+    This keeps tera-scale protected ranges cheap while preserving the
+    distribution; the draw order is part of the deterministic contract
+    shared with the tests' reference model.
     """
 
     def __init__(
         self,
         protected_bytes: int,
         device_capacity_bytes: int,
-        rng: RandomSource,
+        rng: random.Random,
         geometry: Geometry | None = None,
         params: SecurityParams | None = None,
     ) -> None:
@@ -186,7 +188,7 @@ class VersionStore:
         self.device_capacity_bytes = device_capacity_bytes
         self.dynamic_capacity_slots = (device_capacity_bytes - self.static_bytes) // SLOT_BYTES
         self.rng = rng
-        self._getrandbits = rng._rng.getrandbits  # reset draws: R > 0 is checked
+        self._getrandbits = rng.getrandbits
 
         self._entries: dict[int, _Entry] = {}
         # one byte per dynamic slot, nonzero when used; always ends in
@@ -213,7 +215,7 @@ class VersionStore:
     def _entry(self, page: int) -> _Entry:
         e = self._entries.get(page)
         if e is None:
-            e = _Entry(self.rng.draw(self.params.stealth_bits))
+            e = _Entry(self._getrandbits(self.params.stealth_bits))
             self._entries[page] = e
         return e
 
@@ -405,7 +407,7 @@ class VersionStore:
             self._free(e.slot, FULL_SLOTS)
             self.pages_full -= 1
         e.tag = FLAT
-        e.base = self.rng.draw(self.params.stealth_bits)
+        e.base = self._getrandbits(self.params.stealth_bits)
         e.bitvec = 0
         e.offsets = None
         e.versions = None

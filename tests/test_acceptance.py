@@ -13,6 +13,7 @@ rather than imported from the code under test.
 import filecmp
 import json
 import math
+import random
 import time
 
 from freshsim.analysis import (
@@ -31,7 +32,7 @@ from freshsim.baselines import (
     tree_depth,
 )
 from freshsim.cli import main
-from freshsim.core import Geometry, RandomSource, SecurityParams, pack_full, stealth_add
+from freshsim.core import Geometry, SecurityParams, pack_full, stealth_add
 from freshsim.engine import (
     EngineConfig,
     FunctionalBlockStore,
@@ -65,7 +66,7 @@ def make_store(pages, seed, params=P, extra=1 << 22):
     return VersionStore(
         protected_bytes=pages * PAGE,
         device_capacity_bytes=flat_array_bytes(pages * PAGE, G, params) + extra,
-        rng=RandomSource(seed),
+        rng=random.Random(seed),
         params=params,
     )
 
@@ -157,7 +158,7 @@ class _UncompressedMap:
     """
 
     def __init__(self, seed, params):
-        self.rng = RandomSource(seed)
+        self.draw = random.Random(seed).getrandbits
         self.s = params.stealth_bits
         self.r = params.reset_exp
         self.pages = {}
@@ -165,7 +166,7 @@ class _UncompressedMap:
     def _page(self, page):
         v = self.pages.get(page)
         if v is None:
-            v = [self.rng.draw(self.s)] * 64
+            v = [self.draw(self.s)] * 64
             self.pages[page] = v
         return v
 
@@ -176,8 +177,8 @@ class _UncompressedMap:
         v = self._page(page)
         lead = max(v)
         v[block] += 1
-        if v[block] > lead and self.rng.draw(self.r) == 0:
-            fresh = self.rng.draw(self.s)
+        if v[block] > lead and self.draw(self.r) == 0:
+            fresh = self.draw(self.s)
             self.pages[page] = v = [fresh] * 64
         return v[block] % (1 << self.s)
 

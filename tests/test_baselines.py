@@ -54,6 +54,18 @@ class TestTreeGeometry:
         with pytest.raises(ConfigError):
             CounterTreeConfig(protected_bytes=4 * MIB, root_bytes=4)
 
+    @pytest.mark.parametrize("cache_bytes, assoc", [(6 * 64, 4), (10, 16), (64, 0)])
+    def test_bad_counter_cache_shape_is_rejected(self, cache_bytes, assoc):
+        # 6 lines do not fill 4-way sets, and 10 bytes hold no 64-byte line
+        with pytest.raises(ConfigError, match="counter_cache_bytes and counter_cache_assoc"):
+            CounterTreeConfig(protected_bytes=4 * MIB, counter_cache_bytes=cache_bytes,
+                              counter_cache_assoc=assoc)
+
+    def test_counter_cache_smaller_than_its_ways_is_fully_associative(self):
+        cache = CounterTreeState(CounterTreeConfig(protected_bytes=4 * MIB,
+                                                   counter_cache_bytes=2 * 64)).cache
+        assert (cache.lines, cache.assoc) == (2, 2)
+
 
 class TestTreeWalk:
     def make_state(self, **kw):

@@ -221,6 +221,12 @@ class TestConfigHandling:
         ({"mode": "toleo", "cipher_cycles": -40}, [], "cipher_cycles"),
         ({"local_ns": -50}, [], "local_ns"),
         ({"local_bytes": -1}, [], "local_bytes"),
+        ({"mode": "toleo", "local_bytes": 100}, [], "local_bytes"),
+        ({"mode": "merkle", "tree": {"counter_cache_bytes": 384, "counter_cache_assoc": 4}}, [],
+         "counter_cache_bytes and counter_cache_assoc"),
+        ({"mode": "merkle", "tree": {"counter_cache_bytes": 10}}, [], "counter_cache_bytes"),
+        ({"mode": "toleo", "mac_cache_bytes": 384, "mac_assoc": 4}, [], "mac_assoc"),
+        ({"mode": "toleo", "overflow_bytes": 336, "overflow_assoc": 4}, [], "overflow_assoc"),
         ({"mode": "merkle", "pool_dram_ns": -1}, [], "pool_dram_ns"),
         ({"mode": "toleo", "device_dram_ns": -1}, [], "device_dram_ns"),
         ({"mode": "toleo", "cxl_ns": float("nan")}, [], "cxl_ns"),
@@ -232,7 +238,9 @@ class TestConfigHandling:
     ], ids=["tree_assoc_0", "tree_node_0", "tree_node_4", "tree_leaf_0", "clock_0",
             "seed_negative", "seed_2_128", "seed_flag_negative", "pattern_seed_negative",
             "message_bytes_negative", "cxl_ns_negative", "cipher_cycles_negative",
-            "local_ns_negative", "local_bytes_negative", "pool_dram_ns_negative",
+            "local_ns_negative", "local_bytes_negative", "local_bytes_unaligned",
+            "tree_cache_shape", "tree_cache_no_line", "mac_cache_shape", "overflow_shape",
+            "pool_dram_ns_negative",
             "device_dram_ns_negative", "cxl_ns_nan", "local_ns_inf", "cxl_ns_inf",
             "clock_ghz_inf", "protected_bytes_unaligned", "protected_bytes_zero"])
     def test_out_of_range_value_names_the_key(self, tmp_path, capsys, doc, flags, key):

@@ -2,13 +2,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from freshsim.core import (
-    AddressRangeError,
     ConfigError,
     EncodingError,
     Geometry,
-    RandomSource,
     SecurityParams,
-    addr_decompose,
     pack_bitfields,
     pack_full,
     stealth_add,
@@ -55,25 +52,6 @@ class TestSecurityParams:
         with pytest.raises(ConfigError):
             SecurityParams(stealth_bits=10, upper_bits=6, reset_exp=0)
         SecurityParams(stealth_bits=10, upper_bits=6, reset_exp=9)
-
-
-class TestAddrDecompose:
-    def test_zero(self):
-        assert addr_decompose(0, Geometry()) == (0, 0)
-
-    def test_second_page_second_block(self):
-        assert addr_decompose(0x1040, Geometry()) == (1, 1)
-
-    def test_last_block_of_first_page(self):
-        assert addr_decompose(0xFFF, Geometry()) == (0, 63)
-
-    def test_range_check(self):
-        g = Geometry()
-        addr_decompose(4095, g, protected_bytes=4096)
-        with pytest.raises(AddressRangeError):
-            addr_decompose(4096, g, protected_bytes=4096)
-        with pytest.raises(AddressRangeError):
-            addr_decompose(-1, g)
 
 
 class TestStealthArithmetic:
@@ -126,23 +104,6 @@ class TestFullVersionPacking:
                 seen.add(packed)
                 assert divmod(packed, 1 << p.stealth_bits) == (uv, sv)
         assert len(seen) == 512
-
-
-class TestRandomSource:
-    def test_reproducible_stream(self):
-        a = RandomSource(12345)
-        b = RandomSource(12345)
-        assert all(a.draw(8) == b.draw(8) for _ in range(1_000_000))
-
-    def test_seed_changes_stream(self):
-        a = [RandomSource(1).draw(16) for _ in range(100)]
-        b = [RandomSource(2).draw(16) for _ in range(100)]
-        assert a != b
-
-    def test_draw_width_bound(self):
-        r = RandomSource(7)
-        for bits in (1, 5, 27, 37, 64):
-            assert all(r.draw(bits) < (1 << bits) for _ in range(200))
 
 
 class TestBitfields:

@@ -67,6 +67,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             EngineConfig(overflow_bytes=1000)
 
+    def test_local_bytes_must_be_whole_pages(self):
+        # else one page would straddle the two channels, and its blocks and
+        # its reset re-encryption would be charged to different ones
+        with pytest.raises(ConfigError, match="local_bytes"):
+            EngineConfig(protected_bytes=4 * PAGE, local_bytes=100)
+        EngineConfig(protected_bytes=4 * PAGE, local_bytes=PAGE)
+
+    @pytest.mark.parametrize("doc, keys", [
+        ({"overflow_bytes": 6 * 56, "overflow_assoc": 4}, "overflow_bytes and overflow_assoc"),
+        ({"mac_cache_bytes": 6 * 64, "mac_assoc": 4}, "mac_cache_bytes and mac_assoc"),
+        ({"mac_cache_bytes": 10}, "mac_cache_bytes and mac_assoc"),
+    ])
+    def test_cache_shape_names_its_keys(self, doc, keys):
+        with pytest.raises(ConfigError, match=f"bad cache shape: {keys} give"):
+            EngineConfig(**doc)
+
     def test_derived_latencies(self):
         c = EngineConfig()
         assert c.cipher_ns == pytest.approx(CIPHER_NS)
@@ -145,6 +161,12 @@ class TestChargingModel:
         for page in range(17):
             e.process_access("W", page * PAGE)
         assert e.mac_bytes == 18 * BLOCK  # 17 fills + 1 dirty eviction
+
+    def test_reset_reencryption_on_the_pool_page_channel(self):
+        e = make_engine(pages=4, local_bytes=PAGE)
+        out = e.handle_uv_update(1)
+        assert (out.channel, out.local_bytes, out.pool_bytes) == ("pool", 0, 64 * BLOCK)
+        assert (e.local_bytes, e.pool_bytes) == (0, 64 * BLOCK)
 
     def test_pool_channel_and_latency(self):
         e = make_engine(pages=16, local_bytes=0)

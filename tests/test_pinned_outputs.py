@@ -1,4 +1,5 @@
-"""Byte-for-byte pins of the ``simulate`` JSON and the ``compare`` CSV.
+"""Byte-for-byte pins of the CLI's outputs: ``simulate`` JSON, ``compare``
+CSV, ``gen-trace`` files and ``analyze-security`` JSON.
 
 The digests below were taken from the reference implementation.  A change
 that only restructures or speeds up the simulator must leave every one of
@@ -7,7 +8,9 @@ on purpose.  The configs are small but reach every accounting path: resets
 (``reset_exp`` 4), uneven and full pages, flat-cache evictions that drop
 overflow lines, overflow and MAC evictions, dirty counter-tree write-backs,
 both data channels (``local_bytes`` below the footprint) and a run halted by
-device capacity.
+device capacity.  The ``gen-trace`` pins cover every pattern kind at write
+fractions 0, 0.3 and 1 in both file forms; the ``analyze-security`` pins
+cover both Monte Carlo sections, with and without ``--seed``.
 """
 
 import hashlib
@@ -16,6 +19,7 @@ import json
 import pytest
 
 from freshsim.cli import MODES, main
+from freshsim.traces import PATTERN_KINDS
 
 PAGE = 4096
 PAGES = 64
@@ -111,3 +115,57 @@ def test_compare_csv_is_pinned(tmp_path):
     out = tmp_path / "compare.csv"
     assert main(["compare", "--out", str(out)] + configs) == 0
     assert sha256(out) == COMPARE_DIGEST
+
+
+# a footprint of six pages, so a 1000-op sweep wraps, and a hot set that is
+# not a whole number of pages
+PATTERN = {"footprint_bytes": 6 * PAGE, "op_count": 1000, "hot_set_bytes": 3 * PAGE + 100,
+           "stride_bytes": 320, "seed": 9}
+WRITE_FRACTIONS = (0, 0.3, 1)
+
+GEN_TRACE_DIGESTS = {
+    "sequential": "335ae8168439f89ebb8a290bd6babc2179e3d7b131a84985c56e613cf0105dd5",
+    "page_uniform": "52a4326096a78b408eae6201b2ed7b9fd30b6789d500ddb79a8158b62e157233",
+    "write_once_read_many": "7399c7a9dcd0ea04ce9747ef9514982cdfb67f19961b2c6909978f3182416d8e",
+    "hot_block": "6c8f69bd250e97b1c5048f766c78229891fc36093a88f07a4861861b0e1836b2",
+    "zipfian": "4a693e74b74d8af4183d40e7a3b365956dddbb2074d88a584b0096754f3a79d5",
+    "gaussian_kv": "c6628e344a0260e44337630cfadfd433b967f45358f3d9702a3d9a5eb0ed3f6a",
+    "strided": "2398df9b635eb6491f41ca1b8a5d5ca54383eb8d3362a141612c2417dd9118a6",
+}
+
+ANALYSIS = {
+    "exhaustion": {"total_updates": 1 << 40, "interval_updates": 1 << 20,
+                   "interval_count": 1 << 20, "reset_exp": 12},
+    "replay": {"stealth_bits": 20},
+    "monte_carlo": {
+        "exhaustion": {"stealth_bits": 4, "reset_exp": 2, "addresses": 3, "trials": 400,
+                       "seed": 5},
+        "replay": {"stealth_bits": 5, "trials": 3000, "seed": 6},
+    },
+}
+ANALYSIS_DIGESTS = {
+    None: "849b35b7777376216b17b00fa1d3a9d24408f2f0a0595944fb35049ecf8f4400",
+    "8": "2a5c62baefeb65f0fd9bec021dab7d03fa54da795dfd638c89b3f02dc0f60e2d",
+}
+
+
+@pytest.mark.parametrize("kind", PATTERN_KINDS)
+def test_gen_trace_is_pinned(tmp_path, kind):
+    digest = hashlib.sha256()
+    for fraction in WRITE_FRACTIONS:
+        name = f"{kind}-{fraction}"
+        config = write_config(tmp_path, name, kind=kind, write_fraction=fraction, **PATTERN)
+        for suffix in (".txt", ".bin"):
+            out = tmp_path / (name + suffix)
+            assert main(["gen-trace", "--config", config, "--out", str(out)]) == 0
+            digest.update(out.read_bytes())
+    assert digest.hexdigest() == GEN_TRACE_DIGESTS[kind]
+
+
+@pytest.mark.parametrize("seed", sorted(ANALYSIS_DIGESTS, key=str))
+def test_analyze_security_json_is_pinned(tmp_path, seed):
+    out = tmp_path / "report.json"
+    argv = ["analyze-security", "--config", write_config(tmp_path, "analysis", **ANALYSIS),
+            "--out", str(out)]
+    assert main(argv + (["--seed", seed] if seed else [])) == 0
+    assert sha256(out) == ANALYSIS_DIGESTS[seed]

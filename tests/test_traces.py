@@ -1,10 +1,11 @@
+import random
 import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freshsim.core import ConfigError, Geometry, RandomSource, SecurityParams
+from freshsim.core import ConfigError, Geometry, SecurityParams
 from freshsim.traces import (
     PATTERN_KINDS,
     PatternSpec,
@@ -202,7 +203,7 @@ def drive_store(events, pages, params=None):
     store = VersionStore(
         protected_bytes=pages * 4096,
         device_capacity_bytes=flat_array_bytes(pages * 4096, Geometry(), params) + (1 << 20),
-        rng=RandomSource(5),
+        rng=random.Random(5),
         params=params,
     )
     for op, addr in events:
