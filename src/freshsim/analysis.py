@@ -170,19 +170,23 @@ def analytic_exhaustion_prob(
 
 @dataclass(frozen=True)
 class McEstimate:
-    """Monte-Carlo rate estimate with its binomial standard error."""
+    """Monte-Carlo rate estimate with its binomial standard error, and the
+    ``parameters`` (every argument, defaults filled in) it was run with."""
 
     estimate: float
     stderr: float
     trials: int
+    parameters: dict
 
 
-def _binomial_estimate(successes: int, trials: int) -> McEstimate:
+def _binomial_estimate(successes: int, parameters: dict) -> McEstimate:
+    trials = parameters["trials"]
     est = successes / trials
     return McEstimate(
         estimate=est,
         stderr=math.sqrt(est * (1.0 - est) / trials),
         trials=trials,
+        parameters=parameters,
     )
 
 
@@ -233,7 +237,10 @@ def mc_exhaustion(
             value[fired] = rng.integers(0, space, size=n_fired, dtype=np.int64)
             run_len[fired] = 0
     hits = int(wrapped.reshape(trials, addresses).any(axis=1).sum())
-    return _binomial_estimate(hits, trials)
+    return _binomial_estimate(hits, {
+        "stealth_bits": stealth_bits, "reset_exp": reset_exp, "addresses": addresses,
+        "updates_per_address": updates_per_address, "trials": trials, "seed": seed,
+    })
 
 
 def mc_replay(stealth_bits: int, trials: int = 1_000_000, seed: int = 1) -> McEstimate:
@@ -254,4 +261,5 @@ def mc_replay(stealth_bits: int, trials: int = 1_000_000, seed: int = 1) -> McEs
     captured = rng.integers(0, space, size=trials, dtype=np.int64)
     current = rng.integers(0, space, size=trials, dtype=np.int64)
     hits = int((captured == current).sum())
-    return _binomial_estimate(hits, trials)
+    return _binomial_estimate(hits, {"stealth_bits": stealth_bits, "trials": trials,
+                                     "seed": seed})

@@ -226,14 +226,17 @@ def _mc_params(doc, required: tuple, optional: tuple, what: str, seed: int | Non
     return dict(doc) if seed is None else dict(doc, seed=seed)
 
 
-def _mc_report(est, analytic: float, params: dict) -> dict:
-    """A Monte Carlo section's report: the estimate beside its analytic value."""
+def _mc_report(est, analytic: float, given: dict) -> dict:
+    """A Monte Carlo section's report: the estimate beside its analytic value,
+    and the parameters it ran with but ``trials``; ``seed`` shows only when
+    ``given``."""
     return {
         "estimate": est.estimate,
         "stderr": est.stderr,
         "trials": est.trials,
         "analytic": analytic,
-        "parameters": {k: v for k, v in sorted(params.items()) if k != "trials"},
+        "parameters": {k: v for k, v in sorted(est.parameters.items())
+                       if k != "trials" and (k != "seed" or k in given)},
     }
 
 
@@ -266,10 +269,10 @@ def cmd_analyze_security(args) -> int:
                        ("addresses", "updates_per_address", "trials", "seed"),
                        "monte_carlo.exhaustion", args.seed)
         est = mc_exhaustion(**p)
-        p.setdefault("addresses", 1)
-        p.setdefault("updates_per_address", 4 << p["stealth_bits"])
+        ran = est.parameters
         report["exhaustion"]["monte_carlo"] = _mc_report(est, analytic_exhaustion_prob(
-            p["stealth_bits"], p["reset_exp"], p["updates_per_address"], p["addresses"]), p)
+            ran["stealth_bits"], ran["reset_exp"], ran["updates_per_address"],
+            ran["addresses"]), p)
     if "replay" in mc_doc:
         p = _mc_params(mc_doc["replay"], ("stealth_bits",), ("trials", "seed"),
                        "monte_carlo.replay", args.seed)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import starmap
-from math import inf
+from math import inf, isfinite
 from operator import index, itemgetter
 
 import numpy as np
@@ -34,6 +34,10 @@ _ALIGN = ~(BLOCK - 1)
 # one binary record: opcode byte, then the little-endian 64-bit address
 _RECORD = np.dtype([("op", "u1"), ("addr", "<u8")])
 _OPS = ("R", "W")  # indexed by opcode
+_OP_COLUMN = np.array(_OPS, dtype=object)
+# ranks per slice of the zipfian CDF: generation holds one slice at a time,
+# so its memory does not grow with the footprint
+_ZIPF_SLICE = 1 << 16
 
 
 class TraceParseError(SimError):
@@ -68,8 +72,12 @@ class PatternSpec:
             raise ConfigError("op_count must be positive")
         if not 0.0 <= self.write_fraction <= 1.0:
             raise ConfigError("write_fraction must lie in [0, 1]")
+        if not isfinite(self.zipf_skew):
+            raise ConfigError(f"zipf_skew must be finite, got {self.zipf_skew}")
         if self.stride_bytes < BLOCK:
             raise ConfigError("stride must be at least one block")
+        if self.hot_set_bytes < 0:
+            raise ConfigError(f"hot_set_bytes must be non-negative, got {self.hot_set_bytes}")
         if self.seed < 0:
             raise ConfigError(f"pattern seed must be non-negative, got {self.seed}")
 
@@ -186,8 +194,9 @@ def _blocks(spec: PatternSpec) -> int:
 
 
 def _pairs(flags: np.ndarray, addrs: np.ndarray) -> list[tuple[str, int]]:
-    # Python ints via tolist(), so no numpy scalar reaches an engine
-    return list(zip(map(_OPS.__getitem__, flags.tolist()), addrs.tolist()))
+    # Python strs and ints via tolist(), so no numpy scalar reaches an engine;
+    # flags (bool or uint8 opcodes) index the op names, never mask them
+    return list(zip(_OP_COLUMN.take(flags.astype(np.intp)).tolist(), addrs.tolist()))
 
 
 def _gen_sweep(spec: PatternSpec, sequential_reads: bool, span: int = 0,
@@ -245,16 +254,59 @@ def gen_hot_block(spec: PatternSpec) -> list[tuple[str, int]]:
     return _gen_sweep(spec, sequential_reads=False, span=max(1, hot_bytes // 4096), step=4096)
 
 
+def _zipf_slices(n_blocks: int, skew: float):
+    """Yield ``(start, cum)`` for each slice of ranks: ``cum[i]`` is the sum of
+    ``rank ** -skew`` over ranks 1 to ``start + i + 1``.  ``cum`` is one reused
+    buffer.  The running total is added into each slice's first weight before
+    its cumsum, so every addition happens in the order of one ``np.cumsum``
+    over all ranks and the sums are bit-identical to it."""
+    base = np.arange(1, _ZIPF_SLICE + 1, dtype=np.float64)
+    buf = np.empty(_ZIPF_SLICE)
+    carry = 0.0
+    for start in range(0, n_blocks, _ZIPF_SLICE):
+        cum = buf[:min(_ZIPF_SLICE, n_blocks - start)]
+        np.add(base[:len(cum)], start, out=cum)
+        cum **= -skew
+        cum[0] += carry
+        np.cumsum(cum, out=cum)
+        carry = cum[-1]
+        yield start, cum
+
+
+def _zipf_ranks(n_blocks: int, skew: float, draws: np.ndarray) -> np.ndarray:
+    """Each draw's rank index: the first rank whose normalised CDF value is at
+    least the draw, exactly as ``np.searchsorted(cdf, draws, side="left")``
+    over the whole CDF, in memory of O(len(draws) + one slice)."""
+    for _, cum in _zipf_slices(n_blocks, skew):
+        total = cum[-1]
+    order = np.argsort(draws)
+    ordered = draws[order]
+    ranks = np.empty(len(draws), dtype=np.intp)
+    lo = 0
+    for start, cum in _zipf_slices(n_blocks, skew):
+        cum /= total
+        # the draws up to this slice's last value resolve in it; the last
+        # slice takes every draw that remains
+        if start + len(cum) < n_blocks:
+            hi = int(np.searchsorted(ordered, cum[-1], side="right"))
+        else:
+            hi = len(draws)
+        ranks[order[lo:hi]] = np.searchsorted(cum, ordered[lo:hi], side="left") + start
+        lo = hi
+        if lo == len(draws):
+            break
+    return ranks
+
+
 def gen_zipfian(spec: PatternSpec) -> list[tuple[str, int]]:
-    """Zipf-distributed block popularity, ranks scattered over the footprint."""
+    """Zipf-distributed block popularity, ranks scattered over the footprint.
+
+    Memory is O(op_count): the CDF is built one slice of ranks at a time.
+    Time is still O(footprint).
+    """
     rng = np.random.default_rng(spec.seed)
     n_blocks = _blocks(spec)
-    ranks = np.arange(1, n_blocks + 1, dtype=np.float64)
-    weights = ranks ** -spec.zipf_skew
-    cdf = np.cumsum(weights)
-    cdf /= cdf[-1]
-    draws = rng.random(spec.op_count)
-    rank_idx = np.searchsorted(cdf, draws, side="left")
+    rank_idx = _zipf_ranks(n_blocks, spec.zipf_skew, rng.random(spec.op_count))
     # fixed odd multiplier sends neighboring ranks to distant blocks, so the
     # hot set spans many pages and the store sees mixed formats
     mult = 0x9E3779B1 | 1

@@ -174,6 +174,16 @@ class TestMonteCarlo:
                                trials=20_000, seed=7)
         assert est.estimate > single.estimate
 
+    def test_estimates_report_the_parameters_they_ran_with(self):
+        est = mc_exhaustion(3, 2, trials=100, seed=4)
+        assert est.parameters == {"stealth_bits": 3, "reset_exp": 2, "addresses": 1,
+                                  "updates_per_address": 32, "trials": 100, "seed": 4}
+        est = mc_exhaustion(3, 2, addresses=2, updates_per_address=5, trials=100)
+        assert est.parameters == {"stealth_bits": 3, "reset_exp": 2, "addresses": 2,
+                                  "updates_per_address": 5, "trials": 100, "seed": 1}
+        assert mc_replay(4, trials=100).parameters == {"stealth_bits": 4, "trials": 100,
+                                                       "seed": 1}
+
     def test_replay_agrees_with_uniform_match_rate(self):
         est = mc_replay(8, trials=200_000, seed=3)
         assert abs(est.estimate - replay_success_prob(8)) <= 3.5 * est.stderr

@@ -333,7 +333,11 @@ class TestGenTrace:
         cfg = run_config(tmp_path, trace=None)
         assert main(["gen-trace", "--config", cfg]) == 2
 
-    @pytest.mark.parametrize("doc, key", [(5, "config"), (None, "trace"), ({"trace": 5}, "trace")])
+    @pytest.mark.parametrize("doc, key", [
+        (5, "config"), (None, "trace"), ({"trace": 5}, "trace"),
+        (pattern_doc(kind="zipfian", zipf_skew=float("nan")), "zipf_skew"),
+        (pattern_doc(kind="hot_block", hot_set_bytes=-4096), "hot_set_bytes"),
+    ])
     def test_malformed_config_names_the_key(self, tmp_path, capsys, doc, key):
         cfg = write_json(tmp_path, "bad.json", doc)
         assert main(["gen-trace", "--config", cfg]) == 2

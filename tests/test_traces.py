@@ -1,10 +1,13 @@
 import random
 import re
+import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freshsim import traces
 from freshsim.core import ConfigError, Geometry, SecurityParams
 from freshsim.traces import (
     PATTERN_KINDS,
@@ -125,6 +128,12 @@ class TestPatternSpec:
             PatternSpec(kind="zipfian", footprint_bytes=4096, op_count=1, write_fraction=1.5)
         with pytest.raises(ConfigError):
             PatternSpec(kind="strided", footprint_bytes=4096, op_count=1, stride_bytes=32)
+        with pytest.raises(ConfigError, match="zipf_skew"):
+            PatternSpec(kind="zipfian", footprint_bytes=4096, op_count=1, zipf_skew=float("nan"))
+        with pytest.raises(ConfigError, match="zipf_skew"):
+            PatternSpec(kind="zipfian", footprint_bytes=4096, op_count=1, zipf_skew=float("inf"))
+        with pytest.raises(ConfigError, match="hot_set_bytes"):
+            PatternSpec(kind="hot_block", footprint_bytes=4096, op_count=1, hot_set_bytes=-4096)
 
 
 @pytest.mark.parametrize("kind", PATTERN_KINDS)
@@ -170,6 +179,60 @@ def test_generator_alignment_property(kind, pages, ops, wf, seed):
                 assert op == "W"
             elif wf == 0.0:
                 assert op == "R"
+
+
+def reference_zipf_cdf(n_blocks, skew):
+    """The whole normalised CDF at once, as the sliced search must reproduce."""
+    ranks = np.arange(1, n_blocks + 1, dtype=np.float64)
+    cdf = np.cumsum(ranks ** -skew)
+    cdf /= cdf[-1]
+    return cdf
+
+
+def reference_zipfian(spec):
+    rng = np.random.default_rng(spec.seed)
+    n_blocks = spec.footprint_bytes // 64
+    draws = rng.random(spec.op_count)
+    rank_idx = np.searchsorted(reference_zipf_cdf(n_blocks, spec.zipf_skew), draws, side="left")
+    blocks = (rank_idx.astype(np.int64) * (0x9E3779B1 | 1)) % n_blocks
+    ops = ["W" if w else "R" for w in traces._rw_flags(spec, rng)]
+    return list(zip(ops, (blocks * 64).tolist()))
+
+
+SLICE = traces._ZIPF_SLICE
+# one block, either side of one slice, and several slices plus a remainder
+ZIPF_BLOCKS = (1, SLICE - 1, SLICE, SLICE + 1, 3 * SLICE + 123)
+# 3.7: the cumsum stops growing long before the last rank
+ZIPF_SKEWS = (0, 0.5, 0.99, 1.2, 3.7)
+
+
+@pytest.mark.parametrize("n_blocks", ZIPF_BLOCKS)
+@pytest.mark.parametrize("skew", ZIPF_SKEWS)
+def test_sliced_zipfian_equals_the_whole_cdf_search(n_blocks, skew):
+    for seed, op_count in ((1, 1), (7, 997), (12, 5000)):
+        spec = PatternSpec(kind="zipfian", footprint_bytes=n_blocks * 64, op_count=op_count,
+                           write_fraction=0.3, zipf_skew=skew, seed=seed)
+        assert generate(spec) == reference_zipfian(spec)
+    # draws that sit on every CDF value and one ulp either side of it: a
+    # sum rounded differently anywhere moves one of them to another rank
+    cdf = reference_zipf_cdf(n_blocks, skew)
+    draws = np.concatenate([cdf, np.nextafter(cdf, 0), np.nextafter(cdf, 2)])
+    np.random.default_rng(3).shuffle(draws)
+    assert np.array_equal(traces._zipf_ranks(n_blocks, skew, draws),
+                          np.searchsorted(cdf, draws, side="left"))
+
+
+def test_zipfian_memory_does_not_grow_with_the_footprint():
+    # a whole CDF over a 1 GiB footprint would hold 3 x 16M float64s (384 MiB)
+    spec = PatternSpec(kind="zipfian", footprint_bytes=1 << 30, op_count=1000, seed=5)
+    tracemalloc.start()
+    try:
+        events = generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(events) == 1000
+    assert peak < 32 << 20
 
 
 def test_write_fraction_is_respected():
