@@ -50,6 +50,7 @@ from .baselines import (
 from .traces import (
     PATTERN_KINDS,
     PatternSpec,
+    Trace,
     TraceParseError,
     generate,
     load_trace,
@@ -102,6 +103,7 @@ __all__ = [
     "tree_depth",
     "PATTERN_KINDS",
     "PatternSpec",
+    "Trace",
     "TraceParseError",
     "generate",
     "load_trace",

@@ -61,7 +61,8 @@ class CounterTreeConfig:
             raise ConfigError("tree node_bytes must be at least arity")
         if self.counters_per_leaf_node < 1:
             raise ConfigError("tree counters_per_leaf_node must be at least 1")
-        check_shape(*self.counter_cache_shape, "tree counter_cache_bytes and counter_cache_assoc")
+        check_shape(self.counter_cache_bytes, self.node_bytes, self.counter_cache_shape[1],
+                    "tree counter_cache_bytes and counter_cache_assoc")
         if self.protected_bytes < self.geometry.block_bytes:
             raise ConfigError("protected range smaller than one block")
         if self.root_bytes < self.node_bytes // self.arity:

@@ -13,10 +13,15 @@ from .core import ConfigError
 from .version_store import FULL_SLOTS
 
 
-def check_shape(lines: int, assoc: int, keys: str) -> None:
-    """Reject a cache of no line or no way, or whose lines do not split into whole sets."""
+def check_shape(cache_bytes: int, line_bytes: int, assoc: int, keys: str) -> None:
+    """Reject a cache of no line or no way, whose lines do not split into
+    whole sets, or whose bytes are not a whole number of lines."""
+    lines = cache_bytes // line_bytes
     if lines <= 0 or assoc <= 0 or lines % assoc:
         raise ConfigError(f"bad cache shape: {keys} give {lines} lines, {assoc}-way")
+    if cache_bytes % line_bytes:
+        raise ConfigError(f"bad cache shape: {keys} give {cache_bytes} bytes, "
+                          f"not a whole number of {line_bytes}-byte lines")
 
 
 class SetAssocCache:
@@ -31,7 +36,7 @@ class SetAssocCache:
     """
 
     def __init__(self, lines: int, assoc: int) -> None:
-        check_shape(lines, assoc, "lines and assoc")
+        check_shape(lines, 1, assoc, "lines and assoc")
         self.lines = lines
         self.assoc = assoc
         self.num_sets = lines // assoc

@@ -157,11 +157,9 @@ class EngineConfig:
         if self.local_bytes % page:
             raise ConfigError(f"local_bytes must be a multiple of the {page}-byte page, "
                               f"got {self.local_bytes}")
-        if self.overflow_bytes % SLOT_BYTES:
-            raise ConfigError("overflow_bytes must be a multiple of the 56-byte line")
-        check_shape(self.overflow_bytes // SLOT_BYTES, self.overflow_assoc,
+        check_shape(self.overflow_bytes, SLOT_BYTES, self.overflow_assoc,
                     "overflow_bytes and overflow_assoc")
-        check_shape(self.mac_cache_bytes // self.geometry.block_bytes, self.mac_assoc,
+        check_shape(self.mac_cache_bytes, self.geometry.block_bytes, self.mac_assoc,
                     "mac_cache_bytes and mac_assoc")
         if not 0 < self.clock_ghz < math.inf:
             raise ConfigError(f"clock_ghz must be positive and finite, got {self.clock_ghz}")

@@ -1,8 +1,12 @@
 """Traces, their file forms, and deterministic synthetic generators.
 
-A trace is a list of plain ``(op, addr)`` tuples: op is "R" or "W" and addr
-a block-aligned Python int (the low 6 bits are dropped on parse and
-generation).  Two interchangeable file forms exist:
+A trace is a ``Trace``: two columns, ``ops``, an ASCII str of "R" and "W"
+(1 B per event), and ``addrs``, a uint64 numpy array of block-aligned
+addresses (8 B per event; the low 6 bits are dropped on parse and
+generation).  It iterates plain ``(op, addr)`` pairs, a str and a Python
+int, making each int only as iteration reaches it, so a trace never sits
+in memory as Python objects and no numpy scalar reaches an engine.  Two
+interchangeable file forms exist:
 
 * text: one event per line, ``R 0x1040`` / ``W 0x1040``; ``#`` comments and
   blank lines are ignored.
@@ -20,6 +24,7 @@ per page to force uneven and full entries.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import starmap
 from math import inf, isfinite
@@ -34,14 +39,67 @@ _ALIGN = ~(BLOCK - 1)
 # one binary record: opcode byte, then the little-endian 64-bit address
 _RECORD = np.dtype([("op", "u1"), ("addr", "<u8")])
 _OPS = ("R", "W")  # indexed by opcode
-_OP_COLUMN = np.array(_OPS, dtype=object)
+# bytes.translate tables between opcode bytes (0/1, or bools) and op letters
+_OPCODE_TO_OP = bytes.maketrans(b"\x00\x01", b"RW")
+_OP_TO_OPCODE = bytes.maketrans(b"RW", b"\x00\x01")
 # ranks per slice of the zipfian CDF: generation holds one slice at a time,
 # so its memory does not grow with the footprint
 _ZIPF_SLICE = 1 << 16
+# fixed odd multiplier that scatters zipfian ranks over the footprint
+_ZIPF_MULT = 0x9E3779B1
+# the scatter is exact in uint64 below this many blocks (see _zipf_scatter)
+_MAX_BLOCKS = 1 << 47
 
 
 class TraceParseError(SimError):
     """Malformed trace input; the message carries the line or byte offset."""
+
+
+class Trace:
+    """A trace as two columns: ``ops``, a str of "R"/"W", and ``addrs``, a
+    uint64 array of the same length.
+
+    ``len``, slicing (which gives a Trace) and indexing (which gives a pair)
+    work as on a list of pairs; iteration yields plain ``(str, int)`` pairs.
+    Two Traces are equal when their columns are.
+    """
+
+    __slots__ = ("ops", "addrs")
+
+    def __init__(self, ops: str, addrs: np.ndarray) -> None:
+        if ops.strip("RW") or addrs.dtype != np.uint64 or addrs.shape != (len(ops),):
+            raise ValueError("a Trace needs a str of R/W ops and a uint64 address "
+                             "array of the same length")
+        self.ops = ops
+        self.addrs = addrs
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    def __iter__(self):
+        # one-character strs are cached by CPython, so the op column makes no
+        # object per event; the memoryview makes each address int only as
+        # iteration reaches it
+        return zip(self.ops, memoryview(self.addrs))
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return Trace(self.ops[key], self.addrs[key])
+        return self.ops[key], int(self.addrs[key])
+
+    def __eq__(self, other):
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return self.ops == other.ops and np.array_equal(self.addrs, other.addrs)
+
+    __hash__ = None
+
+
+def _trace(writes: np.ndarray, addrs: np.ndarray) -> Trace:
+    """A Trace from one-byte write flags (bools or 0/1 opcodes) and
+    non-negative int64 or uint64 addresses."""
+    return Trace(writes.tobytes().translate(_OPCODE_TO_OP).decode("ascii"),
+                 addrs.view(np.uint64))
 
 
 @dataclass(frozen=True)
@@ -68,6 +126,9 @@ class PatternSpec:
             raise ConfigError(f"unknown pattern kind {self.kind!r}")
         if self.footprint_bytes < BLOCK:
             raise ConfigError("footprint must cover at least one block")
+        if self.footprint_bytes // BLOCK >= _MAX_BLOCKS:
+            raise ConfigError(f"footprint_bytes must be below 2**53 (2**47 blocks), "
+                              f"got {self.footprint_bytes}")
         if self.op_count <= 0:
             raise ConfigError("op_count must be positive")
         if not 0.0 <= self.write_fraction <= 1.0:
@@ -85,8 +146,9 @@ class PatternSpec:
 # -- file formats ---------------------------------------------------------------
 
 
-def parse_text_trace(text: str) -> list[tuple[str, int]]:
-    events = []
+def parse_text_trace(text: str) -> Trace:
+    ops = []
+    addrs = array("Q")
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -100,11 +162,14 @@ def parse_text_trace(text: str) -> list[tuple[str, int]]:
             raise TraceParseError(f"line {lineno}: bad address {parts[1]!r}") from exc
         if addr < 0:
             raise TraceParseError(f"line {lineno}: negative address")
-        events.append((parts[0], addr & _ALIGN))
-    return events
+        if addr >> 64:
+            raise TraceParseError(f"line {lineno}: address {parts[1]} does not fit 64 bits")
+        ops.append(parts[0])
+        addrs.append(addr & _ALIGN)
+    return Trace("".join(ops), np.array(addrs, dtype=np.uint64))
 
 
-def parse_binary_trace(data: bytes) -> list[tuple[str, int]]:
+def parse_binary_trace(data: bytes) -> Trace:
     if len(data) % 9:
         raise TraceParseError(
             f"binary trace length {len(data)} is not a multiple of the 9-byte record"
@@ -113,10 +178,10 @@ def parse_binary_trace(data: bytes) -> list[tuple[str, int]]:
     bad = np.flatnonzero(records["op"] > 1)
     if bad.size:
         raise TraceParseError(f"byte offset {9 * bad[0]}: bad opcode {records['op'][bad[0]]}")
-    return _pairs(records["op"], records["addr"] & ~np.uint64(BLOCK - 1))
+    return _trace(records["op"], records["addr"] & ~np.uint64(BLOCK - 1))
 
 
-def parse_trace(data: bytes | str) -> list[tuple[str, int]]:
+def parse_trace(data: bytes | str) -> Trace:
     """Parse either format; binary records start with 0x00/0x01 which never
     begins a text trace."""
     if isinstance(data, str):
@@ -129,7 +194,7 @@ def parse_trace(data: bytes | str) -> list[tuple[str, int]]:
         raise TraceParseError("trace is neither 9-byte records nor ASCII text") from exc
 
 
-def _refuse(events: list[tuple[str, int]], limit: float, form: str) -> None:
+def _refuse(events, limit: float, form: str) -> None:
     """Raise ConfigError naming the first event whose op is not R or W, or
     whose address is not an integer (``operator.index``) in [0, limit)."""
     for i, (op, addr) in enumerate(events):
@@ -141,18 +206,26 @@ def _refuse(events: list[tuple[str, int]], limit: float, form: str) -> None:
         raise ConfigError(f"event {i}: {(op, addr)!r} has no {form}") from None
 
 
-def encode_text_trace(events: list[tuple[str, int]]) -> str:
-    """The text form; an op other than R or W, or an address that is not a
-    non-negative integer, is refused by the index of the first such event."""
-    _refuse(events, inf, "text line")
+def encode_text_trace(events) -> str:
+    """The text form of a Trace or any sequence of pairs; in the latter an op
+    other than R or W, or an address that is not a non-negative integer, is
+    refused by the index of the first such event.  A Trace is valid as built."""
+    if not isinstance(events, Trace):
+        _refuse(events, inf, "text line")
     return "".join(starmap("{} 0x{:X}\n".format, events))
 
 
-def encode_binary_trace(events: list[tuple[str, int]]) -> bytes:
-    """The 9-byte record form; an op other than R or W, or an address that is
-    not an integer in [0, 2**64), is refused by the index of the first event
-    that has one."""
+def encode_binary_trace(events) -> bytes:
+    """The 9-byte record form of a Trace, taken from its columns, or of any
+    sequence of pairs; in the latter an op other than R or W, or an address
+    that is not an integer in [0, 2**64), is refused by the index of the
+    first event that has one."""
     records = np.empty(len(events), dtype=_RECORD)
+    if isinstance(events, Trace):
+        records["op"] = np.frombuffer(events.ops.encode("ascii").translate(_OP_TO_OPCODE),
+                                      np.uint8)
+        records["addr"] = events.addrs
+        return records.tobytes()
     try:
         records["op"] = np.fromiter(map(_OPS.index, map(itemgetter(0), events)),
                                     np.uint8, len(events))
@@ -164,12 +237,12 @@ def encode_binary_trace(events: list[tuple[str, int]]) -> bytes:
     return records.tobytes()
 
 
-def load_trace(path: str) -> list[tuple[str, int]]:
+def load_trace(path: str) -> Trace:
     with open(path, "rb") as f:
         return parse_trace(f.read())
 
 
-def save_trace(events: list[tuple[str, int]], path: str) -> None:
+def save_trace(events, path: str) -> None:
     """Write the binary form to a ``.bin`` path and text to any other; a trace
     that cannot be encoded leaves no file."""
     binary = path.endswith(".bin")
@@ -193,14 +266,8 @@ def _blocks(spec: PatternSpec) -> int:
     return spec.footprint_bytes // BLOCK
 
 
-def _pairs(flags: np.ndarray, addrs: np.ndarray) -> list[tuple[str, int]]:
-    # Python strs and ints via tolist(), so no numpy scalar reaches an engine;
-    # flags (bool or uint8 opcodes) index the op names, never mask them
-    return list(zip(_OP_COLUMN.take(flags.astype(np.intp)).tolist(), addrs.tolist()))
-
-
 def _gen_sweep(spec: PatternSpec, sequential_reads: bool, span: int = 0,
-               step: int = BLOCK) -> list[tuple[str, int]]:
+               step: int = BLOCK) -> Trace:
     # writes step a cursor of ``step`` bytes over ``span`` positions (0: every
     # block), wrapping; by default each block is written at most once within
     # a sweep, so every page stays flat
@@ -216,20 +283,20 @@ def _gen_sweep(spec: PatternSpec, sequential_reads: bool, span: int = 0,
             addrs[r_idx] = (np.arange(len(r_idx), dtype=np.int64) % n_blocks) * BLOCK
         else:
             addrs[r_idx] = rng.integers(0, n_blocks, len(r_idx)) * BLOCK
-    return _pairs(writes, addrs)
+    return _trace(writes, addrs)
 
 
-def gen_sequential(spec: PatternSpec) -> list[tuple[str, int]]:
+def gen_sequential(spec: PatternSpec) -> Trace:
     """Stream through the footprint; reads and writes each keep their own cursor."""
     return _gen_sweep(spec, sequential_reads=True)
 
 
-def gen_page_uniform(spec: PatternSpec) -> list[tuple[str, int]]:
+def gen_page_uniform(spec: PatternSpec) -> Trace:
     """Uniform page-by-page sweeps of writes with uniformly random reads."""
     return _gen_sweep(spec, sequential_reads=False)
 
 
-def gen_write_once_read_many(spec: PatternSpec) -> list[tuple[str, int]]:
+def gen_write_once_read_many(spec: PatternSpec) -> Trace:
     """Populate each block once, then read the footprint uniformly forever."""
     rng = np.random.default_rng(spec.seed)
     n_blocks = _blocks(spec)
@@ -241,10 +308,10 @@ def gen_write_once_read_many(spec: PatternSpec) -> list[tuple[str, int]]:
     rest = spec.op_count - n_writes
     if rest:
         addrs[n_writes:] = rng.integers(0, n_blocks, rest) * BLOCK
-    return _pairs(writes, addrs)
+    return _trace(writes, addrs)
 
 
-def gen_hot_block(spec: PatternSpec) -> list[tuple[str, int]]:
+def gen_hot_block(spec: PatternSpec) -> Trace:
     """Hammer the first block of every hot page, round-robin.
 
     The hot region is the first ``hot_set_bytes`` of the footprint (whole
@@ -254,51 +321,60 @@ def gen_hot_block(spec: PatternSpec) -> list[tuple[str, int]]:
     return _gen_sweep(spec, sequential_reads=False, span=max(1, hot_bytes // 4096), step=4096)
 
 
-def _zipf_slices(n_blocks: int, skew: float):
-    """Yield ``(start, cum)`` for each slice of ranks: ``cum[i]`` is the sum of
-    ``rank ** -skew`` over ranks 1 to ``start + i + 1``.  ``cum`` is one reused
-    buffer.  The running total is added into each slice's first weight before
-    its cumsum, so every addition happens in the order of one ``np.cumsum``
-    over all ranks and the sums are bit-identical to it."""
-    base = np.arange(1, _ZIPF_SLICE + 1, dtype=np.float64)
-    buf = np.empty(_ZIPF_SLICE)
-    carry = 0.0
-    for start in range(0, n_blocks, _ZIPF_SLICE):
-        cum = buf[:min(_ZIPF_SLICE, n_blocks - start)]
-        np.add(base[:len(cum)], start, out=cum)
-        cum **= -skew
-        cum[0] += carry
-        np.cumsum(cum, out=cum)
-        carry = cum[-1]
-        yield start, cum
+def _zipf_slice(start: int, n_blocks: int, skew: float, carry) -> np.ndarray:
+    """The unnormalised CDF over the slice of ranks from ``start + 1``:
+    ``cum[i]`` is the sum of ``rank ** -skew`` over ranks 1 to
+    ``start + i + 1``, given ``carry``, that sum up to rank ``start``.  The
+    carry is added into the slice's first weight before its cumsum, so every
+    addition happens in the order of one ``np.cumsum`` over all ranks and
+    the sums are bit-identical to it."""
+    cum = np.arange(start + 1, min(start + _ZIPF_SLICE, n_blocks) + 1, dtype=np.float64)
+    cum **= -skew
+    cum[0] += carry
+    return np.cumsum(cum, out=cum)
 
 
 def _zipf_ranks(n_blocks: int, skew: float, draws: np.ndarray) -> np.ndarray:
     """Each draw's rank index: the first rank whose normalised CDF value is at
     least the draw, exactly as ``np.searchsorted(cdf, draws, side="left")``
-    over the whole CDF, in memory of O(len(draws) + one slice)."""
-    for _, cum in _zipf_slices(n_blocks, skew):
-        total = cum[-1]
+    over the whole CDF, in memory of O(len(draws) + one slice + one float
+    per slice).
+
+    A first pass keeps each slice's running total; the second rebuilds only
+    the slices that some draw resolves in."""
+    starts = range(0, n_blocks, _ZIPF_SLICE)
+    ends = np.empty(len(starts))
+    carry = 0.0
+    for k, start in enumerate(starts):
+        carry = ends[k] = _zipf_slice(start, n_blocks, skew, carry)[-1]
+    total = ends[-1]
     order = np.argsort(draws)
     ordered = draws[order]
+    # the draws up to a slice's last normalised value resolve in it; the
+    # last slice takes every draw that remains
+    his = np.searchsorted(ordered, ends / total, side="right")
+    his[-1] = len(draws)
+    los = np.concatenate(([0], his[:-1]))
     ranks = np.empty(len(draws), dtype=np.intp)
-    lo = 0
-    for start, cum in _zipf_slices(n_blocks, skew):
+    for k in np.flatnonzero(his > los).tolist():
+        start, lo, hi = starts[k], los[k], his[k]
+        cum = _zipf_slice(start, n_blocks, skew, ends[k - 1] if k else 0.0)
         cum /= total
-        # the draws up to this slice's last value resolve in it; the last
-        # slice takes every draw that remains
-        if start + len(cum) < n_blocks:
-            hi = int(np.searchsorted(ordered, cum[-1], side="right"))
-        else:
-            hi = len(draws)
         ranks[order[lo:hi]] = np.searchsorted(cum, ordered[lo:hi], side="left") + start
-        lo = hi
-        if lo == len(draws):
-            break
     return ranks
 
 
-def gen_zipfian(spec: PatternSpec) -> list[tuple[str, int]]:
+def _zipf_scatter(rank_idx: np.ndarray, n_blocks: int) -> np.ndarray:
+    """``rank_idx * _ZIPF_MULT % n_blocks``, exact in uint64 while n_blocks
+    is below 2**47: the multiplier goes in as two 16-bit halves, so no
+    intermediate reaches 2**64."""
+    hi, lo = (np.uint64(half) for half in divmod(_ZIPF_MULT, 1 << 16))
+    n = np.uint64(n_blocks)
+    ranks = rank_idx.astype(np.uint64)
+    return (((ranks * hi % n) << np.uint64(16)) + ranks * lo) % n
+
+
+def gen_zipfian(spec: PatternSpec) -> Trace:
     """Zipf-distributed block popularity, ranks scattered over the footprint.
 
     Memory is O(op_count): the CDF is built one slice of ranks at a time.
@@ -307,14 +383,13 @@ def gen_zipfian(spec: PatternSpec) -> list[tuple[str, int]]:
     rng = np.random.default_rng(spec.seed)
     n_blocks = _blocks(spec)
     rank_idx = _zipf_ranks(n_blocks, spec.zipf_skew, rng.random(spec.op_count))
-    # fixed odd multiplier sends neighboring ranks to distant blocks, so the
-    # hot set spans many pages and the store sees mixed formats
-    mult = 0x9E3779B1 | 1
-    blocks = (rank_idx.astype(np.int64) * mult) % n_blocks
-    return _pairs(_rw_flags(spec, rng), blocks * BLOCK)
+    # the scatter sends neighboring ranks to distant blocks, so the hot set
+    # spans many pages and the store sees mixed formats
+    blocks = _zipf_scatter(rank_idx, n_blocks)
+    return _trace(_rw_flags(spec, rng), blocks * np.uint64(BLOCK))
 
 
-def gen_gaussian_kv(spec: PatternSpec) -> list[tuple[str, int]]:
+def gen_gaussian_kv(spec: PatternSpec) -> Trace:
     """Gaussian key popularity around the footprint center (key-value style).
 
     ``hot_set_bytes`` sets the standard deviation (footprint/8 when 0).
@@ -324,16 +399,16 @@ def gen_gaussian_kv(spec: PatternSpec) -> list[tuple[str, int]]:
     sigma_blocks = max(1, (spec.hot_set_bytes or spec.footprint_bytes // 8) // BLOCK)
     raw = rng.normal(loc=n_blocks / 2, scale=sigma_blocks, size=spec.op_count)
     blocks = np.clip(np.rint(raw), 0, n_blocks - 1).astype(np.int64)
-    return _pairs(_rw_flags(spec, rng), blocks * BLOCK)
+    return _trace(_rw_flags(spec, rng), blocks * BLOCK)
 
 
-def gen_strided(spec: PatternSpec) -> list[tuple[str, int]]:
+def gen_strided(spec: PatternSpec) -> Trace:
     """Constant-stride walk over the footprint, wrapping at the end."""
     rng = np.random.default_rng(spec.seed)
     step = (spec.stride_bytes // BLOCK) * BLOCK
     addrs = (np.arange(spec.op_count, dtype=np.int64) * step) % spec.footprint_bytes
     addrs &= _ALIGN
-    return _pairs(_rw_flags(spec, rng), addrs)
+    return _trace(_rw_flags(spec, rng), addrs)
 
 
 _GENERATORS = {
@@ -348,5 +423,5 @@ _GENERATORS = {
 PATTERN_KINDS = tuple(_GENERATORS)
 
 
-def generate(spec: PatternSpec) -> list[tuple[str, int]]:
+def generate(spec: PatternSpec) -> Trace:
     return _GENERATORS[spec.kind](spec)

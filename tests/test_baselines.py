@@ -61,6 +61,12 @@ class TestTreeGeometry:
             CounterTreeConfig(protected_bytes=4 * MIB, counter_cache_bytes=cache_bytes,
                               counter_cache_assoc=assoc)
 
+    def test_counter_cache_of_part_lines_is_refused(self):
+        # 100 bytes would run a one-line counter cache
+        with pytest.raises(ConfigError, match="counter_cache_bytes and counter_cache_assoc give "
+                                              "100 bytes, not a whole number of 64-byte lines"):
+            CounterTreeConfig(protected_bytes=4 * MIB, counter_cache_bytes=100)
+
     def test_counter_cache_smaller_than_its_ways_is_fully_associative(self):
         cache = CounterTreeState(CounterTreeConfig(protected_bytes=4 * MIB,
                                                    counter_cache_bytes=2 * 64)).cache

@@ -81,6 +81,16 @@ class TestSimulate:
         assert code == 0
         assert json.loads(open(out).read())["events"] == 77
 
+    def test_top_half_address_reaches_the_engine_as_is(self, tmp_path, capsys):
+        # the trace's uint64 column keeps 2**63 unsigned, so the engine
+        # names the address the file holds
+        trace_path = tmp_path / "high.bin"
+        trace_path.write_bytes(b"\x00" + (2**63).to_bytes(8, "little"))
+        code = main(["simulate", "--config", run_config(tmp_path), "--trace", str(trace_path)])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            "error: address 0x8000000000000000 outside the 131072-byte data partition\n")
+
     def test_stdout_when_no_out_flag(self, tmp_path, capsys):
         assert main(["simulate", "--config", run_config(tmp_path)]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -227,6 +237,9 @@ class TestConfigHandling:
         ({"mode": "merkle", "tree": {"counter_cache_bytes": 10}}, [], "counter_cache_bytes"),
         ({"mode": "toleo", "mac_cache_bytes": 384, "mac_assoc": 4}, [], "mac_assoc"),
         ({"mode": "toleo", "overflow_bytes": 336, "overflow_assoc": 4}, [], "overflow_assoc"),
+        ({"mode": "toleo", "mac_cache_bytes": 1100, "mac_assoc": 1}, [], "mac_cache_bytes"),
+        ({"mode": "merkle", "tree": {"counter_cache_bytes": 100}}, [], "counter_cache_bytes"),
+        ({"trace": {"pattern": pattern_doc(footprint_bytes=2**53)}}, [], "footprint_bytes"),
         ({"mode": "merkle", "pool_dram_ns": -1}, [], "pool_dram_ns"),
         ({"mode": "toleo", "device_dram_ns": -1}, [], "device_dram_ns"),
         ({"mode": "toleo", "cxl_ns": float("nan")}, [], "cxl_ns"),
@@ -240,6 +253,7 @@ class TestConfigHandling:
             "message_bytes_negative", "cxl_ns_negative", "cipher_cycles_negative",
             "local_ns_negative", "local_bytes_negative", "local_bytes_unaligned",
             "tree_cache_shape", "tree_cache_no_line", "mac_cache_shape", "overflow_shape",
+            "mac_cache_part_line", "tree_cache_part_line", "pattern_footprint_2_53",
             "pool_dram_ns_negative",
             "device_dram_ns_negative", "cxl_ns_nan", "local_ns_inf", "cxl_ns_inf",
             "clock_ghz_inf", "protected_bytes_unaligned", "protected_bytes_zero"])
@@ -482,6 +496,20 @@ class TestCompare:
         b = run_config(tmp_path, "b.json",
                        trace={"pattern": pattern_doc(seed=99)})
         assert main(["compare", a, b]) == 2
+        assert "trace mismatch" in capsys.readouterr().err
+
+    def test_trace_equality_is_by_events_not_by_file(self, tmp_path, capsys):
+        # the same events in both file forms replay as one trace; one
+        # address moved by a block is another trace
+        events = list(generate(PatternSpec(**pattern_doc(op_count=300))))
+        moved = events[:-1] + [(events[-1][0], events[-1][1] ^ 64)]
+        for name, pairs in (("a.bin", events), ("a.trace", events), ("b.bin", moved)):
+            save_trace(pairs, str(tmp_path / name))
+        configs = [run_config(tmp_path, f"{name}.json", trace={"file": str(tmp_path / name)})
+                   for name in ("a.bin", "a.trace", "b.bin")]
+        out = str(tmp_path / "modes.csv")
+        assert main(["compare", "--out", out, *configs[:2]]) == 0
+        assert main(["compare", *configs]) == 2
         assert "trace mismatch" in capsys.readouterr().err
 
     def test_read_heavy_hot_set_keeps_device_traffic_marginal(self, tmp_path):

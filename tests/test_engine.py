@@ -83,6 +83,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"bad cache shape: {keys} give"):
             EngineConfig(**doc)
 
+    @pytest.mark.parametrize("doc, key, line", [
+        ({"mac_cache_bytes": 1100, "mac_assoc": 1}, "mac_cache_bytes", 64),
+        ({"overflow_bytes": 16 * 56 + 8}, "overflow_bytes", 56),
+    ])
+    def test_cache_of_part_lines_is_refused(self, doc, key, line):
+        # 1100 bytes would run a 17-line MAC cache and drop the rest
+        with pytest.raises(ConfigError, match=f"{key} and .* not a whole number of {line}-byte"):
+            EngineConfig(**doc)
+
     def test_derived_latencies(self):
         c = EngineConfig()
         assert c.cipher_ns == pytest.approx(CIPHER_NS)

@@ -12,6 +12,7 @@ from freshsim.core import ConfigError, Geometry, SecurityParams
 from freshsim.traces import (
     PATTERN_KINDS,
     PatternSpec,
+    Trace,
     TraceParseError,
     encode_binary_trace,
     encode_text_trace,
@@ -32,14 +33,14 @@ class TestTextFormat:
         assert encode_text_trace(SAMPLE) == "R 0x1040\nW 0x0\nR 0x40\n"
 
     def test_roundtrip(self):
-        assert parse_text_trace(encode_text_trace(SAMPLE)) == SAMPLE
+        assert list(parse_text_trace(encode_text_trace(SAMPLE))) == SAMPLE
 
     def test_comments_and_blanks_ignored(self):
         text = "# header\n\n  R 0x40\n# tail\nW 0x80\n"
-        assert parse_text_trace(text) == [("R", 0x40), ("W", 0x80)]
+        assert list(parse_text_trace(text)) == [("R", 0x40), ("W", 0x80)]
 
     def test_addresses_are_block_aligned(self):
-        assert parse_text_trace("R 0x41\n") == [("R", 0x40)]
+        assert list(parse_text_trace("R 0x41\n")) == [("R", 0x40)]
 
     def test_bad_op_carries_line_number(self):
         with pytest.raises(TraceParseError, match="line 2"):
@@ -51,6 +52,12 @@ class TestTextFormat:
         with pytest.raises(TraceParseError):
             parse_text_trace("R\n")
 
+    def test_address_beyond_64_bits_refused_by_line(self):
+        # a parsed trace holds 64-bit addresses, as the binary form does
+        with pytest.raises(TraceParseError,
+                           match="^line 2: address 0x10000000000000000 does not fit 64 bits$"):
+            parse_text_trace("R 0x40\nW 0x10000000000000000\n")
+
 
 class TestBinaryFormat:
     def test_record_is_nine_bytes(self):
@@ -59,7 +66,7 @@ class TestBinaryFormat:
         assert blob[0] == 0 and blob[9] == 1
 
     def test_roundtrip(self):
-        assert parse_binary_trace(encode_binary_trace(SAMPLE)) == SAMPLE
+        assert list(parse_binary_trace(encode_binary_trace(SAMPLE))) == SAMPLE
 
     def test_length_must_divide(self):
         with pytest.raises(TraceParseError, match="multiple"):
@@ -77,7 +84,13 @@ class TestBinaryFormat:
 
     def test_top_address_is_block_aligned(self):
         blob = b"\x00" + (2**64 - 1).to_bytes(8, "little")
-        assert parse_binary_trace(blob) == [("R", 2**64 - 64)]
+        assert list(parse_binary_trace(blob)) == [("R", 2**64 - 64)]
+
+    def test_addresses_of_the_top_half_come_out_unsigned(self):
+        blob = b"\x01" + (2**63).to_bytes(8, "little") + b"\x00" + (2**64 - 64).to_bytes(8, "little")
+        pairs = list(parse_binary_trace(blob))
+        assert pairs == [("W", 2**63), ("R", 2**64 - 64)]
+        assert [type(addr) for _, addr in pairs] == [int, int]
 
     @pytest.mark.parametrize("event, index", [
         (("X", 64), 1), (("w", 64), 1), (("R", -64), 2), (("W", 2**64), 2), (("R", 64.5), 1),
@@ -101,9 +114,9 @@ class TestBinaryFormat:
 
 class TestAutoDetect:
     def test_detects_both_forms(self):
-        assert parse_trace(encode_binary_trace(SAMPLE)) == SAMPLE
-        assert parse_trace(encode_text_trace(SAMPLE).encode()) == SAMPLE
-        assert parse_trace(encode_text_trace(SAMPLE)) == SAMPLE
+        assert list(parse_trace(encode_binary_trace(SAMPLE))) == SAMPLE
+        assert list(parse_trace(encode_text_trace(SAMPLE).encode())) == SAMPLE
+        assert list(parse_trace(encode_text_trace(SAMPLE))) == SAMPLE
 
     def test_garbage_rejected(self):
         with pytest.raises(TraceParseError):
@@ -113,7 +126,89 @@ class TestAutoDetect:
         for name in ("t.trace", "t.bin"):
             path = str(tmp_path / name)
             save_trace(SAMPLE, path)
-            assert load_trace(path) == SAMPLE
+            assert list(load_trace(path)) == SAMPLE
+
+
+TRACE = generate(PatternSpec(kind="zipfian", footprint_bytes=1 << 20, op_count=10000, seed=9))
+PAIRS = list(TRACE)
+
+
+class TestTrace:
+    """The columnar form: columns at rest, plain pairs out."""
+
+    @pytest.mark.parametrize("kind", PATTERN_KINDS)
+    def test_every_producer_iterates_plain_pairs(self, tmp_path, kind):
+        # a numpy scalar would change engine arithmetic, so every op is
+        # exactly a str and every address exactly an int
+        spec = PatternSpec(kind=kind, footprint_bytes=64 * 4096, op_count=len(TRACE), seed=4)
+        generated = generate(spec)
+        forms = [generated]
+        for name in ("t.bin", "t.trace"):
+            save_trace(generated, str(tmp_path / name))
+            forms.append(load_trace(str(tmp_path / name)))
+        for trace in forms:
+            assert isinstance(trace, Trace)
+            assert trace == generated
+            assert trace.addrs.dtype == np.uint64 and len(trace.ops) == len(trace)
+            pairs = list(trace)
+            assert len(pairs) == len(trace)
+            assert {type(op) for op, _ in pairs} == {str}
+            assert {type(addr) for _, addr in pairs} == {int}
+
+    @settings(max_examples=80, deadline=None)
+    @given(start=st.none() | st.integers(-len(PAIRS) - 9, len(PAIRS) + 9),
+           stop=st.none() | st.integers(-len(PAIRS) - 9, len(PAIRS) + 9),
+           step=st.none() | st.integers(-5000, 5000).filter(bool))
+    def test_slice_iterates_as_the_list_slice(self, start, stop, step):
+        part = TRACE[start:stop:step]
+        assert isinstance(part, Trace)
+        assert list(part) == PAIRS[start:stop:step]
+        assert len(part) == len(PAIRS[start:stop:step])
+
+    def test_index_gives_a_plain_pair(self):
+        for i in (0, 1, 5000, -1, -len(PAIRS)):
+            op, addr = TRACE[i]
+            assert (op, addr) == PAIRS[i] and type(op) is str and type(addr) is int
+        with pytest.raises(IndexError):
+            TRACE[len(PAIRS)]
+
+    def test_equality_compares_the_columns(self):
+        assert TRACE == TRACE[:] and not TRACE != TRACE[:]
+        assert TRACE != TRACE[:-1]
+        assert TRACE != Trace(TRACE.ops.translate({ord("R"): "W", ord("W"): "R"}), TRACE.addrs)
+        assert TRACE != Trace(TRACE.ops, TRACE.addrs + np.uint64(64))
+        assert TRACE != PAIRS  # a list of pairs is not a Trace
+
+    @pytest.mark.parametrize("ops, addrs", [
+        ("RX", np.zeros(2, np.uint64)),
+        ("Rw", np.zeros(2, np.uint64)),
+        ("RW", np.zeros(2, np.int64)),
+        ("RW", np.zeros(3, np.uint64)),
+        ("RW", np.zeros((2, 1), np.uint64)),
+    ])
+    def test_bad_columns_refused(self, ops, addrs):
+        with pytest.raises(ValueError, match="Trace needs"):
+            Trace(ops, addrs)
+
+    def test_encoders_read_the_columns_as_the_pairs(self):
+        assert encode_binary_trace(TRACE) == encode_binary_trace(PAIRS)
+        assert encode_text_trace(TRACE) == encode_text_trace(PAIRS)
+        empty = TRACE[:0]
+        assert encode_binary_trace(empty) == b"" and encode_text_trace(empty) == ""
+
+    def test_parsed_binary_trace_holds_at_most_16_bytes_per_event(self):
+        # a list of (str, int) tuples holds about 96 B per event
+        data = encode_binary_trace(generate(PatternSpec(
+            kind="zipfian", footprint_bytes=64 << 20, op_count=100_000, seed=7)))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = parse_binary_trace(data)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 100_000
+        assert held / len(trace) <= 16
 
 
 class TestPatternSpec:
@@ -134,6 +229,12 @@ class TestPatternSpec:
             PatternSpec(kind="zipfian", footprint_bytes=4096, op_count=1, zipf_skew=float("inf"))
         with pytest.raises(ConfigError, match="hot_set_bytes"):
             PatternSpec(kind="hot_block", footprint_bytes=4096, op_count=1, hot_set_bytes=-4096)
+
+    def test_footprint_must_stay_below_2_47_blocks(self):
+        # the zipfian scatter is exact in uint64 only below 2**47 blocks
+        with pytest.raises(ConfigError, match="footprint_bytes"):
+            PatternSpec(kind="zipfian", footprint_bytes=2**53, op_count=1)
+        PatternSpec(kind="zipfian", footprint_bytes=2**53 - 1, op_count=1)
 
 
 @pytest.mark.parametrize("kind", PATTERN_KINDS)
@@ -195,8 +296,8 @@ def reference_zipfian(spec):
     draws = rng.random(spec.op_count)
     rank_idx = np.searchsorted(reference_zipf_cdf(n_blocks, spec.zipf_skew), draws, side="left")
     blocks = (rank_idx.astype(np.int64) * (0x9E3779B1 | 1)) % n_blocks
-    ops = ["W" if w else "R" for w in traces._rw_flags(spec, rng)]
-    return list(zip(ops, (blocks * 64).tolist()))
+    ops = "".join("W" if w else "R" for w in traces._rw_flags(spec, rng))
+    return Trace(ops, (blocks * 64).astype(np.uint64))
 
 
 SLICE = traces._ZIPF_SLICE
@@ -220,6 +321,34 @@ def test_sliced_zipfian_equals_the_whole_cdf_search(n_blocks, skew):
     np.random.default_rng(3).shuffle(draws)
     assert np.array_equal(traces._zipf_ranks(n_blocks, skew, draws),
                           np.searchsorted(cdf, draws, side="left"))
+
+
+def test_zipfian_rebuilds_only_the_slices_that_hold_a_draw(monkeypatch):
+    built = []
+    build = traces._zipf_slice
+
+    def counted(start, *args):
+        built.append(start)
+        return build(start, *args)
+
+    monkeypatch.setattr(traces, "_zipf_slice", counted)
+    n_blocks = 256 * SLICE  # a 1 GiB footprint
+    ranks = traces._zipf_ranks(n_blocks, 0.99, np.random.default_rng(5).random(1000))
+    holding = np.unique(ranks // SLICE) * SLICE
+    assert len(holding) < 256
+    # every slice once for the running totals, then only those holding a draw
+    assert built == list(range(0, n_blocks, SLICE)) + holding.tolist()
+
+
+@pytest.mark.parametrize("n_blocks", [3 * 2**31, 2**47 - 1])
+def test_zipf_scatter_is_exact_where_int64_products_wrap(n_blocks):
+    # rank * multiplier passes 2**63 here: an int64 product wraps above
+    # 3,474,701,543 blocks and sends rank n - 1 of 3 * 2**31 to 5935498831
+    ranks = np.array([0, 1, 2**31, n_blocks // 2, n_blocks - 2, n_blocks - 1])
+    want = [rank * traces._ZIPF_MULT % n_blocks for rank in ranks.tolist()]
+    assert traces._zipf_scatter(ranks, n_blocks).tolist() == want
+    if n_blocks == 3 * 2**31:
+        assert want[-1] == 3788015183
 
 
 def test_zipfian_memory_does_not_grow_with_the_footprint():
