@@ -123,20 +123,10 @@ class CounterTreeState:
         """
         if addr < 0 or addr >= self._protected_bytes:
             raise AddressRangeError(f"address {addr:#x} outside the protected range")
-        cache = self.cache
-        arity = self._arity
-        fetched = 0
-        index = addr // self._leaf_span
-        for level in range(self.depth):
-            # levels are sparse (< 64), so interleave them below the index bits
-            hit, evicted = cache.access(index * 64 + level, is_write)
-            if hit:
-                break
-            fetched += 1
-            if evicted is not None and evicted[1]:
-                self.dirty_writebacks += 1
-            index //= arity
+        fetched, writebacks = self.cache.climb(addr // self._leaf_span, self._arity,
+                                               self.depth, is_write)
         self.fetches += fetched
+        self.dirty_writebacks += writebacks
         return fetched
 
 
@@ -160,13 +150,14 @@ class MerkleEngine(ProtectionEngine):
         if tree_config.protected_bytes != config.protected_bytes:
             raise ConfigError("tree must cover exactly the protected range")
         self.tree = CounterTreeState(tree_config)
+        self._node_bytes = tree_config.node_bytes
         self.first_access_fetches: int | None = None
 
     def _freshness(self, out: AccessOutcome, is_write: bool) -> float:
-        before = self.tree.dirty_writebacks
-        fetched = self.tree.access(out.addr, is_write)
-        wb = self.tree.dirty_writebacks - before
-        nbytes = (fetched + wb) * self.tree.config.node_bytes
+        tree = self.tree
+        before = tree.dirty_writebacks
+        fetched = tree.access(out.addr, is_write)
+        nbytes = (fetched + tree.dirty_writebacks - before) * self._node_bytes
         out.device_bytes += nbytes
         self.device_bytes += nbytes
         out.tree_fetches = fetched

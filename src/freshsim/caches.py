@@ -49,7 +49,8 @@ class SetAssocCache:
     def _fill(self, key: int, dirty: bool) -> tuple[int, bool] | None:
         """Insert a non-resident key; returns the evicted (key, dirty) or None."""
         # cheap deterministic integer hash; Python's hash() is identity for
-        # ints, which would put striding keys in lockstep with the set count
+        # ints, which would put striding keys in lockstep with the set count.
+        # climb repeats it inline and must stay bit-identical to it
         h = (key ^ (key >> 16)) * 0x45D9F3B
         h = (h ^ (h >> 16)) * 0x45D9F3B
         s = self._sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % self.num_sets]
@@ -73,6 +74,38 @@ class SetAssocCache:
         s[key] = s.pop(key) or dirty
         self.hits += 1
         return True, None
+
+    def climb(self, index: int, arity: int, levels: int, dirty: bool) -> tuple[int, int]:
+        """Walk a counter tree leaf to root, as one ``access`` per level would:
+        level ``l``'s key is ``(index // arity**l) * 64 + l`` (levels are
+        sparse, below 64, so they interleave under the index bits).  The walk
+        stops at the first hit; every miss is filled, dirty on a write.
+        Returns (misses, evicted lines that were dirty)."""
+        resident = self._index
+        misses = writebacks = 0
+        for level in range(levels):
+            key = index * 64 + level
+            s = resident.get(key)
+            if s is not None:
+                s[key] = s.pop(key) or dirty
+                self.hits += 1
+                break
+            misses += 1
+            # _fill inline: the same hash, with no call and no tuple per level
+            h = (key ^ (key >> 16)) * 0x45D9F3B
+            h = (h ^ (h >> 16)) * 0x45D9F3B
+            s = self._sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % self.num_sets]
+            s[key] = dirty
+            resident[key] = s
+            if len(s) > self.assoc:
+                for victim in s:
+                    break
+                del resident[victim]
+                if s.pop(victim):
+                    writebacks += 1
+            index //= arity
+        self.misses += misses
+        return misses, writebacks
 
     # -- range operations: fill, look up or drop every key of a run of keys
     # (a page's dynamic lines), in order, in one call

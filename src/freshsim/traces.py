@@ -45,6 +45,8 @@ _OP_TO_OPCODE = bytes.maketrans(b"RW", b"\x00\x01")
 # ranks per slice of the zipfian CDF: generation holds one slice at a time,
 # so its memory does not grow with the footprint
 _ZIPF_SLICE = 1 << 16
+# lines per chunk of the text form: encoding joins one chunk at a time
+_TEXT_CHUNK = 1 << 16
 # fixed odd multiplier that scatters zipfian ranks over the footprint
 _ZIPF_MULT = 0x9E3779B1
 # the scatter is exact in uint64 below this many blocks (see _zipf_scatter)
@@ -124,8 +126,9 @@ class PatternSpec:
     def __post_init__(self) -> None:
         if self.kind not in PATTERN_KINDS:
             raise ConfigError(f"unknown pattern kind {self.kind!r}")
-        if self.footprint_bytes < BLOCK:
-            raise ConfigError("footprint must cover at least one block")
+        if self.footprint_bytes < BLOCK or self.footprint_bytes % BLOCK:
+            raise ConfigError(f"footprint_bytes must be a positive multiple of the {BLOCK}-byte "
+                              f"block, got {self.footprint_bytes}")
         if self.footprint_bytes // BLOCK >= _MAX_BLOCKS:
             raise ConfigError(f"footprint_bytes must be below 2**53 (2**47 blocks), "
                               f"got {self.footprint_bytes}")
@@ -135,8 +138,9 @@ class PatternSpec:
             raise ConfigError("write_fraction must lie in [0, 1]")
         if not isfinite(self.zipf_skew):
             raise ConfigError(f"zipf_skew must be finite, got {self.zipf_skew}")
-        if self.stride_bytes < BLOCK:
-            raise ConfigError("stride must be at least one block")
+        if self.stride_bytes < BLOCK or self.stride_bytes % BLOCK:
+            raise ConfigError(f"stride_bytes must be a positive multiple of the {BLOCK}-byte "
+                              f"block, got {self.stride_bytes}")
         if self.hot_set_bytes < 0:
             raise ConfigError(f"hot_set_bytes must be non-negative, got {self.hot_set_bytes}")
         if self.seed < 0:
@@ -212,7 +216,10 @@ def encode_text_trace(events) -> str:
     refused by the index of the first such event.  A Trace is valid as built."""
     if not isinstance(events, Trace):
         _refuse(events, inf, "text line")
-    return "".join(starmap("{} 0x{:X}\n".format, events))
+    # one chunk's line strs are alive at a time, not one str per event
+    line = "{} 0x{:X}\n".format
+    return "".join(["".join(starmap(line, events[i:i + _TEXT_CHUNK]))
+                    for i in range(0, len(events), _TEXT_CHUNK)])
 
 
 def encode_binary_trace(events) -> bytes:
@@ -405,9 +412,7 @@ def gen_gaussian_kv(spec: PatternSpec) -> Trace:
 def gen_strided(spec: PatternSpec) -> Trace:
     """Constant-stride walk over the footprint, wrapping at the end."""
     rng = np.random.default_rng(spec.seed)
-    step = (spec.stride_bytes // BLOCK) * BLOCK
-    addrs = (np.arange(spec.op_count, dtype=np.int64) * step) % spec.footprint_bytes
-    addrs &= _ALIGN
+    addrs = (np.arange(spec.op_count, dtype=np.int64) * spec.stride_bytes) % spec.footprint_bytes
     return _trace(_rw_flags(spec, rng), addrs)
 
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from freshsim.baselines import (
     CiEngine,
@@ -9,8 +10,9 @@ from freshsim.baselines import (
     NoneEngine,
     tree_depth,
 )
-from freshsim.core import AddressRangeError, ConfigError, Geometry
+from freshsim.core import AddressRangeError, ConfigError, Geometry, SecurityParams
 from freshsim.engine import EngineConfig, HostEngine
+from freshsim.version_store import SLOT_BYTES
 
 G = Geometry()
 PAGE = G.page_bytes
@@ -162,6 +164,64 @@ class TestBaselineEngines:
             e.process_access("Z", 0)
         with pytest.raises(AddressRangeError):
             e.process_access("R", PAGE)
+
+
+_SHAPE = st.tuples(st.integers(1, 4), st.integers(1, 4))  # sets, ways
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pages=st.integers(1, 6),
+    local_pages=st.integers(0, 6),
+    flat_entries=st.integers(1, 4),
+    overflow=_SHAPE,
+    mac=_SHAPE,
+    counter_cache=_SHAPE,
+    arity=st.integers(2, 8),
+    root_counters=st.integers(1, 4),
+    reset_exp=st.integers(2, 6),
+    seed=st.integers(0, 2**16),
+    events=st.integers(0, 300),
+    write_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+def test_modes_agree_on_data_traffic(pages, local_pages, flat_entries, overflow, mac,
+                                     counter_cache, arity, root_counters, reset_exp, seed,
+                                     events, write_share):
+    # every mode moves each event's block once on its channel; a stealth reset
+    # re-encrypts its page, which only toleo does, so its blocks come off first
+    config = EngineConfig(
+        protected_bytes=pages * PAGE, local_bytes=local_pages * PAGE,
+        flat_cache_entries=flat_entries,
+        overflow_bytes=overflow[0] * overflow[1] * SLOT_BYTES, overflow_assoc=overflow[1],
+        mac_cache_bytes=mac[0] * mac[1] * BLOCK, mac_assoc=mac[1],
+        params=SecurityParams(reset_exp=reset_exp), seed=seed,
+    )
+    tree = CounterTreeConfig(
+        protected_bytes=pages * PAGE, arity=arity, root_bytes=64 // arity * root_counters,
+        counter_cache_bytes=counter_cache[0] * counter_cache[1] * 64,
+        counter_cache_assoc=counter_cache[1],
+    )
+    engines = [NoneEngine(config), CiEngine(config), HostEngine(config), MerkleEngine(config, tree)]
+    rng = np.random.default_rng(seed)
+    blocks = rng.integers(0, pages * PAGE // BLOCK, size=events).tolist()
+    trace = [("W" if write else "R", block * BLOCK)
+             for write, block in zip((rng.random(events) < write_share).tolist(), blocks)]
+    writes = [op for op, _ in trace].count("W")
+    for engine in engines:
+        summed = dict.fromkeys(("local_bytes", "pool_bytes", "mac_bytes", "device_bytes"), 0)
+        for op, addr in trace:
+            out = engine.process_access(op, addr)
+            for key in summed:
+                summed[key] += getattr(out, key)
+            assert engine.mode != "toleo" or out.device_transactions <= 1
+        s = engine.stats()
+        ch = s["channels"]
+        assert summed == ch
+        assert (s["reads"], s["writes"]) == (len(trace) - writes, writes)
+        data = ch["local_bytes"] + ch["pool_bytes"] - s["reencrypted_blocks"] * BLOCK
+        assert data == len(trace) * BLOCK
+        if engine.mode in ("none", "ci"):
+            assert ch["device_bytes"] == 0
 
 
 class TestMerkleEngine:

@@ -313,6 +313,39 @@ def test_put_range_memo_is_exact_and_bounded(num_sets, assoc, ops):
             assert s is real._sets[_hashed_set(num_sets, k)]
 
 
+_WALK_INDEX = st.one_of(st.integers(0, 300), st.integers(0, 2**40 - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 8),
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.integers(1, 4),
+    st.lists(st.tuples(_WALK_INDEX, st.booleans()), max_size=60),
+)
+def test_climb_matches_per_level_access(arity, levels, num_sets, assoc, walks):
+    # the walk against its definition: one access per level on a twin cache,
+    # stopping at the first hit
+    walked = SetAssocCache(num_sets * assoc, assoc)
+    stepped = SetAssocCache(num_sets * assoc, assoc)
+    for index, dirty in walks:
+        misses = writebacks = 0
+        for level in range(levels):
+            hit, evicted = stepped.access(index // arity**level * 64 + level, dirty)
+            if hit:
+                break
+            misses += 1
+            writebacks += evicted is not None and evicted[1]
+        assert walked.climb(index, arity, levels, dirty) == (misses, writebacks)
+        # contents, recency order and dirty bits, set by set
+        assert [list(s.items()) for s in walked._sets] == [list(s.items()) for s in stepped._sets]
+        assert (walked.hits, walked.misses) == (stepped.hits, stepped.misses)
+        # the walk's inline hash is _fill's
+        for k, s in walked._index.items():
+            assert s is walked._sets[_hashed_set(num_sets, k)]
+
+
 class TestRangeOps:
     def test_get_range_probes_every_key_after_a_miss(self):
         c = SetAssocCache(4, 4)

@@ -351,6 +351,9 @@ class TestGenTrace:
         (5, "config"), (None, "trace"), ({"trace": 5}, "trace"),
         (pattern_doc(kind="zipfian", zipf_skew=float("nan")), "zipf_skew"),
         (pattern_doc(kind="hot_block", hot_set_bytes=-4096), "hot_set_bytes"),
+        # sizes that are not whole blocks were floored to them
+        (pattern_doc(kind="strided", footprint_bytes=65632), "footprint_bytes"),
+        (pattern_doc(kind="strided", stride_bytes=100), "stride_bytes"),
     ])
     def test_malformed_config_names_the_key(self, tmp_path, capsys, doc, key):
         cfg = write_json(tmp_path, "bad.json", doc)

@@ -234,7 +234,15 @@ class TestPatternSpec:
         # the zipfian scatter is exact in uint64 only below 2**47 blocks
         with pytest.raises(ConfigError, match="footprint_bytes"):
             PatternSpec(kind="zipfian", footprint_bytes=2**53, op_count=1)
-        PatternSpec(kind="zipfian", footprint_bytes=2**53 - 1, op_count=1)
+        PatternSpec(kind="zipfian", footprint_bytes=2**53 - 64, op_count=1)
+
+    @pytest.mark.parametrize("key, value", [("footprint_bytes", 65632), ("footprint_bytes", 4097),
+                                            ("stride_bytes", 100), ("stride_bytes", 65)])
+    def test_sizes_must_be_whole_blocks(self, key, value):
+        # either used to be floored to whole blocks without a word
+        doc = {"kind": "strided", "footprint_bytes": 65536, "op_count": 1, key: value}
+        with pytest.raises(ConfigError, match=f"{key} must be a positive multiple of the 64-byte"):
+            PatternSpec(**doc)
 
 
 @pytest.mark.parametrize("kind", PATTERN_KINDS)
