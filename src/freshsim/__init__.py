@@ -25,6 +25,7 @@ from .version_store import (
     UpdateResult,
     VersionStore,
     compression_ratio,
+    data_partition_bytes,
     entry_cost_bytes,
     flat_array_bytes,
 )
@@ -34,7 +35,6 @@ from .engine import (
     FreshnessViolation,
     FunctionalBlockStore,
     HostEngine,
-    MemoryLayout,
     Record,
     SimulationHalted,
     UvOverflowError,
@@ -84,6 +84,7 @@ __all__ = [
     "UpdateResult",
     "VersionStore",
     "compression_ratio",
+    "data_partition_bytes",
     "entry_cost_bytes",
     "flat_array_bytes",
     "AccessOutcome",
@@ -91,7 +92,6 @@ __all__ = [
     "FreshnessViolation",
     "FunctionalBlockStore",
     "HostEngine",
-    "MemoryLayout",
     "Record",
     "SimulationHalted",
     "UvOverflowError",

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, bounded, check_fields
 
 
 @dataclass(frozen=True)
@@ -35,21 +35,18 @@ class ExhaustionQuery:
     disjoint intervals of ``interval_updates`` each."""
 
     total_updates: int = 1 << 56
-    interval_updates: int = 1 << 26
-    interval_count: int = 1 << 30
-    reset_exp: int = 20
+    interval_updates: int = bounded(1 << 26, low=1)
+    interval_count: int = bounded(1 << 30, low=1)
+    reset_exp: int = bounded(20)
 
     def __post_init__(self) -> None:
-        if self.interval_updates <= 0 or self.interval_count <= 0:
-            raise ConfigError("interval size and count must be positive")
+        check_fields(self)
         if self.interval_updates * self.interval_count != self.total_updates:
             raise ConfigError(
                 "interval_updates x interval_count must equal total_updates "
                 f"({self.interval_updates} x {self.interval_count} "
                 f"!= {self.total_updates})"
             )
-        if self.reset_exp < 0:
-            raise ConfigError("reset_exp must be non-negative")
 
 
 def log_no_reset_prob(n: int, reset_exp: int) -> float:
@@ -179,6 +176,13 @@ class McEstimate:
     parameters: dict
 
 
+def _refuse_negative(**values) -> None:
+    """Refuse, by key, the first of ``values`` below 0; None passes."""
+    for key, value in values.items():
+        if value is not None and value < 0:
+            raise ConfigError(f"{key} must be non-negative, got {value}")
+
+
 def _binomial_estimate(successes: int, parameters: dict) -> McEstimate:
     trials = parameters["trials"]
     est = successes / trials
@@ -217,6 +221,7 @@ def mc_exhaustion(
         )
     if addresses < 1 or trials < 1:
         raise ConfigError("addresses and trials must be positive")
+    _refuse_negative(reset_exp=reset_exp, updates_per_address=updates_per_address, seed=seed)
     if updates_per_address is None:
         updates_per_address = 4 << stealth_bits
     space = 1 << stealth_bits
@@ -256,6 +261,7 @@ def mc_replay(stealth_bits: int, trials: int = 1_000_000, seed: int = 1) -> McEs
         )
     if trials < 1:
         raise ConfigError("trials must be positive")
+    _refuse_negative(seed=seed)
     rng = np.random.default_rng(seed)
     space = 1 << stealth_bits
     captured = rng.integers(0, space, size=trials, dtype=np.int64)

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .caches import SetAssocCache, check_shape
-from .core import AddressRangeError, ConfigError, Geometry
+from .core import AddressRangeError, ConfigError, Geometry, bounded, check_fields
 from .engine import AccessOutcome, EngineConfig, ProtectionEngine
 
 
@@ -46,21 +46,18 @@ class CounterTreeConfig:
     """
 
     protected_bytes: int
-    arity: int = 8
+    arity: int = bounded(8, low=2)
     node_bytes: int = 64
-    counters_per_leaf_node: int = 8
+    counters_per_leaf_node: int = bounded(8, low=1)
     root_bytes: int = 3072
     counter_cache_bytes: int = 32 * 1024
     counter_cache_assoc: int = 16
     geometry: Geometry = field(default_factory=Geometry)
 
     def __post_init__(self) -> None:
-        if self.arity < 2:
-            raise ConfigError("tree arity must be at least 2")
+        check_fields(self)
         if self.node_bytes < self.arity:
             raise ConfigError("tree node_bytes must be at least arity")
-        if self.counters_per_leaf_node < 1:
-            raise ConfigError("tree counters_per_leaf_node must be at least 1")
         check_shape(self.counter_cache_bytes, self.node_bytes, self.counter_cache_shape[1],
                     "tree counter_cache_bytes and counter_cache_assoc")
         if self.protected_bytes < self.geometry.block_bytes:

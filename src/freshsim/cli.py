@@ -7,7 +7,9 @@ dataclass it builds: a run config against ``Geometry``, ``SecurityParams``
 and ``EngineConfig`` (plus ``mode``, ``trace`` and ``tree``), ``tree``
 against ``CounterTreeConfig``, a pattern against ``PatternSpec`` and the
 exhaustion query against ``ExhaustionQuery``.  An unknown key, a value of
-the wrong JSON type and a missing required key are rejected by name.
+the wrong JSON type and a missing required key are rejected by name.  A
+value's range is checked once, by the dataclass it reaches
+(``core.check_fields``), which names the key too.
 
 Exit status is 0 on success and 2 on any configuration error, trace
 problem, capacity rejection, or kill-switch, with a diagnostic on stderr.
@@ -33,7 +35,7 @@ from .analysis import (
 from .baselines import CiEngine, CounterTreeConfig, MerkleEngine, NoneEngine
 from .core import ConfigError, Geometry, SecurityParams, SimError
 from .engine import EngineConfig, HostEngine, SimulationHalted
-from .traces import PatternSpec, encode_text_trace, generate, load_trace, save_trace
+from .traces import PatternSpec, generate, load_trace, save_trace, text_chunks
 
 MODES = ("none", "ci", "toleo", "merkle")
 
@@ -215,7 +217,7 @@ def cmd_gen_trace(args) -> int:
     if args.out:
         save_trace(events, args.out)
     else:
-        sys.stdout.write(encode_text_trace(events))
+        sys.stdout.writelines(text_chunks(events))
     return 0
 
 

@@ -1,4 +1,6 @@
-"""Shared primitives: geometry, security parameters, version arithmetic, bit packing.
+"""Shared primitives: geometry, security parameters, version arithmetic, bit
+packing, and the field ranges every config dataclass declares (``bounded``)
+and checks (``check_fields``).
 
 Version numbers are split into two fields.  The low ``stealth_bits`` (S) live
 in a trusted device and wrap modulo 2**S; the high ``upper_bits`` (U) live in
@@ -15,7 +17,8 @@ draws every base and reset check from its ``getrandbits``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
+from math import inf, isfinite
 
 
 class SimError(Exception):
@@ -34,8 +37,28 @@ class EncodingError(SimError):
     """A field value does not fit its configured width."""
 
 
-def is_power_of_two(n: int) -> bool:
-    return n > 0 and (n & (n - 1)) == 0
+def bounded(default=MISSING, low=0, high=inf, unit=None):
+    """A dataclass field whose value ``check_fields`` requires to be finite,
+    to lie in [low, high] and, given a ``unit``, to be a whole multiple of it.
+    With no ``default`` the field is required."""
+    return field(default=default, metadata={"low": low, "high": high, "unit": unit})
+
+
+def check_fields(obj) -> None:
+    """Refuse, naming its key, the first ``bounded`` field of ``obj`` whose
+    value breaks its rule.  None (an optional field left unset) passes."""
+    for f in fields(obj):
+        if not f.metadata:
+            continue
+        value = getattr(obj, f.name)
+        low, high, unit = f.metadata["low"], f.metadata["high"], f.metadata["unit"]
+        # an int is finite; isfinite would overflow on one past float range
+        if value is None or ((isinstance(value, int) or isfinite(value))
+                             and low <= value <= high and (unit is None or value % unit == 0)):
+            continue
+        span = (f"[{low}" if low > -inf else "(-inf") + (f", {high}]" if high < inf else ", inf)")
+        whole = f" and be a multiple of {unit}" if unit else ""
+        raise ConfigError(f"{f.name} must lie in {span}{whole}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -49,18 +72,17 @@ class Geometry:
 
     page_bytes: int = 4096
     block_bytes: int = 64
-    mac_bits: int = 56
-    macs_per_block: int = 8
+    mac_bits: int = bounded(56, low=1)
+    macs_per_block: int = bounded(8, low=1)
 
     def __post_init__(self) -> None:
-        if not is_power_of_two(self.page_bytes):
-            raise ConfigError(f"page_bytes must be a power of two, got {self.page_bytes}")
-        if not is_power_of_two(self.block_bytes):
-            raise ConfigError(f"block_bytes must be a power of two, got {self.block_bytes}")
+        check_fields(self)
+        for name in ("page_bytes", "block_bytes"):
+            n = getattr(self, name)
+            if n <= 0 or n & (n - 1):
+                raise ConfigError(f"{name} must be a power of two, got {n}")
         if self.block_bytes > self.page_bytes:
             raise ConfigError("block_bytes cannot exceed page_bytes")
-        if self.mac_bits <= 0 or self.macs_per_block <= 0:
-            raise ConfigError("mac_bits and macs_per_block must be positive")
         if self.macs_per_block * self.mac_bits > self.block_bytes * 8:
             raise ConfigError(
                 f"{self.macs_per_block} MACs of {self.mac_bits} bits do not fit a "
@@ -86,18 +108,15 @@ class SecurityParams:
     could not keep up with wraparound.
     """
 
-    stealth_bits: int = 27
-    upper_bits: int = 37
-    reset_exp: int = 20
+    stealth_bits: int = bounded(27, low=2)  # above reset_exp, which is at least 1
+    upper_bits: int = bounded(37, low=1)
+    reset_exp: int = bounded(20, low=1)
 
     def __post_init__(self) -> None:
-        if self.stealth_bits <= 0:
-            raise ConfigError("stealth_bits must be positive")
-        if self.upper_bits <= 0:
-            raise ConfigError("upper_bits must be positive")
-        if not 0 < self.reset_exp < self.stealth_bits:
+        check_fields(self)
+        if self.reset_exp >= self.stealth_bits:
             raise ConfigError(
-                f"reset_exp must satisfy 0 < R < stealth_bits, got R={self.reset_exp} "
+                f"reset_exp must be below stealth_bits, got R={self.reset_exp} "
                 f"S={self.stealth_bits}"
             )
 

@@ -31,7 +31,6 @@ which lets tests replay stale records and watch verification fail.
 from __future__ import annotations
 
 import hashlib
-import math
 import random
 from dataclasses import dataclass, field
 
@@ -42,6 +41,8 @@ from .core import (
     Geometry,
     SecurityParams,
     SimError,
+    bounded,
+    check_fields,
     pack_full,
 )
 from .version_store import (
@@ -75,45 +76,6 @@ class SimulationHalted(SimError):
 
 
 @dataclass(frozen=True)
-class MemoryLayout:
-    """Split of one memory node into a data partition and a MAC partition.
-
-    MAC blocks sit above the data partition on the same node: one 64-byte
-    MAC block per ``macs_per_block`` data blocks, its spare bits carrying the
-    page's upper version.
-    """
-
-    data_bytes: int
-    geometry: Geometry = field(default_factory=Geometry)
-
-    def __post_init__(self) -> None:
-        if self.data_bytes <= 0 or self.data_bytes % self.geometry.page_bytes:
-            raise ConfigError("data partition must be a positive multiple of the page size")
-
-    @property
-    def mac_bytes(self) -> int:
-        blocks = self.data_bytes // self.geometry.block_bytes
-        mac_blocks = -(-blocks // self.geometry.macs_per_block)
-        return mac_blocks * self.geometry.block_bytes
-
-    @property
-    def total_bytes(self) -> int:
-        return self.data_bytes + self.mac_bytes
-
-    @property
-    def mac_base(self) -> int:
-        return self.data_bytes
-
-    @classmethod
-    def from_total(cls, total_bytes: int, geometry: Geometry | None = None) -> "MemoryLayout":
-        """Largest page-aligned data partition fitting total_bytes with MACs."""
-        g = geometry or Geometry()
-        data = total_bytes * g.macs_per_block // (g.macs_per_block + 1)
-        data -= data % g.page_bytes
-        return cls(data_bytes=data, geometry=g)
-
-
-@dataclass(frozen=True)
 class EngineConfig:
     """Every knob of a simulation run; defaults match the reference platform:
     2.25 GHz cores, 40-cycle cipher pipeline, 95 ns CXL hop, 15 ns device
@@ -123,24 +85,27 @@ class EngineConfig:
     geometry: Geometry = field(default_factory=Geometry)
     params: SecurityParams = field(default_factory=SecurityParams)
     protected_bytes: int = 1 * GIB
-    device_capacity_bytes: int | None = None
-    local_bytes: int = 3 * TIB
-    local_ns: float = 50.0
-    cxl_ns: float = 95.0
-    pool_dram_ns: float = 50.0
-    device_dram_ns: float = 15.0
-    cipher_cycles: int = 40
-    clock_ghz: float = 2.25
-    flat_cache_entries: int = 256
+    device_capacity_bytes: int | None = bounded(None)
+    local_bytes: int = bounded(3 * TIB)
+    local_ns: float = bounded(50.0)
+    cxl_ns: float = bounded(95.0)
+    pool_dram_ns: float = bounded(50.0)
+    device_dram_ns: float = bounded(15.0)
+    cipher_cycles: int = bounded(40)
+    clock_ghz: float = bounded(2.25)
+    flat_cache_entries: int = bounded(256, low=1)
     overflow_bytes: int = 28672
     overflow_assoc: int = 16
     mac_cache_bytes: int = 32 * 1024 * 32
     mac_assoc: int = 16
-    device_message_bytes: int = 64
+    device_message_bytes: int = bounded(64)
     debug: bool = False
-    seed: int = 1
+    seed: int = bounded(1, high=(1 << 128) - 1)  # the functional layer keys on 16 bytes
 
     def __post_init__(self) -> None:
+        check_fields(self)
+        if self.clock_ghz <= 0:
+            raise ConfigError(f"clock_ghz must be positive, got {self.clock_ghz}")
         if self.geometry.spare_bits < self.params.upper_bits:
             raise ConfigError(
                 f"MAC-block spare bits ({self.geometry.spare_bits}) cannot hold a "
@@ -150,10 +115,6 @@ class EngineConfig:
         if self.protected_bytes <= 0 or self.protected_bytes % page:
             raise ConfigError(f"protected_bytes must be a positive multiple of the {page}-byte "
                               f"page, got {self.protected_bytes}")
-        for name in ("local_bytes", "local_ns", "cxl_ns", "pool_dram_ns", "device_dram_ns",
-                     "cipher_cycles", "device_message_bytes"):
-            if not 0 <= getattr(self, name) < math.inf:  # a NaN fails this too
-                raise ConfigError(f"{name} must lie in [0, inf), got {getattr(self, name)}")
         if self.local_bytes % page:
             raise ConfigError(f"local_bytes must be a multiple of the {page}-byte page, "
                               f"got {self.local_bytes}")
@@ -161,10 +122,6 @@ class EngineConfig:
                     "overflow_bytes and overflow_assoc")
         check_shape(self.mac_cache_bytes, self.geometry.block_bytes, self.mac_assoc,
                     "mac_cache_bytes and mac_assoc")
-        if not 0 < self.clock_ghz < math.inf:
-            raise ConfigError(f"clock_ghz must be positive and finite, got {self.clock_ghz}")
-        if not 0 <= self.seed < 1 << 128:
-            raise ConfigError(f"seed must lie in [0, 2**128), got {self.seed}")
 
     @property
     def cipher_ns(self) -> float:

@@ -27,12 +27,12 @@ from __future__ import annotations
 from array import array
 from dataclasses import dataclass
 from itertools import starmap
-from math import inf, isfinite
+from math import inf
 from operator import index, itemgetter
 
 import numpy as np
 
-from .core import ConfigError, SimError
+from .core import ConfigError, SimError, bounded, check_fields
 
 BLOCK = 64
 _ALIGN = ~(BLOCK - 1)
@@ -115,36 +115,18 @@ class PatternSpec:
     """
 
     kind: str
-    footprint_bytes: int
-    op_count: int
-    write_fraction: float = 0.5
-    zipf_skew: float = 0.99
-    stride_bytes: int = 256
-    hot_set_bytes: int = 0  # 0: kind-specific default
-    seed: int = 1
+    footprint_bytes: int = bounded(low=BLOCK, high=(_MAX_BLOCKS - 1) * BLOCK, unit=BLOCK)
+    op_count: int = bounded(low=1)
+    write_fraction: float = bounded(0.5, high=1)
+    zipf_skew: float = bounded(0.99, low=-inf)
+    stride_bytes: int = bounded(256, low=BLOCK, unit=BLOCK)
+    hot_set_bytes: int = bounded(0)  # 0: kind-specific default
+    seed: int = bounded(1)
 
     def __post_init__(self) -> None:
+        check_fields(self)
         if self.kind not in PATTERN_KINDS:
             raise ConfigError(f"unknown pattern kind {self.kind!r}")
-        if self.footprint_bytes < BLOCK or self.footprint_bytes % BLOCK:
-            raise ConfigError(f"footprint_bytes must be a positive multiple of the {BLOCK}-byte "
-                              f"block, got {self.footprint_bytes}")
-        if self.footprint_bytes // BLOCK >= _MAX_BLOCKS:
-            raise ConfigError(f"footprint_bytes must be below 2**53 (2**47 blocks), "
-                              f"got {self.footprint_bytes}")
-        if self.op_count <= 0:
-            raise ConfigError("op_count must be positive")
-        if not 0.0 <= self.write_fraction <= 1.0:
-            raise ConfigError("write_fraction must lie in [0, 1]")
-        if not isfinite(self.zipf_skew):
-            raise ConfigError(f"zipf_skew must be finite, got {self.zipf_skew}")
-        if self.stride_bytes < BLOCK or self.stride_bytes % BLOCK:
-            raise ConfigError(f"stride_bytes must be a positive multiple of the {BLOCK}-byte "
-                              f"block, got {self.stride_bytes}")
-        if self.hot_set_bytes < 0:
-            raise ConfigError(f"hot_set_bytes must be non-negative, got {self.hot_set_bytes}")
-        if self.seed < 0:
-            raise ConfigError(f"pattern seed must be non-negative, got {self.seed}")
 
 
 # -- file formats ---------------------------------------------------------------
@@ -210,16 +192,23 @@ def _refuse(events, limit: float, form: str) -> None:
         raise ConfigError(f"event {i}: {(op, addr)!r} has no {form}") from None
 
 
-def encode_text_trace(events) -> str:
-    """The text form of a Trace or any sequence of pairs; in the latter an op
-    other than R or W, or an address that is not a non-negative integer, is
-    refused by the index of the first such event.  A Trace is valid as built."""
+def text_chunks(events):
+    """The text form of a Trace or any sequence of pairs, as an iterator of
+    strs of one chunk of lines each.  Of a sequence of pairs, an op other
+    than R or W, or an address that is not a non-negative integer, is
+    refused by the index of the first such event before any chunk is made.
+    A Trace is valid as built."""
     if not isinstance(events, Trace):
         _refuse(events, inf, "text line")
     # one chunk's line strs are alive at a time, not one str per event
     line = "{} 0x{:X}\n".format
-    return "".join(["".join(starmap(line, events[i:i + _TEXT_CHUNK]))
-                    for i in range(0, len(events), _TEXT_CHUNK)])
+    return ("".join(starmap(line, events[i:i + _TEXT_CHUNK]))
+            for i in range(0, len(events), _TEXT_CHUNK))
+
+
+def encode_text_trace(events) -> str:
+    """The text form of a Trace or any sequence of pairs (see ``text_chunks``)."""
+    return "".join(text_chunks(events))
 
 
 def encode_binary_trace(events) -> bytes:
@@ -250,12 +239,12 @@ def load_trace(path: str) -> Trace:
 
 
 def save_trace(events, path: str) -> None:
-    """Write the binary form to a ``.bin`` path and text to any other; a trace
-    that cannot be encoded leaves no file."""
+    """Write the binary form to a ``.bin`` path and text, one chunk at a time,
+    to any other; a trace that cannot be encoded leaves no file."""
     binary = path.endswith(".bin")
-    data = encode_binary_trace(events) if binary else encode_text_trace(events)
+    data = [encode_binary_trace(events)] if binary else text_chunks(events)
     with open(path, "wb" if binary else "w") as f:
-        f.write(data)
+        f.writelines(data)
 
 
 # -- generators ------------------------------------------------------------------

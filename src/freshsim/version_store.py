@@ -98,6 +98,14 @@ def flat_array_bytes(protected_bytes: int, geometry: Geometry, params: SecurityP
     return (protected_bytes // geometry.page_bytes) * flat_entry_bytes(params)
 
 
+def data_partition_bytes(total_bytes: int, geometry: Geometry) -> int:
+    """The largest whole-page data partition that fits ``total_bytes`` of one
+    memory node together with its MACs, one MAC block per ``macs_per_block``
+    data blocks: 8/9 of the node by default."""
+    data = total_bytes * geometry.macs_per_block // (geometry.macs_per_block + 1)
+    return data - data % geometry.page_bytes
+
+
 def decode_entry_image(image: bytes, params: SecurityParams) -> tuple[int, int, int]:
     """Unpack a packed static entry into (tag, base field, payload bits)."""
     acc = int.from_bytes(image, "little")

@@ -37,7 +37,6 @@ from freshsim.engine import (
     EngineConfig,
     FunctionalBlockStore,
     HostEngine,
-    MemoryLayout,
 )
 from freshsim.traces import PATTERN_KINDS, PatternSpec, generate
 from freshsim.version_store import (
@@ -46,6 +45,7 @@ from freshsim.version_store import (
     UNEVEN,
     VersionStore,
     compression_ratio,
+    data_partition_bytes,
     entry_cost_bytes,
     flat_array_bytes,
 )
@@ -87,8 +87,8 @@ def test_criterion_01_entry_costs_and_ratios():
 
 
 def test_criterion_02_device_sizing():
-    layout = MemoryLayout.from_total(28 * TIB)
-    flat = flat_array_bytes(layout.data_bytes, G, P)
+    data = data_partition_bytes(28 * TIB, G)
+    flat = flat_array_bytes(data, G, P)
     flat_gib = flat / GIB
     dynamic_gib = 168.0 - flat_gib
     one_tib_flat = flat_array_bytes(1 * TIB, G, P)
@@ -100,7 +100,7 @@ def test_criterion_02_device_sizing():
     _report(
         2,
         ok,
-        f"28 TiB node -> {layout.data_bytes / TIB:.2f} TiB data, "
+        f"28 TiB node -> {data / TIB:.2f} TiB data, "
         f"flat {flat_gib:.2f} GiB, dynamic {dynamic_gib:.2f} GiB of 168 GiB; "
         f"1 TiB -> {one_tib_flat / GIB:.2f} GiB flat",
     )

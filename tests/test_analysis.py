@@ -215,6 +215,23 @@ class TestMonteCarlo:
         with pytest.raises(ConfigError):
             mc_replay(8, trials=0)
 
+    @pytest.mark.parametrize("run, kw, key", [
+        (mc_exhaustion, {"stealth_bits": 3, "reset_exp": -3}, "reset_exp"),
+        (mc_exhaustion, {"stealth_bits": 3, "reset_exp": 2, "updates_per_address": -1},
+         "updates_per_address"),
+        (mc_exhaustion, {"stealth_bits": 3, "reset_exp": 2, "seed": -1}, "seed"),
+        (mc_replay, {"stealth_bits": 3, "seed": -1}, "seed"),
+    ], ids=["exhaustion_reset_exp", "exhaustion_updates", "exhaustion_seed", "replay_seed"])
+    def test_negative_input_refused_before_any_draw(self, monkeypatch, run, kw, key):
+        import freshsim.analysis as mod
+
+        def no_draws(seed):
+            raise AssertionError("drew before checking its inputs")
+
+        monkeypatch.setattr(mod.np.random, "default_rng", no_draws)
+        with pytest.raises(ConfigError, match=f"^{key} must be non-negative, got -"):
+            run(**kw)
+
     def test_estimate_record_shape(self):
         est = mc_replay(4, trials=1000, seed=1)
         assert isinstance(est, McEstimate)

@@ -2,6 +2,7 @@ import builtins
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -263,6 +264,18 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["none", "ci", "toleo", "merkle"])
+    @pytest.mark.parametrize("key, value, rule", [
+        ("flat_cache_entries", 0, r"\[1, inf\)"),
+        ("device_capacity_bytes", -5, r"\[0, inf\)"),
+    ], ids=["flat_cache_entries_0", "device_capacity_negative"])
+    def test_engine_sizes_checked_in_every_mode(self, tmp_path, capsys, mode, key, value, rule):
+        # only toleo uses them, but every mode builds the same EngineConfig
+        cfg = run_config(tmp_path, mode=mode, **{key: value})
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"^error: {key} must lie in {rule}, got {value}$", err, re.M), err
+
     @pytest.mark.parametrize("doc", [[], 0, False, ""])
     def test_falsy_non_object_config_rejected(self, tmp_path, capsys, doc):
         cfg = write_json(tmp_path, "bad.json", doc)
@@ -328,6 +341,13 @@ class TestGenTrace:
         assert main(["gen-trace", "--config", cfg]) == 0
         events = parse_text_trace(capsys.readouterr().out)
         assert len(events) == 5
+
+    def test_stdout_equals_the_text_file(self, tmp_path, capsys):
+        cfg = write_json(tmp_path, "pat.json", pattern_doc(op_count=100))
+        out = tmp_path / "t.trace"
+        assert main(["gen-trace", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["gen-trace", "--config", cfg]) == 0
+        assert capsys.readouterr().out == out.read_text()
 
     def test_run_config_pattern_is_accepted(self, tmp_path):
         cfg = run_config(tmp_path)
@@ -434,6 +454,27 @@ class TestAnalyzeSecurity:
         cfg = write_json(tmp_path, "bad.json", doc)
         assert main(["analyze-security", "--config", cfg]) == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc, flags, key", [
+        ({"monte_carlo": {"exhaustion": {"stealth_bits": 3, "reset_exp": 2, "seed": -1}}}, [],
+         "seed"),
+        ({"monte_carlo": {"replay": {"stealth_bits": 8, "seed": -1}}}, [], "seed"),
+        ({"monte_carlo": {"replay": {"stealth_bits": 8}}}, ["--seed", "-3"], "seed"),
+        ({"monte_carlo": {"exhaustion": {"stealth_bits": 3, "reset_exp": 2}}}, ["--seed", "-3"],
+         "seed"),
+        ({"monte_carlo": {"exhaustion": {"stealth_bits": 3, "reset_exp": -3}}}, [], "reset_exp"),
+        ({"monte_carlo": {"exhaustion": {"stealth_bits": 3, "reset_exp": 2,
+                                         "updates_per_address": -1}}}, [],
+         "updates_per_address"),
+    ], ids=["mc_exhaustion_seed", "mc_replay_seed", "seed_flag_replay", "seed_flag_exhaustion",
+            "mc_reset_exp", "mc_updates"])
+    def test_negative_monte_carlo_value_names_the_key(self, tmp_path, capsys, doc, flags, key):
+        # a negative seed used to reach numpy and end in a traceback, and a
+        # negative reset_exp ran with a reset chance of 2**3 per update
+        cfg = write_json(tmp_path, "bad.json", doc)
+        assert main(["analyze-security", "--config", cfg, *flags]) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"^error: {key} must be non-negative, got -\d+$", err, re.M), err
 
     @pytest.mark.parametrize("doc, section", [
         ({"exhaustion": []}, "exhaustion"),

@@ -1,16 +1,25 @@
+import dataclasses
+import math
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
+from freshsim.analysis import ExhaustionQuery
+from freshsim.baselines import CounterTreeConfig
 from freshsim.core import (
     ConfigError,
     EncodingError,
     Geometry,
     SecurityParams,
+    check_fields,
     pack_bitfields,
     pack_full,
     stealth_add,
     unpack_bitfields,
 )
+from freshsim.engine import EngineConfig
+from freshsim.traces import PatternSpec
 
 
 class TestGeometry:
@@ -52,6 +61,96 @@ class TestSecurityParams:
         with pytest.raises(ConfigError):
             SecurityParams(stealth_bits=10, upper_bits=6, reset_exp=0)
         SecurityParams(stealth_bits=10, upper_bits=6, reset_exp=9)
+
+
+# every dataclass with ``bounded`` fields, and the required fields it needs
+BOUNDED_CLASSES = [
+    (Geometry, {}),
+    (SecurityParams, {}),
+    (EngineConfig, {}),
+    (CounterTreeConfig, {"protected_bytes": 4096}),
+    (PatternSpec, {"kind": "strided", "footprint_bytes": 4096, "op_count": 1}),
+    (ExhaustionQuery, {}),
+]
+BOUNDED = [(klass, required, f) for klass, required in BOUNDED_CLASSES
+           for f in dataclasses.fields(klass) if f.metadata]
+# an integer past float range that today's checks refuse, by class and field;
+# every other bounded field accepts it
+# a bound that a plain check refuses on its own, by class and field
+PLAIN_REFUSED = {("EngineConfig", "clock_ghz"): "clock_ghz must be positive"}
+BIG_REFUSED = {("Geometry", "mac_bits"), ("Geometry", "macs_per_block"),
+               ("SecurityParams", "reset_exp"), ("EngineConfig", "seed"),
+               ("CounterTreeConfig", "arity"),
+               ("PatternSpec", "footprint_bytes"), ("PatternSpec", "write_fraction")}
+
+
+def build_with(klass, required, name, value):
+    """``klass`` with ``name`` set to ``value``, and the partner fields of a
+    cross-field rule set so that a value inside the field's range meets it."""
+    kw = dict(required)
+    if klass is SecurityParams and name == "stealth_bits":
+        kw["reset_exp"] = 1
+    if klass is ExhaustionQuery and name in ("interval_updates", "interval_count"):
+        other = "interval_count" if name == "interval_updates" else "interval_updates"
+        kw["total_updates"] = value * getattr(ExhaustionQuery(), other)
+    return klass(**{**kw, name: value})
+
+
+def test_every_class_with_a_range_is_covered():
+    assert {klass.__name__ for klass, _, _ in BOUNDED} == {
+        klass.__name__ for klass, _ in BOUNDED_CLASSES}
+    assert len(BOUNDED) >= 25
+
+
+@pytest.mark.parametrize("klass, required, f", BOUNDED,
+                         ids=[f"{klass.__name__}.{f.name}" for klass, _, f in BOUNDED])
+def test_bounded_field_refuses_by_key_and_takes_its_bounds(klass, required, f):
+    low, high, unit = f.metadata["low"], f.metadata["high"], f.metadata["unit"]
+    is_float = f.type == "float"
+    step = unit or 1
+    refused, accepted = [], []
+    if low > -math.inf:
+        refused.append(math.nextafter(low, -math.inf) if is_float else low - step)
+        accepted.append(low)
+    if high < math.inf:
+        refused.append(math.nextafter(high, math.inf) if is_float else high + step)
+        accepted.append(high)
+    if unit:
+        refused.append(low + 1)
+    if is_float:
+        refused += [math.nan, math.inf, -math.inf]
+    assert refused
+    for value in refused:
+        with pytest.raises(ConfigError,
+                           match=rf"^{f.name} must lie in .*, got {re.escape(repr(value))}$"):
+            build_with(klass, required, f.name, value)
+    for value in accepted:
+        if (klass.__name__, f.name) in PLAIN_REFUSED and value == low:
+            with pytest.raises(ConfigError, match=PLAIN_REFUSED[klass.__name__, f.name]):
+                build_with(klass, required, f.name, value)
+        else:
+            assert getattr(build_with(klass, required, f.name, value), f.name) == value
+
+
+@pytest.mark.parametrize("klass, required, f", BOUNDED,
+                         ids=[f"{klass.__name__}.{f.name}" for klass, _, f in BOUNDED])
+def test_integer_past_float_range_keeps_its_outcome(klass, required, f):
+    # math.isfinite(10**400) raises OverflowError; the check must not convert
+    big = 10 ** 400
+    if (klass.__name__, f.name) in BIG_REFUSED:
+        with pytest.raises(ConfigError):
+            build_with(klass, required, f.name, big)
+    else:
+        assert getattr(build_with(klass, required, f.name, big), f.name) == big
+    # the field's own rule, applied alone, refuses it exactly when it lies outside
+    obj = build_with(klass, required, f.name, f.metadata["low"] if f.default is
+                     dataclasses.MISSING else f.default)
+    object.__setattr__(obj, f.name, big)
+    if big <= f.metadata["high"]:
+        check_fields(obj)
+    else:
+        with pytest.raises(ConfigError, match=f"^{f.name} must lie in"):
+            check_fields(obj)
 
 
 class TestStealthArithmetic:

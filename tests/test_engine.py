@@ -8,13 +8,13 @@ from freshsim.core import (
     SecurityParams,
 )
 from freshsim.baselines import CiEngine, MerkleEngine, NoneEngine
+from freshsim.version_store import data_partition_bytes
 from freshsim.engine import (
     AccessOutcome,
     EngineConfig,
     FreshnessViolation,
     FunctionalBlockStore,
     HostEngine,
-    MemoryLayout,
     SimulationHalted,
     UvOverflowError,
 )
@@ -32,19 +32,21 @@ def make_engine(pages=16, **kw):
 
 class TestMemoryLayout:
     def test_mac_partition_is_one_eighth(self):
-        lay = MemoryLayout(data_bytes=1 << 20)
-        assert lay.mac_bytes == (1 << 20) // 8
-        assert lay.total_bytes == (1 << 20) * 9 // 8
-        assert lay.mac_base == 1 << 20
+        # what the data partition leaves of a node is its MAC partition
+        total = (1 << 20) * 9 // 8
+        assert total - data_partition_bytes(total, G) == (1 << 20) // 8
 
     def test_data_must_be_page_aligned(self):
-        with pytest.raises(ConfigError):
-            MemoryLayout(data_bytes=4096 + 64)
+        # a node of no whole number of pages still gets a whole-page partition
+        data = data_partition_bytes(9 * 8 * PAGE + 9 * 64, G)
+        assert data == 8 * 8 * PAGE
+        assert data_partition_bytes(9 * PAGE - 1, G) == 7 * PAGE
 
     def test_from_total_splits_eight_ninths(self):
-        lay = MemoryLayout.from_total(9 * 8 * PAGE)
-        assert lay.data_bytes == 8 * 8 * PAGE
-        assert lay.total_bytes <= 9 * 8 * PAGE
+        data = data_partition_bytes(9 * 8 * PAGE, G)
+        assert data == 8 * 8 * PAGE
+        mac = -(-data // BLOCK // G.macs_per_block) * BLOCK
+        assert data + mac <= 9 * 8 * PAGE
 
     @pytest.mark.parametrize("engine_class", [CiEngine, HostEngine, MerkleEngine])
     def test_mac_line_covers_eight_blocks(self, engine_class):

@@ -52,6 +52,17 @@ class TestTextFormat:
         with pytest.raises(TraceParseError):
             parse_text_trace("R\n")
 
+    def test_written_one_chunk_at_a_time(self, tmp_path, monkeypatch):
+        # a file gets each chunk as it is joined, never the whole text
+        monkeypatch.setattr(traces, "_TEXT_CHUNK", 2)
+        trace = generate(PatternSpec(kind="zipfian", footprint_bytes=4096, op_count=5))
+        chunks = list(traces.text_chunks(trace))
+        assert [chunk.count("\n") for chunk in chunks] == [2, 2, 1]
+        assert "".join(chunks) == encode_text_trace(trace)
+        path = tmp_path / "t.trace"
+        save_trace(trace, str(path))
+        assert path.read_text() == encode_text_trace(trace)
+
     def test_address_beyond_64_bits_refused_by_line(self):
         # a parsed trace holds 64-bit addresses, as the binary form does
         with pytest.raises(TraceParseError,
@@ -241,7 +252,8 @@ class TestPatternSpec:
     def test_sizes_must_be_whole_blocks(self, key, value):
         # either used to be floored to whole blocks without a word
         doc = {"kind": "strided", "footprint_bytes": 65536, "op_count": 1, key: value}
-        with pytest.raises(ConfigError, match=f"{key} must be a positive multiple of the 64-byte"):
+        with pytest.raises(ConfigError,
+                           match=rf"^{key} must lie in \[64, .* and be a multiple of 64, got {value}$"):
             PatternSpec(**doc)
 
 
