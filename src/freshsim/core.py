@@ -38,9 +38,9 @@ class EncodingError(SimError):
 
 
 def bounded(default=MISSING, low=0, high=inf, unit=None):
-    """A dataclass field whose value ``check_fields`` requires to be finite,
-    to lie in [low, high] and, given a ``unit``, to be a whole multiple of it.
-    With no ``default`` the field is required."""
+    """A dataclass field whose value ``check_fields`` requires to convert to
+    a finite float, to lie in [low, high] and, given a ``unit``, to be a
+    whole multiple of it.  With no ``default`` the field is required."""
     return field(default=default, metadata={"low": low, "high": high, "unit": unit})
 
 
@@ -51,10 +51,14 @@ def check_fields(obj) -> None:
         if not f.metadata:
             continue
         value = getattr(obj, f.name)
+        if value is None:
+            continue
         low, high, unit = f.metadata["low"], f.metadata["high"], f.metadata["unit"]
-        # an int is finite; isfinite would overflow on one past float range
-        if value is None or ((isinstance(value, int) or isfinite(value))
-                             and low <= value <= high and (unit is None or value % unit == 0)):
+        try:
+            finite = isfinite(value)
+        except OverflowError:  # an int past float range
+            finite = False
+        if finite and low <= value <= high and (unit is None or value % unit == 0):
             continue
         span = (f"[{low}" if low > -inf else "(-inf") + (f", {high}]" if high < inf else ", inf)")
         whole = f" and be a multiple of {unit}" if unit else ""

@@ -12,7 +12,9 @@ interchangeable file forms exist:
   blank lines are ignored.
 * binary: 9-byte records, one opcode byte (0 read, 1 write) followed by the
   address as a 64-bit little-endian integer; ``save_trace`` writes this
-  form to a ``.bin`` path and text to any other.
+  form to a ``.bin`` path and text to any other.  ``load_trace`` reads a
+  binary file one fixed chunk of records at a time into the preallocated
+  columns, so the whole file image is never held.
 
 Generators are pure functions of their PatternSpec, so the same spec always
 yields a byte-identical trace.  Two patterns carry shape guarantees the
@@ -29,6 +31,8 @@ from dataclasses import dataclass
 from itertools import starmap
 from math import inf
 from operator import index, itemgetter
+from os import fstat
+from stat import S_ISREG
 
 import numpy as np
 
@@ -39,6 +43,9 @@ _ALIGN = ~(BLOCK - 1)
 # one binary record: opcode byte, then the little-endian 64-bit address
 _RECORD = np.dtype([("op", "u1"), ("addr", "<u8")])
 _OPS = ("R", "W")  # indexed by opcode
+# the first byte of a binary trace, which never begins a text one
+_BINARY_LEADS = (b"\x00", b"\x01")
+_ADDR_MASK = ~np.uint64(BLOCK - 1)
 # bytes.translate tables between opcode bytes (0/1, or bools) and op letters
 _OPCODE_TO_OP = bytes.maketrans(b"\x00\x01", b"RW")
 _OP_TO_OPCODE = bytes.maketrans(b"RW", b"\x00\x01")
@@ -47,6 +54,8 @@ _OP_TO_OPCODE = bytes.maketrans(b"RW", b"\x00\x01")
 _ZIPF_SLICE = 1 << 16
 # lines per chunk of the text form: encoding joins one chunk at a time
 _TEXT_CHUNK = 1 << 16
+# records per read of a binary file: loading holds one chunk of the file
+_LOAD_CHUNK = 1 << 16
 # fixed odd multiplier that scatters zipfian ranks over the footprint
 _ZIPF_MULT = 0x9E3779B1
 # the scatter is exact in uint64 below this many blocks (see _zipf_scatter)
@@ -69,7 +78,9 @@ class Trace:
     __slots__ = ("ops", "addrs")
 
     def __init__(self, ops: str, addrs: np.ndarray) -> None:
-        if ops.strip("RW") or addrs.dtype != np.uint64 or addrs.shape != (len(ops),):
+        # isascii first: encode would raise on a lone surrogate
+        if not (ops.isascii() and not ops.encode().translate(None, b"RW")
+                and addrs.dtype == np.uint64 and addrs.shape == (len(ops),)):
             raise ValueError("a Trace needs a str of R/W ops and a uint64 address "
                              "array of the same length")
         self.ops = ops
@@ -155,16 +166,48 @@ def parse_text_trace(text: str) -> Trace:
     return Trace("".join(ops), np.array(addrs, dtype=np.uint64))
 
 
-def parse_binary_trace(data: bytes) -> Trace:
-    if len(data) % 9:
+def _binary_columns(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Empty op-letter and address columns for ``size`` bytes of records."""
+    n, part = divmod(size, _RECORD.itemsize)
+    if part:
         raise TraceParseError(
-            f"binary trace length {len(data)} is not a multiple of the 9-byte record"
+            f"binary trace length {size} is not a multiple of the 9-byte record"
         )
-    records = np.frombuffer(data, dtype=_RECORD)
-    bad = np.flatnonzero(records["op"] > 1)
-    if bad.size:
-        raise TraceParseError(f"byte offset {9 * bad[0]}: bad opcode {records['op'][bad[0]]}")
-    return _trace(records["op"], records["addr"] & ~np.uint64(BLOCK - 1))
+    return np.empty(n, np.uint8), np.empty(n, np.uint64)
+
+
+def _decode_records(data, start: int, letters: np.ndarray, addrs: np.ndarray) -> None:
+    """Fill the columns from index ``start`` with the whole records in
+    ``data``, refusing the first bad opcode by its byte offset in the trace."""
+    records = np.frombuffer(data, _RECORD)
+    opcodes = records["op"]
+    if opcodes.max(initial=0) > 1:
+        first = np.flatnonzero(opcodes > 1)[0]
+        raise TraceParseError(f"byte offset {9 * (start + first)}: bad opcode {opcodes[first]}")
+    end = start + len(records)
+    # opcode 0 is "R" and 1 is "W", so the letter is "R" + opcode * ("W" - "R")
+    np.multiply(opcodes, ord("W") - ord("R"), out=letters[start:end])
+    letters[start:end] += ord("R")
+    np.bitwise_and(records["addr"], _ADDR_MASK, out=addrs[start:end])
+
+
+def parse_binary_trace(data: bytes) -> Trace:
+    letters, addrs = _binary_columns(len(data))
+    _decode_records(data, 0, letters, addrs)
+    return Trace(str(letters, "ascii"), addrs)
+
+
+def _load_binary(f, size: int) -> Trace:
+    """The Trace of the ``size``-byte binary file ``f``, read one chunk of
+    records at a time into one reused buffer."""
+    letters, addrs = _binary_columns(size)
+    buf = memoryview(bytearray(_LOAD_CHUNK * _RECORD.itemsize))
+    for start in range(0, len(addrs), _LOAD_CHUNK):
+        chunk = buf[:min(_LOAD_CHUNK, len(addrs) - start) * _RECORD.itemsize]
+        if f.readinto(chunk) != len(chunk):
+            raise TraceParseError("binary trace file shrank while it was read")
+        _decode_records(chunk, start, letters, addrs)
+    return Trace(str(letters, "ascii"), addrs)
 
 
 def parse_trace(data: bytes | str) -> Trace:
@@ -172,7 +215,7 @@ def parse_trace(data: bytes | str) -> Trace:
     begins a text trace."""
     if isinstance(data, str):
         return parse_text_trace(data)
-    if data[:1] in (b"\x00", b"\x01"):
+    if data[:1] in _BINARY_LEADS:
         return parse_binary_trace(data)
     try:
         return parse_text_trace(data.decode("ascii"))
@@ -234,7 +277,13 @@ def encode_binary_trace(events) -> bytes:
 
 
 def load_trace(path: str) -> Trace:
+    """The trace in the file at ``path``, in either form.  A regular file of
+    binary records is read one chunk at a time; text, and a pipe, are read
+    whole and parsed as ``parse_trace`` does."""
     with open(path, "rb") as f:
+        st = fstat(f.fileno())
+        if S_ISREG(st.st_mode) and f.peek(1)[:1] in _BINARY_LEADS:
+            return _load_binary(f, st.st_size)
         return parse_trace(f.read())
 
 

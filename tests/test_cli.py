@@ -264,6 +264,17 @@ class TestConfigHandling:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("mode", ["toleo", "merkle"])
+    @pytest.mark.parametrize("key", ["local_ns", "cxl_ns", "pool_dram_ns", "device_dram_ns",
+                                     "cipher_cycles"])
+    def test_integer_past_float_range_names_the_key(self, tmp_path, capsys, mode, key):
+        # it passed the range check and ended in an OverflowError traceback
+        # once the engine computed a latency with it
+        cfg = run_config(tmp_path, mode=mode, **{key: 10 ** 400})
+        assert main(["simulate", "--config", cfg]) == 2
+        err = capsys.readouterr().err
+        assert re.search(rf"^error: {key} must lie in \[0, inf\), got 10{{400}}$", err, re.M), err
+
     @pytest.mark.parametrize("mode", ["none", "ci", "toleo", "merkle"])
     @pytest.mark.parametrize("key, value, rule", [
         ("flat_cache_entries", 0, r"\[1, inf\)"),
@@ -374,6 +385,8 @@ class TestGenTrace:
         # sizes that are not whole blocks were floored to them
         (pattern_doc(kind="strided", footprint_bytes=65632), "footprint_bytes"),
         (pattern_doc(kind="strided", stride_bytes=100), "stride_bytes"),
+        # past float range: the zipfian CDF raised OverflowError on it
+        (pattern_doc(kind="zipfian", zipf_skew=10 ** 400), "zipf_skew"),
     ])
     def test_malformed_config_names_the_key(self, tmp_path, capsys, doc, key):
         cfg = write_json(tmp_path, "bad.json", doc)
@@ -449,6 +462,8 @@ class TestAnalyzeSecurity:
         ({"replay": {"stealth_bits": 8.0}}, "stealth_bits"),
         ({"monte_carlo": {"replay": {"stealth_bits": 8, "trials": "9"}}}, "trials"),
         ({"monte_carlo": {"exhaustion": {"stealth_bits": 3}}}, "reset_exp"),
+        # past float range: 2.0 ** -reset_exp raised OverflowError on it
+        ({"exhaustion": {"reset_exp": 10 ** 400}}, "reset_exp"),
     ])
     def test_bad_analysis_value_names_the_key(self, tmp_path, capsys, doc, key):
         cfg = write_json(tmp_path, "bad.json", doc)

@@ -1,6 +1,10 @@
+import os
 import random
 import re
+import threading
 import tracemalloc
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -139,6 +143,108 @@ class TestAutoDetect:
             save_trace(SAMPLE, path)
             assert list(load_trace(path)) == SAMPLE
 
+    def test_empty_file_loads_as_an_empty_trace(self, tmp_path):
+        path = tmp_path / "empty.bin"
+        path.write_bytes(b"")
+        assert load_trace(str(path)) == parse_trace(b"") == Trace("", np.zeros(0, np.uint64))
+
+    @pytest.mark.parametrize("name", ["t.bin", "t.trace"])
+    def test_pipe_is_read_whole(self, tmp_path, name):
+        # a pipe has no size to preallocate from, so it is parsed as read
+        trace = generate(PatternSpec(kind="zipfian", footprint_bytes=1 << 20, op_count=300))
+        save_trace(trace, str(tmp_path / name))
+        fifo = str(tmp_path / "fifo")
+        os.mkfifo(fifo)
+
+        def write():
+            with open(fifo, "wb") as f:
+                f.write((tmp_path / name).read_bytes())
+
+        writer = threading.Thread(target=write, daemon=True)
+        writer.start()
+        assert load_trace(fifo) == trace
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
+# an opcode byte, now and then a bad one
+OPCODES = st.sampled_from((0, 1) * 6 + (2, 9, 255))
+
+
+def expected_parse(records, tail):
+    """What parsing the records and the trailing bytes must give: the pairs,
+    or the message of the error it must raise."""
+    if tail:
+        size = 9 * len(records) + len(tail)
+        return f"binary trace length {size} is not a multiple of the 9-byte record"
+    for i, (op, _) in enumerate(records):
+        if op > 1:
+            return f"byte offset {9 * i}: bad opcode {op}"
+    return [("RW"[op], addr & ~63) for op, addr in records]
+
+
+class TestStreamingLoad:
+    """``load_trace`` reads a binary file one chunk of records at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunk=st.integers(1, 4), first=st.sampled_from((0, 1)),
+           records=st.lists(st.tuples(OPCODES, st.integers(0, 2**64 - 1)),
+                            min_size=1, max_size=12),
+           tail=st.binary(max_size=8))
+    def test_streamed_load_equals_the_whole_buffer_parse(self, tmp_path_factory, chunk, first,
+                                                         records, tail):
+        # the first opcode is valid so that the file is taken as binary
+        records[0] = (first, records[0][1])
+        data = b"".join(bytes([op]) + addr.to_bytes(8, "little") for op, addr in records) + tail
+        path = tmp_path_factory.getbasetemp() / "streamed.bin"
+        path.write_bytes(data)
+        expected = expected_parse(records, tail)
+        with patch.object(traces, "_LOAD_CHUNK", chunk):
+            if isinstance(expected, str):
+                for parse in (lambda: parse_binary_trace(data), lambda: load_trace(str(path))):
+                    with pytest.raises(TraceParseError, match=f"^{re.escape(expected)}$"):
+                        parse()
+            else:
+                loaded = load_trace(str(path))
+                assert loaded == parse_binary_trace(data)
+                assert list(loaded) == expected
+
+    def test_bad_opcode_in_a_later_chunk_named_by_its_offset(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(traces, "_LOAD_CHUNK", 2)
+        data = bytearray(encode_binary_trace(SAMPLE * 3))
+        data[9 * 5] = 3
+        path = tmp_path / "t.bin"
+        path.write_bytes(data)
+        with pytest.raises(TraceParseError, match="^byte offset 45: bad opcode 3$"):
+            load_trace(str(path))
+
+    def test_file_shorter_than_its_size_refused(self, tmp_path, monkeypatch):
+        # a file cut short between its stat and its last read would leave
+        # the columns' tail unwritten
+        path = tmp_path / "t.bin"
+        path.write_bytes(encode_binary_trace(SAMPLE))
+        real_fstat = traces.fstat
+        monkeypatch.setattr(traces, "fstat", lambda fd: SimpleNamespace(
+            st_mode=real_fstat(fd).st_mode, st_size=real_fstat(fd).st_size + 9))
+        with pytest.raises(TraceParseError, match="shrank"):
+            load_trace(str(path))
+
+    def test_load_peaks_at_most_16_bytes_per_event(self, tmp_path):
+        # the columns take 9 B per event; reading the whole file first (9 B
+        # more) and building the op str from a copy of the opcodes peaked at 19
+        path = str(tmp_path / "t.bin")
+        save_trace(generate(PatternSpec(
+            kind="zipfian", footprint_bytes=64 << 20, op_count=200_000, seed=7)), path)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = load_trace(path)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace) == 200_000
+        assert peak / len(trace) <= 16
+
 
 TRACE = generate(PatternSpec(kind="zipfian", footprint_bytes=1 << 20, op_count=10000, seed=9))
 PAIRS = list(TRACE)
@@ -196,6 +302,13 @@ class TestTrace:
         ("RW", np.zeros(2, np.int64)),
         ("RW", np.zeros(3, np.uint64)),
         ("RW", np.zeros((2, 1), np.uint64)),
+        # letters outside ASCII, one that encodes to no UTF-8, and lowercase
+        ("\uff32", np.zeros(1, np.uint64)),
+        ("\u00e9", np.zeros(1, np.uint64)),
+        ("R\ud800", np.zeros(2, np.uint64)),
+        ("r", np.zeros(1, np.uint64)),
+        ("RWR", np.zeros(2, np.uint64)),
+        ("RW", np.zeros(2, np.float64)),
     ])
     def test_bad_columns_refused(self, ops, addrs):
         with pytest.raises(ValueError, match="Trace needs"):
