@@ -1,13 +1,18 @@
 """LRU cache models used by the host engine and the baselines.
 
 A cache tracks residency and recency, plus one dirty bit per line; it stores
-no payloads, since no counted number depends on them.  Hit/miss counters live
-on the cache so statistics fall out for free.  ``FlatCache`` is the host's
-fully associative cache of flat entries, which owns an inclusive overflow
-buffer of the pages' dynamic lines and counts the lines each page filled.
+no payloads, since no counted number depends on them.  A set-associative
+cache makes each set on its first fill, so building one costs the same at
+any size and a cache of 2^30 sets holds only the sets a trace filled.
+Hit/miss counters live on the cache so statistics fall out for free.
+``FlatCache`` is the host's fully associative cache of flat entries, which
+owns an inclusive overflow buffer of the pages' dynamic lines and counts the
+lines each page filled.
 """
 
 from __future__ import annotations
+
+from collections import defaultdict
 
 from .core import ConfigError
 from .version_store import FULL_SLOTS
@@ -28,11 +33,13 @@ class SetAssocCache:
     """Set-associative write-back LRU cache keyed by integers.
 
     Each set is a plain dict of key -> dirty bit in recency order: a touched
-    key is re-inserted at the end and eviction takes the first key.  A
-    residency index maps every resident key to its set, so only a fill
+    key is re-inserted at the end and eviction takes the first key.  Sets
+    live in a dict from set index to set and a set is made on its first
+    fill; a lookup, a hit, ``get_range`` or ``invalidate_range`` makes none.
+    A residency index maps every resident key to its set, so only a fill
     hashes a key, and ``put_range`` memoises the set of each key it places.
-    A line's ``(key, dirty)`` pair is returned on eviction so the caller can
-    charge write-back traffic.
+    The set hash has three copies, in ``access``, ``climb`` and ``_fill``, so
+    that no fill pays a call for it; tests pin them to one another.
     """
 
     def __init__(self, lines: int, assoc: int) -> None:
@@ -40,17 +47,40 @@ class SetAssocCache:
         self.lines = lines
         self.assoc = assoc
         self.num_sets = lines // assoc
-        self._sets: list[dict[int, bool]] = [{} for _ in range(self.num_sets)]
+        self._sets: defaultdict[int, dict[int, bool]] = defaultdict(dict)  # made on first fill
         self._index: dict[int, dict[int, bool]] = {}  # resident key -> its set
         self._homes: dict[int, dict[int, bool]] = {}  # key put_range placed -> its set
         self.hits = 0
         self.misses = 0
 
-    def _fill(self, key: int, dirty: bool) -> tuple[int, bool] | None:
-        """Insert a non-resident key; returns the evicted (key, dirty) or None."""
+    def _fill(self, key: int) -> None:
+        """Place a non-resident key clean, evicting without write-back; only
+        ``put_range``'s first placement of a key comes here."""
         # cheap deterministic integer hash; Python's hash() is identity for
         # ints, which would put striding keys in lockstep with the set count.
-        # climb repeats it inline and must stay bit-identical to it
+        # access and climb repeat it inline and must stay bit-identical to it
+        h = (key ^ (key >> 16)) * 0x45D9F3B
+        h = (h ^ (h >> 16)) * 0x45D9F3B
+        s = self._sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % self.num_sets]
+        s[key] = False
+        self._index[key] = s
+        if len(s) > self.assoc:
+            for victim in s:  # the first key is the least recently used
+                break
+            del s[victim], self._index[victim]
+
+    def access(self, key: int, dirty: bool = False) -> int:
+        """Look up a line, counting the hit or miss and refreshing recency,
+        and fill it on a miss; a write (``dirty``) marks the line dirty.
+        Returns the lines moved: 0 on a hit, 1 for the fill, 2 when the
+        fill evicted a dirty line that is written back."""
+        s = self._index.get(key)
+        if s is not None:
+            s[key] = s.pop(key) or dirty
+            self.hits += 1
+            return 0
+        self.misses += 1
+        # _fill inline, as climb does: the same hash, with no call per miss
         h = (key ^ (key >> 16)) * 0x45D9F3B
         h = (h ^ (h >> 16)) * 0x45D9F3B
         s = self._sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % self.num_sets]
@@ -60,20 +90,9 @@ class SetAssocCache:
             for victim in s:  # the first key is the least recently used
                 break
             del self._index[victim]
-            return victim, s.pop(victim)
-        return None
-
-    def access(self, key: int, dirty: bool = False) -> tuple[bool, tuple[int, bool] | None]:
-        """Look up a line, counting the hit or miss and refreshing recency,
-        and fill it on a miss; a write (``dirty``) marks the line dirty.
-        Returns (hit, evicted (key, dirty) or None)."""
-        s = self._index.get(key)
-        if s is None:
-            self.misses += 1
-            return False, self._fill(key, dirty)
-        s[key] = s.pop(key) or dirty
-        self.hits += 1
-        return True, None
+            if s.pop(victim):
+                return 2
+        return 1
 
     def climb(self, index: int, arity: int, levels: int, dirty: bool) -> tuple[int, int]:
         """Walk a counter tree leaf to root, as one ``access`` per level would:
@@ -120,7 +139,7 @@ class SetAssocCache:
             if s is not None:
                 s[key] = s.pop(key)
             elif (s := homes.get(key)) is None:  # first placement: _fill hashes it
-                self._fill(key, False)
+                self._fill(key)
                 homes[key] = index[key]
             else:
                 s[key] = False
@@ -158,10 +177,10 @@ class SetAssocCache:
                 del s[key]
 
     def resident_keys(self) -> list[int]:
-        """Resident keys, set by set, least recently used first."""
+        """Resident keys, set by set in index order, least recently used first."""
         out: list[int] = []
-        for s in self._sets:
-            out.extend(s.keys())
+        for i in sorted(self._sets):
+            out.extend(self._sets[i])
         return out
 
     def __len__(self) -> int:

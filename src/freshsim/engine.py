@@ -356,14 +356,14 @@ class ProtectionEngine:
             fresh_ns = self._freshness(out, False)
         mac_ns = 0.0
         if self.uses_mac:
-            # a miss fetches the MAC line (for ownership, on a write) from the data's
-            # channel and a dirty eviction writes one back; a write leaves it dirty
-            hit, evicted = self.mac_cache.access(
+            # access returns the MAC lines moved on the data's channel: none on a
+            # hit, the fetched line (for ownership, on a write) on a miss, plus
+            # a dirty victim's write-back; a write leaves the line dirty
+            moved = self.mac_cache.access(
                 self._mac_key_base + addr // self._mac_key_span, is_write)
-            out.mac_hit = hit
-            if not hit:
-                if evicted is not None and evicted[1]:
-                    nbytes += nbytes
+            out.mac_hit = not moved
+            if moved:
+                nbytes *= moved
                 out.mac_bytes += nbytes
                 self.mac_bytes += nbytes
                 mac_ns = data_ns

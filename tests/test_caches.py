@@ -13,23 +13,24 @@ class TestLruCache:
 
     def test_fill_and_evict_oldest(self):
         c = SetAssocCache(2, 2)
-        assert c.access(1) == (False, None)
-        assert c.access(2) == (False, None)
-        assert c.access(3) == (False, (1, False))
+        assert c.access(1) == 1
+        assert c.access(2) == 1
+        assert c.access(3) == 1  # the clean victim 1 moves no line
         assert c.resident_keys() == [2, 3]
 
     def test_get_refreshes_recency(self):
         c = SetAssocCache(2, 2)
         c.put_range([1, 2])
         assert c.get_range([1]) is True
-        assert c.access(3) == (False, (2, False))
+        assert c.access(3) == 1
+        assert c.resident_keys() == [1, 3]
 
     def test_hit_miss_counters(self):
         c = SetAssocCache(4, 4)
         c.put_range([1])
         assert c.get_range([1]) is True
         assert c.get_range([2]) is False
-        assert c.access(1) == (True, None)
+        assert c.access(1) == 0
         assert (c.hits, c.misses) == (2, 1)
 
     def test_invalidate(self):
@@ -47,8 +48,10 @@ class TestLruCache:
         c.put_range([2])
         c.put_range([1])
         assert c.resident_keys() == [2, 1]
-        assert c.access(3) == (False, (2, False))
-        assert c.access(4) == (False, (1, True))
+        assert c.access(3) == 1
+        assert c.resident_keys() == [1, 3]
+        assert c.access(4) == 2  # the fill and 1's write-back
+        assert c.resident_keys() == [3, 4]
 
 
 class _LruModel:
@@ -75,11 +78,13 @@ class _LruModel:
         return None
 
     def access(self, k, dirty):
+        """Lines moved: 0 on a hit, 1 for a fill, 2 if it evicts a dirty line."""
         if not self.get(k):
-            return False, self.put(k, dirty)
+            evicted = self.put(k, dirty)
+            return 2 if evicted is not None and evicted[1] else 1
         if dirty:
             self.d[k] = True
-        return True, None
+        return 0
 
     def invalidate(self, k):
         return self.d.pop(k, None) is not None
@@ -88,7 +93,8 @@ class _LruModel:
 def _assert_matches(cache, model):
     """The one-set cache's lines, recency order and dirty bits equal the
     model's, and its residency index names exactly the resident keys."""
-    assert list(cache._sets[0].items()) == list(model.d.items())
+    assert cache._sets.keys() <= {0}
+    assert list(cache._sets.get(0, {}).items()) == list(model.d.items())
     assert cache._index.keys() == model.d.keys() and len(cache) == len(model.d)
     assert cache.resident_keys() == list(model.d)
 
@@ -122,27 +128,32 @@ class TestSetAssocCache:
     def test_same_set_lru_eviction(self):
         c = SetAssocCache(lines=4, assoc=4)  # one set
         for k in range(4):
-            assert c.access(k) == (False, None)
-        assert c.access(4) == (False, (0, False))
+            assert c.access(k) == 1
+        assert c.access(4) == 1
+        assert c.resident_keys() == [1, 2, 3, 4]
 
     def test_get_refreshes_within_set(self):
         c = SetAssocCache(lines=2, assoc=2)
         c.put_range([0, 1])
         c.get_range([0])
-        assert c.access(2)[1][0] == 1
+        c.access(2)
+        assert c.resident_keys() == [0, 2]
 
     def test_dirty_flag_travels_with_eviction(self):
         c = SetAssocCache(lines=2, assoc=2)
         c.access(0)
         c.access(1, dirty=True)
-        assert c.access(2) == (False, (0, False))
-        assert c.access(3) == (False, (1, True))
+        assert c.access(2) == 1
+        assert c.resident_keys() == [1, 2]
+        assert c.access(3) == 2
+        assert c.resident_keys() == [2, 3]
 
     def test_mark_dirty(self):
         c = SetAssocCache(lines=1, assoc=1)
         c.put_range([5])
-        assert c.access(5, True) == (True, None)
-        assert c.access(6) == (False, (5, True))
+        assert c.access(5, True) == 0
+        assert c.access(6) == 2
+        assert c.resident_keys() == [6]
 
     def test_invalidate(self):
         c = SetAssocCache(lines=4, assoc=2)
@@ -170,10 +181,12 @@ class TestSetAssocCache:
         evictions = 0
         for k in range(200):
             home = dict(c._index)  # resident key -> its set, before the fill
-            _, ev = c.access(k)
-            if ev is not None:
+            assert c.access(k) == 1
+            evicted = home.keys() - c._index.keys()
+            if evicted:
                 evictions += 1
-                assert home[ev[0]] is c._index[k]
+                (victim,) = evicted
+                assert home[victim] is c._index[k]
         assert len(c) == 32
         assert evictions == 200 - 32
 
@@ -195,9 +208,9 @@ def test_single_set_cache_behaves_like_lru(ops):
             hits += hit
             assert sa.get_range((key,)) == hit
         elif op == "access":
-            hit, evicted = lru.access(key, key % 2 == 0)
-            hits += hit
-            assert sa.access(key, key % 2 == 0) == (hit, evicted)
+            moved = lru.access(key, key % 2 == 0)
+            hits += not moved
+            assert sa.access(key, key % 2 == 0) == moved
         else:
             sa.put_range((key,))
             lru.put(key, False)
@@ -265,16 +278,48 @@ def test_range_ops_match_per_key_ops_across_sets(ops):
         else:
             for k in keys:
                 per_key.invalidate_range((k,))
-        assert [list(s) for s in ranged._sets] == [list(s) for s in per_key._sets]
+        assert _contents(ranged) == _contents(per_key)
         assert (ranged.hits, ranged.misses, len(ranged)) == (
             per_key.hits, per_key.misses, len(per_key))
 
 
+def _contents(cache):
+    """Every set the cache made, by index: its lines in recency order with
+    their dirty bits."""
+    return {i: list(s.items()) for i, s in cache._sets.items()}
+
+
 def _hashed_set(num_sets, key):
-    """Index of the set ``_fill``'s hash picks for ``key``."""
+    """Index of the set ``access``'s hash picks for ``key``."""
     probe = SetAssocCache(num_sets, 1)
     probe.access(key)
-    return next(i for i, s in enumerate(probe._sets) if s)
+    (index,) = probe._sets
+    return index
+
+
+def test_sets_are_made_on_first_fill():
+    c = SetAssocCache(1 << 20, 1)
+    assert len(c._sets) == 0 and c.resident_keys() == []
+    # misses that do not fill, and drops, make no set
+    assert c.get_range(range(100)) is False
+    c.invalidate_range(range(100))
+    assert len(c._sets) == 0
+    keys = [0, 1, 77, 1 << 40, 12345, 2**64 + 3]
+    for n, k in enumerate(keys, 1):
+        assert c.access(k, k % 2 == 0) == 1
+        assert len(c._sets) <= n
+    c.put_range(range(500, 504))
+    assert len(c._sets) <= len(keys) + 4
+    made = dict(c._sets)
+    # hits, range lookups and drops make none either
+    resident = c.resident_keys()
+    assert [c.access(k) for k in resident] == [0] * len(resident)
+    assert c.get_range(resident) is True
+    assert c.get_range(range(1000, 1100)) is False
+    c.invalidate_range(range(1000, 1100))
+    c.invalidate_range(resident)
+    assert len(c) == 0 and c._sets.keys() == made.keys()
+    assert all(c._sets[i] is s for i, s in made.items())
 
 
 _MEMO_KEYS = st.lists(st.one_of(st.integers(0, 15), st.integers(0, 2**40 - 1)), max_size=6)
@@ -304,13 +349,14 @@ def test_put_range_memo_is_exact_and_bounded(num_sets, assoc, ops):
         else:
             for k in keys:
                 assert real.access(k, k % 2 == 0) == twin.access(k, k % 2 == 0)
-        assert [list(s) for s in real._sets] == [list(s) for s in twin._sets]
-        # only put_range grows the memo, and every key it placed sits in its hashed set
+        assert _contents(real) == _contents(twin)
+        # only put_range grows the memo, and every key it placed sits in its
+        # hashed set: _fill's hash is access's
         assert real._homes.keys() == placed
         for k, home in real._homes.items():
-            assert home is real._sets[_hashed_set(num_sets, k)]
+            assert home is real._sets.get(_hashed_set(num_sets, k))
         for k, s in real._index.items():
-            assert s is real._sets[_hashed_set(num_sets, k)]
+            assert s is real._sets.get(_hashed_set(num_sets, k))
 
 
 _WALK_INDEX = st.one_of(st.integers(0, 300), st.integers(0, 2**40 - 1))
@@ -332,18 +378,18 @@ def test_climb_matches_per_level_access(arity, levels, num_sets, assoc, walks):
     for index, dirty in walks:
         misses = writebacks = 0
         for level in range(levels):
-            hit, evicted = stepped.access(index // arity**level * 64 + level, dirty)
-            if hit:
+            moved = stepped.access(index // arity**level * 64 + level, dirty)
+            if not moved:
                 break
             misses += 1
-            writebacks += evicted is not None and evicted[1]
+            writebacks += moved == 2
         assert walked.climb(index, arity, levels, dirty) == (misses, writebacks)
         # contents, recency order and dirty bits, set by set
-        assert [list(s.items()) for s in walked._sets] == [list(s.items()) for s in stepped._sets]
+        assert _contents(walked) == _contents(stepped)
         assert (walked.hits, walked.misses) == (stepped.hits, stepped.misses)
-        # the walk's inline hash is _fill's
+        # the walk's inline hash is access's
         for k, s in walked._index.items():
-            assert s is walked._sets[_hashed_set(num_sets, k)]
+            assert s is walked._sets.get(_hashed_set(num_sets, k))
 
 
 class TestRangeOps:
@@ -375,8 +421,10 @@ class TestRangeOps:
         c.put_range([2])
         c.put_range([1, 3])  # 1 refreshed, still dirty; 3 filled clean
         assert c.resident_keys() == [2, 1, 3]
-        assert c.access(4) == (False, (2, False))
-        assert c.access(5) == (False, (1, True))
+        assert c.access(4) == 1
+        assert c.resident_keys() == [1, 3, 4]
+        assert c.access(5) == 2
+        assert c.resident_keys() == [3, 4, 5]
 
     def test_invalidate_range_skips_absent_keys(self):
         c = SetAssocCache(4, 2)

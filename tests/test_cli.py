@@ -8,7 +8,10 @@ import sys
 
 import pytest
 
+import freshsim
+from freshsim.baselines import CounterTreeConfig
 from freshsim.cli import CSV_COLUMNS, default_config, main
+from freshsim.core import Geometry
 from freshsim.traces import PatternSpec, generate, load_trace, parse_text_trace, save_trace
 
 PAGE = 4096
@@ -605,3 +608,56 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "simulate" in proc.stdout and "analyze-security" in proc.stdout
+
+
+# simulate in a child process whose address space is capped at 1 GiB; the
+# cap keeps a cache that builds its sets up front from taking the machine
+_BOUNDED_SIMULATE = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from freshsim.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.parametrize("mode, keys", [
+    ("ci", {"mac_cache_bytes": 2**40}),
+    ("toleo", {"mac_cache_bytes": 2**64}),
+    ("merkle", {"mac_cache_bytes": 10**400}),
+    ("merkle", {"tree": {"counter_cache_bytes": 2**40}}),
+], ids=["ci-mac-2^40", "toleo-mac-2^64", "merkle-mac-10^400", "merkle-counter-2^40"])
+def test_huge_cache_runs_in_bounded_memory(tmp_path, mode, keys):
+    # a 1 TiB or larger cache makes only the sets the trace fills; built
+    # whole, a 2^40-byte 16-way cache is a list of 2^30 dicts
+    footprint = 64 << 20  # 131072 MAC lines, 8x the default MAC cache
+    trace = generate(PatternSpec(kind="zipfian", footprint_bytes=footprint, op_count=4000,
+                                 write_fraction=0.3, seed=7))
+    save_trace(trace, str(tmp_path / "trace.bin"))
+    config = write_json(tmp_path, "huge.json", {"mode": mode, "protected_bytes": footprint, **keys})
+    out = tmp_path / "stats.json"
+    src = os.path.dirname(os.path.dirname(freshsim.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    # one BLAS thread, so that a many-core host's thread pool fits the cap
+    env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _BOUNDED_SIMULATE, "simulate", "--config", config,
+         "--trace", str(tmp_path / "trace.bin"), "--out", str(out)],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads(out.read_text())
+    g = Geometry()
+    addrs = [int(a) for a in trace.addrs]
+    if "mac_cache_bytes" in keys:
+        # such a cache never evicts: each MAC line misses once and moves once
+        mac_lines = {a // (g.block_bytes * g.macs_per_block) for a in addrs}
+        assert stats["caches"]["mac"]["misses"] == len(mac_lines)
+        assert stats["channels"]["mac_bytes"] == g.block_bytes * len(mac_lines)
+    else:
+        # nor does such a counter cache: each node on a touched path is fetched once
+        tree = CounterTreeConfig(protected_bytes=footprint)
+        leaves = {a // (g.block_bytes * tree.counters_per_leaf_node) for a in addrs}
+        nodes = {(leaf // tree.arity**level, level)
+                 for leaf in leaves for level in range(stats["tree"]["depth"])}
+        assert stats["tree"]["fetches"] == len(nodes)
+        assert stats["tree"]["dirty_writebacks"] == 0
