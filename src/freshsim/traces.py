@@ -197,17 +197,24 @@ def parse_binary_trace(data: bytes) -> Trace:
     return Trace(str(letters, "ascii"), addrs)
 
 
-def _load_binary(f, size: int) -> Trace:
-    """The Trace of the ``size``-byte binary file ``f``, read one chunk of
-    records at a time into one reused buffer."""
-    letters, addrs = _binary_columns(size)
+def _read_records(f, letters: np.ndarray, addrs: np.ndarray) -> None:
+    """Fill the columns from the binary file ``f``, read one chunk of
+    records at a time into one reused buffer, which is freed on return."""
     buf = memoryview(bytearray(_LOAD_CHUNK * _RECORD.itemsize))
     for start in range(0, len(addrs), _LOAD_CHUNK):
         chunk = buf[:min(_LOAD_CHUNK, len(addrs) - start) * _RECORD.itemsize]
         if f.readinto(chunk) != len(chunk):
             raise TraceParseError("binary trace file shrank while it was read")
         _decode_records(chunk, start, letters, addrs)
-    return Trace(str(letters, "ascii"), addrs)
+
+
+def _load_binary(f, size: int) -> Trace:
+    """The Trace of the ``size``-byte binary file ``f``."""
+    letters, addrs = _binary_columns(size)
+    _read_records(f, letters, addrs)
+    ops = str(letters, "ascii")
+    del letters  # so the op column is held twice at most: the str and Trace's check copy
+    return Trace(ops, addrs)
 
 
 def parse_trace(data: bytes | str) -> Trace:

@@ -22,6 +22,12 @@ Entry layout (12 bytes at the default S=27, least-significant bits first):
         uneven  locator (48 bits) | min_off (7) | max_off (7)
         full    locator (48 bits)
 
+In host memory an untouched page takes nothing.  A touched flat page is
+one int, its packed static entry (tag 0), so its image is the int's bytes.
+Only an uneven or full page is an ``_Entry``: an uneven page holds its
+offsets in a ``bytearray`` (each stays at most 127), a full page its
+versions in a list of ints.  A reset turns the page back into an int.
+
 Resets: an update that advances the page's leading version triggers a check
 that, with probability 2**-R, discards the page's stealth state: the entry
 drops back to flat with a fresh uniformly random base and an empty coverage
@@ -123,19 +129,22 @@ def decode_full_lines(lines: list[bytes], geometry: Geometry, params: SecurityPa
     return unpack_bitfields(b"".join(lines), params.stealth_bits, geometry.blocks_per_page)
 
 
+# the ASCII digits of a bit string, as the bytes 0 and 1
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+
+
 class _Entry:
-    """Mutable per-page state.  Offsets and versions are plain int lists."""
+    """A page that holds dynamic lines: uneven or full, never flat."""
 
-    __slots__ = ("tag", "base", "bitvec", "offsets", "max_off", "versions", "slot")
+    __slots__ = ("tag", "base", "offsets", "max_off", "versions", "slot")
 
-    def __init__(self, base: int) -> None:
-        self.tag = FLAT
+    def __init__(self, base: int, offsets: bytearray, slot: int) -> None:
+        self.tag = UNEVEN
         self.base = base          # shared base, or leading version when full
-        self.bitvec = 0
-        self.offsets: list[int] | None = None
-        self.max_off = 0
+        self.offsets: bytearray | None = offsets
+        self.max_off = 2          # an upgrade writes offset 2
         self.versions: list[int] | None = None
-        self.slot = -1            # dynamic-region slot index, -1 when flat
+        self.slot = slot          # first dynamic-region slot of the line(s)
 
 
 @dataclass(slots=True)
@@ -160,7 +169,8 @@ class VersionStore:
 
     ``rng`` is the device's entropy source, a seeded ``random.Random``;
     every draw is one ``getrandbits`` call.  Pages materialize lazily: the
-    first touch of a page (read or update) draws its random initial base.
+    first touch of a page (read or update) draws its random initial base,
+    and a page outside the protected range is refused before any draw.
     This keeps tera-scale protected ranges cheap while preserving the
     distribution; the draw order is part of the deterministic contract
     shared with the tests' reference model.
@@ -198,7 +208,8 @@ class VersionStore:
         self.rng = rng
         self._getrandbits = rng.getrandbits
 
-        self._entries: dict[int, _Entry] = {}
+        # page -> its packed entry (an int) when flat, else its _Entry
+        self._entries: dict[int, int | _Entry] = {}
         # one byte per dynamic slot, nonzero when used; always ends in
         # FULL_SLOTS free bytes and grows on demand
         self._used = bytearray(FULL_SLOTS)
@@ -217,14 +228,21 @@ class VersionStore:
         self._reset_exp = self.params.reset_exp
         self._smask = self.params.stealth_mask
         self._full_vector = (1 << bpp) - 1
+        self._vec_shift = TAG_BITS + self.params.stealth_bits  # coverage vector's first bit
+        self._bits_format = f"0{bpp}b"
+        self._entry_bytes = flat_entry_bytes(self.params)
 
     # -- page materialization -------------------------------------------------
 
-    def _entry(self, page: int) -> _Entry:
+    def _entry(self, page: int) -> int | _Entry:
+        """The page's entry.  An untouched page materializes: it draws its
+        base and is held flat.  A page outside the protected range is
+        refused before any draw."""
         e = self._entries.get(page)
         if e is None:
-            e = _Entry(self._getrandbits(self.params.stealth_bits))
-            self._entries[page] = e
+            if not 0 <= page < self.total_pages:
+                raise AddressRangeError(f"page {page} outside protected range")
+            e = self._entries[page] = self._getrandbits(self.params.stealth_bits) << TAG_BITS
         return e
 
     @property
@@ -264,14 +282,6 @@ class VersionStore:
 
     # -- reads -----------------------------------------------------------------
 
-    def _version(self, e: _Entry, block: int) -> int:
-        """Stealth version of ``block`` as its page entry ``e`` encodes it."""
-        if e.tag == FLAT:
-            return (e.base + ((e.bitvec >> block) & 1)) & self._smask
-        if e.tag == UNEVEN:
-            return (e.base + e.offsets[block]) & self._smask
-        return e.versions[block]
-
     def read_version(self, addr: int) -> int:
         """Current stealth version of the block holding ``addr``."""
         if not 0 <= addr < self.protected_bytes:
@@ -279,13 +289,18 @@ class VersionStore:
                 f"address {addr:#x} outside protected range of {self.protected_bytes} bytes"
             )
         e = self._entry(addr // self._page_bytes)
-        return self._version(e, addr // self._block_bytes % self._blocks_per_page)
+        block = addr // self._block_bytes % self._blocks_per_page
+        if type(e) is int:
+            return ((e >> TAG_BITS) + ((e >> (self._vec_shift + block)) & 1)) & self._smask
+        if e.tag == UNEVEN:
+            return (e.base + e.offsets[block]) & self._smask
+        return e.versions[block]
 
     def page_format(self, page: int) -> int:
         if not 0 <= page < self.total_pages:
             raise AddressRangeError(f"page {page} outside protected range")
         e = self._entries.get(page)
-        return FLAT if e is None else e.tag
+        return FLAT if e is None or type(e) is int else e.tag
 
     def fetch_format(self, page: int) -> int:
         """Format of the page's entry as the device reads it: an untouched
@@ -293,11 +308,12 @@ class VersionStore:
         e = self._entries.get(page)
         if e is None:
             e = self._entry(page)
-        return e.tag
+        return FLAT if type(e) is int else e.tag
 
     def page_base(self, page: int) -> int:
         """Base field of the page entry (leading version for full pages)."""
-        return self._entry(page).base
+        e = self._entry(page)
+        return (e >> TAG_BITS) & self._smask if type(e) is int else e.base
 
     # -- updates ---------------------------------------------------------------
 
@@ -320,15 +336,19 @@ class VersionStore:
         events: list[str] | None = None
         smask = self._smask
 
-        if e.tag == FLAT:
-            bit = (e.bitvec >> block) & 1
-            advance = bit == (1 if e.bitvec else 0)
-            if bit == 0:
-                e.bitvec |= 1 << block
-                if e.bitvec == self._full_vector:
+        if type(e) is int:  # flat: base, then the coverage vector
+            bitvec = e >> self._vec_shift
+            base = (e >> TAG_BITS) & smask
+            if not (bitvec >> block) & 1:
+                advance = not bitvec
+                bitvec |= 1 << block
+                if bitvec == self._full_vector:
                     # all blocks one ahead: fold into the base, never at rest
-                    e.base = (e.base + 1) & smask
-                    e.bitvec = 0
+                    self._entries[page] = ((base + 1) & smask) << TAG_BITS
+                else:
+                    self._entries[page] = e | 1 << (self._vec_shift + block)
+                fmt = FLAT
+                version = (base + 1) & smask
             else:
                 slot = self._find_run(1)
                 if slot < 0:
@@ -336,16 +356,18 @@ class VersionStore:
                         f"page {page}: no slot free for uneven upgrade"
                     )
                 self._take(slot, 1)
-                e.slot = slot
-                e.tag = UNEVEN
-                e.offsets = [(e.bitvec >> i) & 1 for i in range(self._blocks_per_page)]
-                e.offsets[block] = 2
-                e.max_off = 2
-                e.bitvec = 0
+                # one byte per block, LSB first: bit i of the vector is offset i
+                offsets = bytearray(
+                    format(bitvec, self._bits_format)[::-1].encode().translate(_BIT_BYTES))
+                offsets[block] = 2
+                self._entries[page] = e = _Entry(base, offsets, slot)
                 self.pages_uneven += 1
                 self.upgrades_to_uneven += 1
                 self.peak_dynamic_bytes = max(self.peak_dynamic_bytes, self.dynamic_bytes)
                 events = ["upgraded_to_uneven"]
+                advance = True
+                fmt = UNEVEN
+                version = (base + 2) & smask
 
         elif e.tag == UNEVEN:
             off = e.offsets[block]
@@ -359,15 +381,14 @@ class VersionStore:
                         f"page {page}: no contiguous slots free for full upgrade"
                     )
                 base = e.base
-                offsets = e.offsets
                 self._free(e.slot, 1)
                 self._take(start, FULL_SLOTS)
                 e.slot = start
-                e.tag = FULL
-                e.versions = [(base + o) & smask for o in offsets]
-                e.versions[block] = (e.versions[block] + 1) & smask
+                e.tag = fmt = FULL
+                e.versions = [(base + o) & smask for o in e.offsets]
+                version = e.versions[block] = (e.versions[block] + 1) & smask
                 lead = (base + e.max_off) & smask
-                e.base = e.versions[block] if advance else lead
+                e.base = version if advance else lead
                 e.offsets = None
                 self.pages_uneven -= 1
                 self.pages_full += 1
@@ -378,7 +399,7 @@ class VersionStore:
                 if m > 0:
                     # slide the window down by the minimum offset
                     e.base = (e.base + m) & smask
-                    e.offsets = [o - m for o in e.offsets]
+                    e.offsets = bytearray(o - m for o in e.offsets)
                     e.max_off -= m
                     off -= m
                     self.normalizations += 1
@@ -387,52 +408,47 @@ class VersionStore:
                 e.offsets[block] = new_off
                 if new_off > e.max_off:
                     e.max_off = new_off
+                fmt = UNEVEN
+                version = (e.base + new_off) & smask
 
         else:  # FULL
             v = e.versions[block]
             advance = v == e.base
-            v = (v + 1) & smask
-            e.versions[block] = v
+            version = e.versions[block] = (v + 1) & smask
             if advance:
-                e.base = v
+                e.base = version
+            fmt = FULL
 
         if advance and self._getrandbits(self._reset_exp) == 0:
-            self._reset_entry(e)
+            version = self._reset(page, e)
+            fmt = FLAT
             events = (events or []) + ["reset_triggered"]
 
         # positional: cheaper than keywords on the per-write path
-        return UpdateResult(
-            self._version(e, block), e.tag, tuple(events) if events else _NO_EVENTS
-        )
+        return UpdateResult(version, fmt, tuple(events) if events else _NO_EVENTS)
 
     # -- resets ----------------------------------------------------------------
 
-    def _reset_entry(self, e: _Entry) -> None:
-        if e.tag == UNEVEN:
-            self._free(e.slot, 1)
-            self.pages_uneven -= 1
-        elif e.tag == FULL:
-            self._free(e.slot, FULL_SLOTS)
-            self.pages_full -= 1
-        e.tag = FLAT
-        e.base = self._getrandbits(self.params.stealth_bits)
-        e.bitvec = 0
-        e.offsets = None
-        e.versions = None
-        e.slot = -1
-        e.max_off = 0
+    def _reset(self, page: int, e: int | _Entry) -> int:
+        """Free the page's lines and hold it flat with a fresh base, which
+        is returned."""
+        if type(e) is not int:
+            self._free(e.slot, LINE_COUNT[e.tag])
+            if e.tag == UNEVEN:
+                self.pages_uneven -= 1
+            else:
+                self.pages_full -= 1
+        base = self._getrandbits(self.params.stealth_bits)
+        self._entries[page] = base << TAG_BITS
         self.resets += 1
+        return base
 
     def reset_page(self, page: int) -> int:
         """Explicit reset (page free / remap): downgrade to flat, new base.
 
         Returns the fresh base; the caller bumps the page's upper version.
         """
-        if not 0 <= page < self.total_pages:
-            raise AddressRangeError(f"page {page} outside protected range")
-        e = self._entry(page)
-        self._reset_entry(e)
-        return e.base
+        return self._reset(page, self._entry(page))
 
     # -- accounting ------------------------------------------------------------
 
@@ -459,22 +475,21 @@ class VersionStore:
     def entry_image(self, page: int) -> bytes:
         """The page's packed static entry, as the host would cache it."""
         e = self._entry(page)
-        s = self.params.stealth_bits
-        if e.tag == FLAT:
-            payload = e.bitvec
-        elif e.tag == UNEVEN:
+        if type(e) is int:
+            return e.to_bytes(self._entry_bytes, "little")
+        if e.tag == UNEVEN:
             payload = (e.slot | (min(e.offsets) << LOCATOR_BITS)
                        | (e.max_off << (LOCATOR_BITS + OFFSET_BITS)))
         else:
             payload = e.slot
-        acc = e.tag | (e.base << TAG_BITS) | (payload << (TAG_BITS + s))
-        return acc.to_bytes(flat_entry_bytes(self.params), "little")
+        acc = e.tag | (e.base << TAG_BITS) | (payload << self._vec_shift)
+        return acc.to_bytes(self._entry_bytes, "little")
 
     def entry_lines(self, page: int) -> list[bytes]:
         """Dynamic-region lines backing the page: [] / one 56 B / four 56 B,
         zero-padded to whole slots."""
         e = self._entry(page)
-        if e.tag == FLAT:
+        if type(e) is int:
             return []
         if e.tag == UNEVEN:
             raw = pack_bitfields(e.offsets, OFFSET_BITS)

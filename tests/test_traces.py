@@ -229,9 +229,11 @@ class TestStreamingLoad:
         with pytest.raises(TraceParseError, match="shrank"):
             load_trace(str(path))
 
-    def test_load_peaks_at_most_16_bytes_per_event(self, tmp_path):
+    def test_load_peaks_at_most_13_bytes_per_event(self, tmp_path):
         # the columns take 9 B per event; reading the whole file first (9 B
-        # more) and building the op str from a copy of the opcodes peaked at 19
+        # more) and building the op str from a copy of the opcodes peaked at
+        # 19, and keeping the read buffer and the letters while the Trace was
+        # built at 15
         path = str(tmp_path / "t.bin")
         save_trace(generate(PatternSpec(
             kind="zipfian", footprint_bytes=64 << 20, op_count=200_000, seed=7)), path)
@@ -243,7 +245,7 @@ class TestStreamingLoad:
         finally:
             tracemalloc.stop()
         assert len(trace) == 200_000
-        assert peak / len(trace) <= 16
+        assert peak / len(trace) <= 13
 
 
 TRACE = generate(PatternSpec(kind="zipfian", footprint_bytes=1 << 20, op_count=10000, seed=9))

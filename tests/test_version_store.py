@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -389,6 +390,63 @@ class TestCapacity:
         assert s.page_format(3) == FULL
 
 
+class TestPagesOutsideTheRange:
+    @pytest.mark.parametrize("call, page", [
+        ("page_base", -1), ("page_base", 10**6), ("fetch_format", -5), ("fetch_format", 256),
+        ("entry_image", 256), ("entry_lines", -1), ("reset_page", 256),
+    ])
+    def test_refused_before_any_draw(self, call, page):
+        s = make_store(pages=256)
+        s.update_version(0)
+        before = _state(s)
+        with pytest.raises(AddressRangeError, match="outside protected range"):
+            getattr(s, call)(page)
+        assert _state(s) == before
+        assert (s.pages_touched, s.pages_flat) == (1, 1)
+
+
+class TestHostMemoryPerPage:
+    """Traced host bytes per touched page of a 4 GiB store.  Held as an
+    object per page, with a list of offsets when uneven, these read 200
+    (flat, read), 236 (flat, written) and 774 (uneven)."""
+
+    PAGES = 1 << 20
+
+    def _bytes_per_page(self, count, touch):
+        s = make_store(pages=self.PAGES)
+        addrs = [p * PAGE for p in random.Random(5).sample(range(self.PAGES), count)]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for addr in addrs:
+                touch(s, addr)
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert s.pages_touched == count
+        return s, held / count
+
+    def test_flat_read_page(self):
+        s, per_page = self._bytes_per_page(100_000, VersionStore.read_version)
+        assert s.pages_flat == 100_000
+        assert per_page <= 130
+
+    def test_flat_written_page(self):
+        # the last block sets the top bit of the coverage vector
+        s, per_page = self._bytes_per_page(
+            100_000, lambda s, addr: s.update_version(addr + 63 * BLOCK))
+        assert s.pages_flat == 100_000
+        assert per_page <= 130
+
+    def test_uneven_page(self):
+        def upgrade(s, addr):
+            s.update_version(addr)
+            s.update_version(addr)
+        s, per_page = self._bytes_per_page(20_000, upgrade)
+        assert s.pages_uneven == 20_000
+        assert per_page <= 400
+
+
 class TestAccounting:
     def test_identity_under_random_traffic(self):
         s = make_store(pages=8, seed=15)
@@ -491,10 +549,15 @@ MACHINE_PARAMS = SecurityParams(stealth_bits=27, upper_bits=37, reset_exp=8)
 MACHINE_PAGES = 6
 
 
+def _dynamic(store):
+    """The pages that hold dynamic lines: every one not held as a flat int."""
+    return [e for e in store._entries.values() if type(e) is not int]
+
+
 def _held_slots(store):
     """Dynamic slots the entries hold, one item per slot."""
     held = []
-    for e in store._entries.values():
+    for e in _dynamic(store):
         if e.tag == UNEVEN:
             held.append(e.slot)
         elif e.tag == FULL:
@@ -503,22 +566,34 @@ def _held_slots(store):
 
 
 def _check_store(store):
+    # a flat page is its packed entry, tag 0; an _Entry is uneven or full
+    for page, e in store._entries.items():
+        assert 0 <= page < store.total_pages, "phantom page"
+        if type(e) is int:
+            assert e & 3 == FLAT and e >> (2 + store.params.stealth_bits) != store._full_vector
+        elif e.tag == UNEVEN:
+            assert e.versions is None and type(e.offsets) is bytearray
+            assert e.max_off == max(e.offsets) <= 127
+        else:
+            assert e.tag == FULL and e.offsets is None and type(e.versions) is list
     held = _held_slots(store)
     assert len(held) == len(set(held)), "two entries share a slot"
     assert {i for i, b in enumerate(store._used) if b} == set(held)
     assert store._used[-FULL_SLOTS:] == bytes(FULL_SLOTS)
     assert all(0 <= i < store.dynamic_capacity_slots for i in held)
-    tags = [e.tag for e in store._entries.values()]
+    tags = [e.tag for e in _dynamic(store)]
     assert (store.pages_uneven, store.pages_full) == (tags.count(UNEVEN), tags.count(FULL))
     assert store.dynamic_bytes == store.pages_uneven * 56 + store.pages_full * 216
     assert store.peak_dynamic_bytes >= store.dynamic_bytes
 
 
 def _state(store):
-    """Everything an update may change, the randomness included."""
+    """Everything an update may change, the randomness included: a flat
+    page's whole packed entry, and every field of an uneven or full one."""
     entries = {
-        page: (e.tag, e.base, e.bitvec, None if e.offsets is None else tuple(e.offsets),
-               e.max_off, None if e.versions is None else tuple(e.versions), e.slot)
+        page: e if type(e) is int else (
+            e.tag, e.base, None if e.offsets is None else bytes(e.offsets),
+            e.max_off, None if e.versions is None else tuple(e.versions), e.slot)
         for page, e in store._entries.items()
     }
     return (entries, bytes(store._used), store.rng.getstate(),
