@@ -5,9 +5,8 @@ no payloads, since no counted number depends on them.  A set-associative
 cache makes each set on its first fill, so building one costs the same at
 any size and a cache of 2^30 sets holds only the sets a trace filled.
 Hit/miss counters live on the cache so statistics fall out for free.
-``FlatCache`` is the host's fully associative cache of flat entries, which
-owns an inclusive overflow buffer of the pages' dynamic lines and counts the
-lines each page filled.
+``FlatCache``, the host's cache of flat entries, fills, probes and drops its
+inclusive overflow buffer of the pages' dynamic lines a page at a time.
 """
 
 from __future__ import annotations
@@ -29,18 +28,12 @@ def check_shape(cache_bytes: int, line_bytes: int, assoc: int, keys: str) -> Non
                           f"not a whole number of {line_bytes}-byte lines")
 
 
-class SetAssocCache:
-    """Set-associative write-back LRU cache keyed by integers.
-
-    Each set is a plain dict of key -> dirty bit in recency order: a touched
-    key is re-inserted at the end and eviction takes the first key.  Sets
-    live in a dict from set index to set and a set is made on its first
-    fill; a lookup, a hit, ``get_range`` or ``invalidate_range`` makes none.
-    A residency index maps every resident key to its set, so only a fill
-    hashes a key, and ``put_range`` memoises the set of each key it places.
-    The set hash has three copies, in ``access``, ``climb`` and ``_fill``, so
-    that no fill pays a call for it; tests pin them to one another.
-    """
+class LruSets:
+    """The sets of a set-associative LRU cache of integer keys, with hit and
+    miss counters; ``FlatCache`` uses one as its overflow buffer.  Each set
+    is a plain dict in recency order: a touched key is re-inserted at the
+    end and eviction takes the first key.  Sets live in a dict from set
+    index to set and a set is made on its first fill."""
 
     def __init__(self, lines: int, assoc: int) -> None:
         check_shape(lines, 1, assoc, "lines and assoc")
@@ -48,26 +41,30 @@ class SetAssocCache:
         self.assoc = assoc
         self.num_sets = lines // assoc
         self._sets: defaultdict[int, dict[int, bool]] = defaultdict(dict)  # made on first fill
-        self._index: dict[int, dict[int, bool]] = {}  # resident key -> its set
-        self._homes: dict[int, dict[int, bool]] = {}  # key put_range placed -> its set
-        self.hits = 0
-        self.misses = 0
+        self.hits = self.misses = 0
 
-    def _fill(self, key: int) -> None:
-        """Place a non-resident key clean, evicting without write-back; only
-        ``put_range``'s first placement of a key comes here."""
-        # cheap deterministic integer hash; Python's hash() is identity for
-        # ints, which would put striding keys in lockstep with the set count.
-        # access and climb repeat it inline and must stay bit-identical to it
-        h = (key ^ (key >> 16)) * 0x45D9F3B
-        h = (h ^ (h >> 16)) * 0x45D9F3B
-        s = self._sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % self.num_sets]
-        s[key] = False
-        self._index[key] = s
-        if len(s) > self.assoc:
-            for victim in s:  # the first key is the least recently used
-                break
-            del s[victim], self._index[victim]
+    def resident_keys(self) -> list[int]:
+        """Resident keys, set by set in index order, least recently used first."""
+        out: list[int] = []
+        for i in sorted(self._sets):
+            out.extend(self._sets[i])
+        return out
+
+    def __len__(self) -> int:
+        return sum(map(len, self._sets.values()))
+
+
+class SetAssocCache(LruSets):
+    """Set-associative write-back LRU cache keyed by integers; each set maps
+    a key to its dirty bit.  A residency index maps every resident key to
+    its set, so only a fill hashes a key, and a lookup, a hit or
+    ``invalidate_range`` makes no set.  The set hash has three copies, in
+    ``access``, ``climb`` and ``FlatCache._lines``, so that no fill pays a
+    call for it; tests pin them to one another."""
+
+    def __init__(self, lines: int, assoc: int) -> None:
+        super().__init__(lines, assoc)
+        self._index: dict[int, dict[int, bool]] = {}  # resident key -> its set
 
     def access(self, key: int, dirty: bool = False) -> int:
         """Look up a line, counting the hit or miss and refreshing recency,
@@ -80,7 +77,9 @@ class SetAssocCache:
             self.hits += 1
             return 0
         self.misses += 1
-        # _fill inline, as climb does: the same hash, with no call per miss
+        # cheap deterministic integer hash; Python's hash() is identity for
+        # ints, which would put striding keys in lockstep with the set count.
+        # climb and FlatCache._lines repeat it inline and must stay bit-identical
         h = (key ^ (key >> 16)) * 0x45D9F3B
         h = (h ^ (h >> 16)) * 0x45D9F3B
         s = self._sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % self.num_sets]
@@ -110,7 +109,7 @@ class SetAssocCache:
                 self.hits += 1
                 break
             misses += 1
-            # _fill inline: the same hash, with no call and no tuple per level
+            # access's fill inline: the same hash, with no call and no tuple per level
             h = (key ^ (key >> 16)) * 0x45D9F3B
             h = (h ^ (h >> 16)) * 0x45D9F3B
             s = self._sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % self.num_sets]
@@ -126,132 +125,133 @@ class SetAssocCache:
         self.misses += misses
         return misses, writebacks
 
-    # -- range operations: fill, look up or drop every key of a run of keys
-    # (a page's dynamic lines), in order, in one call
-
-    def put_range(self, keys) -> None:
-        """Fill every absent key clean and refresh every resident one, keeping
-        its dirty bit; counts nothing, and evictions are not reported."""
-        index = self._index
-        homes = self._homes
-        for key in keys:
-            s = index.get(key)
-            if s is not None:
-                s[key] = s.pop(key)
-            elif (s := homes.get(key)) is None:  # first placement: _fill hashes it
-                self._fill(key)
-                homes[key] = index[key]
-            else:
-                s[key] = False
-                index[key] = s
-                if len(s) > self.assoc:
-                    for victim in s:
-                        break
-                    del s[victim], index[victim]
-
-    def get_range(self, keys) -> bool:
-        """Look up every key, with no short-circuit and no fill: each key
-        counts its hit or miss and a hit refreshes recency.  True if all
-        keys hit."""
-        index = self._index
-        hits = 0
-        missed = 0
-        for key in keys:
-            s = index.get(key)
-            if s is None:
-                missed += 1
-            else:
-                s[key] = s.pop(key)
-                hits += 1
-        self.hits += hits
-        self.misses += missed
-        return not missed
-
     def invalidate_range(self, keys) -> None:
-        """Drop every resident key without write-back (the caller has
-        already persisted it)."""
+        """Drop every resident key of a run of keys without write-back (the
+        caller has already persisted it)."""
         pop = self._index.pop
         for key in keys:
             s = pop(key, None)
             if s is not None:
                 del s[key]
 
-    def resident_keys(self) -> list[int]:
-        """Resident keys, set by set in index order, least recently used first."""
-        out: list[int] = []
-        for i in sorted(self._sets):
-            out.extend(self._sets[i])
-        return out
-
-    def __len__(self) -> int:
-        return len(self._index)
-
 
 class FlatCache:
     """Fully associative LRU cache of flat entries that owns the inclusive
     ``overflow`` buffer of the pages' dynamic lines (line ``i`` of page ``p``
-    is key ``p * FULL_SLOTS + i``).
+    is key ``p * FULL_SLOTS + i``), whose lines are always clean.
 
-    Each resident page, least recently used first, maps to the count of lines
-    it filled.  A page's format only grows until a reset drops it, so its
-    resident lines are among those; evicting or dropping a page invalidates
-    them in the same call.
+    Each resident page, least recently used first, maps to the (key, set)
+    pairs of the lines it filled, so a page's lines are filled, probed and
+    dropped together, straight in their sets, as the device sends a page's
+    entry and lines in one round trip; the buffer keeps no index of its own.
+    A page's format only grows until a reset drops it, so a ``count`` given
+    for a resident page is 0 or at least the lines it filled, and its
+    resident lines are among those; evicting or dropping it pops them.
     """
 
-    def __init__(self, entries: int, overflow: SetAssocCache) -> None:
+    def __init__(self, entries: int, overflow: LruSets) -> None:
         if entries <= 0:
             raise ConfigError(f"bad cache shape: {entries} flat entries")
         self.entries = entries
         self.overflow = overflow
-        self._pages: dict[int, int] = {}
-        self.hits = 0
-        self.misses = 0
+        self._pages: dict[int, tuple] = {}
+        # page -> its line 0's set or, once it filled more lines, the
+        # (key, set) pairs of those lines: only pages that filled lines
+        self._memo: dict[int, dict[int, bool] | tuple] = {}
+        self.hits = self.misses = 0
+
+    def _lines(self, page: int, count: int) -> tuple:
+        """The (key, set) pairs of a page's first ``count`` lines, hashing
+        only the lines the memo lacks, with ``access``'s hash inline."""
+        known = self._memo.get(page, ())
+        if known.__class__ is dict:
+            known = ((page * FULL_SLOTS, known),)
+        if count <= len(known):
+            return known[:count]
+        lines = list(known)
+        sets, num_sets = self.overflow._sets, self.overflow.num_sets
+        for key in range(page * FULL_SLOTS + len(known), page * FULL_SLOTS + count):
+            h = (key ^ (key >> 16)) * 0x45D9F3B
+            h = (h ^ (h >> 16)) * 0x45D9F3B
+            lines.append((key, sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % num_sets]))
+        lines = tuple(lines)
+        self._memo[page] = lines[0][1] if count == 1 else lines
+        return lines
 
     def read(self, page: int, count: int) -> tuple[bool, bool | None]:
         """Look up a page whose format has ``count`` lines, filling it on a miss.
         Returns the flat hit and, for a hit with lines, whether all lines hit;
-        any miss costs a device READ, whose response fills all the lines."""
+        any miss costs a device READ, whose response fills all the lines.
+        Every line is probed, counting its hit or miss in ``overflow``."""
         pages = self._pages
-        filled = pages.pop(page, None)
-        if filled is None:  # what write() does, inline on the common read path
+        lines = pages.pop(page, None)
+        if lines is None:
             self.misses += 1
-            pages[page] = count
-            if len(pages) > self.entries:
-                self.drop(next(iter(pages)))  # the least recently used page
             if count:
-                self.overflow.put_range(range(page * FULL_SLOTS, page * FULL_SLOTS + count))
+                self.write(page, count)
+            else:  # what write() does, inline on the common path of a page with no lines
+                if len(pages) >= self.entries:
+                    for victim in pages:  # the least recently used page
+                        break
+                    for key, s in pages.pop(victim):
+                        s.pop(key, None)
+                pages[page] = ()
             return False, None
-        pages[page] = filled
+        pages[page] = lines
         self.hits += 1
         if not count:
             return True, None
-        if self.overflow.get_range(range(page * FULL_SLOTS, page * FULL_SLOTS + count)):
+        hits = 0
+        for key, s in lines:
+            if key in s:
+                del s[key]
+                s[key] = False
+                hits += 1
+        self.overflow.hits += hits
+        if hits == count:
             return True, True
+        self.overflow.misses += count - hits  # a line it never filled misses too
         self.write(page, count)
         return True, False
 
     def write(self, page: int, count: int) -> None:
         """Refresh or fill a page and its first ``count`` lines, as a device
         response does; counts nothing.  A page an UPDATE left flat keeps its
-        count of filled lines, so the re-key that follows a reset drops them."""
+        filled lines, so the re-key that follows a reset drops them."""
         pages = self._pages
-        filled = pages.pop(page, 0)
-        pages[page] = count or filled
-        if len(pages) > self.entries:
-            self.drop(next(iter(pages)))
+        lines = pages.pop(page, None)
+        if lines is None:  # so none of its lines is resident
+            lines = ()
+            if len(pages) >= self.entries:
+                for victim in pages:
+                    break
+                for key, s in pages.pop(victim):
+                    s.pop(key, None)
+        elif count:  # dropping its lines and filling them in order leaves
+            for key, s in lines:  # each set as refreshing them in place would
+                s.pop(key, None)
         if count:
-            self.overflow.put_range(range(page * FULL_SLOTS, page * FULL_SLOTS + count))
+            if len(lines) != count:
+                lines = self._memo.get(page)
+                if lines.__class__ is not tuple or len(lines) != count:
+                    lines = self._lines(page, count)
+            assoc = self.overflow.assoc
+            for key, s in lines:
+                if len(s) == assoc:
+                    for victim in s:
+                        break
+                    del s[victim]
+                s[key] = False
+        pages[page] = lines
 
     def drop(self, page: int) -> None:
         """Invalidate a page and its lines."""
-        count = self._pages.pop(page, 0)
-        if count:
-            first = page * FULL_SLOTS
-            self.overflow.invalidate_range(range(first, first + count))
+        for key, s in self._pages.pop(page, ()):
+            s.pop(key, None)
 
     def lines(self, page: int) -> int:
         """Overflow lines a resident page filled; 0 for any other page."""
-        return self._pages.get(page, 0)
+        return len(self._pages.get(page, ()))
 
     def __contains__(self, page: int) -> bool:
         return page in self._pages

@@ -34,7 +34,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from .caches import FlatCache, SetAssocCache, check_shape
+from .caches import FlatCache, LruSets, SetAssocCache, check_shape
 from .core import (
     AddressRangeError,
     ConfigError,
@@ -428,7 +428,7 @@ class HostEngine(ProtectionEngine):
             geometry=config.geometry,
             params=config.params,
         )
-        self.overflow = SetAssocCache(config.overflow_bytes // SLOT_BYTES, config.overflow_assoc)
+        self.overflow = LruSets(config.overflow_bytes // SLOT_BYTES, config.overflow_assoc)
         self.flat_cache = FlatCache(config.flat_cache_entries, self.overflow)
         self.functional = FunctionalBlockStore(config.geometry, config.params, config.seed)
         self.uv: dict[int, int] = {}

@@ -1,9 +1,10 @@
 from collections import OrderedDict
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freshsim.caches import FlatCache, SetAssocCache
+from freshsim.caches import FlatCache, LruSets, SetAssocCache
 from freshsim.core import ConfigError
 from freshsim.version_store import FULL_SLOTS
 
@@ -20,33 +21,31 @@ class TestLruCache:
 
     def test_get_refreshes_recency(self):
         c = SetAssocCache(2, 2)
-        c.put_range([1, 2])
-        assert c.get_range([1]) is True
+        c.access(1)
+        c.access(2)
+        assert c.access(1) == 0  # the hit makes 2 the least recent
         assert c.access(3) == 1
         assert c.resident_keys() == [1, 3]
 
     def test_hit_miss_counters(self):
         c = SetAssocCache(4, 4)
-        c.put_range([1])
-        assert c.get_range([1]) is True
-        assert c.get_range([2]) is False
-        assert c.access(1) == 0
-        assert (c.hits, c.misses) == (2, 1)
+        assert [c.access(k) for k in (1, 1, 2, 1)] == [1, 0, 1, 0]
+        assert (c.hits, c.misses) == (2, 2)
 
     def test_invalidate(self):
         c = SetAssocCache(2, 2)
-        c.put_range([1])
+        c.access(1)
         c.invalidate_range([1])
         assert c.resident_keys() == [] and len(c) == 0
         c.invalidate_range([1])
         assert len(c) == 0
 
     def test_put_existing_updates_value(self):
-        # refreshing a resident key moves it to most recent and keeps it dirty
+        # a clean hit moves a dirty line to most recent and keeps it dirty
         c = SetAssocCache(2, 2)
         c.access(1, dirty=True)
-        c.put_range([2])
-        c.put_range([1])
+        c.access(2)
+        assert c.access(1) == 0
         assert c.resident_keys() == [2, 1]
         assert c.access(3) == 1
         assert c.resident_keys() == [1, 3]
@@ -103,7 +102,7 @@ def _assert_matches(cache, model):
 @given(
     st.integers(1, 6),
     st.lists(
-        st.tuples(st.sampled_from(["get", "put", "access", "inval"]), st.integers(0, 9)),
+        st.tuples(st.sampled_from(["read", "write", "inval"]), st.integers(0, 9)),
         max_size=200,
     ),
 )
@@ -111,16 +110,11 @@ def test_lru_matches_reference_model(capacity, ops):
     real = SetAssocCache(capacity, capacity)
     model = _LruModel(capacity)
     for op, key in ops:
-        if op == "get":
-            assert real.get_range((key,)) == model.get(key)
-        elif op == "put":
-            real.put_range((key,))
-            model.put(key, False)
-        elif op == "access":
-            assert real.access(key, key % 2 == 0) == model.access(key, key % 2 == 0)
-        else:
+        if op == "inval":
             real.invalidate_range((key,))
             model.invalidate(key)
+        else:
+            assert real.access(key, op == "write") == model.access(key, op == "write")
         _assert_matches(real, model)
 
 
@@ -134,8 +128,9 @@ class TestSetAssocCache:
 
     def test_get_refreshes_within_set(self):
         c = SetAssocCache(lines=2, assoc=2)
-        c.put_range([0, 1])
-        c.get_range([0])
+        c.access(0)
+        c.access(1)
+        c.access(0)
         c.access(2)
         assert c.resident_keys() == [0, 2]
 
@@ -150,28 +145,28 @@ class TestSetAssocCache:
 
     def test_mark_dirty(self):
         c = SetAssocCache(lines=1, assoc=1)
-        c.put_range([5])
+        c.access(5)
         assert c.access(5, True) == 0
         assert c.access(6) == 2
         assert c.resident_keys() == [6]
 
     def test_invalidate(self):
         c = SetAssocCache(lines=4, assoc=2)
-        c.put_range([3])
+        c.access(3)
         c.invalidate_range([3])
         assert 3 not in c.resident_keys() and len(c) == 0
 
     def test_invalidate_absent_key_changes_nothing(self):
         c = SetAssocCache(lines=4, assoc=2)
-        c.put_range([1])
-        c.get_range([1])
-        c.get_range([2])
+        c.access(1)
+        c.access(1)
         c.invalidate_range([2])
         assert (c.hits, c.misses, len(c), c.resident_keys()) == (1, 1, 1, [1])
 
     def test_resident_keys(self):
         c = SetAssocCache(lines=8, assoc=2)
-        c.put_range([10, 20, 30])
+        for k in (10, 20, 30):
+            c.access(k)
         assert sorted(c.resident_keys()) == [10, 20, 30]
 
     def test_disjoint_sets_do_not_interfere(self):
@@ -194,7 +189,7 @@ class TestSetAssocCache:
 @settings(max_examples=40, deadline=None)
 @given(
     st.lists(
-        st.tuples(st.sampled_from(["get", "put", "access"]), st.integers(0, 25)),
+        st.tuples(st.sampled_from(["read", "write", "inval"]), st.integers(0, 25)),
         max_size=150,
     )
 )
@@ -203,84 +198,15 @@ def test_single_set_cache_behaves_like_lru(ops):
     lru = _LruModel(4)
     hits = 0
     for op, key in ops:
-        if op == "get":
-            hit = lru.get(key)
-            hits += hit
-            assert sa.get_range((key,)) == hit
-        elif op == "access":
-            moved = lru.access(key, key % 2 == 0)
-            hits += not moved
-            assert sa.access(key, key % 2 == 0) == moved
+        if op == "inval":
+            assert (key in sa.resident_keys()) == lru.invalidate(key)
+            sa.invalidate_range((key,))
         else:
-            sa.put_range((key,))
-            lru.put(key, False)
+            moved = lru.access(key, op == "write")
+            hits += not moved
+            assert sa.access(key, op == "write") == moved
         _assert_matches(sa, lru)
     assert sa.hits == hits
-
-
-def _model_range(model, op, keys):
-    """A range operation on the model, one key at a time; returns the
-    result and the (hits, misses) it counted."""
-    if op == "put":
-        for k in keys:
-            model.put(k, False)
-        return None, (0, 0)
-    if op == "get":
-        hits = [model.get(k) for k in keys]
-        return all(hits), (sum(hits), len(hits) - sum(hits))
-    for k in keys:
-        model.invalidate(k)
-    return None, (0, 0)
-
-
-_RANGE_OPS = {"put": "put_range", "get": "get_range", "inval": "invalidate_range"}
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    st.integers(1, 8),
-    st.lists(
-        st.tuples(st.sampled_from(sorted(_RANGE_OPS)), st.integers(0, 12), st.integers(0, 5)),
-        max_size=80,
-    ),
-)
-def test_range_ops_match_reference_model(capacity, ops):
-    real = SetAssocCache(capacity, capacity)
-    model = _LruModel(capacity)
-    hits = misses = 0
-    for op, first, count in ops:
-        keys = range(first, first + count)
-        expected, (h, m) = _model_range(model, op, keys)
-        assert getattr(real, _RANGE_OPS[op])(keys) == expected
-        hits, misses = hits + h, misses + m
-        assert real.resident_keys() == list(model.d.keys())  # residency and recency
-        assert (real.hits, real.misses, len(real)) == (hits, misses, len(model.d))
-
-
-@settings(max_examples=40, deadline=None)
-@given(
-    st.lists(
-        st.tuples(st.sampled_from(sorted(_RANGE_OPS)), st.integers(0, 60), st.integers(0, 5)),
-        max_size=120,
-    ),
-)
-def test_range_ops_match_per_key_ops_across_sets(ops):
-    ranged = SetAssocCache(lines=8, assoc=2)
-    per_key = SetAssocCache(lines=8, assoc=2)
-    for op, first, count in ops:
-        keys = range(first, first + count)
-        result = getattr(ranged, _RANGE_OPS[op])(keys)
-        if op == "put":
-            for k in keys:
-                per_key.put_range((k,))
-        elif op == "get":
-            assert result == all([per_key.get_range((k,)) for k in keys])
-        else:
-            for k in keys:
-                per_key.invalidate_range((k,))
-        assert _contents(ranged) == _contents(per_key)
-        assert (ranged.hits, ranged.misses, len(ranged)) == (
-            per_key.hits, per_key.misses, len(per_key))
 
 
 def _contents(cache):
@@ -289,6 +215,7 @@ def _contents(cache):
     return {i: list(s.items()) for i, s in cache._sets.items()}
 
 
+@lru_cache(maxsize=1 << 16)
 def _hashed_set(num_sets, key):
     """Index of the set ``access``'s hash picks for ``key``."""
     probe = SetAssocCache(num_sets, 1)
@@ -300,63 +227,78 @@ def _hashed_set(num_sets, key):
 def test_sets_are_made_on_first_fill():
     c = SetAssocCache(1 << 20, 1)
     assert len(c._sets) == 0 and c.resident_keys() == []
-    # misses that do not fill, and drops, make no set
-    assert c.get_range(range(100)) is False
+    # drops of absent keys make no set
     c.invalidate_range(range(100))
     assert len(c._sets) == 0
     keys = [0, 1, 77, 1 << 40, 12345, 2**64 + 3]
     for n, k in enumerate(keys, 1):
         assert c.access(k, k % 2 == 0) == 1
         assert len(c._sets) <= n
-    c.put_range(range(500, 504))
-    assert len(c._sets) <= len(keys) + 4
     made = dict(c._sets)
-    # hits, range lookups and drops make none either
+    # hits and drops make none either
     resident = c.resident_keys()
     assert [c.access(k) for k in resident] == [0] * len(resident)
-    assert c.get_range(resident) is True
-    assert c.get_range(range(1000, 1100)) is False
     c.invalidate_range(range(1000, 1100))
     c.invalidate_range(resident)
     assert len(c) == 0 and c._sets.keys() == made.keys()
     assert all(c._sets[i] is s for i, s in made.items())
+    # the overflow buffer: pages with no lines, probes and drops make none,
+    # and a page's fill makes at most one set per line
+    f = FlatCache(4, LruSets(1 << 20, 1))
+    for page in range(10):
+        assert f.read(page, 0) == (False, None)
+    f.drop(8)
+    assert len(f.overflow._sets) == 0
+    f.write(7, FULL_SLOTS)
+    assert f.read(9, 1) == (True, False)  # the page had filled no line
+    assert 0 < len(f.overflow._sets) <= FULL_SLOTS + 1
+    made = dict(f.overflow._sets)
+    assert f.read(7, FULL_SLOTS) == (True, True) and f.read(9, 1) == (True, True)
+    f.drop(7)
+    f.drop(9)
+    assert len(f.overflow) == 0 and f.overflow._sets.keys() == made.keys()
+    assert all(f.overflow._sets[i] is s for i, s in made.items())
 
 
-_MEMO_KEYS = st.lists(st.one_of(st.integers(0, 15), st.integers(0, 2**40 - 1)), max_size=6)
+_MEMO_PAGES = st.one_of(st.integers(0, 15), st.integers(0, 2**38 - 1))
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([1, 3, 32, 1024]),
     st.integers(1, 3),
-    st.lists(st.tuples(st.sampled_from(["put", "inval", "access"]), _MEMO_KEYS), max_size=40),
+    st.integers(1, 4),
+    st.lists(
+        st.tuples(st.sampled_from(["read", "write", "drop"]), _MEMO_PAGES,
+                  st.integers(0, FULL_SLOTS)),
+        max_size=40,
+    ),
 )
-def test_put_range_memo_is_exact_and_bounded(num_sets, assoc, ops):
-    # a twin driven one key at a time names the keys each put_range places
-    real = SetAssocCache(num_sets * assoc, assoc)
-    twin = SetAssocCache(num_sets * assoc, assoc)
-    placed = set()
-    for op, keys in ops:
-        if op == "put":
-            for k in keys:
-                if k not in twin._index:
-                    placed.add(k)
-                twin.put_range((k,))
-            real.put_range(keys)
-        elif op == "inval":
-            real.invalidate_range(keys)
-            twin.invalidate_range(keys)
+def test_page_memo_is_exact_and_bounded(num_sets, assoc, entries, ops):
+    c = FlatCache(entries, LruSets(num_sets * assoc, assoc))
+    sets = c.overflow._sets
+    most = {}  # page -> the most lines it ever filled
+    for op, page, count in ops:
+        if op != "write" or count:
+            count = max(count, c.lines(page))
+        if op == "drop":
+            c.drop(page)
         else:
-            for k in keys:
-                assert real.access(k, k % 2 == 0) == twin.access(k, k % 2 == 0)
-        assert _contents(real) == _contents(twin)
-        # only put_range grows the memo, and every key it placed sits in its
-        # hashed set: _fill's hash is access's
-        assert real._homes.keys() == placed
-        for k, home in real._homes.items():
-            assert home is real._sets.get(_hashed_set(num_sets, k))
-        for k, s in real._index.items():
-            assert s is real._sets.get(_hashed_set(num_sets, k))
+            getattr(c, op)(page, count)
+            if count:  # a read leaves the page's lines filled, too
+                most[page] = max(most.get(page, 0), count)
+        # only pages that filled lines are memoised, each with no more lines
+        # than it filled: a page of one line keeps its set bare
+        assert c._memo.keys() == most.keys()
+        for p, memo in c._memo.items():
+            if most[p] == 1:
+                memo = ((p * FULL_SLOTS, memo),)
+            assert [k for k, _ in memo] == list(range(p * FULL_SLOTS, p * FULL_SLOTS + most[p]))
+            # every memoised set is the one access's hash picks for the line
+            for k, s in memo:
+                assert s is sets.get(_hashed_set(num_sets, k))
+        for i, s in sets.items():
+            assert all(_hashed_set(num_sets, k) == i for k in s)
 
 
 _WALK_INDEX = st.one_of(st.integers(0, 300), st.integers(0, 2**40 - 1))
@@ -393,56 +335,66 @@ def test_climb_matches_per_level_access(arity, levels, num_sets, assoc, walks):
 
 
 class TestRangeOps:
-    def test_get_range_probes_every_key_after_a_miss(self):
-        c = SetAssocCache(4, 4)
-        c.put_range(range(1, 4))  # 0 is absent, 1..3 resident
-        c.put_range([9])  # most recent
-        assert c.get_range(range(0, 4)) is False
-        assert (c.hits, c.misses) == (3, 1)
-        assert c.resident_keys() == [9, 1, 2, 3]  # hits refreshed in order
+    """A page's run of overflow lines, filled, probed and dropped together,
+    and ``SetAssocCache.invalidate_range``."""
 
-    def test_get_range_all_hit(self):
-        c = SetAssocCache(4, 4)
-        c.put_range([5, 6])
-        assert c.get_range([5, 6]) is True
-        assert (c.hits, c.misses) == (2, 0)
+    def test_probe_checks_every_line_after_a_miss(self):
+        c = FlatCache(4, LruSets(4, 4))
+        c.write(0, FULL_SLOTS)
+        c.write(1, 1)  # page 1's line evicts line 0, the least recent
+        assert c.overflow.resident_keys() == [1, 2, 3, 4]
+        assert c.read(0, FULL_SLOTS) == (True, False)
+        assert (c.overflow.hits, c.overflow.misses) == (3, 1)
+        assert c.overflow.resident_keys() == [0, 1, 2, 3]  # the READ refilled the page
+
+    def test_probe_of_all_resident_lines_hits(self):
+        c = FlatCache(2, LruSets(4, 4))
+        c.write(0, 2)
+        assert c.read(0, 2) == (True, True)
+        assert (c.hits, c.misses, c.overflow.hits, c.overflow.misses) == (1, 0, 2, 0)
 
     def test_empty_range_changes_nothing(self):
-        c = SetAssocCache(4, 4)
-        c.put_range([1])
-        assert c.get_range(range(0)) is True
-        c.put_range(range(0))
-        c.invalidate_range(range(0))
-        assert (c.hits, c.misses, c.resident_keys()) == (0, 0, [1])
+        c = FlatCache(2, LruSets(4, 4))
+        c.write(1, 1)
+        c.write(0, 0)
+        assert c.read(0, 0) == (True, None)
+        c.drop(0)
+        assert c.read(0, 0) == (False, None)
+        assert (c.overflow.hits, c.overflow.misses, c.overflow.resident_keys()) == (0, 0, [4])
 
-    def test_put_range_refreshes_and_keeps_dirty_bit(self):
-        c = SetAssocCache(3, 3)
-        c.access(1, dirty=True)
-        c.put_range([2])
-        c.put_range([1, 3])  # 1 refreshed, still dirty; 3 filled clean
-        assert c.resident_keys() == [2, 1, 3]
-        assert c.access(4) == 1
-        assert c.resident_keys() == [1, 3, 4]
-        assert c.access(5) == 2
-        assert c.resident_keys() == [3, 4, 5]
+    def test_fill_refreshes_resident_lines_in_order(self):
+        c = FlatCache(4, LruSets(3, 3))
+        c.write(0, 1)
+        c.write(1, 1)
+        c.write(0, 2)  # line 0 refreshed, line 1 filled
+        assert c.overflow.resident_keys() == [4, 0, 1]
+        c.write(2, 1)  # evicts page 1's line, the least recent
+        assert c.overflow.resident_keys() == [0, 1, 8]
+        assert c.lines(1) == 1 and 1 in c  # the page stays cached without it
 
     def test_invalidate_range_skips_absent_keys(self):
         c = SetAssocCache(4, 2)
-        c.put_range([1, 2, 3])
+        for k in (1, 2, 3):
+            c.access(k)
         c.invalidate_range(range(2, 6))
         assert c.resident_keys() == [1] and len(c) == 1
-        assert (c.hits, c.misses) == (0, 0)
+        assert (c.hits, c.misses) == (0, 3)
 
 
 class _FlatModel:
-    """Reference for ``FlatCache``: an ``_LruModel`` of pages, a per-page
-    count of filled lines and a twin overflow cache driven key by key."""
+    """Reference for ``FlatCache``, driven line by line: an ``_LruModel`` of
+    pages, a count of the lines each cached page filled, and the overflow
+    buffer as one ``_LruModel`` per set index, each line in the set that
+    ``access``'s hash picks."""
 
-    def __init__(self, entries, lines, assoc):
+    def __init__(self, entries, num_sets, assoc):
         self.lru = _LruModel(entries)
         self.filled = {}
-        self.overflow = SetAssocCache(lines, assoc)
+        self.num_sets = num_sets
+        self.assoc = assoc
+        self.sets = {}  # set index -> _LruModel of its lines, made on first fill
         self.hits = self.misses = 0
+        self.line_hits = self.line_misses = 0
 
     def _keys(self, page, count):
         return range(page * FULL_SLOTS, page * FULL_SLOTS + count)
@@ -457,7 +409,15 @@ class _FlatModel:
         """The device response: every line of the page's format, one by one."""
         self.filled[page] = count
         for k in self._keys(page, count):
-            self.overflow.put_range((k,))
+            index = _hashed_set(self.num_sets, k)
+            self.sets.setdefault(index, _LruModel(self.assoc)).put(k, False)
+
+    def _probe(self, k):
+        s = self.sets.get(_hashed_set(self.num_sets, k))
+        hit = s is not None and s.get(k)
+        self.line_hits += hit
+        self.line_misses += not hit
+        return hit
 
     def read(self, page, count):
         """A flat miss, or a hit with any missed line, costs a device READ,
@@ -470,7 +430,7 @@ class _FlatModel:
         self.hits += 1
         if not count:
             return True, None
-        lines_hit = all([self.overflow.get_range((k,)) for k in self._keys(page, count)])
+        lines_hit = all([self._probe(k) for k in self._keys(page, count)])
         if not lines_hit:
             self._fill_lines(page, count)
         return True, lines_hit
@@ -484,26 +444,21 @@ class _FlatModel:
     def drop(self, page):
         self.lru.invalidate(page)
         for k in self._keys(page, self.filled.pop(page, 0)):
-            self.overflow.invalidate_range((k,))
+            s = self.sets.get(_hashed_set(self.num_sets, k))
+            if s is not None:
+                s.invalidate(k)
+
+    def contents(self):
+        return {i: list(s.d.items()) for i, s in self.sets.items()}
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(1, 4),
-    st.integers(1, 4),
-    st.integers(1, 3),
-    st.lists(
-        st.tuples(st.sampled_from(["read", "write", "drop"]),
-                  st.integers(0, 5), st.integers(0, FULL_SLOTS)),
-        max_size=120,
-    ),
-)
-def test_flat_cache_matches_reference_model(entries, assoc, sets, ops):
-    # counts follow the engine: a cached page's format only grows, except that
-    # a write whose reset left the page flat passes 0 and the re-key drops it
-    real = FlatCache(entries, SetAssocCache(assoc * sets, assoc))
-    model = _FlatModel(entries, assoc * sets, assoc)
+def _run_flat(real, model, ops, pages):
+    """Drive the cache and its model through the same ops, comparing the
+    cached pages, their lines and the buffer set by set after each one."""
     for op, page, count in ops:
+        # counts follow the engine: a cached page's format only grows, except
+        # that a write whose reset left the page flat passes 0 and the re-key
+        # drops it
         if op != "write" or count:
             count = max(count, model.filled.get(page, 0))
         if op == "read":
@@ -515,18 +470,84 @@ def test_flat_cache_matches_reference_model(entries, assoc, sets, ops):
             real.drop(page)
             model.drop(page)
         assert (real.hits, real.misses) == (model.hits, model.misses)
-        assert [p for p in range(6) if p in real] == [p for p in range(6) if p in model.lru.d]
-        assert [real.lines(p) for p in range(6)] == [model.filled.get(p, 0) for p in range(6)]
-        ov, ov_model = real.overflow, model.overflow
-        assert ov.resident_keys() == ov_model.resident_keys()
-        assert (ov.hits, ov.misses) == (ov_model.hits, ov_model.misses)
+        assert [p for p in pages if p in real] == [p for p in pages if p in model.lru.d]
+        assert [real.lines(p) for p in pages] == [model.filled.get(p, 0) for p in pages]
+        ov = real.overflow
+        # residency and recency set by set, every line clean
+        assert _contents(ov) == model.contents()
+        assert ov.resident_keys() == [k for i in sorted(model.sets) for k in model.sets[i].d]
+        assert (ov.hits, ov.misses) == (model.line_hits, model.line_misses)
+        assert len(ov) == sum(len(s.d) for s in model.sets.values())
         # inclusive: every resident line belongs to a cached page that filled it
         assert all(k % FULL_SLOTS < real.lines(k // FULL_SLOTS) for k in ov.resident_keys())
 
 
+def _flat_ops(pages):
+    return st.lists(
+        st.tuples(st.sampled_from(["read", "write", "drop"]),
+                  st.integers(0, pages - 1), st.integers(0, FULL_SLOTS)),
+        max_size=120,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), _flat_ops(6))
+def test_flat_cache_matches_reference_model(entries, assoc, sets, ops):
+    real = FlatCache(entries, LruSets(assoc * sets, assoc))
+    _run_flat(real, _FlatModel(entries, sets, assoc), ops, range(6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), _flat_ops(13))
+def test_range_ops_match_reference_model(capacity, ops):
+    # one set and room for every page: the buffer is one LRU of all the
+    # lines, so recency is compared across pages
+    real = FlatCache(13, LruSets(capacity, capacity))
+    _run_flat(real, _FlatModel(13, 1, capacity), ops, range(13))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_flat_ops(61))
+def test_range_ops_match_per_key_ops_across_sets(ops):
+    # the page ops against a SetAssocCache driven one line at a time with
+    # access and invalidate_range, which places each line by access's hash
+    real = FlatCache(61, LruSets(8, 2))
+    per_key = SetAssocCache(8, 2)
+    filled = {}
+    hits = misses = 0
+    for op, page, count in ops:
+        if op != "write" or count:
+            count = max(count, filled.get(page, 0))
+        keys = range(page * FULL_SLOTS, page * FULL_SLOTS + count)
+        if op == "drop":
+            real.drop(page)
+            per_key.invalidate_range(range(page * FULL_SLOTS,
+                                           page * FULL_SLOTS + filled.pop(page, 0)))
+        elif op == "write":
+            real.write(page, count)
+            filled[page] = count or filled.get(page, 0)
+            for k in keys:
+                per_key.access(k)
+        else:
+            result = real.read(page, count)
+            if page not in filled:
+                assert result == (False, None)
+            elif count:
+                hit = [k in per_key._index for k in keys]
+                hits, misses = hits + sum(hit), misses + count - sum(hit)
+                assert result == (True, all(hit))
+            else:
+                assert result == (True, None)
+            filled[page] = count or filled.get(page, 0)
+            for k in keys:  # a hit refreshes; a READ refreshes or fills every line
+                per_key.access(k)
+        assert _contents(real.overflow) == _contents(per_key)
+        assert (real.overflow.hits, real.overflow.misses) == (hits, misses)
+
+
 class TestFlatCache:
     def test_eviction_drops_the_victims_lines(self):
-        c = FlatCache(2, SetAssocCache(8, 8))
+        c = FlatCache(2, LruSets(8, 8))
         for page in (0, 1):
             c.write(page, FULL_SLOTS)
         assert c.read(2, 0) == (False, None)  # evicts page 0, the least recent
@@ -535,7 +556,7 @@ class TestFlatCache:
         assert (c.hits, c.misses) == (1, 1)
 
     def test_write_counts_nothing_and_refreshes_recency(self):
-        c = FlatCache(2, SetAssocCache(8, 8))
+        c = FlatCache(2, LruSets(8, 8))
         c.write(0, 1)
         c.write(1, 0)
         c.write(0, 1)  # page 1 is now the least recent
@@ -546,7 +567,7 @@ class TestFlatCache:
     def test_write_left_flat_keeps_lines_for_the_drop(self):
         # a write whose reset left the page flat passes 0 lines; the re-key
         # that follows must still find and drop the lines the page filled
-        c = FlatCache(2, SetAssocCache(8, 8))
+        c = FlatCache(2, LruSets(8, 8))
         c.write(0, FULL_SLOTS)
         c.write(0, 0)
         assert c.lines(0) == FULL_SLOTS
@@ -554,15 +575,20 @@ class TestFlatCache:
         assert [k for k in c.overflow.resident_keys() if k // FULL_SLOTS == 0] == []
 
     def test_read_fills_lines_exactly_on_a_device_read(self):
-        c = FlatCache(2, SetAssocCache(8, 8))
+        # a direct-mapped buffer: a line of another page that hashes to line
+        # 1's set, and not to line 0's, evicts line 1 alone
+        c = FlatCache(4, LruSets(8, 1))
         assert c.read(0, 2) == (False, None)  # flat miss: the READ fills both lines
-        assert c.overflow.resident_keys() == [0, 1] and c.lines(0) == 2
-        c.overflow.invalidate_range([1])
+        assert sorted(c.overflow.resident_keys()) == [0, 1] and c.lines(0) == 2
+        rival = next(p for p in range(1, 100)
+                     if _hashed_set(8, p * FULL_SLOTS) == _hashed_set(8, 1) != _hashed_set(8, 0))
+        c.write(rival, 1)
+        assert sorted(c.overflow.resident_keys()) == [0, rival * FULL_SLOTS]
         assert c.read(0, 2) == (True, False)  # a missed line: the READ refills it
-        assert c.overflow.resident_keys() == [0, 1]
+        assert sorted(c.overflow.resident_keys()) == [0, 1]
         assert c.read(0, 2) == (True, True)  # all hit: no READ, nothing filled
         assert (c.overflow.hits, c.overflow.misses) == (3, 1)
 
     def test_rejects_no_entries(self):
         with pytest.raises(ConfigError):
-            FlatCache(0, SetAssocCache(4, 4))
+            FlatCache(0, LruSets(4, 4))

@@ -157,10 +157,12 @@ class TestChargingModel:
         assert out.latency_ns == pytest.approx(50 + 50 + CIPHER_NS)
 
     def test_read_refetches_missing_overflow_line(self):
-        e = make_engine()
+        e = make_engine(overflow_bytes=56, overflow_assoc=1)  # one line
         e.process_access("W", 0)
         e.process_access("W", 0)  # page now uneven, line cached
-        e.overflow.invalidate_range([0])
+        e.process_access("W", PAGE)
+        e.process_access("W", PAGE)  # page 1's line takes the only slot
+        assert e.overflow.resident_keys() == [1 * 4] and 0 in e.flat_cache
         out = e.process_access("R", 0)
         assert out.flat_hit is True
         assert out.overflow_hit is False

@@ -8,7 +8,9 @@ on purpose.  The configs are small but reach every accounting path: resets
 (``reset_exp`` 4), uneven and full pages, flat-cache evictions that drop
 overflow lines, overflow and MAC evictions, dirty counter-tree write-backs,
 both data channels (``local_bytes`` below the footprint) and a run halted by
-device capacity.  The ``gen-trace`` pins cover every pattern kind at write
+device capacity.  One more ``toleo`` pin runs at the default cache sizes
+(256 flat entries, a 512-line 16-way overflow buffer) on hot pages driven
+full, which thrash the overflow buffer.  The ``gen-trace`` pins cover every pattern kind at write
 fractions 0, 0.3 and 1 in both file forms; the ``analyze-security`` pins
 cover both Monte Carlo sections, with and without ``--seed``.
 """
@@ -63,6 +65,16 @@ SIMULATE_DIGESTS = {
     ("hot_full", "toleo"): "99fc9f91294bfe5c4bb28fdb4c7843bc14caa4d0a29f39dd3f586482af39c514",
     ("hot_full", "merkle"): "9b711092ff3c509ff3534a76e8ec9bf5cbc7c4fde2242d8cc7f02b6068828db3",
 }
+# 192 hot pages of four overflow lines each, at the default cache sizes
+DEFAULT_CACHES_TOLEO = {
+    "mode": "toleo",
+    "protected_bytes": 1024 * PAGE,
+    "seed": 3,
+    "trace": {"pattern": {"kind": "hot_block", "footprint_bytes": 1024 * PAGE,
+                          "hot_set_bytes": 192 * PAGE, "op_count": 40000,
+                          "write_fraction": 0.7, "seed": 6}},
+}
+DEFAULT_CACHES_TOLEO_DIGEST = "dffe23f8b52b112bc2a8eec2d7bb1040378d79902741107513ab4d67dc48c0df"
 HALTED_TOLEO_DIGEST = "c93e75cb75c99a575957ce9f7d86b43eb6e8c6b28e58130339cf48e19355aba3"
 COMPARE_DIGEST = "43fad06f8cd572526c86e0ebb0e3b2bd38bde2250a437ab9829fe0b7c9472d26"
 
@@ -96,6 +108,14 @@ def test_simulate_json_is_pinned(tmp_path, workload, mode):
 def test_debug_checks_leave_toleo_output_unchanged(tmp_path):
     doc = dict(SMALL_CACHES, **WORKLOADS["zipf_resets"], mode="toleo", debug=True)
     assert simulate(tmp_path, "debug", doc) == (0, SIMULATE_DIGESTS["zipf_resets", "toleo"])
+
+
+def test_toleo_at_default_cache_sizes_is_pinned(tmp_path):
+    assert simulate(tmp_path, "default-caches", DEFAULT_CACHES_TOLEO) == (
+        0, DEFAULT_CACHES_TOLEO_DIGEST)
+    stats = json.loads((tmp_path / "default-caches.out.json").read_text())
+    assert stats["page_formats"]["full"] == 192
+    assert min(stats["caches"]["overflow"].values()) > 0  # hits and misses
 
 
 def test_capacity_halted_toleo_run_is_pinned(tmp_path, capsys):
