@@ -45,7 +45,6 @@ _ACCEPTS = {
     "int": ((int,), "an integer"),
     "int | None": ((int, type(None)), "an integer or null"),
     "float": ((int, float), "a number"),
-    "bool": ((bool,), "true or false"),
     "str": ((str,), "a string"),
 }
 _INT = _ACCEPTS["int"]
@@ -153,9 +152,15 @@ def resolve_trace(cfg: dict, trace_flag: str | None):
     return generate(PatternSpec(**source["pattern"]))
 
 
-def _read_json(path: str) -> dict:
+def _read_json(path: str):
+    """The JSON document at ``path``.  Text that is not UTF-8 or not JSON, an
+    integer past CPython's digit limit and nesting past its recursion limit
+    all raise ConfigError, naming the path."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise ConfigError(f"{path} is not a JSON document: {exc}") from exc
 
 
 def _emit(text: str, out_path: str | None) -> None:
@@ -387,6 +392,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (SimError, OSError, json.JSONDecodeError) as exc:
+    except (SimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

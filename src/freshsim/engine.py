@@ -13,11 +13,11 @@ The device-backed engine keeps three small caches of freshness metadata:
 * a set-associative write-back cache of 64-byte MAC blocks.
 
 The caches track residency only.  Byte and transaction counts depend only on
-which keys are resident and on the page's format, so versions always come
-from the store.  A read whose entry or lines are not all resident costs one
-device READ.  Writes are write-through: every write issues exactly one device
-UPDATE whose response carries the refreshed entry and any dynamic lines, so
-one round trip keeps the caches coherent.
+which keys are resident and on the page's format, never on a version.  A
+read whose entry or lines are not all resident costs one device READ.
+Writes are write-through: every write issues exactly one device UPDATE whose
+response carries the refreshed entry and any dynamic lines, so one round
+trip keeps the caches coherent.
 
 Read latency is modeled analytically: the data fetch on its channel, plus the
 slowest outstanding metadata fetch (device or MAC, issued in parallel), plus
@@ -25,7 +25,9 @@ a fixed cipher-pipeline delay.
 
 The host engine's functional layer actually enciphers block payloads under a
 keyed pseudorandom transform of (key, full version, address) and MACs them,
-which lets tests replay stale records and watch verification fail.
+which lets tests replay stale records and watch verification fail.  It
+learns each stealth version as the host does: by decoding the packed entry
+and dynamic lines the device sends.
 """
 
 from __future__ import annotations
@@ -47,7 +49,6 @@ from .core import (
 )
 from .version_store import (
     FLAT,
-    FULL_SLOTS,
     LINE_COUNT,
     SLOT_BYTES,
     UNEVEN,
@@ -99,7 +100,6 @@ class EngineConfig:
     mac_cache_bytes: int = 32 * 1024 * 32
     mac_assoc: int = 16
     device_message_bytes: int = bounded(64)
-    debug: bool = False
     seed: int = bounded(1, high=(1 << 128) - 1)  # the functional layer keys on 16 bytes
 
     def __post_init__(self) -> None:
@@ -270,7 +270,7 @@ class ProtectionEngine:
     the MAC cache, and computes latency.  A mode plugs its freshness scheme
     in through two hooks: ``_freshness`` runs before the MAC access and
     returns the metadata fetch latency of a read; ``_after_write`` runs once
-    a write's MAC line is owned, if it has ``events`` or in ``debug`` mode.
+    a write's MAC line is owned, if it has ``events``.
 
     With no hooks overridden and no MAC or cipher this is unprotected memory.
     """
@@ -291,7 +291,6 @@ class ProtectionEngine:
         self._local_ns = config.local_ns
         self._pool_ns = config.pool_ns
         self._block_bytes = g.block_bytes
-        self._debug = config.debug
         # MAC-cache key of a data block: the index of the 64-byte MAC line,
         # above the data partition, that holds the MACs of its run of blocks
         self._mac_key_base = config.protected_bytes // g.block_bytes
@@ -369,7 +368,7 @@ class ProtectionEngine:
                 mac_ns = data_ns
         if is_write:
             out.latency_ns = data_ns + self._cipher_ns
-            if out.events or self._debug:
+            if out.events:
                 self._after_write(out)
         else:
             latency = data_ns + (mac_ns if mac_ns > fresh_ns else fresh_ns) + self._cipher_ns
@@ -445,7 +444,8 @@ class HostEngine(ProtectionEngine):
         runs before the MAC write, so a capacity halt charges no MAC traffic,
         and it counts no flat-cache hits.  A read probes the flat cache and
         every line the page needs; any miss costs one device READ, whose
-        latency is returned.  Each device response fills the page's lines."""
+        latency is returned.  Each device response fills the page's lines;
+        the functional layer decodes versions from the same entry and lines."""
         page = out.addr // self._page_bytes
         if is_write:
             try:
@@ -465,8 +465,6 @@ class HostEngine(ProtectionEngine):
             hit, lines_hit = self.flat_cache.read(page, count)
             out.flat_hit = hit
             out.overflow_hit = lines_hit
-            if self._debug:
-                self._debug_checks(out.addr)
             if hit and lines_hit is not False:
                 return 0.0
             self.device_reads += 1
@@ -490,30 +488,6 @@ class HostEngine(ProtectionEngine):
                 self.resets += 1
                 self.halted = str(exc)
                 raise SimulationHalted(self.halted) from exc
-        if self._debug:
-            self._debug_checks(None)
-
-    def _debug_checks(self, addr: int | None) -> None:
-        """Overflow lines are among those their cached page filled; on a
-        read, the packed entry and lines the device sends decode to the
-        store's version."""
-        for key in self.overflow.resident_keys():
-            filled = self.flat_cache.lines(key // FULL_SLOTS)
-            assert key % FULL_SLOTS < filled, "overflow line the page did not fill"
-        if addr is not None:
-            assert self._decode_version(addr) == self.store.read_version(addr), "entry decode drift"
-
-    def _decode_version(self, addr: int) -> int:
-        g = self.config.geometry
-        params = self.config.params
-        page, block = divmod(addr // g.block_bytes, g.blocks_per_page)
-        tag, base, payload = decode_entry_image(self.store.entry_image(page), params)
-        if tag == FLAT:
-            return (base + ((payload >> block) & 1)) & params.stealth_mask
-        lines = self.store.entry_lines(page)
-        if tag == UNEVEN:
-            return (base + decode_uneven_line(lines[0], g)[block]) & params.stealth_mask
-        return decode_full_lines(lines, g, params)[block]
 
     # -- page-level operations -----------------------------------------------------
 
@@ -572,7 +546,7 @@ class HostEngine(ProtectionEngine):
         records = fn.records.get(page, {})
         for addr, rec in records.items():
             plaintext = fn.open(addr, rec, rec.stealth)
-            records[addr] = fn.seal(addr, plaintext, self.uv[page], self.store.read_version(addr))
+            records[addr] = fn.seal(addr, plaintext, self.uv[page], self._decode_version(addr))
         return out
 
     def os_free_page(self, page: int) -> AccessOutcome:
@@ -589,11 +563,25 @@ class HostEngine(ProtectionEngine):
 
     # -- functional layer ------------------------------------------------------------
 
+    def _decode_version(self, addr: int) -> int:
+        """The stealth version of the block at ``addr``, decoded from the
+        packed entry and dynamic lines the device sends for its page."""
+        g = self.config.geometry
+        params = self.config.params
+        page, block = divmod(addr // g.block_bytes, g.blocks_per_page)
+        tag, base, payload = decode_entry_image(self.store.entry_image(page), params)
+        if tag == FLAT:
+            return (base + ((payload >> block) & 1)) & params.stealth_mask
+        lines = self.store.entry_lines(page)
+        if tag == UNEVEN:
+            return (base + decode_uneven_line(lines[0], g)[block]) & params.stealth_mask
+        return decode_full_lines(lines, g, params)[block]
+
     def functional_write(self, addr: int, plaintext: bytes) -> tuple[Record, AccessOutcome]:
         fn = self.functional
         out = self.process_access("W", addr)
         record = fn.seal(addr, plaintext, self.uv.get(addr // self._page_bytes, 0),
-                         self.store.read_version(addr))
+                         self._decode_version(addr))
         fn.put(addr, record)
         return record, out
 
@@ -604,7 +592,7 @@ class HostEngine(ProtectionEngine):
         if record is None:
             raise ConfigError(f"no record was ever written at {addr:#x}")
         try:
-            plaintext = fn.open(addr, record, self.store.read_version(addr))
+            plaintext = fn.open(addr, record, self._decode_version(addr))
         except FreshnessViolation as exc:
             self.killed = str(exc)
             raise
@@ -620,9 +608,8 @@ class HostEngine(ProtectionEngine):
         """
         fn = self.functional
         fn.put(addr, old_record)
-        current = self.store.read_version(addr)
         try:
-            fn.open(addr, old_record, current)
+            fn.open(addr, old_record, self._decode_version(addr))
         except FreshnessViolation as exc:
             self.killed = str(exc)
             return "detected"

@@ -141,6 +141,11 @@ class TestConfigHandling:
         assert main(["simulate", "--config", cfg]) == 2
         assert "unknown config key(s): functional" in capsys.readouterr().err
 
+    def test_debug_is_no_longer_a_key(self, tmp_path, capsys):
+        cfg = run_config(tmp_path, debug=True)
+        assert main(["simulate", "--config", cfg]) == 2
+        assert "unknown config key(s): debug" in capsys.readouterr().err
+
     def test_unknown_mode_rejected(self, tmp_path, capsys):
         cfg = run_config(tmp_path, mode="fancy")
         assert main(["simulate", "--config", cfg]) == 2
@@ -152,6 +157,20 @@ class TestConfigHandling:
         assert main(["simulate", "--config", str(path)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        b"\xff\xfe{}",  # not UTF-8
+        b'{"seed": ' + b"1" * 5000 + b"}",  # past CPython's 4300-digit int limit
+        b"[" * 100_000,  # past the decoder's recursion limit
+    ], ids=["not_utf8", "5000_digits", "deep_nesting"])
+    @pytest.mark.parametrize("command", ["simulate", "gen-trace", "analyze-security", "compare"])
+    def test_undecodable_config_names_the_path(self, tmp_path, capsys, command, text):
+        path = tmp_path / "bad.json"
+        path.write_bytes(text)
+        args = [command, str(path), str(path)] if command == "compare" else [
+            command, "--config", str(path)]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path} is not a JSON document: ")
+
     def test_missing_trace_rejected(self, tmp_path, capsys):
         cfg = run_config(tmp_path, trace=None)
         assert main(["simulate", "--config", cfg]) == 2
@@ -161,7 +180,6 @@ class TestConfigHandling:
         ("flat_cache_entries", "256"),
         ("page_bytes", 4096.0),
         ("cxl_ns", "95"),
-        ("debug", 1),
         ("seed", True),
         ("device_capacity_bytes", "1 MiB"),
     ])
@@ -300,7 +318,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("key, value", [("page_bytes", 8192), ("stealth_bits", 32)])
     def test_toleo_rejects_lines_the_device_cannot_hold(self, tmp_path, capsys, key, value):
-        cfg = run_config(tmp_path, debug=True, **{key: value})
+        cfg = run_config(tmp_path, **{key: value})
         assert main(["simulate", "--config", cfg]) == 2
         err = capsys.readouterr().err
         assert "slots hold" in err and "Traceback" not in err

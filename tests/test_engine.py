@@ -1,3 +1,5 @@
+from itertools import chain
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,8 @@ from freshsim.core import (
     SecurityParams,
 )
 from freshsim.baselines import CiEngine, MerkleEngine, NoneEngine
-from freshsim.version_store import data_partition_bytes
+from freshsim.cli import build_engine, resolve_config, resolve_trace
+from freshsim.version_store import FLAT, FULL, UNEVEN, data_partition_bytes
 from freshsim.engine import (
     AccessOutcome,
     EngineConfig,
@@ -210,45 +213,39 @@ class TestInclusivity:
         # page 1 untouched
         assert 1 * 4 in e.overflow.resident_keys()
 
-    def test_debug_checks_hold_under_traffic(self):
-        rng = np.random.default_rng(5)
-        blocks = rng.integers(0, 8 * 64, size=3000)
-        ops = rng.random(3000) < 0.5
-        # uniform blocks, then only block 0 of each page, which drives pages full
-        for trace in (blocks, blocks // 64 * 64):
-            e = make_engine(pages=8, flat_cache_entries=4, debug=True)
-            for b, w in zip(trace.tolist(), ops.tolist()):
-                e.process_access("W" if w else "R", b * BLOCK)
-        assert e.store.pages_full > 0
-
-
-    def test_debug_checks_run_after_every_accepted_event(self, monkeypatch):
-        checks = []
-        original = HostEngine._debug_checks
-
-        def counted(self, addr):
-            checks.append(addr)
-            original(self, addr)
-
-        monkeypatch.setattr(HostEngine, "_debug_checks", counted)
-        params = SecurityParams(stealth_bits=27, upper_bits=37, reset_exp=3)
-        e = make_engine(pages=4, flat_cache_entries=2, debug=True, params=params, seed=2)
-        rng = np.random.default_rng(8)
-        kinds = set()
-        for i, (b, w) in enumerate(zip(rng.integers(0, 4 * 64, size=600).tolist(),
-                                       (rng.random(600) < 0.6).tolist())):
-            out = e.process_access("W" if w else "R", b * BLOCK)
-            assert len(checks) == i + 1
-            assert checks[-1] == (None if w else b * BLOCK)
-            kinds.add((out.op, bool(out.events)))
-        with pytest.raises(ConfigError):
-            e.process_access("X", 0)
-        assert len(checks) == 600  # a rejected event runs no check
-        assert kinds == {("R", False), ("W", False), ("W", True)} and e.resets > 0
-        quiet = make_engine(pages=4)
-        quiet.process_access("W", 0)
-        quiet.process_access("R", 0)
-        assert len(checks) == 600
+    @pytest.mark.parametrize("doc, reached", [
+        # resets, full pages and overflow thrash on a small shape
+        ({"reset_exp": 10, "flat_cache_entries": 32, "overflow_bytes": 1792,
+          "overflow_assoc": 4,
+          "trace": {"pattern": {"kind": "hot_block", "footprint_bytes": 4194304,
+                                "op_count": 20000, "hot_set_bytes": 262144,
+                                "write_fraction": 0.7, "seed": 7}}},
+         ("full", "resets", "overflow_hits", "overflow_misses")),
+        # the default 256 flat entries and 512-line 16-way overflow buffer:
+        # 192 hot pages driven full, four lines each, thrash the buffer
+        ({"trace": {"pattern": {"kind": "hot_block", "footprint_bytes": 4194304,
+                                "op_count": 40000, "hot_set_bytes": 786432,
+                                "write_fraction": 0.7, "seed": 6}}},
+         ("full", "overflow_hits", "overflow_misses")),
+    ], ids=["small_caches", "default_caches"])
+    def test_lines_stay_inclusive_and_reads_decode_under_traffic(self, doc, reached):
+        # after every event, each overflow line is one its cached page
+        # filled, and a read's packed entry and lines decode to the store's
+        # version of the block
+        cfg = resolve_config(dict(doc, mode="toleo", protected_bytes=4194304))
+        e = build_engine(cfg)
+        pages, sets = e.flat_cache._pages.values(), e.overflow._sets.values()
+        for op, addr in resolve_trace(cfg, None):
+            e.process_access(op, addr)
+            filled = dict(chain.from_iterable(pages))  # key -> its set, of every cached page
+            assert filled.keys() >= set(chain.from_iterable(sets)), "line its page did not fill"
+            if op == "R":
+                assert e._decode_version(addr) == e.store.read_version(addr)
+        s = e.stats()
+        counts = {"full": s["page_formats"]["full"], "resets": s["resets"],
+                  "overflow_hits": s["caches"]["overflow"]["hits"],
+                  "overflow_misses": s["caches"]["overflow"]["misses"]}
+        assert all(counts[name] > 0 for name in reached), counts
 
 
 class TestUvUpdates:
@@ -457,6 +454,28 @@ class TestFunctionalLayer:
                 assert rec is not recs[addr] and rec.uv == 1
             else:
                 assert rec is recs[addr]
+            assert e.functional_read(addr)[0] == text
+
+    def test_roundtrip_through_uneven_full_and_reset(self):
+        # every block is sealed while its page is flat; writes to block 0 then
+        # make the page uneven, then full, until a reset re-seals the page.
+        # At each stage every block opens under the version the functional
+        # layer decodes from the page's packed entry and lines
+        params = SecurityParams(stealth_bits=27, upper_bits=37, reset_exp=6)
+        e = make_engine(params=params, seed=2)  # resets page 0 once it is full
+        texts = {b * BLOCK: bytes([b]) * 64 for b in range(64)}
+        for addr, text in texts.items():
+            e.functional_write(addr, text)
+        stages = []
+        while not e.resets:
+            if e.store.page_format(0) not in stages:
+                stages.append(e.store.page_format(0))
+                for addr, text in texts.items():
+                    assert e.functional_read(addr)[0] == text
+            e.functional_write(0, texts[0])
+        assert stages == [FLAT, UNEVEN, FULL]
+        assert e.uv == {0: 1} and e.store.page_format(0) == FLAT
+        for addr, text in texts.items():
             assert e.functional_read(addr)[0] == text
 
 

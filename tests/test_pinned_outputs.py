@@ -105,11 +105,6 @@ def test_simulate_json_is_pinned(tmp_path, workload, mode):
     assert digest == SIMULATE_DIGESTS[workload, mode]
 
 
-def test_debug_checks_leave_toleo_output_unchanged(tmp_path):
-    doc = dict(SMALL_CACHES, **WORKLOADS["zipf_resets"], mode="toleo", debug=True)
-    assert simulate(tmp_path, "debug", doc) == (0, SIMULATE_DIGESTS["zipf_resets", "toleo"])
-
-
 def test_toleo_at_default_cache_sizes_is_pinned(tmp_path):
     assert simulate(tmp_path, "default-caches", DEFAULT_CACHES_TOLEO) == (
         0, DEFAULT_CACHES_TOLEO_DIGEST)

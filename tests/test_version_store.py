@@ -18,6 +18,8 @@ from freshsim.version_store import (
     FLAT,
     FULL,
     FULL_SLOTS,
+    LINE_COUNT,
+    SLOT_BYTES,
     UNEVEN,
     CapacityError,
     VersionStore,
@@ -585,6 +587,21 @@ def _check_store(store):
     assert (store.pages_uneven, store.pages_full) == (tags.count(UNEVEN), tags.count(FULL))
     assert store.dynamic_bytes == store.pages_uneven * 56 + store.pages_full * 216
     assert store.peak_dynamic_bytes >= store.dynamic_bytes
+    # the packed entry and lines the device sends decode to every block's version
+    mask = store.params.stealth_mask
+    for page in store._entries:
+        tag, base, payload = decode_entry_image(store.entry_image(page), store.params)
+        lines = store.entry_lines(page)
+        assert tag == store.page_format(page) and len(lines) == LINE_COUNT[tag]
+        assert all(len(line) == SLOT_BYTES for line in lines)
+        if tag == FLAT:
+            decoded = [(base + (payload >> block & 1)) & mask for block in range(64)]
+        elif tag == UNEVEN:
+            decoded = [(base + off) & mask for off in decode_uneven_line(lines[0], G)]
+        else:
+            decoded = decode_full_lines(lines, G, store.params)
+        assert decoded == [store.read_version(page * PAGE + block * BLOCK)
+                           for block in range(64)], "entry decode drift"
 
 
 def _state(store):
