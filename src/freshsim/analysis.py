@@ -22,6 +22,7 @@ value, and that is what the log-domain evaluation below produces.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -90,7 +91,7 @@ def replay_success_prob(stealth_bits: int) -> float:
     """Chance a captured stealth value equals an independent current one."""
     if stealth_bits < 1:
         raise ConfigError("stealth_bits must be positive")
-    return 2.0 ** -stealth_bits
+    return math.ldexp(1.0, -stealth_bits)  # 0.0, not OverflowError, past float range
 
 
 # -- exact run-length model ----------------------------------------------------------
@@ -222,6 +223,8 @@ def mc_exhaustion(
     if addresses < 1 or trials < 1:
         raise ConfigError("addresses and trials must be positive")
     _refuse_negative(reset_exp=reset_exp, updates_per_address=updates_per_address, seed=seed)
+    if reset_exp > sys.float_info.max:  # 2.0 ** -reset_exp takes a float exponent
+        raise ConfigError(f"reset_exp must be a finite float, got {reset_exp}")
     if updates_per_address is None:
         updates_per_address = 4 << stealth_bits
     space = 1 << stealth_bits
@@ -255,9 +258,8 @@ def mc_replay(stealth_bits: int, trials: int = 1_000_000, seed: int = 1) -> McEs
         raise ConfigError("stealth_bits must be positive")
     if stealth_bits > 20:
         raise ConfigError(
-            f"simulating 2^-{stealth_bits} match rates needs >> 2^{stealth_bits} "
-            f"trials to resolve; the analytic rate is replay_success_prob"
-            f"({stealth_bits}) = {replay_success_prob(stealth_bits):.3e}"
+            f"stealth_bits must be at most 20 to simulate, got {stealth_bits}: a 2^-S match "
+            f"rate needs >> 2^S trials to resolve; the analytic rate is replay_success_prob"
         )
     if trials < 1:
         raise ConfigError("trials must be positive")

@@ -35,6 +35,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass, field
+from math import inf, isfinite
 
 from .caches import FlatCache, LruSets, SetAssocCache, check_shape
 from .core import (
@@ -122,6 +123,22 @@ class EngineConfig:
                     "overflow_bytes and overflow_assoc")
         check_shape(self.mac_cache_bytes, self.geometry.block_bytes, self.mac_assoc,
                     "mac_cache_bytes and mac_assoc")
+        self.check_read_latency(2)
+
+    def check_read_latency(self, hops: int) -> None:
+        """Refuse, naming the keys it sums, a config whose slowest read has
+        a latency that is not a finite float: ``hops`` trips on the data's
+        channel (the data, then its MAC line or each tree level), the device
+        hop and the cipher delay.  Each value may be finite and the sum not."""
+        for keys, hop in (("local_ns", self.local_ns), ("(cxl_ns + pool_dram_ns)", self.pool_ns)):
+            try:
+                total = float(hops * hop + self.device_ns) + self.cipher_ns
+            except OverflowError:  # an int sum past float range
+                total = inf
+            if not isfinite(total):
+                raise ConfigError(
+                    f"a read's latency, {hops} x {keys} + cxl_ns + device_dram_ns + "
+                    f"cipher_cycles / clock_ghz, must be a finite float")
 
     @property
     def cipher_ns(self) -> float:
@@ -607,9 +624,10 @@ class HostEngine(ProtectionEngine):
         traffic is not charged for the injected read.
         """
         fn = self.functional
+        version = self._decode_version(addr)  # refuses an address out of range
         fn.put(addr, old_record)
         try:
-            fn.open(addr, old_record, self._decode_version(addr))
+            fn.open(addr, old_record, version)
         except FreshnessViolation as exc:
             self.killed = str(exc)
             return "detected"

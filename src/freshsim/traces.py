@@ -130,7 +130,7 @@ class PatternSpec:
     op_count: int = bounded(low=1)
     write_fraction: float = bounded(0.5, high=1)
     zipf_skew: float = bounded(0.99, low=-inf)
-    stride_bytes: int = bounded(256, low=BLOCK, unit=BLOCK)
+    stride_bytes: int = bounded(256, low=BLOCK, high=(1 << 63) - BLOCK, unit=BLOCK)  # an int64
     hot_set_bytes: int = bounded(0)  # 0: kind-specific default
     seed: int = bounded(1)
 

@@ -244,6 +244,9 @@ class TestReplayProb:
     def test_values(self):
         assert replay_success_prob(8) == 1 / 256
         assert replay_success_prob(27) == 2.0 ** -27
+        # an exponent past float range underflows to 0, as 2000 does; it
+        # raised OverflowError
+        assert replay_success_prob(10 ** 400) == 0.0 == replay_success_prob(2000)
         with pytest.raises(ConfigError):
             replay_success_prob(0)
 

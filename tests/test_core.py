@@ -81,8 +81,11 @@ PLAIN_REFUSED = {("EngineConfig", "clock_ghz"): "clock_ghz must be positive"}
 # rule, by class and field; every other bounded field accepts it
 BIG_REFUSED = {("Geometry", "mac_bits"), ("Geometry", "macs_per_block"),
                ("SecurityParams", "reset_exp"), ("EngineConfig", "seed"),
-               ("CounterTreeConfig", "arity"),
-               ("PatternSpec", "footprint_bytes"), ("PatternSpec", "write_fraction")}
+               # a read sums these latencies at least twice, past float range
+               ("EngineConfig", "local_ns"), ("EngineConfig", "cxl_ns"),
+               ("EngineConfig", "pool_dram_ns"),
+               ("CounterTreeConfig", "arity"), ("PatternSpec", "footprint_bytes"),
+               ("PatternSpec", "write_fraction"), ("PatternSpec", "stride_bytes")}
 
 
 def build_with(klass, required, name, value):

@@ -423,6 +423,14 @@ class TestFunctionalLayer:
         rec, _ = e.functional_write(0, b"A" * 64)
         assert e.inject_replay(0, rec) == "silent_success"
 
+    def test_replay_out_of_range_stores_no_record(self):
+        # the record entered functional.records before the address was refused
+        e = make_engine(pages=4)
+        rec, _ = e.functional_write(0, b"A" * 64)
+        with pytest.raises(AddressRangeError):
+            e.inject_replay(4 * PAGE, rec)
+        assert list(e.functional.records) == [0]
+
     def test_os_free_scrambles_page(self):
         e = make_engine(seed=9)
         e.functional_write(0, b"secret!" * 8 + b"\0" * 8)
