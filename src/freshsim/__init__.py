@@ -15,7 +15,6 @@ from .core import (
     SecurityParams,
     SimError,
     pack_full,
-    stealth_add,
 )
 from .version_store import (
     FLAT,
@@ -76,7 +75,6 @@ __all__ = [
     "SecurityParams",
     "SimError",
     "pack_full",
-    "stealth_add",
     "FLAT",
     "FULL",
     "UNEVEN",

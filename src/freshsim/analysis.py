@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, bounded, check_fields
+from .core import MAX_ARRAY_ITEMS, ConfigError, bounded, check_fields
 
 
 @dataclass(frozen=True)
@@ -195,6 +195,37 @@ def _binomial_estimate(successes: int, parameters: dict) -> McEstimate:
     )
 
 
+def mc_exhaustion_parameters(
+    stealth_bits: int,
+    reset_exp: int,
+    addresses: int = 1,
+    updates_per_address: int | None = None,
+    trials: int = 100_000,
+    seed: int = 1,
+) -> dict:
+    """Every parameter ``mc_exhaustion`` runs with, defaults filled in, after
+    refusing, by key, any it cannot run with."""
+    if stealth_bits < 1:
+        raise ConfigError("stealth_bits must be positive")
+    if stealth_bits > 24:
+        raise ConfigError(
+            "mc_exhaustion is for scaled parameters (stealth_bits <= 24); "
+            "use exhaustion_bound for full-size analysis"
+        )
+    if addresses < 1 or trials < 1:
+        raise ConfigError("addresses and trials must be positive")
+    _refuse_negative(reset_exp=reset_exp, updates_per_address=updates_per_address, seed=seed)
+    if reset_exp > sys.float_info.max:  # 2.0 ** -reset_exp takes a float exponent
+        raise ConfigError(f"reset_exp must be a finite float, got {reset_exp}")
+    if trials * addresses > MAX_ARRAY_ITEMS:  # one array element per stream
+        raise ConfigError(f"trials x addresses must be at most {MAX_ARRAY_ITEMS}, "
+                          f"got {trials} x {addresses}")
+    if updates_per_address is None:
+        updates_per_address = 4 << stealth_bits
+    return {"stealth_bits": stealth_bits, "reset_exp": reset_exp, "addresses": addresses,
+            "updates_per_address": updates_per_address, "trials": trials, "seed": seed}
+
+
 def mc_exhaustion(
     stealth_bits: int,
     reset_exp: int,
@@ -213,42 +244,31 @@ def mc_exhaustion(
     2^stealth_bits - 1 consecutive missed checks.  Expected rate:
     analytic_exhaustion_prob at the same parameters.
     """
-    if stealth_bits < 1:
-        raise ConfigError("stealth_bits must be positive")
-    if stealth_bits > 24:
-        raise ConfigError(
-            "mc_exhaustion is for scaled parameters (stealth_bits <= 24); "
-            "use exhaustion_bound for full-size analysis"
-        )
-    if addresses < 1 or trials < 1:
-        raise ConfigError("addresses and trials must be positive")
-    _refuse_negative(reset_exp=reset_exp, updates_per_address=updates_per_address, seed=seed)
-    if reset_exp > sys.float_info.max:  # 2.0 ** -reset_exp takes a float exponent
-        raise ConfigError(f"reset_exp must be a finite float, got {reset_exp}")
-    if updates_per_address is None:
-        updates_per_address = 4 << stealth_bits
+    parameters = mc_exhaustion_parameters(stealth_bits, reset_exp, addresses,
+                                          updates_per_address, trials, seed)
     space = 1 << stealth_bits
     p_reset = 2.0 ** -reset_exp
     rng = np.random.default_rng(seed)
     streams = trials * addresses
-    value = rng.integers(0, space, size=streams, dtype=np.int64)
-    run_len = np.zeros(streams, dtype=np.int64)
-    wrapped = np.zeros(streams, dtype=bool)
-    for _ in range(updates_per_address):
-        value += 1
-        value &= space - 1
-        run_len += 1
-        np.bitwise_or(wrapped, run_len >= space, out=wrapped)
-        fired = rng.random(streams) < p_reset
-        n_fired = int(fired.sum())
-        if n_fired:
-            value[fired] = rng.integers(0, space, size=n_fired, dtype=np.int64)
-            run_len[fired] = 0
+    try:
+        value = rng.integers(0, space, size=streams, dtype=np.int64)
+        run_len = np.zeros(streams, dtype=np.int64)
+        wrapped = np.zeros(streams, dtype=bool)
+        for _ in range(parameters["updates_per_address"]):
+            value += 1
+            value &= space - 1
+            run_len += 1
+            np.bitwise_or(wrapped, run_len >= space, out=wrapped)
+            fired = rng.random(streams) < p_reset
+            n_fired = int(fired.sum())
+            if n_fired:
+                value[fired] = rng.integers(0, space, size=n_fired, dtype=np.int64)
+                run_len[fired] = 0
+    except MemoryError:
+        raise ConfigError(f"trials x addresses = {trials} x {addresses} streams need more "
+                          "memory than the host grants") from None
     hits = int(wrapped.reshape(trials, addresses).any(axis=1).sum())
-    return _binomial_estimate(hits, {
-        "stealth_bits": stealth_bits, "reset_exp": reset_exp, "addresses": addresses,
-        "updates_per_address": updates_per_address, "trials": trials, "seed": seed,
-    })
+    return _binomial_estimate(hits, parameters)
 
 
 def mc_replay(stealth_bits: int, trials: int = 1_000_000, seed: int = 1) -> McEstimate:
@@ -264,10 +284,15 @@ def mc_replay(stealth_bits: int, trials: int = 1_000_000, seed: int = 1) -> McEs
     if trials < 1:
         raise ConfigError("trials must be positive")
     _refuse_negative(seed=seed)
+    if trials > MAX_ARRAY_ITEMS:
+        raise ConfigError(f"trials must be at most {MAX_ARRAY_ITEMS}, got {trials}")
     rng = np.random.default_rng(seed)
     space = 1 << stealth_bits
-    captured = rng.integers(0, space, size=trials, dtype=np.int64)
-    current = rng.integers(0, space, size=trials, dtype=np.int64)
-    hits = int((captured == current).sum())
+    try:
+        captured = rng.integers(0, space, size=trials, dtype=np.int64)
+        current = rng.integers(0, space, size=trials, dtype=np.int64)
+        hits = int((captured == current).sum())
+    except MemoryError:
+        raise ConfigError(f"trials {trials} needs more memory than the host grants") from None
     return _binomial_estimate(hits, {"stealth_bits": stealth_bits, "trials": trials,
                                      "seed": seed})

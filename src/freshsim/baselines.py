@@ -5,7 +5,8 @@
   freshness, so writes cost no metadata traffic beyond MAC dirtying.
 * ``merkle``: a counter hash tree over the protected range.  Only access
   counts are modeled, never hash values: each verification walks leaf to
-  root until a counter-cache hit, each step one 64-byte node fetch.
+  root until a counter-cache hit, each step one counter-cache ``access``
+  and, on its miss, one 64-byte node fetch.
 """
 
 from __future__ import annotations
@@ -113,17 +114,27 @@ class CounterTreeState:
     def access(self, addr: int, is_write: bool) -> int:
         """Verify (and on write, bump) the counter path for ``addr``.
 
-        Returns the number of node fetches: the walk climbs leaf to root and
-        stops at the first counter-cache hit, or at the root region.  All
-        fetched nodes are filled; a write dirties every touched level, and
-        dirty evictions count as write-back traffic.
+        Returns the number of node fetches: the walk climbs leaf to root,
+        one counter-cache ``access`` per level, and stops at the first hit,
+        or at the root region.  Every fetched node is filled, dirty on a
+        write, and each dirty eviction counts as write-back traffic.  Level
+        ``l``'s node key is ``(leaf // arity**l) * 64 + l``: levels stay
+        below 64, so they interleave under the node index bits.
         """
         if addr < 0 or addr >= self._protected_bytes:
             raise AddressRangeError(f"address {addr:#x} outside the protected range")
-        fetched, writebacks = self.cache.climb(addr // self._leaf_span, self._arity,
-                                               self.depth, is_write)
+        access, arity = self.cache.access, self._arity
+        index = addr // self._leaf_span
+        fetched = moved = 0
+        for level in range(self.depth):
+            lines = access(index * 64 + level, is_write)
+            if not lines:
+                break
+            fetched += 1
+            moved += lines
+            index //= arity
         self.fetches += fetched
-        self.dirty_writebacks += writebacks
+        self.dirty_writebacks += moved - fetched  # each fill moves one line, plus its write-back
         return fetched
 
 

@@ -5,8 +5,10 @@ no payloads, since no counted number depends on them.  A set-associative
 cache makes each set on its first fill, so building one costs the same at
 any size and a cache of 2^30 sets holds only the sets a trace filled.
 Hit/miss counters live on the cache so statistics fall out for free.
-``FlatCache``, the host's cache of flat entries, fills, probes and drops its
-inclusive overflow buffer of the pages' dynamic lines a page at a time.
+Every fill places its key in a set with one hash, ``set_index``.
+``FlatCache``, the host's cache of flat entries, fills, probes and drops
+its inclusive overflow buffer of the pages' dynamic lines a page at a time.
+The counter tree's walk is ``baselines``' own: one ``access`` per level.
 """
 
 from __future__ import annotations
@@ -15,6 +17,16 @@ from collections import defaultdict
 
 from .core import ConfigError
 from .version_store import FULL_SLOTS
+
+
+def set_index(key: int, num_sets: int) -> int:
+    """The set a key fills: a cheap deterministic integer hash, since
+    Python's hash() is identity for ints, which would put striding keys in
+    lockstep with the set count.  Only the low 64 bits of each product
+    reach the result, so it is exact in wrapping uint64 arithmetic too."""
+    h = (key ^ (key >> 16)) * 0x45D9F3B
+    h = (h ^ (h >> 16)) * 0x45D9F3B
+    return ((h ^ (h >> 16)) & 0xFFFFFFFF) % num_sets
 
 
 def check_shape(cache_bytes: int, line_bytes: int, assoc: int, keys: str) -> None:
@@ -43,24 +55,12 @@ class LruSets:
         self._sets: defaultdict[int, dict[int, bool]] = defaultdict(dict)  # made on first fill
         self.hits = self.misses = 0
 
-    def resident_keys(self) -> list[int]:
-        """Resident keys, set by set in index order, least recently used first."""
-        out: list[int] = []
-        for i in sorted(self._sets):
-            out.extend(self._sets[i])
-        return out
-
-    def __len__(self) -> int:
-        return sum(map(len, self._sets.values()))
-
 
 class SetAssocCache(LruSets):
     """Set-associative write-back LRU cache keyed by integers; each set maps
     a key to its dirty bit.  A residency index maps every resident key to
     its set, so only a fill hashes a key, and a lookup, a hit or
-    ``invalidate_range`` makes no set.  The set hash has three copies, in
-    ``access``, ``climb`` and ``FlatCache._lines``, so that no fill pays a
-    call for it; tests pin them to one another."""
+    ``invalidate_range`` makes no set."""
 
     def __init__(self, lines: int, assoc: int) -> None:
         super().__init__(lines, assoc)
@@ -77,12 +77,7 @@ class SetAssocCache(LruSets):
             self.hits += 1
             return 0
         self.misses += 1
-        # cheap deterministic integer hash; Python's hash() is identity for
-        # ints, which would put striding keys in lockstep with the set count.
-        # climb and FlatCache._lines repeat it inline and must stay bit-identical
-        h = (key ^ (key >> 16)) * 0x45D9F3B
-        h = (h ^ (h >> 16)) * 0x45D9F3B
-        s = self._sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % self.num_sets]
+        s = self._sets[set_index(key, self.num_sets)]
         s[key] = dirty
         self._index[key] = s
         if len(s) > self.assoc:
@@ -92,38 +87,6 @@ class SetAssocCache(LruSets):
             if s.pop(victim):
                 return 2
         return 1
-
-    def climb(self, index: int, arity: int, levels: int, dirty: bool) -> tuple[int, int]:
-        """Walk a counter tree leaf to root, as one ``access`` per level would:
-        level ``l``'s key is ``(index // arity**l) * 64 + l`` (levels are
-        sparse, below 64, so they interleave under the index bits).  The walk
-        stops at the first hit; every miss is filled, dirty on a write.
-        Returns (misses, evicted lines that were dirty)."""
-        resident = self._index
-        misses = writebacks = 0
-        for level in range(levels):
-            key = index * 64 + level
-            s = resident.get(key)
-            if s is not None:
-                s[key] = s.pop(key) or dirty
-                self.hits += 1
-                break
-            misses += 1
-            # access's fill inline: the same hash, with no call and no tuple per level
-            h = (key ^ (key >> 16)) * 0x45D9F3B
-            h = (h ^ (h >> 16)) * 0x45D9F3B
-            s = self._sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % self.num_sets]
-            s[key] = dirty
-            resident[key] = s
-            if len(s) > self.assoc:
-                for victim in s:
-                    break
-                del resident[victim]
-                if s.pop(victim):
-                    writebacks += 1
-            index //= arity
-        self.misses += misses
-        return misses, writebacks
 
     def invalidate_range(self, keys) -> None:
         """Drop every resident key of a run of keys without write-back (the
@@ -162,19 +125,15 @@ class FlatCache:
 
     def _lines(self, page: int, count: int) -> tuple:
         """The (key, set) pairs of a page's first ``count`` lines, hashing
-        only the lines the memo lacks, with ``access``'s hash inline."""
+        only the lines the memo lacks."""
         known = self._memo.get(page, ())
         if known.__class__ is dict:
             known = ((page * FULL_SLOTS, known),)
         if count <= len(known):
             return known[:count]
-        lines = list(known)
-        sets, num_sets = self.overflow._sets, self.overflow.num_sets
-        for key in range(page * FULL_SLOTS + len(known), page * FULL_SLOTS + count):
-            h = (key ^ (key >> 16)) * 0x45D9F3B
-            h = (h ^ (h >> 16)) * 0x45D9F3B
-            lines.append((key, sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % num_sets]))
-        lines = tuple(lines)
+        sets, num_sets, first = self.overflow._sets, self.overflow.num_sets, page * FULL_SLOTS
+        lines = known + tuple((key, sets[set_index(key, num_sets)])
+                              for key in range(first + len(known), first + count))
         self._memo[page] = lines[0][1] if count == 1 else lines
         return lines
 
@@ -187,15 +146,7 @@ class FlatCache:
         lines = pages.pop(page, None)
         if lines is None:
             self.misses += 1
-            if count:
-                self.write(page, count)
-            else:  # what write() does, inline on the common path of a page with no lines
-                if len(pages) >= self.entries:
-                    for victim in pages:  # the least recently used page
-                        break
-                    for key, s in pages.pop(victim):
-                        s.pop(key, None)
-                pages[page] = ()
+            self.write(page, count)
             return False, None
         pages[page] = lines
         self.hits += 1
@@ -223,7 +174,7 @@ class FlatCache:
         if lines is None:  # so none of its lines is resident
             lines = ()
             if len(pages) >= self.entries:
-                for victim in pages:
+                for victim in pages:  # the least recently used page
                     break
                 for key, s in pages.pop(victim):
                     s.pop(key, None)
@@ -248,10 +199,3 @@ class FlatCache:
         """Invalidate a page and its lines."""
         for key, s in self._pages.pop(page, ()):
             s.pop(key, None)
-
-    def lines(self, page: int) -> int:
-        """Overflow lines a resident page filled; 0 for any other page."""
-        return len(self._pages.get(page, ()))
-
-    def __contains__(self, page: int) -> bool:
-        return page in self._pages

@@ -29,6 +29,7 @@ from .analysis import (
     analytic_exhaustion_prob,
     exhaustion_bound,
     mc_exhaustion,
+    mc_exhaustion_parameters,
     mc_replay,
     replay_success_prob,
 )
@@ -275,11 +276,14 @@ def cmd_analyze_security(args) -> int:
         p = _mc_params(mc_doc["exhaustion"], ("stealth_bits", "reset_exp"),
                        ("addresses", "updates_per_address", "trials", "seed"),
                        "monte_carlo.exhaustion", args.seed)
-        est = mc_exhaustion(**p)
-        ran = est.parameters
-        report["exhaustion"]["monte_carlo"] = _mc_report(est, analytic_exhaustion_prob(
-            ran["stealth_bits"], ran["reset_exp"], ran["updates_per_address"],
-            ran["addresses"]), p)
+        ran = mc_exhaustion_parameters(**p)
+        try:  # before the Monte Carlo loop, which runs once per update
+            analytic = analytic_exhaustion_prob(ran["stealth_bits"], ran["reset_exp"],
+                                                ran["updates_per_address"], ran["addresses"])
+        except ConfigError as exc:  # the exact run model's cap on its draws
+            raise ConfigError(f"monte_carlo.exhaustion.updates_per_address "
+                              f"{ran['updates_per_address']} is too many: {exc}") from None
+        report["exhaustion"]["monte_carlo"] = _mc_report(mc_exhaustion(**ran), analytic, p)
     if "replay" in mc_doc:
         p = _mc_params(mc_doc["replay"], ("stealth_bits",), ("trials", "seed"),
                        "monte_carlo.replay", args.seed)

@@ -1,4 +1,4 @@
-"""Shared primitives: geometry, security parameters, version arithmetic, bit
+"""Shared primitives: geometry, security parameters, full-version and bit
 packing, and the field ranges every config dataclass declares (``bounded``)
 and checks (``check_fields``).
 
@@ -35,6 +35,11 @@ class AddressRangeError(SimError):
 
 class EncodingError(SimError):
     """A field value does not fit its configured width."""
+
+
+# the most items one numpy array of 8-byte items is asked for: a larger
+# request raises ValueError, not the MemoryError of a refused allocation
+MAX_ARRAY_ITEMS = (1 << 60) - 1
 
 
 def bounded(default=MISSING, low=0, high=inf, unit=None):
@@ -125,22 +130,8 @@ class SecurityParams:
             )
 
     @property
-    def full_bits(self) -> int:
-        return self.stealth_bits + self.upper_bits
-
-    @property
     def stealth_mask(self) -> int:
         return (1 << self.stealth_bits) - 1
-
-
-def stealth_add(value: int, delta: int, stealth_bits: int) -> int:
-    """Add ``delta`` to a stealth version, wrapping modulo 2**stealth_bits."""
-    if value < 0 or delta < 0:
-        raise EncodingError("stealth versions and deltas are unsigned")
-    mask = (1 << stealth_bits) - 1
-    if value > mask:
-        raise EncodingError(f"stealth value {value} exceeds {stealth_bits} bits")
-    return (value + delta) & mask
 
 
 def pack_full(upper: int, stealth: int, params: SecurityParams) -> int:

@@ -36,7 +36,7 @@ from stat import S_ISREG
 
 import numpy as np
 
-from .core import ConfigError, SimError, bounded, check_fields
+from .core import MAX_ARRAY_ITEMS, ConfigError, SimError, bounded, check_fields
 
 BLOCK = 64
 _ALIGN = ~(BLOCK - 1)
@@ -127,7 +127,7 @@ class PatternSpec:
 
     kind: str
     footprint_bytes: int = bounded(low=BLOCK, high=(_MAX_BLOCKS - 1) * BLOCK, unit=BLOCK)
-    op_count: int = bounded(low=1)
+    op_count: int = bounded(low=1, high=MAX_ARRAY_ITEMS)  # items per event column
     write_fraction: float = bounded(0.5, high=1)
     zipf_skew: float = bounded(0.99, low=-inf)
     stride_bytes: int = bounded(256, low=BLOCK, high=(1 << 63) - BLOCK, unit=BLOCK)  # an int64
@@ -474,4 +474,8 @@ PATTERN_KINDS = tuple(_GENERATORS)
 
 
 def generate(spec: PatternSpec) -> Trace:
-    return _GENERATORS[spec.kind](spec)
+    try:
+        return _GENERATORS[spec.kind](spec)
+    except MemoryError:
+        raise ConfigError(f"op_count {spec.op_count} over footprint_bytes {spec.footprint_bytes} "
+                          "needs more memory than the host grants") from None

@@ -304,16 +304,11 @@ class VersionStore:
 
     def fetch_format(self, page: int) -> int:
         """Format of the page's entry as the device reads it: an untouched
-        page materializes (draws its base), like ``page_base``."""
+        page materializes (draws its base)."""
         e = self._entries.get(page)
         if e is None:
             e = self._entry(page)
         return FLAT if type(e) is int else e.tag
-
-    def page_base(self, page: int) -> int:
-        """Base field of the page entry (leading version for full pages)."""
-        e = self._entry(page)
-        return (e >> TAG_BITS) & self._smask if type(e) is int else e.base
 
     # -- updates ---------------------------------------------------------------
 

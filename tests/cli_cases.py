@@ -195,6 +195,20 @@ CASES = [
           # past int64: the strided walk raised OverflowError on it
           ("stride_2_63", pattern_doc(kind="strided", stride_bytes=2**63),
            r"^error: stride_bytes must lie in \[64, 9223372036854775744\]")]),
+    # sizes no host holds: 2^63 events is past what numpy can be asked for
+    # and 2^40 past what an allocator grants (8 TiB per column); a row must
+    # never use a size some host could grant, as tier-1 runs it uncapped
+    *(case(f"{_CONFIG}size_the_host_cannot_hold_names_the_key[{param}]", command, doc, key)
+      for param, command, doc, key in [
+          ("gen-trace-op_count_2_63", "gen-trace", pattern_doc(op_count=2**63),
+           r"^error: op_count must lie in \[1, 1152921504606846975\], got 9223372036854775808$"),
+          ("gen-trace-op_count_2_40", "gen-trace", pattern_doc(op_count=2**40),
+           r"^error: op_count 1099511627776 over footprint_bytes 131072 needs more memory "),
+          ("simulate-op_count_2_63", "simulate",
+           run_doc(trace={"pattern": pattern_doc(op_count=2**63)}), r"^error: op_count must lie in"),
+          ("simulate-op_count_2_40", "simulate",
+           run_doc(trace={"pattern": pattern_doc(op_count=2**40)}),
+           r"^error: op_count 1099511627776 over .* needs more memory than the host grants$")]),
     case(_GEN + "bare_pattern_without_kind_names_it", "gen-trace",
          {"footprint_bytes": 4096, "op_count": 5}, re.escape("pattern needs key(s): kind")),
     *(case(f"{_ANALYZE}bad_analysis_value_names_the_key[{param}]", "analyze-security", doc, key)
@@ -225,6 +239,32 @@ CASES = [
         ("mc_updates", "exhaustion",
          {"stealth_bits": 3, "reset_exp": 2, "updates_per_address": -1},
          "updates_per_address")]),
+    *(case(f"{_ANALYZE}size_the_host_cannot_hold_names_the_key[{param}]", "analyze-security",
+           {"monte_carlo": {section: doc}}, stderr) for param, section, doc, stderr in [
+        ("exhaustion_trials_2_63", "exhaustion",
+         {"stealth_bits": 3, "reset_exp": 2, "trials": 2**63},
+         r"^error: trials x addresses must be at most 1152921504606846975, "
+         r"got 9223372036854775808 x 1$"),
+        ("exhaustion_trials_2_40", "exhaustion",
+         {"stealth_bits": 3, "reset_exp": 2, "trials": 2**40},
+         r"^error: trials x addresses = 1099511627776 x 1 streams need more memory "),
+        ("exhaustion_addresses_2_40", "exhaustion",
+         {"stealth_bits": 3, "reset_exp": 2, "trials": 1, "addresses": 2**40},
+         r"^error: trials x addresses = 1 x 1099511627776 streams need more memory "),
+        ("replay_trials_2_63", "replay", {"stealth_bits": 8, "trials": 2**63},
+         r"^error: trials must be at most 1152921504606846975, got 9223372036854775808$"),
+        ("replay_trials_2_40", "replay", {"stealth_bits": 8, "trials": 2**40},
+         r"^error: trials 1099511627776 needs more memory than the host grants$")]),
+    # the exact run model refuses more than 10^7 draws: refused before the
+    # Monte Carlo loop, which runs once per update, not after it
+    *(case(f"{_ANALYZE}long_exhaustion_run_refused_before_monte_carlo[{param}]",
+           "analyze-security", {"monte_carlo": {"exhaustion": doc}},
+           rf"^error: monte_carlo\.exhaustion\.updates_per_address {doc['updates_per_address']} "
+           r"is too many: run model capped at 1e7 draws; use exhaustion_bound$")
+      for param, doc in [
+          ("2_64", {"stealth_bits": 3, "reset_exp": 2, "updates_per_address": 2**64}),
+          ("10_7_plus_5", {"stealth_bits": 3, "reset_exp": 2, "updates_per_address": 10**7 + 5,
+                           "trials": 1})]),
     *(case(f"{_ANALYZE}falsy_non_object_section_rejected[{param}]", "analyze-security",
            {section: value}, f"{section} must be a JSON object") for param, section, value in [
         ("doc0-exhaustion", "exhaustion", []), ("doc1-replay", "replay", False),

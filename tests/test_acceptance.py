@@ -32,7 +32,7 @@ from freshsim.baselines import (
     tree_depth,
 )
 from freshsim.cli import main
-from freshsim.core import Geometry, SecurityParams, pack_full, stealth_add
+from freshsim.core import Geometry, SecurityParams, pack_full
 from freshsim.engine import (
     EngineConfig,
     FunctionalBlockStore,
@@ -49,6 +49,7 @@ from freshsim.version_store import (
     entry_cost_bytes,
     flat_array_bytes,
 )
+from helpers import page_base, stealth_add
 
 G = Geometry()
 P = SecurityParams()
@@ -222,7 +223,7 @@ def test_criterion_05_compressed_store_equals_uncompressed_map():
 def test_criterion_06_format_regimes():
     # page-uniform write sweeps: every page flat, base advanced once per sweep
     store = make_store(64, seed=42)
-    bases = [store.page_base(p) for p in range(64)]
+    bases = [page_base(store, p) for p in range(64)]
     spec = PatternSpec(kind="page_uniform", footprint_bytes=64 * PAGE,
                        op_count=3 * 64 * 64, write_fraction=1.0, seed=7)
     for _, addr in generate(spec):

@@ -1,12 +1,15 @@
 from collections import OrderedDict
 from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from freshsim.caches import FlatCache, LruSets, SetAssocCache
+from freshsim.baselines import CounterTreeConfig, CounterTreeState
+from freshsim.caches import FlatCache, LruSets, SetAssocCache, set_index
 from freshsim.core import ConfigError
 from freshsim.version_store import FULL_SLOTS
+from helpers import filled_lines, is_cached, resident_count, resident_keys
 
 
 class TestLruCache:
@@ -17,7 +20,7 @@ class TestLruCache:
         assert c.access(1) == 1
         assert c.access(2) == 1
         assert c.access(3) == 1  # the clean victim 1 moves no line
-        assert c.resident_keys() == [2, 3]
+        assert resident_keys(c) == [2, 3]
 
     def test_get_refreshes_recency(self):
         c = SetAssocCache(2, 2)
@@ -25,7 +28,7 @@ class TestLruCache:
         c.access(2)
         assert c.access(1) == 0  # the hit makes 2 the least recent
         assert c.access(3) == 1
-        assert c.resident_keys() == [1, 3]
+        assert resident_keys(c) == [1, 3]
 
     def test_hit_miss_counters(self):
         c = SetAssocCache(4, 4)
@@ -36,9 +39,9 @@ class TestLruCache:
         c = SetAssocCache(2, 2)
         c.access(1)
         c.invalidate_range([1])
-        assert c.resident_keys() == [] and len(c) == 0
+        assert resident_keys(c) == [] and resident_count(c) == 0
         c.invalidate_range([1])
-        assert len(c) == 0
+        assert resident_count(c) == 0
 
     def test_put_existing_updates_value(self):
         # a clean hit moves a dirty line to most recent and keeps it dirty
@@ -46,11 +49,11 @@ class TestLruCache:
         c.access(1, dirty=True)
         c.access(2)
         assert c.access(1) == 0
-        assert c.resident_keys() == [2, 1]
+        assert resident_keys(c) == [2, 1]
         assert c.access(3) == 1
-        assert c.resident_keys() == [1, 3]
+        assert resident_keys(c) == [1, 3]
         assert c.access(4) == 2  # the fill and 1's write-back
-        assert c.resident_keys() == [3, 4]
+        assert resident_keys(c) == [3, 4]
 
 
 class _LruModel:
@@ -94,8 +97,8 @@ def _assert_matches(cache, model):
     model's, and its residency index names exactly the resident keys."""
     assert cache._sets.keys() <= {0}
     assert list(cache._sets.get(0, {}).items()) == list(model.d.items())
-    assert cache._index.keys() == model.d.keys() and len(cache) == len(model.d)
-    assert cache.resident_keys() == list(model.d)
+    assert cache._index.keys() == model.d.keys() and resident_count(cache) == len(model.d)
+    assert resident_keys(cache) == list(model.d)
 
 
 @settings(max_examples=60, deadline=None)
@@ -124,7 +127,7 @@ class TestSetAssocCache:
         for k in range(4):
             assert c.access(k) == 1
         assert c.access(4) == 1
-        assert c.resident_keys() == [1, 2, 3, 4]
+        assert resident_keys(c) == [1, 2, 3, 4]
 
     def test_get_refreshes_within_set(self):
         c = SetAssocCache(lines=2, assoc=2)
@@ -132,42 +135,42 @@ class TestSetAssocCache:
         c.access(1)
         c.access(0)
         c.access(2)
-        assert c.resident_keys() == [0, 2]
+        assert resident_keys(c) == [0, 2]
 
     def test_dirty_flag_travels_with_eviction(self):
         c = SetAssocCache(lines=2, assoc=2)
         c.access(0)
         c.access(1, dirty=True)
         assert c.access(2) == 1
-        assert c.resident_keys() == [1, 2]
+        assert resident_keys(c) == [1, 2]
         assert c.access(3) == 2
-        assert c.resident_keys() == [2, 3]
+        assert resident_keys(c) == [2, 3]
 
     def test_mark_dirty(self):
         c = SetAssocCache(lines=1, assoc=1)
         c.access(5)
         assert c.access(5, True) == 0
         assert c.access(6) == 2
-        assert c.resident_keys() == [6]
+        assert resident_keys(c) == [6]
 
     def test_invalidate(self):
         c = SetAssocCache(lines=4, assoc=2)
         c.access(3)
         c.invalidate_range([3])
-        assert 3 not in c.resident_keys() and len(c) == 0
+        assert 3 not in resident_keys(c) and resident_count(c) == 0
 
     def test_invalidate_absent_key_changes_nothing(self):
         c = SetAssocCache(lines=4, assoc=2)
         c.access(1)
         c.access(1)
         c.invalidate_range([2])
-        assert (c.hits, c.misses, len(c), c.resident_keys()) == (1, 1, 1, [1])
+        assert (c.hits, c.misses, resident_count(c), resident_keys(c)) == (1, 1, 1, [1])
 
     def test_resident_keys(self):
         c = SetAssocCache(lines=8, assoc=2)
         for k in (10, 20, 30):
             c.access(k)
-        assert sorted(c.resident_keys()) == [10, 20, 30]
+        assert sorted(resident_keys(c)) == [10, 20, 30]
 
     def test_disjoint_sets_do_not_interfere(self):
         c = SetAssocCache(lines=32, assoc=2)
@@ -182,7 +185,7 @@ class TestSetAssocCache:
                 evictions += 1
                 (victim,) = evicted
                 assert home[victim] is c._index[k]
-        assert len(c) == 32
+        assert resident_count(c) == 32
         assert evictions == 200 - 32
 
 
@@ -199,7 +202,7 @@ def test_single_set_cache_behaves_like_lru(ops):
     hits = 0
     for op, key in ops:
         if op == "inval":
-            assert (key in sa.resident_keys()) == lru.invalidate(key)
+            assert (key in resident_keys(sa)) == lru.invalidate(key)
             sa.invalidate_range((key,))
         else:
             moved = lru.access(key, op == "write")
@@ -226,7 +229,7 @@ def _hashed_set(num_sets, key):
 
 def test_sets_are_made_on_first_fill():
     c = SetAssocCache(1 << 20, 1)
-    assert len(c._sets) == 0 and c.resident_keys() == []
+    assert len(c._sets) == 0 and resident_keys(c) == []
     # drops of absent keys make no set
     c.invalidate_range(range(100))
     assert len(c._sets) == 0
@@ -236,11 +239,11 @@ def test_sets_are_made_on_first_fill():
         assert len(c._sets) <= n
     made = dict(c._sets)
     # hits and drops make none either
-    resident = c.resident_keys()
+    resident = resident_keys(c)
     assert [c.access(k) for k in resident] == [0] * len(resident)
     c.invalidate_range(range(1000, 1100))
     c.invalidate_range(resident)
-    assert len(c) == 0 and c._sets.keys() == made.keys()
+    assert resident_count(c) == 0 and c._sets.keys() == made.keys()
     assert all(c._sets[i] is s for i, s in made.items())
     # the overflow buffer: pages with no lines, probes and drops make none,
     # and a page's fill makes at most one set per line
@@ -256,7 +259,7 @@ def test_sets_are_made_on_first_fill():
     assert f.read(7, FULL_SLOTS) == (True, True) and f.read(9, 1) == (True, True)
     f.drop(7)
     f.drop(9)
-    assert len(f.overflow) == 0 and f.overflow._sets.keys() == made.keys()
+    assert resident_count(f.overflow) == 0 and f.overflow._sets.keys() == made.keys()
     assert all(f.overflow._sets[i] is s for i, s in made.items())
 
 
@@ -280,7 +283,7 @@ def test_page_memo_is_exact_and_bounded(num_sets, assoc, entries, ops):
     most = {}  # page -> the most lines it ever filled
     for op, page, count in ops:
         if op != "write" or count:
-            count = max(count, c.lines(page))
+            count = max(count, filled_lines(c, page))
         if op == "drop":
             c.drop(page)
         else:
@@ -312,26 +315,52 @@ _WALK_INDEX = st.one_of(st.integers(0, 300), st.integers(0, 2**40 - 1))
     st.integers(1, 4),
     st.lists(st.tuples(_WALK_INDEX, st.booleans()), max_size=60),
 )
-def test_climb_matches_per_level_access(arity, levels, num_sets, assoc, walks):
-    # the walk against its definition: one access per level on a twin cache,
-    # stopping at the first hit
-    walked = SetAssocCache(num_sets * assoc, assoc)
+def test_tree_walk_matches_per_level_access(arity, levels, num_sets, assoc, walks):
+    # the counter tree's walk against its definition: one access per level on
+    # a twin cache, stopping at the first hit
+    leaves = 2**40  # a leaf per index drawn, each holding 8 blocks' counters (512 B)
+    tree = CounterTreeState(CounterTreeConfig(
+        protected_bytes=leaves * 512, arity=arity,
+        # the root region covers the level above the walk's last
+        root_bytes=-(-leaves // arity**levels) * (64 // arity),
+        counter_cache_bytes=num_sets * assoc * 64, counter_cache_assoc=assoc))
+    assert tree.depth == levels
+    walked = tree.cache
     stepped = SetAssocCache(num_sets * assoc, assoc)
+    fetches = writebacks = 0
     for index, dirty in walks:
-        misses = writebacks = 0
+        misses = 0
         for level in range(levels):
             moved = stepped.access(index // arity**level * 64 + level, dirty)
             if not moved:
                 break
             misses += 1
             writebacks += moved == 2
-        assert walked.climb(index, arity, levels, dirty) == (misses, writebacks)
+        fetches += misses
+        assert tree.access(index * 512, dirty) == misses
+        assert (tree.fetches, tree.dirty_writebacks) == (fetches, writebacks)
         # contents, recency order and dirty bits, set by set
         assert _contents(walked) == _contents(stepped)
         assert (walked.hits, walked.misses) == (stepped.hits, stepped.misses)
-        # the walk's inline hash is access's
         for k, s in walked._index.items():
             assert s is walked._sets.get(_hashed_set(num_sets, k))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.one_of(st.integers(0, 2**64 - 1), st.integers(2**63, 2**64 - 1),
+              st.integers(0, 2**20)),
+    st.one_of(st.integers(1, 64), st.integers(1, 2**32)),
+)
+def test_set_index_is_exact_in_wrapping_uint64(key, num_sets):
+    # the same formula on a numpy uint64 array, whose products wrap modulo
+    # 2**64: only the low 64 bits of each product reach the result
+    k = np.array([key], dtype=np.uint64)
+    mult, shift = np.uint64(0x45D9F3B), np.uint64(16)
+    h = (k ^ (k >> shift)) * mult
+    h = (h ^ (h >> shift)) * mult
+    wrapped = ((h ^ (h >> shift)) & np.uint64(0xFFFFFFFF)) % np.uint64(num_sets)
+    assert set_index(key, num_sets) == int(wrapped[0])
 
 
 class TestRangeOps:
@@ -342,10 +371,10 @@ class TestRangeOps:
         c = FlatCache(4, LruSets(4, 4))
         c.write(0, FULL_SLOTS)
         c.write(1, 1)  # page 1's line evicts line 0, the least recent
-        assert c.overflow.resident_keys() == [1, 2, 3, 4]
+        assert resident_keys(c.overflow) == [1, 2, 3, 4]
         assert c.read(0, FULL_SLOTS) == (True, False)
         assert (c.overflow.hits, c.overflow.misses) == (3, 1)
-        assert c.overflow.resident_keys() == [0, 1, 2, 3]  # the READ refilled the page
+        assert resident_keys(c.overflow) == [0, 1, 2, 3]  # the READ refilled the page
 
     def test_probe_of_all_resident_lines_hits(self):
         c = FlatCache(2, LruSets(4, 4))
@@ -360,24 +389,24 @@ class TestRangeOps:
         assert c.read(0, 0) == (True, None)
         c.drop(0)
         assert c.read(0, 0) == (False, None)
-        assert (c.overflow.hits, c.overflow.misses, c.overflow.resident_keys()) == (0, 0, [4])
+        assert (c.overflow.hits, c.overflow.misses, resident_keys(c.overflow)) == (0, 0, [4])
 
     def test_fill_refreshes_resident_lines_in_order(self):
         c = FlatCache(4, LruSets(3, 3))
         c.write(0, 1)
         c.write(1, 1)
         c.write(0, 2)  # line 0 refreshed, line 1 filled
-        assert c.overflow.resident_keys() == [4, 0, 1]
+        assert resident_keys(c.overflow) == [4, 0, 1]
         c.write(2, 1)  # evicts page 1's line, the least recent
-        assert c.overflow.resident_keys() == [0, 1, 8]
-        assert c.lines(1) == 1 and 1 in c  # the page stays cached without it
+        assert resident_keys(c.overflow) == [0, 1, 8]
+        assert filled_lines(c, 1) == 1 and is_cached(c, 1)  # the page stays cached without it
 
     def test_invalidate_range_skips_absent_keys(self):
         c = SetAssocCache(4, 2)
         for k in (1, 2, 3):
             c.access(k)
         c.invalidate_range(range(2, 6))
-        assert c.resident_keys() == [1] and len(c) == 1
+        assert resident_keys(c) == [1] and resident_count(c) == 1
         assert (c.hits, c.misses) == (0, 3)
 
 
@@ -470,16 +499,16 @@ def _run_flat(real, model, ops, pages):
             real.drop(page)
             model.drop(page)
         assert (real.hits, real.misses) == (model.hits, model.misses)
-        assert [p for p in pages if p in real] == [p for p in pages if p in model.lru.d]
-        assert [real.lines(p) for p in pages] == [model.filled.get(p, 0) for p in pages]
+        assert [p for p in pages if is_cached(real, p)] == [p for p in pages if p in model.lru.d]
+        assert [filled_lines(real, p) for p in pages] == [model.filled.get(p, 0) for p in pages]
         ov = real.overflow
         # residency and recency set by set, every line clean
         assert _contents(ov) == model.contents()
-        assert ov.resident_keys() == [k for i in sorted(model.sets) for k in model.sets[i].d]
+        assert resident_keys(ov) == [k for i in sorted(model.sets) for k in model.sets[i].d]
         assert (ov.hits, ov.misses) == (model.line_hits, model.line_misses)
-        assert len(ov) == sum(len(s.d) for s in model.sets.values())
+        assert resident_count(ov) == sum(len(s.d) for s in model.sets.values())
         # inclusive: every resident line belongs to a cached page that filled it
-        assert all(k % FULL_SLOTS < real.lines(k // FULL_SLOTS) for k in ov.resident_keys())
+        assert all(k % FULL_SLOTS < filled_lines(real, k // FULL_SLOTS) for k in resident_keys(ov))
 
 
 def _flat_ops(pages):
@@ -551,7 +580,7 @@ class TestFlatCache:
         for page in (0, 1):
             c.write(page, FULL_SLOTS)
         assert c.read(2, 0) == (False, None)  # evicts page 0, the least recent
-        assert 0 not in c and c.overflow.resident_keys() == [4, 5, 6, 7]
+        assert not is_cached(c, 0) and resident_keys(c.overflow) == [4, 5, 6, 7]
         assert c.read(1, FULL_SLOTS) == (True, True)
         assert (c.hits, c.misses) == (1, 1)
 
@@ -561,7 +590,7 @@ class TestFlatCache:
         c.write(1, 0)
         c.write(0, 1)  # page 1 is now the least recent
         c.write(2, 0)
-        assert 1 not in c and 0 in c and c.overflow.resident_keys() == [0]
+        assert not is_cached(c, 1) and is_cached(c, 0) and resident_keys(c.overflow) == [0]
         assert (c.hits, c.misses, c.overflow.hits, c.overflow.misses) == (0, 0, 0, 0)
 
     def test_write_left_flat_keeps_lines_for_the_drop(self):
@@ -570,22 +599,22 @@ class TestFlatCache:
         c = FlatCache(2, LruSets(8, 8))
         c.write(0, FULL_SLOTS)
         c.write(0, 0)
-        assert c.lines(0) == FULL_SLOTS
+        assert filled_lines(c, 0) == FULL_SLOTS
         c.drop(0)
-        assert [k for k in c.overflow.resident_keys() if k // FULL_SLOTS == 0] == []
+        assert [k for k in resident_keys(c.overflow) if k // FULL_SLOTS == 0] == []
 
     def test_read_fills_lines_exactly_on_a_device_read(self):
         # a direct-mapped buffer: a line of another page that hashes to line
         # 1's set, and not to line 0's, evicts line 1 alone
         c = FlatCache(4, LruSets(8, 1))
         assert c.read(0, 2) == (False, None)  # flat miss: the READ fills both lines
-        assert sorted(c.overflow.resident_keys()) == [0, 1] and c.lines(0) == 2
+        assert sorted(resident_keys(c.overflow)) == [0, 1] and filled_lines(c, 0) == 2
         rival = next(p for p in range(1, 100)
                      if _hashed_set(8, p * FULL_SLOTS) == _hashed_set(8, 1) != _hashed_set(8, 0))
         c.write(rival, 1)
-        assert sorted(c.overflow.resident_keys()) == [0, rival * FULL_SLOTS]
+        assert sorted(resident_keys(c.overflow)) == [0, rival * FULL_SLOTS]
         assert c.read(0, 2) == (True, False)  # a missed line: the READ refills it
-        assert sorted(c.overflow.resident_keys()) == [0, 1]
+        assert sorted(resident_keys(c.overflow)) == [0, 1]
         assert c.read(0, 2) == (True, True)  # all hit: no READ, nothing filled
         assert (c.overflow.hits, c.overflow.misses) == (3, 1)
 

@@ -16,11 +16,11 @@ from freshsim.core import (
     check_fields,
     pack_bitfields,
     pack_full,
-    stealth_add,
     unpack_bitfields,
 )
 from freshsim.engine import EngineConfig
 from freshsim.traces import PatternSpec
+from helpers import stealth_add
 
 
 class TestGeometry:
@@ -53,7 +53,7 @@ class TestSecurityParams:
     def test_defaults(self):
         p = SecurityParams()
         assert (p.stealth_bits, p.upper_bits, p.reset_exp) == (27, 37, 20)
-        assert p.full_bits == 64
+        assert p.stealth_bits + p.upper_bits == 64  # a full version's bits
         assert p.stealth_mask == (1 << 27) - 1
 
     def test_reset_exp_must_sit_inside_stealth_width(self):
@@ -85,7 +85,8 @@ BIG_REFUSED = {("Geometry", "mac_bits"), ("Geometry", "macs_per_block"),
                ("EngineConfig", "local_ns"), ("EngineConfig", "cxl_ns"),
                ("EngineConfig", "pool_dram_ns"),
                ("CounterTreeConfig", "arity"), ("PatternSpec", "footprint_bytes"),
-               ("PatternSpec", "write_fraction"), ("PatternSpec", "stride_bytes")}
+               ("PatternSpec", "write_fraction"), ("PatternSpec", "stride_bytes"),
+               ("PatternSpec", "op_count")}
 
 
 def build_with(klass, required, name, value):

@@ -21,6 +21,7 @@ from freshsim.engine import (
     SimulationHalted,
     UvOverflowError,
 )
+from helpers import is_cached, resident_keys
 
 G = Geometry()
 PAGE = G.page_bytes
@@ -57,10 +58,10 @@ class TestMemoryLayout:
         # partition that holds the MACs of its run of eight blocks
         e = engine_class(EngineConfig(protected_bytes=16 * PAGE))
         e.process_access("W", 0)
-        assert e.mac_cache.resident_keys() == [16 * PAGE // BLOCK]
+        assert resident_keys(e.mac_cache) == [16 * PAGE // BLOCK]
         assert e.process_access("R", 7 * BLOCK).mac_hit is True
         assert e.process_access("R", 8 * BLOCK).mac_hit is False
-        assert sorted(e.mac_cache.resident_keys()) == [16 * PAGE // BLOCK, 16 * PAGE // BLOCK + 1]
+        assert sorted(resident_keys(e.mac_cache)) == [16 * PAGE // BLOCK, 16 * PAGE // BLOCK + 1]
 
 
 class TestConfig:
@@ -165,7 +166,7 @@ class TestChargingModel:
         e.process_access("W", 0)  # page now uneven, line cached
         e.process_access("W", PAGE)
         e.process_access("W", PAGE)  # page 1's line takes the only slot
-        assert e.overflow.resident_keys() == [1 * 4] and 0 in e.flat_cache
+        assert resident_keys(e.overflow) == [1 * 4] and is_cached(e.flat_cache, 0)
         out = e.process_access("R", 0)
         assert out.flat_hit is True
         assert out.overflow_hit is False
@@ -206,12 +207,12 @@ class TestInclusivity:
         for page in (0, 1):
             e.process_access("W", page * PAGE)
             e.process_access("W", page * PAGE)
-        assert 0 in e.overflow.resident_keys()
+        assert 0 in resident_keys(e.overflow)
         e.process_access("W", 2 * PAGE)  # evicts page 0's image
-        assert 0 not in e.flat_cache
-        assert 0 not in e.overflow.resident_keys()
+        assert not is_cached(e.flat_cache, 0)
+        assert 0 not in resident_keys(e.overflow)
         # page 1 untouched
-        assert 1 * 4 in e.overflow.resident_keys()
+        assert 1 * 4 in resident_keys(e.overflow)
 
     @pytest.mark.parametrize("doc, reached", [
         # resets, full pages and overflow thrash on a small shape
@@ -302,11 +303,11 @@ class TestUvUpdates:
     def test_rekey_covers_every_mac_line_of_the_page(self, call, geometry, lines):
         e = make_engine(geometry=geometry)
         e.process_access("W", 2 * geometry.page_bytes - BLOCK)  # page 1's last block
-        assert len(e.mac_cache.resident_keys()) == 1
+        assert len(resident_keys(e.mac_cache)) == 1
         before = e.mac_bytes
         out = getattr(e, call)(1)
         assert out.mac_bytes == e.mac_bytes - before == lines * BLOCK
-        assert e.mac_cache.resident_keys() == []
+        assert resident_keys(e.mac_cache) == []
 
     @pytest.mark.parametrize("page", [16, -1])
     @pytest.mark.parametrize("call", ["os_free_page", "handle_uv_update"])

@@ -12,7 +12,6 @@ from freshsim.core import (
     ConfigError,
     Geometry,
     SecurityParams,
-    stealth_add,
 )
 from freshsim.version_store import (
     FLAT,
@@ -33,6 +32,7 @@ from freshsim.version_store import (
     full_entry_bytes,
     uneven_entry_bytes,
 )
+from helpers import page_base, stealth_add
 
 G = Geometry()
 P = SecurityParams()
@@ -81,7 +81,7 @@ class TestEntrySizes:
 class TestInitialState:
     def test_everything_starts_flat_and_shared(self):
         s = make_store(pages=2, seed=7)
-        base = s.page_base(0)
+        base = page_base(s, 0)
         for block in range(64):
             assert s.read_version(block * BLOCK) == base
         u = s.usage_stats()
@@ -108,7 +108,7 @@ class TestInitialState:
 class TestFlatTransitions:
     def test_first_update_sets_one_bit(self):
         s = make_store(seed=3)
-        base = s.page_base(0)
+        base = page_base(s, 0)
         res = s.update_version(3 * BLOCK)
         assert res.format_after == FLAT
         assert res.new_version == stealth_add(base, 1, 27)
@@ -120,7 +120,7 @@ class TestFlatTransitions:
 
     def test_full_vector_folds_into_base(self):
         s = make_store(seed=3)
-        base = s.page_base(0)
+        base = page_base(s, 0)
         for block in range(64):
             s.update_version(block * BLOCK)
         tag, b, payload = decode_entry_image(s.entry_image(0), P)
@@ -131,7 +131,7 @@ class TestFlatTransitions:
 
     def test_three_full_sweeps_stay_flat(self):
         s = make_store(seed=5)
-        base = s.page_base(0)
+        base = page_base(s, 0)
         for _ in range(3):
             for block in range(64):
                 s.update_version(block * BLOCK)
@@ -142,7 +142,7 @@ class TestFlatTransitions:
 class TestUnevenTransitions:
     def test_second_update_of_same_block_upgrades(self):
         s = make_store(seed=3)
-        base = s.page_base(0)
+        base = page_base(s, 0)
         s.update_version(5 * BLOCK)
         res = s.update_version(5 * BLOCK)
         assert res.format_after == UNEVEN
@@ -169,7 +169,7 @@ class TestUnevenTransitions:
 
     def test_normalization_slides_window(self):
         s = make_store(seed=6)
-        base = s.page_base(0)
+        base = page_base(s, 0)
         # raise the floor: every block written once, block 0 three times
         s.update_version(0)
         s.update_version(0)
@@ -211,7 +211,7 @@ class TestFullTransitions:
 
     def test_offset_127_still_uneven_128_goes_full(self):
         s = make_store(seed=9)
-        base = s.page_base(0)
+        base = page_base(s, 0)
         self.hammer(s, 7, 127)
         assert s.page_format(0) == UNEVEN
         res = s.update_version(7 * BLOCK)
@@ -228,7 +228,7 @@ class TestFullTransitions:
 
     def test_full_keeps_counting(self):
         s = make_store(seed=9)
-        base = s.page_base(0)
+        base = page_base(s, 0)
         self.hammer(s, 0, 200)
         assert s.page_format(0) == FULL
         assert s.read_version(0) == stealth_add(base, 200, 27)
@@ -336,7 +336,7 @@ class TestCapacity:
         with pytest.raises(CapacityError):
             s.update_version(0)
         assert s.page_format(0) == UNEVEN
-        assert s.read_version(0) == stealth_add(s.page_base(0), 127, 27)
+        assert s.read_version(0) == stealth_add(page_base(s, 0), 127, 27)
 
         s4 = make_store(slots=4, seed=13)
         for _ in range(128):
@@ -402,7 +402,10 @@ class TestPagesOutsideTheRange:
         s.update_version(0)
         before = _state(s)
         with pytest.raises(AddressRangeError, match="outside protected range"):
-            getattr(s, call)(page)
+            if call == "page_base":  # a test helper, not a method
+                page_base(s, page)
+            else:
+                getattr(s, call)(page)
         assert _state(s) == before
         assert (s.pages_touched, s.pages_flat) == (1, 1)
 
