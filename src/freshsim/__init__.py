@@ -21,7 +21,6 @@ from .version_store import (
     FULL,
     UNEVEN,
     CapacityError,
-    UpdateResult,
     VersionStore,
     compression_ratio,
     data_partition_bytes,
@@ -79,7 +78,6 @@ __all__ = [
     "FULL",
     "UNEVEN",
     "CapacityError",
-    "UpdateResult",
     "VersionStore",
     "compression_ratio",
     "data_partition_bytes",

@@ -29,6 +29,12 @@ import numpy as np
 
 from .core import MAX_ARRAY_ITEMS, ConfigError, bounded, check_fields
 
+RUN_MODEL_DRAWS = 10**7  # the most draws the exact run model takes
+
+
+class RunModelCapError(ConfigError):
+    """More draws than the exact run model takes; use ``exhaustion_bound``."""
+
 
 @dataclass(frozen=True)
 class ExhaustionQuery:
@@ -121,8 +127,8 @@ def _run_prob(draws: int, run_len: int, p: float) -> float:
         return 0.0
     if p >= 1.0:
         return 0.0
-    if draws > 10**7:
-        raise ConfigError("run model capped at 1e7 draws; use exhaustion_bound")
+    if draws > RUN_MODEL_DRAWS:
+        raise RunModelCapError("run model capped at 1e7 draws; use exhaustion_bound")
     q = 1.0 - p
     q_run = math.exp(run_len * math.log(q)) if q > 0 else 0.0
     g = np.zeros(draws + 1)
@@ -204,7 +210,8 @@ def mc_exhaustion_parameters(
     seed: int = 1,
 ) -> dict:
     """Every parameter ``mc_exhaustion`` runs with, defaults filled in, after
-    refusing, by key, any it cannot run with."""
+    refusing, by key, any it cannot run with, such as ``updates_per_address``
+    past the run model's cap, whatever its closed form answers."""
     if stealth_bits < 1:
         raise ConfigError("stealth_bits must be positive")
     if stealth_bits > 24:
@@ -222,6 +229,9 @@ def mc_exhaustion_parameters(
                           f"got {trials} x {addresses}")
     if updates_per_address is None:
         updates_per_address = 4 << stealth_bits
+    if updates_per_address - 1 > RUN_MODEL_DRAWS:  # the analytic value's draws
+        raise RunModelCapError(f"updates_per_address {updates_per_address} is too many: "
+                               "run model capped at 1e7 draws; use exhaustion_bound")
     return {"stealth_bits": stealth_bits, "reset_exp": reset_exp, "addresses": addresses,
             "updates_per_address": updates_per_address, "trials": trials, "seed": seed}
 

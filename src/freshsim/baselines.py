@@ -158,7 +158,8 @@ class MerkleEngine(ProtectionEngine):
         if tree_config.protected_bytes != config.protected_bytes:
             raise ConfigError("tree must cover exactly the protected range")
         self.tree = CounterTreeState(tree_config)
-        config.check_read_latency(1 + self.tree.depth)  # a read may walk every level
+        self.read_hops = 1 + self.tree.depth  # a read may walk every level
+        config.check_read_latency(self.read_hops)
         self._node_bytes = tree_config.node_bytes
         self.first_access_fetches: int | None = None
 

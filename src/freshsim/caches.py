@@ -123,13 +123,10 @@ class FlatCache:
         self._memo: dict[int, dict[int, bool] | tuple] = {}
         self.hits = self.misses = 0
 
-    def _lines(self, page: int, count: int) -> tuple:
-        """The (key, set) pairs of a page's first ``count`` lines, hashing
-        only the lines the memo lacks."""
-        known = self._memo.get(page, ())
-        if known.__class__ is dict:
-            known = ((page * FULL_SLOTS, known),)
-        if count <= len(known):
+    def _lines(self, page: int, count: int, known: tuple) -> tuple:
+        """The (key, set) pairs of a page's first ``count`` lines, from the
+        pairs ``known`` of its memo, hashing only the lines those lack."""
+        if count < len(known):
             return known[:count]
         sets, num_sets, first = self.overflow._sets, self.overflow.num_sets, page * FULL_SLOTS
         lines = known + tuple((key, sets[set_index(key, num_sets)])
@@ -183,9 +180,11 @@ class FlatCache:
                 s.pop(key, None)
         if count:
             if len(lines) != count:
-                lines = self._memo.get(page)
-                if lines.__class__ is not tuple or len(lines) != count:
-                    lines = self._lines(page, count)
+                lines = self._memo.get(page, ())
+                if lines.__class__ is dict:  # a one-line page memoises its bare set
+                    lines = ((page * FULL_SLOTS, lines),)
+                if len(lines) != count:
+                    lines = self._lines(page, count, lines)
             assoc = self.overflow.assoc
             for key, s in lines:
                 if len(s) == assoc:

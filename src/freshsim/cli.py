@@ -26,6 +26,7 @@ import sys
 
 from .analysis import (
     ExhaustionQuery,
+    RunModelCapError,
     analytic_exhaustion_prob,
     exhaustion_bound,
     mc_exhaustion,
@@ -188,6 +189,7 @@ def _load_run_config(args, path: str | None) -> dict:
 
 
 def _run(engine, events) -> int:
+    engine.config.check_read_latency(engine.read_hops, len(events))  # summed over the run
     try:
         for op, addr in events:
             engine.process_access(op, addr)
@@ -276,13 +278,12 @@ def cmd_analyze_security(args) -> int:
         p = _mc_params(mc_doc["exhaustion"], ("stealth_bits", "reset_exp"),
                        ("addresses", "updates_per_address", "trials", "seed"),
                        "monte_carlo.exhaustion", args.seed)
-        ran = mc_exhaustion_parameters(**p)
         try:  # before the Monte Carlo loop, which runs once per update
-            analytic = analytic_exhaustion_prob(ran["stealth_bits"], ran["reset_exp"],
-                                                ran["updates_per_address"], ran["addresses"])
-        except ConfigError as exc:  # the exact run model's cap on its draws
-            raise ConfigError(f"monte_carlo.exhaustion.updates_per_address "
-                              f"{ran['updates_per_address']} is too many: {exc}") from None
+            ran = mc_exhaustion_parameters(**p)
+        except RunModelCapError as exc:
+            raise ConfigError(f"monte_carlo.exhaustion.{exc}") from None
+        analytic = analytic_exhaustion_prob(ran["stealth_bits"], ran["reset_exp"],
+                                            ran["updates_per_address"], ran["addresses"])
         report["exhaustion"]["monte_carlo"] = _mc_report(mc_exhaustion(**ran), analytic, p)
     if "replay" in mc_doc:
         p = _mc_params(mc_doc["replay"], ("stealth_bits",), ("trials", "seed"),

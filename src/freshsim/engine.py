@@ -125,20 +125,21 @@ class EngineConfig:
                     "mac_cache_bytes and mac_assoc")
         self.check_read_latency(2)
 
-    def check_read_latency(self, hops: int) -> None:
-        """Refuse, naming the keys it sums, a config whose slowest read has
-        a latency that is not a finite float: ``hops`` trips on the data's
-        channel (the data, then its MAC line or each tree level), the device
-        hop and the cipher delay.  Each value may be finite and the sum not."""
+    def check_read_latency(self, hops: int, reads: int = 1) -> None:
+        """Refuse, naming the keys it sums, a config whose slowest read, or
+        ``reads`` of them, takes a latency that is not a finite float: ``hops``
+        trips on the data's channel (the data, then its MAC line or each tree
+        level), the device hop and the cipher delay.  Each may be finite, the sum not."""
         for keys, hop in (("local_ns", self.local_ns), ("(cxl_ns + pool_dram_ns)", self.pool_ns)):
             try:
-                total = float(hops * hop + self.device_ns) + self.cipher_ns
+                total = (float(hops * hop + self.device_ns) + self.cipher_ns) * reads
             except OverflowError:  # an int sum past float range
                 total = inf
             if not isfinite(total):
-                raise ConfigError(
-                    f"a read's latency, {hops} x {keys} + cxl_ns + device_dram_ns + "
-                    f"cipher_cycles / clock_ghz, must be a finite float")
+                one = f"{hops} x {keys} + cxl_ns + device_dram_ns + cipher_cycles / clock_ghz"
+                raise ConfigError(f"a read's latency, {one}, must be a finite float"
+                                  if reads == 1 else f"{reads} reads' latency, {reads} x "
+                                  f"({one}), must be a finite float")
 
     @property
     def cipher_ns(self) -> float:
@@ -295,6 +296,7 @@ class ProtectionEngine:
     mode = "none"
     uses_mac = False
     uses_cipher = False
+    read_hops = 2  # trips on the data's channel a read may make: data, MAC line
 
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
@@ -466,13 +468,12 @@ class HostEngine(ProtectionEngine):
         page = out.addr // self._page_bytes
         if is_write:
             try:
-                result = self.store.update_version(out.addr)
+                _, fmt, out.events = self.store.update_version(out.addr)
             except CapacityError as exc:
                 self.halted = f"device capacity exhausted at page {page}: {exc}"
                 raise SimulationHalted(self.halted) from exc
-            out.events = result.events
             self.device_updates += 1
-            count = LINE_COUNT[result.format_after]
+            count = LINE_COUNT[fmt]
             self.flat_cache.write(page, count)
             latency = 0.0
         else:
@@ -487,9 +488,9 @@ class HostEngine(ProtectionEngine):
             self.device_reads += 1
             latency = self._device_ns
         # request and entry messages, plus one per dynamic line the response fills
-        out.device_transactions += 1
+        out.device_transactions = 1  # a fresh outcome holds 0 here and in device_bytes
         nbytes = (2 + count) * self._message_bytes
-        out.device_bytes += nbytes
+        out.device_bytes = nbytes
         self.device_bytes += nbytes
         return latency
 

@@ -7,10 +7,10 @@ When a block is written a second time within the same base the page upgrades
 to ``uneven`` (a 56-byte line of 64 seven-bit offsets from the base) and,
 once any offset would pass 127, to ``full`` (a 216-byte line of 64 raw S-bit
 versions).  Uneven and full lines live in a dynamic region carved into
-56-byte slots; a full line occupies four contiguous slots.  The allocator's
-only state is the set of used slots, and it always takes the lowest run of
-free slots that fits.  So its choice never depends on the order in which
-slots were freed.
+56-byte slots; a full line occupies four contiguous slots.  The allocator
+always takes the lowest run of free slots that fits, whatever the order in
+which slots were freed, and starts its search at a low-water hint below
+which no slot is free, so an upgrade's cost does not grow with the slots in use.
 
 Entry layout (12 bytes at the default S=27, least-significant bits first):
 
@@ -31,14 +31,13 @@ versions in a list of ints.  A reset turns the page back into an int.
 Resets: an update that advances the page's leading version triggers a check
 that, with probability 2**-R, discards the page's stealth state: the entry
 drops back to flat with a fresh uniformly random base and an empty coverage
-vector.  The update's result says ``reset_triggered``, which tells the caller
-to bump the page's upper version.
+vector.  ``reset_triggered`` among an update's events tells the caller to
+bump the page's upper version.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 
 from .core import (
     AddressRangeError,
@@ -147,23 +146,6 @@ class _Entry:
         self.slot = slot          # first dynamic-region slot of the line(s)
 
 
-@dataclass(slots=True)
-class UpdateResult:
-    """Outcome of one version update.
-
-    ``new_version`` is the block's stealth version after the whole operation
-    (post-reset when a reset fired).  ``events`` is a tuple drawn from
-    {"upgraded_to_uneven", "normalized", "upgraded_to_full", "reset_triggered"}.
-    """
-
-    new_version: int
-    format_after: int
-    events: tuple[str, ...]
-
-
-_NO_EVENTS: tuple[str, ...] = ()
-
-
 class VersionStore:
     """The trusted device: static flat array plus a slotted dynamic region.
 
@@ -213,6 +195,7 @@ class VersionStore:
         # one byte per dynamic slot, nonzero when used; always ends in
         # FULL_SLOTS free bytes and grows on demand
         self._used = bytearray(FULL_SLOTS)
+        self._hint = 0  # no slot below it is free
 
         self.peak_dynamic_bytes = 0
         self.pages_uneven = 0
@@ -261,11 +244,12 @@ class VersionStore:
 
     def _find_run(self, slots: int, freeing: int = -1) -> int:
         """First slot of the lowest run of ``slots`` free slots, counting the
-        ``freeing`` slot as free; -1 when that run does not fit the region."""
+        ``freeing`` slot as free; -1 when that run does not fit the region.
+        The search starts at the hint (or ``freeing``), and the tail is free."""
         used = self._used
         if freeing >= 0:
             used[freeing] = 0
-        start = used.find(bytes(slots))  # always found: the tail is free
+        start = used.find(bytes(slots), self._hint if freeing < 0 else min(freeing, self._hint))
         if freeing >= 0:
             used[freeing] = 1
         return start if start + slots <= self.dynamic_capacity_slots else -1
@@ -276,9 +260,13 @@ class VersionStore:
         if grow > 0:
             used.extend(bytes(grow))
         used[start:start + slots] = b"\x01" * slots
+        if start <= self._hint < start + slots:
+            self._hint = start + slots
 
     def _free(self, start: int, slots: int) -> None:
         self._used[start:start + slots] = bytes(slots)
+        if start < self._hint:
+            self._hint = start
 
     # -- reads -----------------------------------------------------------------
 
@@ -312,8 +300,11 @@ class VersionStore:
 
     # -- updates ---------------------------------------------------------------
 
-    def update_version(self, addr: int) -> UpdateResult:
+    def update_version(self, addr: int) -> tuple[int, int, tuple[str, ...]]:
         """Increment the version of one block, applying format transitions.
+        Returns a plain ``(new_version, format_after, events)`` tuple: the block's
+        version after it all (post-reset when a reset fired), the page's format and a
+        tuple from {"upgraded_to_uneven", "normalized", "upgraded_to_full", "reset_triggered"}.
 
         Rejection on dynamic-region exhaustion happens before any state
         changes, so a failed update leaves the store (and its randomness)
@@ -328,7 +319,7 @@ class VersionStore:
         e = self._entries.get(page)
         if e is None:
             e = self._entry(page)
-        events: list[str] | None = None
+        events: tuple[str, ...] = ()
         smask = self._smask
 
         if type(e) is int:  # flat: base, then the coverage vector
@@ -359,7 +350,7 @@ class VersionStore:
                 self.pages_uneven += 1
                 self.upgrades_to_uneven += 1
                 self.peak_dynamic_bytes = max(self.peak_dynamic_bytes, self.dynamic_bytes)
-                events = ["upgraded_to_uneven"]
+                events = ("upgraded_to_uneven",)
                 advance = True
                 fmt = UNEVEN
                 version = (base + 2) & smask
@@ -389,7 +380,7 @@ class VersionStore:
                 self.pages_full += 1
                 self.upgrades_to_full += 1
                 self.peak_dynamic_bytes = max(self.peak_dynamic_bytes, self.dynamic_bytes)
-                events = ["upgraded_to_full"]
+                events = ("upgraded_to_full",)
             else:
                 if m > 0:
                     # slide the window down by the minimum offset
@@ -398,7 +389,7 @@ class VersionStore:
                     e.max_off -= m
                     off -= m
                     self.normalizations += 1
-                    events = ["normalized"]
+                    events = ("normalized",)
                 new_off = off + 1
                 e.offsets[block] = new_off
                 if new_off > e.max_off:
@@ -417,10 +408,9 @@ class VersionStore:
         if advance and self._getrandbits(self._reset_exp) == 0:
             version = self._reset(page, e)
             fmt = FLAT
-            events = (events or []) + ["reset_triggered"]
+            events += ("reset_triggered",)
 
-        # positional: cheaper than keywords on the per-write path
-        return UpdateResult(version, fmt, tuple(events) if events else _NO_EVENTS)
+        return version, fmt, events
 
     # -- resets ----------------------------------------------------------------
 

@@ -162,6 +162,12 @@ CASES = [
           ("toleo-device", {"cxl_ns": 2**1023, "device_dram_ns": 2**1023}, 2, "local_ns"),
           ("merkle-depth-3", {"mode": "merkle", "protected_bytes": 1 << 26, "local_ns": 2**1022},
            4, "local_ns")]),
+    # each read's latency is finite but their sum over the trace was not: the
+    # run exited 0 with "avg_read_latency_ns": Infinity
+    case(_CONFIG + "summed_read_latency_past_float_range_names_the_keys", "simulate",
+         run_doc(mode="ci", local_ns=1e306),
+         r"^error: 2000 reads' latency, 2000 x \(2 x local_ns \+ cxl_ns \+ device_dram_ns \+ "
+         r"cipher_cycles / clock_ghz\), must be a finite float$"),
     *(case(f"{_CONFIG}integer_past_float_range_names_the_key[{key}-{mode}]", "simulate",
            run_doc(mode=mode, **{key: BIG}),
            rf"^error: {key} must lie in \[0, inf\), got 10{{400}}$")
@@ -264,7 +270,13 @@ CASES = [
       for param, doc in [
           ("2_64", {"stealth_bits": 3, "reset_exp": 2, "updates_per_address": 2**64}),
           ("10_7_plus_5", {"stealth_bits": 3, "reset_exp": 2, "updates_per_address": 10**7 + 5,
-                           "trials": 1})]),
+                           "trials": 1}),
+          # whatever the closed form answers: a reset probability of 1, and
+          # fewer draws than a run of 2^24 - 1 misses needs
+          ("closed_form_reset_exp_0", {"stealth_bits": 3, "reset_exp": 0,
+                                       "updates_per_address": 2**64, "trials": 1}),
+          ("closed_form_short_run", {"stealth_bits": 24, "reset_exp": 30,
+                                     "updates_per_address": 16_000_000, "trials": 1})]),
     *(case(f"{_ANALYZE}falsy_non_object_section_rejected[{param}]", "analyze-security",
            {section: value}, f"{section} must be a JSON object") for param, section, value in [
         ("doc0-exhaustion", "exhaustion", []), ("doc1-replay", "replay", False),

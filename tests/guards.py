@@ -28,6 +28,7 @@ from cli_cases import child_env
 
 MIB = 1 << 20
 GIB = 1 << 30
+TIB28 = 30_786_325_577_728  # the paper's 28 TiB pool: 7,516,192,768 pages
 
 
 def _pattern(footprint: int, op_count: int, **keys) -> dict:
@@ -46,6 +47,9 @@ CONFIGS = {
     "toleo64.json": {"mode": "toleo", "protected_bytes": 64 * GIB, "local_bytes": 0},
     "long.json": _pattern(64 * MIB, 2_000_000),
     "long_none.json": {"mode": "none", "protected_bytes": 64 * MIB},
+    "uniform28T.json": {"kind": "page_uniform", "footprint_bytes": TIB28, "op_count": 16_000,
+                        "write_fraction": 0.3, "seed": 7},
+    "toleo28T.json": {"mode": "toleo", "protected_bytes": TIB28, "local_bytes": 0},
 }
 
 
@@ -68,6 +72,21 @@ class Guard(NamedTuple):
 
 HUGE = {"huge.bin": gen("huge_pattern.json", "huge.bin")}
 LONG = {"long.bin": gen("long.json", "long.bin")}
+
+
+def top_pages(out: str) -> None:
+    """uniform28T.txt's events, then 4,000 more on the four highest pages of
+    the 28 TiB range, round-robin: a sweep of 48 of one page's blocks (it
+    goes uneven), one block of the next and three of the one below (both go
+    full), and a read of one of the four."""
+    top = TIB28 - 4096
+    with open("uniform28T.txt", encoding="ascii") as src, \
+            open(out, "w", encoding="ascii") as dst:
+        shutil.copyfileobj(src, dst)
+        for i in range(1000):
+            dst.write(f"W 0x{top + i % 48 * 64:X}\nW 0x{top - 4096:X}\n"
+                      f"W 0x{top - 2 * 4096 + i % 3 * 64:X}\n"
+                      f"R 0x{top - i % 4 * 4096 + i * 7 % 64 * 64:X}\n")
 
 
 def five_copies(out: str) -> None:
@@ -110,6 +129,13 @@ GUARDS = [
     # peaked at about 226 MiB, and joined from chunks at about 126
     Guard("text-2M-lines", {}, gen("long.json", "long.txt"), 120, None,
           (("long.txt", "lines", 2_000_000),)),
+    # the paper's 28 TiB pool: a flat array of 7.5e9 pages costs nothing
+    # until a page is touched, and the trace touches about 11,300; this run
+    # peaks at about 36 MiB
+    Guard("toleo-28TiB", {"uniform28T.txt": gen("uniform28T.json", "uniform28T.txt"),
+                          "tib28.txt": top_pages},
+          simulate("toleo28T.json", "tib28.txt", "toleo28T_stats.json"), 48, None,
+          (("toleo28T_stats.json", "events", 20_000),)),
 ]
 
 

@@ -204,7 +204,7 @@ def test_criterion_05_compressed_store_equals_uncompressed_map():
         for op, addr in generate(spec):
             page, block = addr // PAGE, (addr // 64) % 64
             if op == "W":
-                got = store.update_version(addr).new_version
+                got = store.update_version(addr)[0]
                 want = ref.write(page, block)
             else:
                 got = store.read_version(addr)

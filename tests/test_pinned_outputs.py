@@ -10,9 +10,14 @@ overflow lines, overflow and MAC evictions, dirty counter-tree write-backs,
 both data channels (``local_bytes`` below the footprint) and a run halted by
 device capacity.  One more ``toleo`` pin runs at the default cache sizes
 (256 flat entries, a 512-line 16-way overflow buffer) on hot pages driven
-full, which thrash the overflow buffer.  The ``gen-trace`` pins cover every pattern kind at write
-fractions 0, 0.3 and 1 in both file forms; the ``analyze-security`` pins
-cover both Monte Carlo sections, with and without ``--seed``.
+full, which thrash the overflow buffer.  Three more run ``ci``, ``toleo``
+and ``merkle`` over the paper's 28 TiB pool, on the trace of the 28 TiB
+memory guard (``guards.top_pages``): its MAC keys pass 2^38, its tree is 10
+levels deep, its flat array holds 7.5e9 pages, and the trace drives some of
+the highest pages uneven and full.  The ``gen-trace`` pins cover every
+pattern kind at write fractions 0, 0.3 and 1 in both file forms; the
+``analyze-security`` pins cover both Monte Carlo sections, with and without
+``--seed``.
 """
 
 import hashlib
@@ -20,6 +25,7 @@ import json
 
 import pytest
 
+import guards
 from freshsim.cli import MODES, main
 from freshsim.traces import PATTERN_KINDS
 
@@ -77,6 +83,11 @@ DEFAULT_CACHES_TOLEO = {
 DEFAULT_CACHES_TOLEO_DIGEST = "dffe23f8b52b112bc2a8eec2d7bb1040378d79902741107513ab4d67dc48c0df"
 HALTED_TOLEO_DIGEST = "c93e75cb75c99a575957ce9f7d86b43eb6e8c6b28e58130339cf48e19355aba3"
 COMPARE_DIGEST = "43fad06f8cd572526c86e0ebb0e3b2bd38bde2250a437ab9829fe0b7c9472d26"
+TIB28_DIGESTS = {
+    "ci": "d4cc5aa9ad69819531a20436d72ab19ec89a2ce93227ec09bcd697901f3137cc",
+    "toleo": "e5dab0bfa5467cf1db626fdd243259d29de86c7a9703e50dfc4e1aa023af6916",
+    "merkle": "57da7fce9cfd338175a203084a4a4fa69d776a6c30d1cf7c47d31b4d0cffc816",
+}
 
 
 def sha256(path) -> str:
@@ -120,6 +131,22 @@ def test_capacity_halted_toleo_run_is_pinned(tmp_path, capsys):
     assert code == 2
     assert "capacity" in capsys.readouterr().err
     assert digest == HALTED_TOLEO_DIGEST
+
+
+@pytest.mark.parametrize("mode", sorted(TIB28_DIGESTS))
+def test_paper_scale_run_is_pinned(tmp_path, monkeypatch, mode):
+    monkeypatch.chdir(tmp_path)
+    pattern = write_config(tmp_path, "uniform28T", **guards.CONFIGS["uniform28T.json"])
+    assert main(["gen-trace", "--config", pattern, "--out", "uniform28T.txt"]) == 0
+    guards.top_pages("tib28.txt")
+    doc = {"mode": mode, "protected_bytes": guards.TIB28, "local_bytes": 0,
+           "trace": {"file": "tib28.txt"}}
+    code, digest = simulate(tmp_path, mode, doc)
+    assert (code, digest) == (0, TIB28_DIGESTS[mode])
+    stats = json.loads((tmp_path / f"{mode}.out.json").read_text())
+    assert stats["events"] == 20_000
+    if mode == "toleo":
+        assert stats["page_formats"]["uneven"] and stats["page_formats"]["full"]
 
 
 def test_compare_csv_is_pinned(tmp_path):

@@ -109,9 +109,9 @@ class TestFlatTransitions:
     def test_first_update_sets_one_bit(self):
         s = make_store(seed=3)
         base = page_base(s, 0)
-        res = s.update_version(3 * BLOCK)
-        assert res.format_after == FLAT
-        assert res.new_version == stealth_add(base, 1, 27)
+        new_version, format_after, events = s.update_version(3 * BLOCK)
+        assert format_after == FLAT
+        assert new_version == stealth_add(base, 1, 27)
         tag, b, payload = decode_entry_image(s.entry_image(0), P)
         assert (tag, b, payload) == (FLAT, base, 1 << 3)
         assert s.entry_lines(0) == []  # a flat page has no dynamic lines
@@ -144,10 +144,10 @@ class TestUnevenTransitions:
         s = make_store(seed=3)
         base = page_base(s, 0)
         s.update_version(5 * BLOCK)
-        res = s.update_version(5 * BLOCK)
-        assert res.format_after == UNEVEN
-        assert "upgraded_to_uneven" in res.events
-        assert res.new_version == stealth_add(base, 2, 27)
+        new_version, format_after, events = s.update_version(5 * BLOCK)
+        assert format_after == UNEVEN
+        assert "upgraded_to_uneven" in events
+        assert new_version == stealth_add(base, 2, 27)
         offsets = decode_uneven_line(s.entry_lines(0)[0], G)
         assert offsets[5] == 2
         assert sum(offsets) == 2
@@ -182,11 +182,11 @@ class TestUnevenTransitions:
         assert s.page_format(0) == UNEVEN
         _, _, payload = decode_entry_image(s.entry_image(0), P)
         assert (payload >> 48) & 0x7F == 1  # packed min offset: the floor
-        res = s.update_version(0)
-        assert "normalized" in res.events
+        new_version, format_after, events = s.update_version(0)
+        assert "normalized" in events
         assert (s.upgrades_to_uneven, s.normalizations, s.upgrades_to_full) == (1, 1, 0)
-        assert res.format_after == UNEVEN
-        assert res.new_version == stealth_add(base, 128, 27)
+        assert format_after == UNEVEN
+        assert new_version == stealth_add(base, 128, 27)
         offsets = decode_uneven_line(s.entry_lines(0)[0], G)
         _, b, _ = decode_entry_image(s.entry_image(0), P)
         assert b == stealth_add(base, 1, 27)  # floor folded into the base
@@ -214,11 +214,11 @@ class TestFullTransitions:
         base = page_base(s, 0)
         self.hammer(s, 7, 127)
         assert s.page_format(0) == UNEVEN
-        res = s.update_version(7 * BLOCK)
-        assert res.format_after == FULL
-        assert "upgraded_to_full" in res.events
+        new_version, format_after, events = s.update_version(7 * BLOCK)
+        assert format_after == FULL
+        assert "upgraded_to_full" in events
         assert (s.upgrades_to_uneven, s.normalizations, s.upgrades_to_full) == (1, 0, 1)
-        assert res.new_version == stealth_add(base, 128, 27)
+        assert new_version == stealth_add(base, 128, 27)
         versions = decode_full_lines(s.entry_lines(0), G, P)
         assert versions[7] == stealth_add(base, 128, 27)
         assert all(v == base for i, v in enumerate(versions) if i != 7)
@@ -326,8 +326,8 @@ class TestCapacity:
         assert s.usage_stats()["dynamic_bytes"] == 56
         # freeing page 0 makes the retry succeed
         s.reset_page(0)
-        res = s.update_version(PAGE)
-        assert res.format_after == UNEVEN
+        _, format_after, _ = s.update_version(PAGE)
+        assert format_after == UNEVEN
 
     def test_full_upgrade_needs_four_slots(self):
         s = make_store(slots=3, seed=13)
@@ -350,8 +350,8 @@ class TestCapacity:
             s.update_version(page * PAGE)
         s.reset_page(0)
         s.update_version(2 * PAGE)
-        res = s.update_version(2 * PAGE)
-        assert res.format_after == UNEVEN
+        _, format_after, _ = s.update_version(2 * PAGE)
+        assert format_after == UNEVEN
         assert s.usage_stats()["dynamic_bytes"] == 112
 
     def test_scattered_freed_slots_reused(self):
@@ -475,9 +475,9 @@ class TestMonotonicity:
         s = make_store(seed=16)
         prev = s.read_version(0)
         for _ in range(400):  # crosses flat -> uneven -> full
-            res = s.update_version(0)
-            assert res.new_version == stealth_add(prev, 1, 27)
-            prev = res.new_version
+            new_version, _, _ = s.update_version(0)
+            assert new_version == stealth_add(prev, 1, 27)
+            prev = new_version
 
 
 class ReferenceMap:
@@ -529,7 +529,7 @@ def test_reads_match_uncompressed_reference(params):
             page, block = divmod(b, 64)
             addr = b * BLOCK
             if w:
-                assert s.update_version(addr).new_version == ref.write(page, block)
+                assert s.update_version(addr)[0] == ref.write(page, block)
             else:
                 assert s.read_version(addr) == ref.read(page, block)
         assert s.resets > 0  # the reset path was actually exercised
@@ -542,10 +542,10 @@ def test_no_full_version_repeats_at_reduced_widths():
         uv = 0
         seen = set()
         for _ in range(1 << 14):
-            res = s.update_version(0)
-            if "reset_triggered" in res.events:
+            new_version, _, events = s.update_version(0)
+            if "reset_triggered" in events:
                 uv += 1
-            pair = (uv, res.new_version)
+            pair = (uv, new_version)
             assert pair not in seen
             seen.add(pair)
 
@@ -632,7 +632,7 @@ class StoreMachine(RuleBasedStateMachine):
         self.store = make_store(pages=MACHINE_PAGES, slots=slots, seed=seed,
                                 params=MACHINE_PARAMS)
         self.ref = ReferenceMap(seed, MACHINE_PARAMS)
-        self.seen = Counter()  # UpdateResult.events strings, plus explicit resets
+        self.seen = Counter()  # update events strings, plus explicit resets
 
     def _write(self, page, blocks):
         """Update each block in turn against the oracle; stop at the first
@@ -640,12 +640,12 @@ class StoreMachine(RuleBasedStateMachine):
         for block in blocks:
             before = _state(self.store)
             try:
-                res = self.store.update_version(page * PAGE + block * BLOCK)
+                new_version, _, events = self.store.update_version(page * PAGE + block * BLOCK)
             except CapacityError:
                 assert _state(self.store) == before, "rejected update changed state"
                 break
-            assert res.new_version == self.ref.write(page, block)
-            self.seen.update(res.events)
+            assert new_version == self.ref.write(page, block)
+            self.seen.update(events)
 
     @rule(page=st.integers(0, MACHINE_PAGES - 1), block=st.integers(0, 63),
           times=st.sampled_from([1, 2, 3, 64, 130]))
@@ -681,6 +681,7 @@ class StoreMachine(RuleBasedStateMachine):
     def consistent(self):
         _check_store(self.store)
         s = self.store
+        assert 0 not in s._used[:s._hint], "a free slot lies below the allocator's hint"
         assert (s.upgrades_to_uneven, s.upgrades_to_full, s.normalizations, s.resets) == (
             self.seen["upgraded_to_uneven"], self.seen["upgraded_to_full"],
             self.seen["normalized"], self.seen["reset_triggered"])
