@@ -211,7 +211,8 @@ def mc_exhaustion_parameters(
 ) -> dict:
     """Every parameter ``mc_exhaustion`` runs with, defaults filled in, after
     refusing, by key, any it cannot run with, such as ``updates_per_address``
-    past the run model's cap, whatever its closed form answers."""
+    past the run model's cap, whatever its closed form answers.  The default,
+    ``4 << stealth_bits``, passes it from 22 on: 22-24 need an explicit count."""
     if stealth_bits < 1:
         raise ConfigError("stealth_bits must be positive")
     if stealth_bits > 24:
@@ -227,10 +228,12 @@ def mc_exhaustion_parameters(
     if trials * addresses > MAX_ARRAY_ITEMS:  # one array element per stream
         raise ConfigError(f"trials x addresses must be at most {MAX_ARRAY_ITEMS}, "
                           f"got {trials} x {addresses}")
+    key = "updates_per_address"  # as the refusal names it: a key the caller gave
     if updates_per_address is None:
         updates_per_address = 4 << stealth_bits
+        key = f"stealth_bits {stealth_bits}: its default updates_per_address"
     if updates_per_address - 1 > RUN_MODEL_DRAWS:  # the analytic value's draws
-        raise RunModelCapError(f"updates_per_address {updates_per_address} is too many: "
+        raise RunModelCapError(f"{key} {updates_per_address} is too many: "
                                "run model capped at 1e7 draws; use exhaustion_bound")
     return {"stealth_bits": stealth_bits, "reset_exp": reset_exp, "addresses": addresses,
             "updates_per_address": updates_per_address, "trials": trials, "seed": seed}

@@ -163,18 +163,17 @@ class MerkleEngine(ProtectionEngine):
         self._node_bytes = tree_config.node_bytes
         self.first_access_fetches: int | None = None
 
-    def _freshness(self, out: AccessOutcome, is_write: bool) -> float:
+    def _freshness(self, out: AccessOutcome, addr: int, is_write: bool, data_ns: float) -> float:
         tree = self.tree
         before = tree.dirty_writebacks
-        fetched = tree.access(out.addr, is_write)
+        fetched = tree.access(addr, is_write)
         nbytes = (fetched + tree.dirty_writebacks - before) * self._node_bytes
         out.device_bytes += nbytes
         self.device_bytes += nbytes
-        out.tree_fetches = fetched
         if self.first_access_fetches is None:
             self.first_access_fetches = fetched
         # dependent chain: each level's verification needs the next node
-        return fetched * (self._local_ns if out.addr < self._local_limit else self._pool_ns)
+        return fetched * data_ns
 
     def stats(self) -> dict:
         s = super().stats()

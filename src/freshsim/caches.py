@@ -107,9 +107,9 @@ class FlatCache:
     pairs of the lines it filled, so a page's lines are filled, probed and
     dropped together, straight in their sets, as the device sends a page's
     entry and lines in one round trip; the buffer keeps no index of its own.
-    A page's format only grows until a reset drops it, so a ``count`` given
-    for a resident page is 0 or at least the lines it filled, and its
-    resident lines are among those; evicting or dropping it pops them.
+    A page's resident lines are among those it filled, all its format has
+    (each device response passes that count, and the re-key after a reset
+    drops the page); evicting or dropping it pops them.
     """
 
     def __init__(self, entries: int, overflow: LruSets) -> None:
@@ -134,21 +134,21 @@ class FlatCache:
         self._memo[page] = lines[0][1] if count == 1 else lines
         return lines
 
-    def read(self, page: int, count: int) -> tuple[bool, bool | None]:
-        """Look up a page whose format has ``count`` lines, filling it on a miss.
-        Returns the flat hit and, for a hit with lines, whether all lines hit;
-        any miss costs a device READ, whose response fills all the lines.
-        Every line is probed, counting its hit or miss in ``overflow``."""
+    def read(self, page: int) -> int:
+        """Look up a page and probe every line it filled, counting each hit or
+        miss here and in ``overflow``.  Returns -1 on a flat miss, filling
+        nothing: the device READ learns the format and fills through ``write``.
+        Returns 0 when the page and all its lines hit; else the READ refills
+        them all, and their count is returned."""
         pages = self._pages
         lines = pages.pop(page, None)
         if lines is None:
             self.misses += 1
-            self.write(page, count)
-            return False, None
+            return -1
         pages[page] = lines
         self.hits += 1
-        if not count:
-            return True, None
+        if not lines:
+            return 0
         hits = 0
         for key, s in lines:
             if key in s:
@@ -156,11 +156,12 @@ class FlatCache:
                 s[key] = False
                 hits += 1
         self.overflow.hits += hits
+        count = len(lines)
         if hits == count:
-            return True, True
-        self.overflow.misses += count - hits  # a line it never filled misses too
+            return 0
+        self.overflow.misses += count - hits
         self.write(page, count)
-        return True, False
+        return count
 
     def write(self, page: int, count: int) -> None:
         """Refresh or fill a page and its first ``count`` lines, as a device

@@ -3,7 +3,9 @@ host engine backed by the device version store.
 
 ``ProtectionEngine`` does what all modes do alike: channel routing (local
 DRAM or a CXL-attached pool), data and MAC byte charging, the MAC cache and
-latency.  Each mode adds only its freshness scheme.
+latency.  Each mode adds only its freshness scheme, as a hook the skeleton
+calls once per event; a mode with none (``none``, ``ci``) makes no hook call.
+Each event returns an ``AccessOutcome`` of what it charged.
 
 The device-backed engine keeps three small caches of freshness metadata:
 
@@ -14,7 +16,8 @@ The device-backed engine keeps three small caches of freshness metadata:
 
 The caches track residency only.  Byte and transaction counts depend only on
 which keys are resident and on the page's format, never on a version.  A
-read whose entry or lines are not all resident costs one device READ.
+read whose entry and lines are all resident asks the device nothing; any
+other read costs one device READ.
 Writes are write-through: every write issues exactly one device UPDATE whose
 response carries the refreshed entry and any dynamic lines, so one round
 trip keeps the caches coherent.
@@ -161,25 +164,22 @@ class EngineConfig:
 
 @dataclass(slots=True)
 class AccessOutcome:
-    """Per-event accounting record.
+    """What one event charged, and nothing else: the caller knows the op and
+    address, the charged byte field shows the channel, and the caches and
+    the counter tree count their own hits, misses and fetches.
 
     Byte fields mirror exactly what the event added to the engine's channel
-    counters, so summing outcomes over a run reproduces the totals.
+    counters, so summing outcomes over a run reproduces the totals.  The
+    skeleton builds one positionally: ``AccessOutcome(nbytes)`` for a local
+    event, ``AccessOutcome(0, nbytes)`` for a pool one.
     """
 
-    op: str
-    addr: int
-    channel: str
     local_bytes: int = 0
     pool_bytes: int = 0
     mac_bytes: int = 0
     device_bytes: int = 0
     device_transactions: int = 0
-    tree_fetches: int = 0
     latency_ns: float = 0.0
-    flat_hit: bool | None = None
-    overflow_hit: bool | None = None
-    mac_hit: bool | None = None
     events: tuple = ()
     reencrypted_blocks: int = 0
 
@@ -286,17 +286,21 @@ class ProtectionEngine:
     event, routes the data access to its channel (local DRAM below
     ``local_bytes``, the CXL pool above), charges data and MAC traffic, runs
     the MAC cache, and computes latency.  A mode plugs its freshness scheme
-    in through two hooks: ``_freshness`` runs before the MAC access and
-    returns the metadata fetch latency of a read; ``_after_write`` runs once
-    a write's MAC line is owned, if it has ``events``.
+    in through two hooks.  ``_freshness(out, addr, is_write, data_ns)`` runs
+    before the MAC access, charges its metadata traffic onto ``out`` and the
+    totals, and returns the metadata fetch latency of a read; ``data_ns`` is
+    one trip on the data's channel.  ``_after_write(out, addr)`` runs once a
+    write's MAC line is owned, only if the hook set ``out.events``.
 
-    With no hooks overridden and no MAC or cipher this is unprotected memory.
+    A mode with no freshness scheme leaves ``_freshness`` None and makes no
+    hook call; with no MAC or cipher either, this is unprotected memory.
     """
 
     mode = "none"
     uses_mac = False
     uses_cipher = False
     read_hops = 2  # trips on the data's channel a read may make: data, MAC line
+    _freshness = None  # a mode's freshness hook, if it has a scheme
 
     def __init__(self, config: EngineConfig) -> None:
         self.config = config
@@ -327,15 +331,6 @@ class ProtectionEngine:
         self.reencrypted_blocks = 0
         self.read_latency_total = 0.0
 
-    # -- freshness hooks -------------------------------------------------------------
-
-    def _freshness(self, out: AccessOutcome, is_write: bool) -> float:
-        """Freshness-metadata work for one event; returns read fetch latency."""
-        return 0.0
-
-    def _after_write(self, out: AccessOutcome) -> None:
-        """Work that must follow a write's MAC access."""
-
     # -- the main entry point ----------------------------------------------------------
 
     def process_access(self, op: str, addr: int) -> AccessOutcome:
@@ -356,22 +351,24 @@ class ProtectionEngine:
         else:
             raise ConfigError(f"unknown op {op!r}")
         nbytes = self._block_bytes
-        # positional (op, addr, channel, local_bytes, pool_bytes): cheaper
-        # than keywords on the per-event path
+        # positional (local_bytes, pool_bytes): cheaper than keywords on the
+        # per-event path
         if addr < self._local_limit:
-            out = AccessOutcome(op, addr, "local", nbytes)
+            out = AccessOutcome(nbytes)
             self.local_bytes += nbytes
             data_ns = self._local_ns
         else:
-            out = AccessOutcome(op, addr, "pool", 0, nbytes)
+            out = AccessOutcome(0, nbytes)
             self.pool_bytes += nbytes
             data_ns = self._pool_ns
+        freshness = self._freshness
         if is_write:
             self.writes += 1
-            self._freshness(out, True)
+            if freshness is not None:
+                freshness(out, addr, True, data_ns)
         else:
             self.reads += 1
-            fresh_ns = self._freshness(out, False)
+            fresh_ns = 0.0 if freshness is None else freshness(out, addr, False, data_ns)
         mac_ns = 0.0
         if self.uses_mac:
             # access returns the MAC lines moved on the data's channel: none on a
@@ -379,7 +376,6 @@ class ProtectionEngine:
             # a dirty victim's write-back; a write leaves the line dirty
             moved = self.mac_cache.access(
                 self._mac_key_base + addr // self._mac_key_span, is_write)
-            out.mac_hit = not moved
             if moved:
                 nbytes *= moved
                 out.mac_bytes += nbytes
@@ -388,7 +384,7 @@ class ProtectionEngine:
         if is_write:
             out.latency_ns = data_ns + self._cipher_ns
             if out.events:
-                self._after_write(out)
+                self._after_write(out, addr)
         else:
             latency = data_ns + (mac_ns if mac_ns > fresh_ns else fresh_ns) + self._cipher_ns
             out.latency_ns = latency
@@ -458,17 +454,19 @@ class HostEngine(ProtectionEngine):
 
     # -- metadata caches -----------------------------------------------------------
 
-    def _freshness(self, out: AccessOutcome, is_write: bool) -> float:
-        """One flat-cache call per event.  A write is one device UPDATE; it
-        runs before the MAC write, so a capacity halt charges no MAC traffic,
-        and it counts no flat-cache hits.  A read probes the flat cache and
-        every line the page needs; any miss costs one device READ, whose
-        latency is returned.  Each device response fills the page's lines;
-        the functional layer decodes versions from the same entry and lines."""
-        page = out.addr // self._page_bytes
+    def _freshness(self, out: AccessOutcome, addr: int, is_write: bool, data_ns: float) -> float:
+        """A write is one device UPDATE; it runs before the MAC write, so a
+        capacity halt charges no MAC traffic, and it counts no flat-cache
+        hits.  A read probes the flat cache and every line the page filled,
+        which are all its format has, and asks the device nothing when all
+        hit.  Any miss costs one device READ, whose latency is returned;
+        only a flat miss asks the device for the page's format.  Each device
+        response fills the page's lines; the functional layer decodes
+        versions from the same entry and lines."""
+        page = addr // self._page_bytes
         if is_write:
             try:
-                _, fmt, out.events = self.store.update_version(out.addr)
+                _, fmt, out.events = self.store.update_version(addr)
             except CapacityError as exc:
                 self.halted = f"device capacity exhausted at page {page}: {exc}"
                 raise SimulationHalted(self.halted) from exc
@@ -477,14 +475,14 @@ class HostEngine(ProtectionEngine):
             self.flat_cache.write(page, count)
             latency = 0.0
         else:
-            # materializes an untouched page, which can never be a flat hit,
-            # so its base is drawn in the same event as the device READ
-            count = LINE_COUNT[self.store.fetch_format(page)]
-            hit, lines_hit = self.flat_cache.read(page, count)
-            out.flat_hit = hit
-            out.overflow_hit = lines_hit
-            if hit and lines_hit is not False:
+            count = self.flat_cache.read(page)
+            if not count:
                 return 0.0
+            if count < 0:
+                # materializes an untouched page, which can never be cached,
+                # so its base is drawn in the same event as the device READ
+                count = LINE_COUNT[self.store.fetch_format(page)]
+                self.flat_cache.write(page, count)
             self.device_reads += 1
             latency = self._device_ns
         # request and entry messages, plus one per dynamic line the response fills
@@ -494,14 +492,14 @@ class HostEngine(ProtectionEngine):
         self.device_bytes += nbytes
         return latency
 
-    def _after_write(self, out: AccessOutcome) -> None:
+    def _after_write(self, out: AccessOutcome, addr: int) -> None:
         """A reset the UPDATE fired re-encrypts the written page, charged onto
         ``out``.  It follows the MAC write, as it invalidates the page's MAC
         lines.  With no upper version left the engine halts; the store's
         reset alone is counted."""
         if "reset_triggered" in out.events:
             try:
-                self.handle_uv_update(out.addr // self._page_bytes, out)
+                self.handle_uv_update(addr // self._page_bytes, out)
             except UvOverflowError as exc:
                 self.resets += 1
                 self.halted = str(exc)
@@ -509,12 +507,11 @@ class HostEngine(ProtectionEngine):
 
     # -- page-level operations -----------------------------------------------------
 
-    def _rekey_page(self, page: int, op: str, out: AccessOutcome | None) -> AccessOutcome:
+    def _rekey_page(self, page: int, out: AccessOutcome | None) -> AccessOutcome:
         """The re-key a reset and a page free share: bump the page's upper
         version, charge the rewrite of every MAC line that holds a MAC of one
-        of its blocks onto ``out`` (a new ``op`` outcome when none is given)
-        and the totals, and drop the page's cached metadata, which refills
-        lazily.
+        of its blocks onto ``out`` (a new outcome when none is given) and the
+        totals, and drop the page's cached metadata, which refills lazily.
 
         A terminal engine raises SimulationHalted, a page outside the
         protected range AddressRangeError, and an upper version that would
@@ -529,9 +526,9 @@ class HostEngine(ProtectionEngine):
         if uv >= (1 << bits):
             raise UvOverflowError(f"page {page} exhausted its {bits}-bit upper version")
         self.uv[page] = uv
-        page_addr = page * self._page_bytes
         if out is None:
-            out = AccessOutcome(op, page_addr, "local" if page_addr < self._local_limit else "pool")
+            out = AccessOutcome()
+        page_addr = page * self._page_bytes
         first = self._mac_key_base + page_addr // self._mac_key_span
         last = self._mac_key_base + (page_addr + self._page_bytes - 1) // self._mac_key_span
         nbytes = (last + 1 - first) * self._block_bytes
@@ -544,13 +541,13 @@ class HostEngine(ProtectionEngine):
     def handle_uv_update(self, page: int, out: AccessOutcome | None = None) -> AccessOutcome:
         """Re-key the page (``_rekey_page``) and re-encrypt all of it.
 
-        Charged onto ``out`` (a new op-"U" outcome when none is given) and
-        the engine totals as 64 data-block writes on the page's channel plus
-        the re-key's MAC-block writes, and counted as a reset.
+        Charged onto ``out`` (a new outcome when none is given) and the
+        engine totals as 64 data-block writes on the page's channel plus the
+        re-key's MAC-block writes, and counted as a reset.
         """
-        out = self._rekey_page(page, "U", out)
+        out = self._rekey_page(page, out)
         nbytes = self._page_bytes  # every block of the page, rewritten
-        if out.channel == "local":
+        if page * nbytes < self._local_limit:
             out.local_bytes += nbytes
             self.local_bytes += nbytes
         else:
@@ -575,7 +572,7 @@ class HostEngine(ProtectionEngine):
         MAC on the next verified read; that is the cheap scrambling the OS
         relies on.
         """
-        out = self._rekey_page(page, "F", None)
+        out = self._rekey_page(page, None)
         self.store.reset_page(page)
         return out
 

@@ -277,6 +277,14 @@ CASES = [
                                        "updates_per_address": 2**64, "trials": 1}),
           ("closed_form_short_run", {"stealth_bits": 24, "reset_exp": 30,
                                      "updates_per_address": 16_000_000, "trials": 1})]),
+    # the default updates_per_address, 4 << stealth_bits, passes the cap from
+    # stealth_bits 22 on: refused naming stealth_bits, which the document gave
+    *(case(f"{_ANALYZE}default_exhaustion_run_past_the_cap_names_stealth_bits[{bits}]",
+           "analyze-security",
+           {"monte_carlo": {"exhaustion": {"stealth_bits": bits, "reset_exp": 20, "trials": 1}}},
+           rf"^error: monte_carlo\.exhaustion\.stealth_bits {bits}: its default "
+           rf"updates_per_address {4 << bits} is too many: run model capped at 1e7 draws; "
+           r"use exhaustion_bound$") for bits in (22, 24)),
     *(case(f"{_ANALYZE}falsy_non_object_section_rejected[{param}]", "analyze-security",
            {section: value}, f"{section} must be a JSON object") for param, section, value in [
         ("doc0-exhaustion", "exhaustion", []), ("doc1-replay", "replay", False),

@@ -10,6 +10,7 @@ from freshsim.analysis import (
     exhaustion_bound,
     log_no_reset_prob,
     mc_exhaustion,
+    mc_exhaustion_parameters,
     mc_replay,
     no_reset_prob,
     replay_success_prob,
@@ -183,6 +184,19 @@ class TestMonteCarlo:
                                   "updates_per_address": 5, "trials": 100, "seed": 1}
         assert mc_replay(4, trials=100).parameters == {"stealth_bits": 4, "trials": 100,
                                                        "seed": 1}
+
+    def test_top_stealth_bits_run_with_an_explicit_count(self):
+        # the default 4 << stealth_bits updates pass the run model's 1e7 draws
+        # from 22 on, so the refusal names stealth_bits; a small explicit
+        # count runs at the top of the scaled range
+        for bits in (22, 24):
+            with pytest.raises(ConfigError, match=f"^stealth_bits {bits}: its default "
+                                                  f"updates_per_address {4 << bits} is too many"):
+                mc_exhaustion(bits, 20, trials=1)
+        assert mc_exhaustion_parameters(21, 20, trials=1)["updates_per_address"] == 4 << 21
+        est = mc_exhaustion(24, 20, updates_per_address=1000, trials=50, seed=3)
+        assert est.parameters["updates_per_address"] == 1000
+        assert est.estimate == 0.0  # 1000 updates cannot wrap a 2^24 space
 
     def test_replay_agrees_with_uniform_match_rate(self):
         est = mc_replay(8, trials=200_000, seed=3)

@@ -234,16 +234,26 @@ class TestMerkleEngine:
         e = self.make()
         depth = e.tree.depth
         out = e.process_access("R", 0)
-        assert out.tree_fetches == depth
+        assert e.tree.fetches == depth
         assert out.device_bytes == depth * 64
         assert out.latency_ns == pytest.approx(50 + depth * 50 + CIPHER_NS)
         assert e.first_access_fetches == depth
 
+    def test_cold_pool_read_walks_on_the_pool_channel(self):
+        # each level's node fetch is one more trip on the data's channel
+        e = MerkleEngine(EngineConfig(protected_bytes=4 * MIB, local_bytes=0))
+        depth = e.tree.depth
+        out = e.process_access("R", 0)
+        assert (out.local_bytes, out.pool_bytes) == (0, BLOCK)
+        assert e.tree.fetches == depth and out.device_bytes == depth * 64
+        assert out.latency_ns == pytest.approx(145 + depth * 145 + CIPHER_NS)
+
     def test_warm_read_skips_tree(self):
         e = self.make()
         e.process_access("R", 0)
+        fetches = e.tree.fetches
         out = e.process_access("R", 0)
-        assert out.tree_fetches == 0
+        assert e.tree.fetches == fetches
         assert out.device_bytes == 0
         assert out.latency_ns == pytest.approx(50 + CIPHER_NS)
 

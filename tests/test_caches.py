@@ -249,18 +249,38 @@ def test_sets_are_made_on_first_fill():
     # and a page's fill makes at most one set per line
     f = FlatCache(4, LruSets(1 << 20, 1))
     for page in range(10):
-        assert f.read(page, 0) == (False, None)
+        assert _read(f, page, 0) == -1
     f.drop(8)
     assert len(f.overflow._sets) == 0
     f.write(7, FULL_SLOTS)
-    assert f.read(9, 1) == (True, False)  # the page had filled no line
+    f.write(9, 1)  # an UPDATE grows the page to its first line
     assert 0 < len(f.overflow._sets) <= FULL_SLOTS + 1
     made = dict(f.overflow._sets)
-    assert f.read(7, FULL_SLOTS) == (True, True) and f.read(9, 1) == (True, True)
+    assert f.read(7) == 0 and f.read(9) == 0
     f.drop(7)
     f.drop(9)
     assert resident_count(f.overflow) == 0 and f.overflow._sets.keys() == made.keys()
     assert all(f.overflow._sets[i] is s for i, s in made.items())
+
+
+def _engine_count(op, count, filled):
+    """The line count the engine passes for ``op`` on a page that filled
+    ``filled`` lines, or None when it is not cached: a read of a cached page
+    refills the lines it filled, and a write's format only grows, except that
+    a write whose reset left the page flat passes 0 and the re-key drops it."""
+    if op == "read" and filled is not None:
+        return filled
+    return max(count, filled or 0) if count else count
+
+
+def _read(cache, page, count):
+    """``read`` as the engine drives it: a flat miss is followed by the
+    device READ's response, which fills the page's ``count`` lines.
+    Returns what ``read`` returned."""
+    got = cache.read(page)
+    if got < 0:
+        cache.write(page, count)
+    return got
 
 
 _MEMO_PAGES = st.one_of(st.integers(0, 15), st.integers(0, 2**38 - 1))
@@ -282,12 +302,14 @@ def test_page_memo_is_exact_and_bounded(num_sets, assoc, entries, ops):
     sets = c.overflow._sets
     most = {}  # page -> the most lines it ever filled
     for op, page, count in ops:
-        if op != "write" or count:
-            count = max(count, filled_lines(c, page))
+        count = _engine_count(op, count, filled_lines(c, page) if is_cached(c, page) else None)
         if op == "drop":
             c.drop(page)
         else:
-            getattr(c, op)(page, count)
+            if op == "write":
+                c.write(page, count)
+            else:
+                _read(c, page, count)
             if count:  # a read leaves the page's lines filled, too
                 most[page] = max(most.get(page, 0), count)
         # only pages that filled lines are memoised, each with no more lines
@@ -372,23 +394,23 @@ class TestRangeOps:
         c.write(0, FULL_SLOTS)
         c.write(1, 1)  # page 1's line evicts line 0, the least recent
         assert resident_keys(c.overflow) == [1, 2, 3, 4]
-        assert c.read(0, FULL_SLOTS) == (True, False)
+        assert c.read(0) == FULL_SLOTS  # a line missed: the READ refills all four
         assert (c.overflow.hits, c.overflow.misses) == (3, 1)
         assert resident_keys(c.overflow) == [0, 1, 2, 3]  # the READ refilled the page
 
     def test_probe_of_all_resident_lines_hits(self):
         c = FlatCache(2, LruSets(4, 4))
         c.write(0, 2)
-        assert c.read(0, 2) == (True, True)
+        assert c.read(0) == 0
         assert (c.hits, c.misses, c.overflow.hits, c.overflow.misses) == (1, 0, 2, 0)
 
     def test_empty_range_changes_nothing(self):
         c = FlatCache(2, LruSets(4, 4))
         c.write(1, 1)
         c.write(0, 0)
-        assert c.read(0, 0) == (True, None)
+        assert c.read(0) == 0
         c.drop(0)
-        assert c.read(0, 0) == (False, None)
+        assert c.read(0) == -1
         assert (c.overflow.hits, c.overflow.misses, resident_keys(c.overflow)) == (0, 0, [4])
 
     def test_fill_refreshes_resident_lines_in_order(self):
@@ -485,13 +507,13 @@ def _run_flat(real, model, ops, pages):
     """Drive the cache and its model through the same ops, comparing the
     cached pages, their lines and the buffer set by set after each one."""
     for op, page, count in ops:
-        # counts follow the engine: a cached page's format only grows, except
-        # that a write whose reset left the page flat passes 0 and the re-key
-        # drops it
-        if op != "write" or count:
-            count = max(count, model.filled.get(page, 0))
+        count = _engine_count(op, count, model.filled.get(page))
         if op == "read":
-            assert real.read(page, count) == model.read(page, count)
+            # the model's (flat hit, all lines hit) as read returns it: -1 on
+            # a flat miss, 0 when nothing missed, else the lines it refilled
+            want = model.read(page, count)
+            assert _read(real, page, count) == {(False, None): -1, (True, None): 0,
+                                                (True, True): 0, (True, False): count}[want]
         elif op == "write":
             real.write(page, count)
             model.write(page, count)
@@ -545,8 +567,7 @@ def test_range_ops_match_per_key_ops_across_sets(ops):
     filled = {}
     hits = misses = 0
     for op, page, count in ops:
-        if op != "write" or count:
-            count = max(count, filled.get(page, 0))
+        count = _engine_count(op, count, filled.get(page))
         keys = range(page * FULL_SLOTS, page * FULL_SLOTS + count)
         if op == "drop":
             real.drop(page)
@@ -558,15 +579,15 @@ def test_range_ops_match_per_key_ops_across_sets(ops):
             for k in keys:
                 per_key.access(k)
         else:
-            result = real.read(page, count)
+            result = _read(real, page, count)
             if page not in filled:
-                assert result == (False, None)
+                assert result == -1
             elif count:
                 hit = [k in per_key._index for k in keys]
                 hits, misses = hits + sum(hit), misses + count - sum(hit)
-                assert result == (True, all(hit))
+                assert result == (0 if all(hit) else count)
             else:
-                assert result == (True, None)
+                assert result == 0
             filled[page] = count or filled.get(page, 0)
             for k in keys:  # a hit refreshes; a READ refreshes or fills every line
                 per_key.access(k)
@@ -579,9 +600,9 @@ class TestFlatCache:
         c = FlatCache(2, LruSets(8, 8))
         for page in (0, 1):
             c.write(page, FULL_SLOTS)
-        assert c.read(2, 0) == (False, None)  # evicts page 0, the least recent
+        assert _read(c, 2, 0) == -1  # the READ's fill evicts page 0, the least recent
         assert not is_cached(c, 0) and resident_keys(c.overflow) == [4, 5, 6, 7]
-        assert c.read(1, FULL_SLOTS) == (True, True)
+        assert c.read(1) == 0
         assert (c.hits, c.misses) == (1, 1)
 
     def test_write_counts_nothing_and_refreshes_recency(self):
@@ -607,16 +628,18 @@ class TestFlatCache:
         # a direct-mapped buffer: a line of another page that hashes to line
         # 1's set, and not to line 0's, evicts line 1 alone
         c = FlatCache(4, LruSets(8, 1))
-        assert c.read(0, 2) == (False, None)  # flat miss: the READ fills both lines
+        assert c.read(0) == -1  # a flat miss fills nothing
+        assert not is_cached(c, 0) and resident_keys(c.overflow) == []
+        c.write(0, 2)  # the READ's response fills both lines
         assert sorted(resident_keys(c.overflow)) == [0, 1] and filled_lines(c, 0) == 2
         rival = next(p for p in range(1, 100)
                      if _hashed_set(8, p * FULL_SLOTS) == _hashed_set(8, 1) != _hashed_set(8, 0))
         c.write(rival, 1)
         assert sorted(resident_keys(c.overflow)) == [0, rival * FULL_SLOTS]
-        assert c.read(0, 2) == (True, False)  # a missed line: the READ refills it
+        assert c.read(0) == 2  # a missed line: the READ refills both
         assert sorted(resident_keys(c.overflow)) == [0, 1]
-        assert c.read(0, 2) == (True, True)  # all hit: no READ, nothing filled
-        assert (c.overflow.hits, c.overflow.misses) == (3, 1)
+        assert c.read(0) == 0  # all hit: no READ, nothing filled
+        assert (c.hits, c.misses, c.overflow.hits, c.overflow.misses) == (2, 1, 3, 1)
 
     def test_rejects_no_entries(self):
         with pytest.raises(ConfigError):

@@ -11,7 +11,7 @@ from freshsim.core import (
 )
 from freshsim.baselines import CiEngine, MerkleEngine, NoneEngine
 from freshsim.cli import build_engine, resolve_config, resolve_trace
-from freshsim.version_store import FLAT, FULL, UNEVEN, data_partition_bytes
+from freshsim.version_store import FLAT, FULL, LINE_COUNT, UNEVEN, data_partition_bytes
 from freshsim.engine import (
     AccessOutcome,
     EngineConfig,
@@ -32,6 +32,16 @@ CIPHER_NS = 40 / 2.25
 def make_engine(pages=16, **kw):
     kw.setdefault("protected_bytes", pages * PAGE)
     return HostEngine(EngineConfig(**kw))
+
+
+def step(e, op, addr):
+    """Run one event: its outcome, and the (hits, misses) it added to each
+    of the engine's caches, by attribute name."""
+    caches = [name for name in ("flat_cache", "overflow", "mac_cache") if hasattr(e, name)]
+    before = {name: (getattr(e, name).hits, getattr(e, name).misses) for name in caches}
+    out = e.process_access(op, addr)
+    return out, {name: (getattr(e, name).hits - hits, getattr(e, name).misses - misses)
+                 for name, (hits, misses) in before.items()}
 
 
 class TestMemoryLayout:
@@ -59,8 +69,8 @@ class TestMemoryLayout:
         e = engine_class(EngineConfig(protected_bytes=16 * PAGE))
         e.process_access("W", 0)
         assert resident_keys(e.mac_cache) == [16 * PAGE // BLOCK]
-        assert e.process_access("R", 7 * BLOCK).mac_hit is True
-        assert e.process_access("R", 8 * BLOCK).mac_hit is False
+        assert step(e, "R", 7 * BLOCK)[1]["mac_cache"] == (1, 0)
+        assert step(e, "R", 8 * BLOCK)[1]["mac_cache"] == (0, 1)
         assert sorted(resident_keys(e.mac_cache)) == [16 * PAGE // BLOCK, 16 * PAGE // BLOCK + 1]
 
 
@@ -134,8 +144,8 @@ class TestChargingModel:
     def test_warm_read_moves_no_metadata(self):
         e = make_engine()
         e.process_access("W", 0)
-        out = e.process_access("R", 0)
-        assert (out.flat_hit, out.mac_hit) == (True, True)
+        out, counted = step(e, "R", 0)
+        assert counted == {"flat_cache": (1, 0), "overflow": (0, 0), "mac_cache": (1, 0)}
         assert out.device_bytes == out.mac_bytes == 0
         assert out.device_transactions == 0
         assert out.local_bytes == BLOCK
@@ -143,8 +153,8 @@ class TestChargingModel:
 
     def test_cold_read_pays_device_and_mac(self):
         e = make_engine()
-        out = e.process_access("R", 0)
-        assert (out.flat_hit, out.mac_hit) == (False, False)
+        out, counted = step(e, "R", 0)
+        assert counted == {"flat_cache": (0, 1), "overflow": (0, 0), "mac_cache": (0, 1)}
         assert out.device_bytes == 2 * 64
         assert out.device_transactions == 1
         assert out.mac_bytes == BLOCK
@@ -155,8 +165,8 @@ class TestChargingModel:
         e = make_engine()
         e.process_access("W", 0)
         e.mac_cache.invalidate_range([e.config.protected_bytes // BLOCK])
-        out = e.process_access("R", 0)
-        assert (out.flat_hit, out.mac_hit) == (True, False)
+        out, counted = step(e, "R", 0)
+        assert counted == {"flat_cache": (1, 0), "overflow": (0, 0), "mac_cache": (0, 1)}
         assert out.device_bytes == 0
         assert out.latency_ns == pytest.approx(50 + 50 + CIPHER_NS)
 
@@ -167,9 +177,9 @@ class TestChargingModel:
         e.process_access("W", PAGE)
         e.process_access("W", PAGE)  # page 1's line takes the only slot
         assert resident_keys(e.overflow) == [1 * 4] and is_cached(e.flat_cache, 0)
-        out = e.process_access("R", 0)
-        assert out.flat_hit is True
-        assert out.overflow_hit is False
+        out, counted = step(e, "R", 0)
+        assert counted["flat_cache"] == (1, 0)
+        assert counted["overflow"] == (0, 1)  # the page's one line missed
         assert out.device_bytes == 3 * 64
         assert out.device_transactions == 1
 
@@ -182,13 +192,12 @@ class TestChargingModel:
     def test_reset_reencryption_on_the_pool_page_channel(self):
         e = make_engine(pages=4, local_bytes=PAGE)
         out = e.handle_uv_update(1)
-        assert (out.channel, out.local_bytes, out.pool_bytes) == ("pool", 0, 64 * BLOCK)
+        assert (out.local_bytes, out.pool_bytes) == (0, 64 * BLOCK)
         assert (e.local_bytes, e.pool_bytes) == (0, 64 * BLOCK)
 
     def test_pool_channel_and_latency(self):
         e = make_engine(pages=16, local_bytes=0)
         out = e.process_access("W", 0)
-        assert out.channel == "pool"
         assert out.pool_bytes == BLOCK and out.local_bytes == 0
         warm = e.process_access("R", 0)
         assert warm.latency_ns == pytest.approx(145 + CIPHER_NS)
@@ -224,22 +233,27 @@ class TestInclusivity:
          ("full", "resets", "overflow_hits", "overflow_misses")),
         # the default 256 flat entries and 512-line 16-way overflow buffer:
         # 192 hot pages driven full, four lines each, thrash the buffer
-        ({"trace": {"pattern": {"kind": "hot_block", "footprint_bytes": 4194304,
+        ({"reset_exp": 11,
+          "trace": {"pattern": {"kind": "hot_block", "footprint_bytes": 4194304,
                                 "op_count": 40000, "hot_set_bytes": 786432,
                                 "write_fraction": 0.7, "seed": 6}}},
-         ("full", "overflow_hits", "overflow_misses")),
+         ("full", "resets", "overflow_hits", "overflow_misses")),
     ], ids=["small_caches", "default_caches"])
     def test_lines_stay_inclusive_and_reads_decode_under_traffic(self, doc, reached):
         # after every event, each overflow line is one its cached page
-        # filled, and a read's packed entry and lines decode to the store's
-        # version of the block
+        # filled, each cached page filled exactly the lines of its format
+        # (so a flat-cache hit needs no device READ to learn it), and a
+        # read's packed entry and lines decode to the store's version of
+        # the block
         cfg = resolve_config(dict(doc, mode="toleo", protected_bytes=4194304))
         e = build_engine(cfg)
-        pages, sets = e.flat_cache._pages.values(), e.overflow._sets.values()
+        cached, sets = e.flat_cache._pages, e.overflow._sets.values()
         for op, addr in resolve_trace(cfg, None):
             e.process_access(op, addr)
-            filled = dict(chain.from_iterable(pages))  # key -> its set, of every cached page
+            filled = dict(chain.from_iterable(cached.values()))  # key -> its set
             assert filled.keys() >= set(chain.from_iterable(sets)), "line its page did not fill"
+            for page, lines in cached.items():
+                assert len(lines) == LINE_COUNT[e.store.page_format(page)], page
             if op == "R":
                 assert e._decode_version(addr) == e.store.read_version(addr)
         s = e.stats()
@@ -267,17 +281,15 @@ class TestUvUpdates:
         assert e.resets == 1
         assert e.uv[0] == 1
         # cached metadata was dropped: next read goes to the device
-        r = e.process_access("R", 0)
-        assert r.flat_hit is False
+        assert step(e, "R", 0)[1]["flat_cache"] == (0, 1)
 
     def test_direct_uv_update_accounting(self):
         e = make_engine()
         e.process_access("W", 0)
         before = (e.local_bytes, e.mac_bytes)
         out = e.handle_uv_update(0)
-        assert (out.op, out.addr, out.channel) == ("U", 0, "local")
-        assert (out.local_bytes, out.pool_bytes, out.mac_bytes) == (64 * BLOCK, 0, 8 * BLOCK)
-        assert out.reencrypted_blocks == 64
+        assert out == AccessOutcome(local_bytes=64 * BLOCK, mac_bytes=8 * BLOCK,
+                                    reencrypted_blocks=64)
         assert (e.local_bytes - before[0], e.mac_bytes - before[1]) == (64 * BLOCK, 8 * BLOCK)
         assert (e.uv, e.resets, e.reencrypted_blocks) == ({0: 1}, 1, 64)
 
@@ -436,9 +448,7 @@ class TestFunctionalLayer:
         e = make_engine(seed=9)
         e.functional_write(0, b"secret!" * 8 + b"\0" * 8)
         out = e.os_free_page(0)
-        assert out.op == "F" and out.events == ()
-        assert out.mac_bytes == 8 * BLOCK
-        assert out.local_bytes == 0  # no re-encryption traffic
+        assert out == AccessOutcome(mac_bytes=8 * BLOCK)  # no re-encryption traffic
         with pytest.raises(FreshnessViolation):
             e.functional_read(0)
         assert e.killed
@@ -503,33 +513,34 @@ class TestMacLayer:
 
 
 class TestConservation:
-    def test_outcome_sums_match_engine_totals(self):
-        e = make_engine(
-            pages=8,
+    @pytest.mark.parametrize("engine_class", [NoneEngine, CiEngine, HostEngine, MerkleEngine],
+                             ids=["none", "ci", "toleo", "merkle"])
+    def test_outcome_sums_match_engine_totals(self, engine_class):
+        # half the pages local, half on the pool, so both channels carry traffic
+        e = engine_class(EngineConfig(
+            protected_bytes=8 * PAGE,
+            local_bytes=4 * PAGE,
             flat_cache_entries=4,
             mac_cache_bytes=16 * BLOCK,
             params=SecurityParams(stealth_bits=27, upper_bits=37, reset_exp=4),
             seed=6,
-        )
+        ))
         rng = np.random.default_rng(6)
         blocks = rng.integers(0, 8 * 64, size=5000)
         writes = rng.random(5000) < 0.5
-        totals = AccessOutcome(op="*", addr=0, channel="local")
+        fields = ("local_bytes", "pool_bytes", "mac_bytes", "device_bytes",
+                  "device_transactions", "reencrypted_blocks")
+        totals = dict.fromkeys(fields, 0)
         for b, w in zip(blocks.tolist(), writes.tolist()):
             out = e.process_access("W" if w else "R", b * BLOCK)
-            totals.local_bytes += out.local_bytes
-            totals.pool_bytes += out.pool_bytes
-            totals.mac_bytes += out.mac_bytes
-            totals.device_bytes += out.device_bytes
-            totals.device_transactions += out.device_transactions
-            totals.reencrypted_blocks += out.reencrypted_blocks
-        assert totals.local_bytes == e.local_bytes
-        assert totals.pool_bytes == e.pool_bytes
-        assert totals.mac_bytes == e.mac_bytes
-        assert totals.device_bytes == e.device_bytes
-        assert totals.device_transactions == e.stats()["device"]["transactions"]
-        assert totals.reencrypted_blocks == e.reencrypted_blocks
-        assert e.resets > 0  # the reset path fired during the run
+            for name in fields:
+                totals[name] += getattr(out, name)
+        s = e.stats()
+        assert totals == {**s["channels"], "device_transactions": s["device"]["transactions"],
+                          "reencrypted_blocks": s["reencrypted_blocks"]}
+        assert totals["local_bytes"] > 0 and totals["pool_bytes"] > 0
+        if e.mode == "toleo":
+            assert e.resets > 0  # the reset path fired during the run
 
     def test_every_write_is_one_update(self):
         e = make_engine(pages=4)
