@@ -24,11 +24,10 @@ P = SecurityParams()
 
 def show(store, label):
     fmt = store.page_format(0)
-    u = store.usage_stats()
     tag, base, payload = decode_entry_image(store.entry_image(0), P)
     print(f"{label:<38} {FORMAT_NAMES[fmt]:<7} "
           f"{entry_cost_bytes(fmt, G, P):>3} B/page   base={base:<9}"
-          f" dynamic={u['dynamic_bytes']} B")
+          f" dynamic={store.dynamic_bytes} B")
     return fmt, base, payload
 
 

@@ -17,7 +17,7 @@ def main():
     engine = HostEngine(EngineConfig(protected_bytes=16 * 4096, seed=3))
 
     secret = b"account balance: 1000.00 credits".ljust(64, b"\0")
-    captured, _ = engine.functional_write(ADDR, secret)
+    captured = engine.functional_write(ADDR, secret)
     print(f"victim writes block, stealth version {captured.stealth}")
     print(f"attacker captures ciphertext {captured.cipher[:8].hex()}...\n")
 
@@ -32,7 +32,7 @@ def main():
 
     engine.rearm_kill_switch()
     engine.functional_write(ADDR, updated)
-    plaintext, _ = engine.functional_read(ADDR)
+    plaintext = engine.functional_read(ADDR)
     print(f"victim rewrites the block; reads verify again: "
           f"{plaintext.rstrip(bytes(1)).decode()!r}")
 

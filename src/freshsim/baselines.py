@@ -30,7 +30,6 @@ class CiEngine(ProtectionEngine):
 
     mode = "ci"
     uses_mac = True
-    uses_cipher = True
 
 
 # -- counter hash tree ---------------------------------------------------------------
@@ -147,7 +146,6 @@ class MerkleEngine(ProtectionEngine):
 
     mode = "merkle"
     uses_mac = True
-    uses_cipher = True
 
     def __init__(self, config: EngineConfig, tree_config: CounterTreeConfig | None = None) -> None:
         super().__init__(config)

@@ -3,9 +3,11 @@ host engine backed by the device version store.
 
 ``ProtectionEngine`` does what all modes do alike: channel routing (local
 DRAM or a CXL-attached pool), data and MAC byte charging, the MAC cache and
-latency.  Each mode adds only its freshness scheme, as a hook the skeleton
-calls once per event; a mode with none (``none``, ``ci``) makes no hook call.
-Each event returns an ``AccessOutcome`` of what it charged.
+read latency.  Each mode adds only its freshness scheme, as a hook the
+skeleton calls once per event; a mode with none (``none``, ``ci``) makes no
+hook call.  Every charge lands on the engine's totals, which ``stats()``
+reports; ``process_access`` also returns an ``AccessOutcome`` of the bytes,
+transactions and store events the one event charged.
 
 The device-backed engine keeps three small caches of freshness metadata:
 
@@ -24,7 +26,8 @@ trip keeps the caches coherent.
 
 Read latency is modeled analytically: the data fetch on its channel, plus the
 slowest outstanding metadata fetch (device or MAC, issued in parallel), plus
-a fixed cipher-pipeline delay.
+a fixed cipher-pipeline delay.  Only its sum over the reads is kept, for
+``avg_read_latency_ns``; a write computes no latency, as nothing reports one.
 
 The host engine's functional layer actually enciphers block payloads under a
 keyed pseudorandom transform of (key, full version, address) and MACs them,
@@ -89,7 +92,7 @@ class EngineConfig:
 
     geometry: Geometry = field(default_factory=Geometry)
     params: SecurityParams = field(default_factory=SecurityParams)
-    protected_bytes: int = 1 * GIB
+    protected_bytes: int = bounded(1 * GIB, high=1 << 64)  # trace addresses are uint64
     device_capacity_bytes: int | None = bounded(None)
     local_bytes: int = bounded(3 * TIB)
     local_ns: float = bounded(50.0)
@@ -164,14 +167,15 @@ class EngineConfig:
 
 @dataclass(slots=True)
 class AccessOutcome:
-    """What one event charged, and nothing else: the caller knows the op and
-    address, the charged byte field shows the channel, and the caches and
-    the counter tree count their own hits, misses and fetches.
+    """What one event charged onto the engine's channel and device totals,
+    and the version store's events for its UPDATE (``reset_triggered``
+    among them when the write reset its page), and nothing else.
 
     Byte fields mirror exactly what the event added to the engine's channel
-    counters, so summing outcomes over a run reproduces the totals.  The
-    skeleton builds one positionally: ``AccessOutcome(nbytes)`` for a local
-    event, ``AccessOutcome(0, nbytes)`` for a pool one.
+    counters, a reset's re-encryption included, so summing outcomes over a
+    run reproduces the totals.  The skeleton builds one positionally:
+    ``AccessOutcome(nbytes)`` for a local event, ``AccessOutcome(0, nbytes)``
+    for a pool one.
     """
 
     local_bytes: int = 0
@@ -179,9 +183,7 @@ class AccessOutcome:
     mac_bytes: int = 0
     device_bytes: int = 0
     device_transactions: int = 0
-    latency_ns: float = 0.0
     events: tuple = ()
-    reencrypted_blocks: int = 0
 
 
 @dataclass(slots=True)
@@ -285,7 +287,7 @@ class ProtectionEngine:
     It refuses events once the engine is halted or killed, validates the
     event, routes the data access to its channel (local DRAM below
     ``local_bytes``, the CXL pool above), charges data and MAC traffic, runs
-    the MAC cache, and computes latency.  A mode plugs its freshness scheme
+    the MAC cache, and sums read latency.  A mode plugs its freshness scheme
     in through two hooks.  ``_freshness(out, addr, is_write, data_ns)`` runs
     before the MAC access, charges its metadata traffic onto ``out`` and the
     totals, and returns the metadata fetch latency of a read; ``data_ns`` is
@@ -293,12 +295,12 @@ class ProtectionEngine:
     write's MAC line is owned, only if the hook set ``out.events``.
 
     A mode with no freshness scheme leaves ``_freshness`` None and makes no
-    hook call; with no MAC or cipher either, this is unprotected memory.
+    hook call.  ``uses_mac`` switches on the MAC cache and the cipher delay
+    together; with neither, this is unprotected memory.
     """
 
     mode = "none"
     uses_mac = False
-    uses_cipher = False
     read_hops = 2  # trips on the data's channel a read may make: data, MAC line
     _freshness = None  # a mode's freshness hook, if it has a scheme
 
@@ -308,7 +310,7 @@ class ProtectionEngine:
         self.mac_cache = SetAssocCache(
             lines=config.mac_cache_bytes // g.block_bytes, assoc=config.mac_assoc
         )
-        self._cipher_ns = config.cipher_ns if self.uses_cipher else 0.0
+        self._cipher_ns = config.cipher_ns if self.uses_mac else 0.0
         self._data_bytes = config.protected_bytes
         self._local_limit = config.local_bytes
         self._local_ns = config.local_ns
@@ -335,6 +337,7 @@ class ProtectionEngine:
 
     def process_access(self, op: str, addr: int) -> AccessOutcome:
         """Run one trace event through the engine.  ``op`` is "R" or "W".
+        Returns what the event charged.
 
         A rejected event (bad op or address, terminal engine) counts nothing.
         """
@@ -381,14 +384,11 @@ class ProtectionEngine:
                 out.mac_bytes += nbytes
                 self.mac_bytes += nbytes
                 mac_ns = data_ns
-        if is_write:
-            out.latency_ns = data_ns + self._cipher_ns
-            if out.events:
-                self._after_write(out, addr)
-        else:
-            latency = data_ns + (mac_ns if mac_ns > fresh_ns else fresh_ns) + self._cipher_ns
-            out.latency_ns = latency
-            self.read_latency_total += latency
+        if not is_write:
+            self.read_latency_total += (
+                data_ns + (mac_ns if mac_ns > fresh_ns else fresh_ns) + self._cipher_ns)
+        elif out.events:
+            self._after_write(out, addr)
         return out
 
     # -- statistics --------------------------------------------------------------------
@@ -427,11 +427,15 @@ def _cache_counts(cache: SetAssocCache) -> dict:
 
 
 class HostEngine(ProtectionEngine):
-    """Device-backed protection engine (mode tag ``toleo``)."""
+    """Device-backed protection engine (mode tag ``toleo``).
+
+    Only ``process_access`` returns an outcome.  A direct page re-key
+    (``handle_uv_update``, ``os_free_page``) charges the totals alone, and
+    the functional layer returns the sealed record or the plaintext.
+    """
 
     mode = "toleo"
     uses_mac = True
-    uses_cipher = True
 
     def __init__(self, config: EngineConfig) -> None:
         super().__init__(config)
@@ -507,11 +511,11 @@ class HostEngine(ProtectionEngine):
 
     # -- page-level operations -----------------------------------------------------
 
-    def _rekey_page(self, page: int, out: AccessOutcome | None) -> AccessOutcome:
+    def _rekey_page(self, page: int, out: AccessOutcome | None) -> None:
         """The re-key a reset and a page free share: bump the page's upper
         version, charge the rewrite of every MAC line that holds a MAC of one
-        of its blocks onto ``out`` (a new outcome when none is given) and the
-        totals, and drop the page's cached metadata, which refills lazily.
+        of its blocks to the totals (and onto ``out``, if given), and drop
+        the page's cached metadata, which refills lazily.
 
         A terminal engine raises SimulationHalted, a page outside the
         protected range AddressRangeError, and an upper version that would
@@ -526,45 +530,42 @@ class HostEngine(ProtectionEngine):
         if uv >= (1 << bits):
             raise UvOverflowError(f"page {page} exhausted its {bits}-bit upper version")
         self.uv[page] = uv
-        if out is None:
-            out = AccessOutcome()
         page_addr = page * self._page_bytes
         first = self._mac_key_base + page_addr // self._mac_key_span
         last = self._mac_key_base + (page_addr + self._page_bytes - 1) // self._mac_key_span
         nbytes = (last + 1 - first) * self._block_bytes
-        out.mac_bytes += nbytes
         self.mac_bytes += nbytes
+        if out is not None:
+            out.mac_bytes += nbytes
         self.flat_cache.drop(page)
         self.mac_cache.invalidate_range(range(first, last + 1))
-        return out
 
-    def handle_uv_update(self, page: int, out: AccessOutcome | None = None) -> AccessOutcome:
+    def handle_uv_update(self, page: int, out: AccessOutcome | None = None) -> None:
         """Re-key the page (``_rekey_page``) and re-encrypt all of it.
 
-        Charged onto ``out`` (a new outcome when none is given) and the
-        engine totals as 64 data-block writes on the page's channel plus the
-        re-key's MAC-block writes, and counted as a reset.
+        Charged to the engine totals (and onto ``out``, the event's outcome
+        when a write's reset calls it) as 64 data-block writes on the page's
+        channel plus the re-key's MAC-block writes, and counted as a reset.
         """
-        out = self._rekey_page(page, out)
+        self._rekey_page(page, out)
         nbytes = self._page_bytes  # every block of the page, rewritten
         if page * nbytes < self._local_limit:
-            out.local_bytes += nbytes
             self.local_bytes += nbytes
+            if out is not None:
+                out.local_bytes += nbytes
         else:
-            out.pool_bytes += nbytes
             self.pool_bytes += nbytes
-        blocks = self.config.geometry.blocks_per_page
-        out.reencrypted_blocks += blocks
-        self.reencrypted_blocks += blocks
+            if out is not None:
+                out.pool_bytes += nbytes
+        self.reencrypted_blocks += self.config.geometry.blocks_per_page
         self.resets += 1
         fn = self.functional
         records = fn.records.get(page, {})
         for addr, rec in records.items():
             plaintext = fn.open(addr, rec, rec.stealth)
             records[addr] = fn.seal(addr, plaintext, self.uv[page], self._decode_version(addr))
-        return out
 
-    def os_free_page(self, page: int) -> AccessOutcome:
+    def os_free_page(self, page: int) -> None:
         """Free/remap a page: re-key it (``_rekey_page``) and reset its
         versions, nothing more.
 
@@ -572,9 +573,8 @@ class HostEngine(ProtectionEngine):
         MAC on the next verified read; that is the cheap scrambling the OS
         relies on.
         """
-        out = self._rekey_page(page, None)
+        self._rekey_page(page, None)
         self.store.reset_page(page)
-        return out
 
     # -- functional layer ------------------------------------------------------------
 
@@ -592,17 +592,20 @@ class HostEngine(ProtectionEngine):
             return (base + decode_uneven_line(lines[0], g)[block]) & params.stealth_mask
         return decode_full_lines(lines, g, params)[block]
 
-    def functional_write(self, addr: int, plaintext: bytes) -> tuple[Record, AccessOutcome]:
+    def functional_write(self, addr: int, plaintext: bytes) -> Record:
+        """Write the block as one event and seal ``plaintext`` under its new
+        version; the record is held and returned."""
         fn = self.functional
-        out = self.process_access("W", addr)
+        self.process_access("W", addr)
         record = fn.seal(addr, plaintext, self.uv.get(addr // self._page_bytes, 0),
                          self._decode_version(addr))
         fn.put(addr, record)
-        return record, out
+        return record
 
-    def functional_read(self, addr: int) -> tuple[bytes, AccessOutcome]:
+    def functional_read(self, addr: int) -> bytes:
+        """Read the block as one event and return its verified plaintext."""
         fn = self.functional
-        out = self.process_access("R", addr)
+        self.process_access("R", addr)
         record = fn.get(addr)
         if record is None:
             raise ConfigError(f"no record was ever written at {addr:#x}")
@@ -611,7 +614,7 @@ class HostEngine(ProtectionEngine):
         except FreshnessViolation as exc:
             self.killed = str(exc)
             raise
-        return plaintext, out
+        return plaintext
 
     def inject_replay(self, addr: int, old_record: Record) -> str:
         """Substitute a captured record and read it back.
@@ -639,18 +642,18 @@ class HostEngine(ProtectionEngine):
 
     def stats(self) -> dict:
         s = super().stats()
-        usage = self.store.usage_stats()
+        store = self.store
         s["caches"]["flat"] = _cache_counts(self.flat_cache)
         s["caches"]["overflow"] = _cache_counts(self.overflow)
         s["page_formats"] = {
-            "flat": usage["pages_flat"],
-            "uneven": usage["pages_uneven"],
-            "full": usage["pages_full"],
+            "flat": store.pages_flat,
+            "uneven": store.pages_uneven,
+            "full": store.pages_full,
         }
         s["device"] = {
-            "static_bytes": usage["static_bytes"],
-            "dynamic_bytes": usage["dynamic_bytes"],
-            "peak_bytes": usage["peak_bytes"],
+            "static_bytes": store.static_bytes,
+            "dynamic_bytes": store.dynamic_bytes,
+            "peak_bytes": store.static_bytes + store.peak_dynamic_bytes,
             "transactions": self.device_reads + self.device_updates,
             "reads": self.device_reads,
             "updates": self.device_updates,

@@ -435,26 +435,6 @@ class VersionStore:
         """
         return self._reset(page, self._entry(page))
 
-    # -- accounting ------------------------------------------------------------
-
-    def usage_stats(self) -> dict:
-        touched = self.pages_touched
-        total = self.static_bytes + self.dynamic_bytes
-        return {
-            "pages_flat": self.pages_flat,
-            "pages_uneven": self.pages_uneven,
-            "pages_full": self.pages_full,
-            "pages_touched": touched,
-            "static_bytes": self.static_bytes,
-            "dynamic_bytes": self.dynamic_bytes,
-            "peak_bytes": self.static_bytes + self.peak_dynamic_bytes,
-            "avg_bytes_per_page": (total / touched) if touched else 0.0,
-            "upgrades_to_uneven": self.upgrades_to_uneven,
-            "upgrades_to_full": self.upgrades_to_full,
-            "normalizations": self.normalizations,
-            "resets": self.resets,
-        }
-
     # -- packed images ----------------------------------------------------------
 
     def entry_image(self, page: int) -> bytes:

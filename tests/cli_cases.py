@@ -149,7 +149,13 @@ CASES = [
         ("clock_ghz_inf", {"clock_ghz": float("inf")}, "clock_ghz"),
         ("protected_bytes_unaligned", {"mode": "none", "protected_bytes": 4160},
          "protected_bytes"),
-        ("protected_bytes_zero", {"mode": "merkle", "protected_bytes": 0}, "protected_bytes")]),
+        ("protected_bytes_zero", {"mode": "merkle", "protected_bytes": 0}, "protected_bytes"),
+        # past the uint64 addresses a trace holds: a toleo run ended in an
+        # OverflowError once its stats averaged the device bytes per page
+        ("protected_bytes_past_2_64",
+         {"protected_bytes": BIG - BIG % PAGE,
+          "trace": {"pattern": pattern_doc(kind="zipfian", footprint_bytes=4 << 20)}},
+         "protected_bytes")]),
     # each value is finite but a read's latency, their sum, was not: an
     # OverflowError on the first event
     *(case(f"{_CONFIG}read_latency_past_float_range_names_the_keys[{param}]", "simulate",

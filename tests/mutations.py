@@ -40,6 +40,7 @@ _MERKLE = "tests/test_baselines.py::TestMerkleEngine::test_"
 _RANGE = "tests/test_caches.py::TestRangeOps::test_"
 _FLAT = "tests/test_caches.py::TestFlatCache::test_"
 _CACHES = "tests/test_caches.py::test_"
+_ACROSS_MODES = "tests/test_baselines.py::test_modes_agree_on_metadata_after_every_event"
 
 
 class Mutation(NamedTuple):
@@ -65,11 +66,22 @@ MUTATIONS = [
              "                mac_ns = data_ns\n",
              "                self.mac_bytes += nbytes\n                mac_ns = data_ns\n",
              tuple(f"{_CONSERVED}[{mode}]" for mode in ("ci", "toleo", "merkle"))),
+    Mutation("read_latency_sums_the_overlapping_fetches", ENGINE,
+             "mac_ns if mac_ns > fresh_ns else fresh_ns",
+             "mac_ns + fresh_ns",
+             (_CHARGING + "cold_read_pays_device_and_mac",)),
     # -- toleo's metadata path ----------------------------------------------------------
     Mutation("rekey_skips_the_flat_cache_drop", ENGINE,
              "        self.flat_cache.drop(page)\n", "",
              (f"{_INCLUSIVE}[default_caches]",
               "tests/test_engine.py::TestUvUpdates::test_reset_triggers_page_reencryption")),
+    Mutation("update_drops_the_pages_mac_lines", ENGINE,
+             "            self.device_updates += 1\n",
+             "            self.device_updates += 1\n"
+             "            self.mac_cache.invalidate_range(range(\n"
+             "                self._mac_key_base + page * self._page_bytes // self._mac_key_span,\n"
+             "                self._mac_key_base + (page + 1) * self._page_bytes // self._mac_key_span))\n",
+             (_ACROSS_MODES,)),
     Mutation("read_miss_fills_one_line_too_few", ENGINE,
              "                count = LINE_COUNT[self.store.fetch_format(page)]\n"
              "                self.flat_cache.write(page, count)\n",
@@ -141,6 +153,11 @@ MUTATIONS = [
              "geometry.blocks_per_page)\n    v[-1] ^= 1\n    return v\n",
              (_FUNCTIONAL + "roundtrip_through_uneven_full_and_reset",)),
     # -- the merkle baseline ------------------------------------------------------------
+    Mutation("merkle_walk_also_touches_the_mac_cache", BASELINES,
+             "        fetched = tree.access(addr, is_write)\n",
+             "        fetched = tree.access(addr, is_write)\n"
+             "        self.mac_cache.access(addr // self._block_bytes, False)\n",
+             (_ACROSS_MODES,)),
     Mutation("merkle_walk_on_the_local_channel", BASELINES,
              "        return fetched * data_ns\n",
              "        return fetched * self._local_ns\n",

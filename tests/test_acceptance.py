@@ -6,8 +6,8 @@ Every criterion prints exactly one line of the form
 
 and fails the suite if its pinned tolerance is violated.  The checks are
 deliberately self-contained: where a criterion needs an independent model
-(the uncompressed version map, the binomial window), it is rebuilt here
-rather than imported from the code under test.
+(the uncompressed version map of ``helpers``, the binomial window), it
+comes from the tests, never from the code under test.
 """
 
 import filecmp
@@ -49,7 +49,7 @@ from freshsim.version_store import (
     entry_cost_bytes,
     flat_array_bytes,
 )
-from helpers import page_base, stealth_add
+from helpers import ReferenceMap, page_base, stealth_add
 
 G = Geometry()
 P = SecurityParams()
@@ -150,40 +150,6 @@ def test_criterion_04_monte_carlo_agreement():
     )
 
 
-class _UncompressedMap:
-    """Independent oracle: one plain counter per block, no compression.
-
-    Shares the store's randomness protocol so both sides consume the same
-    seeded stream: an S-bit draw on first page touch, an R-bit draw per
-    strict leading-version advance, an S-bit redraw when that fires zero.
-    """
-
-    def __init__(self, seed, params):
-        self.draw = random.Random(seed).getrandbits
-        self.s = params.stealth_bits
-        self.r = params.reset_exp
-        self.pages = {}
-
-    def _page(self, page):
-        v = self.pages.get(page)
-        if v is None:
-            v = [self.draw(self.s)] * 64
-            self.pages[page] = v
-        return v
-
-    def read(self, page, block):
-        return self._page(page)[block] % (1 << self.s)
-
-    def write(self, page, block):
-        v = self._page(page)
-        lead = max(v)
-        v[block] += 1
-        if v[block] > lead and self.draw(self.r) == 0:
-            fresh = self.draw(self.s)
-            self.pages[page] = v = [fresh] * 64
-        return v[block] % (1 << self.s)
-
-
 def test_criterion_05_compressed_store_equals_uncompressed_map():
     pages = 128
     ops_per_trace = 100_000
@@ -200,7 +166,7 @@ def test_criterion_05_compressed_store_equals_uncompressed_map():
             seed=1000 + i,
         )
         store = make_store(pages, seed=2000 + i)
-        ref = _UncompressedMap(2000 + i, P)
+        ref = ReferenceMap(2000 + i, P)
         for op, addr in generate(spec):
             page, block = addr // PAGE, (addr // 64) % 64
             if op == "W":
@@ -228,9 +194,8 @@ def test_criterion_06_format_regimes():
                        op_count=3 * 64 * 64, write_fraction=1.0, seed=7)
     for _, addr in generate(spec):
         store.update_version(addr)
-    u = store.usage_stats()
     uniform_ok = (
-        u["pages_flat"] == u["pages_touched"] == 64
+        store.pages_flat == store.pages_touched == 64
         and store.resets == 0
         and all(
             store.read_version(p * PAGE) == stealth_add(bases[p], 3, P.stealth_bits)
@@ -317,11 +282,11 @@ def test_criterion_08_replay_detection():
 
     # end to end: a stale record trips the kill switch, the current one passes
     eng = HostEngine(EngineConfig(protected_bytes=4 * PAGE, seed=9))
-    stale, _ = eng.functional_write(0, b"A" * 64)
+    stale = eng.functional_write(0, b"A" * 64)
     eng.functional_write(0, b"B" * 64)
     detected = eng.inject_replay(0, stale) == "detected"
     eng.rearm_kill_switch()
-    current, _ = eng.functional_write(0, b"C" * 64)
+    current = eng.functional_write(0, b"C" * 64)
     silent = eng.inject_replay(0, current) == "silent_success"
 
     ok = missed == 0 and false_alarms == 0 and missed27 == 0 and detected and silent

@@ -11,8 +11,9 @@ from freshsim.baselines import (
     tree_depth,
 )
 from freshsim.core import AddressRangeError, ConfigError, Geometry, SecurityParams
-from freshsim.engine import EngineConfig, HostEngine
-from freshsim.version_store import SLOT_BYTES
+from freshsim.engine import EngineConfig, HostEngine, SimulationHalted
+from freshsim.version_store import SLOT_BYTES, flat_array_bytes
+from helpers import charged
 
 G = Geometry()
 PAGE = G.page_bytes
@@ -140,9 +141,9 @@ class TestBaselineEngines:
 
     def test_ci_adds_cipher_and_macs_only(self):
         e = CiEngine(EngineConfig(protected_bytes=32 * PAGE))
-        cold = e.process_access("R", 0)
+        cold = charged(e, "process_access", "R", 0)
         assert cold.latency_ns == pytest.approx(50 + 50 + CIPHER_NS)
-        warm = e.process_access("R", 0)
+        warm = charged(e, "process_access", "R", 0)
         assert warm.latency_ns == pytest.approx(50 + CIPHER_NS)
         s = e.stats()
         assert s["channels"]["mac_bytes"] == BLOCK
@@ -167,6 +168,15 @@ class TestBaselineEngines:
 
 
 _SHAPE = st.tuples(st.integers(1, 4), st.integers(1, 4))  # sets, ways
+
+
+def random_trace(pages, seed, events, write_share):
+    """``events`` accesses to uniform random blocks of ``pages`` pages, each
+    a write with probability ``write_share``."""
+    rng = np.random.default_rng(seed)
+    blocks = rng.integers(0, pages * PAGE // BLOCK, size=events).tolist()
+    return [("W" if write else "R", block * BLOCK)
+            for write, block in zip((rng.random(events) < write_share).tolist(), blocks)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -202,10 +212,7 @@ def test_modes_agree_on_data_traffic(pages, local_pages, flat_entries, overflow,
         counter_cache_assoc=counter_cache[1],
     )
     engines = [NoneEngine(config), CiEngine(config), HostEngine(config), MerkleEngine(config, tree)]
-    rng = np.random.default_rng(seed)
-    blocks = rng.integers(0, pages * PAGE // BLOCK, size=events).tolist()
-    trace = [("W" if write else "R", block * BLOCK)
-             for write, block in zip((rng.random(events) < write_share).tolist(), blocks)]
+    trace = random_trace(pages, seed, events, write_share)
     writes = [op for op, _ in trace].count("W")
     for engine in engines:
         summed = dict.fromkeys(("local_bytes", "pool_bytes", "mac_bytes", "device_bytes"), 0)
@@ -224,6 +231,69 @@ def test_modes_agree_on_data_traffic(pages, local_pages, flat_entries, overflow,
             assert ch["device_bytes"] == 0
 
 
+def mac_counts(engine) -> tuple[int, int, int]:
+    return engine.mac_bytes, engine.mac_cache.hits, engine.mac_cache.misses
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    pages=st.integers(1, 6),
+    local_pages=st.integers(0, 6),
+    flat_entries=st.integers(1, 4),
+    mac=_SHAPE,
+    counter_cache=_SHAPE,
+    arity=st.integers(2, 8),
+    root_counters=st.integers(1, 4),
+    reset_exp=st.integers(1, 20),
+    upper_bits=st.sampled_from([1, 37]),
+    device_slots=st.one_of(st.none(), st.integers(0, 6)),
+    seed=st.integers(0, 2**16),
+    events=st.integers(0, 300),
+    write_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+)
+def test_modes_agree_on_metadata_after_every_event(pages, local_pages, flat_entries, mac,
+                                                   counter_cache, arity, root_counters,
+                                                   reset_exp, upper_bits, device_slots, seed,
+                                                   events, write_share):
+    # ci, toleo and merkle share the skeleton's MAC path, so after every
+    # event ci and merkle have moved the same MAC bytes with the same hits
+    # and misses, and so has toleo until a reset re-keys a page (which drops
+    # its MAC lines) or the device halts it; until then each toleo write is
+    # one device UPDATE; and merkle's device bytes are its node fetches and
+    # dirty write-backs.  One upper-version bit and a few dynamic slots make
+    # toleo halt
+    params = SecurityParams(upper_bits=upper_bits, reset_exp=reset_exp)
+    config = EngineConfig(
+        protected_bytes=pages * PAGE, local_bytes=local_pages * PAGE,
+        flat_cache_entries=flat_entries,
+        mac_cache_bytes=mac[0] * mac[1] * BLOCK, mac_assoc=mac[1],
+        device_capacity_bytes=None if device_slots is None else
+        flat_array_bytes(pages * PAGE, G, params) + device_slots * SLOT_BYTES,
+        params=params, seed=seed,
+    )
+    tree_config = CounterTreeConfig(
+        protected_bytes=pages * PAGE, arity=arity, root_bytes=64 // arity * root_counters,
+        counter_cache_bytes=counter_cache[0] * counter_cache[1] * 64,
+        counter_cache_assoc=counter_cache[1],
+    )
+    ci, toleo, merkle = CiEngine(config), HostEngine(config), MerkleEngine(config, tree_config)
+    tree = merkle.tree
+    for op, addr in random_trace(pages, seed, events, write_share):
+        ci.process_access(op, addr)
+        merkle.process_access(op, addr)
+        if not toleo.halted:
+            try:
+                toleo.process_access(op, addr)
+            except SimulationHalted:
+                pass
+        assert mac_counts(merkle) == mac_counts(ci)
+        if not (toleo.halted or toleo.resets):
+            assert mac_counts(toleo) == mac_counts(ci)
+        if not toleo.halted:
+            assert toleo.device_updates == toleo.writes
+        assert merkle.device_bytes == (tree.fetches + tree.dirty_writebacks) * 64
+
+
 class TestMerkleEngine:
     def make(self, protected=4 * MIB, **tree_kw):
         cfg = EngineConfig(protected_bytes=protected)
@@ -233,7 +303,7 @@ class TestMerkleEngine:
     def test_cold_read_walks_and_charges_tree(self):
         e = self.make()
         depth = e.tree.depth
-        out = e.process_access("R", 0)
+        out = charged(e, "process_access", "R", 0)
         assert e.tree.fetches == depth
         assert out.device_bytes == depth * 64
         assert out.latency_ns == pytest.approx(50 + depth * 50 + CIPHER_NS)
@@ -243,7 +313,7 @@ class TestMerkleEngine:
         # each level's node fetch is one more trip on the data's channel
         e = MerkleEngine(EngineConfig(protected_bytes=4 * MIB, local_bytes=0))
         depth = e.tree.depth
-        out = e.process_access("R", 0)
+        out = charged(e, "process_access", "R", 0)
         assert (out.local_bytes, out.pool_bytes) == (0, BLOCK)
         assert e.tree.fetches == depth and out.device_bytes == depth * 64
         assert out.latency_ns == pytest.approx(145 + depth * 145 + CIPHER_NS)
@@ -252,7 +322,7 @@ class TestMerkleEngine:
         e = self.make()
         e.process_access("R", 0)
         fetches = e.tree.fetches
-        out = e.process_access("R", 0)
+        out = charged(e, "process_access", "R", 0)
         assert e.tree.fetches == fetches
         assert out.device_bytes == 0
         assert out.latency_ns == pytest.approx(50 + CIPHER_NS)

@@ -13,7 +13,6 @@ from freshsim.baselines import CiEngine, MerkleEngine, NoneEngine
 from freshsim.cli import build_engine, resolve_config, resolve_trace
 from freshsim.version_store import FLAT, FULL, LINE_COUNT, UNEVEN, data_partition_bytes
 from freshsim.engine import (
-    AccessOutcome,
     EngineConfig,
     FreshnessViolation,
     FunctionalBlockStore,
@@ -21,7 +20,7 @@ from freshsim.engine import (
     SimulationHalted,
     UvOverflowError,
 )
-from helpers import is_cached, resident_keys
+from helpers import Charges, charged, is_cached, resident_keys
 
 G = Geometry()
 PAGE = G.page_bytes
@@ -35,11 +34,11 @@ def make_engine(pages=16, **kw):
 
 
 def step(e, op, addr):
-    """Run one event: its outcome, and the (hits, misses) it added to each
-    of the engine's caches, by attribute name."""
+    """Run one event: what it charged (``helpers.charged``), and the (hits,
+    misses) it added to each of the engine's caches, by attribute name."""
     caches = [name for name in ("flat_cache", "overflow", "mac_cache") if hasattr(e, name)]
     before = {name: (getattr(e, name).hits, getattr(e, name).misses) for name in caches}
-    out = e.process_access(op, addr)
+    out = charged(e, "process_access", op, addr)
     return out, {name: (getattr(e, name).hits - hits, getattr(e, name).misses - misses)
                  for name, (hits, misses) in before.items()}
 
@@ -118,18 +117,17 @@ class TestConfig:
 class TestChargingModel:
     def test_flat_write_costs_two_messages(self):
         e = make_engine()
-        out = e.process_access("W", 0)
+        out = charged(e, "process_access", "W", 0)
         assert out.device_bytes == 2 * 64
         assert out.device_transactions == 1
         assert out.mac_bytes == BLOCK  # fetch-for-ownership miss
         assert out.local_bytes == BLOCK
-        assert out.latency_ns == pytest.approx(50 + CIPHER_NS)
 
     def test_uneven_write_costs_three_messages(self):
         e = make_engine()
         e.process_access("W", 0)
-        out = e.process_access("W", 0)
-        assert "upgraded_to_uneven" in out.events
+        out = charged(e, "process_access", "W", 0)
+        assert e.store.upgrades_to_uneven == 1
         assert out.device_bytes == 3 * 64
         assert out.mac_bytes == 0  # mac line already owned
 
@@ -137,8 +135,9 @@ class TestChargingModel:
         e = make_engine()
         for _ in range(127):
             e.process_access("W", 0)
-        out = e.process_access("W", 0)
-        assert "upgraded_to_full" in out.events
+        assert e.store.upgrades_to_full == 0
+        out = charged(e, "process_access", "W", 0)
+        assert e.store.upgrades_to_full == 1
         assert out.device_bytes == 6 * 64
 
     def test_warm_read_moves_no_metadata(self):
@@ -191,15 +190,15 @@ class TestChargingModel:
 
     def test_reset_reencryption_on_the_pool_page_channel(self):
         e = make_engine(pages=4, local_bytes=PAGE)
-        out = e.handle_uv_update(1)
+        out = charged(e, "handle_uv_update", 1)
         assert (out.local_bytes, out.pool_bytes) == (0, 64 * BLOCK)
         assert (e.local_bytes, e.pool_bytes) == (0, 64 * BLOCK)
 
     def test_pool_channel_and_latency(self):
         e = make_engine(pages=16, local_bytes=0)
-        out = e.process_access("W", 0)
+        out = charged(e, "process_access", "W", 0)
         assert out.pool_bytes == BLOCK and out.local_bytes == 0
-        warm = e.process_access("R", 0)
+        warm = charged(e, "process_access", "R", 0)
         assert warm.latency_ns == pytest.approx(145 + CIPHER_NS)
 
     def test_rejects_addresses_outside_partition(self):
@@ -271,11 +270,11 @@ class TestUvUpdates:
         e = make_engine(params=self.params(), seed=3)
         out = None
         for i in range(64):
-            out = e.process_access("W", 0)
+            out = charged(e, "process_access", "W", 0)
             if out.reencrypted_blocks:
                 break
         assert out.reencrypted_blocks == 64
-        assert "reset_triggered" in out.events
+        assert e.store.resets == 1
         assert out.local_bytes == BLOCK + 64 * BLOCK
         assert out.mac_bytes >= 8 * BLOCK
         assert e.resets == 1
@@ -286,17 +285,14 @@ class TestUvUpdates:
     def test_direct_uv_update_accounting(self):
         e = make_engine()
         e.process_access("W", 0)
-        before = (e.local_bytes, e.mac_bytes)
-        out = e.handle_uv_update(0)
-        assert out == AccessOutcome(local_bytes=64 * BLOCK, mac_bytes=8 * BLOCK,
-                                    reencrypted_blocks=64)
-        assert (e.local_bytes - before[0], e.mac_bytes - before[1]) == (64 * BLOCK, 8 * BLOCK)
+        assert charged(e, "handle_uv_update", 0) == Charges(
+            local_bytes=64 * BLOCK, mac_bytes=8 * BLOCK, resets=1, reencrypted_blocks=64)
         assert (e.uv, e.resets, e.reencrypted_blocks) == ({0: 1}, 1, 64)
 
     def test_upper_version_exhaustion(self):
         e = make_engine(params=SecurityParams(stealth_bits=27, upper_bits=2, reset_exp=20))
         for uv in (1, 2, 3):
-            assert e.handle_uv_update(0).reencrypted_blocks == 64
+            assert charged(e, "handle_uv_update", 0).reencrypted_blocks == 64
             assert e.uv[0] == uv
         totals = (e.local_bytes, e.mac_bytes, e.resets, e.reencrypted_blocks)
         with pytest.raises(UvOverflowError):
@@ -316,9 +312,7 @@ class TestUvUpdates:
         e = make_engine(geometry=geometry)
         e.process_access("W", 2 * geometry.page_bytes - BLOCK)  # page 1's last block
         assert len(resident_keys(e.mac_cache)) == 1
-        before = e.mac_bytes
-        out = getattr(e, call)(1)
-        assert out.mac_bytes == e.mac_bytes - before == lines * BLOCK
+        assert charged(e, call, 1).mac_bytes == lines * BLOCK
         assert resident_keys(e.mac_cache) == []
 
     @pytest.mark.parametrize("page", [16, -1])
@@ -360,7 +354,7 @@ class TestFailurePaths:
 
     def test_os_free_page_honours_kill_switch(self):
         e = make_engine(seed=9)
-        old, _ = e.functional_write(0, b"A" * 64)
+        old = e.functional_write(0, b"A" * 64)
         e.functional_write(0, b"B" * 64)
         assert e.inject_replay(0, old) == "detected"
         mac_bytes = e.mac_bytes
@@ -374,7 +368,7 @@ class TestFailurePaths:
     def test_terminal_engine_refuses_page_rekey(self, call, state):
         if state == "killed":
             e = make_engine(seed=9)
-            old, _ = e.functional_write(0, b"A" * 64)
+            old = e.functional_write(0, b"A" * 64)
             e.functional_write(0, b"B" * 64)
             assert e.inject_replay(0, old) == "detected"
             page = 0
@@ -411,17 +405,17 @@ class TestFunctionalLayer:
     def test_roundtrip_and_cipher_freshness(self):
         e = make_engine(seed=9)
         msg = bytes(range(64))
-        rec1, _ = e.functional_write(0, msg)
-        got, _ = e.functional_read(0)
+        rec1 = e.functional_write(0, msg)
+        got = e.functional_read(0)
         assert got == msg
-        rec2, _ = e.functional_write(0, msg)
+        rec2 = e.functional_write(0, msg)
         assert rec1.cipher != rec2.cipher  # version advanced, keystream moved
-        rec3, _ = e.functional_write(BLOCK, msg)
+        rec3 = e.functional_write(BLOCK, msg)
         assert rec3.cipher != rec2.cipher  # address is in the tweak
 
     def test_replay_of_stale_record_is_detected(self):
         e = make_engine(seed=9)
-        old, _ = e.functional_write(0, b"A" * 64)
+        old = e.functional_write(0, b"A" * 64)
         e.functional_write(0, b"B" * 64)
         assert e.inject_replay(0, old) == "detected"
         assert e.killed
@@ -429,17 +423,17 @@ class TestFunctionalLayer:
             e.process_access("R", 0)
         e.rearm_kill_switch()
         e.functional_write(0, b"C" * 64)
-        assert e.functional_read(0)[0] == b"C" * 64
+        assert e.functional_read(0) == b"C" * 64
 
     def test_replay_of_current_record_passes(self):
         e = make_engine(seed=9)
-        rec, _ = e.functional_write(0, b"A" * 64)
+        rec = e.functional_write(0, b"A" * 64)
         assert e.inject_replay(0, rec) == "silent_success"
 
     def test_replay_out_of_range_stores_no_record(self):
         # the record entered functional.records before the address was refused
         e = make_engine(pages=4)
-        rec, _ = e.functional_write(0, b"A" * 64)
+        rec = e.functional_write(0, b"A" * 64)
         with pytest.raises(AddressRangeError):
             e.inject_replay(4 * PAGE, rec)
         assert list(e.functional.records) == [0]
@@ -447,24 +441,24 @@ class TestFunctionalLayer:
     def test_os_free_scrambles_page(self):
         e = make_engine(seed=9)
         e.functional_write(0, b"secret!" * 8 + b"\0" * 8)
-        out = e.os_free_page(0)
-        assert out == AccessOutcome(mac_bytes=8 * BLOCK)  # no re-encryption traffic
+        # no re-encryption traffic
+        assert charged(e, "os_free_page", 0) == Charges(mac_bytes=8 * BLOCK)
         with pytest.raises(FreshnessViolation):
             e.functional_read(0)
         assert e.killed
 
     def test_uv_update_reencrypts_instead(self):
         e = make_engine(seed=9)
-        rec, _ = e.functional_write(0, b"D" * 64)
-        out = e.handle_uv_update(0)
-        assert out.reencrypted_blocks == 64 and e.functional.get(0).uv == 1
+        rec = e.functional_write(0, b"D" * 64)
+        assert charged(e, "handle_uv_update", 0).reencrypted_blocks == 64
+        assert e.functional.get(0).uv == 1
         assert e.functional.get(0) is not rec
-        assert e.functional_read(0)[0] == b"D" * 64
+        assert e.functional_read(0) == b"D" * 64
 
     def test_reset_reencrypts_only_its_page(self):
         e = make_engine(seed=9)
         texts = {addr: bytes([i]) * 64 for i, addr in enumerate((0, BLOCK, PAGE, PAGE + BLOCK))}
-        recs = {addr: e.functional_write(addr, text)[0] for addr, text in texts.items()}
+        recs = {addr: e.functional_write(addr, text) for addr, text in texts.items()}
         e.handle_uv_update(0)
         assert e.resets == 1 and e.uv == {0: 1}
         for addr, text in texts.items():
@@ -473,7 +467,7 @@ class TestFunctionalLayer:
                 assert rec is not recs[addr] and rec.uv == 1
             else:
                 assert rec is recs[addr]
-            assert e.functional_read(addr)[0] == text
+            assert e.functional_read(addr) == text
 
     def test_roundtrip_through_uneven_full_and_reset(self):
         # every block is sealed while its page is flat; writes to block 0 then
@@ -490,12 +484,12 @@ class TestFunctionalLayer:
             if e.store.page_format(0) not in stages:
                 stages.append(e.store.page_format(0))
                 for addr, text in texts.items():
-                    assert e.functional_read(addr)[0] == text
+                    assert e.functional_read(addr) == text
             e.functional_write(0, texts[0])
         assert stages == [FLAT, UNEVEN, FULL]
         assert e.uv == {0: 1} and e.store.page_format(0) == FLAT
         for addr, text in texts.items():
-            assert e.functional_read(addr)[0] == text
+            assert e.functional_read(addr) == text
 
 
 class TestMacLayer:
@@ -529,15 +523,14 @@ class TestConservation:
         blocks = rng.integers(0, 8 * 64, size=5000)
         writes = rng.random(5000) < 0.5
         fields = ("local_bytes", "pool_bytes", "mac_bytes", "device_bytes",
-                  "device_transactions", "reencrypted_blocks")
+                  "device_transactions")
         totals = dict.fromkeys(fields, 0)
         for b, w in zip(blocks.tolist(), writes.tolist()):
             out = e.process_access("W" if w else "R", b * BLOCK)
             for name in fields:
                 totals[name] += getattr(out, name)
         s = e.stats()
-        assert totals == {**s["channels"], "device_transactions": s["device"]["transactions"],
-                          "reencrypted_blocks": s["reencrypted_blocks"]}
+        assert totals == {**s["channels"], "device_transactions": s["device"]["transactions"]}
         assert totals["local_bytes"] > 0 and totals["pool_bytes"] > 0
         if e.mode == "toleo":
             assert e.resets > 0  # the reset path fired during the run

@@ -1,5 +1,6 @@
 """Byte-for-byte pins of the CLI's outputs: ``simulate`` JSON, ``compare``
-CSV, ``gen-trace`` files and ``analyze-security`` JSON.
+CSV, ``gen-trace`` files and ``analyze-security`` JSON, and of each demo's
+stdout.
 
 The digests below were taken from the reference implementation.  A change
 that only restructures or speeds up the simulator must leave every one of
@@ -22,6 +23,8 @@ pattern kind at write fractions 0, 0.3 and 1 in both file forms; the
 
 import hashlib
 import json
+import runpy
+from pathlib import Path
 
 import pytest
 
@@ -211,3 +214,18 @@ def test_analyze_security_json_is_pinned(tmp_path, seed):
             "--out", str(out)]
     assert main(argv + (["--seed", seed] if seed else [])) == 0
     assert sha256(out) == ANALYSIS_DIGESTS[seed]
+
+
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+DEMO_DIGESTS = {
+    "01_version_store_walk": "83d88ed691ce99388364ca8290543c9738e4a470e0e4a3212817934135bb47dc",
+    "02_mode_comparison": "2cfc690415c247bdce3d8f85d84f09b76095cd5e3a17cb43e955507916ffb475",
+    "03_security_bounds": "fd3a20ea40f41cf45b28da615b44b5a8af1cbd5e6521c7653b9abd4e3f9cbdd6",
+    "04_replay_attack": "c47c6aa40fe23d3fbaa2463d7b6f75f8ac8fdccb15c260551632121654f3bc39",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(path.stem for path in DEMOS.glob("*.py")))
+def test_demo_stdout_is_pinned(capsys, demo):
+    runpy.run_path(str(DEMOS / f"{demo}.py"), run_name="__main__")
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DEMO_DIGESTS.get(demo)

@@ -546,16 +546,15 @@ class TestFormatRegimes:
         spec = PatternSpec(kind="page_uniform", footprint_bytes=16 * 4096,
                            op_count=5000, write_fraction=0.7, seed=8)
         store = drive_store(generate(spec), 16)
-        u = store.usage_stats()
-        assert u["pages_uneven"] == 0 and u["pages_full"] == 0
-        assert u["pages_flat"] == u["pages_touched"]
+        assert store.pages_uneven == 0 and store.pages_full == 0
+        assert store.pages_flat == store.pages_touched
 
     def test_sequential_writes_keep_pages_flat(self):
         spec = PatternSpec(kind="sequential", footprint_bytes=8 * 4096,
                            op_count=3000, write_fraction=0.5, seed=8)
         store = drive_store(generate(spec), 8)
-        assert store.usage_stats()["pages_uneven"] == 0
-        assert store.usage_stats()["pages_full"] == 0
+        assert store.pages_uneven == 0
+        assert store.pages_full == 0
 
     def test_hot_block_drives_uneven_then_full(self):
         base = dict(kind="hot_block", footprint_bytes=4 * 4096, hot_set_bytes=4096,
@@ -571,9 +570,8 @@ class TestFormatRegimes:
         spec = PatternSpec(kind="zipfian", footprint_bytes=64 * 4096,
                            op_count=3000, write_fraction=0.2, zipf_skew=0.99, seed=8)
         store = drive_store(generate(spec), 64)
-        u = store.usage_stats()
-        assert u["pages_flat"] > 0
-        assert u["pages_uneven"] > 0
+        assert store.pages_flat > 0
+        assert store.pages_uneven > 0
 
     def test_gaussian_concentrates_near_center(self):
         spec = PatternSpec(kind="gaussian_kv", footprint_bytes=64 * 4096,

@@ -32,7 +32,7 @@ from freshsim.version_store import (
     full_entry_bytes,
     uneven_entry_bytes,
 )
-from helpers import page_base, stealth_add
+from helpers import ReferenceMap, page_base, stealth_add
 
 G = Geometry()
 P = SecurityParams()
@@ -84,10 +84,9 @@ class TestInitialState:
         base = page_base(s, 0)
         for block in range(64):
             assert s.read_version(block * BLOCK) == base
-        u = s.usage_stats()
-        assert u["pages_flat"] == s.pages_touched
-        assert u["dynamic_bytes"] == 0
-        assert u["static_bytes"] == 2 * 12
+        assert s.pages_flat == s.pages_touched
+        assert s.dynamic_bytes == 0
+        assert s.static_bytes == 2 * 12
 
     def test_capacity_must_cover_static_array(self):
         with pytest.raises(ConfigError):
@@ -127,7 +126,7 @@ class TestFlatTransitions:
         assert (tag, payload) == (FLAT, 0)
         assert b == stealth_add(base, 1, 27)
         assert s.read_version(0) == stealth_add(base, 1, 27)
-        assert s.usage_stats()["dynamic_bytes"] == 0
+        assert s.dynamic_bytes == 0
 
     def test_three_full_sweeps_stay_flat(self):
         s = make_store(seed=5)
@@ -155,7 +154,7 @@ class TestUnevenTransitions:
         assert b == base
         assert (payload >> 48) & 0x7F == 0  # min offset
         assert (payload >> 55) & 0x7F == 2  # max offset
-        assert s.usage_stats()["dynamic_bytes"] == 56
+        assert s.dynamic_bytes == 56
 
     def test_bitvector_carried_into_offsets(self):
         s = make_store(seed=4)
@@ -224,7 +223,7 @@ class TestFullTransitions:
         assert all(v == base for i, v in enumerate(versions) if i != 7)
         _, lead, _ = decode_entry_image(s.entry_image(0), P)
         assert lead == stealth_add(base, 128, 27)
-        assert s.usage_stats()["dynamic_bytes"] == 216
+        assert s.dynamic_bytes == 216
 
     def test_full_keeps_counting(self):
         s = make_store(seed=9)
@@ -277,10 +276,10 @@ class TestResetPage:
         s = make_store(seed=11)
         for _ in range(150):
             s.update_version(0)
-        assert s.usage_stats()["dynamic_bytes"] == 216
+        assert s.dynamic_bytes == 216
         new_base = s.reset_page(0)
         assert s.page_format(0) == FLAT
-        assert s.usage_stats()["dynamic_bytes"] == 0
+        assert s.dynamic_bytes == 0
         for block in range(64):
             assert s.read_version(block * BLOCK) == new_base
 
@@ -288,17 +287,17 @@ class TestResetPage:
         s = make_store(seed=11)
         s.update_version(0)
         s.update_version(0)
-        assert s.usage_stats()["dynamic_bytes"] == 56
+        assert s.dynamic_bytes == 56
         s.reset_page(0)
-        assert s.usage_stats()["dynamic_bytes"] == 0
+        assert s.dynamic_bytes == 0
 
     def test_flat_page_reset_is_format_idempotent(self):
         s = make_store(seed=11)
         s.update_version(0)
-        before = s.usage_stats()["dynamic_bytes"]
+        before = s.dynamic_bytes
         s.reset_page(0)
         assert s.page_format(0) == FLAT
-        assert s.usage_stats()["dynamic_bytes"] == before == 0
+        assert s.dynamic_bytes == before == 0
         _, _, payload = decode_entry_image(s.entry_image(0), P)
         assert payload == 0
 
@@ -323,7 +322,7 @@ class TestCapacity:
         # rejected update left no trace
         assert s.read_version(PAGE) == before
         assert s.page_format(1) == FLAT
-        assert s.usage_stats()["dynamic_bytes"] == 56
+        assert s.dynamic_bytes == 56
         # freeing page 0 makes the retry succeed
         s.reset_page(0)
         _, format_after, _ = s.update_version(PAGE)
@@ -352,7 +351,7 @@ class TestCapacity:
         s.update_version(2 * PAGE)
         _, format_after, _ = s.update_version(2 * PAGE)
         assert format_after == UNEVEN
-        assert s.usage_stats()["dynamic_bytes"] == 112
+        assert s.dynamic_bytes == 112
 
     def test_scattered_freed_slots_reused(self):
         s = make_store(pages=16, slots=8)
@@ -460,14 +459,9 @@ class TestAccounting:
         hot = rng.integers(0, 8, size=400) * PAGE
         for a in addrs.tolist() + np.repeat(hot, 8).tolist():
             s.update_version(a)
-        u = s.usage_stats()
-        expected_dynamic = u["pages_uneven"] * 56 + u["pages_full"] * 216
-        assert u["dynamic_bytes"] == expected_dynamic
-        assert u["static_bytes"] == 8 * 12
-        assert u["peak_bytes"] >= u["static_bytes"] + u["dynamic_bytes"]
-        assert u["avg_bytes_per_page"] == pytest.approx(
-            (u["static_bytes"] + u["dynamic_bytes"]) / u["pages_touched"]
-        )
+        assert s.dynamic_bytes == s.pages_uneven * 56 + s.pages_full * 216
+        assert s.static_bytes == 8 * 12
+        assert s.peak_dynamic_bytes >= s.dynamic_bytes
 
 
 class TestMonotonicity:
@@ -478,37 +472,6 @@ class TestMonotonicity:
             new_version, _, _ = s.update_version(0)
             assert new_version == stealth_add(prev, 1, 27)
             prev = new_version
-
-
-class ReferenceMap:
-    """Uncompressed per-block counters sharing the store's draw protocol:
-    one S-bit draw at first page touch, an R-bit draw on each strict
-    leading-version advance, and an S-bit draw when that fires zero."""
-
-    def __init__(self, seed, params):
-        self.draw = random.Random(seed).getrandbits
-        self.s = params.stealth_bits
-        self.r = params.reset_exp
-        self.pages = {}
-
-    def _page(self, page):
-        v = self.pages.get(page)
-        if v is None:
-            v = [self.draw(self.s)] * 64
-            self.pages[page] = v
-        return v
-
-    def read(self, page, block):
-        return self._page(page)[block] % (1 << self.s)
-
-    def write(self, page, block):
-        v = self._page(page)
-        lead = max(v)
-        v[block] += 1
-        if v[block] > lead and self.draw(self.r) == 0:
-            fresh = self.draw(self.s)
-            self.pages[page] = v = [fresh] * 64
-        return v[block] % (1 << self.s)
 
 
 @pytest.mark.parametrize(
@@ -673,9 +636,7 @@ class StoreMachine(RuleBasedStateMachine):
     def reset(self, page):
         base = self.store.reset_page(page)
         self.seen["reset_triggered"] += 1
-        self.ref._page(page)
-        self.ref.pages[page] = [self.ref.draw(MACHINE_PARAMS.stealth_bits)] * 64
-        assert base == self.ref.read(page, 0)
+        assert base == self.ref.reset(page)
 
     @invariant()
     def consistent(self):
