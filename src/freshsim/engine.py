@@ -7,7 +7,9 @@ read latency.  Each mode adds only its freshness scheme, as a hook the
 skeleton calls once per event; a mode with none (``none``, ``ci``) makes no
 hook call.  Every charge lands on the engine's totals, which ``stats()``
 reports; ``process_access`` also returns an ``AccessOutcome`` of the bytes,
-transactions and store events the one event charged.
+transactions and store events the one event charged.  The engine owns one
+such record and refills it for each event, so the per-event path allocates
+none: it describes the event just run until the next one overwrites it.
 
 The device-backed engine keeps three small caches of freshness metadata:
 
@@ -173,9 +175,11 @@ class AccessOutcome:
 
     Byte fields mirror exactly what the event added to the engine's channel
     counters, a reset's re-encryption included, so summing outcomes over a
-    run reproduces the totals.  The skeleton builds one positionally:
-    ``AccessOutcome(nbytes)`` for a local event, ``AccessOutcome(0, nbytes)``
-    for a pool one.
+    run reproduces the totals.  An engine makes one record and the skeleton
+    refills every field of it for each event, which the next event
+    overwrites: a caller that keeps an outcome past the next event must copy
+    it.  A rejected event raises before it touches the record; an event that
+    halts part-way leaves on it exactly the charges the totals also got.
     """
 
     local_bytes: int = 0
@@ -297,6 +301,9 @@ class ProtectionEngine:
     A mode with no freshness scheme leaves ``_freshness`` None and makes no
     hook call.  ``uses_mac`` switches on the MAC cache and the cipher delay
     together; with neither, this is unprotected memory.
+
+    ``outcome`` is the engine's one ``AccessOutcome``: each accepted event
+    refills it before any hook runs, and ``process_access`` returns it.
     """
 
     mode = "none"
@@ -322,6 +329,7 @@ class ProtectionEngine:
         self._mac_key_span = g.block_bytes * g.macs_per_block
         self.killed: str | None = None
         self.halted: str | None = None
+        self.outcome = AccessOutcome()
 
         self.reads = 0
         self.writes = 0
@@ -337,9 +345,11 @@ class ProtectionEngine:
 
     def process_access(self, op: str, addr: int) -> AccessOutcome:
         """Run one trace event through the engine.  ``op`` is "R" or "W".
-        Returns what the event charged.
+        Returns what the event charged: ``self.outcome``, refilled, valid
+        until the next event.
 
-        A rejected event (bad op or address, terminal engine) counts nothing.
+        A rejected event (bad op or address, terminal engine) counts nothing
+        and leaves the outcome as the last event left it.
         """
         if self.halted or self.killed:
             raise SimulationHalted(self.halted or self.killed)
@@ -354,16 +364,19 @@ class ProtectionEngine:
         else:
             raise ConfigError(f"unknown op {op!r}")
         nbytes = self._block_bytes
-        # positional (local_bytes, pool_bytes): cheaper than keywords on the
-        # per-event path
+        out = self.outcome  # refilled in full: every field is set below
         if addr < self._local_limit:
-            out = AccessOutcome(nbytes)
+            out.local_bytes = nbytes
+            out.pool_bytes = 0
             self.local_bytes += nbytes
             data_ns = self._local_ns
         else:
-            out = AccessOutcome(0, nbytes)
+            out.local_bytes = 0
+            out.pool_bytes = nbytes
             self.pool_bytes += nbytes
             data_ns = self._pool_ns
+        out.mac_bytes = out.device_bytes = out.device_transactions = 0
+        out.events = ()
         freshness = self._freshness
         if is_write:
             self.writes += 1
@@ -490,7 +503,7 @@ class HostEngine(ProtectionEngine):
             self.device_reads += 1
             latency = self._device_ns
         # request and entry messages, plus one per dynamic line the response fills
-        out.device_transactions = 1  # a fresh outcome holds 0 here and in device_bytes
+        out.device_transactions = 1  # the skeleton zeroed both device fields
         nbytes = (2 + count) * self._message_bytes
         out.device_bytes = nbytes
         self.device_bytes += nbytes

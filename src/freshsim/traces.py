@@ -9,12 +9,13 @@ in memory as Python objects and no numpy scalar reaches an engine.  Two
 interchangeable file forms exist:
 
 * text: one event per line, ``R 0x1040`` / ``W 0x1040``; ``#`` comments and
-  blank lines are ignored.
+  blank lines are ignored.  Lines end where ``str.splitlines`` ends them.
 * binary: 9-byte records, one opcode byte (0 read, 1 write) followed by the
   address as a 64-bit little-endian integer; ``save_trace`` writes this
   form to a ``.bin`` path and text to any other.  ``load_trace`` reads a
   binary file one fixed chunk of records at a time into the preallocated
-  columns, so the whole file image is never held.
+  columns, and a text file one chunk of bytes at a time, so the whole file
+  image is never held.
 
 Generators are pure functions of their PatternSpec, so the same spec always
 yields a byte-identical trace.  Two patterns carry shape guarantees the
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from functools import partial
 from itertools import starmap
 from math import inf
 from operator import index, itemgetter
@@ -56,6 +58,10 @@ _ZIPF_SLICE = 1 << 16
 _TEXT_CHUNK = 1 << 16
 # records per read of a binary file: loading holds one chunk of the file
 _LOAD_CHUNK = 1 << 16
+# bytes per read of a text file: loading holds about one chunk of its lines
+_TEXT_LOAD_CHUNK = 1 << 20
+# the ASCII characters that end a line for str.splitlines ("\r\n" ends one)
+_EOLS = "\n\r\x0b\x0c\x1c\x1d\x1e"
 # fixed odd multiplier that scatters zipfian ranks over the footprint
 _ZIPF_MULT = 0x9E3779B1
 # the scatter is exact in uint64 below this many blocks (see _zipf_scatter)
@@ -144,9 +150,25 @@ class PatternSpec:
 
 
 def parse_text_trace(text: str) -> Trace:
+    return _parse_text((text,))
+
+
+def _parse_text(pieces) -> Trace:
+    """The Trace of the text form given as strs that each end at a line end
+    (the last need not), so that each splits into the lines the whole does."""
+    ops, addrs, lineno = [], array("Q"), 0
+    for piece in pieces:
+        letters, lineno = _parse_lines(piece, lineno, addrs)
+        ops.append(letters)
+    return Trace("".join(ops), np.frombuffer(addrs, np.uint64))
+
+
+def _parse_lines(text: str, lineno: int, addrs: array) -> tuple[str, int]:
+    """Append the addresses of the events in ``text``, whose lines follow
+    line ``lineno``, to ``addrs``: their op letters, and the number of the
+    last line."""
     ops = []
-    addrs = array("Q")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=lineno + 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -163,7 +185,24 @@ def parse_text_trace(text: str) -> Trace:
             raise TraceParseError(f"line {lineno}: address {parts[1]} does not fit 64 bits")
         ops.append(parts[0])
         addrs.append(addr & _ALIGN)
-    return Trace("".join(ops), np.array(addrs, dtype=np.uint64))
+    return "".join(ops), lineno
+
+
+def _line_pieces(chunks):
+    """The strs ``chunks`` regrouped into pieces that end at a line end
+    (the last need not), so a line never spans two pieces."""
+    pending = []
+    for chunk in chunks:
+        # a trailing "\r" may pair with a "\n" that begins the next chunk
+        body = chunk[:-1] if chunk.endswith("\r") else chunk
+        cut = max(map(body.rfind, _EOLS)) + 1
+        if cut:
+            pending.append(chunk[:cut])
+            yield "".join(pending)
+            pending = [chunk[cut:]]
+        else:  # a long line goes on: joined once it ends, not once per chunk
+            pending.append(chunk)
+    yield "".join(pending)
 
 
 def _binary_columns(size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -224,10 +263,27 @@ def parse_trace(data: bytes | str) -> Trace:
         return parse_text_trace(data)
     if data[:1] in _BINARY_LEADS:
         return parse_binary_trace(data)
+    return parse_text_trace(_ascii(data))
+
+
+def _ascii(data: bytes) -> str:
     try:
-        return parse_text_trace(data.decode("ascii"))
+        return data.decode("ascii")
     except UnicodeDecodeError as exc:
         raise TraceParseError("trace is neither 9-byte records nor ASCII text") from exc
+
+
+def _load_text(f) -> Trace:
+    """The Trace of the text file ``f``, read one chunk at a time.  A
+    non-ASCII byte anywhere in it is refused before any bad line, as a
+    whole read refuses it."""
+    chunks = map(_ascii, iter(partial(f.read, _TEXT_LOAD_CHUNK), b""))
+    try:
+        return _parse_text(_line_pieces(chunks))
+    except TraceParseError:
+        for _ in chunks:
+            pass
+        raise
 
 
 def _refuse(events, limit: float, form: str) -> None:
@@ -284,14 +340,16 @@ def encode_binary_trace(events) -> bytes:
 
 
 def load_trace(path: str) -> Trace:
-    """The trace in the file at ``path``, in either form.  A regular file of
-    binary records is read one chunk at a time; text, and a pipe, are read
-    whole and parsed as ``parse_trace`` does."""
+    """The trace in the file at ``path``, in either form, as ``parse_trace``
+    parses it.  A regular file is read one chunk at a time; a pipe is read
+    whole."""
     with open(path, "rb") as f:
         st = fstat(f.fileno())
-        if S_ISREG(st.st_mode) and f.peek(1)[:1] in _BINARY_LEADS:
+        if not S_ISREG(st.st_mode):
+            return parse_trace(f.read())
+        if f.peek(1)[:1] in _BINARY_LEADS:
             return _load_binary(f, st.st_size)
-        return parse_trace(f.read())
+        return _load_text(f)
 
 
 def save_trace(events, path: str) -> None:

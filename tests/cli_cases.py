@@ -58,6 +58,13 @@ def case(name, command, doc, stderr, *flags, files=None) -> Case:
                 ("--config", "bad.json", *flags), 2, stderr)
 
 
+def text_case(name, text: bytes, stderr) -> Case:
+    """``simulate`` of a good config over the text trace ``text``."""
+    return Case(f"TestSimulate::test_text_trace_{name}", "simulate",
+                {"run.json": json.dumps(run_doc()).encode(), "t.txt": text},
+                ("--config", "run.json", "--trace", "t.txt"), 2, stderr)
+
+
 _CONFIG = "TestConfigHandling::test_"
 _GEN = "TestGenTrace::test_"
 _ANALYZE = "TestAnalyzeSecurity::test_"
@@ -71,6 +78,19 @@ CASES = [
           "high.bin": b"\x00" + (2**63).to_bytes(8, "little")},
          ("--config", "run.json", "--trace", "high.bin"), 2,
          r"\Aerror: address 0x8000000000000000 outside the 131072-byte data partition\n\Z"),
+    # a text trace's lines end where str.splitlines ends them, also when it
+    # is read a chunk at a time, and a non-ASCII byte anywhere is refused
+    # before any bad line
+    *(text_case(f"line_ends_as_splitlines_ends_them[{param}]",
+                f"R 0x0{end}W 0x40{end}X 0x80{end}".encode(),
+                r"^error: line 3: expected 'R 0x<addr>' or 'W 0x<addr>', got 'X 0x80'$")
+      for param, end in [("lf", "\n"), ("cr", "\r"), ("crlf", "\r\n"), ("vt", "\x0b"),
+                         ("ff", "\x0c"), ("fs", "\x1c"), ("gs", "\x1d"), ("rs", "\x1e")]),
+    text_case("late_bad_line_named_by_its_number", b"R 0x40\r\n" * 150_000 + b"W 0xZZ\r\n",
+              r"^error: line 150001: bad address '0xZZ'$"),
+    text_case("non_ascii_byte_refused_before_an_earlier_bad_line",
+              b"X 0x0\n" + b"R 0x40\n" * 200_000 + b"\xff\n",
+              r"^error: trace is neither 9-byte records nor ASCII text$"),
     case(_CONFIG + "unknown_key_rejected", "simulate", run_doc(typo_key=1), "typo_key"),
     *(case(f"{_CONFIG}{key}_is_no_longer_a_key", "simulate", run_doc(**{key: True}),
            re.escape(f"unknown config key(s): {key}")) for key in ("functional", "debug")),

@@ -129,6 +129,12 @@ GUARDS = [
     # peaked at about 226 MiB, and joined from chunks at about 126
     Guard("text-2M-lines", {}, gen("long.json", "long.txt"), 120, None,
           (("long.txt", "lines", 2_000_000),)),
+    # a text file is read one chunk at a time into the two columns; read
+    # whole, decoded and split into one str per line, this run peaked at
+    # about 267 MiB, against 52 MiB for the binary form
+    Guard("none-2M-text-events", {"long.txt": gen("long.json", "long.txt")},
+          simulate("long_none.json", "long.txt", "long_text_stats.json"), 96, None,
+          (("long_text_stats.json", "events", 2_000_000),)),
     # the paper's 28 TiB pool: a flat array of 7.5e9 pages costs nothing
     # until a page is touched, and the trace touches about 11,300; this run
     # peaks at about 36 MiB

@@ -26,10 +26,13 @@ import tempfile
 import time
 from typing import NamedTuple
 
+from hypothesis import Phase, settings
+
 ENGINE = "src/freshsim/engine.py"
 CACHES = "src/freshsim/caches.py"
 BASELINES = "src/freshsim/baselines.py"
 STORE = "src/freshsim/version_store.py"
+TRACES = "src/freshsim/traces.py"
 
 _CHARGING = "tests/test_engine.py::TestChargingModel::test_"
 _INCLUSIVE = ("tests/test_engine.py::TestInclusivity::"
@@ -41,6 +44,8 @@ _RANGE = "tests/test_caches.py::TestRangeOps::test_"
 _FLAT = "tests/test_caches.py::TestFlatCache::test_"
 _CACHES = "tests/test_caches.py::test_"
 _ACROSS_MODES = "tests/test_baselines.py::test_modes_agree_on_metadata_after_every_event"
+_TEXT_LOAD = ("tests/test_traces.py::TestStreamingLoad::"
+              "test_streamed_text_load_equals_the_whole_parse")
 
 
 class Mutation(NamedTuple):
@@ -58,9 +63,16 @@ MUTATIONS = [
              "            if True:\n                nbytes *= moved or 1\n",
              (_CHARGING + "warm_read_moves_no_metadata",)),
     Mutation("local_event_outcome_charges_nothing", ENGINE,
-             "            out = AccessOutcome(nbytes)\n",
-             "            out = AccessOutcome()\n",
+             "            out.local_bytes = nbytes\n",
+             "            out.local_bytes = 0\n",
              tuple(f"{_CONSERVED}[{mode}]" for mode in ("none", "ci", "toleo", "merkle"))),
+    Mutation("outcome_keeps_the_last_events_device_charges", ENGINE,
+             "        out.mac_bytes = out.device_bytes = out.device_transactions = 0\n",
+             "        out.mac_bytes = 0\n",
+             tuple(f"{_CONSERVED}[{mode}]" for mode in ("toleo", "merkle"))),
+    Mutation("outcome_keeps_the_last_events_store_events", ENGINE,
+             "        out.events = ()\n", "",
+             (f"{_CONSERVED}[toleo]",)),
     Mutation("mac_bytes_left_off_the_outcome", ENGINE,
              "                out.mac_bytes += nbytes\n                self.mac_bytes += nbytes\n"
              "                mac_ns = data_ns\n",
@@ -73,7 +85,7 @@ MUTATIONS = [
     # -- toleo's metadata path ----------------------------------------------------------
     Mutation("rekey_skips_the_flat_cache_drop", ENGINE,
              "        self.flat_cache.drop(page)\n", "",
-             (f"{_INCLUSIVE}[default_caches]",
+             (f"{_INCLUSIVE}[default_caches]", f"{_INCLUSIVE}[hot_set_in_flat_cache]",
               "tests/test_engine.py::TestUvUpdates::test_reset_triggers_page_reencryption")),
     Mutation("update_drops_the_pages_mac_lines", ENGINE,
              "            self.device_updates += 1\n",
@@ -152,6 +164,15 @@ MUTATIONS = [
              "    v = unpack_bitfields(b\"\".join(lines), params.stealth_bits, "
              "geometry.blocks_per_page)\n    v[-1] ^= 1\n    return v\n",
              (_FUNCTIONAL + "roundtrip_through_uneven_full_and_reset",)),
+    # -- loading a text trace a chunk at a time ---------------------------------------
+    Mutation("text_load_splits_a_crlf_across_chunks", TRACES,
+             "        body = chunk[:-1] if chunk.endswith(\"\\r\") else chunk\n",
+             "        body = chunk\n",
+             (_TEXT_LOAD,)),
+    Mutation("text_load_names_a_bad_line_before_a_later_non_ascii_byte", TRACES,
+             "        for _ in chunks:\n            pass\n", "",
+             (_TEXT_LOAD, "tests/test_cli.py::TestSimulate::"
+              "test_text_trace_non_ascii_byte_refused_before_an_earlier_bad_line")),
     # -- the merkle baseline ------------------------------------------------------------
     Mutation("merkle_walk_also_touches_the_mac_cache", BASELINES,
              "        fetched = tree.access(addr, is_write)\n",
@@ -199,6 +220,10 @@ class _Recorder:
 
 
 def pytest_configure(config) -> None:
+    # a mutation is caught by any failing example, so the child skips
+    # Hypothesis's search for the smallest one
+    settings.register_profile("mutations", phases=[p for p in Phase if p is not Phase.shrink])
+    settings.load_profile("mutations")
     config.pluginmanager.register(_Recorder(os.environ[_OUTCOMES]))
 
 

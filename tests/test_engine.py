@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import chain
 
 import numpy as np
@@ -13,6 +14,7 @@ from freshsim.baselines import CiEngine, MerkleEngine, NoneEngine
 from freshsim.cli import build_engine, resolve_config, resolve_trace
 from freshsim.version_store import FLAT, FULL, LINE_COUNT, UNEVEN, data_partition_bytes
 from freshsim.engine import (
+    AccessOutcome,
     EngineConfig,
     FreshnessViolation,
     FunctionalBlockStore,
@@ -237,7 +239,14 @@ class TestInclusivity:
                                 "op_count": 40000, "hot_set_bytes": 786432,
                                 "write_fraction": 0.7, "seed": 6}}},
          ("full", "resets", "overflow_hits", "overflow_misses")),
-    ], ids=["small_caches", "default_caches"])
+        # 16 hot pages stay in 32 flat entries, so a reset re-keys a page
+        # the flat cache holds, with the lines its UPDATE left it
+        ({"reset_exp": 6, "flat_cache_entries": 32,
+          "trace": {"pattern": {"kind": "hot_block", "footprint_bytes": 4194304,
+                                "op_count": 6000, "hot_set_bytes": 65536,
+                                "write_fraction": 0.7, "seed": 7}}},
+         ("full", "resets", "cached_resets")),
+    ], ids=["small_caches", "default_caches", "hot_set_in_flat_cache"])
     def test_lines_stay_inclusive_and_reads_decode_under_traffic(self, doc, reached):
         # after every event, each overflow line is one its cached page
         # filled, each cached page filled exactly the lines of its format
@@ -247,8 +256,11 @@ class TestInclusivity:
         cfg = resolve_config(dict(doc, mode="toleo", protected_bytes=4194304))
         e = build_engine(cfg)
         cached, sets = e.flat_cache._pages, e.overflow._sets.values()
+        cached_resets = 0  # resets of a page the flat cache held with lines
         for op, addr in resolve_trace(cfg, None):
+            held, resets = bool(cached.get(addr // PAGE)), e.resets
             e.process_access(op, addr)
+            cached_resets += held and e.resets > resets
             filled = dict(chain.from_iterable(cached.values()))  # key -> its set
             assert filled.keys() >= set(chain.from_iterable(sets)), "line its page did not fill"
             for page, lines in cached.items():
@@ -258,7 +270,8 @@ class TestInclusivity:
         s = e.stats()
         counts = {"full": s["page_formats"]["full"], "resets": s["resets"],
                   "overflow_hits": s["caches"]["overflow"]["hits"],
-                  "overflow_misses": s["caches"]["overflow"]["misses"]}
+                  "overflow_misses": s["caches"]["overflow"]["misses"],
+                  "cached_resets": cached_resets}
         assert all(counts[name] > 0 for name in reached), counts
 
 
@@ -333,10 +346,15 @@ class TestCapacityHalt:
         e.process_access("W", 0)
         e.process_access("W", 0)  # page 0 takes the only line
         e.process_access("W", PAGE)
+        local = e.local_bytes
         with pytest.raises(SimulationHalted):
             e.process_access("W", PAGE)
+        # the halted event's outcome holds what the totals got: its data bytes
+        assert e.local_bytes - local == BLOCK
+        assert e.outcome == AccessOutcome(local_bytes=BLOCK)
         with pytest.raises(SimulationHalted):
             e.process_access("R", 0)  # terminal: even reads refuse
+        assert e.outcome == AccessOutcome(local_bytes=BLOCK)  # and touch no outcome
         assert "capacity" in e.halted
 
 
@@ -389,10 +407,18 @@ class TestFailurePaths:
         # a page's second reset has no upper version left (event 7 here)
         params = SecurityParams(stealth_bits=8, upper_bits=1, reset_exp=1)
         e = make_engine(pages=4, params=params)
+        channels = ("local_bytes", "pool_bytes", "mac_bytes", "device_bytes")
         with pytest.raises(SimulationHalted):
             for i in range(200):
+                before = [getattr(e, name) for name in channels]
                 e.process_access("W", i % 4 * PAGE)
         assert e.stats()["events"] == 7
+        # the halted event's outcome holds exactly what the totals got: its
+        # data, MAC and device charges, but no re-key or re-encryption
+        out = e.outcome
+        assert [getattr(out, name) for name in channels] == [
+            getattr(e, name) - was for name, was in zip(channels, before)]
+        assert out.device_transactions == 1 and "reset_triggered" in out.events
         assert "upper version" in e.halted
         # the store reset the page before its upper version ran out
         assert e.stats()["resets"] == e.store.resets
@@ -525,15 +551,26 @@ class TestConservation:
         fields = ("local_bytes", "pool_bytes", "mac_bytes", "device_bytes",
                   "device_transactions")
         totals = dict.fromkeys(fields, 0)
+        events = Counter()
         for b, w in zip(blocks.tolist(), writes.tolist()):
             out = e.process_access("W" if w else "R", b * BLOCK)
             for name in fields:
                 totals[name] += getattr(out, name)
+            events.update(out.events)
         s = e.stats()
         assert totals == {**s["channels"], "device_transactions": s["device"]["transactions"]}
         assert totals["local_bytes"] > 0 and totals["pool_bytes"] > 0
+        # each store event is reported by the one event whose UPDATE fired it
+        store = getattr(e, "store", None)
+        assert events == (Counter() if store is None else Counter({
+            "upgraded_to_uneven": store.upgrades_to_uneven,
+            "normalized": store.normalizations,
+            "upgraded_to_full": store.upgrades_to_full,
+            "reset_triggered": store.resets}))
         if e.mode == "toleo":
             assert e.resets > 0  # the reset path fired during the run
+        # the engine refills one record per event rather than making one
+        assert e.process_access("R", 0) is e.process_access("W", 0)
 
     def test_every_write_is_one_update(self):
         e = make_engine(pages=4)

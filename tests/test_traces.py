@@ -183,8 +183,32 @@ def expected_parse(records, tail):
     return [("RW"[op], addr & ~63) for op, addr in records]
 
 
+LINES = st.sampled_from(["R 0x40", "W 0x1C0", " R 0x80\t", "# note", "", "\x1f", "X 0x0", "R zz"])
+LINE_ENDS = st.sampled_from(["\n", "\r", "\r\n", "\n\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e"])
+
+
 class TestStreamingLoad:
-    """``load_trace`` reads a binary file one chunk of records at a time."""
+    """``load_trace`` reads a binary file one chunk of records at a time,
+    and a text file one chunk of bytes at a time."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunk=st.integers(1, 5), lines=st.lists(st.tuples(LINES, LINE_ENDS), max_size=10),
+           last=LINES, tail=st.sampled_from([b"", b"\xe9"]))
+    def test_streamed_text_load_equals_the_whole_parse(self, tmp_path_factory, chunk, lines,
+                                                       last, tail):
+        # lines, and "\r\n", split across chunks; a non-ASCII byte at the end
+        # is refused before any bad line
+        data = "".join(line + end for line, end in lines).encode() + last.encode() + tail
+        path = tmp_path_factory.getbasetemp() / "streamed.txt"
+        path.write_bytes(data)
+        with patch.object(traces, "_TEXT_LOAD_CHUNK", chunk):
+            try:
+                expected = parse_trace(data)
+            except TraceParseError as exc:
+                with pytest.raises(TraceParseError, match=f"^{re.escape(str(exc))}$"):
+                    load_trace(str(path))
+            else:
+                assert load_trace(str(path)) == expected
 
     @settings(max_examples=300, deadline=None)
     @given(chunk=st.integers(1, 4), first=st.sampled_from((0, 1)),
