@@ -122,11 +122,11 @@ class CounterTreeState:
         """
         if addr < 0 or addr >= self._protected_bytes:
             raise AddressRangeError(f"address {addr:#x} outside the protected range")
-        access, arity = self.cache.access, self._arity
+        access, arity, depth = self.cache.access, self._arity, self.depth
         index = addr // self._leaf_span
         fetched = moved = 0
-        for level in range(self.depth):
-            lines = access(index * 64 + level, is_write)
+        while fetched < depth:  # the level walked is the count fetched so far
+            lines = access(index * 64 + fetched, is_write)
             if not lines:
                 break
             fetched += 1
@@ -166,7 +166,7 @@ class MerkleEngine(ProtectionEngine):
         before = tree.dirty_writebacks
         fetched = tree.access(addr, is_write)
         nbytes = (fetched + tree.dirty_writebacks - before) * self._node_bytes
-        out.device_bytes += nbytes
+        out.device_bytes = nbytes
         self.device_bytes += nbytes
         if self.first_access_fetches is None:
             self.first_access_fetches = fetched

@@ -8,8 +8,11 @@ skeleton calls once per event; a mode with none (``none``, ``ci``) makes no
 hook call.  Every charge lands on the engine's totals, which ``stats()``
 reports; ``process_access`` also returns an ``AccessOutcome`` of the bytes,
 transactions and store events the one event charged.  The engine owns one
-such record and refills it for each event, so the per-event path allocates
-none: it describes the event just run until the next one overwrites it.
+such record, so the per-event path allocates none: it describes the event
+just run until the next one overwrites it.  Each field is written by the
+layer that charges it: the skeleton sets the channel bytes, the MAC step
+``mac_bytes``, and a mode's hook the device fields and store events; a
+field a mode never charges keeps its zero from construction.
 
 The device-backed engine keeps three small caches of freshness metadata:
 
@@ -175,11 +178,13 @@ class AccessOutcome:
 
     Byte fields mirror exactly what the event added to the engine's channel
     counters, a reset's re-encryption included, so summing outcomes over a
-    run reproduces the totals.  An engine makes one record and the skeleton
-    refills every field of it for each event, which the next event
-    overwrites: a caller that keeps an outcome past the next event must copy
-    it.  A rejected event raises before it touches the record; an event that
-    halts part-way leaves on it exactly the charges the totals also got.
+    run reproduces the totals.  An engine makes one record, and each event
+    rewrites the fields its mode charges, each by the layer that charges it
+    (``ProtectionEngine`` names which); the others stay zero.  The next
+    event overwrites it: a caller that keeps an outcome past the next event
+    must copy it.  A rejected event raises before it touches the record; an
+    event that halts part-way leaves on it exactly the charges the totals
+    also got.
     """
 
     local_bytes: int = 0
@@ -298,12 +303,20 @@ class ProtectionEngine:
     one trip on the data's channel.  ``_after_write(out, addr)`` runs once a
     write's MAC line is owned, only if the hook set ``out.events``.
 
-    A mode with no freshness scheme leaves ``_freshness`` None and makes no
-    hook call.  ``uses_mac`` switches on the MAC cache and the cipher delay
-    together; with neither, this is unprotected memory.
+    The class attributes declare a mode: ``uses_mac`` switches on the MAC
+    cache and the cipher delay together (with neither, this is unprotected
+    memory), and a mode with no freshness scheme leaves ``_freshness`` None
+    and makes no hook call.  ``__init__`` reads both once into instance
+    flags, which is all the per-event path tests.
 
-    ``outcome`` is the engine's one ``AccessOutcome``: each accepted event
-    refills it before any hook runs, and ``process_access`` returns it.
+    ``outcome`` is the engine's one ``AccessOutcome``.  Each field is set
+    with ``=`` by the layer that charges it: this skeleton sets
+    ``local_bytes`` and ``pool_bytes``; in a MAC mode the MAC step sets
+    ``mac_bytes``, 0 on a hit; the hook sets ``device_bytes``,
+    ``device_transactions`` and ``events`` if its mode charges them.  A
+    field no layer of the mode writes keeps its zero from construction.
+    Charges that follow the MAC step (a reset's re-encryption) add with
+    ``+=``.  ``process_access`` returns the record.
     """
 
     mode = "none"
@@ -330,6 +343,10 @@ class ProtectionEngine:
         self.killed: str | None = None
         self.halted: str | None = None
         self.outcome = AccessOutcome()
+        # the mode's switches, read once: per event, an instance attribute
+        # loads faster than a class attribute looked up through the instance
+        self._uses_mac = self.uses_mac
+        self._has_freshness = self._freshness is not None
 
         self.reads = 0
         self.writes = 0
@@ -345,7 +362,7 @@ class ProtectionEngine:
 
     def process_access(self, op: str, addr: int) -> AccessOutcome:
         """Run one trace event through the engine.  ``op`` is "R" or "W".
-        Returns what the event charged: ``self.outcome``, refilled, valid
+        Returns what the event charged: ``self.outcome``, rewritten, valid
         until the next event.
 
         A rejected event (bad op or address, terminal engine) counts nothing
@@ -364,7 +381,7 @@ class ProtectionEngine:
         else:
             raise ConfigError(f"unknown op {op!r}")
         nbytes = self._block_bytes
-        out = self.outcome  # refilled in full: every field is set below
+        out = self.outcome  # each field is set by the layer that charges it
         if addr < self._local_limit:
             out.local_bytes = nbytes
             out.pool_bytes = 0
@@ -375,18 +392,15 @@ class ProtectionEngine:
             out.pool_bytes = nbytes
             self.pool_bytes += nbytes
             data_ns = self._pool_ns
-        out.mac_bytes = out.device_bytes = out.device_transactions = 0
-        out.events = ()
-        freshness = self._freshness
         if is_write:
             self.writes += 1
-            if freshness is not None:
-                freshness(out, addr, True, data_ns)
+            if self._has_freshness:
+                self._freshness(out, addr, True, data_ns)
         else:
             self.reads += 1
-            fresh_ns = 0.0 if freshness is None else freshness(out, addr, False, data_ns)
+            fresh_ns = self._freshness(out, addr, False, data_ns) if self._has_freshness else 0.0
         mac_ns = 0.0
-        if self.uses_mac:
+        if self._uses_mac:
             # access returns the MAC lines moved on the data's channel: none on a
             # hit, the fetched line (for ownership, on a write) on a miss, plus
             # a dirty victim's write-back; a write leaves the line dirty
@@ -394,9 +408,11 @@ class ProtectionEngine:
                 self._mac_key_base + addr // self._mac_key_span, is_write)
             if moved:
                 nbytes *= moved
-                out.mac_bytes += nbytes
+                out.mac_bytes = nbytes
                 self.mac_bytes += nbytes
                 mac_ns = data_ns
+            else:
+                out.mac_bytes = 0
         if not is_write:
             self.read_latency_total += (
                 data_ns + (mac_ns if mac_ns > fresh_ns else fresh_ns) + self._cipher_ns)
@@ -479,12 +495,19 @@ class HostEngine(ProtectionEngine):
         hit.  Any miss costs one device READ, whose latency is returned;
         only a flat miss asks the device for the page's format.  Each device
         response fills the page's lines; the functional layer decodes
-        versions from the same entry and lines."""
+        versions from the same entry and lines.  Every path sets ``out``'s
+        ``events``, ``device_bytes`` and ``device_transactions``; a capacity
+        halt also clears ``mac_bytes``, as it stops the event before the MAC
+        step."""
         page = addr // self._page_bytes
         if is_write:
             try:
                 _, fmt, out.events = self.store.update_version(addr)
             except CapacityError as exc:
+                # the halt comes before the MAC step, so it clears what that
+                # step and this hook would have set
+                out.mac_bytes = out.device_bytes = out.device_transactions = 0
+                out.events = ()
                 self.halted = f"device capacity exhausted at page {page}: {exc}"
                 raise SimulationHalted(self.halted) from exc
             self.device_updates += 1
@@ -492,8 +515,10 @@ class HostEngine(ProtectionEngine):
             self.flat_cache.write(page, count)
             latency = 0.0
         else:
+            out.events = ()
             count = self.flat_cache.read(page)
             if not count:
+                out.device_bytes = out.device_transactions = 0
                 return 0.0
             if count < 0:
                 # materializes an untouched page, which can never be cached,
@@ -503,7 +528,7 @@ class HostEngine(ProtectionEngine):
             self.device_reads += 1
             latency = self._device_ns
         # request and entry messages, plus one per dynamic line the response fills
-        out.device_transactions = 1  # the skeleton zeroed both device fields
+        out.device_transactions = 1
         nbytes = (2 + count) * self._message_bytes
         out.device_bytes = nbytes
         self.device_bytes += nbytes

@@ -44,6 +44,9 @@ _RANGE = "tests/test_caches.py::TestRangeOps::test_"
 _FLAT = "tests/test_caches.py::TestFlatCache::test_"
 _CACHES = "tests/test_caches.py::test_"
 _ACROSS_MODES = "tests/test_baselines.py::test_modes_agree_on_metadata_after_every_event"
+_EACH_OUTCOME = "tests/test_baselines.py::test_each_outcome_is_what_its_event_charged"
+_HALT = "tests/test_engine.py::TestCapacityHalt::test_capacity_exhaustion_halts_engine"
+_STORE = "tests/test_version_store.py::"
 _TEXT_LOAD = ("tests/test_traces.py::TestStreamingLoad::"
               "test_streamed_text_load_equals_the_whole_parse")
 
@@ -66,23 +69,34 @@ MUTATIONS = [
              "            out.local_bytes = nbytes\n",
              "            out.local_bytes = 0\n",
              tuple(f"{_CONSERVED}[{mode}]" for mode in ("none", "ci", "toleo", "merkle"))),
-    Mutation("outcome_keeps_the_last_events_device_charges", ENGINE,
-             "        out.mac_bytes = out.device_bytes = out.device_transactions = 0\n",
-             "        out.mac_bytes = 0\n",
-             tuple(f"{_CONSERVED}[{mode}]" for mode in ("toleo", "merkle"))),
-    Mutation("outcome_keeps_the_last_events_store_events", ENGINE,
-             "        out.events = ()\n", "",
-             (f"{_CONSERVED}[toleo]",)),
     Mutation("mac_bytes_left_off_the_outcome", ENGINE,
-             "                out.mac_bytes += nbytes\n                self.mac_bytes += nbytes\n"
-             "                mac_ns = data_ns\n",
-             "                self.mac_bytes += nbytes\n                mac_ns = data_ns\n",
+             "                out.mac_bytes = nbytes\n                self.mac_bytes += nbytes\n",
+             "                self.mac_bytes += nbytes\n",
+             tuple(f"{_CONSERVED}[{mode}]" for mode in ("ci", "toleo", "merkle"))),
+    Mutation("mac_hit_keeps_the_last_events_mac_bytes", ENGINE,
+             "            else:\n                out.mac_bytes = 0\n", "",
              tuple(f"{_CONSERVED}[{mode}]" for mode in ("ci", "toleo", "merkle"))),
     Mutation("read_latency_sums_the_overlapping_fetches", ENGINE,
              "mac_ns if mac_ns > fresh_ns else fresh_ns",
              "mac_ns + fresh_ns",
              (_CHARGING + "cold_read_pays_device_and_mac",)),
     # -- toleo's metadata path ----------------------------------------------------------
+    Mutation("outcome_keeps_the_last_events_device_charges", ENGINE,
+             "                out.device_bytes = out.device_transactions = 0\n"
+             "                return 0.0\n",
+             "                return 0.0\n",
+             (f"{_CONSERVED}[toleo]",)),
+    Mutation("outcome_keeps_the_last_events_store_events", ENGINE,
+             "        else:\n            out.events = ()\n", "        else:\n",
+             (f"{_CONSERVED}[toleo]",)),
+    Mutation("halt_keeps_the_last_events_mac_bytes", ENGINE,
+             "                out.mac_bytes = out.device_bytes = out.device_transactions = 0\n",
+             "                out.device_bytes = out.device_transactions = 0\n",
+             (_HALT,)),
+    Mutation("halt_keeps_the_last_events_store_events", ENGINE,
+             "                out.events = ()\n                self.halted = ",
+             "                self.halted = ",
+             (_EACH_OUTCOME,)),
     Mutation("rekey_skips_the_flat_cache_drop", ENGINE,
              "        self.flat_cache.drop(page)\n", "",
              (f"{_INCLUSIVE}[default_caches]", f"{_INCLUSIVE}[hot_set_in_flat_cache]",
@@ -146,6 +160,22 @@ MUTATIONS = [
              "            s.pop(victim)\n            return 2\n",
              ("tests/test_caches.py::TestSetAssocCache::test_dirty_flag_travels_with_eviction",
               _CACHES + "lru_matches_reference_model")),
+    # -- the store's transition counters ------------------------------------------------
+    Mutation("full_upgrade_not_counted", STORE,
+             "                self.upgrades_to_full += 1\n", "",
+             (_STORE + "TestFullTransitions::test_offset_127_still_uneven_128_goes_full",)),
+    Mutation("uneven_upgrade_not_counted", STORE,
+             "                self.upgrades_to_uneven += 1\n", "",
+             (_STORE + "TestUnevenTransitions::test_normalization_slides_window",)),
+    Mutation("normalization_not_counted", STORE,
+             "                    self.normalizations += 1\n", "",
+             (_STORE + "TestUnevenTransitions::test_normalization_slides_window",)),
+    Mutation("uneven_upgrade_leaves_the_peak", STORE,
+             "                self.upgrades_to_uneven += 1\n"
+             "                self.peak_dynamic_bytes = max(self.peak_dynamic_bytes, "
+             "self.dynamic_bytes)\n",
+             "                self.upgrades_to_uneven += 1\n",
+             ("tests/test_pinned_outputs.py::test_capacity_halted_toleo_run_is_pinned",)),
     # -- the wire format the functional layer decodes ----------------------------------
     Mutation("entry_lines_pack_each_offset_plus_one", STORE,
              "            raw = pack_bitfields(e.offsets, OFFSET_BITS)\n",
@@ -179,13 +209,16 @@ MUTATIONS = [
              "        fetched = tree.access(addr, is_write)\n"
              "        self.mac_cache.access(addr // self._block_bytes, False)\n",
              (_ACROSS_MODES,)),
+    Mutation("merkle_adds_to_the_last_events_device_bytes", BASELINES,
+             "        out.device_bytes = nbytes\n", "        out.device_bytes += nbytes\n",
+             (f"{_CONSERVED}[merkle]",)),
     Mutation("merkle_walk_on_the_local_channel", BASELINES,
              "        return fetched * data_ns\n",
              "        return fetched * self._local_ns\n",
              (_MERKLE + "cold_pool_read_walks_on_the_pool_channel",)),
     Mutation("tree_walk_one_level_short", BASELINES,
-             "        for level in range(self.depth):\n",
-             "        for level in range(self.depth - 1):\n",
+             "        while fetched < depth:",
+             "        while fetched < depth - 1:",
              (_MERKLE + "cold_read_walks_and_charges_tree",
               "tests/test_acceptance.py::test_criterion_07_tree_depth_versus_device")),
     Mutation("tree_hit_counted_as_a_fetch", BASELINES,

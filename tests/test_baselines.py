@@ -1,6 +1,8 @@
+from collections import Counter
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freshsim.baselines import (
     CiEngine,
@@ -235,8 +237,8 @@ def mac_counts(engine) -> tuple[int, int, int]:
     return engine.mac_bytes, engine.mac_cache.hits, engine.mac_cache.misses
 
 
-@settings(max_examples=100, deadline=None)
-@given(
+# one upper-version bit and a few dynamic slots make toleo halt or reset
+_METADATA_DRAWS = dict(
     pages=st.integers(1, 6),
     local_pages=st.integers(0, 6),
     flat_entries=st.integers(1, 4),
@@ -251,17 +253,11 @@ def mac_counts(engine) -> tuple[int, int, int]:
     events=st.integers(0, 300),
     write_share=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
 )
-def test_modes_agree_on_metadata_after_every_event(pages, local_pages, flat_entries, mac,
-                                                   counter_cache, arity, root_counters,
-                                                   reset_exp, upper_bits, device_slots, seed,
-                                                   events, write_share):
-    # ci, toleo and merkle share the skeleton's MAC path, so after every
-    # event ci and merkle have moved the same MAC bytes with the same hits
-    # and misses, and so has toleo until a reset re-keys a page (which drops
-    # its MAC lines) or the device halts it; until then each toleo write is
-    # one device UPDATE; and merkle's device bytes are its node fetches and
-    # dirty write-backs.  One upper-version bit and a few dynamic slots make
-    # toleo halt
+
+
+def metadata_engines(pages, local_pages, flat_entries, mac, counter_cache, arity,
+                     root_counters, reset_exp, upper_bits, device_slots, seed):
+    """The four engines, none, ci, toleo and merkle, on one drawn config."""
     params = SecurityParams(upper_bits=upper_bits, reset_exp=reset_exp)
     config = EngineConfig(
         protected_bytes=pages * PAGE, local_bytes=local_pages * PAGE,
@@ -276,9 +272,22 @@ def test_modes_agree_on_metadata_after_every_event(pages, local_pages, flat_entr
         counter_cache_bytes=counter_cache[0] * counter_cache[1] * 64,
         counter_cache_assoc=counter_cache[1],
     )
-    ci, toleo, merkle = CiEngine(config), HostEngine(config), MerkleEngine(config, tree_config)
+    return (NoneEngine(config), CiEngine(config), HostEngine(config),
+            MerkleEngine(config, tree_config))
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_METADATA_DRAWS)
+def test_modes_agree_on_metadata_after_every_event(events, write_share, **draws):
+    # ci, toleo and merkle share the skeleton's MAC path, so after every
+    # event ci and merkle have moved the same MAC bytes with the same hits
+    # and misses, and so has toleo until a reset re-keys a page (which drops
+    # its MAC lines) or the device halts it; until then each toleo write is
+    # one device UPDATE; and merkle's device bytes are its node fetches and
+    # dirty write-backs
+    _, ci, toleo, merkle = metadata_engines(**draws)
     tree = merkle.tree
-    for op, addr in random_trace(pages, seed, events, write_share):
+    for op, addr in random_trace(draws["pages"], draws["seed"], events, write_share):
         ci.process_access(op, addr)
         merkle.process_access(op, addr)
         if not toleo.halted:
@@ -292,6 +301,57 @@ def test_modes_agree_on_metadata_after_every_event(pages, local_pages, flat_entr
         if not toleo.halted:
             assert toleo.device_updates == toleo.writes
         assert merkle.device_bytes == (tree.fetches + tree.dirty_writebacks) * 64
+
+
+def outcome_view(out):
+    """An outcome's byte fields and device transactions, then its store
+    events counted."""
+    return (out.local_bytes, out.pool_bytes, out.mac_bytes, out.device_bytes,
+            out.device_transactions), Counter(out.events)
+
+
+def totals_view(engine):
+    """The same fields of an engine's totals, then its store's counters of
+    those events (none without a store)."""
+    store = getattr(engine, "store", None)
+    return ((engine.local_bytes, engine.pool_bytes, engine.mac_bytes, engine.device_bytes,
+             getattr(engine, "device_reads", 0) + getattr(engine, "device_updates", 0)),
+            Counter() if store is None else Counter({
+                "upgraded_to_uneven": store.upgrades_to_uneven,
+                "normalized": store.normalizations,
+                "upgraded_to_full": store.upgrades_to_full,
+                "reset_triggered": store.resets}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(**_METADATA_DRAWS)
+@example(events=57, write_share=0.7, pages=3, local_pages=0, flat_entries=1, mac=(2, 3),
+         counter_cache=(1, 4), arity=6, root_counters=2, reset_exp=17, upper_bits=1,
+         device_slots=1, seed=9973)
+def test_each_outcome_is_what_its_event_charged(events, write_share, **draws):
+    # after every event, in every mode, the returned record (on a halt, the
+    # engine's record) equals the change in the totals, store events
+    # included; the event a halted engine refuses leaves the record alone.
+    # Few drawn runs halt right after a write that reported store events, so
+    # one example that does is always run
+    engines = metadata_engines(**draws)
+    for op, addr in random_trace(draws["pages"], draws["seed"], events, write_share):
+        for engine in engines:
+            if engine.halted:
+                kept = outcome_view(engine.outcome)
+                with pytest.raises(SimulationHalted):
+                    engine.process_access(op, addr)
+                assert outcome_view(engine.outcome) == kept
+                continue
+            bytes_before, counts_before = totals_view(engine)
+            try:
+                out = engine.process_access(op, addr)
+            except SimulationHalted:
+                out = engine.outcome
+            bytes_after, counts_after = totals_view(engine)
+            assert outcome_view(out) == (
+                tuple(a - b for a, b in zip(bytes_after, bytes_before)),
+                counts_after - counts_before)
 
 
 class TestMerkleEngine:
