@@ -11,10 +11,10 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .caches import SetAssocCache, check_shape
-from .core import AddressRangeError, ConfigError, Geometry, bounded, check_fields
+from .core import AddressRangeError, ConfigError, bounded, check_fields
 from .engine import AccessOutcome, EngineConfig, ProtectionEngine
 
 
@@ -43,16 +43,16 @@ class CounterTreeConfig:
     data blocks; interior nodes fan out ``arity`` children.  The root region
     pins ``root_bytes / (node_bytes / arity)`` child counters on chip, so any
     level with no more nodes than that verifies without leaving the chip.
+    The range the tree covers is not part of its shape: the engine passes
+    its own protected range and block size in.
     """
 
-    protected_bytes: int
     arity: int = bounded(8, low=2)
     node_bytes: int = 64
     counters_per_leaf_node: int = bounded(8, low=1)
     root_bytes: int = 3072
     counter_cache_bytes: int = 32 * 1024
     counter_cache_assoc: int = 16
-    geometry: Geometry = field(default_factory=Geometry)
 
     def __post_init__(self) -> None:
         check_fields(self)
@@ -60,8 +60,6 @@ class CounterTreeConfig:
             raise ConfigError("tree node_bytes must be at least arity")
         check_shape(self.counter_cache_bytes, self.node_bytes, self.counter_cache_shape[1],
                     "tree counter_cache_bytes and counter_cache_assoc")
-        if self.protected_bytes < self.geometry.block_bytes:
-            raise ConfigError("protected range smaller than one block")
         if self.root_bytes < self.node_bytes // self.arity:
             raise ConfigError("root region cannot hold even one child counter")
 
@@ -75,14 +73,10 @@ class CounterTreeConfig:
     def root_coverage(self) -> int:
         return self.root_bytes // (self.node_bytes // self.arity)
 
-    @property
-    def leaf_nodes(self) -> int:
-        blocks = self.protected_bytes // self.geometry.block_bytes
-        return -(-blocks // self.counters_per_leaf_node)
 
-
-def tree_depth(config: CounterTreeConfig) -> int:
-    """Off-chip node levels on a worst-case (cold) verification walk.
+def tree_depth(config: CounterTreeConfig, blocks: int) -> int:
+    """Off-chip node levels on a worst-case (cold) verification walk over
+    the counters of ``blocks`` data blocks.
 
     Starting from the leaf-counter level, every level with more nodes than
     the root region covers must be fetched; the first level small enough to
@@ -90,7 +84,7 @@ def tree_depth(config: CounterTreeConfig) -> int:
     (it holds the counter being checked), hence the minimum of 1.
     """
     depth = 0
-    count = config.leaf_nodes
+    count = -(-blocks // config.counters_per_leaf_node)  # leaf nodes
     while count > config.root_coverage:
         depth += 1
         count = -(-count // config.arity)
@@ -98,16 +92,16 @@ def tree_depth(config: CounterTreeConfig) -> int:
 
 
 class CounterTreeState:
-    """Counter cache over the tree's nodes; only residency is tracked."""
+    """Counter cache over the nodes of a tree covering ``protected_bytes`` in
+    ``block_bytes`` blocks; only residency is tracked."""
 
-    def __init__(self, config: CounterTreeConfig) -> None:
-        self.config = config
-        self.depth = tree_depth(config)
+    def __init__(self, config: CounterTreeConfig, protected_bytes: int, block_bytes: int) -> None:
+        self.depth = tree_depth(config, protected_bytes // block_bytes)
         self.cache = SetAssocCache(*config.counter_cache_shape)
         self.fetches = 0
         self.dirty_writebacks = 0
-        self._protected_bytes = config.protected_bytes
-        self._leaf_span = config.geometry.block_bytes * config.counters_per_leaf_node
+        self._protected_bytes = protected_bytes
+        self._leaf_span = block_bytes * config.counters_per_leaf_node
         self._arity = config.arity
 
     def access(self, addr: int, is_write: bool) -> int:
@@ -149,17 +143,12 @@ class MerkleEngine(ProtectionEngine):
 
     def __init__(self, config: EngineConfig, tree_config: CounterTreeConfig | None = None) -> None:
         super().__init__(config)
-        if tree_config is None:
-            tree_config = CounterTreeConfig(
-                protected_bytes=config.protected_bytes, geometry=config.geometry
-            )
-        if tree_config.protected_bytes != config.protected_bytes:
-            raise ConfigError("tree must cover exactly the protected range")
-        self.tree = CounterTreeState(tree_config)
+        tree_config = tree_config or CounterTreeConfig()
+        self.tree = CounterTreeState(
+            tree_config, config.protected_bytes, config.geometry.block_bytes)
         self.read_hops = 1 + self.tree.depth  # a read may walk every level
         config.check_read_latency(self.read_hops)
         self._node_bytes = tree_config.node_bytes
-        self.first_access_fetches: int | None = None
 
     def _freshness(self, out: AccessOutcome, addr: int, is_write: bool, data_ns: float) -> float:
         tree = self.tree
@@ -168,17 +157,17 @@ class MerkleEngine(ProtectionEngine):
         nbytes = (fetched + tree.dirty_writebacks - before) * self._node_bytes
         out.device_bytes = nbytes
         self.device_bytes += nbytes
-        if self.first_access_fetches is None:
-            self.first_access_fetches = fetched
         # dependent chain: each level's verification needs the next node
         return fetched * data_ns
 
     def stats(self) -> dict:
         s = super().stats()
+        tree = self.tree
         s["tree"] = {
-            "depth": self.tree.depth,
-            "fetches": self.tree.fetches,
-            "dirty_writebacks": self.tree.dirty_writebacks,
-            "first_access_fetches": self.first_access_fetches or 0,
+            "depth": tree.depth,
+            "fetches": tree.fetches,
+            "dirty_writebacks": tree.dirty_writebacks,
+            # the first walk finds the counter cache cold, so fetches every level
+            "first_access_fetches": tree.depth if s["events"] else 0,
         }
         return s

@@ -30,7 +30,6 @@ from .analysis import (
     analytic_exhaustion_prob,
     exhaustion_bound,
     mc_exhaustion,
-    mc_exhaustion_parameters,
     mc_replay,
     replay_success_prob,
 )
@@ -68,7 +67,7 @@ _RUN = {
     **_GEOMETRY, **_SECURITY, **_ENGINE,
     "mode": _ACCEPTS["str"], "trace": None, "tree": None,
 }
-_TREE = _schema(CounterTreeConfig, "protected_bytes", "geometry")
+_TREE = _schema(CounterTreeConfig)
 _TRACE = {"file": _ACCEPTS["str"], "pattern": None}
 _PATTERN = _schema(PatternSpec)
 _PATTERN_REQUIRED = tuple(
@@ -131,6 +130,7 @@ def build_engine(cfg: dict):
     geometry = Geometry(**{k: cfg[k] for k in _GEOMETRY})
     params = SecurityParams(**{k: cfg[k] for k in _SECURITY})
     ecfg = EngineConfig(geometry=geometry, params=params, **{k: cfg[k] for k in _ENGINE})
+    tree = CounterTreeConfig(**_section(cfg.get("tree")))  # range-checked in every mode
     mode = cfg["mode"]
     if mode == "toleo":
         return HostEngine(ecfg)
@@ -138,9 +138,6 @@ def build_engine(cfg: dict):
         return NoneEngine(ecfg)
     if mode == "ci":
         return CiEngine(ecfg)
-    tree = CounterTreeConfig(
-        protected_bytes=ecfg.protected_bytes, geometry=geometry, **(cfg.get("tree") or {})
-    )
     return MerkleEngine(ecfg, tree)
 
 
@@ -278,13 +275,14 @@ def cmd_analyze_security(args) -> int:
         p = _mc_params(mc_doc["exhaustion"], ("stealth_bits", "reset_exp"),
                        ("addresses", "updates_per_address", "trials", "seed"),
                        "monte_carlo.exhaustion", args.seed)
-        try:  # before the Monte Carlo loop, which runs once per update
-            ran = mc_exhaustion_parameters(**p)
+        try:  # refused before the Monte Carlo loop, which runs once per update
+            est = mc_exhaustion(**p)
         except RunModelCapError as exc:
             raise ConfigError(f"monte_carlo.exhaustion.{exc}") from None
+        ran = est.parameters
         analytic = analytic_exhaustion_prob(ran["stealth_bits"], ran["reset_exp"],
                                             ran["updates_per_address"], ran["addresses"])
-        report["exhaustion"]["monte_carlo"] = _mc_report(mc_exhaustion(**ran), analytic, p)
+        report["exhaustion"]["monte_carlo"] = _mc_report(est, analytic, p)
     if "replay" in mc_doc:
         p = _mc_params(mc_doc["replay"], ("stealth_bits",), ("trials", "seed"),
                        "monte_carlo.replay", args.seed)

@@ -14,12 +14,13 @@ layer that charges it: the skeleton sets the channel bytes, the MAC step
 ``mac_bytes``, and a mode's hook the device fields and store events; a
 field a mode never charges keeps its zero from construction.
 
-The device-backed engine keeps three small caches of freshness metadata:
+The device-backed engine keeps two small caches of freshness metadata,
+beside the set-associative write-back cache of 64-byte MAC blocks that the
+skeleton keeps in every MAC mode:
 
-* a fully associative cache of flat entries (one per hot page), which owns
-  an inclusive overflow buffer of 56-byte dynamic lines (uneven offsets and
-  the four quarters of a full entry),
-* a set-associative write-back cache of 64-byte MAC blocks.
+* a fully associative cache of flat entries (one per hot page),
+* an inclusive overflow buffer of 56-byte dynamic lines (uneven offsets and
+  the four quarters of a full entry), which the flat cache owns.
 
 The caches track residency only.  Byte and transaction counts depend only on
 which keys are resident and on the page's format, never on a version.  A

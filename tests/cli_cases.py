@@ -130,6 +130,11 @@ CASES = [
         ("ci-tree1-bogus", "ci", {"bogus": 1}, "bogus"),
         ("toleo-tree2-bogus", "toleo", {"bogus": 1}, "bogus"),
         ("toleo-0-tree", "toleo", 0, "tree")]),
+    # only merkle builds a tree, but every mode range-checks the section
+    *(case(f"{_CONFIG}tree_range_checked_in_every_mode[{mode}]", "simulate",
+           run_doc(mode=mode, tree={"arity": 1}),
+           r"\Aerror: arity must lie in \[2, inf\), got 1\n\Z")
+      for mode in ("none", "ci", "toleo")),
     *(case(f"{_CONFIG}out_of_range_value_names_the_key[{param}]", "simulate", run_doc(**keys),
            re.escape(key), *flags) for param, keys, key, *flags in [
         ("tree_assoc_0", {"mode": "merkle", "tree": {"counter_cache_assoc": 0}},

@@ -33,6 +33,7 @@ CACHES = "src/freshsim/caches.py"
 BASELINES = "src/freshsim/baselines.py"
 STORE = "src/freshsim/version_store.py"
 TRACES = "src/freshsim/traces.py"
+CLI = "src/freshsim/cli.py"
 
 _CHARGING = "tests/test_engine.py::TestChargingModel::test_"
 _INCLUSIVE = ("tests/test_engine.py::TestInclusivity::"
@@ -225,6 +226,20 @@ MUTATIONS = [
              "            if not lines:\n                break\n            fetched += 1\n",
              "            fetched += 1\n            if not lines:\n                break\n",
              (_MERKLE + "warm_read_skips_tree",)),
+    Mutation("first_access_fetches_reports_every_fetch", BASELINES,
+             '"first_access_fetches": tree.depth if s["events"] else 0,',
+             '"first_access_fetches": tree.fetches,',
+             (_MERKLE + "first_access_fetches_is_the_cold_walks_depth",)),
+    # -- the command line ---------------------------------------------------------------
+    Mutation("tree_range_checked_only_under_merkle", CLI,
+             '    tree = CounterTreeConfig(**_section(cfg.get("tree")))'
+             '  # range-checked in every mode\n    mode = cfg["mode"]\n',
+             '    mode = cfg["mode"]\n'
+             '    if mode == "merkle":\n'
+             '        tree = CounterTreeConfig(**_section(cfg.get("tree")))\n',
+             tuple(f"tests/test_cli.py::TestConfigHandling::"
+                   f"test_tree_range_checked_in_every_mode[{mode}]"
+                   for mode in ("none", "ci", "toleo"))),
 ]
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

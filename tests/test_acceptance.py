@@ -223,9 +223,9 @@ def test_criterion_06_format_regimes():
 
 
 def test_criterion_07_tree_depth_versus_device():
-    cfg = CounterTreeConfig(protected_bytes=28 * TIB)
-    depth = tree_depth(cfg)
-    cold = CounterTreeState(cfg).access(0, is_write=False)
+    cfg = CounterTreeConfig()
+    depth = tree_depth(cfg, 28 * TIB // G.block_bytes)
+    cold = CounterTreeState(cfg, 28 * TIB, G.block_bytes).access(0, is_write=False)
 
     spec = PatternSpec(kind="zipfian", footprint_bytes=512 * PAGE,
                        op_count=5000, seed=77)

@@ -12,6 +12,7 @@ from freshsim.baselines import (
     NoneEngine,
     tree_depth,
 )
+from freshsim.cli import build_engine, resolve_config
 from freshsim.core import AddressRangeError, ConfigError, Geometry, SecurityParams
 from freshsim.engine import EngineConfig, HostEngine, SimulationHalted
 from freshsim.version_store import SLOT_BYTES, flat_array_bytes
@@ -27,61 +28,58 @@ MIB = 1 << 20
 
 class TestTreeGeometry:
     def test_root_region_covers_384_counters(self):
-        cfg = CounterTreeConfig(protected_bytes=4 * MIB)
+        cfg = CounterTreeConfig()
         assert cfg.root_coverage == 384
-        assert cfg.leaf_nodes == 4 * MIB // 64 // 8
+        # a leaf node per 8 blocks: above 384 * 8 leaves, their parents no
+        # longer verify on chip either
+        assert tree_depth(cfg, 384 * 8 * 8) == 1
+        assert tree_depth(cfg, 384 * 8 * 8 + 1) == 2
 
     def test_depth_at_datacenter_scale(self):
-        cfg = CounterTreeConfig(protected_bytes=28 * TIB)
-        assert tree_depth(cfg) == 10
+        assert tree_depth(CounterTreeConfig(), 28 * TIB // BLOCK) == 10
 
     def test_depth_with_tiny_root(self):
-        cfg = CounterTreeConfig(protected_bytes=128 * MIB, root_bytes=64)
-        assert tree_depth(cfg) == 5
+        assert tree_depth(CounterTreeConfig(root_bytes=64), 128 * MIB // BLOCK) == 5
 
     def test_leaf_level_always_fetched(self):
         # root region covers every leaf counter, yet the leaf node itself
         # still has to come from memory
-        cfg = CounterTreeConfig(protected_bytes=PAGE)
-        assert cfg.leaf_nodes <= cfg.root_coverage
-        assert tree_depth(cfg) == 1
+        cfg = CounterTreeConfig()
+        assert PAGE // BLOCK // cfg.counters_per_leaf_node <= cfg.root_coverage
+        assert tree_depth(cfg, PAGE // BLOCK) == 1
 
     def test_depth_shrinks_with_wider_fanout(self):
-        narrow = CounterTreeConfig(protected_bytes=1 * TIB, arity=2)
-        wide = CounterTreeConfig(protected_bytes=1 * TIB, arity=64)
-        assert tree_depth(narrow) > tree_depth(wide)
+        blocks = 1 * TIB // BLOCK
+        assert tree_depth(CounterTreeConfig(arity=2), blocks) > tree_depth(
+            CounterTreeConfig(arity=64), blocks)
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):
-            CounterTreeConfig(protected_bytes=4 * MIB, arity=1)
+            CounterTreeConfig(arity=1)
         with pytest.raises(ConfigError):
-            CounterTreeConfig(protected_bytes=32)
-        with pytest.raises(ConfigError):
-            CounterTreeConfig(protected_bytes=4 * MIB, root_bytes=4)
+            CounterTreeConfig(root_bytes=4)
 
     @pytest.mark.parametrize("cache_bytes, assoc", [(6 * 64, 4), (10, 16), (64, 0)])
     def test_bad_counter_cache_shape_is_rejected(self, cache_bytes, assoc):
         # 6 lines do not fill 4-way sets, and 10 bytes hold no 64-byte line
         with pytest.raises(ConfigError, match="counter_cache_bytes and counter_cache_assoc"):
-            CounterTreeConfig(protected_bytes=4 * MIB, counter_cache_bytes=cache_bytes,
-                              counter_cache_assoc=assoc)
+            CounterTreeConfig(counter_cache_bytes=cache_bytes, counter_cache_assoc=assoc)
 
     def test_counter_cache_of_part_lines_is_refused(self):
         # 100 bytes would run a one-line counter cache
         with pytest.raises(ConfigError, match="counter_cache_bytes and counter_cache_assoc give "
                                               "100 bytes, not a whole number of 64-byte lines"):
-            CounterTreeConfig(protected_bytes=4 * MIB, counter_cache_bytes=100)
+            CounterTreeConfig(counter_cache_bytes=100)
 
     def test_counter_cache_smaller_than_its_ways_is_fully_associative(self):
-        cache = CounterTreeState(CounterTreeConfig(protected_bytes=4 * MIB,
-                                                   counter_cache_bytes=2 * 64)).cache
+        cache = CounterTreeState(CounterTreeConfig(counter_cache_bytes=2 * 64),
+                                 4 * MIB, BLOCK).cache
         assert (cache.lines, cache.assoc) == (2, 2)
 
 
 class TestTreeWalk:
-    def make_state(self, **kw):
-        kw.setdefault("protected_bytes", 4 * MIB)  # depth 2 with defaults
-        return CounterTreeState(CounterTreeConfig(**kw))
+    def make_state(self, protected_bytes=4 * MIB, **kw):  # depth 2 with defaults
+        return CounterTreeState(CounterTreeConfig(**kw), protected_bytes, BLOCK)
 
     def test_cold_walk_touches_every_level(self):
         st = self.make_state()
@@ -209,7 +207,7 @@ def test_modes_agree_on_data_traffic(pages, local_pages, flat_entries, overflow,
         params=SecurityParams(reset_exp=reset_exp), seed=seed,
     )
     tree = CounterTreeConfig(
-        protected_bytes=pages * PAGE, arity=arity, root_bytes=64 // arity * root_counters,
+        arity=arity, root_bytes=64 // arity * root_counters,
         counter_cache_bytes=counter_cache[0] * counter_cache[1] * 64,
         counter_cache_assoc=counter_cache[1],
     )
@@ -268,7 +266,7 @@ def metadata_engines(pages, local_pages, flat_entries, mac, counter_cache, arity
         params=params, seed=seed,
     )
     tree_config = CounterTreeConfig(
-        protected_bytes=pages * PAGE, arity=arity, root_bytes=64 // arity * root_counters,
+        arity=arity, root_bytes=64 // arity * root_counters,
         counter_cache_bytes=counter_cache[0] * counter_cache[1] * 64,
         counter_cache_assoc=counter_cache[1],
     )
@@ -357,7 +355,7 @@ def test_each_outcome_is_what_its_event_charged(events, write_share, **draws):
 class TestMerkleEngine:
     def make(self, protected=4 * MIB, **tree_kw):
         cfg = EngineConfig(protected_bytes=protected)
-        tree = CounterTreeConfig(protected_bytes=protected, **tree_kw) if tree_kw else None
+        tree = CounterTreeConfig(**tree_kw) if tree_kw else None
         return MerkleEngine(cfg, tree)
 
     def test_cold_read_walks_and_charges_tree(self):
@@ -367,7 +365,6 @@ class TestMerkleEngine:
         assert e.tree.fetches == depth
         assert out.device_bytes == depth * 64
         assert out.latency_ns == pytest.approx(50 + depth * 50 + CIPHER_NS)
-        assert e.first_access_fetches == depth
 
     def test_cold_pool_read_walks_on_the_pool_channel(self):
         # each level's node fetch is one more trip on the data's channel
@@ -387,12 +384,30 @@ class TestMerkleEngine:
         assert out.device_bytes == 0
         assert out.latency_ns == pytest.approx(50 + CIPHER_NS)
 
-    def test_tree_must_cover_protected_range(self):
+    @settings(max_examples=50, deadline=None)
+    @given(pages=st.integers(1, 64), arity=st.integers(2, 8), root_counters=st.integers(1, 4),
+           lines=st.integers(1, 2), seed=st.integers(0, 2**16), events=st.integers(50, 400))
+    def test_first_access_fetches_is_the_cold_walks_depth(self, pages, arity, root_counters,
+                                                          lines, seed, events):
+        # the first walk finds the counter cache cold, so it fetches every
+        # level; before any event, or after only refused ones, stats report 0
+        # built from a run config, as simulate builds it
+        tree = {"arity": arity, "root_bytes": 64 // arity * root_counters,
+                "counter_cache_bytes": lines * 64}
+        e = build_engine(resolve_config(
+            {"mode": "merkle", "protected_bytes": pages * PAGE, "tree": tree}))
+        assert e.stats()["tree"]["first_access_fetches"] == 0
+        with pytest.raises(AddressRangeError):
+            e.process_access("R", pages * PAGE)
         with pytest.raises(ConfigError):
-            MerkleEngine(
-                EngineConfig(protected_bytes=4 * MIB),
-                CounterTreeConfig(protected_bytes=2 * MIB),
-            )
+            e.process_access("X", 0)
+        assert e.stats()["tree"]["first_access_fetches"] == 0
+        trace = random_trace(pages, seed, events, 0.5)
+        e.process_access(*trace[0])
+        assert e.stats()["tree"]["first_access_fetches"] == e.tree.fetches == e.tree.depth
+        for op, addr in trace[1:]:
+            e.process_access(op, addr)
+        assert e.stats()["tree"]["first_access_fetches"] == e.tree.depth
 
     def test_writeback_traffic_lands_on_device_channel(self):
         e = self.make(counter_cache_bytes=2 * 64)

@@ -342,10 +342,11 @@ def test_tree_walk_matches_per_level_access(arity, levels, num_sets, assoc, walk
     # a twin cache, stopping at the first hit
     leaves = 2**40  # a leaf per index drawn, each holding 8 blocks' counters (512 B)
     tree = CounterTreeState(CounterTreeConfig(
-        protected_bytes=leaves * 512, arity=arity,
+        arity=arity,
         # the root region covers the level above the walk's last
         root_bytes=-(-leaves // arity**levels) * (64 // arity),
-        counter_cache_bytes=num_sets * assoc * 64, counter_cache_assoc=assoc))
+        counter_cache_bytes=num_sets * assoc * 64, counter_cache_assoc=assoc),
+        leaves * 512, 64)
     assert tree.depth == levels
     walked = tree.cache
     stepped = SetAssocCache(num_sets * assoc, assoc)

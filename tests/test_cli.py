@@ -354,7 +354,7 @@ def test_huge_cache_runs_in_bounded_memory(tmp_path, mode, keys):
         assert stats["channels"]["mac_bytes"] == g.block_bytes * len(mac_lines)
     else:
         # nor does such a counter cache: each node on a touched path is fetched once
-        tree = CounterTreeConfig(protected_bytes=footprint)
+        tree = CounterTreeConfig()
         leaves = {a // (g.block_bytes * tree.counters_per_leaf_node) for a in addrs}
         nodes = {(leaf // tree.arity**level, level)
                  for leaf in leaves for level in range(stats["tree"]["depth"])}

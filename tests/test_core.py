@@ -69,7 +69,7 @@ BOUNDED_CLASSES = [
     (Geometry, {}),
     (SecurityParams, {}),
     (EngineConfig, {}),
-    (CounterTreeConfig, {"protected_bytes": 4096}),
+    (CounterTreeConfig, {}),
     (PatternSpec, {"kind": "strided", "footprint_bytes": 4096, "op_count": 1}),
     (ExhaustionQuery, {}),
 ]
