@@ -6,6 +6,9 @@ cache makes each set on its first fill, so building one costs the same at
 any size and a cache of 2^30 sets holds only the sets a trace filled.
 Hit/miss counters live on the cache so statistics fall out for free.
 Every fill places its key in a set with one hash, ``set_index``.
+``SetAssocCache`` indexes a line once it hits, so a hit on a line that has
+not hit before hashes once, and so does invalidating such a line; neither
+makes a set.
 ``FlatCache``, the host's cache of flat entries, fills, probes and drops
 its inclusive overflow buffer of the pages' dynamic lines a page at a time.
 The counter tree's walk is ``baselines``' own: one ``access`` per level.
@@ -58,13 +61,16 @@ class LruSets:
 
 class SetAssocCache(LruSets):
     """Set-associative write-back LRU cache keyed by integers; each set maps
-    a key to its dirty bit.  A residency index maps every resident key to
-    its set, so only a fill hashes a key, and a lookup, a hit or
-    ``invalidate_range`` makes no set."""
+    a key to its dirty bit.  A residency index maps each resident key that
+    has hit since its fill to its set, so a repeat hit hashes nothing.  A
+    fill leaves the index alone: a key it lacks is hashed once, and the
+    probe of its set tells a first hit, which indexes it, from a miss.
+    Invalidating a key the index lacks hashes it once too.  Only a fill
+    makes a set."""
 
     def __init__(self, lines: int, assoc: int) -> None:
         super().__init__(lines, assoc)
-        self._index: dict[int, dict[int, bool]] = {}  # resident key -> its set
+        self._index: dict[int, dict[int, bool]] = {}  # key that hit since its fill -> its set
 
     def access(self, key: int, dirty: bool = False) -> int:
         """Look up a line, counting the hit or miss and refreshing recency,
@@ -76,14 +82,18 @@ class SetAssocCache(LruSets):
             s[key] = s.pop(key) or dirty
             self.hits += 1
             return 0
-        self.misses += 1
         s = self._sets[set_index(key, self.num_sets)]
+        if key in s:  # its first hit since the fill
+            self._index[key] = s
+            s[key] = s.pop(key) or dirty
+            self.hits += 1
+            return 0
+        self.misses += 1
         s[key] = dirty
-        self._index[key] = s
         if len(s) > self.assoc:
             for victim in s:  # the first key is the least recently used
                 break
-            del self._index[victim]
+            self._index.pop(victim, None)
             if s.pop(victim):
                 return 2
         return 1
@@ -91,11 +101,14 @@ class SetAssocCache(LruSets):
     def invalidate_range(self, keys) -> None:
         """Drop every resident key of a run of keys without write-back (the
         caller has already persisted it)."""
-        pop = self._index.pop
+        pop, sets, num_sets = self._index.pop, self._sets, self.num_sets
         for key in keys:
             s = pop(key, None)
-            if s is not None:
-                del s[key]
+            if s is None:
+                s = sets.get(set_index(key, num_sets))
+                if s is None:
+                    continue
+            s.pop(key, None)
 
 
 class FlatCache:

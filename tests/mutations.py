@@ -161,6 +161,20 @@ MUTATIONS = [
              "            s.pop(victim)\n            return 2\n",
              ("tests/test_caches.py::TestSetAssocCache::test_dirty_flag_travels_with_eviction",
               _CACHES + "lru_matches_reference_model")),
+    Mutation("evicted_line_left_in_the_index", CACHES,
+             "            self._index.pop(victim, None)\n", "",
+             (_CACHES + "lru_matches_reference_model",)),
+    Mutation("invalidate_skips_lines_that_never_hit", CACHES,
+             "                s = sets.get(set_index(key, num_sets))\n"
+             "                if s is None:\n                    continue\n",
+             "                continue\n",
+             ("tests/test_caches.py::TestLruCache::test_invalidate",)),
+    Mutation("invalidate_makes_sets", CACHES,
+             "sets.get(set_index(key, num_sets))", "sets[set_index(key, num_sets)]",
+             (_CACHES + "sets_are_made_on_first_fill",)),
+    Mutation("hit_left_unindexed", CACHES,
+             "            self._index[key] = s\n", "",
+             ("tests/test_caches.py::TestSetAssocCache::test_only_lines_that_hit_are_indexed",)),
     # -- the store's transition counters ------------------------------------------------
     Mutation("full_upgrade_not_counted", STORE,
              "                self.upgrades_to_full += 1\n", "",

@@ -94,11 +94,12 @@ class _LruModel:
 
 def _assert_matches(cache, model):
     """The one-set cache's lines, recency order and dirty bits equal the
-    model's, and its residency index names exactly the resident keys."""
+    model's, and its residency index names only resident keys, each with
+    the set that holds it."""
     assert cache._sets.keys() <= {0}
     assert list(cache._sets.get(0, {}).items()) == list(model.d.items())
-    assert cache._index.keys() == model.d.keys() and resident_count(cache) == len(model.d)
-    assert resident_keys(cache) == list(model.d)
+    assert resident_count(cache) == len(model.d) and resident_keys(cache) == list(model.d)
+    assert all(k in s and s is cache._sets[0] for k, s in cache._index.items())
 
 
 @settings(max_examples=60, deadline=None)
@@ -178,15 +179,32 @@ class TestSetAssocCache:
         # must only ever remove keys from the same set as the newcomer
         evictions = 0
         for k in range(200):
-            home = dict(c._index)  # resident key -> its set, before the fill
+            before = set(resident_keys(c))
             assert c.access(k) == 1
-            evicted = home.keys() - c._index.keys()
+            evicted = before - set(resident_keys(c))
             if evicted:
                 evictions += 1
                 (victim,) = evicted
-                assert home[victim] is c._index[k]
+                assert _hashed_set(16, victim) == _hashed_set(16, k)
         assert resident_count(c) == 32
         assert evictions == 200 - 32
+
+    def test_only_lines_that_hit_are_indexed(self):
+        # the index holds each resident line that hit since its fill, with
+        # its own set; a fill, an eviction and an invalidation leave none
+        c = SetAssocCache(lines=8, assoc=2)
+        a, b, d = [k for k in range(100) if _hashed_set(4, k) == _hashed_set(4, 0)][:3]
+        assert (c.access(a), c.access(b)) == (1, 1)
+        assert c._index == {}
+        assert c.access(a) == 0
+        home = c._sets[_hashed_set(4, a)]
+        assert c._index == {a: home} and a in home
+        assert (c.access(a), c.access(b)) == (0, 0)
+        assert c._index == {a: home, b: home}
+        assert c.access(d) == 1  # evicts a, the least recent
+        assert c._index == {b: home} and list(home) == [b, d]
+        c.invalidate_range([b, d])  # d never hit, yet leaves the cache too
+        assert c._index == {} and resident_count(c) == 0
 
 
 @settings(max_examples=40, deadline=None)
@@ -366,7 +384,7 @@ def test_tree_walk_matches_per_level_access(arity, levels, num_sets, assoc, walk
         assert _contents(walked) == _contents(stepped)
         assert (walked.hits, walked.misses) == (stepped.hits, stepped.misses)
         for k, s in walked._index.items():
-            assert s is walked._sets.get(_hashed_set(num_sets, k))
+            assert k in s and s is walked._sets.get(_hashed_set(num_sets, k))
 
 
 @settings(max_examples=300, deadline=None)
@@ -584,7 +602,8 @@ def test_range_ops_match_per_key_ops_across_sets(ops):
             if page not in filled:
                 assert result == -1
             elif count:
-                hit = [k in per_key._index for k in keys]
+                resident = set(resident_keys(per_key))
+                hit = [k in resident for k in keys]
                 hits, misses = hits + sum(hit), misses + count - sum(hit)
                 assert result == (0 if all(hit) else count)
             else:
