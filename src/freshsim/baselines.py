@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .caches import SetAssocCache, check_shape
+from .caches import CounterCache, check_shape
 from .core import AddressRangeError, ConfigError, bounded, check_fields
 from .engine import AccessOutcome, EngineConfig, ProtectionEngine
 
@@ -97,7 +97,7 @@ class CounterTreeState:
 
     def __init__(self, config: CounterTreeConfig, protected_bytes: int, block_bytes: int) -> None:
         self.depth = tree_depth(config, protected_bytes // block_bytes)
-        self.cache = SetAssocCache(*config.counter_cache_shape)
+        self.cache = CounterCache(*config.counter_cache_shape)
         self.fetches = 0
         self.dirty_writebacks = 0
         self._protected_bytes = protected_bytes
@@ -107,25 +107,15 @@ class CounterTreeState:
     def access(self, addr: int, is_write: bool) -> int:
         """Verify (and on write, bump) the counter path for ``addr``.
 
-        Returns the number of node fetches: the walk climbs leaf to root,
-        one counter-cache ``access`` per level, and stops at the first hit,
-        or at the root region.  Every fetched node is filled, dirty on a
-        write, and each dirty eviction counts as write-back traffic.  Level
-        ``l``'s node key is ``(leaf // arity**l) * 64 + l``: levels stay
-        below 64, so they interleave under the node index bits.
+        Returns the number of node fetches: the counter cache's ``walk``
+        climbs leaf to root and stops at the first hit, or at the root
+        region.  Every fetched node is filled, dirty on a write, and each
+        dirty eviction counts as write-back traffic.
         """
         if addr < 0 or addr >= self._protected_bytes:
             raise AddressRangeError(f"address {addr:#x} outside the protected range")
-        access, arity, depth = self.cache.access, self._arity, self.depth
-        index = addr // self._leaf_span
-        fetched = moved = 0
-        while fetched < depth:  # the level walked is the count fetched so far
-            lines = access(index * 64 + fetched, is_write)
-            if not lines:
-                break
-            fetched += 1
-            moved += lines
-            index //= arity
+        fetched, moved = self.cache.walk(addr // self._leaf_span, self._arity, self.depth,
+                                         is_write)
         self.fetches += fetched
         self.dirty_writebacks += moved - fetched  # each fill moves one line, plus its write-back
         return fetched

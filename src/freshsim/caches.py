@@ -6,12 +6,13 @@ cache makes each set on its first fill, so building one costs the same at
 any size and a cache of 2^30 sets holds only the sets a trace filled.
 Hit/miss counters live on the cache so statistics fall out for free.
 Every fill places its key in a set with one hash, ``set_index``.
-``SetAssocCache`` indexes a line once it hits, so a hit on a line that has
-not hit before hashes once, and so does invalidating such a line; neither
-makes a set.
+``SetAssocCache``, the MAC cache, indexes a line once it hits, so a hit on
+a line that has not hit before hashes once, and so does invalidating such
+a line; neither makes a set.
 ``FlatCache``, the host's cache of flat entries, fills, probes and drops
 its inclusive overflow buffer of the pages' dynamic lines a page at a time.
-The counter tree's walk is ``baselines``' own: one ``access`` per level.
+``CounterCache``, the counter tree's cache, walks every level of one
+verification in one call, with ``set_index`` written out inline.
 """
 
 from __future__ import annotations
@@ -60,13 +61,13 @@ class LruSets:
 
 
 class SetAssocCache(LruSets):
-    """Set-associative write-back LRU cache keyed by integers; each set maps
-    a key to its dirty bit.  A residency index maps each resident key that
-    has hit since its fill to its set, so a repeat hit hashes nothing.  A
-    fill leaves the index alone: a key it lacks is hashed once, and the
-    probe of its set tells a first hit, which indexes it, from a miss.
-    Invalidating a key the index lacks hashes it once too.  Only a fill
-    makes a set."""
+    """Set-associative write-back LRU cache keyed by integers, the MAC
+    cache; each set maps a key to its dirty bit.  A residency index maps
+    each resident key that has hit since its fill to its set, so a repeat
+    hit hashes nothing.  A fill leaves the index alone: a key it lacks is
+    hashed once, and the probe of its set tells a first hit, which indexes
+    it, from a miss.  Invalidating a key the index lacks hashes it once
+    too.  Only a fill makes a set."""
 
     def __init__(self, lines: int, assoc: int) -> None:
         super().__init__(lines, assoc)
@@ -109,6 +110,44 @@ class SetAssocCache(LruSets):
                 if s is None:
                     continue
             s.pop(key, None)
+
+
+class CounterCache(LruSets):
+    """The counter tree's write-back LRU cache of node keys; each set maps a
+    key to its dirty bit.  It keeps no residency index: its one operation,
+    ``walk``, hashes each level's key inline with ``set_index``'s formula,
+    so a probe costs no call."""
+
+    def walk(self, leaf: int, arity: int, depth: int, dirty: bool) -> tuple[int, int]:
+        """Probe the nodes of one verification, leaf level first, and stop
+        at the first hit, or after ``depth`` levels.  Level ``l``'s node key
+        is ``(leaf // arity**l) * 64 + l``: levels stay below 64, so they
+        interleave under the node index bits.  A hit refreshes its node, and
+        a write (``dirty``) marks it dirty; each miss fills its node, dirty
+        on a write, and a dirty victim is written back.  Returns the nodes
+        fetched and the lines moved: one per fill, plus one per write-back."""
+        sets, num_sets, assoc = self._sets, self.num_sets, self.assoc
+        fetched = moved = 0
+        while fetched < depth:  # the level walked is the count fetched so far
+            key = leaf * 64 + fetched
+            h = (key ^ (key >> 16)) * 0x45D9F3B  # set_index, inline
+            h = (h ^ (h >> 16)) * 0x45D9F3B
+            s = sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % num_sets]
+            if key in s:
+                s[key] = s.pop(key) or dirty
+                self.hits += 1
+                break
+            s[key] = dirty
+            fetched += 1
+            moved += 1
+            if len(s) > assoc:
+                for victim in s:  # the first key is the least recently used
+                    break
+                if s.pop(victim):
+                    moved += 1
+            leaf //= arity
+        self.misses += fetched
+        return fetched, moved
 
 
 class FlatCache:

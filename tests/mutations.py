@@ -48,6 +48,12 @@ _ACROSS_MODES = "tests/test_baselines.py::test_modes_agree_on_metadata_after_eve
 _EACH_OUTCOME = "tests/test_baselines.py::test_each_outcome_is_what_its_event_charged"
 _HALT = "tests/test_engine.py::TestCapacityHalt::test_capacity_exhaustion_halts_engine"
 _STORE = "tests/test_version_store.py::"
+# set_index's head: the walk's inline copy of its formula holds the same lines
+_SET_INDEX = ('def set_index(key: int, num_sets: int) -> int:\n'
+              '    """The set a key fills: a cheap deterministic integer hash, since\n'
+              "    Python's hash() is identity for ints, which would put striding keys in\n"
+              '    lockstep with the set count.  Only the low 64 bits of each product\n'
+              '    reach the result, so it is exact in wrapping uint64 arithmetic too."""\n')
 _TEXT_LOAD = ("tests/test_traces.py::TestStreamingLoad::"
               "test_streamed_text_load_equals_the_whole_parse")
 
@@ -153,8 +159,8 @@ MUTATIONS = [
              "        lines = known + tuple((key, sets[set_index(key + 1, num_sets)])\n",
              (_CACHES + "page_memo_is_exact_and_bounded",)),
     Mutation("set_index_one_shift_changed", CACHES,
-             "    h = (key ^ (key >> 16)) * 0x45D9F3B\n",
-             "    h = (key ^ (key >> 15)) * 0x45D9F3B\n",
+             _SET_INDEX + "    h = (key ^ (key >> 16)) * 0x45D9F3B\n",
+             _SET_INDEX + "    h = (key ^ (key >> 15)) * 0x45D9F3B\n",
              (_CACHES + "set_index_is_exact_in_wrapping_uint64",)),
     Mutation("clean_mac_eviction_charged", CACHES,
              "            if s.pop(victim):\n                return 2\n",
@@ -175,6 +181,24 @@ MUTATIONS = [
     Mutation("hit_left_unindexed", CACHES,
              "            self._index[key] = s\n", "",
              ("tests/test_caches.py::TestSetAssocCache::test_only_lines_that_hit_are_indexed",)),
+    # -- the counter cache's walk -------------------------------------------------------
+    Mutation("walk_hash_shift_changed", CACHES,
+             "            h = (key ^ (key >> 16)) * 0x45D9F3B  # set_index, inline\n",
+             "            h = (key ^ (key >> 15)) * 0x45D9F3B  # set_index, inline\n",
+             (_CACHES + "tree_walk_matches_per_level_access",)),
+    Mutation("walk_clean_victim_written_back", CACHES,
+             "                if s.pop(victim):\n                    moved += 1\n",
+             "                s.pop(victim)\n                moved += 1\n",
+             (_CACHES + "tree_walk_matches_per_level_access",)),
+    Mutation("tree_walk_one_level_short", CACHES,
+             "        while fetched < depth:",
+             "        while fetched < depth - 1:",
+             (_MERKLE + "cold_read_walks_and_charges_tree",
+              "tests/test_acceptance.py::test_criterion_07_tree_depth_versus_device")),
+    Mutation("tree_hit_counted_as_a_fetch", CACHES,
+             "                self.hits += 1\n                break\n",
+             "                self.hits += 1\n                fetched += 1\n                break\n",
+             (_MERKLE + "warm_read_skips_tree",)),
     # -- the store's transition counters ------------------------------------------------
     Mutation("full_upgrade_not_counted", STORE,
              "                self.upgrades_to_full += 1\n", "",
@@ -209,6 +233,15 @@ MUTATIONS = [
              "    v = unpack_bitfields(b\"\".join(lines), params.stealth_bits, "
              "geometry.blocks_per_page)\n    v[-1] ^= 1\n    return v\n",
              (_FUNCTIONAL + "roundtrip_through_uneven_full_and_reset",)),
+    # -- the functional layer's MACs and replays ---------------------------------------
+    Mutation("mac_truncation_keeps_top_bits", ENGINE,
+             "            head = digest[-1] & ((1 << (bits % 8)) - 1)\n",
+             "            head = digest[-1]\n",
+             tuple(f"tests/test_engine.py::TestMacLayer::test_mac_is_truncated_to_its_width[{bits}]"
+                   for bits in (1, 12, 57))),
+    Mutation("replay_not_stored", ENGINE,
+             "        fn.put(addr, old_record)\n", "",
+             (_FUNCTIONAL + "replayed_record_stays_in_memory",)),
     # -- loading a text trace a chunk at a time ---------------------------------------
     Mutation("text_load_splits_a_crlf_across_chunks", TRACES,
              "        body = chunk[:-1] if chunk.endswith(\"\\r\") else chunk\n",
@@ -231,15 +264,6 @@ MUTATIONS = [
              "        return fetched * data_ns\n",
              "        return fetched * self._local_ns\n",
              (_MERKLE + "cold_pool_read_walks_on_the_pool_channel",)),
-    Mutation("tree_walk_one_level_short", BASELINES,
-             "        while fetched < depth:",
-             "        while fetched < depth - 1:",
-             (_MERKLE + "cold_read_walks_and_charges_tree",
-              "tests/test_acceptance.py::test_criterion_07_tree_depth_versus_device")),
-    Mutation("tree_hit_counted_as_a_fetch", BASELINES,
-             "            if not lines:\n                break\n            fetched += 1\n",
-             "            fetched += 1\n            if not lines:\n                break\n",
-             (_MERKLE + "warm_read_skips_tree",)),
     Mutation("first_access_fetches_reports_every_fetch", BASELINES,
              '"first_access_fetches": tree.depth if s["events"] else 0,',
              '"first_access_fetches": tree.fetches,',

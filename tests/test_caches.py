@@ -383,8 +383,8 @@ def test_tree_walk_matches_per_level_access(arity, levels, num_sets, assoc, walk
         # contents, recency order and dirty bits, set by set
         assert _contents(walked) == _contents(stepped)
         assert (walked.hits, walked.misses) == (stepped.hits, stepped.misses)
-        for k, s in walked._index.items():
-            assert k in s and s is walked._sets.get(_hashed_set(num_sets, k))
+        # the walk hashes inline: every node it filled sits where set_index puts it
+        assert all(set_index(k, num_sets) == i for i, s in walked._sets.items() for k in s)
 
 
 @settings(max_examples=300, deadline=None)

@@ -451,6 +451,19 @@ class TestFunctionalLayer:
         e.functional_write(0, b"C" * 64)
         assert e.functional_read(0) == b"C" * 64
 
+    def test_replayed_record_stays_in_memory(self):
+        # the replay substitutes the stale record, so after a re-arm the
+        # next functional read meets it again and fails again
+        e = make_engine(seed=9)
+        old = e.functional_write(0, b"A" * 64)
+        e.functional_write(0, b"B" * 64)
+        assert e.inject_replay(0, old) == "detected"
+        assert e.functional.get(0) is old
+        e.rearm_kill_switch()
+        with pytest.raises(FreshnessViolation):
+            e.functional_read(0)
+        assert e.killed
+
     def test_replay_of_current_record_passes(self):
         e = make_engine(seed=9)
         rec = e.functional_write(0, b"A" * 64)
@@ -523,6 +536,15 @@ class TestMacLayer:
         fn = FunctionalBlockStore(G, SecurityParams(), seed=1)
         mac = fn.compute_mac(12345, 0, b"x" * 64)
         assert len(mac) == 7
+
+    @pytest.mark.parametrize("mac_bits", [1, 12, 57])
+    def test_mac_is_truncated_to_its_width(self, mac_bits):
+        # whole bytes, the top one keeping only the bits the width needs
+        fn = FunctionalBlockStore(Geometry(mac_bits=mac_bits), SecurityParams(), seed=1)
+        for version in range(16):
+            mac = fn.compute_mac(version, 64, b"x" * 64)
+            assert len(mac) == -(-mac_bits // 8)
+            assert int.from_bytes(mac, "little") < 2**mac_bits
 
     def test_mac_binds_version_address_cipher(self):
         fn = FunctionalBlockStore(G, SecurityParams(), seed=1)

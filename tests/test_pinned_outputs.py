@@ -222,6 +222,7 @@ DEMO_DIGESTS = {
     "02_mode_comparison": "2cfc690415c247bdce3d8f85d84f09b76095cd5e3a17cb43e955507916ffb475",
     "03_security_bounds": "fd3a20ea40f41cf45b28da615b44b5a8af1cbd5e6521c7653b9abd4e3f9cbdd6",
     "04_replay_attack": "c47c6aa40fe23d3fbaa2463d7b6f75f8ac8fdccb15c260551632121654f3bc39",
+    "05_scaling": "16bb1e9f381b9b7ef32ca60f8d3d1eafd69a29af1a9f79938e1ce08dcfd52c97",
 }
 
 
