@@ -5,14 +5,16 @@ no payloads, since no counted number depends on them.  A set-associative
 cache makes each set on its first fill, so building one costs the same at
 any size and a cache of 2^30 sets holds only the sets a trace filled.
 Hit/miss counters live on the cache so statistics fall out for free.
-Every fill places its key in a set with one hash, ``set_index``.
+Every fill places its key in a set with one hash, ``set_index``; the
+per-event probes write its formula out inline, so hashing costs no call.
 ``SetAssocCache``, the MAC cache, indexes a line once it hits, so a hit on
 a line that has not hit before hashes once, and so does invalidating such
 a line; neither makes a set.
 ``FlatCache``, the host's cache of flat entries, fills, probes and drops
-its inclusive overflow buffer of the pages' dynamic lines a page at a time.
+its inclusive overflow buffer of the pages' dynamic lines a page at a time,
+in one ``access`` call per event.
 ``CounterCache``, the counter tree's cache, walks every level of one
-verification in one call, with ``set_index`` written out inline.
+verification in one call.
 """
 
 from __future__ import annotations
@@ -27,7 +29,11 @@ def set_index(key: int, num_sets: int) -> int:
     """The set a key fills: a cheap deterministic integer hash, since
     Python's hash() is identity for ints, which would put striding keys in
     lockstep with the set count.  Only the low 64 bits of each product
-    reach the result, so it is exact in wrapping uint64 arithmetic too."""
+    reach the result, so it is exact in wrapping uint64 arithmetic too.
+    This is the reference formula: the two per-event probes,
+    ``SetAssocCache.access`` and ``CounterCache.walk``, write it out inline
+    to save a call, each held to it by a named test.  Add no other copy
+    without a measured end-to-end gain."""
     h = (key ^ (key >> 16)) * 0x45D9F3B
     h = (h ^ (h >> 16)) * 0x45D9F3B
     return ((h ^ (h >> 16)) & 0xFFFFFFFF) % num_sets
@@ -83,7 +89,9 @@ class SetAssocCache(LruSets):
             s[key] = s.pop(key) or dirty
             self.hits += 1
             return 0
-        s = self._sets[set_index(key, self.num_sets)]
+        h = (key ^ (key >> 16)) * 0x45D9F3B  # set_index, inline
+        h = (h ^ (h >> 16)) * 0x45D9F3B
+        s = self._sets[((h ^ (h >> 16)) & 0xFFFFFFFF) % self.num_sets]
         if key in s:  # its first hit since the fill
             self._index[key] = s
             s[key] = s.pop(key) or dirty
@@ -160,15 +168,17 @@ class FlatCache:
     dropped together, straight in their sets, as the device sends a page's
     entry and lines in one round trip; the buffer keeps no index of its own.
     A page's resident lines are among those it filled, all its format has
-    (each device response passes that count, and the re-key after a reset
-    drops the page); evicting or dropping it pops them.
+    (each device response fills that count, and the re-key after a reset
+    drops the page); evicting or dropping it pops them.  A flat miss reads
+    the page's line count from ``store.line_count(page)``.
     """
 
-    def __init__(self, entries: int, overflow: LruSets) -> None:
+    def __init__(self, entries: int, overflow: LruSets, store) -> None:
         if entries <= 0:
             raise ConfigError(f"bad cache shape: {entries} flat entries")
         self.entries = entries
         self.overflow = overflow
+        self._store = store  # not its bound line_count: a wrapper on the store sees calls
         self._pages: dict[int, tuple] = {}
         # page -> its line 0's set or, once it filled more lines, the
         # (key, set) pairs of those lines: only pages that filled lines
@@ -186,41 +196,35 @@ class FlatCache:
         self._memo[page] = lines[0][1] if count == 1 else lines
         return lines
 
-    def read(self, page: int) -> int:
-        """Look up a page and probe every line it filled, counting each hit or
-        miss here and in ``overflow``.  Returns -1 on a flat miss, filling
-        nothing: the device READ learns the format and fills through ``write``.
-        Returns 0 when the page and all its lines hit; else the READ refills
-        them all, and their count is returned."""
+    def access(self, page: int, count: int) -> int:
+        """The one call per event.  A ``count`` of -1 probes the page and
+        every line it filled, counting each hit or miss here and in
+        ``overflow``: -1 when all hit, else the device READ fills the page,
+        with the store's ``line_count(page)`` lines on a flat miss or all it
+        filled.  A ``count`` of 0 or more is an UPDATE's response: it counts
+        nothing and fills the page's first ``count`` lines; a page left flat
+        keeps its lines for the re-key after its reset.  Returns the lines
+        filled."""
         pages = self._pages
         lines = pages.pop(page, None)
-        if lines is None:
-            self.misses += 1
-            return -1
-        pages[page] = lines
-        self.hits += 1
-        if not lines:
-            return 0
-        hits = 0
-        for key, s in lines:
-            if key in s:
-                del s[key]
-                s[key] = False
-                hits += 1
-        self.overflow.hits += hits
-        count = len(lines)
-        if hits == count:
-            return 0
-        self.overflow.misses += count - hits
-        self.write(page, count)
-        return count
-
-    def write(self, page: int, count: int) -> None:
-        """Refresh or fill a page and its first ``count`` lines, as a device
-        response does; counts nothing.  A page an UPDATE left flat keeps its
-        filled lines, so the re-key that follows a reset drops them."""
-        pages = self._pages
-        lines = pages.pop(page, None)
+        if count < 0:
+            if lines is None:
+                self.misses += 1
+                count = self._store.line_count(page)  # draws an untouched page's base
+            else:
+                self.hits += 1
+                hits = 0
+                for key, s in lines:
+                    if key in s:
+                        del s[key]
+                        s[key] = False
+                        hits += 1
+                self.overflow.hits += hits
+                count = len(lines)
+                if hits == count:
+                    pages[page] = lines
+                    return -1
+                self.overflow.misses += count - hits
         if lines is None:  # so none of its lines is resident
             lines = ()
             if len(pages) >= self.entries:
@@ -246,6 +250,7 @@ class FlatCache:
                     del s[victim]
                 s[key] = False
         pages[page] = lines
+        return count
 
     def drop(self, page: int) -> None:
         """Invalidate a page and its lines."""

@@ -477,7 +477,7 @@ class HostEngine(ProtectionEngine):
             params=config.params,
         )
         self.overflow = LruSets(config.overflow_bytes // SLOT_BYTES, config.overflow_assoc)
-        self.flat_cache = FlatCache(config.flat_cache_entries, self.overflow)
+        self.flat_cache = FlatCache(config.flat_cache_entries, self.overflow, self.store)
         self.functional = FunctionalBlockStore(config.geometry, config.params, config.seed)
         self.uv: dict[int, int] = {}
         self._page_bytes = config.geometry.page_bytes
@@ -489,13 +489,13 @@ class HostEngine(ProtectionEngine):
     # -- metadata caches -----------------------------------------------------------
 
     def _freshness(self, out: AccessOutcome, addr: int, is_write: bool, data_ns: float) -> float:
-        """A write is one device UPDATE; it runs before the MAC write, so a
-        capacity halt charges no MAC traffic, and it counts no flat-cache
-        hits.  A read probes the flat cache and every line the page filled,
-        which are all its format has, and asks the device nothing when all
-        hit.  Any miss costs one device READ, whose latency is returned;
-        only a flat miss asks the device for the page's format.  Each device
-        response fills the page's lines; the functional layer decodes
+        """One ``flat_cache.access`` call per event.  A write is one device
+        UPDATE; it runs before the MAC write, so a capacity halt charges no
+        MAC traffic, and it counts no flat-cache hits.  A read probes the flat
+        cache and every line the page filled, all its format has, and asks
+        the device nothing when all hit.  Any miss costs one device READ, whose
+        latency is returned; only a flat miss asks the store for the page's
+        line count.  Each device response fills the page's lines; the functional layer decodes
         versions from the same entry and lines.  Every path sets ``out``'s
         ``events``, ``device_bytes`` and ``device_transactions``; a capacity
         halt also clears ``mac_bytes``, as it stops the event before the MAC
@@ -512,20 +512,14 @@ class HostEngine(ProtectionEngine):
                 self.halted = f"device capacity exhausted at page {page}: {exc}"
                 raise SimulationHalted(self.halted) from exc
             self.device_updates += 1
-            count = LINE_COUNT[fmt]
-            self.flat_cache.write(page, count)
+            count = self.flat_cache.access(page, LINE_COUNT[fmt])
             latency = 0.0
         else:
             out.events = ()
-            count = self.flat_cache.read(page)
-            if not count:
+            count = self.flat_cache.access(page, -1)
+            if count < 0:
                 out.device_bytes = out.device_transactions = 0
                 return 0.0
-            if count < 0:
-                # materializes an untouched page, which can never be cached,
-                # so its base is drawn in the same event as the device READ
-                count = LINE_COUNT[self.store.fetch_format(page)]
-                self.flat_cache.write(page, count)
             self.device_reads += 1
             latency = self._device_ns
         # request and entry messages, plus one per dynamic line the response fills

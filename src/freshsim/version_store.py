@@ -290,13 +290,13 @@ class VersionStore:
         e = self._entries.get(page)
         return FLAT if e is None or type(e) is int else e.tag
 
-    def fetch_format(self, page: int) -> int:
-        """Format of the page's entry as the device reads it: an untouched
-        page materializes (draws its base)."""
+    def line_count(self, page: int) -> int:
+        """Dynamic lines behind the page's entry as the device reads it: an
+        untouched page materializes (draws its base); one out of range is refused."""
         e = self._entries.get(page)
         if e is None:
             e = self._entry(page)
-        return FLAT if type(e) is int else e.tag
+        return 0 if type(e) is int else LINE_COUNT[e.tag]
 
     # -- updates ---------------------------------------------------------------
 

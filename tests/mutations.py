@@ -48,12 +48,17 @@ _ACROSS_MODES = "tests/test_baselines.py::test_modes_agree_on_metadata_after_eve
 _EACH_OUTCOME = "tests/test_baselines.py::test_each_outcome_is_what_its_event_charged"
 _HALT = "tests/test_engine.py::TestCapacityHalt::test_capacity_exhaustion_halts_engine"
 _STORE = "tests/test_version_store.py::"
-# set_index's head: the walk's inline copy of its formula holds the same lines
+# set_index's head: the inline copies of its formula (the MAC access and the
+# counter tree's walk) hold the same lines
 _SET_INDEX = ('def set_index(key: int, num_sets: int) -> int:\n'
               '    """The set a key fills: a cheap deterministic integer hash, since\n'
               "    Python's hash() is identity for ints, which would put striding keys in\n"
               '    lockstep with the set count.  Only the low 64 bits of each product\n'
-              '    reach the result, so it is exact in wrapping uint64 arithmetic too."""\n')
+              '    reach the result, so it is exact in wrapping uint64 arithmetic too.\n'
+              '    This is the reference formula: the two per-event probes,\n'
+              '    ``SetAssocCache.access`` and ``CounterCache.walk``, write it out inline\n'
+              '    to save a call, each held to it by a named test.  Add no other copy\n'
+              '    without a measured end-to-end gain."""\n')
 _TEXT_LOAD = ("tests/test_traces.py::TestStreamingLoad::"
               "test_streamed_text_load_equals_the_whole_parse")
 
@@ -115,32 +120,33 @@ MUTATIONS = [
              "                self._mac_key_base + page * self._page_bytes // self._mac_key_span,\n"
              "                self._mac_key_base + (page + 1) * self._page_bytes // self._mac_key_span))\n",
              (_ACROSS_MODES,)),
-    Mutation("read_miss_fills_one_line_too_few", ENGINE,
-             "                count = LINE_COUNT[self.store.fetch_format(page)]\n"
-             "                self.flat_cache.write(page, count)\n",
-             "                count = LINE_COUNT[self.store.fetch_format(page)]\n"
-             "                self.flat_cache.write(page, max(count - 1, 0))\n",
-             (f"{_INCLUSIVE}[small_caches]",)),
+    Mutation("read_miss_fills_one_line_too_few", CACHES,
+             "                count = self._store.line_count(page)  # draws",
+             "                count = max(self._store.line_count(page) - 1, 0)  # draws",
+             (f"{_INCLUSIVE}[small_caches]",
+              _FLAT + "flat_miss_reads_the_stores_line_count_once[1]",
+              _FLAT + "flat_miss_reads_the_stores_line_count_once[4]")),
     Mutation("flat_hit_counted_as_a_miss", CACHES,
-             "        pages[page] = lines\n        self.hits += 1\n",
-             "        pages[page] = lines\n        self.misses += 1\n",
+             "            else:\n                self.hits += 1\n",
+             "            else:\n                self.misses += 1\n",
              (_CHARGING + "warm_read_moves_no_metadata", _CHARGING + "mac_only_miss_waits_on_dram",
               _CHARGING + "read_refetches_missing_overflow_line")),
     Mutation("missed_line_not_counted", CACHES,
-             "        self.overflow.misses += count - hits\n",
+             "                self.overflow.misses += count - hits\n",
              "",
              (_CHARGING + "read_refetches_missing_overflow_line",
               _RANGE + "probe_checks_every_line_after_a_miss")),
     Mutation("read_does_not_refill_a_missed_line", CACHES,
-             "        self.overflow.misses += count - hits\n        self.write(page, count)\n",
-             "        self.overflow.misses += count - hits\n",
+             "                self.overflow.misses += count - hits\n",
+             "                self.overflow.misses += count - hits\n"
+             "                pages[page] = lines\n                return count\n",
              (_FLAT + "read_fills_lines_exactly_on_a_device_read",
               _RANGE + "probe_checks_every_line_after_a_miss",
               _CACHES + "flat_cache_matches_reference_model")),
     Mutation("probe_stops_at_the_first_miss", CACHES,
-             "                hits += 1\n        self.overflow.hits += hits\n",
-             "                hits += 1\n            else:\n                break\n"
-             "        self.overflow.hits += hits\n",
+             "                        hits += 1\n                self.overflow.hits += hits\n",
+             "                        hits += 1\n                    else:\n"
+             "                        break\n                self.overflow.hits += hits\n",
              (_RANGE + "probe_checks_every_line_after_a_miss",
               _CACHES + "flat_cache_matches_reference_model")),
     Mutation("fill_evicts_the_most_recent_line", CACHES,
@@ -158,6 +164,12 @@ MUTATIONS = [
              "        lines = known + tuple((key, sets[set_index(key, num_sets)])\n",
              "        lines = known + tuple((key, sets[set_index(key + 1, num_sets)])\n",
              (_CACHES + "page_memo_is_exact_and_bounded",)),
+    Mutation("mac_hash_shift_changed", CACHES,
+             "        h = (key ^ (key >> 16)) * 0x45D9F3B  # set_index, inline\n"
+             "        h = (h ^ (h >> 16)) * 0x45D9F3B\n        s = self._sets[",
+             "        h = (key ^ (key >> 15)) * 0x45D9F3B  # set_index, inline\n"
+             "        h = (h ^ (h >> 16)) * 0x45D9F3B\n        s = self._sets[",
+             (_CACHES + "mac_fills_sit_where_set_index_puts_them",)),
     Mutation("set_index_one_shift_changed", CACHES,
              _SET_INDEX + "    h = (key ^ (key >> 16)) * 0x45D9F3B\n",
              _SET_INDEX + "    h = (key ^ (key >> 15)) * 0x45D9F3B\n",
@@ -239,6 +251,10 @@ MUTATIONS = [
              "            head = digest[-1]\n",
              tuple(f"tests/test_engine.py::TestMacLayer::test_mac_is_truncated_to_its_width[{bits}]"
                    for bits in (1, 12, 57))),
+    Mutation("write_seals_uv_zero", ENGINE,
+             "        record = fn.seal(addr, plaintext, self.uv.get(addr // self._page_bytes, 0),\n",
+             "        record = fn.seal(addr, plaintext, 0,\n",
+             (_FUNCTIONAL + "writes_seal_under_the_pages_upper_version_across_resets",)),
     Mutation("replay_not_stored", ENGINE,
              "        fn.put(addr, old_record)\n", "",
              (_FUNCTIONAL + "replayed_record_stays_in_memory",)),

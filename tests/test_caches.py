@@ -1,9 +1,10 @@
 from collections import OrderedDict
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from freshsim.baselines import CounterTreeConfig, CounterTreeState
 from freshsim.caches import FlatCache, LruSets, SetAssocCache, set_index
@@ -236,6 +237,22 @@ def _contents(cache):
     return {i: list(s.items()) for i, s in cache._sets.items()}
 
 
+_MAC_KEYS = st.one_of(st.integers(0, 64), st.integers(2**15, 2**18), st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 3), st.lists(st.tuples(_MAC_KEYS, st.booleans()),
+                                                      min_size=1, max_size=80))
+@example(3, 2, [(k, k % 3 == 0) for k in range(2**16 - 20, 2**16 + 40)])
+def test_mac_fills_sit_where_set_index_puts_them(num_sets, assoc, ops):
+    # access hashes a key it has not indexed inline: under traffic with
+    # evictions, every key it filled sits in the set the reference hash picks
+    c = SetAssocCache(num_sets * assoc, assoc)
+    for key, dirty in ops:
+        c.access(key, dirty)
+        assert all(set_index(k, num_sets) == i for i, s in c._sets.items() for k in s)
+
+
 @lru_cache(maxsize=1 << 16)
 def _hashed_set(num_sets, key):
     """Index of the set ``access``'s hash picks for ``key``."""
@@ -265,16 +282,16 @@ def test_sets_are_made_on_first_fill():
     assert all(c._sets[i] is s for i, s in made.items())
     # the overflow buffer: pages with no lines, probes and drops make none,
     # and a page's fill makes at most one set per line
-    f = FlatCache(4, LruSets(1 << 20, 1))
+    f = _flat_cache(4, LruSets(1 << 20, 1))
     for page in range(10):
-        assert _read(f, page, 0) == -1
+        assert _read(f, page, 0) == 0
     f.drop(8)
     assert len(f.overflow._sets) == 0
-    f.write(7, FULL_SLOTS)
-    f.write(9, 1)  # an UPDATE grows the page to its first line
+    f.access(7, FULL_SLOTS)
+    f.access(9, 1)  # an UPDATE grows the page to its first line
     assert 0 < len(f.overflow._sets) <= FULL_SLOTS + 1
     made = dict(f.overflow._sets)
-    assert f.read(7) == 0 and f.read(9) == 0
+    assert f.access(7, -1) == -1 and f.access(9, -1) == -1
     f.drop(7)
     f.drop(9)
     assert resident_count(f.overflow) == 0 and f.overflow._sets.keys() == made.keys()
@@ -291,14 +308,21 @@ def _engine_count(op, count, filled):
     return max(count, filled or 0) if count else count
 
 
+def _flat_cache(entries, overflow):
+    """A ``FlatCache`` over a stand-in store: ``cache.lines[page]`` is the
+    line count a flat miss on the page reads, 0 for a page never given one."""
+    lines = {}
+    cache = FlatCache(entries, overflow, SimpleNamespace(line_count=lambda page: lines.get(page, 0)))
+    cache.lines = lines
+    return cache
+
+
 def _read(cache, page, count):
-    """``read`` as the engine drives it: a flat miss is followed by the
-    device READ's response, which fills the page's ``count`` lines.
-    Returns what ``read`` returned."""
-    got = cache.read(page)
-    if got < 0:
-        cache.write(page, count)
-    return got
+    """A read probe as the engine makes it, on a page whose store entry
+    has ``count`` lines, which a flat miss fills.  Returns what ``access``
+    returned: -1 when all hit, else the lines the device READ filled."""
+    cache.lines[page] = count
+    return cache.access(page, -1)
 
 
 _MEMO_PAGES = st.one_of(st.integers(0, 15), st.integers(0, 2**38 - 1))
@@ -316,7 +340,7 @@ _MEMO_PAGES = st.one_of(st.integers(0, 15), st.integers(0, 2**38 - 1))
     ),
 )
 def test_page_memo_is_exact_and_bounded(num_sets, assoc, entries, ops):
-    c = FlatCache(entries, LruSets(num_sets * assoc, assoc))
+    c = _flat_cache(entries, LruSets(num_sets * assoc, assoc))
     sets = c.overflow._sets
     most = {}  # page -> the most lines it ever filled
     for op, page, count in ops:
@@ -325,7 +349,7 @@ def test_page_memo_is_exact_and_bounded(num_sets, assoc, entries, ops):
             c.drop(page)
         else:
             if op == "write":
-                c.write(page, count)
+                c.access(page, count)
             else:
                 _read(c, page, count)
             if count:  # a read leaves the page's lines filled, too
@@ -409,36 +433,36 @@ class TestRangeOps:
     and ``SetAssocCache.invalidate_range``."""
 
     def test_probe_checks_every_line_after_a_miss(self):
-        c = FlatCache(4, LruSets(4, 4))
-        c.write(0, FULL_SLOTS)
-        c.write(1, 1)  # page 1's line evicts line 0, the least recent
+        c = _flat_cache(4, LruSets(4, 4))
+        c.access(0, FULL_SLOTS)
+        c.access(1, 1)  # page 1's line evicts line 0, the least recent
         assert resident_keys(c.overflow) == [1, 2, 3, 4]
-        assert c.read(0) == FULL_SLOTS  # a line missed: the READ refills all four
+        assert c.access(0, -1) == FULL_SLOTS  # a line missed: the READ refills all four
         assert (c.overflow.hits, c.overflow.misses) == (3, 1)
         assert resident_keys(c.overflow) == [0, 1, 2, 3]  # the READ refilled the page
 
     def test_probe_of_all_resident_lines_hits(self):
-        c = FlatCache(2, LruSets(4, 4))
-        c.write(0, 2)
-        assert c.read(0) == 0
+        c = _flat_cache(2, LruSets(4, 4))
+        c.access(0, 2)
+        assert c.access(0, -1) == -1
         assert (c.hits, c.misses, c.overflow.hits, c.overflow.misses) == (1, 0, 2, 0)
 
     def test_empty_range_changes_nothing(self):
-        c = FlatCache(2, LruSets(4, 4))
-        c.write(1, 1)
-        c.write(0, 0)
-        assert c.read(0) == 0
+        c = _flat_cache(2, LruSets(4, 4))
+        c.access(1, 1)
+        c.access(0, 0)
+        assert c.access(0, -1) == -1
         c.drop(0)
-        assert c.read(0) == -1
+        assert c.access(0, -1) == 0  # a flat miss on a flat page fills no line
         assert (c.overflow.hits, c.overflow.misses, resident_keys(c.overflow)) == (0, 0, [4])
 
     def test_fill_refreshes_resident_lines_in_order(self):
-        c = FlatCache(4, LruSets(3, 3))
-        c.write(0, 1)
-        c.write(1, 1)
-        c.write(0, 2)  # line 0 refreshed, line 1 filled
+        c = _flat_cache(4, LruSets(3, 3))
+        c.access(0, 1)
+        c.access(1, 1)
+        c.access(0, 2)  # line 0 refreshed, line 1 filled
         assert resident_keys(c.overflow) == [4, 0, 1]
-        c.write(2, 1)  # evicts page 1's line, the least recent
+        c.access(2, 1)  # evicts page 1's line, the least recent
         assert resident_keys(c.overflow) == [0, 1, 8]
         assert filled_lines(c, 1) == 1 and is_cached(c, 1)  # the page stays cached without it
 
@@ -491,19 +515,18 @@ class _FlatModel:
 
     def read(self, page, count):
         """A flat miss, or a hit with any missed line, costs a device READ,
-        which fills the page's lines."""
+        which fills the page's ``count`` lines and returns that count; -1
+        when the page and all its lines hit."""
         if not self.lru.get(page):
             self.misses += 1
             self._fill(page)
             self._fill_lines(page, count)
-            return False, None
+            return count
         self.hits += 1
-        if not count:
-            return True, None
-        lines_hit = all([self._probe(k) for k in self._keys(page, count)])
-        if not lines_hit:
+        if count and not all([self._probe(k) for k in self._keys(page, count)]):
             self._fill_lines(page, count)
-        return True, lines_hit
+            return count
+        return -1
 
     def write(self, page, count):
         """A device UPDATE; a page it left flat keeps the lines it filled."""
@@ -528,13 +551,9 @@ def _run_flat(real, model, ops, pages):
     for op, page, count in ops:
         count = _engine_count(op, count, model.filled.get(page))
         if op == "read":
-            # the model's (flat hit, all lines hit) as read returns it: -1 on
-            # a flat miss, 0 when nothing missed, else the lines it refilled
-            want = model.read(page, count)
-            assert _read(real, page, count) == {(False, None): -1, (True, None): 0,
-                                                (True, True): 0, (True, False): count}[want]
+            assert _read(real, page, count) == model.read(page, count)
         elif op == "write":
-            real.write(page, count)
+            assert real.access(page, count) == count
             model.write(page, count)
         else:
             real.drop(page)
@@ -560,10 +579,21 @@ def _flat_ops(pages):
     )
 
 
+# read misses onto pages of one line and of four, as the store reads them:
+# into an empty buffer, onto a page whose line another page evicted, and
+# through a page eviction that pops the victim's lines
+_READ_MISSES = [("read", 0, 1), ("read", 1, FULL_SLOTS), ("read", 0, 0), ("read", 1, 0),
+                ("read", 2, 1), ("read", 3, FULL_SLOTS), ("read", 0, 0), ("drop", 3, 0),
+                ("read", 3, 1), ("read", 1, 0), ("write", 4, FULL_SLOTS), ("read", 2, 0)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 4), st.integers(1, 4), st.integers(1, 3), _flat_ops(6))
+@example(2, 2, 2, _READ_MISSES)
+@example(3, 4, 1, _READ_MISSES)
+@example(4, 1, 3, _READ_MISSES)
 def test_flat_cache_matches_reference_model(entries, assoc, sets, ops):
-    real = FlatCache(entries, LruSets(assoc * sets, assoc))
+    real = _flat_cache(entries, LruSets(assoc * sets, assoc))
     _run_flat(real, _FlatModel(entries, sets, assoc), ops, range(6))
 
 
@@ -572,7 +602,7 @@ def test_flat_cache_matches_reference_model(entries, assoc, sets, ops):
 def test_range_ops_match_reference_model(capacity, ops):
     # one set and room for every page: the buffer is one LRU of all the
     # lines, so recency is compared across pages
-    real = FlatCache(13, LruSets(capacity, capacity))
+    real = _flat_cache(13, LruSets(capacity, capacity))
     _run_flat(real, _FlatModel(13, 1, capacity), ops, range(13))
 
 
@@ -581,7 +611,7 @@ def test_range_ops_match_reference_model(capacity, ops):
 def test_range_ops_match_per_key_ops_across_sets(ops):
     # the page ops against a SetAssocCache driven one line at a time with
     # access and invalidate_range, which places each line by access's hash
-    real = FlatCache(61, LruSets(8, 2))
+    real = _flat_cache(61, LruSets(8, 2))
     per_key = SetAssocCache(8, 2)
     filled = {}
     hits = misses = 0
@@ -593,21 +623,21 @@ def test_range_ops_match_per_key_ops_across_sets(ops):
             per_key.invalidate_range(range(page * FULL_SLOTS,
                                            page * FULL_SLOTS + filled.pop(page, 0)))
         elif op == "write":
-            real.write(page, count)
+            real.access(page, count)
             filled[page] = count or filled.get(page, 0)
             for k in keys:
                 per_key.access(k)
         else:
             result = _read(real, page, count)
             if page not in filled:
-                assert result == -1
+                assert result == count
             elif count:
                 resident = set(resident_keys(per_key))
                 hit = [k in resident for k in keys]
                 hits, misses = hits + sum(hit), misses + count - sum(hit)
-                assert result == (0 if all(hit) else count)
+                assert result == (-1 if all(hit) else count)
             else:
-                assert result == 0
+                assert result == -1
             filled[page] = count or filled.get(page, 0)
             for k in keys:  # a hit refreshes; a READ refreshes or fills every line
                 per_key.access(k)
@@ -617,29 +647,29 @@ def test_range_ops_match_per_key_ops_across_sets(ops):
 
 class TestFlatCache:
     def test_eviction_drops_the_victims_lines(self):
-        c = FlatCache(2, LruSets(8, 8))
+        c = _flat_cache(2, LruSets(8, 8))
         for page in (0, 1):
-            c.write(page, FULL_SLOTS)
-        assert _read(c, 2, 0) == -1  # the READ's fill evicts page 0, the least recent
+            c.access(page, FULL_SLOTS)
+        assert _read(c, 2, 0) == 0  # the READ's fill evicts page 0, the least recent
         assert not is_cached(c, 0) and resident_keys(c.overflow) == [4, 5, 6, 7]
-        assert c.read(1) == 0
+        assert c.access(1, -1) == -1
         assert (c.hits, c.misses) == (1, 1)
 
     def test_write_counts_nothing_and_refreshes_recency(self):
-        c = FlatCache(2, LruSets(8, 8))
-        c.write(0, 1)
-        c.write(1, 0)
-        c.write(0, 1)  # page 1 is now the least recent
-        c.write(2, 0)
+        c = _flat_cache(2, LruSets(8, 8))
+        c.access(0, 1)
+        c.access(1, 0)
+        c.access(0, 1)  # page 1 is now the least recent
+        c.access(2, 0)
         assert not is_cached(c, 1) and is_cached(c, 0) and resident_keys(c.overflow) == [0]
         assert (c.hits, c.misses, c.overflow.hits, c.overflow.misses) == (0, 0, 0, 0)
 
     def test_write_left_flat_keeps_lines_for_the_drop(self):
         # a write whose reset left the page flat passes 0 lines; the re-key
         # that follows must still find and drop the lines the page filled
-        c = FlatCache(2, LruSets(8, 8))
-        c.write(0, FULL_SLOTS)
-        c.write(0, 0)
+        c = _flat_cache(2, LruSets(8, 8))
+        c.access(0, FULL_SLOTS)
+        c.access(0, 0)
         assert filled_lines(c, 0) == FULL_SLOTS
         c.drop(0)
         assert [k for k in resident_keys(c.overflow) if k // FULL_SLOTS == 0] == []
@@ -647,20 +677,30 @@ class TestFlatCache:
     def test_read_fills_lines_exactly_on_a_device_read(self):
         # a direct-mapped buffer: a line of another page that hashes to line
         # 1's set, and not to line 0's, evicts line 1 alone
-        c = FlatCache(4, LruSets(8, 1))
-        assert c.read(0) == -1  # a flat miss fills nothing
-        assert not is_cached(c, 0) and resident_keys(c.overflow) == []
-        c.write(0, 2)  # the READ's response fills both lines
+        c = _flat_cache(4, LruSets(8, 1))
+        c.lines[0] = 2
+        assert c.access(0, -1) == 2  # a flat miss: the READ fills the store's two lines
         assert sorted(resident_keys(c.overflow)) == [0, 1] and filled_lines(c, 0) == 2
         rival = next(p for p in range(1, 100)
                      if _hashed_set(8, p * FULL_SLOTS) == _hashed_set(8, 1) != _hashed_set(8, 0))
-        c.write(rival, 1)
+        c.access(rival, 1)
         assert sorted(resident_keys(c.overflow)) == [0, rival * FULL_SLOTS]
-        assert c.read(0) == 2  # a missed line: the READ refills both
+        assert c.access(0, -1) == 2  # a missed line: the READ refills both
         assert sorted(resident_keys(c.overflow)) == [0, 1]
-        assert c.read(0) == 0  # all hit: no READ, nothing filled
+        assert c.access(0, -1) == -1  # all hit: no READ, nothing filled
         assert (c.hits, c.misses, c.overflow.hits, c.overflow.misses) == (2, 1, 3, 1)
+
+    @pytest.mark.parametrize("count", [0, 1, FULL_SLOTS])
+    def test_flat_miss_reads_the_stores_line_count_once(self, count):
+        # only a flat miss asks the store, once, and fills what it answers
+        asked = []
+        store = SimpleNamespace(line_count=lambda page: asked.append(page) or count)
+        c = FlatCache(2, LruSets(8, 8), store)
+        assert c.access(3, -1) == count and asked == [3]
+        assert filled_lines(c, 3) == count and len(resident_keys(c.overflow)) == count
+        assert c.access(3, -1) == -1 and c.access(3, count) == count and asked == [3]
+        assert (c.hits, c.misses, c.overflow.hits, c.overflow.misses) == (1, 1, count, 0)
 
     def test_rejects_no_entries(self):
         with pytest.raises(ConfigError):
-            FlatCache(0, LruSets(4, 4))
+            FlatCache(0, LruSets(4, 4), SimpleNamespace(line_count=lambda page: 0))

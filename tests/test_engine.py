@@ -9,6 +9,7 @@ from freshsim.core import (
     ConfigError,
     Geometry,
     SecurityParams,
+    pack_full,
 )
 from freshsim.baselines import CiEngine, MerkleEngine, NoneEngine
 from freshsim.cli import build_engine, resolve_config, resolve_trace
@@ -493,6 +494,21 @@ class TestFunctionalLayer:
         assert e.functional.get(0).uv == 1
         assert e.functional.get(0) is not rec
         assert e.functional_read(0) == b"D" * 64
+
+    def test_writes_seal_under_the_pages_upper_version_across_resets(self):
+        # every reset bumps the page's upper version, so a block written again
+        # and again never seals two records under one (full version, address)
+        # pair, although each reset draws its stealth base again from 2^8
+        params = SecurityParams(stealth_bits=8, reset_exp=2)
+        e = make_engine(params=params, seed=5)
+        sealed = set()
+        for i in range(300):
+            rec = e.functional_write(BLOCK, bytes([i % 256]) * 64)
+            assert rec.uv == e.uv.get(0, 0)
+            pair = (pack_full(rec.uv, rec.stealth, params), BLOCK)
+            assert pair not in sealed, i
+            sealed.add(pair)
+        assert e.resets > 40 and e.uv[0] == e.resets
 
     def test_reset_reencrypts_only_its_page(self):
         e = make_engine(seed=9)

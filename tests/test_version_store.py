@@ -393,7 +393,7 @@ class TestCapacity:
 
 class TestPagesOutsideTheRange:
     @pytest.mark.parametrize("call, page", [
-        ("page_base", -1), ("page_base", 10**6), ("fetch_format", -5), ("fetch_format", 256),
+        ("page_base", -1), ("page_base", 10**6), ("line_count", -5), ("line_count", 256),
         ("entry_image", 256), ("entry_lines", -1), ("reset_page", 256),
     ])
     def test_refused_before_any_draw(self, call, page):
