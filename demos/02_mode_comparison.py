@@ -13,12 +13,6 @@ from freshsim.traces import PatternSpec, generate
 FOOTPRINT = 96 * 4096
 
 
-def run(engine, events):
-    for op, addr in events:
-        engine.process_access(op, addr)
-    return engine.stats()
-
-
 def main():
     spec = PatternSpec(
         kind="zipfian",
@@ -44,7 +38,8 @@ def main():
     print(header)
     print("-" * len(header))
     for eng in engines:
-        s = run(eng, events)
+        eng.run(events)
+        s = eng.stats()
         data = (s["channels"]["local_bytes"] + s["channels"]["pool_bytes"]) / 1e6
         print(f"{s['mode']:<8} {data:>8.2f} "
               f"{s['channels']['mac_bytes'] / 1e3:>8.1f} "

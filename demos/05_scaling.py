@@ -17,12 +17,6 @@ SIZES = [("64 MiB", 64 * MIB), ("1 GiB", GIB), ("64 GiB", 64 * GIB),
          ("1 TiB", TIB), ("28 TiB", 28 * TIB)]
 
 
-def run(engine, events):
-    for op, addr in events:
-        engine.process_access(op, addr)
-    return engine.stats()
-
-
 def device_bytes_per_event(s):
     return s["channels"]["device_bytes"] / s["events"]
 
@@ -37,9 +31,10 @@ def main():
         events = generate(PatternSpec(kind="page_uniform", footprint_bytes=size,
                                       op_count=20_000, write_fraction=0.3, seed=7))
         cfg = EngineConfig(protected_bytes=size, local_bytes=0)
-        ci = run(CiEngine(cfg), events)
-        toleo = run(HostEngine(cfg), events)
-        merkle = run(MerkleEngine(cfg), events)
+        engines = CiEngine(cfg), HostEngine(cfg), MerkleEngine(cfg)
+        for engine in engines:
+            engine.run(events)
+        ci, toleo, merkle = (engine.stats() for engine in engines)
         print(f"{label:<10} {ci['avg_read_latency_ns']:>10.1f} "
               f"{toleo['avg_read_latency_ns']:>13.1f} {device_bytes_per_event(toleo):>10.1f} "
               f"{merkle['avg_read_latency_ns']:>14.1f} {device_bytes_per_event(merkle):>11.1f} "

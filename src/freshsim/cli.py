@@ -186,10 +186,8 @@ def _load_run_config(args, path: str | None) -> dict:
 
 
 def _run(engine, events) -> int:
-    engine.config.check_read_latency(engine.read_hops, len(events))  # summed over the run
     try:
-        for op, addr in events:
-            engine.process_access(op, addr)
+        engine.run(events)
     except SimulationHalted as exc:
         print(f"simulation halted: {exc}", file=sys.stderr)
         return 2

@@ -421,6 +421,17 @@ class ProtectionEngine:
             self._after_write(out, addr)
         return out
 
+    def run(self, events) -> None:
+        """Replay ``events``, (op, addr) pairs, through ``process_access``.
+        First refuse (``ConfigError``, counting nothing) a replay whose reads,
+        with every event this engine has already run, could sum to a latency
+        past float range.  A halt raises ``SimulationHalted``, and any other
+        bad event its ``SimError``, at that event."""
+        self.config.check_read_latency(self.read_hops, self.reads + self.writes + len(events))
+        process = self.process_access
+        for op, addr in events:
+            process(op, addr)
+
     # -- statistics --------------------------------------------------------------------
 
     def stats(self) -> dict:

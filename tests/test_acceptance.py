@@ -234,8 +234,7 @@ def test_criterion_07_tree_depth_versus_device():
     merkle.process_access(*events[0])
     first = merkle.tree.fetches  # the counter tree's fetches after the first event
     toleo = HostEngine(EngineConfig(protected_bytes=28 * TIB))
-    for op, addr in events:
-        toleo.process_access(op, addr)
+    toleo.run(events)
     txns = toleo.stats()["device"]["transactions"]
     ok = depth == 10 and cold == 10 and first == 10 and txns <= len(events)
     _report(

@@ -116,12 +116,6 @@ class TestTreeWalk:
             st.access(4 * MIB, False)
 
 
-def run_trace(engine, events):
-    for op, addr in events:
-        engine.process_access(op, addr)
-    return engine.stats()
-
-
 def sample_trace(pages=32, n=2000, seed=4):
     rng = np.random.default_rng(seed)
     blocks = rng.integers(0, pages * 64, size=n)
@@ -132,7 +126,8 @@ def sample_trace(pages=32, n=2000, seed=4):
 class TestBaselineEngines:
     def test_none_is_pure_data_traffic(self):
         e = NoneEngine(EngineConfig(protected_bytes=32 * PAGE))
-        s = run_trace(e, sample_trace())
+        e.run(sample_trace())
+        s = e.stats()
         assert s["mode"] == "none"
         assert s["channels"]["mac_bytes"] == 0
         assert s["channels"]["device_bytes"] == 0
@@ -153,8 +148,11 @@ class TestBaselineEngines:
         # one write per page up front so the protected engine's flat cache is
         # warm and the only latency difference could come from the MAC side
         trace = [("W", p * PAGE) for p in range(32)] + sample_trace()
-        ci = run_trace(CiEngine(EngineConfig(protected_bytes=32 * PAGE)), trace)
-        toleo = run_trace(HostEngine(EngineConfig(protected_bytes=32 * PAGE)), trace)
+        config = EngineConfig(protected_bytes=32 * PAGE)
+        engines = CiEngine(config), HostEngine(config)
+        for engine in engines:
+            engine.run(trace)
+        ci, toleo = (engine.stats() for engine in engines)
         assert ci["channels"]["mac_bytes"] == toleo["channels"]["mac_bytes"]
         assert ci["caches"]["mac"] == toleo["caches"]["mac"]
         assert ci["avg_read_latency_ns"] == pytest.approx(toleo["avg_read_latency_ns"])
@@ -405,8 +403,7 @@ class TestMerkleEngine:
         trace = random_trace(pages, seed, events, 0.5)
         e.process_access(*trace[0])
         assert e.stats()["tree"]["first_access_fetches"] == e.tree.fetches == e.tree.depth
-        for op, addr in trace[1:]:
-            e.process_access(op, addr)
+        e.run(trace[1:])
         assert e.stats()["tree"]["first_access_fetches"] == e.tree.depth
 
     def test_writeback_traffic_lands_on_device_channel(self):

@@ -9,6 +9,8 @@ back on the path (a hash helper, a second flat-cache call) shows here.
 import random
 import sys
 
+import pytest
+
 from freshsim.baselines import CiEngine, NoneEngine
 from freshsim.core import Geometry, SecurityParams
 from freshsim.engine import EngineConfig, HostEngine
@@ -67,6 +69,23 @@ def test_ci_event_is_two_calls_and_a_mac_miss_calls_no_hash():
         misses.append(e.mac_cache.misses - before)
     # a miss, a first hit (hashed), a repeat hit (indexed) and a second miss
     assert misses == [1, 0, 0, 0, 1]
+
+
+@pytest.mark.parametrize("engine_class, per_event", [
+    (NoneEngine, ["ProtectionEngine.process_access"]),
+    (CiEngine, ["ProtectionEngine.process_access", "SetAssocCache.access"]),
+], ids=["none", "ci"])
+def test_run_adds_no_call_per_event(engine_class, per_event):
+    e = engine_class(EngineConfig(protected_bytes=4 * PAGE))
+    trace = [("R", 0), ("W", BLOCK), ("R", 0), ("R", 3 * PAGE), ("W", 3 * PAGE)]
+    calls = calls_of(e.run, trace)
+    names = [name for name, _ in calls]
+    assert names[0] == "ProtectionEngine.run" and names.count("ProtectionEngine.run") == 1
+    # run's own calls: the summed-latency check once, then each event
+    assert [name for name, caller in calls if caller == "ProtectionEngine.run"] == [
+        "EngineConfig.check_read_latency"] + ["ProtectionEngine.process_access"] * len(trace)
+    first = names.index("ProtectionEngine.process_access")
+    assert names[first:] == per_event * len(trace)
 
 
 def test_toleo_read_miss_on_a_touched_page_is_five_calls():

@@ -1,25 +1,37 @@
+import random
 from collections import Counter
 from itertools import chain
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from freshsim.core import (
     AddressRangeError,
     ConfigError,
     Geometry,
     SecurityParams,
+    SimError,
     pack_full,
 )
 from freshsim.baselines import CiEngine, MerkleEngine, NoneEngine
 from freshsim.cli import build_engine, resolve_config, resolve_trace
-from freshsim.version_store import FLAT, FULL, LINE_COUNT, UNEVEN, data_partition_bytes
+from freshsim.version_store import (
+    FLAT,
+    FULL,
+    LINE_COUNT,
+    SLOT_BYTES,
+    UNEVEN,
+    data_partition_bytes,
+    flat_array_bytes,
+)
 from freshsim.engine import (
     AccessOutcome,
     EngineConfig,
     FreshnessViolation,
     FunctionalBlockStore,
     HostEngine,
+    ProtectionEngine,
     SimulationHalted,
     UvOverflowError,
 )
@@ -426,6 +438,80 @@ class TestFailurePaths:
         with pytest.raises(SimulationHalted):
             e.process_access("R", 0)
         assert e.stats()["events"] == 7
+
+
+_ENGINES = {"none": NoneEngine, "ci": CiEngine, "toleo": HostEngine, "merkle": MerkleEngine}
+
+
+def each_event(engine, trace):
+    """A bare ``process_access`` loop: ``run`` without its summed-latency check."""
+    for op, addr in trace:
+        engine.process_access(op, addr)
+
+
+def stop(replay, engine, trace):
+    """Run ``replay(engine, trace)``: the type and message of the error it
+    raised (None, None if none), and the events the engine counted."""
+    try:
+        replay(engine, trace)
+    except SimError as exc:
+        return type(exc), str(exc), engine.reads + engine.writes
+    return None, None, engine.reads + engine.writes
+
+
+class TestRun:
+    @settings(max_examples=150, deadline=None)
+    @given(mode=st.sampled_from(sorted(_ENGINES)), pages=st.integers(1, 4),
+           device_slots=st.one_of(st.none(), st.integers(0, 4)),
+           upper_bits=st.integers(1, 3), reset_exp=st.integers(1, 8),
+           seed=st.integers(0, 2**16), events=st.integers(0, 300),
+           write_share=st.sampled_from([0.3, 0.7, 1.0]),
+           bad=st.one_of(st.none(), st.tuples(st.integers(0, 300), st.booleans())))
+    # a capacity halt, an upper-version halt, a bad op and an address past the range
+    @example(mode="toleo", pages=2, device_slots=0, upper_bits=3, reset_exp=8, seed=1,
+             events=300, write_share=1.0, bad=None)
+    @example(mode="toleo", pages=1, device_slots=None, upper_bits=1, reset_exp=1, seed=1,
+             events=300, write_share=1.0, bad=None)
+    @example(mode="merkle", pages=2, device_slots=None, upper_bits=3, reset_exp=8, seed=2,
+             events=300, write_share=0.3, bad=(150, True))
+    @example(mode="ci", pages=2, device_slots=None, upper_bits=3, reset_exp=8, seed=3,
+             events=300, write_share=0.3, bad=(299, False))
+    def test_run_stops_where_a_bare_loop_does(self, mode, pages, device_slots, upper_bits,
+                                             reset_exp, seed, events, write_share, bad):
+        # the same error, after the same events, and the same stats after it
+        params = SecurityParams(upper_bits=upper_bits, reset_exp=reset_exp)
+        config = EngineConfig(
+            protected_bytes=pages * PAGE, flat_cache_entries=2, mac_cache_bytes=4 * BLOCK,
+            mac_assoc=2, device_capacity_bytes=None if device_slots is None else
+            flat_array_bytes(pages * PAGE, G, params) + device_slots * SLOT_BYTES,
+            params=params, seed=seed)
+        rng = random.Random(seed)
+        trace = [("W" if rng.random() < write_share else "R", rng.randrange(pages * 64) * BLOCK)
+                 for _ in range(events)]
+        if bad is not None:
+            at, bad_op = bad
+            trace.insert(at, ("X", 0) if bad_op else ("R", pages * PAGE))
+        ran, looped = _ENGINES[mode](config), _ENGINES[mode](config)
+        assert stop(ProtectionEngine.run, ran, trace) == stop(each_event, looped, trace)
+        assert ran.stats() == looped.stats()
+
+    def test_summed_read_latency_past_float_range_is_refused(self):
+        # each read's latency is finite, 2000 of them summed are not
+        e = CiEngine(EngineConfig(local_ns=1e306))
+        before = e.stats()
+        with pytest.raises(ConfigError, match=r"^2000 reads' latency, 2000 x \(2 x local_ns "):
+            e.run([("R", 0)] * 2000)
+        assert e.stats() == before
+
+    def test_a_chunk_is_checked_with_every_event_run_before_it(self):
+        # 1000 reads' latency sums within float range, 2000 do not
+        e = CiEngine(EngineConfig(local_ns=6e304))
+        e.run([("R", 0)] * 1000)
+        before = e.stats()
+        assert before["reads"] == 1000
+        with pytest.raises(ConfigError, match=r"^2000 reads' latency"):
+            e.run([("R", 0)] * 1000)
+        assert e.stats() == before
 
 
 class TestFunctionalLayer:
