@@ -316,8 +316,8 @@ class ProtectionEngine:
     ``mac_bytes``, 0 on a hit; the hook sets ``device_bytes``,
     ``device_transactions`` and ``events`` if its mode charges them.  A
     field no layer of the mode writes keeps its zero from construction.
-    Charges that follow the MAC step (a reset's re-encryption) add with
-    ``+=``.  ``process_access`` returns the record.
+    ``_after_write`` adds onto it what its later charges (a reset's
+    re-encryption) added to the totals.  ``process_access`` returns the record.
     """
 
     mode = "none"
@@ -470,9 +470,10 @@ def _cache_counts(cache: SetAssocCache) -> dict:
 class HostEngine(ProtectionEngine):
     """Device-backed protection engine (mode tag ``toleo``).
 
-    Only ``process_access`` returns an outcome.  A direct page re-key
-    (``handle_uv_update``, ``os_free_page``) charges the totals alone, and
-    the functional layer returns the sealed record or the plaintext.
+    Only ``process_access`` returns an outcome.  A page re-key
+    (``handle_uv_update``, ``os_free_page``) charges the totals alone; a
+    write's reset reaches its outcome through ``_after_write``.  The
+    functional layer returns the sealed record or the plaintext.
     """
 
     mode = "toleo"
@@ -541,25 +542,31 @@ class HostEngine(ProtectionEngine):
         return latency
 
     def _after_write(self, out: AccessOutcome, addr: int) -> None:
-        """A reset the UPDATE fired re-encrypts the written page, charged onto
-        ``out``.  It follows the MAC write, as it invalidates the page's MAC
-        lines.  With no upper version left the engine halts; the store's
-        reset alone is counted."""
+        """A reset the UPDATE fired re-encrypts the written page.  It follows
+        the MAC write, as it invalidates the page's MAC lines.  On every path
+        ``out`` gets what the re-key added to the channel totals, so the
+        record still equals the event's charges.  With no upper version left
+        the engine halts; the store's reset alone is counted."""
         if "reset_triggered" in out.events:
+            local, pool, mac = self.local_bytes, self.pool_bytes, self.mac_bytes
             try:
-                self.handle_uv_update(addr // self._page_bytes, out)
+                self.handle_uv_update(addr // self._page_bytes)
             except UvOverflowError as exc:
                 self.resets += 1
                 self.halted = str(exc)
                 raise SimulationHalted(self.halted) from exc
+            finally:
+                out.local_bytes += self.local_bytes - local
+                out.pool_bytes += self.pool_bytes - pool
+                out.mac_bytes += self.mac_bytes - mac
 
     # -- page-level operations -----------------------------------------------------
 
-    def _rekey_page(self, page: int, out: AccessOutcome | None) -> None:
+    def _rekey_page(self, page: int) -> int:
         """The re-key a reset and a page free share: bump the page's upper
         version, charge the rewrite of every MAC line that holds a MAC of one
-        of its blocks to the totals (and onto ``out``, if given), and drop
-        the page's cached metadata, which refills lazily.
+        of its blocks to the totals, and drop the page's cached metadata,
+        which refills lazily.  Returns the page's first address.
 
         A terminal engine raises SimulationHalted, a page outside the
         protected range AddressRangeError, and an upper version that would
@@ -577,30 +584,24 @@ class HostEngine(ProtectionEngine):
         page_addr = page * self._page_bytes
         first = self._mac_key_base + page_addr // self._mac_key_span
         last = self._mac_key_base + (page_addr + self._page_bytes - 1) // self._mac_key_span
-        nbytes = (last + 1 - first) * self._block_bytes
-        self.mac_bytes += nbytes
-        if out is not None:
-            out.mac_bytes += nbytes
+        self.mac_bytes += (last + 1 - first) * self._block_bytes
         self.flat_cache.drop(page)
         self.mac_cache.invalidate_range(range(first, last + 1))
+        return page_addr
 
-    def handle_uv_update(self, page: int, out: AccessOutcome | None = None) -> None:
+    def handle_uv_update(self, page: int) -> None:
         """Re-key the page (``_rekey_page``) and re-encrypt all of it.
 
-        Charged to the engine totals (and onto ``out``, the event's outcome
-        when a write's reset calls it) as 64 data-block writes on the page's
-        channel plus the re-key's MAC-block writes, and counted as a reset.
+        Charged to the engine totals as 64 data-block writes on the channel
+        of the page's first byte, by ``process_access``'s rule, plus the
+        re-key's MAC-block writes, and counted as a reset.
         """
-        self._rekey_page(page, out)
-        nbytes = self._page_bytes  # every block of the page, rewritten
-        if page * nbytes < self._local_limit:
-            self.local_bytes += nbytes
-            if out is not None:
-                out.local_bytes += nbytes
+        page_addr = self._rekey_page(page)
+        # every block of the page, rewritten on its first byte's channel
+        if page_addr < self._local_limit:
+            self.local_bytes += self._page_bytes
         else:
-            self.pool_bytes += nbytes
-            if out is not None:
-                out.pool_bytes += nbytes
+            self.pool_bytes += self._page_bytes
         self.reencrypted_blocks += self.config.geometry.blocks_per_page
         self.resets += 1
         fn = self.functional
@@ -617,7 +618,7 @@ class HostEngine(ProtectionEngine):
         MAC on the next verified read; that is the cheap scrambling the OS
         relies on.
         """
-        self._rekey_page(page, None)
+        self._rekey_page(page)
         self.store.reset_page(page)
 
     # -- functional layer ------------------------------------------------------------

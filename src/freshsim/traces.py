@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import starmap
 from math import inf
-from operator import index, itemgetter
+from operator import index
 from os import fstat
 from stat import S_ISREG
 
@@ -286,26 +286,36 @@ def _load_text(f) -> Trace:
         raise
 
 
-def _refuse(events, limit: float, form: str) -> None:
-    """Raise ConfigError naming the first event whose op is not R or W, or
-    whose address is not an integer (``operator.index``) in [0, limit)."""
-    for i, (op, addr) in enumerate(events):
-        try:
-            if op in _OPS and 0 <= index(addr) < limit:
-                continue
-        except TypeError:
-            pass
-        raise ConfigError(f"event {i}: {(op, addr)!r} has no {form}") from None
+def _as_trace(events) -> Trace:
+    """``events``, a Trace or any sequence of (op, addr) pairs, as a Trace.
+    Of a sequence, an event that is not a pair, an op other than R or W, or
+    an address that is not an integer (``operator.index``) in [0, 2**64),
+    is refused by the index of the first event that has one; a Trace is
+    valid as built."""
+    if isinstance(events, Trace):
+        return events
+    n = len(events)
+    try:
+        return _trace(np.fromiter((_OPS.index(op) for op, _ in events), np.uint8, n),
+                      np.fromiter((index(addr) for _, addr in events), np.uint64, n))
+    except (ValueError, OverflowError, TypeError):
+        for i, event in enumerate(events):
+            try:
+                op, addr = event
+                if op in _OPS and 0 <= index(addr) < 1 << 64:
+                    continue
+            except (ValueError, TypeError):
+                pass
+            raise ConfigError(f"event {i}: {event!r} is not an (op, addr) pair with op R or W "
+                              "and addr an integer in [0, 2**64)") from None
+        raise
 
 
 def text_chunks(events):
-    """The text form of a Trace or any sequence of pairs, as an iterator of
-    strs of one chunk of lines each.  Of a sequence of pairs, an op other
-    than R or W, or an address that is not a non-negative integer, is
-    refused by the index of the first such event before any chunk is made.
-    A Trace is valid as built."""
-    if not isinstance(events, Trace):
-        _refuse(events, inf, "text line")
+    """The text form of ``events`` (as ``_as_trace`` takes them), as an
+    iterator of strs of one chunk of lines each; a bad event is refused
+    before any chunk is made."""
+    events = _as_trace(events)
     # one chunk's line strs are alive at a time, not one str per event
     line = "{} 0x{:X}\n".format
     return ("".join(starmap(line, events[i:i + _TEXT_CHUNK]))
@@ -313,29 +323,17 @@ def text_chunks(events):
 
 
 def encode_text_trace(events) -> str:
-    """The text form of a Trace or any sequence of pairs (see ``text_chunks``)."""
+    """The text form of ``events`` (see ``text_chunks``)."""
     return "".join(text_chunks(events))
 
 
 def encode_binary_trace(events) -> bytes:
-    """The 9-byte record form of a Trace, taken from its columns, or of any
-    sequence of pairs; in the latter an op other than R or W, or an address
-    that is not an integer in [0, 2**64), is refused by the index of the
-    first event that has one."""
+    """The 9-byte record form of ``events`` (as ``_as_trace`` takes them),
+    taken from the Trace's columns."""
+    events = _as_trace(events)
     records = np.empty(len(events), dtype=_RECORD)
-    if isinstance(events, Trace):
-        records["op"] = np.frombuffer(events.ops.encode("ascii").translate(_OP_TO_OPCODE),
-                                      np.uint8)
-        records["addr"] = events.addrs
-        return records.tobytes()
-    try:
-        records["op"] = np.fromiter(map(_OPS.index, map(itemgetter(0), events)),
-                                    np.uint8, len(events))
-        records["addr"] = np.fromiter(map(index, map(itemgetter(1), events)),
-                                      np.uint64, len(events))
-    except (ValueError, OverflowError, TypeError):
-        _refuse(events, 1 << 64, "9-byte binary record")
-        raise
+    records["op"] = np.frombuffer(events.ops.encode("ascii").translate(_OP_TO_OPCODE), np.uint8)
+    records["addr"] = events.addrs
     return records.tobytes()
 
 

@@ -271,11 +271,8 @@ class VersionStore:
     # -- reads -----------------------------------------------------------------
 
     def read_version(self, addr: int) -> int:
-        """Current stealth version of the block holding ``addr``."""
-        if not 0 <= addr < self.protected_bytes:
-            raise AddressRangeError(
-                f"address {addr:#x} outside protected range of {self.protected_bytes} bytes"
-            )
+        """Current stealth version of the block holding ``addr``.  ``_entry``
+        refuses a page outside the protected range, before any draw."""
         e = self._entry(addr // self._page_bytes)
         block = addr // self._block_bytes % self._blocks_per_page
         if type(e) is int:
@@ -308,12 +305,9 @@ class VersionStore:
 
         Rejection on dynamic-region exhaustion happens before any state
         changes, so a failed update leaves the store (and its randomness)
-        untouched and the caller may retry after freeing pages.
+        untouched and the caller may retry after freeing pages.  ``_entry``
+        refuses a page outside the protected range, before any draw.
         """
-        if not 0 <= addr < self.protected_bytes:
-            raise AddressRangeError(
-                f"address {addr:#x} outside protected range of {self.protected_bytes} bytes"
-            )
         page = addr // self._page_bytes
         block = addr // self._block_bytes % self._blocks_per_page
         e = self._entries.get(page)

@@ -20,12 +20,15 @@ from __future__ import annotations
 import json
 import os
 import shutil
-import subprocess
+import signal
 import sys
 import tempfile
 import time
 from typing import NamedTuple
 
+# imported once here: each forked run starts with them loaded
+import numpy  # noqa: F401
+import pytest
 from hypothesis import Phase, settings
 
 ENGINE = "src/freshsim/engine.py"
@@ -123,6 +126,14 @@ MUTATIONS = [
     Mutation("rekey_skips_the_flat_cache_drop", ENGINE,
              "        self.flat_cache.drop(page)\n", "",
              (f"{_INCLUSIVE}[default_caches]", f"{_INCLUSIVE}[hot_set_in_flat_cache]",
+              "tests/test_engine.py::TestUvUpdates::test_reset_triggers_page_reencryption")),
+    Mutation("reset_mac_bytes_left_off_the_outcome", ENGINE,
+             "                out.mac_bytes += self.mac_bytes - mac\n", "",
+             (f"{_CONSERVED}[toleo]", _EACH_OUTCOME)),
+    Mutation("reencryption_on_the_wrong_channel", ENGINE,
+             "        if page_addr < self._local_limit:\n",
+             "        if page_addr >= self._local_limit:\n",
+             (_CHARGING + "reset_reencryption_on_the_pool_page_channel",
               "tests/test_engine.py::TestUvUpdates::test_reset_triggers_page_reencryption")),
     Mutation("update_drops_the_pages_mac_lines", ENGINE,
              "            self.device_updates += 1\n",
@@ -238,6 +249,17 @@ MUTATIONS = [
              "self.dynamic_bytes)\n",
              "                self.upgrades_to_uneven += 1\n",
              ("tests/test_pinned_outputs.py::test_capacity_halted_toleo_run_is_pinned",)),
+    # -- the store's range ---------------------------------------------------------------
+    Mutation("entry_range_check_dropped", STORE,
+             "            if not 0 <= page < self.total_pages:\n"
+             "                raise AddressRangeError(f\"page {page} outside protected range\")\n"
+             "            e = self._entries[page] = ",
+             "            e = self._entries[page] = ",
+             (_STORE + "TestInitialState::test_out_of_range_address",
+              *(f"{_STORE}TestPagesOutsideTheRange::test_refused_before_any_draw[{case}]"
+                for case in ("page_base--1", "page_base-1000000", "line_count--5",
+                             "line_count-256", "entry_image-256", "entry_lines--1",
+                             "reset_page-256")))),
     # -- the wire format the functional layer decodes ----------------------------------
     Mutation("entry_lines_pack_each_offset_plus_one", STORE,
              "            raw = pack_bitfields(e.offsets, OFFSET_BITS)\n",
@@ -310,15 +332,11 @@ MUTATIONS = [
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 _SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
                                ".bench*", "*.egg-info")
-_OUTCOMES = "MUTATIONS_OUTCOMES"  # the file the plugin below writes
-
-
-# -- a pytest plugin, loaded into the child run with ``-p mutations`` ---------------------
 
 
 class _Recorder:
-    """Whether each test that ran failed in any phase, written as JSON to
-    ``path`` when the session ends."""
+    """A pytest plugin: whether each test that ran failed in any phase,
+    written as JSON to ``path`` when the session ends."""
 
     def __init__(self, path: str) -> None:
         self.path = path
@@ -332,30 +350,38 @@ class _Recorder:
             json.dump(self.failed, fh)
 
 
-def pytest_configure(config) -> None:
-    # a mutation is caught by any failing example, so the child skips
-    # Hypothesis's search for the smallest one
-    settings.register_profile("mutations", phases=[p for p in Phase if p is not Phase.shrink])
-    settings.load_profile("mutations")
-    config.pluginmanager.register(_Recorder(os.environ[_OUTCOMES]))
-
-
 # -- the runner ------------------------------------------------------------------------
 
 
 def run_tests(tree: str, tests) -> dict[str, bool]:
     """Run ``tests`` in the copy ``tree``: node id -> whether it failed, for
-    each test that ran."""
+    each test that ran.  Each run is a forked child of this process, which
+    has pytest, Hypothesis and numpy imported already; the child imports
+    freshsim and the test modules from ``tree`` and ends with ``os._exit``."""
     outcomes = os.path.join(tree, ".outcomes.json")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([os.path.join(tree, "src"),
-                                                       os.path.join(tree, "tests")]),
-               PYTHONDONTWRITEBYTECODE="1", **{_OUTCOMES: outcomes})
     if os.path.exists(outcomes):
         os.remove(outcomes)
-    subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                    "-p", "mutations", "--hypothesis-seed=0", *sorted(set(tests))],
-                   cwd=tree, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-                   timeout=600)
+    sys.stdout.flush()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            signal.alarm(600)  # a run that hangs is killed and records nothing
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, 1)
+            os.dup2(devnull, 2)
+            sys.dont_write_bytecode = True  # a mutated file is never read from a stale .pyc
+            sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "tests")]
+            os.chdir(tree)
+            # a mutation is caught by any failing example, so the run skips
+            # Hypothesis's search for the smallest one
+            settings.register_profile("mutations",
+                                      phases=[p for p in Phase if p is not Phase.shrink])
+            settings.load_profile("mutations")
+            pytest.main(["-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
+                         *sorted(set(tests))], plugins=[_Recorder(outcomes)])
+        finally:
+            os._exit(0)
+    os.waitpid(pid, 0)
     if not os.path.exists(outcomes):
         return {}
     with open(outcomes) as fh:

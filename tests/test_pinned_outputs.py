@@ -23,6 +23,7 @@ pattern kind at write fractions 0, 0.3 and 1 in both file forms; the
 
 import hashlib
 import json
+import re
 import runpy
 from pathlib import Path
 
@@ -230,3 +231,12 @@ DEMO_DIGESTS = {
 def test_demo_stdout_is_pinned(capsys, demo):
     runpy.run_path(str(DEMOS / f"{demo}.py"), run_name="__main__")
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == DEMO_DIGESTS.get(demo)
+
+
+def test_readme_library_example_prints_its_comment(capsys):
+    # the README's python block, found as CI finds it, prints what the
+    # comment at the end of its last line says
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
+    assert capsys.readouterr().out == block.rstrip("\n").rsplit("  # ", 1)[1] + "\n"
