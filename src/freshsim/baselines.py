@@ -136,8 +136,6 @@ class MerkleEngine(ProtectionEngine):
         tree_config = tree_config or CounterTreeConfig()
         self.tree = CounterTreeState(
             tree_config, config.protected_bytes, config.geometry.block_bytes)
-        self.read_hops = 1 + self.tree.depth  # a read may walk every level
-        config.check_read_latency(self.read_hops)
         self._node_bytes = tree_config.node_bytes
 
     def _freshness(self, out: AccessOutcome, addr: int, is_write: bool, data_ns: float) -> float:

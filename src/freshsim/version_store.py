@@ -178,7 +178,6 @@ class VersionStore:
                 f"line, but their slots hold {SLOT_BYTES} and {FULL_SLOTS * SLOT_BYTES}"
             )
         self.static_bytes = flat_array_bytes(protected_bytes, self.geometry, self.params)
-        self.protected_bytes = protected_bytes
         self.total_pages = protected_bytes // self.geometry.page_bytes
         if device_capacity_bytes < self.static_bytes:
             raise ConfigError(
@@ -227,10 +226,6 @@ class VersionStore:
                 raise AddressRangeError(f"page {page} outside protected range")
             e = self._entries[page] = self._getrandbits(self.params.stealth_bits) << TAG_BITS
         return e
-
-    @property
-    def pages_touched(self) -> int:
-        return len(self._entries)
 
     @property
     def pages_flat(self) -> int:

@@ -74,6 +74,11 @@ def page_base(store, page: int) -> int:
     return (e >> TAG_BITS) & store.params.stealth_mask if type(e) is int else e.base
 
 
+def pages_touched(store) -> int:
+    """Pages a ``VersionStore`` has materialized, in any format."""
+    return len(store._entries)
+
+
 def stealth_add(value: int, delta: int, stealth_bits: int) -> int:
     """Add ``delta`` to a stealth version, wrapping modulo 2**stealth_bits."""
     if value < 0 or delta < 0:

@@ -50,7 +50,7 @@ _CACHES = "tests/test_caches.py::test_"
 _ACROSS_MODES = "tests/test_baselines.py::test_modes_agree_on_metadata_after_every_event"
 _EACH_OUTCOME = "tests/test_baselines.py::test_each_outcome_is_what_its_event_charged"
 _HALT = "tests/test_engine.py::TestCapacityHalt::test_capacity_exhaustion_halts_engine"
-_RUN = "tests/test_engine.py::TestRun::test_"
+_LATENCY = "tests/test_engine.py::TestReadLatency::test_"
 _STORE = "tests/test_version_store.py::"
 # set_index's head: the inline copies of its formula (the MAC access and the
 # counter tree's walk) hold the same lines
@@ -96,16 +96,21 @@ MUTATIONS = [
              "mac_ns if mac_ns > fresh_ns else fresh_ns",
              "mac_ns + fresh_ns",
              (_CHARGING + "cold_read_pays_device_and_mac",)),
-    # -- the replay loop ----------------------------------------------------------------
-    Mutation("run_checks_only_the_new_events", ENGINE,
-             "self.reads + self.writes + len(events)", "len(events)",
-             (_RUN + "a_chunk_is_checked_with_every_event_run_before_it",)),
-    Mutation("run_skips_the_summed_latency_check", ENGINE,
-             "        self.config.check_read_latency(self.read_hops, "
-             "self.reads + self.writes + len(events))\n", "",
-             (_RUN + "summed_read_latency_past_float_range_is_refused",
+    # -- the latency inputs' ranges -----------------------------------------------------
+    Mutation("local_ns_loses_its_high_bound", ENGINE,
+             "    local_ns: float = bounded(50.0, high=LATENCY_MAX)\n",
+             "    local_ns: float = bounded(50.0)\n",
+             (_LATENCY + "the_slowest_reads_of_the_widest_range_sum_within_float_range",
+              _LATENCY + "direct_reads_at_the_slowest_latencies_stay_finite[ci]",
               "tests/test_cli.py::TestConfigHandling::"
               "test_summed_read_latency_past_float_range_names_the_keys")),
+    Mutation("clock_ghz_loses_its_low_bound", ENGINE,
+             "    clock_ghz: float = bounded(2.25, low=1 / LATENCY_MAX, high=LATENCY_MAX)\n",
+             "    clock_ghz: float = bounded(2.25, high=LATENCY_MAX)\n",
+             (_LATENCY + "the_slowest_reads_of_the_widest_range_sum_within_float_range",
+              _LATENCY + "direct_reads_at_the_slowest_latencies_stay_finite[ci]",
+              "tests/test_cli.py::TestConfigHandling::"
+              "test_out_of_range_value_names_the_key[clock_0]")),
     # -- toleo's metadata path ----------------------------------------------------------
     Mutation("outcome_keeps_the_last_events_device_charges", ENGINE,
              "                out.device_bytes = out.device_transactions = 0\n"

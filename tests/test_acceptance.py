@@ -49,7 +49,7 @@ from freshsim.version_store import (
     entry_cost_bytes,
     flat_array_bytes,
 )
-from helpers import ReferenceMap, page_base, stealth_add
+from helpers import ReferenceMap, page_base, pages_touched, stealth_add
 
 G = Geometry()
 P = SecurityParams()
@@ -195,7 +195,7 @@ def test_criterion_06_format_regimes():
     for _, addr in generate(spec):
         store.update_version(addr)
     uniform_ok = (
-        store.pages_flat == store.pages_touched == 64
+        store.pages_flat == pages_touched(store) == 64
         and store.resets == 0
         and all(
             store.read_version(p * PAGE) == stealth_add(bases[p], 3, P.stealth_bits)

@@ -81,9 +81,9 @@ def test_run_adds_no_call_per_event(engine_class, per_event):
     calls = calls_of(e.run, trace)
     names = [name for name, _ in calls]
     assert names[0] == "ProtectionEngine.run" and names.count("ProtectionEngine.run") == 1
-    # run's own calls: the summed-latency check once, then each event
+    # run's own calls: each event, and nothing else
     assert [name for name, caller in calls if caller == "ProtectionEngine.run"] == [
-        "EngineConfig.check_read_latency"] + ["ProtectionEngine.process_access"] * len(trace)
+        "ProtectionEngine.process_access"] * len(trace)
     first = names.index("ProtectionEngine.process_access")
     assert names[first:] == per_event * len(trace)
 

@@ -76,16 +76,16 @@ BOUNDED_CLASSES = [
 BOUNDED = [(klass, required, f) for klass, required in BOUNDED_CLASSES
            for f in dataclasses.fields(klass) if f.metadata]
 # a bound that a plain check refuses on its own, by class and field
-PLAIN_REFUSED = {("EngineConfig", "clock_ghz"): "clock_ghz must be positive",
-                 ("EngineConfig", "protected_bytes"): "protected_bytes must be a positive"}
+PLAIN_REFUSED = {("EngineConfig", "protected_bytes"): "protected_bytes must be a positive"}
 # the largest integer a float holds, refused by a range or a cross-field
 # rule, by class and field; every other bounded field accepts it
 BIG_REFUSED = {("Geometry", "mac_bits"), ("Geometry", "macs_per_block"),
                ("SecurityParams", "reset_exp"), ("EngineConfig", "seed"),
                ("EngineConfig", "protected_bytes"),
-               # a read sums these latencies at least twice, past float range
+               # past the latency inputs' high bound
                ("EngineConfig", "local_ns"), ("EngineConfig", "cxl_ns"),
-               ("EngineConfig", "pool_dram_ns"),
+               ("EngineConfig", "pool_dram_ns"), ("EngineConfig", "device_dram_ns"),
+               ("EngineConfig", "cipher_cycles"), ("EngineConfig", "clock_ghz"),
                ("CounterTreeConfig", "arity"), ("PatternSpec", "footprint_bytes"),
                ("PatternSpec", "write_fraction"), ("PatternSpec", "stride_bytes"),
                ("PatternSpec", "op_count")}

@@ -1,4 +1,7 @@
+import dataclasses
+import math
 import random
+import sys
 from collections import Counter
 from itertools import chain
 
@@ -14,7 +17,13 @@ from freshsim.core import (
     SimError,
     pack_full,
 )
-from freshsim.baselines import CiEngine, MerkleEngine, NoneEngine
+from freshsim.baselines import (
+    CiEngine,
+    CounterTreeConfig,
+    MerkleEngine,
+    NoneEngine,
+    tree_depth,
+)
 from freshsim.cli import build_engine, resolve_config, resolve_trace
 from freshsim.version_store import (
     FLAT,
@@ -444,7 +453,7 @@ _ENGINES = {"none": NoneEngine, "ci": CiEngine, "toleo": HostEngine, "merkle": M
 
 
 def each_event(engine, trace):
-    """A bare ``process_access`` loop: ``run`` without its summed-latency check."""
+    """A bare ``process_access`` loop, as a library caller writes one."""
     for op, addr in trace:
         engine.process_access(op, addr)
 
@@ -495,23 +504,72 @@ class TestRun:
         assert stop(ProtectionEngine.run, ran, trace) == stop(each_event, looped, trace)
         assert ran.stats() == looped.stats()
 
-    def test_summed_read_latency_past_float_range_is_refused(self):
-        # each read's latency is finite, 2000 of them summed are not
-        e = CiEngine(EngineConfig(local_ns=1e306))
-        before = e.stats()
-        with pytest.raises(ConfigError, match=r"^2000 reads' latency, 2000 x \(2 x local_ns "):
-            e.run([("R", 0)] * 2000)
-        assert e.stats() == before
 
-    def test_a_chunk_is_checked_with_every_event_run_before_it(self):
-        # 1000 reads' latency sums within float range, 2000 do not
-        e = CiEngine(EngineConfig(local_ns=6e304))
-        e.run([("R", 0)] * 1000)
-        before = e.stats()
-        assert before["reads"] == 1000
-        with pytest.raises(ConfigError, match=r"^2000 reads' latency"):
-            e.run([("R", 0)] * 1000)
-        assert e.stats() == before
+LATENCY_KEYS = ("local_ns", "cxl_ns", "pool_dram_ns", "device_dram_ns", "cipher_cycles",
+                "clock_ghz")
+
+
+def declared_range(klass, name):
+    """(low, high) of a ``bounded`` field, as its dataclass declares it."""
+    f = next(f for f in dataclasses.fields(klass) if f.name == name)
+    return f.metadata["low"], f.metadata["high"]
+
+
+def slowest_latencies() -> dict:
+    """Each latency input at its high bound and the clock at its low one:
+    the slowest read an ``EngineConfig`` takes."""
+    slowest = {name: declared_range(EngineConfig, name)[1] for name in LATENCY_KEYS}
+    slowest["clock_ghz"] = declared_range(EngineConfig, "clock_ghz")[0]
+    return slowest
+
+
+def deepest_tree() -> CounterTreeConfig:
+    """The counter tree with the most levels: the fewest children a node and
+    counters a leaf its ranges take, and a root region of one child counter."""
+    arity = declared_range(CounterTreeConfig, "arity")[0]
+    return CounterTreeConfig(arity=arity, root_bytes=CounterTreeConfig.node_bytes // arity,
+                             counters_per_leaf_node=declared_range(
+                                 CounterTreeConfig, "counters_per_leaf_node")[0],
+                             counter_cache_bytes=CounterTreeConfig.node_bytes)
+
+
+# one-byte blocks, the smallest a geometry takes, so the most of them
+ONE_BYTE_BLOCKS = {"geometry": Geometry(block_bytes=1, mac_bits=1, macs_per_block=1),
+                   "params": SecurityParams(upper_bits=7), "mac_cache_bytes": 16}
+
+
+class TestReadLatency:
+    @pytest.mark.parametrize("mode", sorted(_ENGINES))
+    def test_direct_reads_at_the_slowest_latencies_stay_finite(self, mode):
+        # a library loop over process_access, with no run() around it, over
+        # the widest range and every read on the slower pool channel; 2000
+        # reads at local_ns=1e306 once summed to inf, which JSON writes as
+        # Infinity.  The merkle tree is the deepest there is: 64 levels.
+        config = EngineConfig(protected_bytes=declared_range(EngineConfig, "protected_bytes")[1],
+                              local_bytes=0, **slowest_latencies(),
+                              **({} if mode == "toleo" else ONE_BYTE_BLOCKS))
+        e = MerkleEngine(config, deepest_tree()) if mode == "merkle" else _ENGINES[mode](config)
+        for i in range(2000):
+            e.process_access("R", i * 0x9E3779B97F4A7C15 % config.protected_bytes)
+        assert e.reads == 2000
+        assert math.isfinite(e.read_latency_total) and e.read_latency_total > 0
+        assert math.isfinite(e.stats()["avg_read_latency_ns"])
+        if mode == "merkle":
+            assert e.tree.depth == 64 and e.tree.fetches > 2000 * 60
+
+    def test_the_slowest_reads_of_the_widest_range_sum_within_float_range(self):
+        # the worst case from the declared ranges alone: a read makes a trip
+        # on its channel for the data and one for its MAC line or each tree
+        # level, a device hop and the cipher delay (summed here, though the
+        # engine overlaps the fetches), and 2**64 such reads stay finite
+        slowest = slowest_latencies()
+        trip = max(slowest["local_ns"], slowest["cxl_ns"] + slowest["pool_dram_ns"])
+        device = slowest["cxl_ns"] + slowest["device_dram_ns"]
+        blocks = declared_range(EngineConfig, "protected_bytes")[1]  # of one byte each
+        levels = tree_depth(deepest_tree(), blocks)
+        assert levels == 64
+        read = (1 + levels) * trip + device + slowest["cipher_cycles"] / slowest["clock_ghz"]
+        assert read * blocks < sys.float_info.max
 
 
 class TestFunctionalLayer:

@@ -234,7 +234,7 @@ def test_demo_stdout_is_pinned(capsys, demo):
 
 
 def test_readme_library_example_prints_its_comment(capsys):
-    # the README's python block, found as CI finds it, prints what the
+    # the README's python block runs as written and prints what the
     # comment at the end of its last line says
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)

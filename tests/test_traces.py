@@ -28,6 +28,7 @@ from freshsim.traces import (
     save_trace,
 )
 from freshsim.version_store import FLAT, FULL, UNEVEN, VersionStore, flat_array_bytes
+from helpers import pages_touched
 
 SAMPLE = [("R", 0x1040), ("W", 0), ("R", 0x40)]
 
@@ -570,7 +571,7 @@ class TestFormatRegimes:
                            op_count=5000, write_fraction=0.7, seed=8)
         store = drive_store(generate(spec), 16)
         assert store.pages_uneven == 0 and store.pages_full == 0
-        assert store.pages_flat == store.pages_touched
+        assert store.pages_flat == pages_touched(store)
 
     def test_sequential_writes_keep_pages_flat(self):
         spec = PatternSpec(kind="sequential", footprint_bytes=8 * 4096,

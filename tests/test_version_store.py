@@ -32,7 +32,7 @@ from freshsim.version_store import (
     full_entry_bytes,
     uneven_entry_bytes,
 )
-from helpers import ReferenceMap, page_base, stealth_add
+from helpers import ReferenceMap, page_base, pages_touched, stealth_add
 
 G = Geometry()
 P = SecurityParams()
@@ -84,7 +84,7 @@ class TestInitialState:
         base = page_base(s, 0)
         for block in range(64):
             assert s.read_version(block * BLOCK) == base
-        assert s.pages_flat == s.pages_touched
+        assert s.pages_flat == pages_touched(s)
         assert s.dynamic_bytes == 0
         assert s.static_bytes == 2 * 12
 
@@ -406,7 +406,7 @@ class TestPagesOutsideTheRange:
             else:
                 getattr(s, call)(page)
         assert _state(s) == before
-        assert (s.pages_touched, s.pages_flat) == (1, 1)
+        assert (pages_touched(s), s.pages_flat) == (1, 1)
 
 
 class TestHostMemoryPerPage:
@@ -427,7 +427,7 @@ class TestHostMemoryPerPage:
             held = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        assert s.pages_touched == count
+        assert pages_touched(s) == count
         return s, held / count
 
     def test_flat_read_page(self):
