@@ -22,8 +22,7 @@ value, and that is what the log-domain evaluation below produces.
 from __future__ import annotations
 
 import math
-import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -102,7 +101,8 @@ def replay_success_prob(stealth_bits: int) -> float:
 
 # -- exact run-length model ----------------------------------------------------------
 #
-# Mechanism being modeled, per update to a block at the leading version:
+# The run model, per update to a block at the leading version, as
+# ``mc_exhaustion`` simulates it:
 #   1. the version advances (stealth value +1 mod 2^S);
 #   2. if the value just returned to the interval's starting value the
 #      nonce has been reused -- exhaustion;
@@ -111,6 +111,10 @@ def replay_success_prob(stealth_bits: int) -> float:
 # Reuse at update k therefore requires the 2^S - 1 reset checks at updates
 # k-2^S+1 .. k-1 to all miss; over n updates that is exactly "the first
 # n-1 reset draws contain a run of at least 2^S - 1 misses".
+# ``VersionStore`` runs step 3 before it returns the advanced version, so the
+# reusing update's own check must miss too: reuse there needs a run of 2^S
+# misses, and the model's value is an upper bound for the store, high by one
+# reset check.
 
 
 def _run_prob(draws: int, run_len: int, p: float) -> float:
@@ -152,7 +156,8 @@ def analytic_exhaustion_prob(
     updates_per_address: int,
     addresses: int = 1,
 ) -> float:
-    """Exact exhaustion probability for the simulated mechanism."""
+    """Exhaustion probability of the run model above: exact for what
+    ``mc_exhaustion`` simulates, an upper bound for ``VersionStore``."""
     if stealth_bits < 1:
         raise ConfigError("stealth_bits must be positive")
     if addresses < 1:
@@ -183,13 +188,6 @@ class McEstimate:
     parameters: dict
 
 
-def _refuse_negative(**values) -> None:
-    """Refuse, by key, the first of ``values`` below 0; None passes."""
-    for key, value in values.items():
-        if value is not None and value < 0:
-            raise ConfigError(f"{key} must be non-negative, got {value}")
-
-
 def _binomial_estimate(successes: int, parameters: dict) -> McEstimate:
     trials = parameters["trials"]
     est = successes / trials
@@ -201,42 +199,49 @@ def _binomial_estimate(successes: int, parameters: dict) -> McEstimate:
     )
 
 
-def mc_exhaustion_parameters(
-    stealth_bits: int,
-    reset_exp: int,
-    addresses: int = 1,
-    updates_per_address: int | None = None,
-    trials: int = 100_000,
-    seed: int = 1,
-) -> dict:
-    """Every parameter ``mc_exhaustion`` runs with, defaults filled in, after
-    refusing, by key, any it cannot run with, such as ``updates_per_address``
-    past the run model's cap, whatever its closed form answers.  The default,
-    ``4 << stealth_bits``, passes it from 22 on: 22-24 need an explicit count."""
-    if stealth_bits < 1:
-        raise ConfigError("stealth_bits must be positive")
-    if stealth_bits > 24:
-        raise ConfigError(
-            "mc_exhaustion is for scaled parameters (stealth_bits <= 24); "
-            "use exhaustion_bound for full-size analysis"
-        )
-    if addresses < 1 or trials < 1:
-        raise ConfigError("addresses and trials must be positive")
-    _refuse_negative(reset_exp=reset_exp, updates_per_address=updates_per_address, seed=seed)
-    if reset_exp > sys.float_info.max:  # 2.0 ** -reset_exp takes a float exponent
-        raise ConfigError(f"reset_exp must be a finite float, got {reset_exp}")
-    if trials * addresses > MAX_ARRAY_ITEMS:  # one array element per stream
-        raise ConfigError(f"trials x addresses must be at most {MAX_ARRAY_ITEMS}, "
-                          f"got {trials} x {addresses}")
-    key = "updates_per_address"  # as the refusal names it: a key the caller gave
-    if updates_per_address is None:
-        updates_per_address = 4 << stealth_bits
-        key = f"stealth_bits {stealth_bits}: its default updates_per_address"
-    if updates_per_address - 1 > RUN_MODEL_DRAWS:  # the analytic value's draws
-        raise RunModelCapError(f"{key} {updates_per_address} is too many: "
-                               "run model capped at 1e7 draws; use exhaustion_bound")
-    return {"stealth_bits": stealth_bits, "reset_exp": reset_exp, "addresses": addresses,
-            "updates_per_address": updates_per_address, "trials": trials, "seed": seed}
+@dataclass(frozen=True)
+class ExhaustionRun:
+    """What ``mc_exhaustion`` runs with, each range refused by key before any
+    draw.  ``stealth_bits`` is at most 24: at full width exhaustion is far
+    too rare to sample, and ``exhaustion_bound`` answers instead.
+
+    ``updates_per_address`` left None is ``4 << stealth_bits``.  Given or
+    not, it is refused past the run model's cap, whatever its closed form
+    answers, so 22-24 need an explicit count."""
+
+    stealth_bits: int = bounded(low=1, high=24)
+    reset_exp: int = bounded()
+    addresses: int = bounded(1, low=1)
+    updates_per_address: int = bounded(None)  # None: resolved here, as above
+    trials: int = bounded(100_000, low=1)
+    seed: int = bounded(1)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+        if self.trials * self.addresses > MAX_ARRAY_ITEMS:  # one array element per stream
+            raise ConfigError(f"trials x addresses must be at most {MAX_ARRAY_ITEMS}, "
+                              f"got {self.trials} x {self.addresses}")
+        key = "updates_per_address"  # as the refusal names it: a key the caller gave
+        if self.updates_per_address is None:
+            object.__setattr__(self, "updates_per_address", 4 << self.stealth_bits)
+            key = f"stealth_bits {self.stealth_bits}: its default updates_per_address"
+        if self.updates_per_address - 1 > RUN_MODEL_DRAWS:  # the analytic value's draws
+            raise RunModelCapError(f"{key} {self.updates_per_address} is too many: "
+                                   "run model capped at 1e7 draws; use exhaustion_bound")
+
+
+@dataclass(frozen=True)
+class ReplayRun:
+    """What ``mc_replay`` runs with, each range refused by key before any
+    draw.  ``stealth_bits`` is at most 20: a 2^-S match rate needs far more
+    than 2^S trials to resolve, and ``replay_success_prob`` answers instead."""
+
+    stealth_bits: int = bounded(low=1, high=20)
+    trials: int = bounded(1_000_000, low=1, high=MAX_ARRAY_ITEMS)  # one array element each
+    seed: int = bounded(1)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
 
 
 def mc_exhaustion(
@@ -247,7 +252,7 @@ def mc_exhaustion(
     trials: int = 100_000,
     seed: int = 1,
 ) -> McEstimate:
-    """Simulate the reset mechanism at scaled-down parameters.
+    """Simulate the run model at scaled-down parameters.
 
     Each trial runs `addresses` independent version streams for
     `updates_per_address` updates each: the stealth value starts uniform,
@@ -257,8 +262,7 @@ def mc_exhaustion(
     2^stealth_bits - 1 consecutive missed checks.  Expected rate:
     analytic_exhaustion_prob at the same parameters.
     """
-    parameters = mc_exhaustion_parameters(stealth_bits, reset_exp, addresses,
-                                          updates_per_address, trials, seed)
+    run = ExhaustionRun(stealth_bits, reset_exp, addresses, updates_per_address, trials, seed)
     space = 1 << stealth_bits
     p_reset = 2.0 ** -reset_exp
     rng = np.random.default_rng(seed)
@@ -267,7 +271,7 @@ def mc_exhaustion(
         value = rng.integers(0, space, size=streams, dtype=np.int64)
         run_len = np.zeros(streams, dtype=np.int64)
         wrapped = np.zeros(streams, dtype=bool)
-        for _ in range(parameters["updates_per_address"]):
+        for _ in range(run.updates_per_address):
             value += 1
             value &= space - 1
             run_len += 1
@@ -281,24 +285,13 @@ def mc_exhaustion(
         raise ConfigError(f"trials x addresses = {trials} x {addresses} streams need more "
                           "memory than the host grants") from None
     hits = int(wrapped.reshape(trials, addresses).any(axis=1).sum())
-    return _binomial_estimate(hits, parameters)
+    return _binomial_estimate(hits, asdict(run))
 
 
 def mc_replay(stealth_bits: int, trials: int = 1_000_000, seed: int = 1) -> McEstimate:
     """Replay a record captured at a random past stealth value against an
     independent current one; success means the values match (rate 2^-S)."""
-    if stealth_bits < 1:
-        raise ConfigError("stealth_bits must be positive")
-    if stealth_bits > 20:
-        raise ConfigError(
-            f"stealth_bits must be at most 20 to simulate, got {stealth_bits}: a 2^-S match "
-            f"rate needs >> 2^S trials to resolve; the analytic rate is replay_success_prob"
-        )
-    if trials < 1:
-        raise ConfigError("trials must be positive")
-    _refuse_negative(seed=seed)
-    if trials > MAX_ARRAY_ITEMS:
-        raise ConfigError(f"trials must be at most {MAX_ARRAY_ITEMS}, got {trials}")
+    run = ReplayRun(stealth_bits, trials, seed)
     rng = np.random.default_rng(seed)
     space = 1 << stealth_bits
     try:
@@ -307,5 +300,4 @@ def mc_replay(stealth_bits: int, trials: int = 1_000_000, seed: int = 1) -> McEs
         hits = int((captured == current).sum())
     except MemoryError:
         raise ConfigError(f"trials {trials} needs more memory than the host grants") from None
-    return _binomial_estimate(hits, {"stealth_bits": stealth_bits, "trials": trials,
-                                     "seed": seed})
+    return _binomial_estimate(hits, asdict(run))

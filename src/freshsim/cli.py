@@ -5,8 +5,9 @@ modes into a CSV.
 Each input section is checked once, by ``_check``, against the fields of the
 dataclass it builds: a run config against ``Geometry``, ``SecurityParams``
 and ``EngineConfig`` (plus ``mode``, ``trace`` and ``tree``), ``tree``
-against ``CounterTreeConfig``, a pattern against ``PatternSpec`` and the
-exhaustion query against ``ExhaustionQuery``.  An unknown key, a value of
+against ``CounterTreeConfig``, a pattern against ``PatternSpec``, the
+exhaustion query against ``ExhaustionQuery`` and the Monte Carlo sections
+against ``ExhaustionRun`` and ``ReplayRun``.  An unknown key, a value of
 the wrong JSON type and a missing required key are rejected by name.  A
 value's range is checked once, by the dataclass it reaches
 (``core.check_fields``), which names the key too.
@@ -26,6 +27,8 @@ import sys
 
 from .analysis import (
     ExhaustionQuery,
+    ExhaustionRun,
+    ReplayRun,
     RunModelCapError,
     analytic_exhaustion_prob,
     exhaustion_bound,
@@ -58,6 +61,11 @@ def _schema(klass, *skip: str) -> dict:
     }
 
 
+def _required(klass) -> tuple:
+    """The fields of ``klass`` a section must give: those with no default."""
+    return tuple(f.name for f in dataclasses.fields(klass) if f.default is dataclasses.MISSING)
+
+
 # A schema maps each key to what it accepts; None marks a nested section,
 # which is checked on its own.
 _GEOMETRY = _schema(Geometry)
@@ -70,9 +78,6 @@ _RUN = {
 _TREE = _schema(CounterTreeConfig)
 _TRACE = {"file": _ACCEPTS["str"], "pattern": None}
 _PATTERN = _schema(PatternSpec)
-_PATTERN_REQUIRED = tuple(
-    f.name for f in dataclasses.fields(PatternSpec) if f.default is dataclasses.MISSING
-)
 # a document holding any of these is a bare pattern, not a run config
 _PATTERN_ONLY = _PATTERN.keys() - _RUN.keys()
 
@@ -122,7 +127,7 @@ def resolve_config(doc: dict | None) -> dict:
     if trace is not None:
         _check(trace, _TRACE, "trace")
         if "pattern" in trace:
-            _check(trace["pattern"], _PATTERN, "pattern", _PATTERN_REQUIRED)
+            _check(trace["pattern"], _PATTERN, "pattern", _required(PatternSpec))
     return cfg
 
 
@@ -208,7 +213,7 @@ def cmd_gen_trace(args) -> int:
         raise ConfigError("gen-trace needs --config with a pattern description")
     doc = _read_json(args.config)
     if isinstance(doc, dict) and not _PATTERN_ONLY.isdisjoint(doc):
-        _check(doc, _PATTERN, "pattern", _PATTERN_REQUIRED)
+        _check(doc, _PATTERN, "pattern", _required(PatternSpec))
     else:
         # full run config: pull the inline pattern out of it
         doc = (resolve_config(doc)["trace"] or {}).get("pattern")
@@ -224,10 +229,10 @@ def cmd_gen_trace(args) -> int:
     return 0
 
 
-def _mc_params(doc, required: tuple, optional: tuple, what: str, seed: int | None) -> dict:
-    """A Monte Carlo section's parameters: integer values, every required key
-    present, and ``seed`` (``--seed``), when given, over the section's own."""
-    _check(doc, dict.fromkeys(required + optional, _INT), what, required)
+def _mc_params(doc, klass, what: str, seed: int | None) -> dict:
+    """A Monte Carlo section's parameters, the fields of ``klass`` it runs
+    with, and ``seed`` (``--seed``), when given, over the section's own."""
+    _check(doc, _schema(klass), what, _required(klass))
     return dict(doc) if seed is None else dict(doc, seed=seed)
 
 
@@ -270,9 +275,7 @@ def cmd_analyze_security(args) -> int:
     mc_doc = _section(doc.get("monte_carlo"))
     _check(mc_doc, dict.fromkeys(("exhaustion", "replay")), "monte_carlo")
     if "exhaustion" in mc_doc:
-        p = _mc_params(mc_doc["exhaustion"], ("stealth_bits", "reset_exp"),
-                       ("addresses", "updates_per_address", "trials", "seed"),
-                       "monte_carlo.exhaustion", args.seed)
+        p = _mc_params(mc_doc["exhaustion"], ExhaustionRun, "monte_carlo.exhaustion", args.seed)
         try:  # refused before the Monte Carlo loop, which runs once per update
             est = mc_exhaustion(**p)
         except RunModelCapError as exc:
@@ -282,8 +285,7 @@ def cmd_analyze_security(args) -> int:
                                             ran["updates_per_address"], ran["addresses"])
         report["exhaustion"]["monte_carlo"] = _mc_report(est, analytic, p)
     if "replay" in mc_doc:
-        p = _mc_params(mc_doc["replay"], ("stealth_bits",), ("trials", "seed"),
-                       "monte_carlo.replay", args.seed)
+        p = _mc_params(mc_doc["replay"], ReplayRun, "monte_carlo.replay", args.seed)
         report["replay"]["monte_carlo"] = _mc_report(
             mc_replay(**p), replay_success_prob(p["stealth_bits"]), p)
     _emit_json(report, args.out)

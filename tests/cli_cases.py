@@ -258,12 +258,17 @@ CASES = [
           ("doc4-reset_exp", {"exhaustion": {"reset_exp": BIG}}, "reset_exp"),
           ("mc_reset_exp_10^400",
            {"monte_carlo": {"exhaustion": {"stealth_bits": 3, "reset_exp": BIG}}},
-           r"^error: reset_exp must be a finite float, got 10{400}$"),
-          # the refusal's own message raised OverflowError, from 2.0 ** -stealth_bits
+           r"^error: reset_exp must lie in \[0, inf\), got 10{400}$"),
           ("mc_stealth_bits_10^400", {"monte_carlo": {"replay": {"stealth_bits": BIG}}},
-           r"^error: stealth_bits must be at most 20 to simulate, got 10{400}: ")]),
+           r"^error: stealth_bits must lie in \[1, 20\], got 10{400}$"),
+          # no float holds a seed this large, as no PatternSpec seed may be
+          ("mc_exhaustion_seed_10^400",
+           {"monte_carlo": {"exhaustion": {"stealth_bits": 3, "reset_exp": 2, "seed": BIG}}},
+           r"^error: seed must lie in \[0, inf\), got 10{400}$"),
+          ("mc_replay_seed_10^400", {"monte_carlo": {"replay": {"stealth_bits": 8, "seed": BIG}}},
+           r"^error: seed must lie in \[0, inf\), got 10{400}$")]),
     *(case(f"{_ANALYZE}negative_monte_carlo_value_names_the_key[{param}]", "analyze-security",
-           {"monte_carlo": {section: doc}}, rf"^error: {key} must be non-negative, got -\d+$",
+           {"monte_carlo": {section: doc}}, rf"^error: {key} must lie in \[0, inf\), got -\d+$",
            *flags) for param, section, doc, key, *flags in [
         ("mc_exhaustion_seed", "exhaustion", {"stealth_bits": 3, "reset_exp": 2, "seed": -1},
          "seed"),
@@ -288,7 +293,7 @@ CASES = [
          {"stealth_bits": 3, "reset_exp": 2, "trials": 1, "addresses": 2**40},
          r"^error: trials x addresses = 1 x 1099511627776 streams need more memory "),
         ("replay_trials_2_63", "replay", {"stealth_bits": 8, "trials": 2**63},
-         r"^error: trials must be at most 1152921504606846975, got 9223372036854775808$"),
+         r"^error: trials must lie in \[1, 1152921504606846975\], got 9223372036854775808$"),
         ("replay_trials_2_40", "replay", {"stealth_bits": 8, "trials": 2**40},
          r"^error: trials 1099511627776 needs more memory than the host grants$")]),
     # the exact run model refuses more than 10^7 draws: refused before the

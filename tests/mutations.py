@@ -37,6 +37,7 @@ BASELINES = "src/freshsim/baselines.py"
 STORE = "src/freshsim/version_store.py"
 TRACES = "src/freshsim/traces.py"
 CLI = "src/freshsim/cli.py"
+ANALYSIS = "src/freshsim/analysis.py"
 
 _CHARGING = "tests/test_engine.py::TestChargingModel::test_"
 _INCLUSIVE = ("tests/test_engine.py::TestInclusivity::"
@@ -65,6 +66,8 @@ _SET_INDEX = ('def set_index(key: int, num_sets: int) -> int:\n'
               '    without a measured end-to-end gain."""\n')
 _TEXT_LOAD = ("tests/test_traces.py::TestStreamingLoad::"
               "test_streamed_text_load_equals_the_whole_parse")
+_MC_RULES = "tests/test_cli.py::test_monte_carlo_section_runs_only_when_the_rules_accept_it"
+_MC_ROW = "tests/test_cli.py::TestAnalyzeSecurity::test_"
 
 
 class Mutation(NamedTuple):
@@ -332,6 +335,34 @@ MUTATIONS = [
              tuple(f"tests/test_cli.py::TestConfigHandling::"
                    f"test_tree_range_checked_in_every_mode[{mode}]"
                    for mode in ("none", "ci", "toleo"))),
+    Mutation("monte_carlo_required_keys_unchecked", CLI,
+             "    _check(doc, _schema(klass), what, _required(klass))\n",
+             "    _check(doc, _schema(klass), what)\n",
+             (_MC_RULES, _MC_ROW + "bad_analysis_value_names_the_key[doc3-reset_exp]")),
+    # -- the Monte Carlo inputs' rules --------------------------------------------------
+    Mutation("replay_stealth_bits_loses_its_high_bound", ANALYSIS,
+             "    stealth_bits: int = bounded(low=1, high=20)\n",
+             "    stealth_bits: int = bounded(low=1)\n",
+             (_MC_RULES, "tests/test_analysis.py::TestMonteCarlo::test_scaled_parameter_guards")),
+    Mutation("exhaustion_seed_loses_its_low_bound", ANALYSIS,
+             "    trials: int = bounded(100_000, low=1)\n    seed: int = bounded(1)\n",
+             "    trials: int = bounded(100_000, low=1)\n"
+             "    seed: int = bounded(1, low=-math.inf)\n",
+             (_MC_RULES, "tests/test_analysis.py::TestMonteCarlo::"
+              "test_negative_input_refused_before_any_draw[exhaustion_seed]",
+              _MC_ROW + "negative_monte_carlo_value_names_the_key[mc_exhaustion_seed]",
+              _MC_ROW + "negative_monte_carlo_value_names_the_key[seed_flag_exhaustion]")),
+    Mutation("trials_x_addresses_cap_deleted", ANALYSIS,
+             "        if self.trials * self.addresses > MAX_ARRAY_ITEMS:",
+             "        if False:",
+             (_MC_RULES,
+              _MC_ROW + "size_the_host_cannot_hold_names_the_key[exhaustion_trials_2_63]")),
+    # the default count would run the Monte Carlo loop 4 << 22 times: only
+    # the property test, which stops at the first draw, is listed
+    Mutation("default_updates_skip_the_run_model_cap", ANALYSIS,
+             "        if self.updates_per_address - 1 > RUN_MODEL_DRAWS:",
+             "        elif self.updates_per_address - 1 > RUN_MODEL_DRAWS:",
+             (_MC_RULES,)),
 ]
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -4,13 +4,13 @@ import pytest
 
 from freshsim.analysis import (
     ExhaustionQuery,
+    ExhaustionRun,
     McEstimate,
     _run_prob,
     analytic_exhaustion_prob,
     exhaustion_bound,
     log_no_reset_prob,
     mc_exhaustion,
-    mc_exhaustion_parameters,
     mc_replay,
     no_reset_prob,
     replay_success_prob,
@@ -193,7 +193,7 @@ class TestMonteCarlo:
             with pytest.raises(ConfigError, match=f"^stealth_bits {bits}: its default "
                                                   f"updates_per_address {4 << bits} is too many"):
                 mc_exhaustion(bits, 20, trials=1)
-        assert mc_exhaustion_parameters(21, 20, trials=1)["updates_per_address"] == 4 << 21
+        assert ExhaustionRun(21, 20, trials=1).updates_per_address == 4 << 21
         est = mc_exhaustion(24, 20, updates_per_address=1000, trials=50, seed=3)
         assert est.parameters["updates_per_address"] == 1000
         assert est.estimate == 0.0  # 1000 updates cannot wrap a 2^24 space
@@ -220,9 +220,9 @@ class TestMonteCarlo:
         assert 0.15 < ratio < 0.35  # ideal 1/4
 
     def test_scaled_parameter_guards(self):
-        with pytest.raises(ConfigError, match="exhaustion_bound"):
+        with pytest.raises(ConfigError, match=r"^stealth_bits must lie in \[1, 24\], got 25$"):
             mc_exhaustion(stealth_bits=25, reset_exp=20)
-        with pytest.raises(ConfigError, match="replay_success_prob"):
+        with pytest.raises(ConfigError, match=r"^stealth_bits must lie in \[1, 20\], got 21$"):
             mc_replay(21)
         with pytest.raises(ConfigError):
             mc_exhaustion(3, 2, trials=0)
@@ -243,7 +243,7 @@ class TestMonteCarlo:
             raise AssertionError("drew before checking its inputs")
 
         monkeypatch.setattr(mod.np.random, "default_rng", no_draws)
-        with pytest.raises(ConfigError, match=f"^{key} must be non-negative, got -"):
+        with pytest.raises(ConfigError, match=rf"^{key} must lie in \[0, inf\), got -"):
             run(**kw)
 
     def test_estimate_record_shape(self):

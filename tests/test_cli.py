@@ -1,18 +1,22 @@
 import ast
+import contextlib
 import csv
 import glob
+import io
 import json
 import os
+import re
 import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import guards
 from cli_cases import CASES, PAGE, child_env, mismatch, pattern_doc, run_doc, run_in_process
 from freshsim.baselines import CounterTreeConfig
 from freshsim.cli import CSV_COLUMNS, MODES, default_config, main
-from freshsim.core import Geometry
+from freshsim.core import MAX_ARRAY_ITEMS, Geometry
 from freshsim.traces import PatternSpec, generate, load_trace, parse_text_trace, save_trace
 
 
@@ -253,6 +257,98 @@ class TestAnalyzeSecurity:
         assert main(["analyze-security", "--config", cfg, "--out", out]) == 0
         assert main(["analyze-security", "--out", default]) == 0
         assert open(out).read() == open(default).read()
+
+
+# The documented Monte Carlo rules, written out plainly: every key is an
+# integer of less than 2^1024 in its [low, high], a section gives its
+# required keys, and two rules read more than one key.
+_MC_RANGES = {
+    "exhaustion": {"stealth_bits": (1, 24), "reset_exp": (0, None), "addresses": (1, None),
+                   "updates_per_address": (0, None), "trials": (1, None), "seed": (0, None)},
+    "replay": {"stealth_bits": (1, 20), "trials": (1, MAX_ARRAY_ITEMS), "seed": (0, None)},
+}
+_MC_REQUIRED = {"exhaustion": ("stealth_bits", "reset_exp"), "replay": ("stealth_bits",)}
+_ABSENT = object()
+# a key's value: absent, a small integer (in every key's range), or an odd
+# one: an integer at or past an edge of some key's range, or not an integer
+_MC_ODD = st.one_of(
+    st.sampled_from([-1, 0, 20, 21, 22, 24, 25, 2**30, 2**40, 2**63, 10**7 + 1, 10**7 + 2,
+                     2**1023, 2**1024, 10**400]),
+    st.none(), st.booleans(), st.floats(), st.text("-0189e.x", max_size=3))
+_MC_KEY = st.sampled_from(["absent", "small", "small", "odd"]).flatmap(
+    lambda kind: {"absent": st.just(_ABSENT), "small": st.integers(1, 8), "odd": _MC_ODD}[kind])
+
+
+def _mc_section(section: str):
+    """``(section, doc)``: a ``monte_carlo.<section>`` document of drawn keys."""
+    keys = st.fixed_dictionaries(dict.fromkeys(_MC_RANGES[section], _MC_KEY))
+    return keys.map(lambda doc: (section, {k: v for k, v in doc.items() if v is not _ABSENT}))
+
+
+def _mc_faults(section: str, doc: dict, seed_flag) -> set:
+    """The keys the documented rules find at fault in ``monte_carlo.<section>``
+    run with ``--seed seed_flag``; an empty set when the section runs."""
+    faults = {key for key, value in doc.items() if type(value) is not int}
+    faults |= {key for key in _MC_REQUIRED[section] if key not in doc}
+    if faults:
+        return faults
+    values = dict(doc) if seed_flag is None else dict(doc, seed=seed_flag)
+    for key, value in values.items():
+        low, high = _MC_RANGES[section][key]
+        if not (low <= value < 2**1024 and (high is None or value <= high)):
+            faults.add(key)
+    if faults or section == "replay":
+        return faults
+    if values.get("trials", 100_000) * values.get("addresses", 1) > MAX_ARRAY_ITEMS:
+        return {"trials", "addresses"}
+    updates = values.get("updates_per_address", 4 << values["stealth_bits"])
+    if updates - 1 > 10**7:  # the run model's cap
+        return {"updates_per_address" if "updates_per_address" in values else "stealth_bits"}
+    return set()
+
+
+class _Drew(Exception):
+    """Raised in place of the Monte Carlo's first draw."""
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(case=_mc_section("exhaustion") | _mc_section("replay"),
+       seed_flag=st.none() | st.sampled_from([-3, 0, 5, 10**400]))
+# no float holds a seed of 10^400: refused, in a section or from --seed
+@example(case=("exhaustion", {"stealth_bits": 3, "reset_exp": 2, "seed": 10**400}),
+         seed_flag=None)
+@example(case=("replay", {"stealth_bits": 8, "seed": 10**400}), seed_flag=None)
+@example(case=("replay", {"stealth_bits": 8}), seed_flag=10**400)
+# the two rules that read more than one key
+@example(case=("exhaustion", {"stealth_bits": 3, "reset_exp": 2, "trials": 2**30,
+                              "addresses": 2**30}), seed_flag=None)
+@example(case=("exhaustion", {"stealth_bits": 22, "reset_exp": 20, "trials": 1}),
+         seed_flag=None)
+def test_monte_carlo_section_runs_only_when_the_rules_accept_it(tmp_path, monkeypatch, case,
+                                                                seed_flag):
+    """A ``monte_carlo`` section either exits 2 before any draw, naming a key
+    the rules find at fault, or reaches its first draw when they find none."""
+    def drew(seed):
+        raise _Drew
+
+    monkeypatch.setattr("freshsim.analysis.np.random.default_rng", drew)
+    section, doc = case
+    path = tmp_path / "mc.json"
+    path.write_text(json.dumps({"monte_carlo": {section: doc}}))
+    argv = ["analyze-security", "--config", str(path)]
+    if seed_flag is not None:
+        argv += ["--seed", str(seed_flag)]
+    faults = _mc_faults(section, doc, seed_flag)
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        if not faults:
+            with pytest.raises(_Drew):
+                main(argv)
+            return
+        assert main(argv) == 2
+    assert any(re.search(rf"\b{key}\b", err.getvalue()) for key in faults), \
+        (faults, err.getvalue())
 
 
 class TestCompare:
