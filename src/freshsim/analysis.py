@@ -247,10 +247,10 @@ class ReplayRun:
 def mc_exhaustion(
     stealth_bits: int,
     reset_exp: int,
-    addresses: int = 1,
-    updates_per_address: int | None = None,
-    trials: int = 100_000,
-    seed: int = 1,
+    addresses: int = ExhaustionRun.addresses,
+    updates_per_address: int | None = ExhaustionRun.updates_per_address,
+    trials: int = ExhaustionRun.trials,
+    seed: int = ExhaustionRun.seed,
 ) -> McEstimate:
     """Simulate the run model at scaled-down parameters.
 
@@ -288,7 +288,8 @@ def mc_exhaustion(
     return _binomial_estimate(hits, asdict(run))
 
 
-def mc_replay(stealth_bits: int, trials: int = 1_000_000, seed: int = 1) -> McEstimate:
+def mc_replay(stealth_bits: int, trials: int = ReplayRun.trials,
+              seed: int = ReplayRun.seed) -> McEstimate:
     """Replay a record captured at a random past stealth value against an
     independent current one; success means the values match (rate 2^-S)."""
     run = ReplayRun(stealth_bits, trials, seed)

@@ -170,7 +170,9 @@ class FlatCache:
     A page's resident lines are among those it filled, all its format has
     (each device response fills that count, and the re-key after a reset
     drops the page); evicting or dropping it pops them.  A flat miss reads
-    the page's line count from ``store.line_count(page)``.
+    the page's line count from ``store.line_count(page)``.  A memo of each
+    page's line sets hashes a line once, however often the buffer thrashes
+    it out and back in.
     """
 
     def __init__(self, entries: int, overflow: LruSets, store) -> None:

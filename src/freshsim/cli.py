@@ -51,7 +51,6 @@ _ACCEPTS = {
     "float": ((int, float), "a number"),
     "str": ((str,), "a string"),
 }
-_INT = _ACCEPTS["int"]
 
 
 def _schema(klass, *skip: str) -> dict:
@@ -66,18 +65,23 @@ def _required(klass) -> tuple:
     return tuple(f.name for f in dataclasses.fields(klass) if f.default is dataclasses.MISSING)
 
 
-# A schema maps each key to what it accepts; None marks a nested section,
-# which is checked on its own.
+# A schema maps each key to what it accepts, or a nested section to its own
+# schema, which is checked on its own.
 _GEOMETRY = _schema(Geometry)
 _SECURITY = _schema(SecurityParams)
 _ENGINE = _schema(EngineConfig, "geometry", "params")
+_TREE = _schema(CounterTreeConfig)
+_PATTERN = _schema(PatternSpec)
+_TRACE = {"file": _ACCEPTS["str"], "pattern": _PATTERN}
 _RUN = {
     **_GEOMETRY, **_SECURITY, **_ENGINE,
-    "mode": _ACCEPTS["str"], "trace": None, "tree": None,
+    "mode": _ACCEPTS["str"], "trace": _TRACE, "tree": _TREE,
 }
-_TREE = _schema(CounterTreeConfig)
-_TRACE = {"file": _ACCEPTS["str"], "pattern": None}
-_PATTERN = _schema(PatternSpec)
+_ANALYSIS = {
+    "exhaustion": _schema(ExhaustionQuery),
+    "replay": {"stealth_bits": _ACCEPTS["int"]},
+    "monte_carlo": {"exhaustion": _schema(ExhaustionRun), "replay": _schema(ReplayRun)},
+}
 # a document holding any of these is a bare pattern, not a run config
 _PATTERN_ONLY = _PATTERN.keys() - _RUN.keys()
 
@@ -92,7 +96,7 @@ def _check(doc, schema: dict, what: str, required=()) -> None:
         raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
     for key, value in doc.items():
         accepts = schema[key]
-        if accepts is not None and type(value) not in accepts[0]:
+        if type(accepts) is tuple and type(value) not in accepts[0]:
             raise ConfigError(f"{what} key {key!r} must be {accepts[1]}, got {value!r}")
     missing = [key for key in required if key not in doc]
     if missing:
@@ -252,13 +256,13 @@ def _mc_report(est, analytic: float, given: dict) -> dict:
 
 def cmd_analyze_security(args) -> int:
     doc = _section(_read_json(args.config) if args.config else None)
-    _check(doc, dict.fromkeys(("exhaustion", "replay", "monte_carlo")), "analysis")
+    _check(doc, _ANALYSIS, "analysis")
 
     ex_doc = _section(doc.get("exhaustion"))
-    _check(ex_doc, _schema(ExhaustionQuery), "exhaustion")
+    _check(ex_doc, _ANALYSIS["exhaustion"], "exhaustion")
     query = ExhaustionQuery(**ex_doc)
     replay_doc = _section(doc.get("replay"))
-    _check(replay_doc, {"stealth_bits": _INT}, "replay")
+    _check(replay_doc, _ANALYSIS["replay"], "replay")
     stealth_bits = replay_doc.get("stealth_bits", SecurityParams().stealth_bits)
 
     report = {
@@ -273,7 +277,7 @@ def cmd_analyze_security(args) -> int:
     }
 
     mc_doc = _section(doc.get("monte_carlo"))
-    _check(mc_doc, dict.fromkeys(("exhaustion", "replay")), "monte_carlo")
+    _check(mc_doc, _ANALYSIS["monte_carlo"], "monte_carlo")
     if "exhaustion" in mc_doc:
         p = _mc_params(mc_doc["exhaustion"], ExhaustionRun, "monte_carlo.exhaustion", args.seed)
         try:  # refused before the Monte Carlo loop, which runs once per update

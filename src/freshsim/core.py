@@ -40,6 +40,8 @@ class EncodingError(SimError):
 # the most items one numpy array of 8-byte items is asked for: a larger
 # request raises ValueError, not the MemoryError of a refused allocation
 MAX_ARRAY_ITEMS = (1 << 60) - 1
+# the annotations, as strings, of the fields check_fields holds to integers
+_INTEGER = ("int", "int | None")
 
 
 def bounded(default=MISSING, low=0, high=inf, unit=None):
@@ -50,18 +52,23 @@ def bounded(default=MISSING, low=0, high=inf, unit=None):
 
 
 def check_fields(obj) -> None:
-    """Refuse, naming its key, the first ``bounded`` field of ``obj`` whose
-    value breaks its rule.  None (an optional field left unset) passes."""
+    """Refuse, naming its key, the first field of ``obj`` whose value breaks
+    its rule: a field annotated ``int`` or ``int | None`` takes an integer
+    (a value with ``__index__``, so numpy's too) and never a bool, and a
+    ``bounded`` field its range.  None passes only where it is the default
+    (an optional field left unset)."""
     for f in fields(obj):
-        if not f.metadata:
-            continue
         value = getattr(obj, f.name)
-        if value is None:
+        if value is None and f.default is None:
+            continue
+        if f.type in _INTEGER and (type(value) is bool or not hasattr(value, "__index__")):
+            raise ConfigError(f"{f.name} must be an integer, got {value!r}")
+        if not f.metadata:
             continue
         low, high, unit = f.metadata["low"], f.metadata["high"], f.metadata["unit"]
         try:
             finite = isfinite(value)
-        except OverflowError:  # an int past float range
+        except (OverflowError, TypeError):  # an int past float range, or no number
             finite = False
         if finite and low <= value <= high and (unit is None or value % unit == 0):
             continue

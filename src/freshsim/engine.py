@@ -6,13 +6,8 @@ DRAM or a CXL-attached pool), data and MAC byte charging, the MAC cache and
 read latency.  Each mode adds only its freshness scheme, as a hook the
 skeleton calls once per event; a mode with none (``none``, ``ci``) makes no
 hook call.  Every charge lands on the engine's totals, which ``stats()``
-reports; ``process_access`` also returns an ``AccessOutcome`` of the bytes,
-transactions and store events the one event charged.  The engine owns one
-such record, so the per-event path allocates none: it describes the event
-just run until the next one overwrites it.  Each field is written by the
-layer that charges it: the skeleton sets the channel bytes, the MAC step
-``mac_bytes``, and a mode's hook the device fields and store events; a
-field a mode never charges keeps its zero from construction.
+reports; ``process_access`` also returns what the one event charged, an
+``AccessOutcome``, whose docstring states its contract.
 
 The device-backed engine keeps two small caches of freshness metadata,
 beside the set-associative write-back cache of 64-byte MAC blocks that the
@@ -39,8 +34,9 @@ The latency inputs' ranges keep that sum a finite float on every path.
 The host engine's functional layer actually enciphers block payloads under a
 keyed pseudorandom transform of (key, full version, address) and MACs them,
 which lets tests replay stale records and watch verification fail.  It
-learns each stealth version as the host does: by decoding the packed entry
-and dynamic lines the device sends.
+holds only the blocks written through ``functional_write``, so a plain
+trace run costs it nothing.  It learns each stealth version as the host
+does: by decoding the packed entry and dynamic lines the device sends.
 """
 
 from __future__ import annotations
@@ -165,13 +161,21 @@ class AccessOutcome:
 
     Byte fields mirror exactly what the event added to the engine's channel
     counters, a reset's re-encryption included, so summing outcomes over a
-    run reproduces the totals.  An engine makes one record, and each event
-    rewrites the fields its mode charges, each by the layer that charges it
-    (``ProtectionEngine`` names which); the others stay zero.  The next
-    event overwrites it: a caller that keeps an outcome past the next event
-    must copy it.  A rejected event raises before it touches the record; an
-    event that halts part-way leaves on it exactly the charges the totals
-    also got.
+    run reproduces the totals.  An engine makes one record, its ``outcome``,
+    so the per-event path allocates none, and ``process_access`` returns it.
+    The next event overwrites it: a caller that keeps an outcome past the
+    next event must copy it.
+
+    Each field is set with ``=`` by the layer that charges it: the skeleton
+    sets ``local_bytes`` and ``pool_bytes``; in a MAC mode the MAC step sets
+    ``mac_bytes``, 0 on a hit; a mode's freshness hook sets
+    ``device_bytes``, ``device_transactions`` and ``events`` if its mode
+    charges them.  A field no layer of the mode writes keeps its zero from
+    construction.  ``_after_write`` adds onto the record what its later
+    charges (a reset's re-encryption) added to the totals.  A page re-key
+    outside an event charges the totals alone.  A rejected event raises
+    before it touches the record; an event that halts part-way leaves on it
+    exactly the charges the totals also got.
     """
 
     local_bytes: int = 0
@@ -296,14 +300,9 @@ class ProtectionEngine:
     and makes no hook call.  ``__init__`` reads both once into instance
     flags, which is all the per-event path tests.
 
-    ``outcome`` is the engine's one ``AccessOutcome``.  Each field is set
-    with ``=`` by the layer that charges it: this skeleton sets
-    ``local_bytes`` and ``pool_bytes``; in a MAC mode the MAC step sets
-    ``mac_bytes``, 0 on a hit; the hook sets ``device_bytes``,
-    ``device_transactions`` and ``events`` if its mode charges them.  A
-    field no layer of the mode writes keeps its zero from construction.
-    ``_after_write`` adds onto it what its later charges (a reset's
-    re-encryption) added to the totals.  ``process_access`` returns the record.
+    ``outcome`` is the engine's one ``AccessOutcome``, which
+    ``process_access`` returns; that class's docstring says which layer
+    writes each field.
     """
 
     mode = "none"
@@ -452,10 +451,9 @@ def _cache_counts(cache: SetAssocCache) -> dict:
 class HostEngine(ProtectionEngine):
     """Device-backed protection engine (mode tag ``toleo``).
 
-    Only ``process_access`` returns an outcome.  A page re-key
-    (``handle_uv_update``, ``os_free_page``) charges the totals alone; a
-    write's reset reaches its outcome through ``_after_write``.  The
-    functional layer returns the sealed record or the plaintext.
+    A page re-key (``handle_uv_update``, ``os_free_page``) returns nothing
+    (see ``AccessOutcome``); the functional layer returns the sealed record
+    or the plaintext.
     """
 
     mode = "toleo"

@@ -155,7 +155,14 @@ class VersionStore:
     and a page outside the protected range is refused before any draw.
     This keeps tera-scale protected ranges cheap while preserving the
     distribution; the draw order is part of the deterministic contract
-    shared with the tests' reference model.
+    shared with the tests' reference model.  A geometry or parameters whose
+    lines would not fit their slots are refused when the store is built.
+
+    The store counts its upgrades, normalizations and resets, and keeps its
+    page-format census (``pages_flat``, ``pages_uneven``, ``pages_full``)
+    and device occupancy (``static_bytes``, ``dynamic_bytes``,
+    ``peak_dynamic_bytes``) as attributes, which the engine's ``stats()``
+    reads.
     """
 
     def __init__(

@@ -38,6 +38,8 @@ STORE = "src/freshsim/version_store.py"
 TRACES = "src/freshsim/traces.py"
 CLI = "src/freshsim/cli.py"
 ANALYSIS = "src/freshsim/analysis.py"
+CORE = "src/freshsim/core.py"
+README = "README.md"
 
 _CHARGING = "tests/test_engine.py::TestChargingModel::test_"
 _INCLUSIVE = ("tests/test_engine.py::TestInclusivity::"
@@ -68,6 +70,7 @@ _TEXT_LOAD = ("tests/test_traces.py::TestStreamingLoad::"
               "test_streamed_text_load_equals_the_whole_parse")
 _MC_RULES = "tests/test_cli.py::test_monte_carlo_section_runs_only_when_the_rules_accept_it"
 _MC_ROW = "tests/test_cli.py::TestAnalyzeSecurity::test_"
+_INTEGER = "tests/test_core.py::test_"
 
 
 class Mutation(NamedTuple):
@@ -363,6 +366,25 @@ MUTATIONS = [
              "        if self.updates_per_address - 1 > RUN_MODEL_DRAWS:",
              "        elif self.updates_per_address - 1 > RUN_MODEL_DRAWS:",
              (_MC_RULES,)),
+    Mutation("monte_carlo_default_changed_in_the_signature_only", ANALYSIS,
+             "    trials: int = ExhaustionRun.trials,\n",
+             "    trials: int = 100_001,\n",
+             ("tests/test_analysis.py::TestMonteCarlo::"
+              "test_signature_defaults_are_the_run_classes[exhaustion]",)),
+    # -- the fields' rules --------------------------------------------------------------
+    Mutation("integer_fields_take_any_number", CORE,
+             "        if f.type in _INTEGER and (type(value) is bool or "
+             "not hasattr(value, \"__index__\")):\n"
+             "            raise ConfigError(f\"{f.name} must be an integer, got {value!r}\")\n",
+             "",
+             (*(f"{_INTEGER}library_call_with_a_float_count_names_the_key[{call}]"
+                for call in ("mc_replay", "mc_exhaustion", "PatternSpec", "EngineConfig")),
+              _INTEGER + "integer_field_refuses_a_non_integer_by_key[Geometry.page_bytes]",
+              _INTEGER + "integer_field_refuses_a_non_integer_by_key[ReplayRun.trials]")),
+    # -- the user guide -----------------------------------------------------------------
+    Mutation("readme_names_a_misspelt_key", README,
+             "`flat_cache_entries`", "`flat_cache_entires`",
+             ("tests/test_pinned_outputs.py::test_readme_names_only_what_the_code_has",)),
 ]
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -1,4 +1,8 @@
+import ast
+import dataclasses
+import inspect
 import math
+import textwrap
 
 import pytest
 
@@ -6,6 +10,7 @@ from freshsim.analysis import (
     ExhaustionQuery,
     ExhaustionRun,
     McEstimate,
+    ReplayRun,
     _run_prob,
     analytic_exhaustion_prob,
     exhaustion_bound,
@@ -245,6 +250,22 @@ class TestMonteCarlo:
         monkeypatch.setattr(mod.np.random, "default_rng", no_draws)
         with pytest.raises(ConfigError, match=rf"^{key} must lie in \[0, inf\), got -"):
             run(**kw)
+
+    @pytest.mark.parametrize("run, klass", [(mc_exhaustion, ExhaustionRun),
+                                            (mc_replay, ReplayRun)],
+                             ids=["exhaustion", "replay"])
+    def test_signature_defaults_are_the_run_classes(self, run, klass):
+        fields = dataclasses.fields(klass)
+        params = inspect.signature(run).parameters
+        assert list(params) == [f.name for f in fields]
+        assert [p.default for p in params.values()] == [
+            inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+            for f in fields]
+        # each default reads the class attribute, so it is stated once
+        node = ast.parse(textwrap.dedent(inspect.getsource(run))).body[0]
+        assert [ast.unparse(d) for d in node.args.defaults] == [
+            f"{klass.__name__}.{f.name}" for f in fields
+            if f.default is not dataclasses.MISSING]
 
     def test_estimate_record_shape(self):
         est = mc_replay(4, trials=1000, seed=1)

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from freshsim.baselines import CiEngine, NoneEngine
+from freshsim.baselines import CiEngine, MerkleEngine, NoneEngine
 from freshsim.core import Geometry, SecurityParams
 from freshsim.engine import EngineConfig, HostEngine
 
@@ -97,6 +97,20 @@ def test_toleo_read_miss_on_a_touched_page_is_five_calls():
         "ProtectionEngine.process_access", "HostEngine._freshness", "FlatCache.access",
         "VersionStore.line_count", "SetAssocCache.access"]
     assert e.flat_cache.misses == misses + 1 and e.device_reads == 1
+
+
+def test_merkle_event_is_five_calls():
+    # the tree walks in one call, whatever it fetches, and the MAC step follows
+    e = MerkleEngine(EngineConfig(protected_bytes=4 * PAGE, local_bytes=2 * PAGE))
+    steps = [("R", 0), ("W", BLOCK), ("R", 0), ("W", 3 * PAGE)]  # cold, write, warm, pool
+    fetches = []
+    for op, addr in steps:
+        before = e.tree.fetches
+        assert called(e.process_access, op, addr) == [
+            "ProtectionEngine.process_access", "MerkleEngine._freshness",
+            "CounterTreeState.access", "CounterCache.walk", "SetAssocCache.access"]
+        fetches.append(e.tree.fetches - before)
+    assert fetches[0] > 0 and fetches[2] == 0 and e.pool_bytes == BLOCK
 
 
 def test_every_toleo_event_enters_the_flat_cache_once():

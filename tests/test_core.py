@@ -6,7 +6,9 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from freshsim.analysis import ExhaustionQuery
+import numpy as np
+
+from freshsim.analysis import ExhaustionQuery, ExhaustionRun, ReplayRun, mc_exhaustion, mc_replay
 from freshsim.baselines import CounterTreeConfig
 from freshsim.core import (
     ConfigError,
@@ -125,7 +127,7 @@ def test_bounded_field_refuses_by_key_and_takes_its_bounds(klass, required, f):
     if unit:
         refused.append(low + 1)
     if is_float:
-        refused += [math.nan, math.inf, -math.inf]
+        refused += [math.nan, math.inf, -math.inf, None, "5"]
     assert refused
     for value in refused:
         with pytest.raises(ConfigError,
@@ -161,6 +163,46 @@ def test_integer_past_float_range_keeps_its_outcome(klass, required, f):
     object.__setattr__(obj, f.name, big)
     with pytest.raises(ConfigError, match=refusal):
         check_fields(obj)
+
+
+# every field annotated an integer, of every class check_fields checks
+INTEGER = [(klass, required, f) for klass, required in BOUNDED_CLASSES + [
+               (ExhaustionRun, {"stealth_bits": 3, "reset_exp": 2}),
+               (ReplayRun, {"stealth_bits": 3})]
+           for f in dataclasses.fields(klass) if f.type in ("int", "int | None")]
+
+
+@pytest.mark.parametrize("klass, required, f", INTEGER,
+                         ids=[f"{klass.__name__}.{f.name}" for klass, _, f in INTEGER])
+def test_integer_field_refuses_a_non_integer_by_key(klass, required, f):
+    refused = [2.5, 8.0, True, "8", np.float64(8)]
+    if f.default is not None:  # None passes only as the default
+        refused.append(None)
+    for value in refused:
+        with pytest.raises(ConfigError,
+                           match=rf"^{f.name} must be an integer, got {re.escape(repr(value))}$"):
+            klass(**{**required, f.name: value})
+    # a numpy integer is an integer
+    value = required.get(f.name, f.default)
+    value = np.int64(1 if value is None else value)
+    assert getattr(build_with(klass, required, f.name, value), f.name) == value
+
+
+@pytest.mark.parametrize("call, key", [
+    (lambda: mc_replay(8.5, trials=10), "stealth_bits"),
+    (lambda: mc_exhaustion(3, 2, trials=2.5), "trials"),
+    (lambda: PatternSpec(kind="zipfian", footprint_bytes=4096, op_count=10.0), "op_count"),
+    (lambda: EngineConfig(flat_cache_entries=2.5), "flat_cache_entries"),
+], ids=["mc_replay", "mc_exhaustion", "PatternSpec", "EngineConfig"])
+def test_library_call_with_a_float_count_names_the_key(monkeypatch, call, key):
+    import freshsim.analysis as mod
+
+    def no_draws(seed):
+        raise AssertionError("drew before checking its inputs")
+
+    monkeypatch.setattr(mod.np.random, "default_rng", no_draws)
+    with pytest.raises(ConfigError, match=rf"^{key} must be an integer, got "):
+        call()
 
 
 class TestStealthArithmetic:

@@ -18,10 +18,14 @@ levels deep, its flat array holds 7.5e9 pages, and the trace drives some of
 the highest pages uneven and full.  The ``gen-trace`` pins cover every
 pattern kind at write fractions 0, 0.3 and 1 in both file forms; the
 ``analyze-security`` pins cover both Monte Carlo sections, with and without
-``--seed``.
+``--seed``.  The last two tests hold README to the code: its library example
+prints what its comment says, and its user guide names only what exists.
 """
 
+import argparse
+import dataclasses
 import hashlib
+import importlib
 import json
 import re
 import runpy
@@ -29,7 +33,10 @@ from pathlib import Path
 
 import pytest
 
+import freshsim
 import guards
+from freshsim import cli
+from freshsim.analysis import ExhaustionRun, McEstimate, ReplayRun
 from freshsim.cli import MODES, main
 from freshsim.traces import PATTERN_KINDS
 
@@ -240,3 +247,88 @@ def test_readme_library_example_prints_its_comment(capsys):
     block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
     exec(compile(block, "README.md", "exec"), {"__name__": "__main__"})
     assert capsys.readouterr().out == block.rstrip("\n").rsplit("  # ", 1)[1] + "\n"
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+# README's sections for users, which name only what the code has
+GUIDE_SECTIONS = ("Modules", "CLI", "Library use")
+# a name in backticks: an identifier, or a dotted path of them
+NAME = re.compile(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)*")
+FLAG = re.compile(r"(?<![\w-])--[a-z][a-z-]*")
+
+
+def readme_guide() -> str:
+    sections = {}
+    for section in README.read_text(encoding="utf-8").split("\n## ")[1:]:
+        title, _, body = section.partition("\n")
+        sections[title] = body
+    return "\n".join(sections[title] for title in GUIDE_SECTIONS)
+
+
+def resolves(name: str, documents) -> bool:
+    """Whether ``name`` is a key path through one of ``documents``, or an
+    attribute path from the package, one of its names or a module."""
+    parts = name.split(".")
+    for node in documents:
+        for part in parts:
+            if not isinstance(node, dict) or part not in node:
+                break
+            node = node[part]
+        else:
+            return True
+    try:
+        obj = freshsim if parts[0] == "freshsim" else (
+            getattr(freshsim, parts[0], None) or importlib.import_module(parts[0]))
+        for part in parts[1:]:
+            obj = getattr(obj, part)
+    except (ImportError, AttributeError):
+        return False
+    return True
+
+
+def test_readme_names_only_what_the_code_has(tmp_path, monkeypatch):
+    # every flag and backticked name of the user guide is a config key at
+    # any depth, a subcommand or flag, a stats() key or compare column, a
+    # mode or pattern kind, or a name of the package; every JSON document
+    # passes its subcommand's checks, with no trace made and no Monte Carlo
+    # loop run
+    guide = readme_guide()
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    flags = {flag for sub in commands.values() for flag in sub._option_string_actions}
+    stats = [cli.build_engine(dict(cli.default_config(), mode=mode)).stats() for mode in MODES]
+    documents = [cli._RUN, cli._ANALYSIS, *stats]
+    known = {*commands, *cli.CSV_COLUMNS, *MODES, *PATTERN_KINDS}
+    nested = list(documents)
+    while nested:
+        doc = nested.pop()
+        known.update(doc)
+        nested += [value for value in doc.values() if isinstance(value, dict)]
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"```.*?```", "", guide, flags=re.S))
+    names = {span for span in spans if NAME.fullmatch(span)}
+    assert len(names) > 80
+    assert sorted(n for n in names if n not in known and not resolves(n, documents)) == []
+    assert sorted(set(FLAG.findall(guide)) - flags) == []
+
+    monkeypatch.setattr(cli, "generate", lambda spec: [])
+
+    def estimate(klass):
+        def run(**given):
+            ran = dataclasses.asdict(klass(**given))
+            return McEstimate(0.0, 0.0, ran["trials"], ran)
+        return run
+
+    monkeypatch.setattr(cli, "mc_exhaustion", estimate(ExhaustionRun))
+    monkeypatch.setattr(cli, "mc_replay", estimate(ReplayRun))
+    command, checked = None, []
+    for heading, block in re.findall(r"^### (\S+)$|^```json\n(.*?)^```", guide, re.M | re.S):
+        if heading:
+            command = heading
+            continue
+        assert command in commands
+        config = tmp_path / f"{len(checked)}.json"
+        config.write_text(block)
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        checked.append(command)
+    assert checked == ["simulate", "analyze-security"]
