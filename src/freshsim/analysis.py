@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .core import MAX_ARRAY_ITEMS, ConfigError, bounded, check_fields
+from .core import MAX_ARRAY_ITEMS, ConfigError, SecurityParams, bounded, check_fields
 
 RUN_MODEL_DRAWS = 10**7  # the most draws the exact run model takes
 
@@ -55,10 +55,23 @@ class ExhaustionQuery:
             )
 
 
+@dataclass(frozen=True)
+class _Counts:
+    """The closed forms' arguments, each refused by its name outside its range."""
+
+    stealth_bits: int = bounded(1, low=1)
+    reset_exp: int = bounded(0)
+    updates_per_address: int = bounded(0)
+    addresses: int = bounded(1, low=1)
+    n: int = bounded(0)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+
+
 def log_no_reset_prob(n: int, reset_exp: int) -> float:
     """ln of the probability that n updates all miss the 2^-reset_exp check."""
-    if n < 0:
-        raise ConfigError("update count must be non-negative")
+    _Counts(reset_exp=reset_exp, n=n)
     if n == 0:
         return 0.0
     if reset_exp == 0:
@@ -92,11 +105,20 @@ def exhaustion_bound(query: ExhaustionQuery | None = None) -> float:
     return -math.expm1(query.interval_count * math.log1p(-p0))
 
 
+@dataclass(frozen=True)
+class ReplayQuery:
+    """The stealth width a replay is guessed against."""
+
+    stealth_bits: int = bounded(SecurityParams.stealth_bits, low=1)
+
+    def __post_init__(self) -> None:
+        check_fields(self)
+
+
 def replay_success_prob(stealth_bits: int) -> float:
     """Chance a captured stealth value equals an independent current one."""
-    if stealth_bits < 1:
-        raise ConfigError("stealth_bits must be positive")
-    return math.ldexp(1.0, -stealth_bits)  # 0.0, not OverflowError, past float range
+    ReplayQuery(stealth_bits)
+    return math.ldexp(1.0, -stealth_bits)  # 0.0 past 1074
 
 
 # -- exact run-length model ----------------------------------------------------------
@@ -158,12 +180,7 @@ def analytic_exhaustion_prob(
 ) -> float:
     """Exhaustion probability of the run model above: exact for what
     ``mc_exhaustion`` simulates, an upper bound for ``VersionStore``."""
-    if stealth_bits < 1:
-        raise ConfigError("stealth_bits must be positive")
-    if addresses < 1:
-        raise ConfigError("addresses must be positive")
-    if updates_per_address < 0:
-        raise ConfigError("updates_per_address must be non-negative")
+    _Counts(stealth_bits, reset_exp, updates_per_address, addresses)
     space = 1 << stealth_bits
     p = 2.0 ** -reset_exp
     per_addr = _run_prob(max(updates_per_address - 1, 0), space - 1, p)

@@ -61,7 +61,7 @@ class CounterTreeConfig:
         check_shape(self.counter_cache_bytes, self.node_bytes, self.counter_cache_shape[1],
                     "tree counter_cache_bytes and counter_cache_assoc")
         if self.root_bytes < self.node_bytes // self.arity:
-            raise ConfigError("root region cannot hold even one child counter")
+            raise ConfigError(f"tree root_bytes {self.root_bytes} cannot hold one child counter")
 
     @property
     def counter_cache_shape(self) -> tuple[int, int]:

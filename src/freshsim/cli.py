@@ -2,15 +2,16 @@
 synthetic traces, evaluate the security bounds, and compare protection
 modes into a CSV.
 
-Each input section is checked once, by ``_check``, against the fields of the
-dataclass it builds: a run config against ``Geometry``, ``SecurityParams``
-and ``EngineConfig`` (plus ``mode``, ``trace`` and ``tree``), ``tree``
-against ``CounterTreeConfig``, a pattern against ``PatternSpec``, the
-exhaustion query against ``ExhaustionQuery`` and the Monte Carlo sections
-against ``ExhaustionRun`` and ``ReplayRun``.  An unknown key, a value of
-the wrong JSON type and a missing required key are rejected by name.  A
-value's range is checked once, by the dataclass it reaches
-(``core.check_fields``), which names the key too.
+Each input section's keys are the fields of the dataclass it builds (a run
+config's are those of ``Geometry``, ``SecurityParams`` and ``EngineConfig``,
+plus ``mode``, ``trace`` and ``tree``).  ``_check`` refuses a section that is
+no object, an unknown key and a missing required key; each value is checked
+once, by building its dataclass (``core.check_fields``).  Both name the key.
+``resolve_config`` builds a run config's engine and inline pattern before
+any trace is read, and ``compare`` resolves every config before it replays
+any.  The CLI checks only what no dataclass reads: ``mode`` is one of
+``MODES``, ``trace.file`` a string, a seed that ``--seed`` replaces an
+integer, and no Monte Carlo key is null.
 
 Exit status is 0 on success and 2 on any configuration error, trace
 problem, capacity rejection, or kill-switch, with a diagnostic on stderr.
@@ -28,6 +29,7 @@ import sys
 from .analysis import (
     ExhaustionQuery,
     ExhaustionRun,
+    ReplayQuery,
     ReplayRun,
     RunModelCapError,
     analytic_exhaustion_prob,
@@ -43,21 +45,10 @@ from .traces import PatternSpec, generate, load_trace, save_trace, text_chunks
 
 MODES = ("none", "ci", "toleo", "merkle")
 
-# JSON value types a field accepts, by its annotation: (types, description).
-# A bool is not an integer here, although Python treats it as one.
-_ACCEPTS = {
-    "int": ((int,), "an integer"),
-    "int | None": ((int, type(None)), "an integer or null"),
-    "float": ((int, float), "a number"),
-    "str": ((str,), "a string"),
-}
-
 
 def _schema(klass, *skip: str) -> dict:
-    """A section's schema: what each field of ``klass`` but ``skip`` accepts."""
-    return {
-        f.name: _ACCEPTS[f.type] for f in dataclasses.fields(klass) if f.name not in skip
-    }
+    """A section's schema: the fields of ``klass`` but ``skip``."""
+    return dict.fromkeys(f.name for f in dataclasses.fields(klass) if f.name not in skip)
 
 
 def _required(klass) -> tuple:
@@ -65,21 +56,18 @@ def _required(klass) -> tuple:
     return tuple(f.name for f in dataclasses.fields(klass) if f.default is dataclasses.MISSING)
 
 
-# A schema maps each key to what it accepts, or a nested section to its own
-# schema, which is checked on its own.
+# A schema maps each key to None, or a nested section to its own schema,
+# which is checked on its own.
 _GEOMETRY = _schema(Geometry)
 _SECURITY = _schema(SecurityParams)
 _ENGINE = _schema(EngineConfig, "geometry", "params")
 _TREE = _schema(CounterTreeConfig)
 _PATTERN = _schema(PatternSpec)
-_TRACE = {"file": _ACCEPTS["str"], "pattern": _PATTERN}
-_RUN = {
-    **_GEOMETRY, **_SECURITY, **_ENGINE,
-    "mode": _ACCEPTS["str"], "trace": _TRACE, "tree": _TREE,
-}
+_TRACE = {"file": None, "pattern": _PATTERN}
+_RUN = {**_GEOMETRY, **_SECURITY, **_ENGINE, "mode": None, "trace": _TRACE, "tree": _TREE}
 _ANALYSIS = {
     "exhaustion": _schema(ExhaustionQuery),
-    "replay": {"stealth_bits": _ACCEPTS["int"]},
+    "replay": _schema(ReplayQuery),
     "monte_carlo": {"exhaustion": _schema(ExhaustionRun), "replay": _schema(ReplayRun)},
 }
 # a document holding any of these is a bare pattern, not a run config
@@ -87,17 +75,13 @@ _PATTERN_ONLY = _PATTERN.keys() - _RUN.keys()
 
 
 def _check(doc, schema: dict, what: str, required=()) -> None:
-    """Reject a non-object ``doc``, a key ``schema`` lacks, a value of the
-    wrong JSON type and a missing ``required`` key, naming the key."""
+    """Reject a non-object ``doc``, a key ``schema`` lacks and a missing
+    ``required`` key, naming the key."""
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} must be a JSON object")
-    unknown = sorted(set(doc) - set(schema))
+    unknown = sorted(doc.keys() - schema.keys())
     if unknown:
         raise ConfigError(f"unknown {what} key(s): {', '.join(unknown)}")
-    for key, value in doc.items():
-        accepts = schema[key]
-        if type(accepts) is tuple and type(value) not in accepts[0]:
-            raise ConfigError(f"{what} key {key!r} must be {accepts[1]}, got {value!r}")
     missing = [key for key in required if key not in doc]
     if missing:
         raise ConfigError(f"{what} needs key(s): {', '.join(missing)}")
@@ -106,6 +90,14 @@ def _check(doc, schema: dict, what: str, required=()) -> None:
 def _section(doc):
     """A document or section as read: null means absent, so empty."""
     return {} if doc is None else doc
+
+
+def _seeded(doc: dict, seed: int | None) -> dict:
+    """``doc`` with ``seed`` (``--seed``), when given, over its own seed,
+    which no dataclass then reads: so it must be an integer all the same."""
+    if seed is not None and type(doc.get("seed", 0)) is not int:
+        raise ConfigError(f"seed must be an integer, got {doc['seed']!r}")
+    return doc if seed is None else {**doc, "seed": seed}
 
 
 def default_config() -> dict:
@@ -118,20 +110,27 @@ def default_config() -> dict:
     return cfg
 
 
-def resolve_config(doc: dict | None) -> dict:
-    """The defaults overlaid with ``doc``, every section of it checked."""
+def resolve_config(doc: dict | None, mode: str | None = None, seed: int | None = None) -> dict:
+    """The defaults overlaid with ``doc``, then with ``mode`` and ``seed``
+    (``--mode``, ``--seed``) where given, checked by building its engine and
+    its inline pattern."""
     doc = _section(doc)
     _check(doc, _RUN, "config")
     cfg = {**default_config(), **doc}
     if cfg["mode"] not in MODES:
         raise ConfigError(f"mode must be one of {', '.join(MODES)}; got {cfg['mode']!r}")
+    cfg = _seeded({**cfg, "mode": mode or cfg["mode"]}, seed)
     if cfg["tree"] is not None:
         _check(cfg["tree"], _TREE, "tree")
     trace = cfg["trace"]
     if trace is not None:
         _check(trace, _TRACE, "trace")
+        if type(trace.get("file", "")) is not str:
+            raise ConfigError(f"trace key 'file' must be a string, got {trace['file']!r}")
         if "pattern" in trace:
             _check(trace["pattern"], _PATTERN, "pattern", _required(PatternSpec))
+            PatternSpec(**trace["pattern"])
+    build_engine(cfg)
     return cfg
 
 
@@ -140,14 +139,9 @@ def build_engine(cfg: dict):
     params = SecurityParams(**{k: cfg[k] for k in _SECURITY})
     ecfg = EngineConfig(geometry=geometry, params=params, **{k: cfg[k] for k in _ENGINE})
     tree = CounterTreeConfig(**_section(cfg.get("tree")))  # range-checked in every mode
-    mode = cfg["mode"]
-    if mode == "toleo":
-        return HostEngine(ecfg)
-    if mode == "none":
-        return NoneEngine(ecfg)
-    if mode == "ci":
-        return CiEngine(ecfg)
-    return MerkleEngine(ecfg, tree)
+    if cfg["mode"] == "merkle":
+        return MerkleEngine(ecfg, tree)
+    return {"toleo": HostEngine, "none": NoneEngine, "ci": CiEngine}[cfg["mode"]](ecfg)
 
 
 def resolve_trace(cfg: dict, trace_flag: str | None):
@@ -184,16 +178,6 @@ def _emit_json(doc: dict, out_path: str | None) -> None:
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", out_path)
 
 
-def _load_run_config(args, path: str | None) -> dict:
-    """The run config at ``path`` (or the defaults), ``--mode`` and ``--seed`` applied."""
-    cfg = resolve_config(_read_json(path) if path else None)
-    if getattr(args, "mode", None):
-        cfg["mode"] = args.mode
-    if args.seed is not None:
-        cfg["seed"] = args.seed
-    return cfg
-
-
 def _run(engine, events) -> int:
     try:
         engine.run(events)
@@ -204,7 +188,7 @@ def _run(engine, events) -> int:
 
 
 def cmd_simulate(args) -> int:
-    cfg = _load_run_config(args, args.config)
+    cfg = resolve_config(_read_json(args.config) if args.config else None, args.mode, args.seed)
     events = resolve_trace(cfg, args.trace)
     engine = build_engine(cfg)
     code = _run(engine, events)
@@ -218,13 +202,16 @@ def cmd_gen_trace(args) -> int:
     doc = _read_json(args.config)
     if isinstance(doc, dict) and not _PATTERN_ONLY.isdisjoint(doc):
         _check(doc, _PATTERN, "pattern", _required(PatternSpec))
+        doc = _seeded(doc, args.seed)
     else:
-        # full run config: pull the inline pattern out of it
+        # full run config: pull the inline pattern out of it, --seed applied
+        # before resolve_config checks it
+        trace = doc.get("trace") if isinstance(doc, dict) else None
+        if isinstance(trace, dict) and isinstance(trace.get("pattern"), dict):
+            doc = {**doc, "trace": {**trace, "pattern": _seeded(trace["pattern"], args.seed)}}
         doc = (resolve_config(doc)["trace"] or {}).get("pattern")
         if doc is None:
             raise ConfigError("config has no trace.pattern to generate from")
-    if args.seed is not None:
-        doc = dict(doc, seed=args.seed)
     events = generate(PatternSpec(**doc))
     if args.out:
         save_trace(events, args.out)
@@ -235,9 +222,13 @@ def cmd_gen_trace(args) -> int:
 
 def _mc_params(doc, klass, what: str, seed: int | None) -> dict:
     """A Monte Carlo section's parameters, the fields of ``klass`` it runs
-    with, and ``seed`` (``--seed``), when given, over the section's own."""
+    with, and ``seed`` (``--seed``), when given, over the section's own.  No
+    key takes null: one left out takes its default."""
     _check(doc, _schema(klass), what, _required(klass))
-    return dict(doc) if seed is None else dict(doc, seed=seed)
+    null = next((key for key, value in doc.items() if value is None), None)
+    if null:
+        raise ConfigError(f"{null} must be an integer, got None")
+    return _seeded(doc, seed)
 
 
 def _mc_report(est, analytic: float, given: dict) -> dict:
@@ -263,7 +254,7 @@ def cmd_analyze_security(args) -> int:
     query = ExhaustionQuery(**ex_doc)
     replay_doc = _section(doc.get("replay"))
     _check(replay_doc, _ANALYSIS["replay"], "replay")
-    stealth_bits = replay_doc.get("stealth_bits", SecurityParams().stealth_bits)
+    stealth_bits = ReplayQuery(**replay_doc).stealth_bits
 
     report = {
         "exhaustion": {
@@ -335,10 +326,10 @@ def _csv_value(stats: dict, path: str):
 def cmd_compare(args) -> int:
     if len(args.configs) < 2:
         raise ConfigError("compare needs at least two configs")
+    configs = [resolve_config(_read_json(path), seed=args.seed) for path in args.configs]
     reference_events = None
     rows = []
-    for path in args.configs:
-        cfg = _load_run_config(args, path)
+    for path, cfg in zip(args.configs, configs):
         events = resolve_trace(cfg, args.trace)
         if reference_events is None:
             reference_events = events

@@ -45,9 +45,9 @@ _INTEGER = ("int", "int | None")
 
 
 def bounded(default=MISSING, low=0, high=inf, unit=None):
-    """A dataclass field whose value ``check_fields`` requires to convert to
-    a finite float, to lie in [low, high] and, given a ``unit``, to be a
-    whole multiple of it.  With no ``default`` the field is required."""
+    """A dataclass field whose value ``check_fields`` requires to be no bool,
+    to convert to a finite float, to lie in [low, high] and, given a ``unit``,
+    to be a whole multiple of it.  With no ``default`` the field is required."""
     return field(default=default, metadata={"low": low, "high": high, "unit": unit})
 
 
@@ -55,8 +55,8 @@ def check_fields(obj) -> None:
     """Refuse, naming its key, the first field of ``obj`` whose value breaks
     its rule: a field annotated ``int`` or ``int | None`` takes an integer
     (a value with ``__index__``, so numpy's too) and never a bool, and a
-    ``bounded`` field its range.  None passes only where it is the default
-    (an optional field left unset)."""
+    ``bounded`` field its range, which holds no bool.  None passes only
+    where it is the default (an optional field left unset)."""
     for f in fields(obj):
         value = getattr(obj, f.name)
         if value is None and f.default is None:
@@ -67,7 +67,7 @@ def check_fields(obj) -> None:
             continue
         low, high, unit = f.metadata["low"], f.metadata["high"], f.metadata["unit"]
         try:
-            finite = isfinite(value)
+            finite = type(value) is not bool and isfinite(value)
         except (OverflowError, TypeError):  # an int past float range, or no number
             finite = False
         if finite and low <= value <= high and (unit is None or value % unit == 0):

@@ -106,11 +106,40 @@ CASES = [
     case(_CONFIG + "missing_trace_rejected", "simulate", run_doc(trace=None), "trace"),
     *(case(f"{_CONFIG}wrong_value_type_names_the_key[{key}-{value}]", "simulate",
            run_doc(**{key: value}),
-           rf"\Aerror: config key '{key}' must be {kind}, got {re.escape(repr(value))}\n\Z")
-      for key, value, kind in [
-          ("flat_cache_entries", "256", "an integer"), ("page_bytes", 4096.0, "an integer"),
-          ("cxl_ns", "95", "a number"), ("seed", True, "an integer"),
-          ("device_capacity_bytes", "1 MiB", "an integer or null")]),
+           rf"\Aerror: {key} must {rule}, got {re.escape(repr(value))}\n\Z")
+      for key, value, rule in [
+          ("flat_cache_entries", "256", "be an integer"), ("page_bytes", 4096.0, "be an integer"),
+          ("cxl_ns", "95", f"lie in {LATENCY_RANGE}"), ("seed", True, "be an integer"),
+          ("device_capacity_bytes", "1 MiB", "be an integer")]),
+    # a bool is no number, though Python counts it as one
+    *(case(f"{_CONFIG}bool_where_a_number_goes_names_the_key[{key}]", "simulate",
+           run_doc(**{key: value}), rf"\Aerror: {key} must lie in {span}, got {value}\n\Z")
+      for key, value, span in [("cxl_ns", True, LATENCY_RANGE),
+                               ("clock_ghz", False, r"\[1e-12, 1000000000000\]")]),
+    # a seed that --seed replaces is no dataclass's input, and is held to an
+    # integer all the same
+    *(case(f"{test}seed_the_flag_replaces_is_still_an_integer[{param}]", command, doc,
+           rf"\Aerror: seed must be an integer, got {re.escape(repr(value))}\n\Z", "--seed", "5")
+      for test, param, command, doc, value in [
+          (_CONFIG, "simulate", "simulate", run_doc(seed="7"), "7"),
+          (_GEN, "bare_pattern", "gen-trace", pattern_doc(seed=None), None),
+          (_GEN, "run_config", "gen-trace", run_doc(trace={"pattern": pattern_doc(seed=4.0)}),
+           4.0),
+          (_ANALYZE, "mc_exhaustion", "analyze-security",
+           {"monte_carlo": {"exhaustion": {"stealth_bits": 3, "reset_exp": 2, "seed": True}}},
+           True),
+          (_ANALYZE, "mc_replay", "analyze-security",
+           {"monte_carlo": {"replay": {"stealth_bits": 8, "seed": "5"}}}, "5")]),
+    # the config is built before its trace is read, so a missing file
+    # cannot hide its error
+    case(_CONFIG + "config_error_reported_before_the_trace_is_read", "simulate",
+         run_doc(cxl_ns=-1, trace={"file": "missing.bin"}),
+         rf"\Aerror: cxl_ns must lie in {LATENCY_RANGE}, got -1\n\Z"),
+    # the inline pattern is checked even where --trace replaces it
+    case(_CONFIG + "pattern_checked_where_the_trace_flag_replaces_it", "simulate",
+         run_doc(trace={"pattern": pattern_doc(seed="4")}),
+         r"\Aerror: seed must be an integer, got '4'\n\Z", "--trace", "t.bin",
+         files={"t.bin": TRACE}),
     case(_CONFIG + "wrong_tree_value_type_names_the_key", "simulate",
          run_doc(mode="merkle", tree={"arity": "8"}), "arity"),
     case(_CONFIG + "wrong_pattern_value_type_names_the_key", "simulate",
@@ -245,6 +274,11 @@ CASES = [
           ("simulate-op_count_2_40", "simulate",
            run_doc(trace={"pattern": pattern_doc(op_count=2**40)}),
            r"^error: op_count 1099511627776 over .* needs more memory than the host grants$")]),
+    # a run config is checked whole, as simulate checks it
+    *(case(f"{_GEN}run_config_checked_as_simulate_checks_it[{param}]", "gen-trace",
+           run_doc(**keys), stderr) for param, keys, stderr in [
+        ("cxl_ns", {"cxl_ns": -1}, rf"\Aerror: cxl_ns must lie in {LATENCY_RANGE}, got -1\n\Z"),
+        ("tree_arity", {"tree": {"arity": 1}}, r"\Aerror: arity must lie in \[2, inf\), got 1\n\Z")]),
     case(_GEN + "bare_pattern_without_kind_names_it", "gen-trace",
          {"footprint_bytes": 4096, "op_count": 5}, re.escape("pattern needs key(s): kind")),
     *(case(f"{_ANALYZE}bad_analysis_value_names_the_key[{param}]", "analyze-security", doc, key)
@@ -280,6 +314,14 @@ CASES = [
         ("mc_updates", "exhaustion",
          {"stealth_bits": 3, "reset_exp": 2, "updates_per_address": -1},
          "updates_per_address")]),
+    # null is no Monte Carlo value: a key left out takes its default
+    *(case(f"{_ANALYZE}monte_carlo_null_names_the_key[{section}-{key}]", "analyze-security",
+           {"monte_carlo": {section: dict(doc, **{key: None})}},
+           rf"\Aerror: {key} must be an integer, got None\n\Z")
+      for section, doc, key in [
+          ("exhaustion", {"stealth_bits": 3, "reset_exp": 2}, "updates_per_address"),
+          ("exhaustion", {"stealth_bits": 3, "reset_exp": 2}, "trials"),
+          ("replay", {"stealth_bits": 8}, "seed")]),
     *(case(f"{_ANALYZE}size_the_host_cannot_hold_names_the_key[{param}]", "analyze-security",
            {"monte_carlo": {section: doc}}, stderr) for param, section, doc, stderr in [
         ("exhaustion_trials_2_63", "exhaustion",

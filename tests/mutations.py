@@ -71,6 +71,9 @@ _TEXT_LOAD = ("tests/test_traces.py::TestStreamingLoad::"
 _MC_RULES = "tests/test_cli.py::test_monte_carlo_section_runs_only_when_the_rules_accept_it"
 _MC_ROW = "tests/test_cli.py::TestAnalyzeSecurity::test_"
 _INTEGER = "tests/test_core.py::test_"
+_CONFIG = "tests/test_cli.py::TestConfigHandling::test_"
+_ODD_VALUE = "tests/test_cli.py::test_a_document_with_one_odd_value_exits_0_or_2_naming_it"
+_CHECKED_FIRST = "tests/test_cli.py::TestCompare::test_every_config_checked_before_any_replay"
 
 
 class Mutation(NamedTuple):
@@ -331,13 +334,52 @@ MUTATIONS = [
     # -- the command line ---------------------------------------------------------------
     Mutation("tree_range_checked_only_under_merkle", CLI,
              '    tree = CounterTreeConfig(**_section(cfg.get("tree")))'
-             '  # range-checked in every mode\n    mode = cfg["mode"]\n',
-             '    mode = cfg["mode"]\n'
-             '    if mode == "merkle":\n'
-             '        tree = CounterTreeConfig(**_section(cfg.get("tree")))\n',
+             '  # range-checked in every mode\n'
+             '    if cfg["mode"] == "merkle":\n        return MerkleEngine(ecfg, tree)\n',
+             '    if cfg["mode"] == "merkle":\n'
+             '        return MerkleEngine(ecfg, CounterTreeConfig(**_section(cfg.get("tree"))))\n',
              tuple(f"tests/test_cli.py::TestConfigHandling::"
                    f"test_tree_range_checked_in_every_mode[{mode}]"
                    for mode in ("none", "ci", "toleo"))),
+    Mutation("resolve_config_builds_no_engine", CLI,
+             "    build_engine(cfg)\n    return cfg\n", "    return cfg\n",
+             (_CONFIG + "config_error_reported_before_the_trace_is_read", _CHECKED_FIRST,
+              *(f"tests/test_cli.py::TestGenTrace::test_run_config_checked_as_simulate_checks_it"
+                f"[{param}]" for param in ("cxl_ns", "tree_arity")))),
+    Mutation("resolve_config_builds_no_pattern", CLI,
+             '            PatternSpec(**trace["pattern"])\n', "",
+             (_CONFIG + "pattern_checked_where_the_trace_flag_replaces_it",)),
+    Mutation("compare_checks_each_config_as_it_reaches_it", CLI,
+             "    configs = [resolve_config(_read_json(path), seed=args.seed) "
+             "for path in args.configs]\n",
+             "    configs = (resolve_config(_read_json(path), seed=args.seed) "
+             "for path in args.configs)\n",
+             (_CHECKED_FIRST,)),
+    Mutation("trace_file_taken_as_any_value", CLI,
+             '        if type(trace.get("file", "")) is not str:\n'
+             "            raise ConfigError(f\"trace key 'file' must be a string, "
+             "got {trace['file']!r}\")\n", "",
+             (_ODD_VALUE, *(f"{_CONFIG}malformed_trace_names_the_key[trace{i}-file]"
+                            for i in range(4)))),
+    Mutation("seed_flag_replaces_a_seed_of_any_type", CLI,
+             '    if seed is not None and type(doc.get("seed", 0)) is not int:\n',
+             "    if False:\n",
+             (_MC_RULES, *(f"tests/test_cli.py::{test}seed_the_flag_replaces_is_still_an_integer"
+                           f"[{param}]" for test, param in [
+                               ("TestConfigHandling::test_", "simulate"),
+                               ("TestGenTrace::test_", "bare_pattern"),
+                               ("TestGenTrace::test_", "run_config"),
+                               ("TestAnalyzeSecurity::test_", "mc_exhaustion"),
+                               ("TestAnalyzeSecurity::test_", "mc_replay")]))),
+    Mutation("monte_carlo_takes_null_as_the_default", CLI,
+             "    if null:\n", "    if False:\n",
+             (_MC_RULES, _MC_ROW + "monte_carlo_null_names_the_key[exhaustion-updates_per_address]")),
+    Mutation("gen_trace_checks_a_run_configs_pattern_before_the_seed_flag", CLI,
+             '            doc = {**doc, "trace": {**trace, "pattern": _seeded(trace["pattern"], '
+             'args.seed)}}\n',
+             '            doc = {**doc, "trace": {**trace, "pattern": trace["pattern"]}}\n',
+             ("tests/test_cli.py::TestGenTrace::"
+              "test_seed_flag_replaces_an_out_of_range_seed_in_either_form",)),
     Mutation("monte_carlo_required_keys_unchecked", CLI,
              "    _check(doc, _schema(klass), what, _required(klass))\n",
              "    _check(doc, _schema(klass), what)\n",
@@ -381,6 +423,12 @@ MUTATIONS = [
                 for call in ("mc_replay", "mc_exhaustion", "PatternSpec", "EngineConfig")),
               _INTEGER + "integer_field_refuses_a_non_integer_by_key[Geometry.page_bytes]",
               _INTEGER + "integer_field_refuses_a_non_integer_by_key[ReplayRun.trials]")),
+    Mutation("bounded_fields_take_a_bool", CORE,
+             "            finite = type(value) is not bool and isfinite(value)\n",
+             "            finite = isfinite(value)\n",
+             (_ODD_VALUE, _INTEGER + "bounded_field_refuses_by_key_and_takes_its_bounds"
+              "[EngineConfig.cxl_ns]",
+              _CONFIG + "bool_where_a_number_goes_names_the_key[cxl_ns]")),
     # -- the user guide -----------------------------------------------------------------
     Mutation("readme_names_a_misspelt_key", README,
              "`flat_cache_entries`", "`flat_cache_entires`",

@@ -279,9 +279,11 @@ class TestReplayProb:
     def test_values(self):
         assert replay_success_prob(8) == 1 / 256
         assert replay_success_prob(27) == 2.0 ** -27
-        # an exponent past float range underflows to 0, as 2000 does; it
-        # raised OverflowError
-        assert replay_success_prob(10 ** 400) == 0.0 == replay_success_prob(2000)
+        # an exponent past 1074 underflows to 0; one past float range is
+        # refused by name, as every bounded field refuses it
+        assert replay_success_prob(2000) == 0.0
+        with pytest.raises(ConfigError, match=r"^stealth_bits must lie in \[1, inf\), got 10{400}$"):
+            replay_success_prob(10 ** 400)
         with pytest.raises(ConfigError):
             replay_success_prob(0)
 

@@ -1,22 +1,28 @@
 import ast
 import contextlib
+import copy
 import csv
 import glob
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import guards
-from cli_cases import CASES, PAGE, child_env, mismatch, pattern_doc, run_doc, run_in_process
+from cli_cases import CASES, PAGE, Case, child_env, mismatch, pattern_doc, run_doc, run_in_process
+from freshsim import cli
 from freshsim.baselines import CounterTreeConfig
 from freshsim.cli import CSV_COLUMNS, MODES, default_config, main
 from freshsim.core import MAX_ARRAY_ITEMS, Geometry
+from freshsim.engine import ProtectionEngine
 from freshsim.traces import PatternSpec, generate, load_trace, parse_text_trace, save_trace
 
 
@@ -185,6 +191,18 @@ class TestGenTrace:
         assert main(["gen-trace", "--config", cfg, "--seed", "10", "--out", b]) == 0
         assert open(a).read() != open(b).read()
 
+    def test_seed_flag_replaces_an_out_of_range_seed_in_either_form(self, tmp_path):
+        # the seed --seed replaces is never range-checked, in a run config's
+        # pattern as in a bare one, and both forms give the same trace
+        pattern = pattern_doc(seed=-1)
+        bare = write_json(tmp_path, "pat.json", pattern)
+        run = run_config(tmp_path, trace={"pattern": pattern})
+        outs = [str(tmp_path / "bare.trace"), str(tmp_path / "run.trace")]
+        for cfg, out in zip((bare, run), outs):
+            assert main(["gen-trace", "--config", cfg, "--seed", "5", "--out", out]) == 0
+        assert open(outs[0]).read() == open(outs[1]).read()
+        assert load_trace(outs[0]) == generate(PatternSpec(**dict(pattern, seed=5)))
+
     def test_requires_pattern(self, tmp_path, capsys):
         assert main(["gen-trace"]) == 2
         cfg = run_config(tmp_path, trace=None)
@@ -260,7 +278,8 @@ class TestAnalyzeSecurity:
 
 
 # The documented Monte Carlo rules, written out plainly: every key is an
-# integer of less than 2^1024 in its [low, high], a section gives its
+# integer (so never null, and a seed that --seed replaces is one all the
+# same) of less than 2^1024 in its [low, high], a section gives its
 # required keys, and two rules read more than one key.
 _MC_RANGES = {
     "exhaustion": {"stealth_bits": (1, 24), "reset_exp": (0, None), "addresses": (1, None),
@@ -288,14 +307,15 @@ def _mc_section(section: str):
 def _mc_faults(section: str, doc: dict, seed_flag) -> set:
     """The keys the documented rules find at fault in ``monte_carlo.<section>``
     run with ``--seed seed_flag``; an empty set when the section runs."""
-    faults = {key for key, value in doc.items() if type(value) is not int}
-    faults |= {key for key in _MC_REQUIRED[section] if key not in doc}
+    faults = {key for key in _MC_REQUIRED[section] if key not in doc}
     if faults:
         return faults
+    faults = {key for key, value in doc.items() if type(value) is not int}
     values = dict(doc) if seed_flag is None else dict(doc, seed=seed_flag)
     for key, value in values.items():
         low, high = _MC_RANGES[section][key]
-        if not (low <= value < 2**1024 and (high is None or value <= high)):
+        if type(value) is not int or not (
+                low <= value < 2**1024 and (high is None or value <= high)):
             faults.add(key)
     if faults or section == "replay":
         return faults
@@ -320,6 +340,10 @@ class _Drew(Exception):
          seed_flag=None)
 @example(case=("replay", {"stealth_bits": 8, "seed": 10**400}), seed_flag=None)
 @example(case=("replay", {"stealth_bits": 8}), seed_flag=10**400)
+# null is no value, and a seed --seed replaces is an integer all the same
+@example(case=("exhaustion", {"stealth_bits": 3, "reset_exp": 2, "updates_per_address": None}),
+         seed_flag=None)
+@example(case=("replay", {"stealth_bits": 8, "seed": "x"}), seed_flag=5)
 # the two rules that read more than one key
 @example(case=("exhaustion", {"stealth_bits": 3, "reset_exp": 2, "trials": 2**30,
                               "addresses": 2**30}), seed_flag=None)
@@ -349,6 +373,80 @@ def test_monte_carlo_section_runs_only_when_the_rules_accept_it(tmp_path, monkey
         assert main(argv) == 2
     assert any(re.search(rf"\b{key}\b", err.getvalue()) for key in faults), \
         (faults, err.getvalue())
+
+
+# The documents the property below mutates, each with the subcommands that
+# read it: a run config, a bare pattern and an analysis document, all small
+# (32 pages, 2,000 events, ten Monte Carlo trials).
+_DOCS = {
+    "run": (run_doc(), ("simulate", "gen-trace", "compare")),
+    "pattern": (pattern_doc(), ("gen-trace",)),
+    "analysis": ({"exhaustion": {"total_updates": 64, "interval_updates": 8,
+                                 "interval_count": 8, "reset_exp": 2},
+                  "replay": {"stealth_bits": 8},
+                  "monte_carlo": {"exhaustion": {"stealth_bits": 3, "reset_exp": 2, "trials": 10},
+                                  "replay": {"stealth_bits": 8, "trials": 10}}},
+                 ("analyze-security",)),
+}
+# (document, path to a section, the section's schema as cli derives it)
+_SECTIONS = [
+    ("run", (), cli._RUN), ("run", ("tree",), cli._TREE), ("run", ("trace",), cli._TRACE),
+    ("run", ("trace", "pattern"), cli._PATTERN), ("pattern", (), cli._PATTERN),
+    ("analysis", (), cli._ANALYSIS),
+    *(("analysis", (name,), schema) for name, schema in cli._ANALYSIS.items()),
+    *(("analysis", ("monte_carlo", name), schema)
+      for name, schema in cli._ANALYSIS["monte_carlo"].items()),
+]
+# each key of each section, or one no section has
+_KEYS = [(doc, path, key) for doc, path, schema in _SECTIONS for key in (*schema, "odd_key")]
+# a value of the wrong JSON type, or a number past a range's edge
+_ODD_VALUE = st.one_of(
+    st.text(max_size=4), st.floats(), st.booleans(), st.none(),
+    st.lists(st.integers(0, 9), max_size=2),
+    st.dictionaries(st.sampled_from(["odd_key", "other_key"]), st.integers(0, 9), max_size=2),
+    st.sampled_from([10**400, math.nan, math.inf, -math.inf]), st.integers(max_value=-1))
+# a key whose odd value a cross-field rule refuses, and the key that rule names
+_NAMED_BY_RULE = {"node_bytes": "counter_cache_bytes"}  # the counter cache's line size
+_ARGV = {"simulate": ("--config", "bad.json"), "gen-trace": ("--config", "bad.json"),
+         "compare": ("bad.json", "bad.json"), "analyze-security": ("--config", "bad.json")}
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=st.sampled_from(_KEYS), value=_ODD_VALUE)
+# a bool is no number, and a trace file is a string
+@example(case=("run", (), "cxl_ns"), value=True)
+@example(case=("pattern", (), "write_fraction"), value=False)
+@example(case=("run", ("trace",), "file"), value=5)
+def test_a_document_with_one_odd_value_exits_0_or_2_naming_it(case, value):
+    """Any document with one key replaced exits 0 or 2 in every subcommand
+    that reads it, and on 2 names the key, or a key of the object put in
+    its place.  A bool is refused in every key, a number's too, and so is
+    anything but a string as a trace ``file``."""
+    name, path, key = case
+    if key == "file" and isinstance(value, str):
+        return  # a string is a path: a missing file is named by its path
+    doc, commands = _DOCS[name]
+    doc = copy.deepcopy(doc)
+    section = doc
+    for part in path:
+        section = section.setdefault(part, {})
+    section[key] = value
+    named = {key, _NAMED_BY_RULE.get(key, key), *(value if isinstance(value, dict) else ())}
+    for command in commands:
+        row = Case(command, command, {"bad.json": json.dumps(doc).encode()}, _ARGV[command], 0, "")
+        # only the Monte Carlo draws are stubbed: a trace's are made
+        draws = (mock.patch("freshsim.analysis.np.random.default_rng", side_effect=_Drew)
+                 if command == "analyze-security" else contextlib.nullcontext())
+        with tempfile.TemporaryDirectory() as directory, draws:
+            try:
+                status, err = run_in_process(row, directory)
+            except _Drew:  # a Monte Carlo section was accepted
+                continue
+        assert status in (0, 2), (command, status, err)
+        if isinstance(value, bool) or key == "file":
+            assert status == 2, (command, err)
+        if status == 2:
+            assert any(re.search(rf"\b{n}\b", err) for n in named), (command, named, err)
 
 
 class TestCompare:
@@ -385,6 +483,16 @@ class TestCompare:
         assert main(["compare", "--out", out, *configs[:2]]) == 0
         assert main(["compare", *configs]) == 2
         assert "trace mismatch" in capsys.readouterr().err
+
+    def test_every_config_checked_before_any_replay(self, tmp_path, monkeypatch, capsys):
+        def replay(self, events):
+            raise AssertionError("replayed a config before every config was checked")
+
+        monkeypatch.setattr(ProtectionEngine, "run", replay)
+        good = run_config(tmp_path, "good.json")
+        bad = run_config(tmp_path, "bad.json", flat_cache_entries=0)
+        assert main(["compare", good, bad]) == 2
+        assert capsys.readouterr().err == "error: flat_cache_entries must lie in [1, inf), got 0\n"
 
     def test_read_heavy_hot_set_keeps_device_traffic_marginal(self, tmp_path):
         # warm working set, 0.5% writes: freshness metadata stays under 2%

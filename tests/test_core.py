@@ -8,7 +8,19 @@ from hypothesis import given, strategies as st
 
 import numpy as np
 
-from freshsim.analysis import ExhaustionQuery, ExhaustionRun, ReplayRun, mc_exhaustion, mc_replay
+from freshsim.analysis import (
+    ExhaustionQuery,
+    ExhaustionRun,
+    ReplayQuery,
+    ReplayRun,
+    _Counts,
+    analytic_exhaustion_prob,
+    log_no_reset_prob,
+    mc_exhaustion,
+    mc_replay,
+    no_reset_prob,
+    replay_success_prob,
+)
 from freshsim.baselines import CounterTreeConfig
 from freshsim.core import (
     ConfigError,
@@ -74,6 +86,8 @@ BOUNDED_CLASSES = [
     (CounterTreeConfig, {}),
     (PatternSpec, {"kind": "strided", "footprint_bytes": 4096, "op_count": 1}),
     (ExhaustionQuery, {}),
+    (ReplayQuery, {}),
+    (_Counts, {}),
 ]
 BOUNDED = [(klass, required, f) for klass, required in BOUNDED_CLASSES
            for f in dataclasses.fields(klass) if f.metadata]
@@ -127,7 +141,7 @@ def test_bounded_field_refuses_by_key_and_takes_its_bounds(klass, required, f):
     if unit:
         refused.append(low + 1)
     if is_float:
-        refused += [math.nan, math.inf, -math.inf, None, "5"]
+        refused += [math.nan, math.inf, -math.inf, None, "5", True, False]
     assert refused
     for value in refused:
         with pytest.raises(ConfigError,
@@ -193,7 +207,12 @@ def test_integer_field_refuses_a_non_integer_by_key(klass, required, f):
     (lambda: mc_exhaustion(3, 2, trials=2.5), "trials"),
     (lambda: PatternSpec(kind="zipfian", footprint_bytes=4096, op_count=10.0), "op_count"),
     (lambda: EngineConfig(flat_cache_entries=2.5), "flat_cache_entries"),
-], ids=["mc_replay", "mc_exhaustion", "PatternSpec", "EngineConfig"])
+    (lambda: analytic_exhaustion_prob(3.5, 2, 10), "stealth_bits"),
+    (lambda: replay_success_prob(8.5), "stealth_bits"),
+    (lambda: no_reset_prob(2.5, 3), "n"),
+    (lambda: log_no_reset_prob(True, 3), "n"),
+], ids=["mc_replay", "mc_exhaustion", "PatternSpec", "EngineConfig", "analytic_exhaustion_prob",
+        "replay_success_prob", "no_reset_prob", "log_no_reset_prob"])
 def test_library_call_with_a_float_count_names_the_key(monkeypatch, call, key):
     import freshsim.analysis as mod
 
